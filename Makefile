@@ -11,11 +11,13 @@ build:
 test: build
 	$(GO) test ./...
 
-# race runs the parallel-runtime, message-passing-runtime and port suites
-# under the race detector — the shared-memory barrier in internal/par, the
-# pooled payload buffers in internal/comm, and every consumer of both.
+# race runs the parallel-runtime, message-passing-runtime, row-kernel and
+# port suites under the race detector — the shared-memory barrier in
+# internal/par, the pooled payload buffers in internal/comm, the kern row
+# bodies, and every consumer of them (internal/backends/hostchunk runs every
+# body on a multi-thread team).
 race:
-	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/backends/...
+	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/kern/... ./internal/backends/...
 
 # chaos runs the resilience suite under the race detector: the comm fault
 # injector and recovery latch, the chaos kernel wrapper, checkpoint/restore,

@@ -100,9 +100,6 @@ func run() error {
 		sdcEvery   = flag.Int("sdc-check-every", 0, fmt.Sprintf("CG iterations between ABFT true-residual checks (0: off; %d is the recommended cadence)", solver.DefaultSDCCheckEvery))
 		commSums   = flag.Bool("comm-checksums", false, "CRC-32C checksum every comm payload of message-passing versions; corruption is repaired or escalated")
 	)
-	// Historical spellings of the tile flags keep working.
-	flag.IntVar(tileX, "tilex", 0, "alias for -tile-x")
-	flag.IntVar(tileY, "tiley", 0, "alias for -tile-y")
 	flag.Parse()
 
 	if *list {

@@ -76,8 +76,8 @@ func run() error {
 		ranks    = flag.Int("ranks", 0, "ranks for distributed versions (0: 4)")
 		blockX   = flag.Int("blockx", 0, "GPU kernel block width (0: version default)")
 		blockY   = flag.Int("blocky", 0, "GPU kernel block height")
-		tileX    = flag.Int("tilex", 0, "OPS tile width (0: default)")
-		tileY    = flag.Int("tiley", 0, "OPS tile height")
+		tileX    = flag.Int("tile-x", 0, "OPS tile width (0: default)")
+		tileY    = flag.Int("tile-y", 0, "OPS tile height")
 
 		cacheSize     = flag.Int("cache-size", 256, "content-addressed result cache entries; identical decks return the stored result (0: off, also disables singleflight)")
 		cacheTTL      = flag.Duration("cache-ttl", 0, "result cache entry lifetime (0: entries live until LRU eviction)")

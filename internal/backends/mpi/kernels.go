@@ -1,32 +1,27 @@
 package mpi
 
 import (
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/hostchunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
-	"github.com/warwick-hpsc/tealeaf-go/internal/state"
 )
 
-// rankState is one rank's half of the port: its chunk of the mesh, its
-// fields, and (for the hybrid build) its thread team.
+// rankState is one rank's half of the port: the shared host chunk
+// (internal/backends/hostchunk) over this rank's sub-mesh, its rows handed
+// out serially or — for the hybrid build — on the rank's thread team, and
+// this type as its halo policy: exchange with neighbouring ranks, reflect
+// the physical sides. Reductions leave the chunk as rank partials; Port and
+// RankKernels allreduce them.
 type rankState struct {
-	port     *Port
+	*hostchunk.Fused
 	rank     *comm.Rank
 	team     *par.Team // nil for the pure-MPI build
 	chunk    comm.Chunk
-	mesh     *grid.Mesh // this rank's sub-mesh
-	nx, ny   int
-	gnx, gny int // global mesh extent (for field gathers)
-	precond  config.Preconditioner
-
-	density, energy0, energy1 *grid.Field
-	u, u0                     *grid.Field
-	p, r, w, z, sd, mi        *grid.Field
-	kx, ky                    *grid.Field
-	un, rtemp, tcp, tdp       *grid.Field
-	fieldsByID                [driver.NumFields]*grid.Field
+	physical hostchunk.Sides // sides with no neighbouring rank
+	gnx, gny int             // global mesh extent (for field gathers)
 
 	// Reusable exchange scratch: one buffer to pack outgoing halo strips
 	// (Send copies into a pooled payload immediately) and one to receive
@@ -40,96 +35,26 @@ type rankState struct {
 func (rs *rankState) init(global *grid.Mesh, ch comm.Chunk, states []config.State) error {
 	rs.chunk = ch
 	rs.gnx, rs.gny = global.Nx, global.Ny
-	rs.mesh = global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY)
-	rs.nx, rs.ny = ch.NX, ch.NY
-	alloc := func() *grid.Field { return grid.New(rs.nx, rs.ny) }
-	rs.density, rs.energy0, rs.energy1 = alloc(), alloc(), alloc()
-	rs.u, rs.u0 = alloc(), alloc()
-	rs.p, rs.r, rs.w, rs.z, rs.sd, rs.mi = alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
-	rs.kx, rs.ky = alloc(), alloc()
-	rs.un, rs.rtemp = alloc(), alloc()
-	rs.tcp, rs.tdp = alloc(), alloc()
+	physical := func(neighbour int, s hostchunk.Sides) hostchunk.Sides {
+		if neighbour < 0 {
+			return s
+		}
+		return 0
+	}
+	rs.physical = physical(ch.Left, hostchunk.Left) | physical(ch.Right, hostchunk.Right) |
+		physical(ch.Down, hostchunk.Down) | physical(ch.Up, hostchunk.Up)
+	var rows hostchunk.Rows = hostchunk.Serial{}
+	if rs.team != nil {
+		rows = rs.team
+	}
+	rs.Fused = hostchunk.NewFused(rows, rs)
 	// Largest halo message: depth<=DefaultHalo strips of columns
 	// (depth*ny) or full-width rows (depth*(nx+2*depth)).
 	d := grid.DefaultHalo
-	maxMsg := d * max(rs.ny, rs.nx+2*d)
+	maxMsg := d * max(ch.NY, ch.NX+2*d)
 	rs.packBuf = make([]float64, maxMsg)
 	rs.recvBuf = make([]float64, maxMsg)
-	rs.fieldsByID = [driver.NumFields]*grid.Field{
-		driver.FieldDensity: rs.density,
-		driver.FieldEnergy0: rs.energy0,
-		driver.FieldEnergy1: rs.energy1,
-		driver.FieldU:       rs.u,
-		driver.FieldU0:      rs.u0,
-		driver.FieldP:       rs.p,
-		driver.FieldR:       rs.r,
-		driver.FieldW:       rs.w,
-		driver.FieldZ:       rs.z,
-		driver.FieldSD:      rs.sd,
-		driver.FieldKx:      rs.kx,
-		driver.FieldKy:      rs.ky,
-	}
-	return state.Generate(rs.mesh, states, grid.DefaultHalo, func(i, j int, density, energy float64) {
-		rs.density.Set(i, j, density)
-		rs.energy0.Set(i, j, energy)
-	})
-}
-
-// forRows runs body for each row in [lo, hi), on the team when present.
-func (rs *rankState) forRows(lo, hi int, body func(j int)) {
-	if rs.team == nil {
-		for j := lo; j < hi; j++ {
-			body(j)
-		}
-		return
-	}
-	rs.team.For(lo, hi, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			body(j)
-		}
-	})
-}
-
-// reduceRows sums body over rows [lo, hi), on the team when present.
-func (rs *rankState) reduceRows(lo, hi int, body func(j int) float64) float64 {
-	if rs.team == nil {
-		var s float64
-		for j := lo; j < hi; j++ {
-			s += body(j)
-		}
-		return s
-	}
-	return rs.team.ReduceSum(lo, hi, func(j0, j1 int) float64 {
-		var s float64
-		for j := j0; j < j1; j++ {
-			s += body(j)
-		}
-		return s
-	})
-}
-
-// reduceRows2 sums two quantities over rows [lo, hi) in one sweep, on the
-// team when present. Per-component combine order matches reduceRows, so
-// fusing two reductions into one sweep changes no bits.
-func (rs *rankState) reduceRows2(lo, hi int, body func(j int) (float64, float64)) (float64, float64) {
-	if rs.team == nil {
-		var a, b float64
-		for j := lo; j < hi; j++ {
-			x, y := body(j)
-			a += x
-			b += y
-		}
-		return a, b
-	}
-	return rs.team.ReduceSum2(lo, hi, func(j0, j1 int) (float64, float64) {
-		var a, b float64
-		for j := j0; j < j1; j++ {
-			x, y := body(j)
-			a += x
-			b += y
-		}
-		return a, b
-	})
+	return rs.Generate(global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY), states)
 }
 
 // --- halo exchange ---------------------------------------------------------
@@ -146,13 +71,9 @@ const (
 
 func tag(fid driver.FieldID, dir int) int { return int(fid)*numDirs + dir }
 
-func (rs *rankState) haloExchange(fields []driver.FieldID, depth int) {
-	for _, id := range fields {
-		rs.exchangeField(rs.fieldsByID[id], id, depth)
-	}
-}
-
-func (rs *rankState) exchangeField(f *grid.Field, fid driver.FieldID, depth int) {
+// Update implements hostchunk.Halo: per phase, exchange strips with the
+// neighbouring ranks, then reflect the sides that are physical boundaries.
+func (rs *rankState) Update(f *grid.Field, fid driver.FieldID, depth int) {
 	nx, ny, d := f.Nx, f.Ny, f.Depth
 	ch := rs.chunk
 	// X phase over interior rows: post both sends eagerly, then receive.
@@ -168,25 +89,12 @@ func (rs *rankState) exchangeField(f *grid.Field, fid driver.FieldID, depth int)
 	if ch.Left >= 0 {
 		n := rs.rank.RecvInto(ch.Left, tag(fid, dirEast), rs.recvBuf)
 		unpackCols(f, -depth, depth, rs.recvBuf[:n])
-	} else {
-		for j := 0; j < ny; j++ {
-			row := f.Row(j)
-			for k := 1; k <= depth; k++ {
-				row[d-k] = row[d+k-1]
-			}
-		}
 	}
 	if ch.Right >= 0 {
 		n := rs.rank.RecvInto(ch.Right, tag(fid, dirWest), rs.recvBuf)
 		unpackCols(f, nx, depth, rs.recvBuf[:n])
-	} else {
-		for j := 0; j < ny; j++ {
-			row := f.Row(j)
-			for k := 1; k <= depth; k++ {
-				row[d+nx-1+k] = row[d+nx-k]
-			}
-		}
 	}
+	hostchunk.Reflect(hostchunk.Serial{}, f, depth, rs.physical&(hostchunk.Left|hostchunk.Right))
 	// Y phase over the full width (including the x halos just filled), so
 	// corner halos carry diagonal-neighbour data after both phases.
 	lo, hi := d-depth, d+nx+depth
@@ -199,19 +107,12 @@ func (rs *rankState) exchangeField(f *grid.Field, fid driver.FieldID, depth int)
 	if ch.Down >= 0 {
 		n := rs.rank.RecvInto(ch.Down, tag(fid, dirNorth), rs.recvBuf)
 		unpackRows(f, -depth, depth, lo, hi, rs.recvBuf[:n])
-	} else {
-		for k := 1; k <= depth; k++ {
-			copy(f.Row(-k)[lo:hi], f.Row(k - 1)[lo:hi])
-		}
 	}
 	if ch.Up >= 0 {
 		n := rs.rank.RecvInto(ch.Up, tag(fid, dirSouth), rs.recvBuf)
 		unpackRows(f, ny, depth, lo, hi, rs.recvBuf[:n])
-	} else {
-		for k := 1; k <= depth; k++ {
-			copy(f.Row(ny - 1 + k)[lo:hi], f.Row(ny - k)[lo:hi])
-		}
 	}
+	hostchunk.Reflect(hostchunk.Serial{}, f, depth, rs.physical&(hostchunk.Down|hostchunk.Up))
 }
 
 // packCols packs columns [i0, i0+w) over interior rows into scratch,
@@ -259,435 +160,7 @@ func unpackRows(f *grid.Field, j0, h, lo, hi int, buf []float64) {
 	}
 }
 
-// --- kernels ----------------------------------------------------------------
-
-func (rs *rankState) setField() {
-	rs.forRows(-2, rs.ny+2, func(j int) {
-		copy(rs.energy1.Row(j), rs.energy0.Row(j))
-	})
-}
-
-func (rs *rankState) resetField() {
-	rs.forRows(-2, rs.ny+2, func(j int) {
-		copy(rs.energy0.Row(j), rs.energy1.Row(j))
-	})
-}
-
-func (rs *rankState) fieldSummary() driver.Totals {
-	cellVol := rs.mesh.CellVolume()
-	var t driver.Totals
-	// Two fused sweeps (volume+mass, internal energy+temperature) instead
-	// of four: halves both the fork-join count and the memory traffic. Each
-	// component keeps its own accumulator and the same row order, so the
-	// totals are bit-identical to the unfused form.
-	t.Volume, t.Mass = rs.reduceRows2(0, rs.ny, func(j int) (float64, float64) {
-		var m float64
-		for _, v := range rs.density.InteriorRow(j) {
-			m += v * cellVol
-		}
-		return float64(rs.nx) * cellVol, m
-	})
-	t.InternalEnergy, t.Temperature = rs.reduceRows2(0, rs.ny, func(j int) (float64, float64) {
-		var ie, temp float64
-		dr := rs.density.InteriorRow(j)
-		er := rs.energy0.InteriorRow(j)
-		for i := range dr {
-			ie += dr[i] * er[i] * cellVol
-		}
-		for _, v := range rs.u.InteriorRow(j) {
-			temp += v * cellVol
-		}
-		return ie, temp
-	})
-	return t
-}
-
-func (rs *rankState) solveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
-	rs.precond = precond
-	nx, ny := rs.nx, rs.ny
-	rs.forRows(-2, ny+2, func(j int) {
-		dr := rs.density.Row(j)
-		er := rs.energy1.Row(j)
-		ur := rs.u.Row(j)
-		u0r := rs.u0.Row(j)
-		wr := rs.w.Row(j)
-		for i := range ur {
-			ur[i] = er[i] * dr[i]
-			u0r[i] = ur[i]
-		}
-		if coef == config.Conductivity {
-			copy(wr, dr)
-		} else {
-			for i := range wr {
-				wr[i] = 1 / dr[i]
-			}
-		}
-	})
-	d := rs.w.Depth
-	rs.forRows(-1, ny+1, func(j int) {
-		wr := rs.w.Row(j)
-		wd := rs.w.Row(j - 1)
-		kxr := rs.kx.Row(j)
-		kyr := rs.ky.Row(j)
-		for i := -1; i < nx+1; i++ {
-			kxr[d+i] = rx * (wr[d+i-1] + wr[d+i]) / (2 * wr[d+i-1] * wr[d+i])
-			kyr[d+i] = ry * (wd[d+i] + wr[d+i]) / (2 * wd[d+i] * wr[d+i])
-		}
-	})
-	rs.calcResidual()
-	if precond == config.PrecondJacDiag {
-		rs.forRows(0, ny, func(j int) {
-			kxr := rs.kx.Row(j)
-			kyr := rs.ky.Row(j)
-			kyu := rs.ky.Row(j + 1)
-			mir := rs.mi.Row(j)
-			for i := 0; i < nx; i++ {
-				mir[d+i] = 1 / (1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i])
-			}
-		})
-	}
-	if precond != config.PrecondNone {
-		rs.applyPrecond()
-	}
-}
-
-func (rs *rankState) applyOperatorRow(dst, src *grid.Field, j int) {
-	d := src.Depth
-	sr := src.Row(j)
-	su := src.Row(j + 1)
-	sdw := src.Row(j - 1)
-	kxr := rs.kx.Row(j)
-	kyr := rs.ky.Row(j)
-	kyu := rs.ky.Row(j + 1)
-	dr := dst.Row(j)
-	for i := 0; i < rs.nx; i++ {
-		ii := d + i
-		dr[ii] = (1+kxr[ii+1]+kxr[ii]+kyu[ii]+kyr[ii])*sr[ii] -
-			(kxr[ii+1]*sr[ii+1] + kxr[ii]*sr[ii-1]) -
-			(kyu[ii]*su[ii] + kyr[ii]*sdw[ii])
-	}
-}
-
-func (rs *rankState) calcResidual() {
-	rs.forRows(0, rs.ny, func(j int) {
-		rs.applyOperatorRow(rs.w, rs.u, j)
-		u0r := rs.u0.InteriorRow(j)
-		wr := rs.w.InteriorRow(j)
-		rr := rs.r.InteriorRow(j)
-		for i := range rr {
-			rr[i] = u0r[i] - wr[i]
-		}
-	})
-}
-
-func (rs *rankState) norm2R() float64 {
-	return rs.reduceRows(0, rs.ny, func(j int) float64 {
-		var s float64
-		for _, v := range rs.r.InteriorRow(j) {
-			s += v * v
-		}
-		return s
-	})
-}
-
-func (rs *rankState) dotRZ() float64 {
-	return rs.reduceRows(0, rs.ny, func(j int) float64 {
-		var s float64
-		rr := rs.r.InteriorRow(j)
-		zr := rs.z.InteriorRow(j)
-		for i := range rr {
-			s += rr[i] * zr[i]
-		}
-		return s
-	})
-}
-
-func (rs *rankState) applyPrecond() {
-	if rs.precond == config.PrecondJacBlock {
-		// Line Jacobi within the rank's chunk: each local row's tridiagonal
-		// slice is solved exactly. The preconditioner is block-diagonal
-		// over rows (no cross-rank coupling), so no halo traffic is needed.
-		rs.forRows(0, rs.ny, func(j int) { rs.blockSolveRow(j) })
-		return
-	}
-	rs.forRows(0, rs.ny, func(j int) {
-		rr := rs.r.InteriorRow(j)
-		mir := rs.mi.InteriorRow(j)
-		zr := rs.z.InteriorRow(j)
-		for i := range zr {
-			zr[i] = mir[i] * rr[i]
-		}
-	})
-}
-
-func (rs *rankState) blockSolveRow(j int) {
-	nx := rs.nx
-	d := rs.r.Depth
-	rr := rs.r.Row(j)
-	zr := rs.z.Row(j)
-	kxr := rs.kx.Row(j)
-	kyr := rs.ky.Row(j)
-	kyu := rs.ky.Row(j + 1)
-	cp := rs.tcp.Row(j)
-	dp := rs.tdp.Row(j)
-	diag := func(i int) float64 {
-		return 1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i]
-	}
-	b0 := diag(0)
-	cp[d] = -kxr[d+1] / b0
-	dp[d] = rr[d] / b0
-	for i := 1; i < nx; i++ {
-		a := -kxr[d+i]
-		m := 1 / (diag(i) - a*cp[d+i-1])
-		cp[d+i] = -kxr[d+i+1] * m
-		dp[d+i] = (rr[d+i] - a*dp[d+i-1]) * m
-	}
-	zr[d+nx-1] = dp[d+nx-1]
-	for i := nx - 2; i >= 0; i-- {
-		zr[d+i] = dp[d+i] - cp[d+i]*zr[d+i+1]
-	}
-}
-
-func (rs *rankState) cgInitP(precond bool) float64 {
-	return rs.reduceRows(0, rs.ny, func(j int) float64 {
-		var rro float64
-		rr := rs.r.InteriorRow(j)
-		pr := rs.p.InteriorRow(j)
-		src := rr
-		if precond {
-			src = rs.z.InteriorRow(j)
-		}
-		for i := range pr {
-			pr[i] = src[i]
-			rro += rr[i] * src[i]
-		}
-		return rro
-	})
-}
-
-func (rs *rankState) cgCalcW() float64 {
-	return rs.reduceRows(0, rs.ny, func(j int) float64 {
-		rs.applyOperatorRow(rs.w, rs.p, j)
-		var pw float64
-		pr := rs.p.InteriorRow(j)
-		wr := rs.w.InteriorRow(j)
-		for i := range pr {
-			pw += pr[i] * wr[i]
-		}
-		return pw
-	})
-}
-
-func (rs *rankState) cgCalcUR(alpha float64, precond bool) float64 {
-	rrn := rs.reduceRows(0, rs.ny, func(j int) float64 {
-		var s float64
-		ur := rs.u.InteriorRow(j)
-		pr := rs.p.InteriorRow(j)
-		rr := rs.r.InteriorRow(j)
-		wr := rs.w.InteriorRow(j)
-		for i := range rr {
-			ur[i] += alpha * pr[i]
-			rr[i] -= alpha * wr[i]
-		}
-		if !precond {
-			for i := range rr {
-				s += rr[i] * rr[i]
-			}
-		}
-		return s
-	})
-	if precond {
-		rs.applyPrecond()
-		return rs.dotRZ()
-	}
-	return rrn
-}
-
-// cgCalcWFused implements the port's FusedWDot capability. cgCalcW already
-// fuses the operator row with its p·w contribution, so the fused entry
-// point is the same sweep under its capability name.
-func (rs *rankState) cgCalcWFused() float64 { return rs.cgCalcW() }
-
-// cgCalcURFused fuses the u/r update, the preconditioner (diagonal scaling
-// or the row's independent Thomas solve) and the r·z reduction into one
-// sweep over the rank's rows. Row traversal and partial combination match
-// the unfused reduceRows path, and the allreduce combines rank partials in
-// rank order either way, so fusion changes no bits.
-func (rs *rankState) cgCalcURFused(alpha float64, precond bool) float64 {
-	return rs.reduceRows(0, rs.ny, func(j int) float64 {
-		var s float64
-		ur := rs.u.InteriorRow(j)
-		pr := rs.p.InteriorRow(j)
-		rr := rs.r.InteriorRow(j)
-		wr := rs.w.InteriorRow(j)
-		for i := range rr {
-			ur[i] += alpha * pr[i]
-			rr[i] -= alpha * wr[i]
-		}
-		if !precond {
-			for i := range rr {
-				s += rr[i] * rr[i]
-			}
-			return s
-		}
-		zr := rs.z.InteriorRow(j)
-		if rs.precond == config.PrecondJacBlock {
-			rs.blockSolveRow(j)
-		} else {
-			mir := rs.mi.InteriorRow(j)
-			for i := range zr {
-				zr[i] = mir[i] * rr[i]
-			}
-		}
-		for i := range rr {
-			s += rr[i] * zr[i]
-		}
-		return s
-	})
-}
-
-func (rs *rankState) cgCalcP(beta float64, precond bool) {
-	rs.forRows(0, rs.ny, func(j int) {
-		pr := rs.p.InteriorRow(j)
-		src := rs.r.InteriorRow(j)
-		if precond {
-			src = rs.z.InteriorRow(j)
-		}
-		for i := range pr {
-			pr[i] = src[i] + beta*pr[i]
-		}
-	})
-}
-
-func (rs *rankState) jacobiCopyU() {
-	rs.forRows(-2, rs.ny+2, func(j int) {
-		copy(rs.un.Row(j), rs.u.Row(j))
-	})
-}
-
-func (rs *rankState) jacobiIterate() float64 {
-	d := rs.u.Depth
-	return rs.reduceRows(0, rs.ny, func(j int) float64 {
-		var errSum float64
-		unr := rs.un.Row(j)
-		unu := rs.un.Row(j + 1)
-		und := rs.un.Row(j - 1)
-		u0r := rs.u0.Row(j)
-		kxr := rs.kx.Row(j)
-		kyr := rs.ky.Row(j)
-		kyu := rs.ky.Row(j + 1)
-		ur := rs.u.Row(j)
-		for i := 0; i < rs.nx; i++ {
-			ii := d + i
-			num := u0r[ii] +
-				kxr[ii+1]*unr[ii+1] + kxr[ii]*unr[ii-1] +
-				kyu[ii]*unu[ii] + kyr[ii]*und[ii]
-			den := 1 + kxr[ii+1] + kxr[ii] + kyu[ii] + kyr[ii]
-			ur[ii] = num / den
-			dv := ur[ii] - unr[ii]
-			if dv < 0 {
-				dv = -dv
-			}
-			errSum += dv
-		}
-		return errSum
-	})
-}
-
-func (rs *rankState) chebyInit(theta float64, precond bool) {
-	rs.forRows(0, rs.ny, func(j int) {
-		src := rs.r.InteriorRow(j)
-		if precond {
-			src = rs.z.InteriorRow(j)
-		}
-		sdr := rs.sd.InteriorRow(j)
-		ur := rs.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = src[i] / theta
-			ur[i] += sdr[i]
-		}
-	})
-}
-
-func (rs *rankState) chebyIterate(alpha, beta float64, precond bool) {
-	rs.forRows(0, rs.ny, func(j int) {
-		rs.applyOperatorRow(rs.w, rs.sd, j)
-		rr := rs.r.InteriorRow(j)
-		wr := rs.w.InteriorRow(j)
-		for i := range rr {
-			rr[i] -= wr[i]
-		}
-	})
-	if precond {
-		rs.applyPrecond()
-	}
-	rs.forRows(0, rs.ny, func(j int) {
-		src := rs.r.InteriorRow(j)
-		if precond {
-			src = rs.z.InteriorRow(j)
-		}
-		sdr := rs.sd.InteriorRow(j)
-		ur := rs.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = alpha*sdr[i] + beta*src[i]
-			ur[i] += sdr[i]
-		}
-	})
-}
-
-func (rs *rankState) ppcgInitInner(theta float64) {
-	rs.forRows(0, rs.ny, func(j int) {
-		rr := rs.r.InteriorRow(j)
-		rt := rs.rtemp.InteriorRow(j)
-		zr := rs.z.InteriorRow(j)
-		sdr := rs.sd.InteriorRow(j)
-		for i := range rr {
-			rt[i] = rr[i]
-			zr[i] = 0
-			sdr[i] = rr[i] / theta
-		}
-	})
-}
-
-func (rs *rankState) ppcgInnerIterate(alpha, beta float64) {
-	// Two phases: the stencil must see the previous sd everywhere before
-	// any row rewrites it.
-	rs.forRows(0, rs.ny, func(j int) {
-		rs.applyOperatorRow(rs.w, rs.sd, j)
-	})
-	rs.forRows(0, rs.ny, func(j int) {
-		zr := rs.z.InteriorRow(j)
-		sdr := rs.sd.InteriorRow(j)
-		rt := rs.rtemp.InteriorRow(j)
-		wr := rs.w.InteriorRow(j)
-		for i := range sdr {
-			zr[i] += sdr[i]
-			rt[i] -= wr[i]
-			sdr[i] = alpha*sdr[i] + beta*rt[i]
-		}
-	})
-}
-
-func (rs *rankState) ppcgFinishInner() {
-	rs.forRows(0, rs.ny, func(j int) {
-		zr := rs.z.InteriorRow(j)
-		sdr := rs.sd.InteriorRow(j)
-		for i := range zr {
-			zr[i] += sdr[i]
-		}
-	})
-}
-
-func (rs *rankState) solveFinalise() {
-	rs.forRows(0, rs.ny, func(j int) {
-		ur := rs.u.InteriorRow(j)
-		dr := rs.density.InteriorRow(j)
-		er := rs.energy1.InteriorRow(j)
-		for i := range er {
-			er[i] = ur[i] / dr[i]
-		}
-	})
-}
+// --- field gather ------------------------------------------------------------
 
 // Field-gather tags live above the halo-exchange tag space.
 const (
@@ -695,28 +168,21 @@ const (
 	tagFetchData
 )
 
-// fetchField gathers the named field's interior onto rank 0 in global
-// row-major order; other ranks return nil.
 // restoreField is fetchField's inverse. Every rank sees the same global
 // slab (captured by the do() closure), so each simply copies out its own
 // chunk window — no gather/scatter messaging at all.
 func (rs *rankState) restoreField(id driver.FieldID, data []float64) {
-	f := rs.fieldsByID[id]
-	for j := 0; j < rs.ny; j++ {
-		src := data[(rs.chunk.Y0+j)*rs.gnx+rs.chunk.X0:]
-		copy(f.InteriorRow(j), src[:rs.nx])
-	}
+	rs.RestoreWindow(id, data[rs.chunk.Y0*rs.gnx+rs.chunk.X0:], rs.gnx)
 }
 
+// fetchField gathers the named field's interior onto rank 0 in global
+// row-major order; other ranks return nil.
 func (rs *rankState) fetchField(id driver.FieldID) []float64 {
-	f := rs.fieldsByID[id]
-	local := make([]float64, 0, rs.nx*rs.ny)
-	for j := 0; j < rs.ny; j++ {
-		local = append(local, f.InteriorRow(j)...)
-	}
+	ch := rs.chunk
+	local := rs.FetchField(id)
 	if rs.rank.ID() != 0 {
 		rs.rank.Send(0, tagFetchMeta, []float64{
-			float64(rs.chunk.X0), float64(rs.chunk.Y0), float64(rs.nx), float64(rs.ny),
+			float64(ch.X0), float64(ch.Y0), float64(ch.NX), float64(ch.NY),
 		})
 		rs.rank.Send(0, tagFetchData, local)
 		return nil
@@ -727,7 +193,7 @@ func (rs *rankState) fetchField(id driver.FieldID) []float64 {
 			copy(out[(y0+j)*rs.gnx+x0:(y0+j)*rs.gnx+x0+nx], data[j*nx:(j+1)*nx])
 		}
 	}
-	place(rs.chunk.X0, rs.chunk.Y0, rs.nx, rs.ny, local)
+	place(ch.X0, ch.Y0, ch.NX, ch.NY, local)
 	for r := 1; r < rs.rank.Size(); r++ {
 		meta := rs.rank.Recv(r, tagFetchMeta)
 		data := rs.rank.Recv(r, tagFetchData)

@@ -109,13 +109,14 @@ func TestHaloExchangeValues(t *testing.T) {
 	p.do(func(rs *rankState) {
 		var pr probe
 		pr.rank = rs.rank.ID()
-		for j := 0; j < rs.ny; j++ {
+		density, nx := rs.Field(driver.FieldDensity), rs.chunk.NX
+		for j := 0; j < rs.chunk.NY; j++ {
 			if rs.chunk.Right >= 0 { // left rank: my right halo vs my interior edge
-				pr.interior = append(pr.interior, rs.density.At(rs.nx-1, j))
-				pr.halo = append(pr.halo, rs.density.At(rs.nx, j))
+				pr.interior = append(pr.interior, density.At(nx-1, j))
+				pr.halo = append(pr.halo, density.At(nx, j))
 			} else {
-				pr.interior = append(pr.interior, rs.density.At(0, j))
-				pr.halo = append(pr.halo, rs.density.At(-1, j))
+				pr.interior = append(pr.interior, density.At(0, j))
+				pr.halo = append(pr.halo, density.At(-1, j))
 			}
 		}
 		results <- pr

@@ -95,7 +95,7 @@ func newWithWorld(name string, world *comm.World, ranks, threads int) *Port {
 	}
 	go func() {
 		p.world.Run(func(r *comm.Rank) {
-			rs := &rankState{port: p, rank: r}
+			rs := &rankState{rank: r}
 			if threads > 1 {
 				rs.team = par.NewTeam(threads)
 				defer rs.team.Close()
@@ -200,15 +200,15 @@ func (p *Port) Generate(m *grid.Mesh, states []config.State) error {
 }
 
 // SetField implements driver.Kernels.
-func (p *Port) SetField() { p.do((*rankState).setField) }
+func (p *Port) SetField() { p.do((*rankState).SetField) }
 
 // ResetField implements driver.Kernels.
-func (p *Port) ResetField() { p.do((*rankState).resetField) }
+func (p *Port) ResetField() { p.do((*rankState).ResetField) }
 
 // FieldSummary implements driver.Kernels.
 func (p *Port) FieldSummary() driver.Totals {
 	p.do(func(rs *rankState) {
-		local := rs.fieldSummary()
+		local := rs.FieldSummary()
 		rs.sumBuf = [4]float64{local.Volume, local.Mass, local.InternalEnergy, local.Temperature}
 		rs.rank.AllreduceVecInPlace(rs.sumBuf[:])
 		if rs.rank.ID() == 0 {
@@ -225,87 +225,87 @@ func (p *Port) FieldSummary() driver.Totals {
 
 // HaloExchange implements driver.Kernels.
 func (p *Port) HaloExchange(fields []driver.FieldID, depth int) {
-	p.do(func(rs *rankState) { rs.haloExchange(fields, depth) })
+	p.do(func(rs *rankState) { rs.HaloExchange(fields, depth) })
 }
 
 // SolveInit implements driver.Kernels.
 func (p *Port) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
-	p.do(func(rs *rankState) { rs.solveInit(coef, rx, ry, precond) })
+	p.do(func(rs *rankState) { rs.SolveInit(coef, rx, ry, precond) })
 }
 
 // SolveFinalise implements driver.Kernels.
-func (p *Port) SolveFinalise() { p.do((*rankState).solveFinalise) }
+func (p *Port) SolveFinalise() { p.do((*rankState).SolveFinalise) }
 
 // CalcResidual implements driver.Kernels.
-func (p *Port) CalcResidual() { p.do((*rankState).calcResidual) }
+func (p *Port) CalcResidual() { p.do((*rankState).CalcResidual) }
 
 // Norm2R implements driver.Kernels.
-func (p *Port) Norm2R() float64 { return p.doReduce((*rankState).norm2R) }
+func (p *Port) Norm2R() float64 { return p.doReduce((*rankState).Norm2R) }
 
 // DotRZ implements driver.Kernels.
-func (p *Port) DotRZ() float64 { return p.doReduce((*rankState).dotRZ) }
+func (p *Port) DotRZ() float64 { return p.doReduce((*rankState).DotRZ) }
 
 // ApplyPrecond implements driver.Kernels.
-func (p *Port) ApplyPrecond() { p.do((*rankState).applyPrecond) }
+func (p *Port) ApplyPrecond() { p.do((*rankState).ApplyPrecond) }
 
 // CGInitP implements driver.Kernels.
 func (p *Port) CGInitP(precond bool) float64 {
-	return p.doReduce(func(rs *rankState) float64 { return rs.cgInitP(precond) })
+	return p.doReduce(func(rs *rankState) float64 { return rs.CGInitP(precond) })
 }
 
 // CGCalcW implements driver.Kernels.
 func (p *Port) CGCalcW() float64 {
-	return p.doReduce((*rankState).cgCalcW)
+	return p.doReduce((*rankState).CGCalcW)
 }
 
 // CGCalcUR implements driver.Kernels.
 func (p *Port) CGCalcUR(alpha float64, precond bool) float64 {
-	return p.doReduce(func(rs *rankState) float64 { return rs.cgCalcUR(alpha, precond) })
+	return p.doReduce(func(rs *rankState) float64 { return rs.CGCalcUR(alpha, precond) })
 }
 
 // CGCalcWFused implements driver.FusedWDot.
 func (p *Port) CGCalcWFused() float64 {
-	return p.doReduce((*rankState).cgCalcWFused)
+	return p.doReduce((*rankState).CGCalcWFused)
 }
 
 // CGCalcURFused implements driver.FusedURPrecond.
 func (p *Port) CGCalcURFused(alpha float64, precond bool) float64 {
-	return p.doReduce(func(rs *rankState) float64 { return rs.cgCalcURFused(alpha, precond) })
+	return p.doReduce(func(rs *rankState) float64 { return rs.CGCalcURFused(alpha, precond) })
 }
 
 // CGCalcP implements driver.Kernels.
 func (p *Port) CGCalcP(beta float64, precond bool) {
-	p.do(func(rs *rankState) { rs.cgCalcP(beta, precond) })
+	p.do(func(rs *rankState) { rs.CGCalcP(beta, precond) })
 }
 
 // JacobiCopyU implements driver.Kernels.
-func (p *Port) JacobiCopyU() { p.do((*rankState).jacobiCopyU) }
+func (p *Port) JacobiCopyU() { p.do((*rankState).JacobiCopyU) }
 
 // JacobiIterate implements driver.Kernels.
-func (p *Port) JacobiIterate() float64 { return p.doReduce((*rankState).jacobiIterate) }
+func (p *Port) JacobiIterate() float64 { return p.doReduce((*rankState).JacobiIterate) }
 
 // ChebyInit implements driver.Kernels.
 func (p *Port) ChebyInit(theta float64, precond bool) {
-	p.do(func(rs *rankState) { rs.chebyInit(theta, precond) })
+	p.do(func(rs *rankState) { rs.ChebyInit(theta, precond) })
 }
 
 // ChebyIterate implements driver.Kernels.
 func (p *Port) ChebyIterate(alpha, beta float64, precond bool) {
-	p.do(func(rs *rankState) { rs.chebyIterate(alpha, beta, precond) })
+	p.do(func(rs *rankState) { rs.ChebyIterate(alpha, beta, precond) })
 }
 
 // PPCGInitInner implements driver.Kernels.
 func (p *Port) PPCGInitInner(theta float64) {
-	p.do(func(rs *rankState) { rs.ppcgInitInner(theta) })
+	p.do(func(rs *rankState) { rs.PPCGInitInner(theta) })
 }
 
 // PPCGInnerIterate implements driver.Kernels.
 func (p *Port) PPCGInnerIterate(alpha, beta float64) {
-	p.do(func(rs *rankState) { rs.ppcgInnerIterate(alpha, beta) })
+	p.do(func(rs *rankState) { rs.PPCGInnerIterate(alpha, beta) })
 }
 
 // PPCGFinishInner implements driver.Kernels.
-func (p *Port) PPCGFinishInner() { p.do((*rankState).ppcgFinishInner) }
+func (p *Port) PPCGFinishInner() { p.do((*rankState).PPCGFinishInner) }
 
 // FetchField implements driver.Kernels: gather the chunks onto rank 0 and
 // return the assembled global field.

@@ -24,9 +24,9 @@ const tagFetchSlab = 100002
 // decision (convergence, error norms, time) derives from allreduced scalars
 // that are bitwise identical on all ranks.
 //
-// The kernel bodies are exactly the rankState methods Port uses, so a fleet
-// of RankKernels processes computes bit-for-bit what an in-process Port
-// world computes.
+// The kernel bodies are exactly the rankState (shared host chunk) methods
+// Port uses, so a fleet of RankKernels processes computes bit-for-bit what an
+// in-process Port world computes.
 type RankKernels struct {
 	rs rankState
 }
@@ -60,16 +60,16 @@ func (k *RankKernels) Generate(m *grid.Mesh, states []config.State) error {
 }
 
 // SetField implements driver.Kernels.
-func (k *RankKernels) SetField() { k.rs.setField() }
+func (k *RankKernels) SetField() { k.rs.SetField() }
 
 // ResetField implements driver.Kernels.
-func (k *RankKernels) ResetField() { k.rs.resetField() }
+func (k *RankKernels) ResetField() { k.rs.ResetField() }
 
 // FieldSummary implements driver.Kernels. Unlike Port (which reports rank
 // 0's copy), every rank returns the allreduced totals — they are bitwise
 // identical, and each process's driver needs them for its own QA line.
 func (k *RankKernels) FieldSummary() driver.Totals {
-	local := k.rs.fieldSummary()
+	local := k.rs.FieldSummary()
 	k.rs.sumBuf = [4]float64{local.Volume, local.Mass, local.InternalEnergy, local.Temperature}
 	k.rs.rank.AllreduceVecInPlace(k.rs.sumBuf[:])
 	return driver.Totals{
@@ -82,77 +82,77 @@ func (k *RankKernels) FieldSummary() driver.Totals {
 
 // HaloExchange implements driver.Kernels.
 func (k *RankKernels) HaloExchange(fields []driver.FieldID, depth int) {
-	k.rs.haloExchange(fields, depth)
+	k.rs.HaloExchange(fields, depth)
 }
 
 // SolveInit implements driver.Kernels.
 func (k *RankKernels) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
-	k.rs.solveInit(coef, rx, ry, precond)
+	k.rs.SolveInit(coef, rx, ry, precond)
 }
 
 // SolveFinalise implements driver.Kernels.
-func (k *RankKernels) SolveFinalise() { k.rs.solveFinalise() }
+func (k *RankKernels) SolveFinalise() { k.rs.SolveFinalise() }
 
 // CalcResidual implements driver.Kernels.
-func (k *RankKernels) CalcResidual() { k.rs.calcResidual() }
+func (k *RankKernels) CalcResidual() { k.rs.CalcResidual() }
 
 // Norm2R implements driver.Kernels.
-func (k *RankKernels) Norm2R() float64 { return k.rs.rank.AllreduceSum(k.rs.norm2R()) }
+func (k *RankKernels) Norm2R() float64 { return k.rs.rank.AllreduceSum(k.rs.Norm2R()) }
 
 // DotRZ implements driver.Kernels.
-func (k *RankKernels) DotRZ() float64 { return k.rs.rank.AllreduceSum(k.rs.dotRZ()) }
+func (k *RankKernels) DotRZ() float64 { return k.rs.rank.AllreduceSum(k.rs.DotRZ()) }
 
 // ApplyPrecond implements driver.Kernels.
-func (k *RankKernels) ApplyPrecond() { k.rs.applyPrecond() }
+func (k *RankKernels) ApplyPrecond() { k.rs.ApplyPrecond() }
 
 // CGInitP implements driver.Kernels.
 func (k *RankKernels) CGInitP(precond bool) float64 {
-	return k.rs.rank.AllreduceSum(k.rs.cgInitP(precond))
+	return k.rs.rank.AllreduceSum(k.rs.CGInitP(precond))
 }
 
 // CGCalcW implements driver.Kernels.
-func (k *RankKernels) CGCalcW() float64 { return k.rs.rank.AllreduceSum(k.rs.cgCalcW()) }
+func (k *RankKernels) CGCalcW() float64 { return k.rs.rank.AllreduceSum(k.rs.CGCalcW()) }
 
 // CGCalcUR implements driver.Kernels.
 func (k *RankKernels) CGCalcUR(alpha float64, precond bool) float64 {
-	return k.rs.rank.AllreduceSum(k.rs.cgCalcUR(alpha, precond))
+	return k.rs.rank.AllreduceSum(k.rs.CGCalcUR(alpha, precond))
 }
 
 // CGCalcWFused implements driver.FusedWDot.
-func (k *RankKernels) CGCalcWFused() float64 { return k.rs.rank.AllreduceSum(k.rs.cgCalcWFused()) }
+func (k *RankKernels) CGCalcWFused() float64 { return k.rs.rank.AllreduceSum(k.rs.CGCalcWFused()) }
 
 // CGCalcURFused implements driver.FusedURPrecond.
 func (k *RankKernels) CGCalcURFused(alpha float64, precond bool) float64 {
-	return k.rs.rank.AllreduceSum(k.rs.cgCalcURFused(alpha, precond))
+	return k.rs.rank.AllreduceSum(k.rs.CGCalcURFused(alpha, precond))
 }
 
 // CGCalcP implements driver.Kernels.
-func (k *RankKernels) CGCalcP(beta float64, precond bool) { k.rs.cgCalcP(beta, precond) }
+func (k *RankKernels) CGCalcP(beta float64, precond bool) { k.rs.CGCalcP(beta, precond) }
 
 // JacobiCopyU implements driver.Kernels.
-func (k *RankKernels) JacobiCopyU() { k.rs.jacobiCopyU() }
+func (k *RankKernels) JacobiCopyU() { k.rs.JacobiCopyU() }
 
 // JacobiIterate implements driver.Kernels.
 func (k *RankKernels) JacobiIterate() float64 {
-	return k.rs.rank.AllreduceSum(k.rs.jacobiIterate())
+	return k.rs.rank.AllreduceSum(k.rs.JacobiIterate())
 }
 
 // ChebyInit implements driver.Kernels.
-func (k *RankKernels) ChebyInit(theta float64, precond bool) { k.rs.chebyInit(theta, precond) }
+func (k *RankKernels) ChebyInit(theta float64, precond bool) { k.rs.ChebyInit(theta, precond) }
 
 // ChebyIterate implements driver.Kernels.
 func (k *RankKernels) ChebyIterate(alpha, beta float64, precond bool) {
-	k.rs.chebyIterate(alpha, beta, precond)
+	k.rs.ChebyIterate(alpha, beta, precond)
 }
 
 // PPCGInitInner implements driver.Kernels.
-func (k *RankKernels) PPCGInitInner(theta float64) { k.rs.ppcgInitInner(theta) }
+func (k *RankKernels) PPCGInitInner(theta float64) { k.rs.PPCGInitInner(theta) }
 
 // PPCGInnerIterate implements driver.Kernels.
-func (k *RankKernels) PPCGInnerIterate(alpha, beta float64) { k.rs.ppcgInnerIterate(alpha, beta) }
+func (k *RankKernels) PPCGInnerIterate(alpha, beta float64) { k.rs.PPCGInnerIterate(alpha, beta) }
 
 // PPCGFinishInner implements driver.Kernels.
-func (k *RankKernels) PPCGFinishInner() { k.rs.ppcgFinishInner() }
+func (k *RankKernels) PPCGFinishInner() { k.rs.PPCGFinishInner() }
 
 // FetchField implements driver.Kernels. Every rank must return the full
 // global field: each process's driver captures its own in-memory recovery

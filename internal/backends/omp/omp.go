@@ -1,37 +1,24 @@
 // Package omp is the manually-parallelised shared-memory TeaLeaf port, the
-// analogue of the mini-app's OpenMP build: every kernel is a fork-join
-// parallel loop over mesh rows on a persistent thread team
-// (internal/par), with reductions combined deterministically at the join.
+// analogue of the mini-app's OpenMP build: the shared host chunk
+// (internal/backends/hostchunk) with every kernel a fork-join parallel loop
+// over mesh rows on a persistent thread team (internal/par), reductions
+// combined deterministically at the join.
 package omp
 
 import (
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/hostchunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
-	"github.com/warwick-hpsc/tealeaf-go/internal/kern"
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
-	"github.com/warwick-hpsc/tealeaf-go/internal/state"
 )
 
-// Chunk is the OpenMP-style port: one chunk, host-resident fields, a thread
-// team parallelising every kernel over rows.
+// Chunk is the OpenMP-style port: one chunk whose row policy is a thread
+// team's static schedule; the reflective halo's side loops run on the team
+// too, like the OpenMP update_halo.
 type Chunk struct {
-	mesh    *grid.Mesh
-	nx, ny  int
-	team    *par.Team
-	precond config.Preconditioner
-
-	density, energy0, energy1 *grid.Field
-	u, u0                     *grid.Field
-	p, r, w, z, sd, mi        *grid.Field
-	kx, ky                    *grid.Field
-	un, rtemp, tcp, tdp       *grid.Field
-	fieldsByID                [driver.NumFields]*grid.Field
-
-	// sumPartial is the per-thread scratch for FieldSummary, owned by the
-	// chunk so summaries allocate nothing per call (matching the zero-alloc
-	// reduction slots inside internal/par).
-	sumPartial []driver.Totals
+	*hostchunk.Fused
+	team *par.Team
 }
 
 var _ driver.Kernels = (*Chunk)(nil)
@@ -39,7 +26,8 @@ var _ driver.Kernels = (*Chunk)(nil)
 // New creates the port with the given thread count (<= 0 uses all cores,
 // like an unset OMP_NUM_THREADS).
 func New(threads int) *Chunk {
-	return &Chunk{team: par.NewTeam(threads)}
+	team := par.NewTeam(threads)
+	return &Chunk{hostchunk.NewFused(team, hostchunk.Reflective{Rows: team}), team}
 }
 
 // Name implements driver.Kernels.
@@ -50,518 +38,19 @@ func (c *Chunk) Threads() int { return c.team.NumThreads() }
 
 // Generate implements driver.Kernels.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
-	c.mesh = m
-	c.nx, c.ny = m.Nx, m.Ny
-	alloc := func() *grid.Field { return grid.New(c.nx, c.ny) }
-	c.density, c.energy0, c.energy1 = alloc(), alloc(), alloc()
-	c.u, c.u0 = alloc(), alloc()
-	c.p, c.r, c.w, c.z, c.sd, c.mi = alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
-	c.kx, c.ky = alloc(), alloc()
-	c.un, c.rtemp = alloc(), alloc()
-	c.tcp, c.tdp = alloc(), alloc()
-	c.sumPartial = make([]driver.Totals, c.team.NumThreads())
-	c.fieldsByID = [driver.NumFields]*grid.Field{
-		driver.FieldDensity: c.density,
-		driver.FieldEnergy0: c.energy0,
-		driver.FieldEnergy1: c.energy1,
-		driver.FieldU:       c.u,
-		driver.FieldU0:      c.u0,
-		driver.FieldP:       c.p,
-		driver.FieldR:       c.r,
-		driver.FieldW:       c.w,
-		driver.FieldZ:       c.z,
-		driver.FieldSD:      c.sd,
-		driver.FieldKx:      c.kx,
-		driver.FieldKy:      c.ky,
-	}
 	// Cache-topology-aware share assignment: snap static share boundaries
-	// (and guided claim ends) to the tile-row quantum the detected cache
-	// hierarchy suggests, rounded to the 4-wide unroll, so a thread's rows
-	// cover whole unrolled tile rows and two threads never interleave within
-	// a cache-sized row band. Reductions combine per-thread partials in
-	// thread order either way, so this only regroups — never reorders within
-	// a share — and stays deterministic for a fixed thread count.
-	_, ty := par.DetectTopology().AutoTile(c.nx, c.ny, 8*6)
+	// to the tile-row quantum the detected cache hierarchy suggests, rounded
+	// to the 4-wide unroll, so a thread's rows cover whole unrolled tile rows
+	// and two threads never interleave within a cache-sized row band.
+	// Reductions combine per-thread partials in thread order either way, so
+	// this only regroups — never reorders within a share — and stays
+	// deterministic for a fixed thread count.
+	_, ty := par.DetectTopology().AutoTile(m.Nx, m.Ny, 8*6)
 	if ty > 16 {
 		ty = 16
 	}
 	c.team.SetShareAlign(ty &^ 3)
-	return state.Generate(m, states, grid.DefaultHalo, func(i, j int, density, energy float64) {
-		c.density.Set(i, j, density)
-		c.energy0.Set(i, j, energy)
-	})
-}
-
-// forRows runs body over interior rows [0, ny) on the team.
-func (c *Chunk) forRows(body func(j int)) {
-	c.team.For(0, c.ny, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			body(j)
-		}
-	})
-}
-
-// SetField implements driver.Kernels.
-func (c *Chunk) SetField() {
-	c.team.For(-2, c.ny+2, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			copy(c.energy1.Row(j), c.energy0.Row(j))
-		}
-	})
-}
-
-// ResetField implements driver.Kernels.
-func (c *Chunk) ResetField() {
-	c.team.For(-2, c.ny+2, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			copy(c.energy0.Row(j), c.energy1.Row(j))
-		}
-	})
-}
-
-// FieldSummary implements driver.Kernels.
-func (c *Chunk) FieldSummary() driver.Totals {
-	cellVol := c.mesh.CellVolume()
-	nth := c.team.NumThreads()
-	partial := c.sumPartial
-	c.team.Parallel(func(thread int) {
-		j0, j1 := par.StaticRange(0, c.ny, thread, nth)
-		var t driver.Totals
-		for j := j0; j < j1; j++ {
-			dr := c.density.InteriorRow(j)
-			er := c.energy0.InteriorRow(j)
-			ur := c.u.InteriorRow(j)
-			for i := 0; i < c.nx; i++ {
-				t.Volume += cellVol
-				t.Mass += dr[i] * cellVol
-				t.InternalEnergy += dr[i] * er[i] * cellVol
-				t.Temperature += ur[i] * cellVol
-			}
-		}
-		partial[thread] = t
-	})
-	var tot driver.Totals
-	for _, t := range partial {
-		tot.Volume += t.Volume
-		tot.Mass += t.Mass
-		tot.InternalEnergy += t.InternalEnergy
-		tot.Temperature += t.Temperature
-	}
-	return tot
-}
-
-// HaloExchange implements driver.Kernels: reflective boundaries, the side
-// loops parallelised over the team like the OpenMP update_halo.
-func (c *Chunk) HaloExchange(fields []driver.FieldID, depth int) {
-	for _, id := range fields {
-		f := c.fieldsByID[id]
-		nx, ny, d := f.Nx, f.Ny, f.Depth
-		c.team.For(0, ny, func(j0, j1 int) {
-			for j := j0; j < j1; j++ {
-				row := f.Row(j)
-				for k := 1; k <= depth; k++ {
-					row[d-k] = row[d+k-1]
-					row[d+nx-1+k] = row[d+nx-k]
-				}
-			}
-		})
-		lo, hi := d-depth, d+nx+depth
-		c.team.For(1, depth+1, func(k0, k1 int) {
-			for k := k0; k < k1; k++ {
-				copy(f.Row(-k)[lo:hi], f.Row(k - 1)[lo:hi])
-				copy(f.Row(ny - 1 + k)[lo:hi], f.Row(ny - k)[lo:hi])
-			}
-		})
-	}
-}
-
-// SolveInit implements driver.Kernels.
-func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
-	c.precond = precond
-	nx, ny := c.nx, c.ny
-	c.team.For(-2, ny+2, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			dr := c.density.Row(j)
-			er := c.energy1.Row(j)
-			ur := c.u.Row(j)
-			u0r := c.u0.Row(j)
-			wr := c.w.Row(j)
-			for i := range ur {
-				ur[i] = er[i] * dr[i]
-				u0r[i] = ur[i]
-			}
-			if coef == config.Conductivity {
-				copy(wr, dr)
-			} else {
-				for i := range wr {
-					wr[i] = 1 / dr[i]
-				}
-			}
-		}
-	})
-	d := c.w.Depth
-	c.team.For(-1, ny+1, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			wr := c.w.Row(j)
-			wd := c.w.Row(j - 1)
-			kxr := c.kx.Row(j)
-			kyr := c.ky.Row(j)
-			for i := -1; i < nx+1; i++ {
-				kxr[d+i] = rx * (wr[d+i-1] + wr[d+i]) / (2 * wr[d+i-1] * wr[d+i])
-				kyr[d+i] = ry * (wd[d+i] + wr[d+i]) / (2 * wd[d+i] * wr[d+i])
-			}
-		}
-	})
-	c.CalcResidual()
-	if precond == config.PrecondJacDiag {
-		c.forRows(func(j int) {
-			kxr := c.kx.Row(j)
-			kyr := c.ky.Row(j)
-			kyu := c.ky.Row(j + 1)
-			mir := c.mi.Row(j)
-			for i := 0; i < nx; i++ {
-				mir[d+i] = 1 / (1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i])
-			}
-		})
-	}
-	if precond != config.PrecondNone {
-		c.ApplyPrecond()
-	}
-}
-
-// applyOperatorRow computes dst row j = (A src) row j over the interior
-// through the shared unrolled kernel body (internal/kern).
-func (c *Chunk) applyOperatorRow(dst, src *grid.Field, j int) {
-	kern.OperatorRow(dst.Row(j), src.Row(j), src.Row(j+1), src.Row(j-1),
-		c.kx.Row(j), c.ky.Row(j), c.ky.Row(j+1), src.Depth, c.nx)
-}
-
-// CalcResidual implements driver.Kernels.
-func (c *Chunk) CalcResidual() {
-	c.forRows(func(j int) {
-		c.applyOperatorRow(c.w, c.u, j)
-		u0r := c.u0.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		rr := c.r.InteriorRow(j)
-		for i := range rr {
-			rr[i] = u0r[i] - wr[i]
-		}
-	})
-}
-
-// Norm2R implements driver.Kernels.
-func (c *Chunk) Norm2R() float64 {
-	return c.team.ReduceSum(0, c.ny, func(j0, j1 int) float64 {
-		var s float64
-		for j := j0; j < j1; j++ {
-			rr := c.r.InteriorRow(j)
-			s = kern.DotAcc(s, rr, rr)
-		}
-		return s
-	})
-}
-
-// DotRZ implements driver.Kernels.
-func (c *Chunk) DotRZ() float64 {
-	return c.team.ReduceSum(0, c.ny, func(j0, j1 int) float64 {
-		var s float64
-		for j := j0; j < j1; j++ {
-			s = kern.DotAcc(s, c.r.InteriorRow(j), c.z.InteriorRow(j))
-		}
-		return s
-	})
-}
-
-// ApplyPrecond implements driver.Kernels: diagonal scaling or, for
-// jac_block, per-row Thomas solves (rows are independent, so they
-// parallelise over the team like any other kernel).
-func (c *Chunk) ApplyPrecond() {
-	if c.precond == config.PrecondJacBlock {
-		c.forRows(func(j int) { c.blockSolveRow(j) })
-		return
-	}
-	c.forRows(func(j int) {
-		rr := c.r.InteriorRow(j)
-		mir := c.mi.InteriorRow(j)
-		zr := c.z.InteriorRow(j)
-		for i := range zr {
-			zr[i] = mir[i] * rr[i]
-		}
-	})
-}
-
-// blockSolveRow solves this row's tridiagonal operator slice exactly
-// (Thomas algorithm), z_row = T_row^-1 r_row.
-func (c *Chunk) blockSolveRow(j int) {
-	nx := c.nx
-	d := c.r.Depth
-	rr := c.r.Row(j)
-	zr := c.z.Row(j)
-	kxr := c.kx.Row(j)
-	kyr := c.ky.Row(j)
-	kyu := c.ky.Row(j + 1)
-	cp := c.tcp.Row(j)
-	dp := c.tdp.Row(j)
-	diag := func(i int) float64 {
-		return 1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i]
-	}
-	b0 := diag(0)
-	cp[d] = -kxr[d+1] / b0
-	dp[d] = rr[d] / b0
-	for i := 1; i < nx; i++ {
-		a := -kxr[d+i]
-		m := 1 / (diag(i) - a*cp[d+i-1])
-		cp[d+i] = -kxr[d+i+1] * m
-		dp[d+i] = (rr[d+i] - a*dp[d+i-1]) * m
-	}
-	zr[d+nx-1] = dp[d+nx-1]
-	for i := nx - 2; i >= 0; i-- {
-		zr[d+i] = dp[d+i] - cp[d+i]*zr[d+i+1]
-	}
-}
-
-// CGInitP implements driver.Kernels.
-func (c *Chunk) CGInitP(precond bool) float64 {
-	return c.team.ReduceSum(0, c.ny, func(j0, j1 int) float64 {
-		var rro float64
-		for j := j0; j < j1; j++ {
-			rr := c.r.InteriorRow(j)
-			pr := c.p.InteriorRow(j)
-			src := rr
-			if precond {
-				src = c.z.InteriorRow(j)
-			}
-			for i := range pr {
-				pr[i] = src[i]
-				rro += rr[i] * src[i]
-			}
-		}
-		return rro
-	})
-}
-
-// CGCalcW implements driver.Kernels.
-func (c *Chunk) CGCalcW() float64 {
-	return c.team.ReduceSum(0, c.ny, func(j0, j1 int) float64 {
-		var pw float64
-		for j := j0; j < j1; j++ {
-			c.applyOperatorRow(c.w, c.p, j)
-			pw = kern.DotAcc(pw, c.p.InteriorRow(j), c.w.InteriorRow(j))
-		}
-		return pw
-	})
-}
-
-// CGCalcUR implements driver.Kernels.
-func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	rrn := c.team.ReduceSum(0, c.ny, func(j0, j1 int) float64 {
-		var s float64
-		for j := j0; j < j1; j++ {
-			rr := c.r.InteriorRow(j)
-			kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), rr, c.w.InteriorRow(j), alpha)
-			if !precond {
-				s = kern.DotAcc(s, rr, rr)
-			}
-		}
-		return s
-	})
-	if precond {
-		c.ApplyPrecond()
-		return c.DotRZ()
-	}
-	return rrn
-}
-
-// CGCalcWFused implements driver.FusedWDot. CGCalcW already evaluates the
-// operator and the p·w dot in one team sweep, so the fused entry point is
-// the same kernel under its capability name.
-func (c *Chunk) CGCalcWFused() float64 { return c.CGCalcW() }
-
-// CGCalcURFused implements driver.FusedURPrecond: each thread updates its
-// static share of rows and, per row, applies the preconditioner (diagonal
-// scaling or the row's independent Thomas solve) and accumulates r·z — one
-// team sweep where the unfused preconditioned path takes three. Static row
-// shares and thread-order partial combination match ReduceSum's unfused
-// traversal, so the result is bitwise identical.
-func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	return c.team.ReduceSum(0, c.ny, func(j0, j1 int) float64 {
-		var s float64
-		for j := j0; j < j1; j++ {
-			rr := c.r.InteriorRow(j)
-			kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), rr, c.w.InteriorRow(j), alpha)
-			if !precond {
-				s = kern.DotAcc(s, rr, rr)
-				continue
-			}
-			zr := c.z.InteriorRow(j)
-			if c.precond == config.PrecondJacBlock {
-				c.blockSolveRow(j)
-			} else {
-				mir := c.mi.InteriorRow(j)
-				for i := range zr {
-					zr[i] = mir[i] * rr[i]
-				}
-			}
-			s = kern.DotAcc(s, rr, zr)
-		}
-		return s
-	})
-}
-
-// CGCalcP implements driver.Kernels.
-func (c *Chunk) CGCalcP(beta float64, precond bool) {
-	c.forRows(func(j int) {
-		pr := c.p.InteriorRow(j)
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		for i := range pr {
-			pr[i] = src[i] + beta*pr[i]
-		}
-	})
-}
-
-// JacobiCopyU implements driver.Kernels.
-func (c *Chunk) JacobiCopyU() {
-	c.team.For(-2, c.ny+2, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			copy(c.un.Row(j), c.u.Row(j))
-		}
-	})
-}
-
-// JacobiIterate implements driver.Kernels.
-func (c *Chunk) JacobiIterate() float64 {
-	d := c.u.Depth
-	return c.team.ReduceSum(0, c.ny, func(j0, j1 int) float64 {
-		var errSum float64
-		for j := j0; j < j1; j++ {
-			errSum = kern.JacobiRow(errSum, c.u.Row(j), c.un.Row(j), c.un.Row(j+1), c.un.Row(j-1),
-				c.u0.Row(j), c.kx.Row(j), c.ky.Row(j), c.ky.Row(j+1), d, c.nx)
-		}
-		return errSum
-	})
-}
-
-// ChebyInit implements driver.Kernels.
-func (c *Chunk) ChebyInit(theta float64, precond bool) {
-	c.forRows(func(j int) {
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		sdr := c.sd.InteriorRow(j)
-		ur := c.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = src[i] / theta
-			ur[i] += sdr[i]
-		}
-	})
-}
-
-// ChebyIterate implements driver.Kernels.
-func (c *Chunk) ChebyIterate(alpha, beta float64, precond bool) {
-	c.forRows(func(j int) {
-		c.applyOperatorRow(c.w, c.sd, j)
-		rr := c.r.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range rr {
-			rr[i] -= wr[i]
-		}
-	})
-	if precond {
-		c.ApplyPrecond()
-	}
-	c.forRows(func(j int) {
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		sdr := c.sd.InteriorRow(j)
-		ur := c.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = alpha*sdr[i] + beta*src[i]
-			ur[i] += sdr[i]
-		}
-	})
-}
-
-// PPCGInitInner implements driver.Kernels.
-func (c *Chunk) PPCGInitInner(theta float64) {
-	c.forRows(func(j int) {
-		rr := c.r.InteriorRow(j)
-		rt := c.rtemp.InteriorRow(j)
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		for i := range rr {
-			rt[i] = rr[i]
-			zr[i] = 0
-			sdr[i] = rr[i] / theta
-		}
-	})
-}
-
-// PPCGInnerIterate implements driver.Kernels. The operator application and
-// the sd update are separate parallel loops: fusing them would let one
-// thread rewrite an sd row another thread's stencil still needs.
-func (c *Chunk) PPCGInnerIterate(alpha, beta float64) {
-	c.forRows(func(j int) {
-		c.applyOperatorRow(c.w, c.sd, j)
-	})
-	c.forRows(func(j int) {
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		rt := c.rtemp.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range sdr {
-			zr[i] += sdr[i]
-			rt[i] -= wr[i]
-			sdr[i] = alpha*sdr[i] + beta*rt[i]
-		}
-	})
-}
-
-// PPCGFinishInner implements driver.Kernels.
-func (c *Chunk) PPCGFinishInner() {
-	c.forRows(func(j int) {
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		for i := range zr {
-			zr[i] += sdr[i]
-		}
-	})
-}
-
-// SolveFinalise implements driver.Kernels.
-func (c *Chunk) SolveFinalise() {
-	c.forRows(func(j int) {
-		ur := c.u.InteriorRow(j)
-		dr := c.density.InteriorRow(j)
-		er := c.energy1.InteriorRow(j)
-		for i := range er {
-			er[i] = ur[i] / dr[i]
-		}
-	})
-}
-
-// FetchField implements driver.Kernels.
-func (c *Chunk) FetchField(id driver.FieldID) []float64 {
-	f := c.fieldsByID[id]
-	out := make([]float64, c.nx*c.ny)
-	c.forRows(func(j int) {
-		copy(out[j*c.nx:(j+1)*c.nx], f.InteriorRow(j))
-	})
-	return out
-}
-
-// RestoreField implements driver.FieldRestorer: the write-path inverse of
-// FetchField, used by checkpoint rollback.
-func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
-	f := c.fieldsByID[id]
-	c.forRows(func(j int) {
-		copy(f.InteriorRow(j), data[j*c.nx:(j+1)*c.nx])
-	})
+	return c.Fused.Generate(m, states)
 }
 
 // Close implements driver.Kernels.

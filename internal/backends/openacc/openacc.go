@@ -1,19 +1,21 @@
 // Package openacc is the directive-style TeaLeaf port, the analogue of the
 // mini-app's OpenACC build. Its defining property in the study is a single
 // kernel source that retargets between the host CPU (-ta=multicore) and an
-// accelerator (-ta=tesla): here every kernel is written once against a
-// small region/loop API and executed either on a host thread team or on a
-// gang-scheduled device executor with data-region transfer accounting.
+// accelerator (-ta=tesla): here the shared host chunk
+// (internal/backends/hostchunk) runs under a row policy that treats every
+// loop as one offloaded parallel region, executed either on a host thread
+// team or on a gang-scheduled device executor with data-region transfer
+// accounting.
 package openacc
 
 import (
 	"sync/atomic"
 
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/hostchunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
-	"github.com/warwick-hpsc/tealeaf-go/internal/state"
 )
 
 // Target selects where parallel regions execute, mirroring the compiler's
@@ -41,26 +43,65 @@ type Stats struct {
 	BytesOut int64 // copyout volume at data-region exit
 }
 
-// Chunk is the OpenACC-style port.
-type Chunk struct {
+// regions is the port's row policy: each loop is one `acc parallel loop`
+// region on the team, counted, with the device target's transfers charged.
+type regions struct {
 	target Target
 	team   *par.Team // execution resource for both targets
-	gangs  int
 
-	mesh    *grid.Mesh
-	nx, ny  int
-	precond config.Preconditioner
+	launched, bytesIn, bytesOut atomic.Int64
+}
 
-	regions  atomic.Int64
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
+// For implements hostchunk.Rows: on the host target a static team loop, on
+// the device target a gang-scheduled launch (guided chunks standing in for
+// gang scheduling: big early claims like a full wave of gangs, small late
+// ones balancing the tail).
+func (r *regions) For(lo, hi int, body func(j0, j1 int)) {
+	r.launched.Add(1)
+	if r.target == TargetDevice {
+		r.team.ForGuided(lo, hi, 4, body)
+		return
+	}
+	r.team.For(lo, hi, body)
+}
 
-	density, energy0, energy1 *grid.Field
-	u, u0                     *grid.Field
-	p, r, w, z, sd, mi        *grid.Field
-	kx, ky                    *grid.Field
-	un, rtemp, tcp, tdp       *grid.Field
-	fieldsByID                [driver.NumFields]*grid.Field
+// ReduceSum implements hostchunk.Rows: an `acc parallel loop
+// reduction(+:sum)` whose scalar comes back with an `acc update host`.
+func (r *regions) ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64 {
+	r.launched.Add(1)
+	r.updateHost(1)
+	return r.team.ReduceSum(lo, hi, body)
+}
+
+// ReduceSum2 implements hostchunk.Rows for two reduction scalars.
+func (r *regions) ReduceSum2(lo, hi int, body func(j0, j1 int) (float64, float64)) (float64, float64) {
+	r.launched.Add(1)
+	r.updateHost(2)
+	return r.team.ReduceSum2(lo, hi, body)
+}
+
+// enterData models `acc enter data copyin(...)`: on the device target the
+// given volume is charged as host-to-device traffic.
+func (r *regions) enterData(elems int) {
+	if r.target == TargetDevice {
+		r.bytesIn.Add(int64(8 * elems))
+	}
+}
+
+// updateHost models `acc update host(...)`; the reduction scalars' volumes
+// are negligible but counted for completeness.
+func (r *regions) updateHost(elems int) {
+	if r.target == TargetDevice {
+		r.bytesOut.Add(int64(8 * elems))
+	}
+}
+
+// Chunk is the OpenACC-style port. It embeds the plain hostchunk.Chunk, not
+// hostchunk.Fused: the port deliberately offers no fused kernels, so it pins
+// the solver's unfused fallback path.
+type Chunk struct {
+	*hostchunk.Chunk
+	acc *regions
 }
 
 var _ driver.Kernels = (*Chunk)(nil)
@@ -69,564 +110,48 @@ var _ driver.Kernels = (*Chunk)(nil)
 // threads (host target) or concurrent gangs (device target); <= 0 picks the
 // runtime default.
 func New(target Target, width int) *Chunk {
-	return &Chunk{target: target, team: par.NewTeam(width), gangs: width}
+	acc := &regions{target: target, team: par.NewTeam(width)}
+	return &Chunk{hostchunk.New(acc, hostchunk.Reflective{Rows: acc}), acc}
 }
 
 // Name implements driver.Kernels.
 func (c *Chunk) Name() string {
-	if c.target == TargetDevice {
+	if c.acc.target == TargetDevice {
 		return "manual-openacc-gpu"
 	}
 	return "manual-openacc-cpu"
 }
 
 // Target returns the offload target.
-func (c *Chunk) Target() Target { return c.target }
+func (c *Chunk) Target() Target { return c.acc.target }
 
 // Stats returns the offload accounting counters.
 func (c *Chunk) Stats() Stats {
-	return Stats{Regions: c.regions.Load(), BytesIn: c.bytesIn.Load(), BytesOut: c.bytesOut.Load()}
+	return Stats{Regions: c.acc.launched.Load(), BytesIn: c.acc.bytesIn.Load(), BytesOut: c.acc.bytesOut.Load()}
 }
 
-// loop is one `acc parallel loop` over rows [lo, hi): on the host target a
-// static team loop, on the device target a gang-scheduled launch (guided
-// chunks standing in for gang scheduling: big early claims like a full
-// wave of gangs, small late ones balancing the tail) with region
-// accounting.
-func (c *Chunk) loop(lo, hi int, body func(j int)) {
-	c.regions.Add(1)
-	if c.target == TargetDevice {
-		c.team.ForGuided(lo, hi, 4, func(j0, j1 int) {
-			for j := j0; j < j1; j++ {
-				body(j)
-			}
-		})
-		return
-	}
-	c.team.For(lo, hi, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			body(j)
-		}
-	})
-}
-
-// loopReduce is an `acc parallel loop reduction(+:sum)` over rows [lo, hi).
-func (c *Chunk) loopReduce(lo, hi int, body func(j int) float64) float64 {
-	c.regions.Add(1)
-	return c.team.ReduceSum(lo, hi, func(j0, j1 int) float64 {
-		var s float64
-		for j := j0; j < j1; j++ {
-			s += body(j)
-		}
-		return s
-	})
-}
-
-// enterData models `acc enter data copyin(...)`: on the device target the
-// named fields' volume is charged as host-to-device traffic.
-func (c *Chunk) enterData(fields ...*grid.Field) {
-	if c.target != TargetDevice {
-		return
-	}
-	for _, f := range fields {
-		c.bytesIn.Add(int64(8 * f.TotalCells()))
-	}
-}
-
-// updateHost models `acc update host(...)` for the reductions and summary
-// scalars; volumes here are negligible but counted for completeness.
-func (c *Chunk) updateHost(elems int) {
-	if c.target == TargetDevice {
-		c.bytesOut.Add(int64(8 * elems))
-	}
-}
-
-// Generate implements driver.Kernels.
+// Generate implements driver.Kernels; every field enters the data region.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
-	c.mesh = m
-	c.nx, c.ny = m.Nx, m.Ny
-	alloc := func() *grid.Field { return grid.New(c.nx, c.ny) }
-	c.density, c.energy0, c.energy1 = alloc(), alloc(), alloc()
-	c.u, c.u0 = alloc(), alloc()
-	c.p, c.r, c.w, c.z, c.sd, c.mi = alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
-	c.kx, c.ky = alloc(), alloc()
-	c.un, c.rtemp = alloc(), alloc()
-	c.tcp, c.tdp = alloc(), alloc()
-	c.fieldsByID = [driver.NumFields]*grid.Field{
-		driver.FieldDensity: c.density,
-		driver.FieldEnergy0: c.energy0,
-		driver.FieldEnergy1: c.energy1,
-		driver.FieldU:       c.u,
-		driver.FieldU0:      c.u0,
-		driver.FieldP:       c.p,
-		driver.FieldR:       c.r,
-		driver.FieldW:       c.w,
-		driver.FieldZ:       c.z,
-		driver.FieldSD:      c.sd,
-		driver.FieldKx:      c.kx,
-		driver.FieldKy:      c.ky,
-	}
-	if err := state.Generate(m, states, grid.DefaultHalo, func(i, j int, density, energy float64) {
-		c.density.Set(i, j, density)
-		c.energy0.Set(i, j, energy)
-	}); err != nil {
+	if err := c.Chunk.Generate(m, states); err != nil {
 		return err
 	}
-	c.enterData(c.density, c.energy0, c.energy1, c.u, c.u0,
-		c.p, c.r, c.w, c.z, c.sd, c.mi, c.kx, c.ky, c.un, c.rtemp, c.tcp, c.tdp)
+	c.acc.enterData(c.AllocatedCells())
 	return nil
-}
-
-// SetField implements driver.Kernels.
-func (c *Chunk) SetField() {
-	c.loop(-2, c.ny+2, func(j int) { copy(c.energy1.Row(j), c.energy0.Row(j)) })
-}
-
-// ResetField implements driver.Kernels.
-func (c *Chunk) ResetField() {
-	c.loop(-2, c.ny+2, func(j int) { copy(c.energy0.Row(j), c.energy1.Row(j)) })
-}
-
-// FieldSummary implements driver.Kernels.
-func (c *Chunk) FieldSummary() driver.Totals {
-	cellVol := c.mesh.CellVolume()
-	var t driver.Totals
-	t.Volume = c.loopReduce(0, c.ny, func(j int) float64 { return float64(c.nx) * cellVol })
-	t.Mass = c.loopReduce(0, c.ny, func(j int) float64 {
-		var s float64
-		for _, v := range c.density.InteriorRow(j) {
-			s += v * cellVol
-		}
-		return s
-	})
-	t.InternalEnergy = c.loopReduce(0, c.ny, func(j int) float64 {
-		var s float64
-		dr := c.density.InteriorRow(j)
-		er := c.energy0.InteriorRow(j)
-		for i := range dr {
-			s += dr[i] * er[i] * cellVol
-		}
-		return s
-	})
-	t.Temperature = c.loopReduce(0, c.ny, func(j int) float64 {
-		var s float64
-		for _, v := range c.u.InteriorRow(j) {
-			s += v * cellVol
-		}
-		return s
-	})
-	c.updateHost(4)
-	return t
-}
-
-// HaloExchange implements driver.Kernels.
-func (c *Chunk) HaloExchange(fields []driver.FieldID, depth int) {
-	for _, id := range fields {
-		f := c.fieldsByID[id]
-		nx, ny, d := f.Nx, f.Ny, f.Depth
-		c.loop(0, ny, func(j int) {
-			row := f.Row(j)
-			for k := 1; k <= depth; k++ {
-				row[d-k] = row[d+k-1]
-				row[d+nx-1+k] = row[d+nx-k]
-			}
-		})
-		lo, hi := d-depth, d+nx+depth
-		c.loop(1, depth+1, func(k int) {
-			copy(f.Row(-k)[lo:hi], f.Row(k - 1)[lo:hi])
-			copy(f.Row(ny - 1 + k)[lo:hi], f.Row(ny - k)[lo:hi])
-		})
-	}
-}
-
-// SolveInit implements driver.Kernels.
-func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
-	c.precond = precond
-	nx, ny := c.nx, c.ny
-	c.loop(-2, ny+2, func(j int) {
-		dr := c.density.Row(j)
-		er := c.energy1.Row(j)
-		ur := c.u.Row(j)
-		u0r := c.u0.Row(j)
-		wr := c.w.Row(j)
-		for i := range ur {
-			ur[i] = er[i] * dr[i]
-			u0r[i] = ur[i]
-		}
-		if coef == config.Conductivity {
-			copy(wr, dr)
-		} else {
-			for i := range wr {
-				wr[i] = 1 / dr[i]
-			}
-		}
-	})
-	d := c.w.Depth
-	c.loop(-1, ny+1, func(j int) {
-		wr := c.w.Row(j)
-		wd := c.w.Row(j - 1)
-		kxr := c.kx.Row(j)
-		kyr := c.ky.Row(j)
-		for i := -1; i < nx+1; i++ {
-			kxr[d+i] = rx * (wr[d+i-1] + wr[d+i]) / (2 * wr[d+i-1] * wr[d+i])
-			kyr[d+i] = ry * (wd[d+i] + wr[d+i]) / (2 * wd[d+i] * wr[d+i])
-		}
-	})
-	c.CalcResidual()
-	if precond == config.PrecondJacDiag {
-		c.loop(0, ny, func(j int) {
-			kxr := c.kx.Row(j)
-			kyr := c.ky.Row(j)
-			kyu := c.ky.Row(j + 1)
-			mir := c.mi.Row(j)
-			for i := 0; i < nx; i++ {
-				mir[d+i] = 1 / (1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i])
-			}
-		})
-	}
-	if precond != config.PrecondNone {
-		c.ApplyPrecond()
-	}
-}
-
-func (c *Chunk) applyOperatorRow(dst, src *grid.Field, j int) {
-	d := src.Depth
-	sr := src.Row(j)
-	su := src.Row(j + 1)
-	sdw := src.Row(j - 1)
-	kxr := c.kx.Row(j)
-	kyr := c.ky.Row(j)
-	kyu := c.ky.Row(j + 1)
-	dr := dst.Row(j)
-	for i := 0; i < c.nx; i++ {
-		ii := d + i
-		dr[ii] = (1+kxr[ii+1]+kxr[ii]+kyu[ii]+kyr[ii])*sr[ii] -
-			(kxr[ii+1]*sr[ii+1] + kxr[ii]*sr[ii-1]) -
-			(kyu[ii]*su[ii] + kyr[ii]*sdw[ii])
-	}
-}
-
-// CalcResidual implements driver.Kernels.
-func (c *Chunk) CalcResidual() {
-	c.loop(0, c.ny, func(j int) {
-		c.applyOperatorRow(c.w, c.u, j)
-		u0r := c.u0.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		rr := c.r.InteriorRow(j)
-		for i := range rr {
-			rr[i] = u0r[i] - wr[i]
-		}
-	})
-}
-
-// Norm2R implements driver.Kernels.
-func (c *Chunk) Norm2R() float64 {
-	v := c.loopReduce(0, c.ny, func(j int) float64 {
-		var s float64
-		for _, x := range c.r.InteriorRow(j) {
-			s += x * x
-		}
-		return s
-	})
-	c.updateHost(1)
-	return v
-}
-
-// DotRZ implements driver.Kernels.
-func (c *Chunk) DotRZ() float64 {
-	v := c.loopReduce(0, c.ny, func(j int) float64 {
-		var s float64
-		rr := c.r.InteriorRow(j)
-		zr := c.z.InteriorRow(j)
-		for i := range rr {
-			s += rr[i] * zr[i]
-		}
-		return s
-	})
-	c.updateHost(1)
-	return v
-}
-
-// ApplyPrecond implements driver.Kernels: one parallel-loop region over
-// rows for either preconditioner (the Thomas solve is the loop body for
-// jac_block — a seq inner loop under a parallel outer loop, exactly how
-// OpenACC expresses line solves).
-func (c *Chunk) ApplyPrecond() {
-	if c.precond == config.PrecondJacBlock {
-		c.loop(0, c.ny, func(j int) { c.blockSolveRow(j) })
-		return
-	}
-	c.loop(0, c.ny, func(j int) {
-		rr := c.r.InteriorRow(j)
-		mir := c.mi.InteriorRow(j)
-		zr := c.z.InteriorRow(j)
-		for i := range zr {
-			zr[i] = mir[i] * rr[i]
-		}
-	})
-}
-
-func (c *Chunk) blockSolveRow(j int) {
-	nx := c.nx
-	d := c.r.Depth
-	rr := c.r.Row(j)
-	zr := c.z.Row(j)
-	kxr := c.kx.Row(j)
-	kyr := c.ky.Row(j)
-	kyu := c.ky.Row(j + 1)
-	cp := c.tcp.Row(j)
-	dp := c.tdp.Row(j)
-	diag := func(i int) float64 {
-		return 1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i]
-	}
-	b0 := diag(0)
-	cp[d] = -kxr[d+1] / b0
-	dp[d] = rr[d] / b0
-	for i := 1; i < nx; i++ {
-		a := -kxr[d+i]
-		m := 1 / (diag(i) - a*cp[d+i-1])
-		cp[d+i] = -kxr[d+i+1] * m
-		dp[d+i] = (rr[d+i] - a*dp[d+i-1]) * m
-	}
-	zr[d+nx-1] = dp[d+nx-1]
-	for i := nx - 2; i >= 0; i-- {
-		zr[d+i] = dp[d+i] - cp[d+i]*zr[d+i+1]
-	}
-}
-
-// CGInitP implements driver.Kernels.
-func (c *Chunk) CGInitP(precond bool) float64 {
-	v := c.loopReduce(0, c.ny, func(j int) float64 {
-		var rro float64
-		rr := c.r.InteriorRow(j)
-		pr := c.p.InteriorRow(j)
-		src := rr
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		for i := range pr {
-			pr[i] = src[i]
-			rro += rr[i] * src[i]
-		}
-		return rro
-	})
-	c.updateHost(1)
-	return v
-}
-
-// CGCalcW implements driver.Kernels.
-func (c *Chunk) CGCalcW() float64 {
-	v := c.loopReduce(0, c.ny, func(j int) float64 {
-		c.applyOperatorRow(c.w, c.p, j)
-		var pw float64
-		pr := c.p.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range pr {
-			pw += pr[i] * wr[i]
-		}
-		return pw
-	})
-	c.updateHost(1)
-	return v
-}
-
-// CGCalcUR implements driver.Kernels.
-func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	v := c.loopReduce(0, c.ny, func(j int) float64 {
-		var rrn float64
-		ur := c.u.InteriorRow(j)
-		pr := c.p.InteriorRow(j)
-		rr := c.r.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range rr {
-			ur[i] += alpha * pr[i]
-			rr[i] -= alpha * wr[i]
-		}
-		if !precond {
-			for i := range rr {
-				rrn += rr[i] * rr[i]
-			}
-		}
-		return rrn
-	})
-	c.updateHost(1)
-	if precond {
-		c.ApplyPrecond()
-		return c.DotRZ()
-	}
-	return v
-}
-
-// CGCalcP implements driver.Kernels.
-func (c *Chunk) CGCalcP(beta float64, precond bool) {
-	c.loop(0, c.ny, func(j int) {
-		pr := c.p.InteriorRow(j)
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		for i := range pr {
-			pr[i] = src[i] + beta*pr[i]
-		}
-	})
-}
-
-// JacobiCopyU implements driver.Kernels.
-func (c *Chunk) JacobiCopyU() {
-	c.loop(-2, c.ny+2, func(j int) { copy(c.un.Row(j), c.u.Row(j)) })
-}
-
-// JacobiIterate implements driver.Kernels.
-func (c *Chunk) JacobiIterate() float64 {
-	d := c.u.Depth
-	v := c.loopReduce(0, c.ny, func(j int) float64 {
-		var errSum float64
-		unr := c.un.Row(j)
-		unu := c.un.Row(j + 1)
-		und := c.un.Row(j - 1)
-		u0r := c.u0.Row(j)
-		kxr := c.kx.Row(j)
-		kyr := c.ky.Row(j)
-		kyu := c.ky.Row(j + 1)
-		ur := c.u.Row(j)
-		for i := 0; i < c.nx; i++ {
-			ii := d + i
-			num := u0r[ii] +
-				kxr[ii+1]*unr[ii+1] + kxr[ii]*unr[ii-1] +
-				kyu[ii]*unu[ii] + kyr[ii]*und[ii]
-			den := 1 + kxr[ii+1] + kxr[ii] + kyu[ii] + kyr[ii]
-			ur[ii] = num / den
-			dv := ur[ii] - unr[ii]
-			if dv < 0 {
-				dv = -dv
-			}
-			errSum += dv
-		}
-		return errSum
-	})
-	c.updateHost(1)
-	return v
-}
-
-// ChebyInit implements driver.Kernels.
-func (c *Chunk) ChebyInit(theta float64, precond bool) {
-	c.loop(0, c.ny, func(j int) {
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		sdr := c.sd.InteriorRow(j)
-		ur := c.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = src[i] / theta
-			ur[i] += sdr[i]
-		}
-	})
-}
-
-// ChebyIterate implements driver.Kernels.
-func (c *Chunk) ChebyIterate(alpha, beta float64, precond bool) {
-	c.loop(0, c.ny, func(j int) {
-		c.applyOperatorRow(c.w, c.sd, j)
-		rr := c.r.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range rr {
-			rr[i] -= wr[i]
-		}
-	})
-	if precond {
-		c.ApplyPrecond()
-	}
-	c.loop(0, c.ny, func(j int) {
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		sdr := c.sd.InteriorRow(j)
-		ur := c.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = alpha*sdr[i] + beta*src[i]
-			ur[i] += sdr[i]
-		}
-	})
-}
-
-// PPCGInitInner implements driver.Kernels.
-func (c *Chunk) PPCGInitInner(theta float64) {
-	c.loop(0, c.ny, func(j int) {
-		rr := c.r.InteriorRow(j)
-		rt := c.rtemp.InteriorRow(j)
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		for i := range rr {
-			rt[i] = rr[i]
-			zr[i] = 0
-			sdr[i] = rr[i] / theta
-		}
-	})
-}
-
-// PPCGInnerIterate implements driver.Kernels (two regions: the stencil must
-// see the previous sd everywhere before rows rewrite it).
-func (c *Chunk) PPCGInnerIterate(alpha, beta float64) {
-	c.loop(0, c.ny, func(j int) { c.applyOperatorRow(c.w, c.sd, j) })
-	c.loop(0, c.ny, func(j int) {
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		rt := c.rtemp.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range sdr {
-			zr[i] += sdr[i]
-			rt[i] -= wr[i]
-			sdr[i] = alpha*sdr[i] + beta*rt[i]
-		}
-	})
-}
-
-// PPCGFinishInner implements driver.Kernels.
-func (c *Chunk) PPCGFinishInner() {
-	c.loop(0, c.ny, func(j int) {
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		for i := range zr {
-			zr[i] += sdr[i]
-		}
-	})
-}
-
-// SolveFinalise implements driver.Kernels.
-func (c *Chunk) SolveFinalise() {
-	c.loop(0, c.ny, func(j int) {
-		ur := c.u.InteriorRow(j)
-		dr := c.density.InteriorRow(j)
-		er := c.energy1.InteriorRow(j)
-		for i := range er {
-			er[i] = ur[i] / dr[i]
-		}
-	})
 }
 
 // FetchField implements driver.Kernels (an `acc update host` of the whole
 // field followed by a host copy).
 func (c *Chunk) FetchField(id driver.FieldID) []float64 {
-	f := c.fieldsByID[id]
-	c.updateHost(f.TotalCells())
-	out := make([]float64, c.nx*c.ny)
-	for j := 0; j < c.ny; j++ {
-		copy(out[j*c.nx:(j+1)*c.nx], f.InteriorRow(j))
-	}
-	return out
+	c.acc.updateHost(c.Field(id).TotalCells())
+	return c.Chunk.FetchField(id)
 }
 
 // RestoreField implements driver.FieldRestorer: a host write followed by an
 // `acc update device` of the field (counted as host→device traffic).
 func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
-	f := c.fieldsByID[id]
-	for j := 0; j < c.ny; j++ {
-		copy(f.InteriorRow(j), data[j*c.nx:(j+1)*c.nx])
-	}
-	c.enterData(f)
+	c.Chunk.RestoreField(id, data)
+	c.acc.enterData(c.Field(id).TotalCells())
 }
 
 // Close implements driver.Kernels.
-func (c *Chunk) Close() { c.team.Close() }
+func (c *Chunk) Close() { c.acc.team.Close() }

@@ -1,522 +1,28 @@
-// Package serial is the reference TeaLeaf port: single-threaded kernels in
-// plain Go, written for clarity and used as the correctness baseline every
-// other port is verified against. It corresponds to the mini-app's
-// reference (serial Fortran/C) build.
+// Package serial is the reference TeaLeaf port: the shared host chunk
+// (internal/backends/hostchunk) run single-threaded, used as the
+// correctness baseline every other port is verified against. It corresponds
+// to the mini-app's reference (serial Fortran/C) build.
 package serial
 
 import (
-	"github.com/warwick-hpsc/tealeaf-go/internal/config"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/hostchunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
-	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
-	"github.com/warwick-hpsc/tealeaf-go/internal/kern"
-	"github.com/warwick-hpsc/tealeaf-go/internal/state"
 )
 
-// Chunk is the serial port's state: one chunk covering the whole mesh, all
-// fields host-resident with halo depth 2.
-type Chunk struct {
-	mesh   *grid.Mesh
-	nx, ny int
-
-	precond config.Preconditioner
-
-	density, energy0, energy1 *grid.Field
-	u, u0                     *grid.Field
-	p, r, w, z, sd, mi        *grid.Field
-	kx, ky                    *grid.Field
-	un, rtemp, tcp, tdp       *grid.Field
-	fieldsByID                [driver.NumFields]*grid.Field
-}
+// Chunk is the serial port: one chunk covering the whole mesh, every row
+// loop a direct call, every boundary reflective.
+type Chunk struct{ *hostchunk.Fused }
 
 var _ driver.Kernels = (*Chunk)(nil)
 
 // New creates the serial port.
-func New() *Chunk { return &Chunk{} }
+func New() *Chunk {
+	rows := hostchunk.Serial{}
+	return &Chunk{hostchunk.NewFused(rows, hostchunk.Reflective{Rows: rows})}
+}
 
 // Name implements driver.Kernels.
 func (c *Chunk) Name() string { return "manual-serial" }
-
-// Generate implements driver.Kernels.
-func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
-	c.mesh = m
-	c.nx, c.ny = m.Nx, m.Ny
-	alloc := func() *grid.Field { return grid.New(c.nx, c.ny) }
-	c.density, c.energy0, c.energy1 = alloc(), alloc(), alloc()
-	c.u, c.u0 = alloc(), alloc()
-	c.p, c.r, c.w, c.z, c.sd, c.mi = alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
-	c.kx, c.ky = alloc(), alloc()
-	c.un, c.rtemp = alloc(), alloc()
-	c.tcp, c.tdp = alloc(), alloc()
-	c.fieldsByID = [driver.NumFields]*grid.Field{
-		driver.FieldDensity: c.density,
-		driver.FieldEnergy0: c.energy0,
-		driver.FieldEnergy1: c.energy1,
-		driver.FieldU:       c.u,
-		driver.FieldU0:      c.u0,
-		driver.FieldP:       c.p,
-		driver.FieldR:       c.r,
-		driver.FieldW:       c.w,
-		driver.FieldZ:       c.z,
-		driver.FieldSD:      c.sd,
-		driver.FieldKx:      c.kx,
-		driver.FieldKy:      c.ky,
-	}
-	return state.Generate(m, states, grid.DefaultHalo, func(i, j int, density, energy float64) {
-		c.density.Set(i, j, density)
-		c.energy0.Set(i, j, energy)
-	})
-}
-
-// SetField implements driver.Kernels.
-func (c *Chunk) SetField() { c.energy1.CopyFrom(c.energy0) }
-
-// ResetField implements driver.Kernels.
-func (c *Chunk) ResetField() { c.energy0.CopyFrom(c.energy1) }
-
-// FieldSummary implements driver.Kernels.
-func (c *Chunk) FieldSummary() driver.Totals {
-	cellVol := c.mesh.CellVolume()
-	var t driver.Totals
-	for j := 0; j < c.ny; j++ {
-		dr := c.density.InteriorRow(j)
-		er := c.energy0.InteriorRow(j)
-		ur := c.u.InteriorRow(j)
-		for i := 0; i < c.nx; i++ {
-			t.Volume += cellVol
-			t.Mass += dr[i] * cellVol
-			t.InternalEnergy += dr[i] * er[i] * cellVol
-			t.Temperature += ur[i] * cellVol
-		}
-	}
-	return t
-}
-
-// HaloExchange implements driver.Kernels. With a single chunk every
-// boundary is physical, so the exchange reduces to the reflective boundary
-// condition of the update_halo kernel.
-func (c *Chunk) HaloExchange(fields []driver.FieldID, depth int) {
-	for _, id := range fields {
-		Reflect(c.fieldsByID[id], depth)
-	}
-}
-
-// Reflect applies reflective boundary conditions to depth halo layers of f
-// on all four sides, including corners (x faces first, then y faces over
-// the widened range, like the mini-app's update_halo ordering). It is
-// exported for reuse by the other host-resident ports.
-func Reflect(f *grid.Field, depth int) {
-	nx, ny := f.Nx, f.Ny
-	for j := 0; j < ny; j++ {
-		row := f.Row(j)
-		d := f.Depth
-		for k := 1; k <= depth; k++ {
-			row[d-k] = row[d+k-1]       // left: f[-k] = f[k-1]
-			row[d+nx-1+k] = row[d+nx-k] // right: f[nx-1+k] = f[nx-k]
-		}
-	}
-	for k := 1; k <= depth; k++ {
-		src1 := f.Row(k - 1) // bottom mirror source
-		dst1 := f.Row(-k)
-		src2 := f.Row(ny - k) // top mirror source
-		dst2 := f.Row(ny - 1 + k)
-		lo := f.Depth - depth
-		hi := f.Depth + nx + depth
-		copy(dst1[lo:hi], src1[lo:hi])
-		copy(dst2[lo:hi], src2[lo:hi])
-	}
-}
-
-// SolveInit implements driver.Kernels (the tea_leaf_common_init kernel).
-func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
-	c.precond = precond
-	nx, ny := c.nx, c.ny
-	// u = u0 = energy1 * density over the full halo'd extent (valid to
-	// depth 2 after the energy/density exchange).
-	for j := -2; j < ny+2; j++ {
-		dr := c.density.Row(j)
-		er := c.energy1.Row(j)
-		ur := c.u.Row(j)
-		u0r := c.u0.Row(j)
-		for i := range ur {
-			ur[i] = er[i] * dr[i]
-			u0r[i] = ur[i]
-		}
-	}
-	// w holds the conduction coefficient source: density or its reciprocal.
-	for j := -2; j < ny+2; j++ {
-		dr := c.density.Row(j)
-		wr := c.w.Row(j)
-		if coef == config.Conductivity {
-			copy(wr, dr)
-		} else {
-			for i := range wr {
-				wr[i] = 1 / dr[i]
-			}
-		}
-	}
-	// Face coefficients scaled by rx/ry, over one ring beyond the interior.
-	d := c.w.Depth
-	for j := -1; j < ny+1; j++ {
-		wr := c.w.Row(j)
-		wd := c.w.Row(j - 1)
-		kxr := c.kx.Row(j)
-		kyr := c.ky.Row(j)
-		for i := -1; i < nx+1; i++ {
-			kxr[d+i] = rx * (wr[d+i-1] + wr[d+i]) / (2 * wr[d+i-1] * wr[d+i])
-			kyr[d+i] = ry * (wd[d+i] + wr[d+i]) / (2 * wd[d+i] * wr[d+i])
-		}
-	}
-	c.CalcResidual()
-	if precond == config.PrecondJacDiag {
-		for j := 0; j < ny; j++ {
-			kxr := c.kx.Row(j)
-			kyr := c.ky.Row(j)
-			kyu := c.ky.Row(j + 1)
-			mir := c.mi.Row(j)
-			for i := 0; i < nx; i++ {
-				diag := 1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i]
-				mir[d+i] = 1 / diag
-			}
-		}
-	}
-	if precond != config.PrecondNone {
-		c.ApplyPrecond()
-	}
-}
-
-// applyOperator computes dst = A src over the interior: the matrix-free
-// five-point conduction operator every Krylov kernel shares.
-func (c *Chunk) applyOperator(dst, src *grid.Field) {
-	for j := 0; j < c.ny; j++ {
-		c.applyOperatorRow(dst, src, j)
-	}
-}
-
-// applyOperatorRow evaluates one row of dst = A src through the shared
-// unrolled kernel body (internal/kern).
-func (c *Chunk) applyOperatorRow(dst, src *grid.Field, j int) {
-	kern.OperatorRow(dst.Row(j), src.Row(j), src.Row(j+1), src.Row(j-1),
-		c.kx.Row(j), c.ky.Row(j), c.ky.Row(j+1), src.Depth, c.nx)
-}
-
-// CalcResidual implements driver.Kernels: r = u0 - A u.
-func (c *Chunk) CalcResidual() {
-	c.applyOperator(c.w, c.u)
-	for j := 0; j < c.ny; j++ {
-		u0r := c.u0.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		rr := c.r.InteriorRow(j)
-		for i := range rr {
-			rr[i] = u0r[i] - wr[i]
-		}
-	}
-}
-
-// Norm2R implements driver.Kernels.
-func (c *Chunk) Norm2R() float64 {
-	var s float64
-	for j := 0; j < c.ny; j++ {
-		rr := c.r.InteriorRow(j)
-		s = kern.DotAcc(s, rr, rr)
-	}
-	return s
-}
-
-// DotRZ implements driver.Kernels.
-func (c *Chunk) DotRZ() float64 {
-	var s float64
-	for j := 0; j < c.ny; j++ {
-		s = kern.DotAcc(s, c.r.InteriorRow(j), c.z.InteriorRow(j))
-	}
-	return s
-}
-
-// ApplyPrecond implements driver.Kernels: z = M^-1 r with the configured
-// preconditioner.
-func (c *Chunk) ApplyPrecond() {
-	if c.precond == config.PrecondJacBlock {
-		for j := 0; j < c.ny; j++ {
-			c.blockSolveRow(j)
-		}
-		return
-	}
-	for j := 0; j < c.ny; j++ {
-		rr := c.r.InteriorRow(j)
-		mir := c.mi.InteriorRow(j)
-		zr := c.z.InteriorRow(j)
-		for i := range zr {
-			zr[i] = mir[i] * rr[i]
-		}
-	}
-}
-
-// blockSolveRow applies the line-Jacobi block preconditioner to one mesh
-// row: the row's tridiagonal slice of the operator (sub/super-diagonal
-// -kx, full diagonal) is solved exactly with the Thomas algorithm,
-// z_row = T_row^-1 r_row. T_row is symmetric and strictly diagonally
-// dominant with a positive diagonal, hence SPD, so CG theory holds.
-func (c *Chunk) blockSolveRow(j int) {
-	nx := c.nx
-	d := c.r.Depth
-	rr := c.r.Row(j)
-	zr := c.z.Row(j)
-	kxr := c.kx.Row(j)
-	kyr := c.ky.Row(j)
-	kyu := c.ky.Row(j + 1)
-	cp := c.tcp.Row(j)
-	dp := c.tdp.Row(j)
-	diag := func(i int) float64 {
-		return 1 + kxr[d+i+1] + kxr[d+i] + kyu[d+i] + kyr[d+i]
-	}
-	// Forward sweep.
-	b0 := diag(0)
-	cp[d] = -kxr[d+1] / b0
-	dp[d] = rr[d] / b0
-	for i := 1; i < nx; i++ {
-		a := -kxr[d+i]
-		m := 1 / (diag(i) - a*cp[d+i-1])
-		cp[d+i] = -kxr[d+i+1] * m
-		dp[d+i] = (rr[d+i] - a*dp[d+i-1]) * m
-	}
-	// Back substitution.
-	zr[d+nx-1] = dp[d+nx-1]
-	for i := nx - 2; i >= 0; i-- {
-		zr[d+i] = dp[d+i] - cp[d+i]*zr[d+i+1]
-	}
-}
-
-// CGInitP implements driver.Kernels.
-func (c *Chunk) CGInitP(precond bool) float64 {
-	var rro float64
-	for j := 0; j < c.ny; j++ {
-		rr := c.r.InteriorRow(j)
-		pr := c.p.InteriorRow(j)
-		src := rr
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		for i := range pr {
-			pr[i] = src[i]
-			rro += rr[i] * src[i]
-		}
-	}
-	return rro
-}
-
-// CGCalcW implements driver.Kernels: w = A p, returns p.w.
-func (c *Chunk) CGCalcW() float64 {
-	c.applyOperator(c.w, c.p)
-	var pw float64
-	for j := 0; j < c.ny; j++ {
-		pw = kern.DotAcc(pw, c.p.InteriorRow(j), c.w.InteriorRow(j))
-	}
-	return pw
-}
-
-// CGCalcUR implements driver.Kernels.
-func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	var rrn float64
-	for j := 0; j < c.ny; j++ {
-		rr := c.r.InteriorRow(j)
-		kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), rr, c.w.InteriorRow(j), alpha)
-		if !precond {
-			rrn = kern.DotAcc(rrn, rr, rr)
-		}
-	}
-	if precond {
-		c.ApplyPrecond()
-		return c.DotRZ()
-	}
-	return rrn
-}
-
-// CGCalcWFused implements driver.FusedWDot: each row's operator evaluation
-// is immediately followed by that row's contribution to p·w, so p and w are
-// dotted while still cache-resident instead of re-read in a second sweep.
-// The summation stays row-major, so the result is bitwise identical to
-// CGCalcW.
-func (c *Chunk) CGCalcWFused() float64 {
-	var pw float64
-	for j := 0; j < c.ny; j++ {
-		c.applyOperatorRow(c.w, c.p, j)
-		pw = kern.DotAcc(pw, c.p.InteriorRow(j), c.w.InteriorRow(j))
-	}
-	return pw
-}
-
-// CGCalcURFused implements driver.FusedURPrecond: per row, the u/r update,
-// the preconditioner application (diagonal scaling or the row's Thomas
-// solve — both need only the row's own updated r) and the r·z (or r·r)
-// contribution happen in one pass, replacing the update + ApplyPrecond +
-// DotRZ sequence of three sweeps. Row-major order keeps every partial sum
-// bitwise identical to the unfused path.
-func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	var rrn float64
-	for j := 0; j < c.ny; j++ {
-		rr := c.r.InteriorRow(j)
-		kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), rr, c.w.InteriorRow(j), alpha)
-		if !precond {
-			rrn = kern.DotAcc(rrn, rr, rr)
-			continue
-		}
-		zr := c.z.InteriorRow(j)
-		if c.precond == config.PrecondJacBlock {
-			c.blockSolveRow(j)
-		} else {
-			mir := c.mi.InteriorRow(j)
-			for i := range zr {
-				zr[i] = mir[i] * rr[i]
-			}
-		}
-		rrn = kern.DotAcc(rrn, rr, zr)
-	}
-	return rrn
-}
-
-// CGCalcP implements driver.Kernels.
-func (c *Chunk) CGCalcP(beta float64, precond bool) {
-	for j := 0; j < c.ny; j++ {
-		pr := c.p.InteriorRow(j)
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		for i := range pr {
-			pr[i] = src[i] + beta*pr[i]
-		}
-	}
-}
-
-// JacobiCopyU implements driver.Kernels.
-func (c *Chunk) JacobiCopyU() { c.un.CopyFrom(c.u) }
-
-// JacobiIterate implements driver.Kernels.
-func (c *Chunk) JacobiIterate() float64 {
-	d := c.u.Depth
-	var err float64
-	for j := 0; j < c.ny; j++ {
-		err = kern.JacobiRow(err, c.u.Row(j), c.un.Row(j), c.un.Row(j+1), c.un.Row(j-1),
-			c.u0.Row(j), c.kx.Row(j), c.ky.Row(j), c.ky.Row(j+1), d, c.nx)
-	}
-	return err
-}
-
-// ChebyInit implements driver.Kernels.
-func (c *Chunk) ChebyInit(theta float64, precond bool) {
-	for j := 0; j < c.ny; j++ {
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		sdr := c.sd.InteriorRow(j)
-		ur := c.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = src[i] / theta
-			ur[i] += sdr[i]
-		}
-	}
-}
-
-// ChebyIterate implements driver.Kernels.
-func (c *Chunk) ChebyIterate(alpha, beta float64, precond bool) {
-	// r -= A sd
-	c.applyOperator(c.w, c.sd)
-	for j := 0; j < c.ny; j++ {
-		rr := c.r.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range rr {
-			rr[i] -= wr[i]
-		}
-	}
-	if precond {
-		c.ApplyPrecond()
-	}
-	for j := 0; j < c.ny; j++ {
-		src := c.r.InteriorRow(j)
-		if precond {
-			src = c.z.InteriorRow(j)
-		}
-		sdr := c.sd.InteriorRow(j)
-		ur := c.u.InteriorRow(j)
-		for i := range sdr {
-			sdr[i] = alpha*sdr[i] + beta*src[i]
-			ur[i] += sdr[i]
-		}
-	}
-}
-
-// PPCGInitInner implements driver.Kernels.
-func (c *Chunk) PPCGInitInner(theta float64) {
-	for j := 0; j < c.ny; j++ {
-		rr := c.r.InteriorRow(j)
-		rt := c.rtemp.InteriorRow(j)
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		for i := range rr {
-			rt[i] = rr[i]
-			zr[i] = 0
-			sdr[i] = rr[i] / theta
-		}
-	}
-}
-
-// PPCGInnerIterate implements driver.Kernels.
-func (c *Chunk) PPCGInnerIterate(alpha, beta float64) {
-	c.applyOperator(c.w, c.sd)
-	for j := 0; j < c.ny; j++ {
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		rt := c.rtemp.InteriorRow(j)
-		wr := c.w.InteriorRow(j)
-		for i := range sdr {
-			zr[i] += sdr[i]
-			rt[i] -= wr[i]
-			sdr[i] = alpha*sdr[i] + beta*rt[i]
-		}
-	}
-}
-
-// PPCGFinishInner implements driver.Kernels.
-func (c *Chunk) PPCGFinishInner() {
-	for j := 0; j < c.ny; j++ {
-		zr := c.z.InteriorRow(j)
-		sdr := c.sd.InteriorRow(j)
-		for i := range zr {
-			zr[i] += sdr[i]
-		}
-	}
-}
-
-// SolveFinalise implements driver.Kernels: energy1 = u / density.
-func (c *Chunk) SolveFinalise() {
-	for j := 0; j < c.ny; j++ {
-		ur := c.u.InteriorRow(j)
-		dr := c.density.InteriorRow(j)
-		er := c.energy1.InteriorRow(j)
-		for i := range er {
-			er[i] = ur[i] / dr[i]
-		}
-	}
-}
-
-// FetchField implements driver.Kernels.
-func (c *Chunk) FetchField(id driver.FieldID) []float64 {
-	f := c.fieldsByID[id]
-	out := make([]float64, 0, c.nx*c.ny)
-	for j := 0; j < c.ny; j++ {
-		out = append(out, f.InteriorRow(j)...)
-	}
-	return out
-}
-
-// RestoreField implements driver.FieldRestorer: the write-path inverse of
-// FetchField, used by checkpoint rollback.
-func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
-	f := c.fieldsByID[id]
-	for j := 0; j < c.ny; j++ {
-		copy(f.InteriorRow(j), data[j*c.nx:(j+1)*c.nx])
-	}
-}
 
 // Close implements driver.Kernels.
 func (c *Chunk) Close() {}

@@ -185,30 +185,3 @@ func TestBlockPrecondReducesIterations(t *testing.T) {
 			block.TotalIterations, plain.TotalIterations)
 	}
 }
-
-func TestReflectHalo(t *testing.T) {
-	f := grid.New(4, 3)
-	v := func(i, j int) float64 { return float64(10*i + j) }
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 4; i++ {
-			f.Set(i, j, v(i, j))
-		}
-	}
-	Reflect(f, 2)
-	cases := []struct {
-		i, j int
-		want float64
-	}{
-		{-1, 0, v(0, 0)}, {-2, 0, v(1, 0)},
-		{4, 1, v(3, 1)}, {5, 1, v(2, 1)},
-		{0, -1, v(0, 0)}, {0, -2, v(0, 1)},
-		{2, 3, v(2, 2)}, {2, 4, v(2, 1)},
-		// Corners: y-mirror of the x-mirrored halo.
-		{-1, -1, v(0, 0)}, {5, 4, v(2, 1)},
-	}
-	for _, c := range cases {
-		if got := f.At(c.i, c.j); got != c.want {
-			t.Errorf("halo (%d,%d) = %g, want %g", c.i, c.j, got, c.want)
-		}
-	}
-}

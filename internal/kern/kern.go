@@ -1,13 +1,13 @@
-// Package kern holds the restructured row-kernel bodies shared by the
-// manual host ports (serial, omp): the 5-point conduction operator, the
-// Jacobi sweep and the dot/axpy inner loops, rewritten as 4-wide unrolled
-// loops over exact-length shifted sub-slices. Re-slicing every operand to
-// length nx up front lets the compiler prove all indexing in bounds and
-// drop the per-element checks, and the unrolled bodies expose independent
-// multiplies to the scheduler.
+// Package kern holds the per-row kernel bodies of the TeaLeaf operations,
+// each written once: the shared host chunk behind the manual serial, OpenMP,
+// OpenACC and MPI versions (internal/backends/hostchunk) and the OPS port's
+// row-kernel fast path call them on grid.Field rows. The stencil, dot and
+// u/r bodies are 4-wide unrolled loops over exact-length shifted sub-slices;
+// every body re-slices its operands to a common length up front, which lets
+// the compiler prove all indexing in bounds and drop the per-element checks.
 //
-// Reductions thread a single sequential accumulator through the unrolled
-// body (acc += t0; acc += t1; ...), never a widened partial, so summation
+// Reductions thread a single sequential accumulator through the row
+// (acc += t0; acc += t1; ...), never a widened partial, so summation
 // order — and therefore the floating-point result — is bitwise identical to
 // the rolled loops the serial golden baselines pin.
 package kern
@@ -132,4 +132,190 @@ func JacobiRow(acc float64, ur, unr, unu, und, u0r, kx, ky, kyu []float64, d, nx
 		acc += cell(i)
 	}
 	return acc
+}
+
+// Sub sets dst = a - b over one interior row: the residual r = u0 - w and,
+// with dst aliasing a, the Chebyshev residual update r -= w.
+func Sub(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] - b[i]
+	}
+}
+
+// Add sets dst += a over one interior row (the PPCG z += sd steps).
+func Add(dst, a []float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] += a[i]
+	}
+}
+
+// Mul sets dst = a * b over one interior row: the jac_diag preconditioner
+// z = mi * r.
+func Mul(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
+// Div sets dst = a / b over one interior row (energy1 = u / density).
+func Div(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] / b[i]
+	}
+}
+
+// CopyDot starts CG on one interior row: p = src, accumulating r·src onto
+// acc in left-to-right order.
+func CopyDot(acc float64, p, src, r []float64) float64 {
+	src, r = src[:len(p)], r[:len(p)]
+	for i := range p {
+		p[i] = src[i]
+		acc += r[i] * src[i]
+	}
+	return acc
+}
+
+// XPBY updates the CG search direction on one interior row:
+// p = src + beta*p.
+func XPBY(p, src []float64, beta float64) {
+	src = src[:len(p)]
+	for i := range p {
+		p[i] = src[i] + beta*p[i]
+	}
+}
+
+// ChebyInitRow starts the Chebyshev iteration on one interior row:
+// sd = src/theta, u += sd.
+func ChebyInitRow(sd, u, src []float64, theta float64) {
+	u, src = u[:len(sd)], src[:len(sd)]
+	for i := range sd {
+		sd[i] = src[i] / theta
+		u[i] += sd[i]
+	}
+}
+
+// ChebyRow is the Chebyshev direction update on one interior row:
+// sd = alpha*sd + beta*src, u += sd.
+func ChebyRow(sd, u, src []float64, alpha, beta float64) {
+	u, src = u[:len(sd)], src[:len(sd)]
+	for i := range sd {
+		sd[i] = alpha*sd[i] + beta*src[i]
+		u[i] += sd[i]
+	}
+}
+
+// PPCGInitRow begins a polynomial-preconditioner application on one
+// interior row: rt = r, z = 0, sd = r/theta.
+func PPCGInitRow(rt, z, sd, r []float64, theta float64) {
+	rt, z, sd = rt[:len(r)], z[:len(r)], sd[:len(r)]
+	for i := range r {
+		rt[i] = r[i]
+		z[i] = 0
+		sd[i] = r[i] / theta
+	}
+}
+
+// PPCGInnerRow is one inner smoothing step on one interior row: z += sd,
+// rt -= w, sd = alpha*sd + beta*rt.
+func PPCGInnerRow(z, sd, rt, w []float64, alpha, beta float64) {
+	z, rt, w = z[:len(sd)], rt[:len(sd)], w[:len(sd)]
+	for i := range sd {
+		z[i] += sd[i]
+		rt[i] -= w[i]
+		sd[i] = alpha*sd[i] + beta*rt[i]
+	}
+}
+
+// InitRow is the pointwise part of tea_leaf_common_init on one full halo'd
+// row: u = u0 = energy*density, and w = density (or its reciprocal when
+// recip is set), the conduction coefficient source.
+func InitRow(u, u0, w, energy, density []float64, recip bool) {
+	u0, w, energy, density = u0[:len(u)], w[:len(u)], energy[:len(u)], density[:len(u)]
+	for i := range u {
+		u[i] = energy[i] * density[i]
+		u0[i] = u[i]
+	}
+	if !recip {
+		copy(w, density)
+		return
+	}
+	for i := range w {
+		w[i] = 1 / density[i]
+	}
+}
+
+// FaceCoefRow computes the face conduction coefficients of row j, scaled by
+// rx/ry, over cells [-1, nx+1) from the coefficient source rows j (w) and
+// j-1 (wd). Rows are full halo'd rows as in OperatorRow.
+func FaceCoefRow(kx, ky, w, wd []float64, rx, ry float64, d, nx int) {
+	n := nx + 2
+	kx, ky = kx[d-1:d-1+n], ky[d-1:d-1+n]
+	wl, wc, wdn := w[d-2:d-2+n], w[d-1:d-1+n], wd[d-1:d-1+n]
+	for i := range kx {
+		kx[i] = rx * (wl[i] + wc[i]) / (2 * wl[i] * wc[i])
+		ky[i] = ry * (wdn[i] + wc[i]) / (2 * wdn[i] * wc[i])
+	}
+}
+
+// DiagInvRow stores the reciprocal of the operator diagonal on one interior
+// row: the jac_diag preconditioner's coefficients.
+func DiagInvRow(mi, kx, ky, kyu []float64, d, nx int) {
+	mi, kx0, kx1, ky0, ky1 := mi[d:d+nx], kx[d:d+nx], kx[d+1:d+1+nx], ky[d:d+nx], kyu[d:d+nx]
+	for i := range mi {
+		mi[i] = 1 / (1 + kx1[i] + kx0[i] + ky1[i] + ky0[i])
+	}
+}
+
+// ThomasRow applies the line-Jacobi block preconditioner to one mesh row:
+// the row's tridiagonal slice of the operator (sub/super-diagonal -kx, full
+// diagonal) is solved exactly with the Thomas algorithm, z = T⁻¹ r. T is
+// symmetric and strictly diagonally dominant with a positive diagonal,
+// hence SPD, so CG theory holds. cp and dp are per-row scratch; rows are
+// full halo'd rows as in OperatorRow.
+func ThomasRow(z, r, kx, ky, kyu, cp, dp []float64, d, nx int) {
+	if nx <= 0 {
+		return
+	}
+	z, r, cp, dp = z[d:d+nx], r[d:d+nx], cp[d:d+nx], dp[d:d+nx]
+	kx0, kx1, ky0, ky1 := kx[d:d+nx], kx[d+1:d+1+nx], ky[d:d+nx], kyu[d:d+nx]
+	// Forward sweep.
+	b0 := 1 + kx1[0] + kx0[0] + ky1[0] + ky0[0]
+	cp[0] = -kx1[0] / b0
+	dp[0] = r[0] / b0
+	for i := 1; i < nx; i++ {
+		a := -kx0[i]
+		m := 1 / (1 + kx1[i] + kx0[i] + ky1[i] + ky0[i] - a*cp[i-1])
+		cp[i] = -kx1[i] * m
+		dp[i] = (r[i] - a*dp[i-1]) * m
+	}
+	// Back substitution.
+	z[nx-1] = dp[nx-1]
+	for i := nx - 2; i >= 0; i-- {
+		z[i] = dp[i] - cp[i]*z[i+1]
+	}
+}
+
+// VolMass accumulates one interior row of the field_summary volume and mass
+// totals, cell by cell.
+func VolMass(vol, mass float64, density []float64, cellVol float64) (float64, float64) {
+	for _, d := range density {
+		vol += cellVol
+		mass += d * cellVol
+	}
+	return vol, mass
+}
+
+// EnergyTemp accumulates one interior row of the field_summary internal
+// energy and temperature totals, cell by cell.
+func EnergyTemp(ie, temp float64, density, energy, u []float64, cellVol float64) (float64, float64) {
+	energy, u = energy[:len(density)], u[:len(density)]
+	for i, d := range density {
+		ie += d * energy[i] * cellVol
+		temp += u[i] * cellVol
+	}
+	return ie, temp
 }

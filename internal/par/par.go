@@ -163,8 +163,12 @@ func (t *Team) Close() {
 	if t.nthreads == 1 {
 		return
 	}
+	// Arm the join before publishing the exit op: a worker that comes back
+	// late from an earlier epoch re-reads op without waiting for the bump,
+	// and must not count its exit against a join that is not armed yet.
+	t.pending.Store(int32(len(t.workers)))
 	t.op.Store(uint32(opExit))
-	t.fork(int32(len(t.workers)), true)
+	t.publish(true)
 	t.join()
 }
 
@@ -186,6 +190,11 @@ func (t *Team) ensureOpen() {
 // finish a share before the join is counting.
 func (t *Team) fork(units int32, wakeAll bool) {
 	t.pending.Store(units)
+	t.publish(wakeAll)
+}
+
+// publish is fork after the join has been armed.
+func (t *Team) publish(wakeAll bool) {
 	t.shareCur.Store(0)
 	t.epoch.Add(1)
 	budget := t.maxWake

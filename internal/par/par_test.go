@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestStaticRangePartitions(t *testing.T) {
@@ -350,5 +351,31 @@ func TestSingleThreadFastPath(t *testing.T) {
 	sum := team.ReduceSum(0, 10, func(from, to int) float64 { return float64(to - from) })
 	if sum != 10 {
 		t.Errorf("single-thread ReduceSum = %g", sum)
+	}
+}
+
+// TestCloseAfterBurstDoesNotHang: a worker that returns late from an earlier
+// epoch re-reads the loop op without waiting for the next epoch bump. Close
+// used to publish the exit op before arming the join, so such a worker could
+// count its exit against an unarmed join and leave Close waiting forever
+// (about one Close in 40,000 on two cores). Short bursts followed by Close
+// are what a port does at the end of every run.
+func TestCloseAfterBurstDoesNotHang(t *testing.T) {
+	stop := time.Now().Add(time.Second)
+	for cycles := 0; time.Now().Before(stop); cycles++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			team := NewTeam(3)
+			for k := 0; k < 3; k++ {
+				team.For(0, 8, func(from, to int) {})
+			}
+			team.Close()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Close hung after %d clean cycles", cycles)
+		}
 	}
 }

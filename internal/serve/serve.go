@@ -1155,7 +1155,10 @@ func (s *Server) releaseVersionLocked(j *job) {
 	s.load[j.version]--
 	if j.predSec > 0 {
 		s.predLoad[j.version] -= j.predSec
-		if s.predLoad[j.version] < 0 {
+		// Refunds arrive in a different order than charges, so the float
+		// ledger keeps a rounding residue; with no job outstanding it is
+		// exactly zero.
+		if s.predLoad[j.version] < 0 || s.load[j.version] == 0 {
 			s.predLoad[j.version] = 0
 		}
 		j.predSec = 0
