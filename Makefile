@@ -11,13 +11,18 @@ build:
 test: build
 	$(GO) test ./...
 
-# race runs the parallel-runtime, message-passing-runtime, row-kernel and
-# port suites under the race detector — the shared-memory barrier in
-# internal/par, the pooled payload buffers in internal/comm, the kern row
-# bodies, and every consumer of them (internal/backends/hostchunk runs every
-# body on a multi-thread team).
+# race runs the parallel-runtime, message-passing-runtime, row-kernel,
+# framework-layer and port suites under the race detector — the shared-memory
+# barrier in internal/par, the pooled payload buffers in internal/comm, the
+# kern row bodies, the layers that hand rows out (simgpu blocks, Kokkos team
+# and RAJA row policies, the OPS loop engine: their segment-vs-point
+# equivalence tests run on a multi-thread team and a multi-worker device),
+# and every consumer of them (internal/backends/hostchunk runs every body on
+# a multi-thread team).
 race:
-	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/kern/... ./internal/backends/...
+	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/kern/... \
+		./internal/simgpu/... ./internal/kokkos/... ./internal/raja/... ./internal/ops/... \
+		./internal/backends/...
 
 # chaos runs the resilience suite under the race detector: the comm fault
 # injector and recovery latch, the chaos kernel wrapper, checkpoint/restore,

@@ -1,0 +1,171 @@
+package backendtest
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/cuda"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/kokkosport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/opsport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/rajaport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/config"
+	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
+	"github.com/warwick-hpsc/tealeaf-go/internal/kokkos"
+	"github.com/warwick-hpsc/tealeaf-go/internal/ops"
+	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
+	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
+)
+
+// segmentVersions are the six versions whose kernels run as row segments
+// (simgpu.Block.ForRows, kokkos.TeamFor, raja.Kernel2DRow) instead of one
+// closure call per cell. Host widths and block sizes are pinned: the table
+// below is bitwise, and shares and blocks set the summation grouping.
+var segmentVersions = map[string]Factory{
+	"manual-cuda": func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
+	"ops-cuda": func() driver.Kernels {
+		k, err := opsport.New(opsport.Options{Backend: ops.BackendCUDA})
+		if err != nil {
+			panic(err)
+		}
+		return k
+	},
+	"kokkos-openmp": func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(2)) },
+	"kokkos-cuda":   func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
+	"raja-openmp":   func() driver.Kernels { return rajaport.New(raja.NewOmp(2)) },
+	"raja-cuda":     func() driver.Kernels { return rajaport.New(raja.NewCuda(simgpu.Dim2{})) },
+}
+
+// segmentDecks is tea_bm on a non-square 48x40 mesh (neither extent a
+// multiple of any default block edge) under every solver and preconditioner
+// the ports have a body for. Five bootstrap CG iterations leave Chebyshev and
+// PPCG most of each solve (at the default 20 this mesh converges inside the
+// bootstrap and their kernels never run).
+func segmentDecks() map[string]config.Config {
+	deck := func(mutate func(*config.Config)) config.Config {
+		cfg := config.BenchmarkN(48)
+		cfg.NY = 40
+		cfg.EndStep = 2
+		mutate(&cfg)
+		return cfg
+	}
+	return map[string]config.Config{
+		"cg":           deck(func(*config.Config) {}),
+		"cg_jac_diag":  deck(func(c *config.Config) { c.Preconditioner = config.PrecondJacDiag }),
+		"cg_jac_block": deck(func(c *config.Config) { c.Preconditioner = config.PrecondJacBlock }),
+		"chebyshev":    deck(func(c *config.Config) { c.Solver, c.EigenCGIters = config.SolverChebyshev, 5 }),
+		"chebyshev_jac_diag": deck(func(c *config.Config) {
+			c.Solver, c.EigenCGIters, c.Preconditioner = config.SolverChebyshev, 5, config.PrecondJacDiag
+		}),
+		"ppcg": deck(func(c *config.Config) { c.Solver, c.EigenCGIters = config.SolverPPCG, 5 }),
+		"jacobi": deck(func(c *config.Config) {
+			// Eps above the rounding floor, where the stopping iteration is
+			// set by noise in the summed change.
+			c.Solver, c.Eps, c.MaxIters = config.SolverJacobi, 1e-10, 20000
+		}),
+	}
+}
+
+// segmentRun is one row of the golden table: outer and inner iteration
+// counts and the IEEE bits of Volume, Mass, InternalEnergy, Temperature.
+type segmentRun struct {
+	iters, inner int
+	totals       [4]uint64
+}
+
+func segmentRunOf(res driver.Result) segmentRun {
+	f := res.Final
+	return segmentRun{res.TotalIterations, res.TotalInner, [4]uint64{
+		math.Float64bits(f.Volume), math.Float64bits(f.Mass),
+		math.Float64bits(f.InternalEnergy), math.Float64bits(f.Temperature)}}
+}
+
+// segmentGolden was captured from the per-cell closure kernels (the commit
+// before the ports moved to row segments).
+var segmentGolden = map[string]segmentRun{
+	"kokkos-cuda/jacobi":               {138, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999a593d, 0x40089999999a593d}},
+	"kokkos-openmp/jacobi":             {138, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
+	"manual-cuda/jacobi":               {138, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x40089999999a592f, 0x40089999999a592f}},
+	"ops-cuda/jacobi":                  {138, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x40089999999a592f, 0x40089999999a592f}},
+	"raja-cuda/jacobi":                 {138, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999a5934, 0x40089999999a5935}},
+	"raja-openmp/jacobi":               {138, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
+	"kokkos-cuda/cg":                   {24, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999aa, 0x40089999999999a9}},
+	"kokkos-cuda/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999983cf03, 0x400899999983cf03}},
+	"kokkos-cuda/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999981a528, 0x400899999981a528}},
+	"kokkos-cuda/chebyshev":            {60, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999ab, 0x40089999999999aa}},
+	"kokkos-cuda/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x4008999999442d25, 0x4008999999442d25}},
+	"kokkos-cuda/ppcg":                 {14, 40, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a9, 0x40089999999999a9}},
+	"kokkos-openmp/cg":                 {24, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
+	"kokkos-openmp/cg_jac_block":       {20, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
+	"kokkos-openmp/cg_jac_diag":        {22, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
+	"kokkos-openmp/chebyshev":          {60, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
+	"kokkos-openmp/chebyshev_jac_diag": {40, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
+	"kokkos-openmp/ppcg":               {14, 40, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+	"manual-cuda/cg":                   {24, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999999999b, 0x400899999999999b}},
+	"manual-cuda/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999983cef4, 0x400899999983cef3}},
+	"manual-cuda/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999981a51a, 0x400899999981a51a}},
+	"manual-cuda/chebyshev":            {60, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999a}},
+	"manual-cuda/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x4008999999442d18, 0x4008999999442d18}},
+	"manual-cuda/ppcg":                 {14, 40, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999b}},
+	"ops-cuda/cg":                      {24, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999b, 0x400899999999999b}},
+	"ops-cuda/cg_jac_block":            {20, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999983cef4, 0x400899999983cef3}},
+	"ops-cuda/cg_jac_diag":             {22, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999981a51a, 0x400899999981a51a}},
+	"ops-cuda/chebyshev":               {60, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999a}},
+	"ops-cuda/chebyshev_jac_diag":      {40, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x4008999999442d18, 0x4008999999442d18}},
+	"ops-cuda/ppcg":                    {14, 40, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999b}},
+	"raja-cuda/cg":                     {24, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a0, 0x40089999999999a0}},
+	"raja-cuda/cg_jac_block":           {20, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999983cefb, 0x400899999983cefb}},
+	"raja-cuda/cg_jac_diag":            {22, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999981a51f, 0x400899999981a51f}},
+	"raja-cuda/chebyshev":              {60, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a1, 0x40089999999999a1}},
+	"raja-cuda/chebyshev_jac_diag":     {40, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x4008999999442d1d, 0x4008999999442d1d}},
+	"raja-cuda/ppcg":                   {14, 40, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999999999f, 0x400899999999999f}},
+	"raja-openmp/cg":                   {24, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
+	"raja-openmp/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
+	"raja-openmp/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
+	"raja-openmp/chebyshev":            {60, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
+	"raja-openmp/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
+	"raja-openmp/ppcg":                 {14, 40, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+}
+
+// TestSegmentGolden holds the row-segment ports to the numbers the per-cell
+// ports produced: bitwise for five versions, because a segment walks a block
+// row or thread share in the order its threads did and threads one
+// accumulator through it. kokkos-cuda's LayoutLeft segments are mesh columns,
+// so the shared row bodies see the operator's x and y terms swapped and its
+// totals may move in the last bits; iteration counts may not.
+func TestSegmentGolden(t *testing.T) {
+	var missing []string
+	for deck, cfg := range segmentDecks() {
+		for version, factory := range segmentVersions {
+			key := version + "/" + deck
+			got := segmentRunOf(Run(t, factory, cfg))
+			want, ok := segmentGolden[key]
+			if !ok {
+				missing = append(missing, fmt.Sprintf("\t%q: {%d, %d, [4]uint64{%#x, %#x, %#x, %#x}},",
+					key, got.iters, got.inner, got.totals[0], got.totals[1], got.totals[2], got.totals[3]))
+				continue
+			}
+			if got.iters != want.iters || got.inner != want.inner {
+				t.Errorf("%s: %d(+%d) iterations, golden %d(+%d)", key, got.iters, got.inner, want.iters, want.inner)
+			}
+			if version != "kokkos-cuda" {
+				if got.totals != want.totals {
+					t.Errorf("%s: totals %#x, golden %#x", key, got.totals, want.totals)
+				}
+				continue
+			}
+			for i := range got.totals {
+				g, w := math.Float64frombits(got.totals[i]), math.Float64frombits(want.totals[i])
+				if d := relDiff(g, w); d > 1e-12 {
+					t.Errorf("%s: total %d = %v, golden %v (relative %g)", key, i, g, w, d)
+				}
+			}
+		}
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		t.Errorf("no golden entry for:\n%s", strings.Join(missing, "\n"))
+	}
+}

@@ -1,16 +1,18 @@
 // Package cuda is the accelerator TeaLeaf port, the analogue of the
 // mini-app's hand-written CUDA build: every field lives in (simulated)
 // device memory, every kernel is a launch over a (grid, block) index space
-// with per-thread bound checks, reductions are per-block partials combined
-// on the stream, and the host only sees data it explicitly copies back.
-// The block size is a tuning parameter exactly as on real GPUs; the paper
-// fixes (64, 8) for the OPS CUDA build and we default to the same.
+// whose blocks run the internal/kern row bodies on their thread-rows (the
+// halo faces alone are per-thread), reductions are per-block partials
+// combined on the stream, and the host only sees data it explicitly copies
+// back. The block size is a tuning parameter exactly as on real GPUs; the
+// paper fixes (64, 8) for the OPS CUDA build and we default to the same.
 package cuda
 
 import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
+	"github.com/warwick-hpsc/tealeaf-go/internal/kern"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 	"github.com/warwick-hpsc/tealeaf-go/internal/state"
 )
@@ -29,7 +31,6 @@ type Chunk struct {
 	rows    int
 	dev     *simgpu.Device
 	block   simgpu.Dim2
-	ownDev  bool
 	precond config.Preconditioner
 
 	density, energy0, energy1 *simgpu.Buffer
@@ -48,20 +49,7 @@ func New(block simgpu.Dim2) *Chunk {
 	if block.X <= 0 || block.Y <= 0 {
 		block = DefaultBlock
 	}
-	return &Chunk{
-		dev:    simgpu.NewDevice(simgpu.Props{Name: "simulated-p100"}),
-		ownDev: true,
-		block:  block,
-	}
-}
-
-// NewOnDevice creates the port on an existing device (shared by tests and
-// the block-size sweep bench).
-func NewOnDevice(dev *simgpu.Device, block simgpu.Dim2) *Chunk {
-	if block.X <= 0 || block.Y <= 0 {
-		block = DefaultBlock
-	}
-	return &Chunk{dev: dev, block: block}
+	return &Chunk{dev: simgpu.NewDevice(simgpu.Props{Name: "simulated-p100"}), block: block}
 }
 
 // Name implements driver.Kernels.
@@ -70,8 +58,44 @@ func (c *Chunk) Name() string { return "manual-cuda" }
 // Device exposes the underlying device for stats inspection.
 func (c *Chunk) Device() *simgpu.Device { return c.dev }
 
-// launchGrid is the grid extent covering the interior with c.block.
-func (c *Chunk) launchGrid() simgpu.Dim2 { return simgpu.GridFor(c.nx, c.ny, c.block) }
+// segKernel is a kernel body for one block thread-row: a holds the launch's
+// buffer views and [lo, hi) is the flat index range of the row's cells.
+type segKernel func(a [][]float64, lo, hi int)
+
+// launch runs seg over the w-by-h window of cells whose corner lies off cells
+// into the halo'd storage (off = halo: the interior), one call per thread-row
+// of every block.
+func (c *Chunk) launch(name string, off, w, h int, args []*simgpu.Buffer, seg segKernel) {
+	stride := c.stride
+	c.dev.Launch(name, simgpu.GridFor(w, h, c.block), c.block, args,
+		func(b simgpu.Block, a [][]float64) {
+			b.ForRows(w, h, func(gy, x0, x1 int) {
+				row := (gy+off)*stride + off
+				seg(a, row+x0, row+x1)
+			})
+		})
+}
+
+// interior launches seg over the interior cells.
+func (c *Chunk) interior(name string, args []*simgpu.Buffer, seg segKernel) {
+	c.launch(name, halo, c.nx, c.ny, args, seg)
+}
+
+// reduceInterior is interior with a block reduction: seg adds its row's terms
+// to *acc left to right, each block threads one accumulator through its rows,
+// and the per-block partials combine in block order.
+func (c *Chunk) reduceInterior(name string, args []*simgpu.Buffer, seg func(a [][]float64, lo, hi int, acc *float64)) float64 {
+	nx, ny, stride := c.nx, c.ny, c.stride
+	return c.dev.LaunchReduce(name, simgpu.GridFor(nx, ny, c.block), c.block, args,
+		func(b simgpu.Block, a [][]float64) float64 {
+			var acc float64
+			b.ForRows(nx, ny, func(gy, x0, x1 int) {
+				row := (gy+halo)*stride + halo
+				seg(a, row+x0, row+x1, &acc)
+			})
+			return acc
+		})
+}
 
 // Generate implements driver.Kernels: build the initial fields on the host,
 // then copy them up, mirroring the CUDA port's start-of-run transfers.
@@ -123,32 +147,21 @@ func (c *Chunk) SetField() { c.dev.MemcpyD2D(c.energy1, c.energy0, c.stride*c.ro
 // ResetField implements driver.Kernels.
 func (c *Chunk) ResetField() { c.dev.MemcpyD2D(c.energy0, c.energy1, c.stride*c.rows) }
 
-// FieldSummary implements driver.Kernels: four block-reduction launches,
-// read back as scalars.
+// FieldSummary implements driver.Kernels: one block-reduction launch per
+// summed total, read back as scalars.
 func (c *Chunk) FieldSummary() driver.Totals {
 	cellVol := c.mesh.CellVolume()
-	nx, ny, stride := c.nx, c.ny, c.stride
-	reduce := func(name string, args []*simgpu.Buffer, cell func(a [][]float64, at int) float64) float64 {
-		return c.dev.LaunchReduce(name, c.launchGrid(), c.block, args,
-			func(b simgpu.Block, a [][]float64) float64 {
-				var s float64
-				b.ForThreads(func(gx, gy int) {
-					if gx >= nx || gy >= ny {
-						return
-					}
-					s += cell(a, (gy+halo)*stride+gx+halo)
-				})
-				return s
-			})
-	}
 	var t driver.Totals
-	t.Volume = float64(nx) * float64(ny) * cellVol
-	t.Mass = reduce("summary_mass", simgpu.Args(c.density),
-		func(a [][]float64, at int) float64 { return a[0][at] * cellVol })
-	t.InternalEnergy = reduce("summary_ie", simgpu.Args(c.density, c.energy0),
-		func(a [][]float64, at int) float64 { return a[0][at] * a[1][at] * cellVol })
-	t.Temperature = reduce("summary_temp", simgpu.Args(c.u),
-		func(a [][]float64, at int) float64 { return a[0][at] * cellVol })
+	t.Volume = float64(c.nx) * float64(c.ny) * cellVol
+	t.Mass = c.reduceInterior("summary_mass", simgpu.Args(c.density),
+		func(a [][]float64, lo, hi int, acc *float64) { _, *acc = kern.VolMass(0, *acc, a[0][lo:hi], cellVol) })
+	args := simgpu.Args(c.density, c.energy0, c.u)
+	t.InternalEnergy = c.reduceInterior("summary_ie", args, func(a [][]float64, lo, hi int, acc *float64) {
+		*acc, _ = kern.EnergyTemp(*acc, 0, a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], cellVol)
+	})
+	t.Temperature = c.reduceInterior("summary_temp", args, func(a [][]float64, lo, hi int, acc *float64) {
+		_, *acc = kern.EnergyTemp(0, *acc, a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], cellVol)
+	})
 	return t
 }
 
@@ -196,55 +209,19 @@ func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond confi
 	c.precond = precond
 	nx, ny, stride := c.nx, c.ny, c.stride
 	// u = u0 = energy1 * density and the coefficient source, full extent.
-	full := simgpu.GridFor(nx+2*halo, ny+2*halo, c.block)
 	recip := coef == config.RecipConductivity
-	c.dev.Launch("tea_leaf_init_u", full, c.block,
+	c.launch("tea_leaf_init_u", 0, nx+2*halo, ny+2*halo,
 		simgpu.Args(c.density, c.energy1, c.u, c.u0, c.w),
-		func(b simgpu.Block, a [][]float64) {
-			density, energy, u, u0, w := a[0], a[1], a[2], a[3], a[4]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx+2*halo || gy >= ny+2*halo {
-					return
-				}
-				at := gy*stride + gx
-				u[at] = energy[at] * density[at]
-				u0[at] = u[at]
-				if recip {
-					w[at] = 1 / density[at]
-				} else {
-					w[at] = density[at]
-				}
-			})
+		func(a [][]float64, lo, hi int) {
+			kern.InitRow(a[2][lo:hi], a[3][lo:hi], a[4][lo:hi], a[1][lo:hi], a[0][lo:hi], recip)
 		})
 	// Face coefficients over one ring beyond the interior.
-	ring := simgpu.GridFor(nx+2, ny+2, c.block)
-	c.dev.Launch("tea_leaf_init_k", ring, c.block,
-		simgpu.Args(c.w, c.kx, c.ky),
-		func(b simgpu.Block, a [][]float64) {
-			w, kx, ky := a[0], a[1], a[2]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx+2 || gy >= ny+2 {
-					return
-				}
-				at := (gy+halo-1)*stride + gx + halo - 1 // cell (gx-1, gy-1)
-				kx[at] = rx * (w[at-1] + w[at]) / (2 * w[at-1] * w[at])
-				ky[at] = ry * (w[at-stride] + w[at]) / (2 * w[at-stride] * w[at])
-			})
-		})
+	c.launch("tea_leaf_init_k", halo-1, nx+2, ny+2, simgpu.Args(c.w, c.kx, c.ky),
+		func(a [][]float64, lo, hi int) { kern.FaceCoefAt(a[1], a[2], a[0], rx, ry, stride, lo, hi) })
 	c.CalcResidual()
 	if precond == config.PrecondJacDiag {
-		c.dev.Launch("tea_leaf_init_mi", c.launchGrid(), c.block,
-			simgpu.Args(c.kx, c.ky, c.mi),
-			func(b simgpu.Block, a [][]float64) {
-				kx, ky, mi := a[0], a[1], a[2]
-				b.ForThreads(func(gx, gy int) {
-					if gx >= nx || gy >= ny {
-						return
-					}
-					at := (gy+halo)*stride + gx + halo
-					mi[at] = 1 / (1 + kx[at+1] + kx[at] + ky[at+stride] + ky[at])
-				})
-			})
+		c.interior("tea_leaf_init_mi", simgpu.Args(c.kx, c.ky, c.mi),
+			func(a [][]float64, lo, hi int) { kern.DiagInvAt(a[2], a[0], a[1], stride, lo, hi) })
 	}
 	if precond != config.PrecondNone {
 		c.ApplyPrecond()
@@ -253,274 +230,126 @@ func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond confi
 
 // launchOperator launches dst = A src over the interior.
 func (c *Chunk) launchOperator(name string, dst, src *simgpu.Buffer) {
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch(name, c.launchGrid(), c.block,
-		simgpu.Args(src, dst, c.kx, c.ky),
-		func(b simgpu.Block, a [][]float64) {
-			s, d, kx, ky := a[0], a[1], a[2], a[3]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				d[at] = (1+kx[at+1]+kx[at]+ky[at+stride]+ky[at])*s[at] -
-					(kx[at+1]*s[at+1] + kx[at]*s[at-1]) -
-					(ky[at+stride]*s[at+stride] + ky[at]*s[at-stride])
-			})
-		})
+	c.interior(name, simgpu.Args(src, dst, c.kx, c.ky),
+		func(a [][]float64, lo, hi int) { kern.OperatorAt(a[1], a[0], a[2], a[3], c.stride, lo, hi) })
 }
 
 // CalcResidual implements driver.Kernels.
 func (c *Chunk) CalcResidual() {
 	c.launchOperator("tea_leaf_w_u", c.w, c.u)
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("tea_leaf_residual", c.launchGrid(), c.block,
-		simgpu.Args(c.u0, c.w, c.r),
-		func(b simgpu.Block, a [][]float64) {
-			u0, w, r := a[0], a[1], a[2]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				r[at] = u0[at] - w[at]
-			})
-		})
+	c.interior("tea_leaf_residual", simgpu.Args(c.u0, c.w, c.r),
+		func(a [][]float64, lo, hi int) { kern.Sub(a[2][lo:hi], a[0][lo:hi], a[1][lo:hi]) })
 }
 
-// reduceInterior sums cell(a, at) over the interior with one block-reduce
-// launch.
-func (c *Chunk) reduceInterior(name string, args []*simgpu.Buffer, cell func(a [][]float64, at int) float64) float64 {
-	nx, ny, stride := c.nx, c.ny, c.stride
-	return c.dev.LaunchReduce(name, c.launchGrid(), c.block, args,
-		func(b simgpu.Block, a [][]float64) float64 {
-			var s float64
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				s += cell(a, (gy+halo)*stride+gx+halo)
-			})
-			return s
-		})
+// dot launches the block-reduced interior dot product of two fields.
+func (c *Chunk) dot(name string, x, y *simgpu.Buffer) float64 {
+	return c.reduceInterior(name, simgpu.Args(x, y),
+		func(a [][]float64, lo, hi int, acc *float64) { *acc = kern.DotAcc(*acc, a[0][lo:hi], a[1][lo:hi]) })
 }
 
 // Norm2R implements driver.Kernels.
-func (c *Chunk) Norm2R() float64 {
-	return c.reduceInterior("norm2_r", simgpu.Args(c.r),
-		func(a [][]float64, at int) float64 { return a[0][at] * a[0][at] })
-}
+func (c *Chunk) Norm2R() float64 { return c.dot("norm2_r", c.r, c.r) }
 
 // DotRZ implements driver.Kernels.
-func (c *Chunk) DotRZ() float64 {
-	return c.reduceInterior("dot_rz", simgpu.Args(c.r, c.z),
-		func(a [][]float64, at int) float64 { return a[0][at] * a[1][at] })
-}
+func (c *Chunk) DotRZ() float64 { return c.dot("dot_rz", c.r, c.z) }
 
 // ApplyPrecond implements driver.Kernels. The jac_block path launches one
 // thread per mesh row, each running a serial Thomas solve along x — the
 // standard CUDA formulation of batched line solves.
 func (c *Chunk) ApplyPrecond() {
-	nx, ny, stride := c.nx, c.ny, c.stride
 	if c.precond == config.PrecondJacBlock {
-		rowGrid := simgpu.GridFor(ny, 1, c.block)
-		c.dev.Launch("block_solve", rowGrid, c.block,
+		nx, ny, stride := c.nx, c.ny, c.stride
+		c.dev.Launch("block_solve", simgpu.GridFor(ny, 1, c.block), c.block,
 			simgpu.Args(c.r, c.z, c.kx, c.ky, c.tcp, c.tdp),
 			func(b simgpu.Block, a [][]float64) {
-				r, z, kx, ky, cp, dp := a[0], a[1], a[2], a[3], a[4], a[5]
-				b.ForThreads(func(gj, gy int) {
-					if gj >= ny || gy >= 1 {
-						return
-					}
-					row := (gj + halo) * stride
-					diag := func(i int) float64 {
-						at := row + i + halo
-						return 1 + kx[at+1] + kx[at] + ky[at+stride] + ky[at]
-					}
-					b0 := diag(0)
-					cp[row+halo] = -kx[row+halo+1] / b0
-					dp[row+halo] = r[row+halo] / b0
-					for i := 1; i < nx; i++ {
-						at := row + i + halo
-						av := -kx[at]
-						m := 1 / (diag(i) - av*cp[at-1])
-						cp[at] = -kx[at+1] * m
-						dp[at] = (r[at] - av*dp[at-1]) * m
-					}
-					last := row + nx - 1 + halo
-					z[last] = dp[last]
-					for i := nx - 2; i >= 0; i-- {
-						at := row + i + halo
-						z[at] = dp[at] - cp[at]*z[at+1]
+				b.ForRows(ny, 1, func(_, j0, j1 int) {
+					for j := j0; j < j1; j++ {
+						lo := (j+halo)*stride + halo
+						kern.ThomasAt(a[1], a[0], a[2], a[3], a[4], a[5], stride, lo, lo+nx)
 					}
 				})
 			})
 		return
 	}
-	c.dev.Launch("apply_precond", c.launchGrid(), c.block,
-		simgpu.Args(c.mi, c.r, c.z),
-		func(b simgpu.Block, a [][]float64) {
-			mi, r, z := a[0], a[1], a[2]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				z[at] = mi[at] * r[at]
-			})
-		})
+	c.interior("apply_precond", simgpu.Args(c.mi, c.r, c.z),
+		func(a [][]float64, lo, hi int) { kern.Mul(a[2][lo:hi], a[0][lo:hi], a[1][lo:hi]) })
+}
+
+// precondSrc is the field CG and Chebyshev take their direction from.
+func (c *Chunk) precondSrc(precond bool) *simgpu.Buffer {
+	if precond {
+		return c.z
+	}
+	return c.r
 }
 
 // CGInitP implements driver.Kernels.
 func (c *Chunk) CGInitP(precond bool) float64 {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	nx, ny, stride := c.nx, c.ny, c.stride
-	return c.dev.LaunchReduce("cg_init_p", c.launchGrid(), c.block,
-		simgpu.Args(src, c.p, c.r),
-		func(b simgpu.Block, a [][]float64) float64 {
-			s, p, r := a[0], a[1], a[2]
-			var rro float64
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				p[at] = s[at]
-				rro += r[at] * s[at]
-			})
-			return rro
+	return c.reduceInterior("cg_init_p", simgpu.Args(c.precondSrc(precond), c.p, c.r),
+		func(a [][]float64, lo, hi int, acc *float64) {
+			*acc = kern.CopyDot(*acc, a[1][lo:hi], a[0][lo:hi], a[2][lo:hi])
 		})
 }
 
 // CGCalcW implements driver.Kernels.
 func (c *Chunk) CGCalcW() float64 {
 	c.launchOperator("cg_calc_w", c.w, c.p)
-	return c.reduceInterior("cg_dot_pw", simgpu.Args(c.p, c.w),
-		func(a [][]float64, at int) float64 { return a[0][at] * a[1][at] })
+	return c.dot("cg_dot_pw", c.p, c.w)
 }
 
 // CGCalcUR implements driver.Kernels.
 func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	nx, ny, stride := c.nx, c.ny, c.stride
+	rrn := c.reduceInterior("cg_calc_ur", simgpu.Args(c.u, c.p, c.r, c.w),
+		func(a [][]float64, lo, hi int, acc *float64) {
+			r := a[2][lo:hi]
+			kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
+			if !precond {
+				*acc = kern.DotAcc(*acc, r, r)
+			}
+		})
 	if precond {
-		c.dev.Launch("cg_calc_ur_update", c.launchGrid(), c.block,
-			simgpu.Args(c.u, c.p, c.r, c.w),
-			func(b simgpu.Block, a [][]float64) {
-				u, p, r, w := a[0], a[1], a[2], a[3]
-				b.ForThreads(func(gx, gy int) {
-					if gx >= nx || gy >= ny {
-						return
-					}
-					at := (gy+halo)*stride + gx + halo
-					u[at] += alpha * p[at]
-					r[at] -= alpha * w[at]
-				})
-			})
 		c.ApplyPrecond()
 		return c.DotRZ()
 	}
-	return c.dev.LaunchReduce("cg_calc_ur", c.launchGrid(), c.block,
-		simgpu.Args(c.u, c.p, c.r, c.w),
-		func(b simgpu.Block, a [][]float64) float64 {
-			u, p, r, w := a[0], a[1], a[2], a[3]
-			var rrn float64
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				u[at] += alpha * p[at]
-				r[at] -= alpha * w[at]
-				rrn += r[at] * r[at]
-			})
-			return rrn
-		})
+	return rrn
 }
 
 // CGCalcWFused implements driver.FusedWDot: one reducing launch evaluates
 // w = A p and accumulates p·w, instead of an operator launch followed by a
 // dot launch that re-reads p and w from device memory. The grid, the
-// per-block thread traversal and the block-order partial combination match
+// per-block row traversal and the block-order partial combination match
 // the unfused reduce, so the sum is bitwise identical.
 func (c *Chunk) CGCalcWFused() float64 {
-	nx, ny, stride := c.nx, c.ny, c.stride
-	return c.dev.LaunchReduce("cg_calc_w_fused", c.launchGrid(), c.block,
-		simgpu.Args(c.p, c.w, c.kx, c.ky),
-		func(b simgpu.Block, a [][]float64) float64 {
-			p, w, kx, ky := a[0], a[1], a[2], a[3]
-			var pw float64
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				v := (1+kx[at+1]+kx[at]+ky[at+stride]+ky[at])*p[at] -
-					(kx[at+1]*p[at+1] + kx[at]*p[at-1]) -
-					(ky[at+stride]*p[at+stride] + ky[at]*p[at-stride])
-				w[at] = v
-				pw += p[at] * v
-			})
-			return pw
+	return c.reduceInterior("cg_calc_w_fused", simgpu.Args(c.p, c.w, c.kx, c.ky),
+		func(a [][]float64, lo, hi int, acc *float64) {
+			kern.OperatorAt(a[1], a[0], a[2], a[3], c.stride, lo, hi)
+			*acc = kern.DotAcc(*acc, a[0][lo:hi], a[1][lo:hi])
 		})
 }
 
 // CGCalcURFused implements driver.FusedURPrecond: for the point-wise
 // (diagonal) preconditioner one reducing launch updates u and r, applies
-// z = mi·r and accumulates r·z. The jac_block line solve needs whole rows
-// of the updated r, which a per-cell launch cannot provide, so that case
-// falls back to the unfused sequence — the results are identical either
-// way, only the sweep count differs.
+// z = mi·r and accumulates r·z. Unpreconditioned, CGCalcUR is already a single
+// reducing launch; the jac_block line solve needs whole rows of the updated
+// r, which a block's row segment cannot provide, so that case runs the
+// unfused sequence — identical results, more sweeps.
 func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	if !precond {
-		return c.CGCalcUR(alpha, false) // already a single reducing launch
+	if !precond || c.precond == config.PrecondJacBlock {
+		return c.CGCalcUR(alpha, precond)
 	}
-	if c.precond == config.PrecondJacBlock {
-		return c.CGCalcUR(alpha, true)
-	}
-	nx, ny, stride := c.nx, c.ny, c.stride
-	return c.dev.LaunchReduce("cg_calc_ur_fused", c.launchGrid(), c.block,
-		simgpu.Args(c.u, c.p, c.r, c.w, c.mi, c.z),
-		func(b simgpu.Block, a [][]float64) float64 {
-			u, p, r, w, mi, z := a[0], a[1], a[2], a[3], a[4], a[5]
-			var rrn float64
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				u[at] += alpha * p[at]
-				rv := r[at] - alpha*w[at]
-				r[at] = rv
-				zv := mi[at] * rv
-				z[at] = zv
-				rrn += rv * zv
-			})
-			return rrn
+	return c.reduceInterior("cg_calc_ur_fused", simgpu.Args(c.u, c.p, c.r, c.w, c.mi, c.z),
+		func(a [][]float64, lo, hi int, acc *float64) {
+			r, z := a[2][lo:hi], a[5][lo:hi]
+			kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
+			kern.Mul(z, a[4][lo:hi], r)
+			*acc = kern.DotAcc(*acc, r, z)
 		})
 }
 
 // CGCalcP implements driver.Kernels.
 func (c *Chunk) CGCalcP(beta float64, precond bool) {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("cg_calc_p", c.launchGrid(), c.block,
-		simgpu.Args(src, c.p),
-		func(b simgpu.Block, a [][]float64) {
-			s, p := a[0], a[1]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				p[at] = s[at] + beta*p[at]
-			})
-		})
+	c.interior("cg_calc_p", simgpu.Args(c.precondSrc(precond), c.p),
+		func(a [][]float64, lo, hi int) { kern.XPBY(a[1][lo:hi], a[0][lo:hi], beta) })
 }
 
 // JacobiCopyU implements driver.Kernels.
@@ -528,108 +357,35 @@ func (c *Chunk) JacobiCopyU() { c.dev.MemcpyD2D(c.un, c.u, c.stride*c.rows) }
 
 // JacobiIterate implements driver.Kernels.
 func (c *Chunk) JacobiIterate() float64 {
-	nx, ny, stride := c.nx, c.ny, c.stride
-	return c.dev.LaunchReduce("jacobi_iterate", c.launchGrid(), c.block,
-		simgpu.Args(c.un, c.u0, c.kx, c.ky, c.u),
-		func(b simgpu.Block, a [][]float64) float64 {
-			un, u0, kx, ky, u := a[0], a[1], a[2], a[3], a[4]
-			var errSum float64
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				num := u0[at] +
-					kx[at+1]*un[at+1] + kx[at]*un[at-1] +
-					ky[at+stride]*un[at+stride] + ky[at]*un[at-stride]
-				den := 1 + kx[at+1] + kx[at] + ky[at+stride] + ky[at]
-				u[at] = num / den
-				dv := u[at] - un[at]
-				if dv < 0 {
-					dv = -dv
-				}
-				errSum += dv
-			})
-			return errSum
+	return c.reduceInterior("jacobi_iterate", simgpu.Args(c.un, c.u0, c.kx, c.ky, c.u),
+		func(a [][]float64, lo, hi int, acc *float64) {
+			*acc = kern.JacobiAt(*acc, a[4], a[0], a[1], a[2], a[3], c.stride, lo, hi)
 		})
 }
 
 // ChebyInit implements driver.Kernels.
 func (c *Chunk) ChebyInit(theta float64, precond bool) {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("cheby_init", c.launchGrid(), c.block,
-		simgpu.Args(src, c.sd, c.u),
-		func(b simgpu.Block, a [][]float64) {
-			s, sd, u := a[0], a[1], a[2]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				sd[at] = s[at] / theta
-				u[at] += sd[at]
-			})
-		})
+	c.interior("cheby_init", simgpu.Args(c.precondSrc(precond), c.sd, c.u),
+		func(a [][]float64, lo, hi int) { kern.ChebyInitRow(a[1][lo:hi], a[2][lo:hi], a[0][lo:hi], theta) })
 }
 
 // ChebyIterate implements driver.Kernels.
 func (c *Chunk) ChebyIterate(alpha, beta float64, precond bool) {
 	c.launchOperator("cheby_w_sd", c.w, c.sd)
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("cheby_update_r", c.launchGrid(), c.block,
-		simgpu.Args(c.r, c.w),
-		func(b simgpu.Block, a [][]float64) {
-			r, w := a[0], a[1]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				r[at] -= w[at]
-			})
-		})
+	c.interior("cheby_update_r", simgpu.Args(c.r, c.w),
+		func(a [][]float64, lo, hi int) { kern.Sub(a[0][lo:hi], a[0][lo:hi], a[1][lo:hi]) })
 	if precond {
 		c.ApplyPrecond()
 	}
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	c.dev.Launch("cheby_update_sd_u", c.launchGrid(), c.block,
-		simgpu.Args(src, c.sd, c.u),
-		func(b simgpu.Block, a [][]float64) {
-			s, sd, u := a[0], a[1], a[2]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				sd[at] = alpha*sd[at] + beta*s[at]
-				u[at] += sd[at]
-			})
-		})
+	c.interior("cheby_update_sd_u", simgpu.Args(c.precondSrc(precond), c.sd, c.u),
+		func(a [][]float64, lo, hi int) { kern.ChebyRow(a[1][lo:hi], a[2][lo:hi], a[0][lo:hi], alpha, beta) })
 }
 
 // PPCGInitInner implements driver.Kernels.
 func (c *Chunk) PPCGInitInner(theta float64) {
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("ppcg_init_inner", c.launchGrid(), c.block,
-		simgpu.Args(c.r, c.rtemp, c.z, c.sd),
-		func(b simgpu.Block, a [][]float64) {
-			r, rt, z, sd := a[0], a[1], a[2], a[3]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				rt[at] = r[at]
-				z[at] = 0
-				sd[at] = r[at] / theta
-			})
+	c.interior("ppcg_init_inner", simgpu.Args(c.r, c.rtemp, c.z, c.sd),
+		func(a [][]float64, lo, hi int) {
+			kern.PPCGInitRow(a[1][lo:hi], a[2][lo:hi], a[3][lo:hi], a[0][lo:hi], theta)
 		})
 }
 
@@ -637,55 +393,22 @@ func (c *Chunk) PPCGInitInner(theta float64) {
 // application must complete before any thread rewrites sd.
 func (c *Chunk) PPCGInnerIterate(alpha, beta float64) {
 	c.launchOperator("ppcg_w_sd", c.w, c.sd)
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("ppcg_inner_update", c.launchGrid(), c.block,
-		simgpu.Args(c.z, c.sd, c.rtemp, c.w),
-		func(b simgpu.Block, a [][]float64) {
-			z, sd, rt, w := a[0], a[1], a[2], a[3]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				z[at] += sd[at]
-				rt[at] -= w[at]
-				sd[at] = alpha*sd[at] + beta*rt[at]
-			})
+	c.interior("ppcg_inner_update", simgpu.Args(c.z, c.sd, c.rtemp, c.w),
+		func(a [][]float64, lo, hi int) {
+			kern.PPCGInnerRow(a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], a[3][lo:hi], alpha, beta)
 		})
 }
 
 // PPCGFinishInner implements driver.Kernels.
 func (c *Chunk) PPCGFinishInner() {
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("ppcg_finish_inner", c.launchGrid(), c.block,
-		simgpu.Args(c.z, c.sd),
-		func(b simgpu.Block, a [][]float64) {
-			z, sd := a[0], a[1]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				z[at] += sd[at]
-			})
-		})
+	c.interior("ppcg_finish_inner", simgpu.Args(c.z, c.sd),
+		func(a [][]float64, lo, hi int) { kern.Add(a[0][lo:hi], a[1][lo:hi]) })
 }
 
 // SolveFinalise implements driver.Kernels.
 func (c *Chunk) SolveFinalise() {
-	nx, ny, stride := c.nx, c.ny, c.stride
-	c.dev.Launch("tea_leaf_finalise", c.launchGrid(), c.block,
-		simgpu.Args(c.u, c.density, c.energy1),
-		func(b simgpu.Block, a [][]float64) {
-			u, density, energy := a[0], a[1], a[2]
-			b.ForThreads(func(gx, gy int) {
-				if gx >= nx || gy >= ny {
-					return
-				}
-				at := (gy+halo)*stride + gx + halo
-				energy[at] = u[at] / density[at]
-			})
-		})
+	c.interior("tea_leaf_finalise", simgpu.Args(c.u, c.density, c.energy1),
+		func(a [][]float64, lo, hi int) { kern.Div(a[2][lo:hi], a[0][lo:hi], a[1][lo:hi]) })
 }
 
 // FetchField implements driver.Kernels: a device-to-host copy followed by
@@ -715,8 +438,4 @@ func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
 }
 
 // Close implements driver.Kernels.
-func (c *Chunk) Close() {
-	if c.ownDev {
-		c.dev.Close()
-	}
-}
+func (c *Chunk) Close() { c.dev.Close() }

@@ -2,14 +2,21 @@
 // layer (internal/kokkos), the analogue of the paper's Kokkos builds.
 // Every field is a rank-2 View whose layout follows the execution space
 // (LayoutRight on the host spaces, LayoutLeft on the device space), every
-// kernel a ParallelFor/ParallelReduce functor over an MDRange, and initial
-// data reaches the device through host mirrors and deep copies.
+// kernel a functor over an MDRange, and initial data reaches the device
+// through host mirrors and deep copies. Field kernels are team-policy
+// functors (kokkos.TeamFor / TeamReduce) handing View.Segment slices of one
+// stride-1 line — a mesh row or, under LayoutLeft, a mesh column — to the
+// internal/kern row bodies; the halo faces, and the jac_block solve where it
+// runs across the lines, stay per-point ParallelFor functors.
 package kokkosport
 
 import (
+	"strings"
+
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
+	"github.com/warwick-hpsc/tealeaf-go/internal/kern"
 	"github.com/warwick-hpsc/tealeaf-go/internal/kokkos"
 	"github.com/warwick-hpsc/tealeaf-go/internal/state"
 )
@@ -32,6 +39,12 @@ type Chunk struct {
 	kx, ky                    *kokkos.View
 	un, rtemp, tcp, tdp       *kokkos.View
 	byID                      [driver.NumFields]*kokkos.View
+
+	// kAlong and kAcross are kx and ky by role: the face coefficients
+	// between neighbours along a stride-1 line of the views and between
+	// neighbouring lines. Lines are mesh rows on the host spaces (kx, ky)
+	// and mesh columns on the device space (ky, kx).
+	kAlong, kAcross *kokkos.View
 }
 
 var _ driver.Kernels = (*Chunk)(nil)
@@ -39,17 +52,7 @@ var _ driver.Kernels = (*Chunk)(nil)
 // New creates the port on the given execution space. The port owns the
 // space and closes it.
 func New(space kokkos.ExecSpace) *Chunk {
-	return &Chunk{space: space, name: "kokkos-" + lower(space.Name())}
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c - 'A' + 'a'
-		}
-	}
-	return string(b)
+	return &Chunk{space: space, name: "kokkos-" + strings.ToLower(space.Name())}
 }
 
 // Name implements driver.Kernels.
@@ -86,6 +89,10 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 		driver.FieldKx:      c.kx,
 		driver.FieldKy:      c.ky,
 	}
+	c.kAlong, c.kAcross = c.kx, c.ky
+	if c.columnLines() {
+		c.kAlong, c.kAcross = c.ky, c.kx
+	}
 	hd := kokkos.CreateMirror(c.density)
 	he := kokkos.CreateMirror(c.energy0)
 	err := state.Generate(m, states, halo, func(i, j int, density, energy float64) {
@@ -100,6 +107,10 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 	return nil
 }
 
+// columnLines reports whether the views' stride-1 lines are mesh columns
+// (LayoutLeft) rather than mesh rows.
+func (c *Chunk) columnLines() bool { return c.space.DefaultLayout() == kokkos.LayoutLeft }
+
 // interior is the MDRange over interior cells.
 func (c *Chunk) interior() kokkos.MDRange {
 	return kokkos.MDRange{B0: halo, E0: halo + c.ny, B1: halo, E1: halo + c.nx}
@@ -110,37 +121,61 @@ func (c *Chunk) full() kokkos.MDRange {
 	return kokkos.MDRange{B0: 0, E0: c.ny + 2*halo, B1: 0, E1: c.nx + 2*halo}
 }
 
-// SetField implements driver.Kernels.
-func (c *Chunk) SetField() {
-	e0, e1 := c.energy0, c.energy1
-	kokkos.ParallelFor(c.space, "set_field", c.full(), func(j, i int) {
-		e1.Set(j, i, e0.At(j, i))
-	})
+// seg is the operand of one team functor call: cells [lo, hi) of stride-1
+// line o of the views.
+type seg struct{ o, lo, hi int }
+
+// of is the segment's cells of v.
+func (s seg) of(v *kokkos.View) []float64 { return v.Segment(s.o, s.lo, s.hi) }
+
+// wide is the segment's cells of v on the line do lines away, one cell wider
+// at each end: the operand form of the kern row bodies that read a cell's
+// neighbours along the line, which then take d = 1.
+func (s seg) wide(v *kokkos.View, do int) []float64 { return v.Segment(s.o+do, s.lo-1, s.hi+1) }
+
+// teamFor runs f over the range under the team policy.
+func (c *Chunk) teamFor(name string, p kokkos.MDRange, f func(s seg)) {
+	kokkos.TeamFor(c.space, name, p, func(o, lo, hi int) { f(seg{o, lo, hi}) })
 }
+
+// teamReduce sums over the interior under the team policy; f adds its
+// segment's terms to *l left to right.
+func (c *Chunk) teamReduce(name string, f func(s seg, l *float64)) float64 {
+	return kokkos.TeamReduce(c.space, name, c.interior(), func(o, lo, hi int, l *float64) { f(seg{o, lo, hi}, l) })
+}
+
+// operator sets dst = A src on the segment.
+func (c *Chunk) operator(dst, src *kokkos.View, s seg) {
+	kern.OperatorRow(s.wide(dst, 0), s.wide(src, 0), s.wide(src, 1), s.wide(src, -1),
+		s.wide(c.kAlong, 0), s.wide(c.kAcross, 0), s.wide(c.kAcross, 1), 1, s.hi-s.lo)
+}
+
+// copyView copies src into dst, halos included.
+func (c *Chunk) copyView(name string, dst, src *kokkos.View) {
+	c.teamFor(name, c.full(), func(s seg) { copy(s.of(dst), s.of(src)) })
+}
+
+// SetField implements driver.Kernels.
+func (c *Chunk) SetField() { c.copyView("set_field", c.energy1, c.energy0) }
 
 // ResetField implements driver.Kernels.
-func (c *Chunk) ResetField() {
-	e0, e1 := c.energy0, c.energy1
-	kokkos.ParallelFor(c.space, "reset_field", c.full(), func(j, i int) {
-		e0.Set(j, i, e1.At(j, i))
-	})
-}
+func (c *Chunk) ResetField() { c.copyView("reset_field", c.energy0, c.energy1) }
 
-// FieldSummary implements driver.Kernels: four reductions, matching the
-// Kokkos port's use of one ParallelReduce per quantity.
+// FieldSummary implements driver.Kernels: one TeamReduce per summed
+// quantity, matching the Kokkos port's one reduction per total.
 func (c *Chunk) FieldSummary() driver.Totals {
 	vol := c.mesh.CellVolume()
 	d, e, u := c.density, c.energy0, c.u
 	var t driver.Totals
 	t.Volume = float64(c.nx) * float64(c.ny) * vol
-	t.Mass = kokkos.ParallelReduce(c.space, "summary_mass", c.interior(), func(j, i int, l *float64) {
-		*l += d.At(j, i) * vol
+	t.Mass = c.teamReduce("summary_mass", func(s seg, l *float64) {
+		_, *l = kern.VolMass(0, *l, s.of(d), vol)
 	})
-	t.InternalEnergy = kokkos.ParallelReduce(c.space, "summary_ie", c.interior(), func(j, i int, l *float64) {
-		*l += d.At(j, i) * e.At(j, i) * vol
+	t.InternalEnergy = c.teamReduce("summary_ie", func(s seg, l *float64) {
+		*l, _ = kern.EnergyTemp(*l, 0, s.of(d), s.of(e), s.of(u), vol)
 	})
-	t.Temperature = kokkos.ParallelReduce(c.space, "summary_temp", c.interior(), func(j, i int, l *float64) {
-		*l += u.At(j, i) * vol
+	t.Temperature = c.teamReduce("summary_temp", func(s seg, l *float64) {
+		_, *l = kern.EnergyTemp(0, *l, s.of(d), s.of(e), s.of(u), vol)
 	})
 	return t
 }
@@ -171,31 +206,27 @@ func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond confi
 	c.precond = precond
 	recip := coef == config.RecipConductivity
 	d, e1, u, u0, w := c.density, c.energy1, c.u, c.u0, c.w
-	kokkos.ParallelFor(c.space, "tea_leaf_init", c.full(), func(j, i int) {
-		den := d.At(j, i)
-		v := e1.At(j, i) * den
-		u.Set(j, i, v)
-		u0.Set(j, i, v)
-		if recip {
-			w.Set(j, i, 1/den)
-		} else {
-			w.Set(j, i, den)
-		}
+	c.teamFor("tea_leaf_init", c.full(), func(s seg) {
+		kern.InitRow(s.of(u), s.of(u0), s.of(w), s.of(e1), s.of(d), recip)
 	})
-	kx, ky := c.kx, c.ky
+	// Face coefficients over one ring beyond the interior. FaceCoefRow fills
+	// cells [d-1, d+nx+1) of its lines: the segment, for d = 2 and nx two
+	// short of its length.
+	kAlong, kAcross := c.kAlong, c.kAcross
+	rAlong, rAcross := rx, ry
+	if c.columnLines() {
+		rAlong, rAcross = ry, rx
+	}
 	ring := kokkos.MDRange{B0: halo - 1, E0: halo + c.ny + 1, B1: halo - 1, E1: halo + c.nx + 1}
-	kokkos.ParallelFor(c.space, "init_kx_ky", ring, func(j, i int) {
-		w0 := w.At(j, i)
-		wl := w.At(j, i-1)
-		wd := w.At(j-1, i)
-		kx.Set(j, i, rx*(wl+w0)/(2*wl*w0))
-		ky.Set(j, i, ry*(wd+w0)/(2*wd*w0))
+	c.teamFor("init_kx_ky", ring, func(s seg) {
+		kern.FaceCoefRow(s.wide(kAlong, 0), s.wide(kAcross, 0), s.wide(w, 0), s.wide(w, -1),
+			rAlong, rAcross, 2, s.hi-s.lo-2)
 	})
 	c.CalcResidual()
 	if precond == config.PrecondJacDiag {
 		mi := c.mi
-		kokkos.ParallelFor(c.space, "init_mi", c.interior(), func(j, i int) {
-			mi.Set(j, i, 1/(1+kx.At(j, i+1)+kx.At(j, i)+ky.At(j+1, i)+ky.At(j, i)))
+		c.teamFor("init_mi", c.interior(), func(s seg) {
+			kern.DiagInvRow(s.wide(mi, 0), s.wide(kAlong, 0), s.wide(kAcross, 0), s.wide(kAcross, 1), 1, s.hi-s.lo)
 		})
 	}
 	if precond != config.PrecondNone {
@@ -203,49 +234,45 @@ func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond confi
 	}
 }
 
-// applyA evaluates the conduction operator on src at (j, i).
-func (c *Chunk) applyA(src *kokkos.View, j, i int) float64 {
-	kx, ky := c.kx, c.ky
-	kx1, kx0 := kx.At(j, i+1), kx.At(j, i)
-	ky1, ky0 := ky.At(j+1, i), ky.At(j, i)
-	return (1+kx1+kx0+ky1+ky0)*src.At(j, i) -
-		(kx1*src.At(j, i+1) + kx0*src.At(j, i-1)) -
-		(ky1*src.At(j+1, i) + ky0*src.At(j-1, i))
-}
-
 // CalcResidual implements driver.Kernels.
 func (c *Chunk) CalcResidual() {
-	u, u0, r := c.u, c.u0, c.r
-	kokkos.ParallelFor(c.space, "residual", c.interior(), func(j, i int) {
-		r.Set(j, i, u0.At(j, i)-c.applyA(u, j, i))
+	u, u0, r, w := c.u, c.u0, c.r, c.w
+	c.teamFor("residual", c.interior(), func(s seg) {
+		c.operator(w, u, s)
+		kern.Sub(s.of(r), s.of(u0), s.of(w))
 	})
+}
+
+// dot is the interior dot product of two views.
+func (c *Chunk) dot(name string, a, b *kokkos.View) float64 {
+	return c.teamReduce(name, func(s seg, l *float64) { *l = kern.DotAcc(*l, s.of(a), s.of(b)) })
 }
 
 // Norm2R implements driver.Kernels.
-func (c *Chunk) Norm2R() float64 {
-	r := c.r
-	return kokkos.ParallelReduce(c.space, "norm2_r", c.interior(), func(j, i int, l *float64) {
-		v := r.At(j, i)
-		*l += v * v
-	})
-}
+func (c *Chunk) Norm2R() float64 { return c.dot("norm2_r", c.r, c.r) }
 
 // DotRZ implements driver.Kernels.
-func (c *Chunk) DotRZ() float64 {
-	r, z := c.r, c.z
-	return kokkos.ParallelReduce(c.space, "dot_rz", c.interior(), func(j, i int, l *float64) {
-		*l += r.At(j, i) * z.At(j, i)
-	})
-}
+func (c *Chunk) DotRZ() float64 { return c.dot("dot_rz", c.r, c.z) }
 
-// ApplyPrecond implements driver.Kernels. The jac_block path is a
-// ParallelFor over rows (an MDRange with a unit second extent); each
-// functor invocation runs the Thomas solve for its row, which is how a
-// Kokkos port expresses batched line solves.
+// ApplyPrecond implements driver.Kernels. The jac_block path solves one
+// tridiagonal system per mesh row. Where lines are mesh rows the team
+// functor's segment is the whole row and the shared Thomas body solves it;
+// where they are columns it is a ParallelFor over rows (an MDRange with a
+// unit second extent) whose functor walks its row point by point, which is
+// how a Kokkos port expresses batched line solves.
 func (c *Chunk) ApplyPrecond() {
-	if c.precond == config.PrecondJacBlock {
+	r, z, kx, ky, cp, dp := c.r, c.z, c.kx, c.ky, c.tcp, c.tdp
+	switch {
+	case c.precond != config.PrecondJacBlock:
+		mi := c.mi
+		c.teamFor("apply_precond", c.interior(), func(s seg) { kern.Mul(s.of(z), s.of(mi), s.of(r)) })
+	case !c.columnLines():
+		c.teamFor("block_solve", c.interior(), func(s seg) {
+			kern.ThomasRow(s.wide(z, 0), s.wide(r, 0), s.wide(kx, 0), s.wide(ky, 0), s.wide(ky, 1),
+				s.wide(cp, 0), s.wide(dp, 0), 1, s.hi-s.lo)
+		})
+	default:
 		nx := c.nx
-		r, z, kx, ky, cp, dp := c.r, c.z, c.kx, c.ky, c.tcp, c.tdp
 		rows := kokkos.MDRange{B0: halo, E0: halo + c.ny, B1: 0, E1: 1}
 		kokkos.ParallelFor(c.space, "block_solve", rows, func(j, _ int) {
 			diag := func(i int) float64 {
@@ -266,166 +293,118 @@ func (c *Chunk) ApplyPrecond() {
 				z.Set(j, i, dp.At(j, i)-cp.At(j, i)*z.At(j, i+1))
 			}
 		})
-		return
 	}
-	mi, r, z := c.mi, c.r, c.z
-	kokkos.ParallelFor(c.space, "apply_precond", c.interior(), func(j, i int) {
-		z.Set(j, i, mi.At(j, i)*r.At(j, i))
-	})
+}
+
+// precondSrc is the view CG and Chebyshev take their direction from.
+func (c *Chunk) precondSrc(precond bool) *kokkos.View {
+	if precond {
+		return c.z
+	}
+	return c.r
 }
 
 // CGInitP implements driver.Kernels.
 func (c *Chunk) CGInitP(precond bool) float64 {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	r, p := c.r, c.p
-	return kokkos.ParallelReduce(c.space, "cg_init_p", c.interior(), func(j, i int, l *float64) {
-		s := src.At(j, i)
-		p.Set(j, i, s)
-		*l += r.At(j, i) * s
+	src, r, p := c.precondSrc(precond), c.r, c.p
+	return c.teamReduce("cg_init_p", func(s seg, l *float64) {
+		*l = kern.CopyDot(*l, s.of(p), s.of(src), s.of(r))
 	})
 }
 
 // CGCalcW implements driver.Kernels.
 func (c *Chunk) CGCalcW() float64 {
 	p, w := c.p, c.w
-	return kokkos.ParallelReduce(c.space, "cg_calc_w", c.interior(), func(j, i int, l *float64) {
-		v := c.applyA(p, j, i)
-		w.Set(j, i, v)
-		*l += p.At(j, i) * v
+	return c.teamReduce("cg_calc_w", func(s seg, l *float64) {
+		c.operator(w, p, s)
+		*l = kern.DotAcc(*l, s.of(p), s.of(w))
 	})
 }
 
 // CGCalcUR implements driver.Kernels.
 func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
 	u, p, r, w := c.u, c.p, c.r, c.w
+	rrn := c.teamReduce("cg_calc_ur", func(s seg, l *float64) {
+		kern.UpdateUR(s.of(u), s.of(p), s.of(r), s.of(w), alpha)
+		if !precond {
+			*l = kern.DotAcc(*l, s.of(r), s.of(r))
+		}
+	})
 	if precond {
-		kokkos.ParallelFor(c.space, "cg_calc_ur_update", c.interior(), func(j, i int) {
-			u.Add(j, i, alpha*p.At(j, i))
-			r.Add(j, i, -alpha*w.At(j, i))
-		})
 		c.ApplyPrecond()
 		return c.DotRZ()
 	}
-	return kokkos.ParallelReduce(c.space, "cg_calc_ur", c.interior(), func(j, i int, l *float64) {
-		u.Add(j, i, alpha*p.At(j, i))
-		rv := r.At(j, i) - alpha*w.At(j, i)
-		r.Set(j, i, rv)
-		*l += rv * rv
-	})
+	return rrn
 }
 
 // CGCalcWFused implements driver.FusedWDot: CGCalcW is already one
-// ParallelReduce evaluating the operator and the p·w dot in a single
-// sweep, so the fused entry point reuses it.
+// TeamReduce evaluating the operator and the p·w dot in a single sweep, so
+// the fused entry point reuses it.
 func (c *Chunk) CGCalcWFused() float64 { return c.CGCalcW() }
 
-// CGCalcURFused implements driver.FusedURPrecond: one ParallelReduce
-// updates u and r, applies the diagonal preconditioner z = mi·r and
-// accumulates r·z — one sweep where the unfused sequence takes three. The
-// jac_block line solve needs whole rows of the updated r, so that case
-// falls back to the unfused sequence (identical results, more sweeps).
+// CGCalcURFused implements driver.FusedURPrecond: one TeamReduce updates u
+// and r, applies the diagonal preconditioner z = mi·r and accumulates r·z —
+// one sweep where the unfused sequence takes three. Unpreconditioned,
+// CGCalcUR is already a single reducing sweep; the jac_block line solve needs
+// whole rows of the updated r, so that case runs the unfused sequence
+// (identical results, more sweeps).
 func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	if !precond {
-		return c.CGCalcUR(alpha, false) // already a single reducing sweep
-	}
-	if c.precond == config.PrecondJacBlock {
-		return c.CGCalcUR(alpha, true)
+	if !precond || c.precond == config.PrecondJacBlock {
+		return c.CGCalcUR(alpha, precond)
 	}
 	u, p, r, w, mi, z := c.u, c.p, c.r, c.w, c.mi, c.z
-	return kokkos.ParallelReduce(c.space, "cg_calc_ur_fused", c.interior(), func(j, i int, l *float64) {
-		u.Add(j, i, alpha*p.At(j, i))
-		rv := r.At(j, i) - alpha*w.At(j, i)
-		r.Set(j, i, rv)
-		zv := mi.At(j, i) * rv
-		z.Set(j, i, zv)
-		*l += rv * zv
+	return c.teamReduce("cg_calc_ur_fused", func(s seg, l *float64) {
+		kern.UpdateUR(s.of(u), s.of(p), s.of(r), s.of(w), alpha)
+		kern.Mul(s.of(z), s.of(mi), s.of(r))
+		*l = kern.DotAcc(*l, s.of(r), s.of(z))
 	})
 }
 
 // CGCalcP implements driver.Kernels.
 func (c *Chunk) CGCalcP(beta float64, precond bool) {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	p := c.p
-	kokkos.ParallelFor(c.space, "cg_calc_p", c.interior(), func(j, i int) {
-		p.Set(j, i, src.At(j, i)+beta*p.At(j, i))
-	})
+	src, p := c.precondSrc(precond), c.p
+	c.teamFor("cg_calc_p", c.interior(), func(s seg) { kern.XPBY(s.of(p), s.of(src), beta) })
 }
 
 // JacobiCopyU implements driver.Kernels.
-func (c *Chunk) JacobiCopyU() {
-	u, un := c.u, c.un
-	kokkos.ParallelFor(c.space, "jacobi_copy_u", c.full(), func(j, i int) {
-		un.Set(j, i, u.At(j, i))
-	})
-}
+func (c *Chunk) JacobiCopyU() { c.copyView("jacobi_copy_u", c.un, c.u) }
 
 // JacobiIterate implements driver.Kernels.
 func (c *Chunk) JacobiIterate() float64 {
-	un, u0, u, kx, ky := c.un, c.u0, c.u, c.kx, c.ky
-	return kokkos.ParallelReduce(c.space, "jacobi_solve", c.interior(), func(j, i int, l *float64) {
-		kx1, kx0 := kx.At(j, i+1), kx.At(j, i)
-		ky1, ky0 := ky.At(j+1, i), ky.At(j, i)
-		num := u0.At(j, i) +
-			kx1*un.At(j, i+1) + kx0*un.At(j, i-1) +
-			ky1*un.At(j+1, i) + ky0*un.At(j-1, i)
-		v := num / (1 + kx1 + kx0 + ky1 + ky0)
-		u.Set(j, i, v)
-		dv := v - un.At(j, i)
-		if dv < 0 {
-			dv = -dv
-		}
-		*l += dv
+	un, u0, u, kAlong, kAcross := c.un, c.u0, c.u, c.kAlong, c.kAcross
+	return c.teamReduce("jacobi_solve", func(s seg, l *float64) {
+		*l = kern.JacobiRow(*l, s.wide(u, 0), s.wide(un, 0), s.wide(un, 1), s.wide(un, -1), s.wide(u0, 0),
+			s.wide(kAlong, 0), s.wide(kAcross, 0), s.wide(kAcross, 1), 1, s.hi-s.lo)
 	})
 }
 
 // ChebyInit implements driver.Kernels.
 func (c *Chunk) ChebyInit(theta float64, precond bool) {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	sd, u := c.sd, c.u
-	kokkos.ParallelFor(c.space, "cheby_init", c.interior(), func(j, i int) {
-		v := src.At(j, i) / theta
-		sd.Set(j, i, v)
-		u.Add(j, i, v)
-	})
+	src, sd, u := c.precondSrc(precond), c.sd, c.u
+	c.teamFor("cheby_init", c.interior(), func(s seg) { kern.ChebyInitRow(s.of(sd), s.of(u), s.of(src), theta) })
 }
 
 // ChebyIterate implements driver.Kernels.
 func (c *Chunk) ChebyIterate(alpha, beta float64, precond bool) {
-	sd, r, u := c.sd, c.r, c.u
-	kokkos.ParallelFor(c.space, "cheby_calc_r", c.interior(), func(j, i int) {
-		r.Add(j, i, -c.applyA(sd, j, i))
+	sd, r, u, w := c.sd, c.r, c.u, c.w
+	c.teamFor("cheby_calc_r", c.interior(), func(s seg) {
+		c.operator(w, sd, s)
+		kern.Sub(s.of(r), s.of(r), s.of(w))
 	})
 	if precond {
 		c.ApplyPrecond()
 	}
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	kokkos.ParallelFor(c.space, "cheby_calc_sd_u", c.interior(), func(j, i int) {
-		v := alpha*sd.At(j, i) + beta*src.At(j, i)
-		sd.Set(j, i, v)
-		u.Add(j, i, v)
+	src := c.precondSrc(precond)
+	c.teamFor("cheby_calc_sd_u", c.interior(), func(s seg) {
+		kern.ChebyRow(s.of(sd), s.of(u), s.of(src), alpha, beta)
 	})
 }
 
 // PPCGInitInner implements driver.Kernels.
 func (c *Chunk) PPCGInitInner(theta float64) {
 	r, rt, z, sd := c.r, c.rtemp, c.z, c.sd
-	kokkos.ParallelFor(c.space, "ppcg_init_inner", c.interior(), func(j, i int) {
-		rv := r.At(j, i)
-		rt.Set(j, i, rv)
-		z.Set(j, i, 0)
-		sd.Set(j, i, rv/theta)
+	c.teamFor("ppcg_init_inner", c.interior(), func(s seg) {
+		kern.PPCGInitRow(s.of(rt), s.of(z), s.of(sd), s.of(r), theta)
 	})
 }
 
@@ -433,32 +412,22 @@ func (c *Chunk) PPCGInitInner(theta float64) {
 // see the previous sd everywhere before it is rewritten).
 func (c *Chunk) PPCGInnerIterate(alpha, beta float64) {
 	sd, w, z, rt := c.sd, c.w, c.z, c.rtemp
-	kokkos.ParallelFor(c.space, "ppcg_calc_w", c.interior(), func(j, i int) {
-		w.Set(j, i, c.applyA(sd, j, i))
-	})
-	kokkos.ParallelFor(c.space, "ppcg_inner_update", c.interior(), func(j, i int) {
-		sv := sd.At(j, i)
-		z.Add(j, i, sv)
-		rv := rt.At(j, i) - w.At(j, i)
-		rt.Set(j, i, rv)
-		sd.Set(j, i, alpha*sv+beta*rv)
+	c.teamFor("ppcg_calc_w", c.interior(), func(s seg) { c.operator(w, sd, s) })
+	c.teamFor("ppcg_inner_update", c.interior(), func(s seg) {
+		kern.PPCGInnerRow(s.of(z), s.of(sd), s.of(rt), s.of(w), alpha, beta)
 	})
 }
 
 // PPCGFinishInner implements driver.Kernels.
 func (c *Chunk) PPCGFinishInner() {
 	z, sd := c.z, c.sd
-	kokkos.ParallelFor(c.space, "ppcg_finish_inner", c.interior(), func(j, i int) {
-		z.Add(j, i, sd.At(j, i))
-	})
+	c.teamFor("ppcg_finish_inner", c.interior(), func(s seg) { kern.Add(s.of(z), s.of(sd)) })
 }
 
 // SolveFinalise implements driver.Kernels.
 func (c *Chunk) SolveFinalise() {
 	u, d, e1 := c.u, c.density, c.energy1
-	kokkos.ParallelFor(c.space, "finalise", c.interior(), func(j, i int) {
-		e1.Set(j, i, u.At(j, i)/d.At(j, i))
-	})
+	c.teamFor("finalise", c.interior(), func(s seg) { kern.Div(s.of(e1), s.of(u), s.of(d)) })
 }
 
 // FetchField implements driver.Kernels: mirror + deep_copy + interior
@@ -469,9 +438,7 @@ func (c *Chunk) FetchField(id driver.FieldID) []float64 {
 	kokkos.DeepCopy(host, v)
 	out := make([]float64, 0, c.nx*c.ny)
 	for j := 0; j < c.ny; j++ {
-		for i := 0; i < c.nx; i++ {
-			out = append(out, host.At(j+halo, i+halo))
-		}
+		out = append(out, host.Segment(j+halo, halo, halo+c.nx)...) // the mirror is LayoutRight
 	}
 	return out
 }
@@ -484,9 +451,7 @@ func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
 	host := kokkos.CreateMirror(v)
 	kokkos.DeepCopy(host, v) // preserve halo cells around the patched interior
 	for j := 0; j < c.ny; j++ {
-		for i := 0; i < c.nx; i++ {
-			host.Set(j+halo, i+halo, data[j*c.nx+i])
-		}
+		copy(host.Segment(j+halo, halo, halo+c.nx), data[j*c.nx:(j+1)*c.nx])
 	}
 	kokkos.DeepCopy(v, host)
 }

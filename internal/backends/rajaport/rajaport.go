@@ -3,13 +3,16 @@
 // stay raw flat arrays allocated by the execution policy, and every kernel
 // is a lambda handed to RAJA::kernel/forall-style dispatchers, with typed
 // sum reductions. Swapping the policy object retargets the whole port
-// between sequential, OpenMP-style and simulated-CUDA execution.
+// between sequential, OpenMP-style and simulated-CUDA execution. Field
+// kernels are row-policy lambdas (raja.Kernel2DRow) over the internal/kern
+// row bodies; the halo faces stay per-point Kernel2D lambdas.
 package rajaport
 
 import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
+	"github.com/warwick-hpsc/tealeaf-go/internal/kern"
 	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
 	"github.com/warwick-hpsc/tealeaf-go/internal/state"
 )
@@ -52,21 +55,12 @@ func New(pol raja.ExecPolicy) *Chunk {
 // Name implements driver.Kernels.
 func (c *Chunk) Name() string { return c.name }
 
-// Policy exposes the execution policy for tests and reporting.
-func (c *Chunk) Policy() raja.ExecPolicy { return c.pol }
-
 // at is the flat index of cell (i, j).
 func (c *Chunk) at(i, j int) int { return (j+halo)*c.stride + i + halo }
 
-// rows/cols are the interior segments; rowsFull/colsFull include the halo.
+// rows/cols are the interior segments.
 func (c *Chunk) rows() raja.RangeSegment { return raja.RangeSegment{Begin: 0, End: c.ny} }
 func (c *Chunk) cols() raja.RangeSegment { return raja.RangeSegment{Begin: 0, End: c.nx} }
-func (c *Chunk) rowsFull() raja.RangeSegment {
-	return raja.RangeSegment{Begin: -halo, End: c.ny + halo}
-}
-func (c *Chunk) colsFull() raja.RangeSegment {
-	return raja.RangeSegment{Begin: -halo, End: c.nx + halo}
-}
 
 // Generate implements driver.Kernels.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
@@ -104,31 +98,50 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 	}); err != nil {
 		return err
 	}
-	// Initialisation copy into policy memory, expressed as a forall so the
+	// Initialisation copy into policy memory, expressed as kernels so the
 	// data lands device-side under the CUDA policy.
-	density, energy0 := c.density, c.energy0
-	raja.ForAllN(c.pol, "generate_copyin", raja.RangeSegment{Begin: 0, End: n}, func(i int) {
-		density[i] = hd[i]
-		energy0[i] = he[i]
-	})
+	c.copyField("generate_copyin_density", c.density, hd)
+	c.copyField("generate_copyin_energy", c.energy0, he)
 	return nil
 }
 
-// SetField implements driver.Kernels.
-func (c *Chunk) SetField() {
-	e0, e1 := c.energy0, c.energy1
-	raja.Kernel2D(c.pol, "set_field", c.rowsFull(), c.colsFull(), func(j, i int) {
-		e1[c.at(i, j)] = e0[c.at(i, j)]
+// forRows runs seg under the row policy over rows x cols, one call per
+// contiguous run of a row with the run's flat index range [lo, hi).
+func (c *Chunk) forRows(name string, rows, cols raja.RangeSegment, seg func(lo, hi int)) {
+	raja.Kernel2DRow(c.pol, name, rows, cols, func(j, i0, i1 int) { seg(c.at(i0, j), c.at(i1, j)) })
+}
+
+// interior is forRows over the interior cells.
+func (c *Chunk) interior(name string, seg func(lo, hi int)) { c.forRows(name, c.rows(), c.cols(), seg) }
+
+// full is forRows over every cell, halos included.
+func (c *Chunk) full(name string, seg func(lo, hi int)) {
+	c.forRows(name, raja.RangeSegment{Begin: -halo, End: c.ny + halo}, raja.RangeSegment{Begin: -halo, End: c.nx + halo}, seg)
+}
+
+// reduceInterior is interior with a sum reduction: seg adds its run's terms
+// to *sum left to right.
+func (c *Chunk) reduceInterior(name string, seg func(lo, hi int, sum *float64)) float64 {
+	return raja.Kernel2DRowReduce(c.pol, name, c.rows(), c.cols(), func(j, i0, i1 int, sum *float64) {
+		seg(c.at(i0, j), c.at(i1, j), sum)
 	})
 }
 
-// ResetField implements driver.Kernels.
-func (c *Chunk) ResetField() {
-	e0, e1 := c.energy0, c.energy1
-	raja.Kernel2D(c.pol, "reset_field", c.rowsFull(), c.colsFull(), func(j, i int) {
-		e0[c.at(i, j)] = e1[c.at(i, j)]
-	})
+// operator sets dst = A src on cells [lo, hi) of one mesh row.
+func (c *Chunk) operator(dst, src []float64, lo, hi int) {
+	kern.OperatorAt(dst, src, c.kx, c.ky, c.stride, lo, hi)
 }
+
+// copyField copies src into dst, halos included.
+func (c *Chunk) copyField(name string, dst, src []float64) {
+	c.full(name, func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
+}
+
+// SetField implements driver.Kernels.
+func (c *Chunk) SetField() { c.copyField("set_field", c.energy1, c.energy0) }
+
+// ResetField implements driver.Kernels.
+func (c *Chunk) ResetField() { c.copyField("reset_field", c.energy0, c.energy1) }
 
 // FieldSummary implements driver.Kernels.
 func (c *Chunk) FieldSummary() driver.Totals {
@@ -136,14 +149,14 @@ func (c *Chunk) FieldSummary() driver.Totals {
 	d, e, u := c.density, c.energy0, c.u
 	var t driver.Totals
 	t.Volume = float64(c.nx) * float64(c.ny) * vol
-	t.Mass = raja.Kernel2DReduce(c.pol, "summary_mass", c.rows(), c.cols(), func(j, i int, s *float64) {
-		*s += d[c.at(i, j)] * vol
+	t.Mass = c.reduceInterior("summary_mass", func(lo, hi int, s *float64) {
+		_, *s = kern.VolMass(0, *s, d[lo:hi], vol)
 	})
-	t.InternalEnergy = raja.Kernel2DReduce(c.pol, "summary_ie", c.rows(), c.cols(), func(j, i int, s *float64) {
-		*s += d[c.at(i, j)] * e[c.at(i, j)] * vol
+	t.InternalEnergy = c.reduceInterior("summary_ie", func(lo, hi int, s *float64) {
+		*s, _ = kern.EnergyTemp(*s, 0, d[lo:hi], e[lo:hi], u[lo:hi], vol)
 	})
-	t.Temperature = raja.Kernel2DReduce(c.pol, "summary_temp", c.rows(), c.cols(), func(j, i int, s *float64) {
-		*s += u[c.at(i, j)] * vol
+	t.Temperature = c.reduceInterior("summary_temp", func(lo, hi int, s *float64) {
+		_, *s = kern.EnergyTemp(0, *s, d[lo:hi], e[lo:hi], u[lo:hi], vol)
 	})
 	return t
 }
@@ -172,274 +185,166 @@ func (c *Chunk) SolveInit(coef config.Coefficient, rx, ry float64, precond confi
 	c.precond = precond
 	recip := coef == config.RecipConductivity
 	d, e1, u, u0, w := c.density, c.energy1, c.u, c.u0, c.w
-	raja.Kernel2D(c.pol, "tea_leaf_init", c.rowsFull(), c.colsFull(), func(j, i int) {
-		at := c.at(i, j)
-		u[at] = e1[at] * d[at]
-		u0[at] = u[at]
-		if recip {
-			w[at] = 1 / d[at]
-		} else {
-			w[at] = d[at]
-		}
+	c.full("tea_leaf_init", func(lo, hi int) {
+		kern.InitRow(u[lo:hi], u0[lo:hi], w[lo:hi], e1[lo:hi], d[lo:hi], recip)
 	})
-	kx, ky := c.kx, c.ky
+	// Face coefficients over one ring beyond the interior.
+	kx, ky, stride := c.kx, c.ky, c.stride
 	ring := raja.RangeSegment{Begin: -1, End: c.ny + 1}
 	ringX := raja.RangeSegment{Begin: -1, End: c.nx + 1}
-	raja.Kernel2D(c.pol, "init_kx_ky", ring, ringX, func(j, i int) {
-		at := c.at(i, j)
-		w0 := w[at]
-		wl := w[at-1]
-		wd := w[at-c.stride]
-		kx[at] = rx * (wl + w0) / (2 * wl * w0)
-		ky[at] = ry * (wd + w0) / (2 * wd * w0)
-	})
+	c.forRows("init_kx_ky", ring, ringX, func(lo, hi int) { kern.FaceCoefAt(kx, ky, w, rx, ry, stride, lo, hi) })
 	c.CalcResidual()
 	if precond == config.PrecondJacDiag {
 		mi := c.mi
-		raja.Kernel2D(c.pol, "init_mi", c.rows(), c.cols(), func(j, i int) {
-			at := c.at(i, j)
-			mi[at] = 1 / (1 + kx[at+1] + kx[at] + ky[at+c.stride] + ky[at])
-		})
+		c.interior("init_mi", func(lo, hi int) { kern.DiagInvAt(mi, kx, ky, stride, lo, hi) })
 	}
 	if precond != config.PrecondNone {
 		c.ApplyPrecond()
 	}
 }
 
-// applyA evaluates the conduction operator on src at flat index `at`.
-func (c *Chunk) applyA(src []float64, at int) float64 {
-	kx, ky := c.kx, c.ky
-	kx1, kx0 := kx[at+1], kx[at]
-	ky1, ky0 := ky[at+c.stride], ky[at]
-	return (1+kx1+kx0+ky1+ky0)*src[at] -
-		(kx1*src[at+1] + kx0*src[at-1]) -
-		(ky1*src[at+c.stride] + ky0*src[at-c.stride])
-}
-
 // CalcResidual implements driver.Kernels.
 func (c *Chunk) CalcResidual() {
-	u, u0, r := c.u, c.u0, c.r
-	raja.Kernel2D(c.pol, "residual", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		r[at] = u0[at] - c.applyA(u, at)
+	u, u0, r, w := c.u, c.u0, c.r, c.w
+	c.interior("residual", func(lo, hi int) {
+		c.operator(w, u, lo, hi)
+		kern.Sub(r[lo:hi], u0[lo:hi], w[lo:hi])
 	})
+}
+
+// dot is the interior dot product of two fields.
+func (c *Chunk) dot(name string, a, b []float64) float64 {
+	return c.reduceInterior(name, func(lo, hi int, s *float64) { *s = kern.DotAcc(*s, a[lo:hi], b[lo:hi]) })
 }
 
 // Norm2R implements driver.Kernels.
-func (c *Chunk) Norm2R() float64 {
-	r := c.r
-	return raja.Kernel2DReduce(c.pol, "norm2_r", c.rows(), c.cols(), func(j, i int, s *float64) {
-		v := r[c.at(i, j)]
-		*s += v * v
-	})
-}
+func (c *Chunk) Norm2R() float64 { return c.dot("norm2_r", c.r, c.r) }
 
 // DotRZ implements driver.Kernels.
-func (c *Chunk) DotRZ() float64 {
-	r, z := c.r, c.z
-	return raja.Kernel2DReduce(c.pol, "dot_rz", c.rows(), c.cols(), func(j, i int, s *float64) {
-		at := c.at(i, j)
-		*s += r[at] * z[at]
-	})
-}
+func (c *Chunk) DotRZ() float64 { return c.dot("dot_rz", c.r, c.z) }
 
 // ApplyPrecond implements driver.Kernels. The jac_block path is a forall
 // over rows, each lambda invocation running the Thomas solve for its row.
 func (c *Chunk) ApplyPrecond() {
+	r, z := c.r, c.z
 	if c.precond == config.PrecondJacBlock {
 		nx, stride := c.nx, c.stride
-		r, z, kx, ky, cp, dp := c.r, c.z, c.kx, c.ky, c.tcp, c.tdp
+		kx, ky, cp, dp := c.kx, c.ky, c.tcp, c.tdp
 		raja.ForAllN(c.pol, "block_solve", c.rows(), func(j int) {
-			row := (j + halo) * stride
-			diag := func(i int) float64 {
-				at := row + i + halo
-				return 1 + kx[at+1] + kx[at] + ky[at+stride] + ky[at]
-			}
-			b0 := diag(0)
-			cp[row+halo] = -kx[row+halo+1] / b0
-			dp[row+halo] = r[row+halo] / b0
-			for i := 1; i < nx; i++ {
-				at := row + i + halo
-				av := -kx[at]
-				m := 1 / (diag(i) - av*cp[at-1])
-				cp[at] = -kx[at+1] * m
-				dp[at] = (r[at] - av*dp[at-1]) * m
-			}
-			last := row + nx - 1 + halo
-			z[last] = dp[last]
-			for i := nx - 2; i >= 0; i-- {
-				at := row + i + halo
-				z[at] = dp[at] - cp[at]*z[at+1]
-			}
+			kern.ThomasAt(z, r, kx, ky, cp, dp, stride, c.at(0, j), c.at(nx, j))
 		})
 		return
 	}
-	mi, r, z := c.mi, c.r, c.z
-	raja.Kernel2D(c.pol, "apply_precond", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		z[at] = mi[at] * r[at]
-	})
+	mi := c.mi
+	c.interior("apply_precond", func(lo, hi int) { kern.Mul(z[lo:hi], mi[lo:hi], r[lo:hi]) })
+}
+
+// precondSrc is the field CG and Chebyshev take their direction from.
+func (c *Chunk) precondSrc(precond bool) []float64 {
+	if precond {
+		return c.z
+	}
+	return c.r
 }
 
 // CGInitP implements driver.Kernels.
 func (c *Chunk) CGInitP(precond bool) float64 {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	r, p := c.r, c.p
-	return raja.Kernel2DReduce(c.pol, "cg_init_p", c.rows(), c.cols(), func(j, i int, s *float64) {
-		at := c.at(i, j)
-		p[at] = src[at]
-		*s += r[at] * src[at]
+	src, r, p := c.precondSrc(precond), c.r, c.p
+	return c.reduceInterior("cg_init_p", func(lo, hi int, s *float64) {
+		*s = kern.CopyDot(*s, p[lo:hi], src[lo:hi], r[lo:hi])
 	})
 }
 
 // CGCalcW implements driver.Kernels.
 func (c *Chunk) CGCalcW() float64 {
 	p, w := c.p, c.w
-	return raja.Kernel2DReduce(c.pol, "cg_calc_w", c.rows(), c.cols(), func(j, i int, s *float64) {
-		at := c.at(i, j)
-		v := c.applyA(p, at)
-		w[at] = v
-		*s += p[at] * v
+	return c.reduceInterior("cg_calc_w", func(lo, hi int, s *float64) {
+		c.operator(w, p, lo, hi)
+		*s = kern.DotAcc(*s, p[lo:hi], w[lo:hi])
 	})
 }
 
 // CGCalcUR implements driver.Kernels.
 func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
 	u, p, r, w := c.u, c.p, c.r, c.w
+	rrn := c.reduceInterior("cg_calc_ur", func(lo, hi int, s *float64) {
+		kern.UpdateUR(u[lo:hi], p[lo:hi], r[lo:hi], w[lo:hi], alpha)
+		if !precond {
+			*s = kern.DotAcc(*s, r[lo:hi], r[lo:hi])
+		}
+	})
 	if precond {
-		raja.Kernel2D(c.pol, "cg_calc_ur_update", c.rows(), c.cols(), func(j, i int) {
-			at := c.at(i, j)
-			u[at] += alpha * p[at]
-			r[at] -= alpha * w[at]
-		})
 		c.ApplyPrecond()
 		return c.DotRZ()
 	}
-	return raja.Kernel2DReduce(c.pol, "cg_calc_ur", c.rows(), c.cols(), func(j, i int, s *float64) {
-		at := c.at(i, j)
-		u[at] += alpha * p[at]
-		r[at] -= alpha * w[at]
-		*s += r[at] * r[at]
-	})
+	return rrn
 }
 
 // CGCalcWFused implements driver.FusedWDot: CGCalcW is already one
-// Kernel2DReduce evaluating the operator and the p·w dot in a single
+// Kernel2DRowReduce evaluating the operator and the p·w dot in a single
 // sweep, so the fused entry point reuses it.
 func (c *Chunk) CGCalcWFused() float64 { return c.CGCalcW() }
 
-// CGCalcURFused implements driver.FusedURPrecond: one Kernel2DReduce
+// CGCalcURFused implements driver.FusedURPrecond: one Kernel2DRowReduce
 // updates u and r, applies the diagonal preconditioner z = mi·r and
-// accumulates r·z — one sweep where the unfused sequence takes three. The
-// jac_block line solve needs whole rows of the updated r, so that case
-// falls back to the unfused sequence (identical results, more sweeps).
+// accumulates r·z — one sweep where the unfused sequence takes three.
+// Unpreconditioned, CGCalcUR is already a single reducing sweep; the
+// jac_block line solve needs whole rows of the updated r, so that case runs
+// the unfused sequence (identical results, more sweeps).
 func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	if !precond {
-		return c.CGCalcUR(alpha, false) // already a single reducing sweep
-	}
-	if c.precond == config.PrecondJacBlock {
-		return c.CGCalcUR(alpha, true)
+	if !precond || c.precond == config.PrecondJacBlock {
+		return c.CGCalcUR(alpha, precond)
 	}
 	u, p, r, w, mi, z := c.u, c.p, c.r, c.w, c.mi, c.z
-	return raja.Kernel2DReduce(c.pol, "cg_calc_ur_fused", c.rows(), c.cols(), func(j, i int, s *float64) {
-		at := c.at(i, j)
-		u[at] += alpha * p[at]
-		rv := r[at] - alpha*w[at]
-		r[at] = rv
-		zv := mi[at] * rv
-		z[at] = zv
-		*s += rv * zv
+	return c.reduceInterior("cg_calc_ur_fused", func(lo, hi int, s *float64) {
+		kern.UpdateUR(u[lo:hi], p[lo:hi], r[lo:hi], w[lo:hi], alpha)
+		kern.Mul(z[lo:hi], mi[lo:hi], r[lo:hi])
+		*s = kern.DotAcc(*s, r[lo:hi], z[lo:hi])
 	})
 }
 
 // CGCalcP implements driver.Kernels.
 func (c *Chunk) CGCalcP(beta float64, precond bool) {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	p := c.p
-	raja.Kernel2D(c.pol, "cg_calc_p", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		p[at] = src[at] + beta*p[at]
-	})
+	src, p := c.precondSrc(precond), c.p
+	c.interior("cg_calc_p", func(lo, hi int) { kern.XPBY(p[lo:hi], src[lo:hi], beta) })
 }
 
 // JacobiCopyU implements driver.Kernels.
-func (c *Chunk) JacobiCopyU() {
-	u, un := c.u, c.un
-	raja.Kernel2D(c.pol, "jacobi_copy_u", c.rowsFull(), c.colsFull(), func(j, i int) {
-		at := c.at(i, j)
-		un[at] = u[at]
-	})
-}
+func (c *Chunk) JacobiCopyU() { c.copyField("jacobi_copy_u", c.un, c.u) }
 
 // JacobiIterate implements driver.Kernels.
 func (c *Chunk) JacobiIterate() float64 {
-	un, u0, u, kx, ky := c.un, c.u0, c.u, c.kx, c.ky
-	return raja.Kernel2DReduce(c.pol, "jacobi_solve", c.rows(), c.cols(), func(j, i int, s *float64) {
-		at := c.at(i, j)
-		kx1, kx0 := kx[at+1], kx[at]
-		ky1, ky0 := ky[at+c.stride], ky[at]
-		num := u0[at] +
-			kx1*un[at+1] + kx0*un[at-1] +
-			ky1*un[at+c.stride] + ky0*un[at-c.stride]
-		v := num / (1 + kx1 + kx0 + ky1 + ky0)
-		u[at] = v
-		dv := v - un[at]
-		if dv < 0 {
-			dv = -dv
-		}
-		*s += dv
+	un, u0, u, kx, ky, stride := c.un, c.u0, c.u, c.kx, c.ky, c.stride
+	return c.reduceInterior("jacobi_solve", func(lo, hi int, s *float64) {
+		*s = kern.JacobiAt(*s, u, un, u0, kx, ky, stride, lo, hi)
 	})
 }
 
 // ChebyInit implements driver.Kernels.
 func (c *Chunk) ChebyInit(theta float64, precond bool) {
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	sd, u := c.sd, c.u
-	raja.Kernel2D(c.pol, "cheby_init", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		sd[at] = src[at] / theta
-		u[at] += sd[at]
-	})
+	src, sd, u := c.precondSrc(precond), c.sd, c.u
+	c.interior("cheby_init", func(lo, hi int) { kern.ChebyInitRow(sd[lo:hi], u[lo:hi], src[lo:hi], theta) })
 }
 
 // ChebyIterate implements driver.Kernels.
 func (c *Chunk) ChebyIterate(alpha, beta float64, precond bool) {
-	sd, r, u := c.sd, c.r, c.u
-	raja.Kernel2D(c.pol, "cheby_calc_r", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		r[at] -= c.applyA(sd, at)
+	sd, r, u, w := c.sd, c.r, c.u, c.w
+	c.interior("cheby_calc_r", func(lo, hi int) {
+		c.operator(w, sd, lo, hi)
+		kern.Sub(r[lo:hi], r[lo:hi], w[lo:hi])
 	})
 	if precond {
 		c.ApplyPrecond()
 	}
-	src := c.r
-	if precond {
-		src = c.z
-	}
-	raja.Kernel2D(c.pol, "cheby_calc_sd_u", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		sd[at] = alpha*sd[at] + beta*src[at]
-		u[at] += sd[at]
-	})
+	src := c.precondSrc(precond)
+	c.interior("cheby_calc_sd_u", func(lo, hi int) { kern.ChebyRow(sd[lo:hi], u[lo:hi], src[lo:hi], alpha, beta) })
 }
 
 // PPCGInitInner implements driver.Kernels.
 func (c *Chunk) PPCGInitInner(theta float64) {
 	r, rt, z, sd := c.r, c.rtemp, c.z, c.sd
-	raja.Kernel2D(c.pol, "ppcg_init_inner", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		rt[at] = r[at]
-		z[at] = 0
-		sd[at] = r[at] / theta
+	c.interior("ppcg_init_inner", func(lo, hi int) {
+		kern.PPCGInitRow(rt[lo:hi], z[lo:hi], sd[lo:hi], r[lo:hi], theta)
 	})
 }
 
@@ -447,34 +352,22 @@ func (c *Chunk) PPCGInitInner(theta float64) {
 // must see the previous sd everywhere before it is rewritten).
 func (c *Chunk) PPCGInnerIterate(alpha, beta float64) {
 	sd, w, z, rt := c.sd, c.w, c.z, c.rtemp
-	raja.Kernel2D(c.pol, "ppcg_calc_w", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		w[at] = c.applyA(sd, at)
-	})
-	raja.Kernel2D(c.pol, "ppcg_inner_update", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		z[at] += sd[at]
-		rt[at] -= w[at]
-		sd[at] = alpha*sd[at] + beta*rt[at]
+	c.interior("ppcg_calc_w", func(lo, hi int) { c.operator(w, sd, lo, hi) })
+	c.interior("ppcg_inner_update", func(lo, hi int) {
+		kern.PPCGInnerRow(z[lo:hi], sd[lo:hi], rt[lo:hi], w[lo:hi], alpha, beta)
 	})
 }
 
 // PPCGFinishInner implements driver.Kernels.
 func (c *Chunk) PPCGFinishInner() {
 	z, sd := c.z, c.sd
-	raja.Kernel2D(c.pol, "ppcg_finish_inner", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		z[at] += sd[at]
-	})
+	c.interior("ppcg_finish_inner", func(lo, hi int) { kern.Add(z[lo:hi], sd[lo:hi]) })
 }
 
 // SolveFinalise implements driver.Kernels.
 func (c *Chunk) SolveFinalise() {
 	u, d, e1 := c.u, c.density, c.energy1
-	raja.Kernel2D(c.pol, "finalise", c.rows(), c.cols(), func(j, i int) {
-		at := c.at(i, j)
-		e1[at] = u[at] / d[at]
-	})
+	c.interior("finalise", func(lo, hi int) { kern.Div(e1[lo:hi], u[lo:hi], d[lo:hi]) })
 }
 
 // FetchField implements driver.Kernels.

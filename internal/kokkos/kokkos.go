@@ -5,6 +5,17 @@
 // Kokkos with), execution spaces that run ParallelFor / ParallelReduce
 // functors over multi-dimensional range policies, and explicit host
 // mirrors with deep copies for device-resident data.
+//
+// A range runs under one of two policies. TeamFor / TeamReduce are the
+// hierarchical one (a TeamThreadRange over the views' slow index around a
+// ThreadVectorRange over their stride-1 index): the functor receives one
+// contiguous segment per call and reads it with View.Segment, so the vector
+// loop is a slice loop inside the functor and the layout decides which mesh
+// direction it runs along. Every field-sized kernel uses it. ParallelFor /
+// ParallelReduce are the flat MDRange policy, one functor call per point
+// through View.At/Set/Add; they remain for kernels that are not line sweeps
+// (halo faces, a line solve across the stride-1 direction) and as the
+// reference the segment tests compare against.
 package kokkos
 
 import (
@@ -55,6 +66,8 @@ type ExecSpace interface {
 	alloc(n int) []float64
 	parallelFor(name string, p MDRange, f func(i0, i1 int))
 	parallelReduce(name string, p MDRange, f func(i0, i1 int, lsum *float64)) float64
+	teamFor(name string, p MDRange, f func(outer, lo, hi int))
+	teamReduce(name string, p MDRange, f func(outer, lo, hi int, lsum *float64)) float64
 }
 
 // Serial is the single-threaded host space.
@@ -88,6 +101,26 @@ func (Serial) parallelReduce(_ string, p MDRange, f func(i0, i1 int, lsum *float
 		for i1 := p.B1; i1 < p.E1; i1++ {
 			f(i0, i1, &sum)
 		}
+	}
+	return sum
+}
+
+func (Serial) teamFor(_ string, p MDRange, f func(outer, lo, hi int)) {
+	if p.B1 >= p.E1 {
+		return
+	}
+	for i0 := p.B0; i0 < p.E0; i0++ {
+		f(i0, p.B1, p.E1)
+	}
+}
+
+func (Serial) teamReduce(_ string, p MDRange, f func(outer, lo, hi int, lsum *float64)) float64 {
+	var sum float64
+	if p.B1 >= p.E1 {
+		return sum
+	}
+	for i0 := p.B0; i0 < p.E0; i0++ {
+		f(i0, p.B1, p.E1, &sum)
 	}
 	return sum
 }
@@ -140,6 +173,30 @@ func (o *OpenMP) parallelReduce(_ string, p MDRange, f func(i0, i1 int, lsum *fl
 	})
 }
 
+func (o *OpenMP) teamFor(_ string, p MDRange, f func(outer, lo, hi int)) {
+	if p.B1 >= p.E1 {
+		return
+	}
+	o.team.For(p.B0, p.E0, func(j0, j1 int) {
+		for i0 := j0; i0 < j1; i0++ {
+			f(i0, p.B1, p.E1)
+		}
+	})
+}
+
+func (o *OpenMP) teamReduce(_ string, p MDRange, f func(outer, lo, hi int, lsum *float64)) float64 {
+	if p.B1 >= p.E1 {
+		return 0
+	}
+	return o.team.ReduceSum(p.B0, p.E0, func(j0, j1 int) float64 {
+		var sum float64
+		for i0 := j0; i0 < j1; i0++ {
+			f(i0, p.B1, p.E1, &sum)
+		}
+		return sum
+	})
+}
+
 // Cuda is the simulated-device space: views are device-resident
 // (LayoutLeft) and patterns are kernel launches.
 type Cuda struct {
@@ -178,8 +235,8 @@ func (c *Cuda) parallelFor(name string, p MDRange, f func(i0, i1 int)) {
 	if n0 <= 0 || n1 <= 0 {
 		return
 	}
-	// Threads map x -> i1 (stride-1 under LayoutLeft? i1 is the second
-	// index; LayoutLeft makes i0 stride-1, so map x -> i0 for coalescing).
+	// Threads map tx -> i0, the stride-1 index under LayoutLeft, so a
+	// thread-row's accesses coalesce.
 	grid := simgpu.GridFor(n0, n1, c.block)
 	c.dev.LaunchRaw(name, grid, c.block, func(b simgpu.Block) {
 		b.ForThreads(func(tx, ty int) {
@@ -209,6 +266,32 @@ func (c *Cuda) parallelReduce(name string, p MDRange, f func(i0, i1 int, lsum *f
 	})
 }
 
+// teamFor keeps parallelFor's thread mapping (tx -> i0): a block's
+// thread-row is one segment along i0 at a fixed i1.
+func (c *Cuda) teamFor(name string, p MDRange, f func(outer, lo, hi int)) {
+	n0, n1 := p.E0-p.B0, p.E1-p.B1
+	if n0 <= 0 || n1 <= 0 {
+		return
+	}
+	grid := simgpu.GridFor(n0, n1, c.block)
+	c.dev.LaunchRaw(name, grid, c.block, func(b simgpu.Block) {
+		b.ForRows(n0, n1, func(ty, x0, x1 int) { f(p.B1+ty, p.B0+x0, p.B0+x1) })
+	})
+}
+
+func (c *Cuda) teamReduce(name string, p MDRange, f func(outer, lo, hi int, lsum *float64)) float64 {
+	n0, n1 := p.E0-p.B0, p.E1-p.B1
+	if n0 <= 0 || n1 <= 0 {
+		return 0
+	}
+	grid := simgpu.GridFor(n0, n1, c.block)
+	return c.dev.LaunchReduceRaw(name, grid, c.block, func(b simgpu.Block) float64 {
+		var sum float64
+		b.ForRows(n0, n1, func(ty, x0, x1 int) { f(p.B1+ty, p.B0+x0, p.B0+x1, &sum) })
+		return sum
+	})
+}
+
 // View is a rank-2 array of float64 living in an execution space's memory
 // with that space's default layout.
 type View struct {
@@ -216,6 +299,7 @@ type View struct {
 	space  ExecSpace
 	layout Layout
 	n0, n1 int
+	s0, s1 int // strides of i0 and i1, fixed by the layout at NewView
 	data   []float64
 }
 
@@ -225,14 +309,18 @@ func NewView(space ExecSpace, label string, n0, n1 int) *View {
 	if n0 <= 0 || n1 <= 0 {
 		panic(fmt.Sprintf("kokkos: view %q has invalid extent %dx%d", label, n0, n1))
 	}
-	return &View{
-		label:  label,
-		space:  space,
-		layout: space.DefaultLayout(),
-		n0:     n0,
-		n1:     n1,
-		data:   space.alloc(n0 * n1),
+	return newView(space, label, space.DefaultLayout(), n0, n1)
+}
+
+// newView allocates a view with an explicit layout and resolves its strides.
+func newView(space ExecSpace, label string, layout Layout, n0, n1 int) *View {
+	v := &View{label: label, space: space, layout: layout, n0: n0, n1: n1, data: space.alloc(n0 * n1)}
+	if layout == LayoutRight {
+		v.s0, v.s1 = n1, 1
+	} else {
+		v.s0, v.s1 = 1, n0
 	}
+	return v
 }
 
 // Label returns the view's label.
@@ -245,11 +333,16 @@ func (v *View) Extent() (n0, n1 int) { return v.n0, v.n1 }
 func (v *View) Layout() Layout { return v.layout }
 
 // idx linearises (i0, i1) under the view's layout.
-func (v *View) idx(i0, i1 int) int {
-	if v.layout == LayoutRight {
-		return i0*v.n1 + i1
-	}
-	return i1*v.n0 + i0
+func (v *View) idx(i0, i1 int) int { return i0*v.s0 + i1*v.s1 }
+
+// Segment returns elements [lo, hi) along the view's stride-1 index at a
+// fixed value of the other one, as the contiguous slice they occupy: row
+// outer, columns [lo, hi) under LayoutRight; column outer, rows [lo, hi)
+// under LayoutLeft. It is the operand form of a TeamFor / TeamReduce functor,
+// whose (outer, lo, hi) arguments follow the same convention.
+func (v *View) Segment(outer, lo, hi int) []float64 {
+	base := outer * max(v.s0, v.s1)
+	return v.data[base+lo : base+hi]
 }
 
 // At reads element (i0, i1).
@@ -287,6 +380,24 @@ func DeepCopy(dst, src *View) {
 // ParallelFor runs the functor over the policy in the space.
 func ParallelFor(space ExecSpace, name string, p MDRange, f func(i0, i1 int)) {
 	space.parallelFor(name, p, f)
+}
+
+// TeamFor runs the functor over the policy once per contiguous segment: for
+// each value outer of the slow index, a range [lo, hi) of the stride-1 index
+// (i1 within [B1, E1) under LayoutRight, i0 within [B0, E0) under LayoutLeft;
+// the host spaces hand over the whole range, the device space one block
+// thread-row of it). Segments arrive in the order ParallelFor would visit
+// their points.
+func TeamFor(space ExecSpace, name string, p MDRange, f func(outer, lo, hi int)) {
+	space.teamFor(name, p, f)
+}
+
+// TeamReduce is TeamFor with a sum reduction. Each thread share or block
+// threads one accumulator through its segments in order, so a functor that
+// adds its segment's terms to *lsum left to right returns bit for bit what
+// ParallelReduce does with the per-point functor.
+func TeamReduce(space ExecSpace, name string, p MDRange, f func(outer, lo, hi int, lsum *float64)) float64 {
+	return space.teamReduce(name, p, f)
 }
 
 // ParallelReduce runs the reducing functor over the policy and returns the

@@ -100,7 +100,7 @@ func TestLayoutIndexProperty(t *testing.T) {
 		n0 := int(a%7) + 2
 		n1 := int(b%7) + 2
 		right := NewView(Serial{}, "r", n0, n1)
-		left := &View{label: "l", space: Serial{}, layout: LayoutLeft, n0: n0, n1: n1, data: make([]float64, n0*n1)}
+		left := newView(Serial{}, "l", LayoutLeft, n0, n1)
 		k := 0.0
 		for i0 := 0; i0 < n0; i0++ {
 			for i1 := 0; i1 < n1; i1++ {
@@ -121,5 +121,123 @@ func TestLayoutIndexProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// segmentExtents do not divide the block edges used below: one cell, one
+// short of a block, exactly one, one over, and two blocks and a bit, so the
+// sweeps include 1xN and Nx1 ranges and ranges narrower than a block.
+var segmentExtents = []int{1, 2, 63, 64, 65, 130}
+
+// segmentSpaces are every execution space, the threaded one on a
+// multi-thread team and the device ones on a multi-worker device.
+func segmentSpaces(t *testing.T) map[string]ExecSpace {
+	t.Helper()
+	cuda := func(block simgpu.Dim2) *Cuda {
+		return &Cuda{dev: simgpu.NewDevice(simgpu.Props{Name: "test", Parallelism: 3}), block: block}
+	}
+	ss := map[string]ExecSpace{
+		"Serial":     Serial{},
+		"OpenMP":     NewOpenMP(3),
+		"Cuda-64x8":  cuda(simgpu.Dim2{X: 64, Y: 8}),
+		"Cuda-256x1": cuda(simgpu.Dim2{X: 256, Y: 1}),
+	}
+	t.Cleanup(func() {
+		for _, s := range ss {
+			s.Close()
+		}
+	})
+	return ss
+}
+
+// TestSegmentAddressesTheStrideOneLine: under either layout a segment is the
+// contiguous storage of the points At reaches along the stride-1 index.
+func TestSegmentAddressesTheStrideOneLine(t *testing.T) {
+	const n0, n1 = 5, 7
+	for _, layout := range []Layout{LayoutRight, LayoutLeft} {
+		v := newView(Serial{}, "v", layout, n0, n1)
+		for i0 := 0; i0 < n0; i0++ {
+			for i1 := 0; i1 < n1; i1++ {
+				v.Set(i0, i1, float64(10*i0+i1))
+			}
+		}
+		outers, span := n0, n1 // LayoutRight: lines are rows
+		at := func(outer, k int) float64 { return v.At(outer, k) }
+		if layout == LayoutLeft {
+			outers, span = n1, n0
+			at = func(outer, k int) float64 { return v.At(k, outer) }
+		}
+		for outer := 0; outer < outers; outer++ {
+			seg := v.Segment(outer, 1, span-1)
+			if len(seg) != span-2 {
+				t.Fatalf("%v: segment of line %d has %d elements, want %d", layout, outer, len(seg), span-2)
+			}
+			for k := range seg {
+				if seg[k] != at(outer, k+1) {
+					t.Fatalf("%v: segment %d element %d = %g, At gives %g", layout, outer, k, seg[k], at(outer, k+1))
+				}
+			}
+		}
+	}
+}
+
+// TestTeamPolicyMatchesPerPoint writes the same stencil and dot product as a
+// per-point MDRange functor and as a team functor over segments, in every
+// space and so under both layouts. Segments arrive in the order ParallelFor
+// visits their points and each share or block threads one accumulator
+// through them, so the field and the reduced sum must agree bit for bit.
+func TestTeamPolicyMatchesPerPoint(t *testing.T) {
+	// stencil takes its neighbours by index, not by direction along the line,
+	// so both forms evaluate one expression.
+	stencil := func(c, i1p, i1m, i0p, i0m float64) float64 {
+		return 4.25*c - (i1p + 0.5*i1m) - (0.25*i0p + i0m)
+	}
+	for name, space := range segmentSpaces(t) {
+		for _, e0 := range segmentExtents {
+			for _, e1 := range segmentExtents {
+				src := NewView(space, "src", e0+2, e1+2)
+				perPoint, perSeg := NewView(space, "per_point", e0+2, e1+2), NewView(space, "per_seg", e0+2, e1+2)
+				for i0 := 0; i0 < e0+2; i0++ {
+					for i1 := 0; i1 < e1+2; i1++ {
+						src.Set(i0, i1, 0.1+float64((31*i0+i1)%29)/7)
+					}
+				}
+				p := MDRange{B0: 1, E0: 1 + e0, B1: 1, E1: 1 + e1}
+				ParallelFor(space, "per_point", p, func(i0, i1 int) {
+					perPoint.Set(i0, i1, stencil(src.At(i0, i1), src.At(i0, i1+1), src.At(i0, i1-1), src.At(i0+1, i1), src.At(i0-1, i1)))
+				})
+				want := ParallelReduce(space, "per_point_dot", p, func(i0, i1 int, l *float64) {
+					*l += src.At(i0, i1) * perPoint.At(i0, i1)
+				})
+				rows := src.Layout() == LayoutRight // lines are rows: along is i1
+				TeamFor(space, "per_seg", p, func(o, lo, hi int) {
+					dst, c := perSeg.Segment(o, lo, hi), src.Segment(o, lo-1, hi+1)
+					next, prev := src.Segment(o+1, lo, hi), src.Segment(o-1, lo, hi)
+					for k := range dst {
+						if rows {
+							dst[k] = stencil(c[k+1], c[k+2], c[k], next[k], prev[k])
+						} else {
+							dst[k] = stencil(c[k+1], next[k], prev[k], c[k+2], c[k])
+						}
+					}
+				})
+				got := TeamReduce(space, "per_seg_dot", p, func(o, lo, hi int, l *float64) {
+					a, b := src.Segment(o, lo, hi), perSeg.Segment(o, lo, hi)
+					for k := range a {
+						*l += a[k] * b[k]
+					}
+				})
+				if got != want {
+					t.Errorf("%s %dx%d: team sum %x, per-point %x", name, e0, e1, got, want)
+				}
+				for i0 := 0; i0 < e0+2; i0++ {
+					for i1 := 0; i1 < e1+2; i1++ {
+						if g, w := perSeg.At(i0, i1), perPoint.At(i0, i1); g != w {
+							t.Fatalf("%s %dx%d: (%d,%d) team %x, per-point %x", name, e0, e1, i0, i1, g, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -17,8 +17,8 @@ type loopRecord struct {
 	nred   int
 	radius int
 	// rowk, when non-nil, processes whole row segments in one call instead
-	// of rec.kernel per point (host backends only; the device backend keeps
-	// the per-point kernel). See RowKernel.
+	// of rec.kernel per point (a whole range row on the host backends, one
+	// block thread-row on the device backend). See RowKernel.
 	rowk RowKernel
 	// red is the deferred-reduction handle for reducing loops enqueued via
 	// ParLoopRedDeferred (nil for plain loops and the eager ParLoopRed).
@@ -81,10 +81,10 @@ func (ctx *Context) ParLoop(name string, b *Block, r Range, args []Arg, k Kernel
 // per-point kernel.
 type RowKernel func(accs []*Acc, red []float64, n int)
 
-// ParLoopRow is ParLoop with a row-segment fast path: host backends call
-// rk once per row segment instead of k per point; the device backend (and
-// any future backend without the host sweep) falls back to k. Both kernels
-// must compute identical results.
+// ParLoopRow is ParLoop with a row-segment fast path: every backend calls rk
+// once per row segment instead of k per point (the device backend's segments
+// are its blocks' thread-rows); k remains the definition rk is tested
+// against. Both kernels must compute identical results.
 func (ctx *Context) ParLoopRow(name string, b *Block, r Range, args []Arg, k Kernel, rk RowKernel) {
 	rec := newRecord(name, b, r, args, k, 0)
 	rec.rowk = rk
@@ -294,7 +294,9 @@ func (ctx *Context) runTeam(rec *loopRecord, red []float64) {
 }
 
 // runCUDA executes the loop as a kernel launch over the simulated device;
-// reductions are per-block partials combined in block order.
+// reductions are per-block partials combined in block order. A block walks
+// its thread-rows: a loop with a row kernel hands each one to it whole, any
+// other runs the per-point kernel along it, left to right either way.
 func (ctx *Context) runCUDA(rec *loopRecord, red []float64) {
 	w := rec.r.XHi - rec.r.XLo
 	h := rec.r.YHi - rec.r.YLo
@@ -303,19 +305,8 @@ func (ctx *Context) runCUDA(rec *loopRecord, red []float64) {
 	}
 	grid := simgpu.GridFor(w, h, ctx.opt.Block)
 	body := func(b simgpu.Block, pr []float64) {
-		accs := make([]*Acc, len(rec.args))
-		for k, a := range rec.args {
-			if a.IsIdx {
-				accs[k] = &Acc{}
-				continue
-			}
-			accs[k] = &Acc{data: a.Dat.raw(), stride: a.Dat.stride}
-		}
-		b.ForThreads(func(tx, ty int) {
-			if tx >= w || ty >= h {
-				return
-			}
-			i, j := rec.r.XLo+tx, rec.r.YLo+ty
+		accs := makeAccs(rec)
+		seat := func(i, j int) {
 			for k, a := range rec.args {
 				if a.IsIdx {
 					accs[k].I, accs[k].J = i, j
@@ -323,7 +314,18 @@ func (ctx *Context) runCUDA(rec *loopRecord, red []float64) {
 				}
 				accs[k].idx = a.Dat.index(i, j)
 			}
-			rec.kernel(accs, pr)
+		}
+		b.ForRows(w, h, func(ty, x0, x1 int) {
+			i, j := rec.r.XLo+x0, rec.r.YLo+ty
+			if rec.rowk != nil {
+				seat(i, j)
+				rec.rowk(accs, pr, x1-x0)
+				return
+			}
+			for ; i < rec.r.XLo+x1; i++ {
+				seat(i, j)
+				rec.kernel(accs, pr)
+			}
 		})
 	}
 	if red == nil {

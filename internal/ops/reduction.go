@@ -57,8 +57,9 @@ func (ctx *Context) ParLoopRedDeferred(name string, b *Block, r Range, nred int,
 }
 
 // ParLoopRedDeferredRow is ParLoopRedDeferred with a row-segment fast path:
-// host backends call rk once per row segment (accumulating onto the row's
-// partial slot) instead of k per point; the device backend falls back to k.
+// rk runs once per row segment instead of k per point, accumulating onto the
+// row's partial slot on the host backends and onto the block's partial on
+// the device backend.
 // rk must accumulate left-to-right so the canonical per-row order — and
 // therefore the bitwise tiled/untiled equivalence — is preserved.
 func (ctx *Context) ParLoopRedDeferredRow(name string, b *Block, r Range, nred int, args []Arg, k Kernel, rk RowKernel) *Reduction {

@@ -5,6 +5,13 @@
 // support. Where Kokkos owns data layout through Views, RAJA deliberately
 // leaves data as raw arrays and only abstracts the loop execution — the
 // same division the paper describes.
+//
+// Kernel2DRow / Kernel2DRowReduce are the nested policy with a SIMD inner
+// statement: the lambda receives one contiguous range of the inner index per
+// call and loops over it itself, on sub-slices of its raw arrays. Every
+// field-sized kernel uses them. Kernel2D / Kernel2DReduce call the lambda
+// once per point; they remain for kernels that are not line sweeps (halo
+// faces) and as the reference the row tests compare against.
 package raja
 
 import (
@@ -35,6 +42,8 @@ type ExecPolicy interface {
 	forAll(name string, r RangeSegment, body func(i int))
 	kernel2D(name string, outer, inner RangeSegment, body func(j, i int))
 	kernel2DReduce(name string, outer, inner RangeSegment, body func(j, i int, sum *float64)) float64
+	kernel2DRow(name string, outer, inner RangeSegment, body func(j, i0, i1 int))
+	kernel2DRowReduce(name string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64
 }
 
 // SeqExec is the sequential policy.
@@ -69,6 +78,26 @@ func (SeqExec) kernel2DReduce(_ string, outer, inner RangeSegment, body func(j, 
 		for i := inner.Begin; i < inner.End; i++ {
 			body(j, i, &sum)
 		}
+	}
+	return sum
+}
+
+func (SeqExec) kernel2DRow(_ string, outer, inner RangeSegment, body func(j, i0, i1 int)) {
+	if inner.Len() == 0 {
+		return
+	}
+	for j := outer.Begin; j < outer.End; j++ {
+		body(j, inner.Begin, inner.End)
+	}
+}
+
+func (SeqExec) kernel2DRowReduce(_ string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64 {
+	var sum float64
+	if inner.Len() == 0 {
+		return sum
+	}
+	for j := outer.Begin; j < outer.End; j++ {
+		body(j, inner.Begin, inner.End, &sum)
 	}
 	return sum
 }
@@ -122,6 +151,30 @@ func (p *OmpParallelForExec) kernel2DReduce(_ string, outer, inner RangeSegment,
 			for i := inner.Begin; i < inner.End; i++ {
 				body(j, i, &sum)
 			}
+		}
+		return sum
+	})
+}
+
+func (p *OmpParallelForExec) kernel2DRow(_ string, outer, inner RangeSegment, body func(j, i0, i1 int)) {
+	if inner.Len() == 0 {
+		return
+	}
+	p.team.For(outer.Begin, outer.End, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			body(j, inner.Begin, inner.End)
+		}
+	})
+}
+
+func (p *OmpParallelForExec) kernel2DRowReduce(_ string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64 {
+	if inner.Len() == 0 {
+		return 0
+	}
+	return p.team.ReduceSum(outer.Begin, outer.End, func(lo, hi int) float64 {
+		var sum float64
+		for j := lo; j < hi; j++ {
+			body(j, inner.Begin, inner.End, &sum)
 		}
 		return sum
 	})
@@ -204,6 +257,30 @@ func (p *CudaExec) kernel2DReduce(name string, outer, inner RangeSegment, body f
 	})
 }
 
+func (p *CudaExec) kernel2DRow(name string, outer, inner RangeSegment, body func(j, i0, i1 int)) {
+	nj, ni := outer.Len(), inner.Len()
+	if nj == 0 || ni == 0 {
+		return
+	}
+	grid := simgpu.GridFor(ni, nj, p.block)
+	p.dev.LaunchRaw(name, grid, p.block, func(b simgpu.Block) {
+		b.ForRows(ni, nj, func(ty, x0, x1 int) { body(outer.Begin+ty, inner.Begin+x0, inner.Begin+x1) })
+	})
+}
+
+func (p *CudaExec) kernel2DRowReduce(name string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64 {
+	nj, ni := outer.Len(), inner.Len()
+	if nj == 0 || ni == 0 {
+		return 0
+	}
+	grid := simgpu.GridFor(ni, nj, p.block)
+	return p.dev.LaunchReduceRaw(name, grid, p.block, func(b simgpu.Block) float64 {
+		var sum float64
+		b.ForRows(ni, nj, func(ty, x0, x1 int) { body(outer.Begin+ty, inner.Begin+x0, inner.Begin+x1, &sum) })
+		return sum
+	})
+}
+
 // ForAll runs body over the segment under the policy (RAJA::forall).
 func ForAll(p ExecPolicy, r RangeSegment, body func(i int)) {
 	p.forAll("forall", r, body)
@@ -225,6 +302,23 @@ func Kernel2D(p ExecPolicy, name string, outer, inner RangeSegment, body func(j,
 // policy's local accumulator, standing in for a RAJA::ReduceSum object.
 func Kernel2DReduce(p ExecPolicy, name string, outer, inner RangeSegment, body func(j, i int, sum *float64)) float64 {
 	return p.kernel2DReduce(name, outer, inner, body)
+}
+
+// Kernel2DRow runs body over outer x inner under the policy with a SIMD
+// inner statement: one call per row j with a contiguous range [i0, i1) of the
+// inner index (the whole segment under the host policies, one block
+// thread-row of it under cuda_exec), in the order Kernel2D would visit the
+// points.
+func Kernel2DRow(p ExecPolicy, name string, outer, inner RangeSegment, body func(j, i0, i1 int)) {
+	p.kernel2DRow(name, outer, inner, body)
+}
+
+// Kernel2DRowReduce is Kernel2DRow with a sum reduction. Each thread share or
+// block threads one accumulator through its rows in order, so a body that
+// adds its range's terms to *sum left to right returns bit for bit what
+// Kernel2DReduce does with the per-point body.
+func Kernel2DRowReduce(p ExecPolicy, name string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64 {
+	return p.kernel2DRowReduce(name, outer, inner, body)
 }
 
 // CheckSegment panics on inverted segments; loops treat empty as no-op but

@@ -141,3 +141,67 @@ func BenchmarkKernel2DOmp(b *testing.B) {
 			})
 	}
 }
+
+// TestRowPolicyMatchesPerPoint writes the same stencil and dot product as a
+// per-point Kernel2D body and as a row body over contiguous ranges, under
+// every policy (the threaded one on a multi-thread team, the device one on a
+// multi-worker device), over extents that do not divide the block: 1xN, Nx1,
+// narrower than a block, one short, exact, one over, two blocks and a bit.
+// Ranges arrive in the order Kernel2D visits their points and each share or
+// block threads one accumulator through them, so the field and the reduced
+// sum must agree bit for bit.
+func TestRowPolicyMatchesPerPoint(t *testing.T) {
+	cuda := func(block simgpu.Dim2) *CudaExec {
+		return &CudaExec{dev: simgpu.NewDevice(simgpu.Props{Name: "test", Parallelism: 3}), block: block}
+	}
+	pols := map[string]ExecPolicy{
+		"seq":        SeqExec{},
+		"omp":        NewOmp(3),
+		"cuda-64x8":  cuda(simgpu.Dim2{X: 64, Y: 8}),
+		"cuda-128x1": cuda(simgpu.Dim2{X: 128, Y: 1}),
+	}
+	t.Cleanup(func() {
+		for _, p := range pols {
+			p.Close()
+		}
+	})
+	extents := []int{1, 2, 63, 64, 65, 130}
+	for name, p := range pols {
+		for _, nj := range extents {
+			for _, ni := range extents {
+				stride := ni + 2
+				src, perPoint, perRow := p.Alloc(stride*(nj+2)), p.Alloc(stride*(nj+2)), p.Alloc(stride*(nj+2))
+				for at := range src {
+					src[at] = 0.1 + float64(at%29)/7
+				}
+				cell := func(at int) float64 {
+					return 4.25*src[at] - (src[at+1] + 0.5*src[at-1]) - (0.25*src[at+stride] + src[at-stride])
+				}
+				outer, inner := RangeSegment{Begin: 1, End: 1 + nj}, RangeSegment{Begin: 1, End: 1 + ni}
+				Kernel2D(p, "per_point", outer, inner, func(j, i int) { perPoint[j*stride+i] = cell(j*stride + i) })
+				want := Kernel2DReduce(p, "per_point_dot", outer, inner, func(j, i int, sum *float64) {
+					*sum += src[j*stride+i] * perPoint[j*stride+i]
+				})
+				Kernel2DRow(p, "per_row", outer, inner, func(j, i0, i1 int) {
+					for at := j*stride + i0; at < j*stride+i1; at++ {
+						perRow[at] = cell(at)
+					}
+				})
+				got := Kernel2DRowReduce(p, "per_row_dot", outer, inner, func(j, i0, i1 int, sum *float64) {
+					a, b := src[j*stride+i0:j*stride+i1], perRow[j*stride+i0:j*stride+i1]
+					for k := range a {
+						*sum += a[k] * b[k]
+					}
+				})
+				if got != want {
+					t.Errorf("%s %dx%d: row sum %x, per-point %x", name, nj, ni, got, want)
+				}
+				for at := range perRow {
+					if perRow[at] != perPoint[at] {
+						t.Fatalf("%s %dx%d: cell %d row %x, per-point %x", name, nj, ni, at, perRow[at], perPoint[at])
+					}
+				}
+			}
+		}
+	}
+}

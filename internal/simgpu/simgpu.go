@@ -5,9 +5,18 @@
 //
 // It stands in for CUDA and the Tesla P100 in this study (see DESIGN.md).
 // Ports written against it have the same structure as their CUDA originals:
-// flat-index kernels guarded by range checks, explicit data residency, and
+// flat-index kernels over a launch extent, explicit data residency, and
 // a tunable block size whose choice really changes performance (block
 // granularity drives scheduling overhead here, occupancy on real hardware).
+//
+// A kernel walks its block one of two ways. Block.ForRows hands it each
+// thread-row as one contiguous x range already clipped to the problem
+// extent — what a warp's coalesced access amounts to on a host, and the
+// form every field-sized kernel uses, its body a slice loop over the row.
+// Block.ForThreads calls the body once per thread with CUDA's per-thread
+// range guard; it remains for kernels whose threads do not walk memory
+// together (halo faces, one line solve per thread) and as the reference the
+// ForRows tests compare against.
 package simgpu
 
 import (
@@ -57,6 +66,10 @@ type Device struct {
 
 	work chan blockTask
 	wg   sync.WaitGroup // workers
+
+	// partials holds the per-block results of the reducing launch in
+	// flight. One buffer serves every launch because mu admits one at a time.
+	partials []float64
 }
 
 type blockTask struct {
@@ -192,6 +205,25 @@ func (b Block) ForThreads(body func(gx, gy int)) {
 	}
 }
 
+// ForRows invokes body once per thread-row of the block with the row's global
+// y and the half-open global x range [x0, x1) its threads cover, both clipped
+// to the nx-by-ny problem extent: the block's in-range threads exactly, in
+// ForThreads order (rows ascending, each left to right), so a body that
+// sweeps its segment in order and threads one accumulator through the calls
+// reproduces a ForThreads reduction bit for bit. A block wholly outside the
+// extent gets no call.
+func (b Block) ForRows(nx, ny int, body func(gy, x0, x1 int)) {
+	x0 := b.Idx.X * b.Dim.X
+	x1 := min(x0+b.Dim.X, nx)
+	if x0 >= x1 {
+		return
+	}
+	y0 := b.Idx.Y * b.Dim.Y
+	for gy, y1 := y0, min(y0+b.Dim.Y, ny); gy < y1; gy++ {
+		body(gy, x0, x1)
+	}
+}
+
 // GridFor computes the grid extent covering n-by-m threads with the given
 // block size — the (n + block - 1) / block computation of every CUDA host
 // call site.
@@ -212,9 +244,8 @@ func (b *Buffer) View() []float64 { return b.data }
 func (d *Device) LaunchRaw(name string, grid, block Dim2, kernel func(b Block)) {
 	d.beginLaunch(name, grid, block, nil)
 	defer d.mu.Unlock()
-	nblocks := grid.Mul()
 	var done sync.WaitGroup
-	done.Add(nblocks)
+	done.Add(grid.Mul())
 	for by := 0; by < grid.Y; by++ {
 		for bx := 0; bx < grid.X; bx++ {
 			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
@@ -229,10 +260,9 @@ func (d *Device) LaunchRaw(name string, grid, block Dim2, kernel func(b Block)) 
 func (d *Device) LaunchReduceRaw(name string, grid, block Dim2, kernel func(b Block) float64) float64 {
 	d.beginLaunch(name, grid, block, nil)
 	defer d.mu.Unlock()
-	nblocks := grid.Mul()
-	partials := make([]float64, nblocks)
+	partials := d.partialsFor(grid)
 	var done sync.WaitGroup
-	done.Add(nblocks)
+	done.Add(grid.Mul())
 	for by := 0; by < grid.Y; by++ {
 		for bx := 0; bx < grid.X; bx++ {
 			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
@@ -241,11 +271,7 @@ func (d *Device) LaunchReduceRaw(name string, grid, block Dim2, kernel func(b Bl
 		}
 	}
 	done.Wait()
-	var sum float64
-	for _, p := range partials {
-		sum += p
-	}
-	return sum
+	return sumInOrder(partials)
 }
 
 // Args resolves device buffers into the element views a kernel receives.
@@ -261,9 +287,8 @@ func Args(bufs ...*Buffer) []*Buffer { return bufs }
 func (d *Device) Launch(name string, grid, block Dim2, args []*Buffer, kernel func(b Block, a [][]float64)) {
 	views := d.beginLaunch(name, grid, block, args)
 	defer d.mu.Unlock()
-	nblocks := grid.Mul()
 	var done sync.WaitGroup
-	done.Add(nblocks)
+	done.Add(grid.Mul())
 	for by := 0; by < grid.Y; by++ {
 		for bx := 0; bx < grid.X; bx++ {
 			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
@@ -280,10 +305,9 @@ func (d *Device) Launch(name string, grid, block Dim2, args []*Buffer, kernel fu
 func (d *Device) LaunchReduce(name string, grid, block Dim2, args []*Buffer, kernel func(b Block, a [][]float64) float64) float64 {
 	views := d.beginLaunch(name, grid, block, args)
 	defer d.mu.Unlock()
-	nblocks := grid.Mul()
-	partials := make([]float64, nblocks)
+	partials := d.partialsFor(grid)
 	var done sync.WaitGroup
-	done.Add(nblocks)
+	done.Add(grid.Mul())
 	for by := 0; by < grid.Y; by++ {
 		for bx := 0; bx < grid.X; bx++ {
 			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
@@ -292,6 +316,23 @@ func (d *Device) LaunchReduce(name string, grid, block Dim2, args []*Buffer, ker
 		}
 	}
 	done.Wait()
+	return sumInOrder(partials)
+}
+
+// partialsFor returns one result slot per block of the grid, in the device's
+// own buffer, grown on demand, so a reducing launch allocates nothing a plain
+// one does not. Every block writes its slot before the sum reads it. The
+// caller holds mu.
+func (d *Device) partialsFor(grid Dim2) []float64 {
+	n := grid.Mul()
+	if cap(d.partials) < n {
+		d.partials = make([]float64, n)
+	}
+	return d.partials[:n]
+}
+
+// sumInOrder adds the per-block partials in block order.
+func sumInOrder(partials []float64) float64 {
 	var sum float64
 	for _, p := range partials {
 		sum += p

@@ -253,3 +253,135 @@ func BenchmarkStencilKernel(b *testing.B) {
 		})
 	}
 }
+
+// segmentExtents do not divide any block edge used below: one cell, one
+// short of a block, exactly one, one over, and two blocks and a bit, so the
+// sweeps include 1xN, Nx1 and nx < block.X.
+var segmentExtents = []int{1, 2, 63, 64, 65, 130}
+
+// TestForRowsCoversEveryThreadOnce: the segments of a launch tile the
+// problem extent exactly — every in-range thread once, nothing beyond it
+// (the field carries a one-cell margin that must stay untouched).
+func TestForRowsCoversEveryThreadOnce(t *testing.T) {
+	d := device(t, 4)
+	for _, block := range []Dim2{{X: 64, Y: 8}, {X: 16, Y: 4}, {X: 1, Y: 1}} {
+		for _, nx := range segmentExtents {
+			for _, ny := range segmentExtents {
+				stride := nx + 2
+				buf := d.Malloc(stride * (ny + 2))
+				d.Launch("fill", GridFor(nx, ny, block), block, Args(buf), func(b Block, a [][]float64) {
+					b.ForRows(nx, ny, func(gy, x0, x1 int) {
+						for gx := x0; gx < x1; gx++ {
+							a[0][(gy+1)*stride+gx+1]++
+						}
+					})
+				})
+				out := make([]float64, buf.Len())
+				d.MemcpyD2H(out, buf)
+				for at, v := range out {
+					gx, gy := at%stride-1, at/stride-1
+					want := 0.0
+					if gx >= 0 && gx < nx && gy >= 0 && gy < ny {
+						want = 1
+					}
+					if v != want {
+						t.Fatalf("block %v, %dx%d: cell (%d,%d) written %g times, want %g", block, nx, ny, gx, gy, v, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForRowsMatchesForThreads writes the same stencil and dot product per
+// thread and per row segment. ForRows hands a block its in-range threads in
+// ForThreads order, so with one accumulator threaded through the block (it
+// starts non-zero here) both the field and the reduced sum must agree bit
+// for bit, on a one-worker and on a multi-worker device.
+func TestForRowsMatchesForThreads(t *testing.T) {
+	cell := func(s []float64, at, stride int) float64 {
+		return 4.25*s[at] - (s[at+1] + 0.5*s[at-1]) - (0.25*s[at+stride] + s[at-stride])
+	}
+	for _, workers := range []int{1, 3} {
+		d := device(t, workers)
+		for _, block := range []Dim2{{X: 64, Y: 8}, {X: 16, Y: 4}} {
+			for _, nx := range segmentExtents {
+				for _, ny := range segmentExtents {
+					stride := nx + 2
+					host := make([]float64, stride*(ny+2))
+					for i := range host {
+						host[i] = 0.1 + float64(i%29)/7
+					}
+					src, perThread, perRow := d.Malloc(len(host)), d.Malloc(len(host)), d.Malloc(len(host))
+					d.MemcpyH2D(src, host)
+					grid := GridFor(nx, ny, block)
+					want := d.LaunchReduce("per_thread", grid, block, Args(src, perThread),
+						func(b Block, a [][]float64) float64 {
+							acc := 0.375
+							b.ForThreads(func(gx, gy int) {
+								if gx >= nx || gy >= ny {
+									return
+								}
+								at := (gy+1)*stride + gx + 1
+								a[1][at] = cell(a[0], at, stride)
+								acc += a[0][at] * a[1][at]
+							})
+							return acc
+						})
+					got := d.LaunchReduce("per_row", grid, block, Args(src, perRow),
+						func(b Block, a [][]float64) float64 {
+							acc := 0.375
+							b.ForRows(nx, ny, func(gy, x0, x1 int) {
+								row := (gy+1)*stride + 1
+								for at := row + x0; at < row+x1; at++ {
+									a[1][at] = cell(a[0], at, stride)
+								}
+								for at := row + x0; at < row+x1; at++ {
+									acc += a[0][at] * a[1][at]
+								}
+							})
+							return acc
+						})
+					if got != want {
+						t.Errorf("%d workers, block %v, %dx%d: per-row sum %x, per-thread %x", workers, block, nx, ny, got, want)
+					}
+					a, b := make([]float64, len(host)), make([]float64, len(host))
+					d.MemcpyD2H(a, perThread)
+					d.MemcpyD2H(b, perRow)
+					for at := range a {
+						if a[at] != b[at] {
+							t.Fatalf("%d workers, block %v, %dx%d: cell %d per-row %x, per-thread %x", workers, block, nx, ny, at, b[at], a[at])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReducingLaunchAllocatesNoPartials: the per-block partials live in the
+// device's own buffer, so once it has grown a reducing launch allocates
+// nothing a plain launch of the same grid does not.
+func TestReducingLaunchAllocatesNoPartials(t *testing.T) {
+	d := device(t, 2)
+	grid, block := Dim2{X: 8, Y: 4}, Dim2{X: 4, Y: 2}
+	buf := d.Malloc(1)
+	reduceRaw := func() { d.LaunchReduceRaw("reduce", grid, block, func(Block) float64 { return 1 }) }
+	reduce := func() {
+		d.LaunchReduce("reduce", grid, block, Args(buf), func(Block, [][]float64) float64 { return 1 })
+	}
+	reduceRaw() // grow the buffer
+	plainRaw := testing.AllocsPerRun(20, func() { d.LaunchRaw("plain", grid, block, func(Block) {}) })
+	plain := testing.AllocsPerRun(20, func() {
+		d.Launch("plain", grid, block, Args(buf), func(Block, [][]float64) {})
+	})
+	if got := testing.AllocsPerRun(20, reduceRaw); got > plainRaw {
+		t.Errorf("LaunchReduceRaw: %g allocations per launch, LaunchRaw %g", got, plainRaw)
+	}
+	if got := testing.AllocsPerRun(20, reduce); got > plain {
+		t.Errorf("LaunchReduce: %g allocations per launch, Launch %g", got, plain)
+	}
+	if got, want := d.LaunchReduceRaw("sum", grid, block, func(b Block) float64 { return float64(b.Idx.X) }), 4.0*(0+1+2+3+4+5+6+7); got != want {
+		t.Errorf("reduce over a reused buffer = %g, want %g", got, want)
+	}
+}
