@@ -15,23 +15,36 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/kokkos"
 	"github.com/warwick-hpsc/tealeaf-go/internal/ops"
+	"github.com/warwick-hpsc/tealeaf-go/internal/profiler"
 	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 )
 
-// segmentVersions are the six versions whose kernels run as row segments
-// (simgpu.Block.ForRows, kokkos.TeamFor, raja.Kernel2DRow) instead of one
-// closure call per cell. Host widths and block sizes are pinned: the table
-// below is bitwise, and shares and blocks set the summation grouping.
-var segmentVersions = map[string]Factory{
-	"manual-cuda": func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
-	"ops-cuda": func() driver.Kernels {
-		k, err := opsport.New(opsport.Options{Backend: ops.BackendCUDA})
+// opsVersion is an OPS variant as a Factory.
+func opsVersion(opt opsport.Options) Factory {
+	return func() driver.Kernels {
+		k, err := opsport.New(opt)
 		if err != nil {
 			panic(err)
 		}
 		return k
-	},
+	}
+}
+
+// segmentVersions are the versions whose kernels run as row segments
+// (simgpu.Block.ForRows, kokkos.TeamFor, raja.Kernel2DRow, ops.RowKernel)
+// instead of one closure call per cell. Host widths, rank counts, block and
+// tile sizes are pinned: the table below is bitwise, and shares, chunks and
+// blocks set the summation grouping.
+var segmentVersions = map[string]Factory{
+	"manual-cuda":   func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
+	"ops-cuda":      opsVersion(opsport.Options{Backend: ops.BackendCUDA}),
+	"ops-openmp":    opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Threads: 2}),
+	"ops-mpi":       opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2}),
+	"ops-mpi-omp":   opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Ranks: 2, Threads: 2}),
+	"ops-mpi-tiled": opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2, Tiling: true, TileX: 16, TileY: 8}),
+	"ops-tiled":     opsVersion(opsport.Options{Backend: ops.BackendSerial, Tiling: true, TileX: 16, TileY: 8}),
+	"ops-openacc":   opsVersion(opsport.Options{Backend: ops.BackendACC, Threads: 2}),
 	"kokkos-openmp": func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(2)) },
 	"kokkos-cuda":   func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
 	"raja-openmp":   func() driver.Kernels { return rajaport.New(raja.NewOmp(2)) },
@@ -68,6 +81,15 @@ func segmentDecks() map[string]config.Config {
 	}
 }
 
+// segmentKernel names, per deck, the kernel the deck exists to run: a deck
+// that converges before reaching it pins nothing about it.
+var segmentKernel = map[string]string{
+	"chebyshev":          "cheby_iterate",
+	"chebyshev_jac_diag": "cheby_iterate",
+	"ppcg":               "ppcg_inner_iterate",
+	"jacobi":             "jacobi_solve",
+}
+
 // segmentRun is one row of the golden table: outer and inner iteration
 // counts and the IEEE bits of Volume, Mass, InternalEnergy, Temperature.
 type segmentRun struct {
@@ -82,8 +104,8 @@ func segmentRunOf(res driver.Result) segmentRun {
 		math.Float64bits(f.InternalEnergy), math.Float64bits(f.Temperature)}}
 }
 
-// segmentGolden was captured from the per-cell closure kernels (the commit
-// before the ports moved to row segments).
+// segmentGolden was captured from the per-cell closure kernels: the commit
+// before each port moved to row segments.
 var segmentGolden = map[string]segmentRun{
 	"kokkos-cuda/jacobi":               {138, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999a593d, 0x40089999999a593d}},
 	"kokkos-openmp/jacobi":             {138, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
@@ -127,20 +149,72 @@ var segmentGolden = map[string]segmentRun{
 	"raja-openmp/chebyshev":            {60, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
 	"raja-openmp/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
 	"raja-openmp/ppcg":                 {14, 40, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+	// The six OPS variants beyond ops-cuda, captured at the commit before
+	// internal/ops kept one kernel form per loop.
+	"ops-mpi-omp/cg":                   {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a5, 0x40089999999999a5}},
+	"ops-mpi-omp/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x400899999983cf00, 0x400899999983cf00}},
+	"ops-mpi-omp/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x400899999981a524, 0x400899999981a524}},
+	"ops-mpi-omp/chebyshev":            {60, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a6, 0x40089999999999a6}},
+	"ops-mpi-omp/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x4008999999442d22, 0x4008999999442d22}},
+	"ops-mpi-omp/jacobi":               {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999a5936, 0x40089999999a5938}},
+	"ops-mpi-omp/ppcg":                 {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a4, 0x40089999999999a4}},
+	"ops-mpi-tiled/cg":                 {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a5, 0x40089999999999a5}},
+	"ops-mpi-tiled/cg_jac_block":       {20, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x400899999983cf00, 0x400899999983cf00}},
+	"ops-mpi-tiled/cg_jac_diag":        {22, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x400899999981a524, 0x400899999981a524}},
+	"ops-mpi-tiled/chebyshev":          {60, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a6, 0x40089999999999a6}},
+	"ops-mpi-tiled/chebyshev_jac_diag": {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x4008999999442d22, 0x4008999999442d22}},
+	"ops-mpi-tiled/jacobi":             {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999a5936, 0x40089999999a5938}},
+	"ops-mpi-tiled/ppcg":               {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a4, 0x40089999999999a4}},
+	"ops-mpi/cg":                       {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a5, 0x40089999999999a5}},
+	"ops-mpi/cg_jac_block":             {20, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x400899999983cf00, 0x400899999983cf00}},
+	"ops-mpi/cg_jac_diag":              {22, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x400899999981a524, 0x400899999981a524}},
+	"ops-mpi/chebyshev":                {60, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a6, 0x40089999999999a6}},
+	"ops-mpi/chebyshev_jac_diag":       {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x4008999999442d22, 0x4008999999442d22}},
+	"ops-mpi/jacobi":                   {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999a5936, 0x40089999999a5938}},
+	"ops-mpi/ppcg":                     {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a4, 0x40089999999999a4}},
+	"ops-openacc/cg":                   {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a0, 0x40089999999999a0}},
+	"ops-openacc/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999983cefb, 0x400899999983cefb}},
+	"ops-openacc/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999981a51f, 0x400899999981a51f}},
+	"ops-openacc/chebyshev":            {60, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a1, 0x40089999999999a1}},
+	"ops-openacc/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x4008999999442d1d, 0x4008999999442d1d}},
+	"ops-openacc/jacobi":               {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999a5934, 0x40089999999a5935}},
+	"ops-openacc/ppcg":                 {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999999999f, 0x400899999999999f}},
+	"ops-openmp/cg":                    {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a0, 0x40089999999999a0}},
+	"ops-openmp/cg_jac_block":          {20, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999983cefb, 0x400899999983cefb}},
+	"ops-openmp/cg_jac_diag":           {22, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999981a51f, 0x400899999981a51f}},
+	"ops-openmp/chebyshev":             {60, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a1, 0x40089999999999a1}},
+	"ops-openmp/chebyshev_jac_diag":    {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x4008999999442d1d, 0x4008999999442d1d}},
+	"ops-openmp/jacobi":                {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999a5934, 0x40089999999a5935}},
+	"ops-openmp/ppcg":                  {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999999999f, 0x400899999999999f}},
+	"ops-tiled/cg":                     {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a0, 0x40089999999999a0}},
+	"ops-tiled/cg_jac_block":           {20, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999983cefb, 0x400899999983cefb}},
+	"ops-tiled/cg_jac_diag":            {22, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999981a51f, 0x400899999981a51f}},
+	"ops-tiled/chebyshev":              {60, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a1, 0x40089999999999a1}},
+	"ops-tiled/chebyshev_jac_diag":     {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x4008999999442d1d, 0x4008999999442d1d}},
+	"ops-tiled/jacobi":                 {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999a5934, 0x40089999999a5935}},
+	"ops-tiled/ppcg":                   {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999999999f, 0x400899999999999f}},
 }
 
 // TestSegmentGolden holds the row-segment ports to the numbers the per-cell
-// ports produced: bitwise for five versions, because a segment walks a block
-// row or thread share in the order its threads did and threads one
-// accumulator through it. kokkos-cuda's LayoutLeft segments are mesh columns,
-// so the shared row bodies see the operator's x and y terms swapped and its
-// totals may move in the last bits; iteration counts may not.
+// ports produced: bitwise for every version but one, because a segment walks
+// a block row, thread share or tile slice in the order its points ran and
+// threads one accumulator through it. kokkos-cuda's LayoutLeft segments are
+// mesh columns, so the shared row bodies see the operator's x and y terms
+// swapped and its totals may move in the last bits; iteration counts may not.
+// Each run is instrumented, so a deck also has to execute the kernel it is
+// named after (segmentKernel).
 func TestSegmentGolden(t *testing.T) {
 	var missing []string
 	for deck, cfg := range segmentDecks() {
 		for version, factory := range segmentVersions {
 			key := version + "/" + deck
-			got := segmentRunOf(Run(t, factory, cfg))
+			prof := profiler.New()
+			got := segmentRunOf(Run(t, func() driver.Kernels { return driver.Instrument(factory(), prof) }, cfg))
+			if name, ok := segmentKernel[deck]; ok {
+				if e, _ := prof.Lookup(name); e.Calls == 0 {
+					t.Errorf("%s: %s never ran", key, name)
+				}
+			}
 			want, ok := segmentGolden[key]
 			if !ok {
 				missing = append(missing, fmt.Sprintf("\t%q: {%d, %d, [4]uint64{%#x, %#x, %#x, %#x}},",
