@@ -12,7 +12,9 @@ import (
 )
 
 // Stencils of the TeaLeaf kernels, declared once like the generated OPS
-// code does.
+// code does. The halo mirrors (one per face and layer) and the whole-row
+// stencils of block_solve (as long as the chunk is wide) are built once per
+// rank in init.
 var (
 	sPoint = ops.S2D00
 	s5pt   = ops.S2D5pt
@@ -23,6 +25,20 @@ var (
 	// sWFace: the coefficient kernel reads the cell and its -1 neighbours.
 	sWFace = ops.NewStencil("w_faces", [2]int{0, 0}, [2]int{-1, 0}, [2]int{0, -1})
 )
+
+// mirror is the reflective-boundary loop of one halo layer on one face,
+// declared once: the cell copies the interior cell the same distance inside
+// the boundary, off = 2k-1 cells away for layer k.
+type mirror struct {
+	name    string
+	stencil *ops.Stencil
+	kernel  ops.RowKernel
+}
+
+func newMirror(name, stencil string, dx, dy int) mirror {
+	return mirror{name, ops.NewStencil(stencil, [2]int{0, 0}, [2]int{dx, dy}),
+		func(a []*ops.Acc, _ []float64, n int) { copy(a[0].Row(0, 0, n), a[0].Row(dx, dy, n)) }}
+}
 
 // rankState is one rank's OPS context, block and dats.
 type rankState struct {
@@ -42,6 +58,12 @@ type rankState struct {
 	kx, ky                    *ops.Dat
 	un, rtemp, tcp, tdp       *ops.Dat
 	byID                      [driver.NumFields]*ops.Dat
+
+	// mirrors[dir][k-1] is the boundary loop of halo layer k on face dir.
+	mirrors [numDirs][]mirror
+	// sWholeRow/sWholeRowK: block_solve reaches the whole mesh row from its
+	// first cell (and the row above, for ky).
+	sWholeRow, sWholeRowK *ops.Stencil
 
 	// Reusable scratch for the field-summary allreduce and for halo strip
 	// packing/receiving, so steady-state exchanges stay allocation-free.
@@ -82,6 +104,16 @@ func (rs *rankState) init(global *grid.Mesh, ch comm.Chunk, states []config.Stat
 		driver.FieldKx:      rs.kx,
 		driver.FieldKy:      rs.ky,
 	}
+	rs.mirrors = [numDirs][]mirror{}
+	for k := 1; k <= d; k++ {
+		off := 2*k - 1
+		rs.mirrors[dirWest] = append(rs.mirrors[dirWest], newMirror("halo_left", "mirror_xl", off, 0))
+		rs.mirrors[dirEast] = append(rs.mirrors[dirEast], newMirror("halo_right", "mirror_xr", -off, 0))
+		rs.mirrors[dirSouth] = append(rs.mirrors[dirSouth], newMirror("halo_bottom", "mirror_yl", 0, off))
+		rs.mirrors[dirNorth] = append(rs.mirrors[dirNorth], newMirror("halo_top", "mirror_yr", 0, -off))
+	}
+	rs.sWholeRow = ops.NewStencil("whole_row", [2]int{0, 0}, [2]int{rs.nx, 0})
+	rs.sWholeRowK = ops.NewStencil("whole_row_k", [2]int{0, 0}, [2]int{rs.nx, 0}, [2]int{rs.nx, 1}, [2]int{0, 1})
 	// generate_chunk as a ParLoop with an index argument (ops_arg_idx):
 	// state containment is evaluated per point in the kernel, so the
 	// initial condition is computed by whichever backend runs the loops —
@@ -90,22 +122,23 @@ func (rs *rankState) init(global *grid.Mesh, ch comm.Chunk, states []config.Stat
 		return fmt.Errorf("opsport: the first state must be state 1 (the background)")
 	}
 	mesh := rs.mesh
-	rs.ctx.ParLoop("generate_chunk", rs.block, rs.fullRange(),
+	rs.ctx.ParLoopRow("generate_chunk", rs.block, rs.fullRange(),
 		[]ops.Arg{
 			ops.ArgIdx(),
 			ops.ArgDat(rs.density, sPoint, ops.Write),
 			ops.ArgDat(rs.energy0, sPoint, ops.Write),
 		},
-		func(a []*ops.Acc, _ []float64) {
-			i, j := a[0].I, a[0].J
-			d, e := states[0].Density, states[0].Energy
-			for _, st := range states[1:] {
-				if state.Contains(st, mesh, i, j) {
-					d, e = st.Density, st.Energy
+		func(a []*ops.Acc, _ []float64, n int) {
+			density, energy := a[1].Row(0, 0, n), a[2].Row(0, 0, n)
+			for i := range density {
+				d, e := states[0].Density, states[0].Energy
+				for _, st := range states[1:] {
+					if state.Contains(st, mesh, a[0].I+i, a[0].J) {
+						d, e = st.Density, st.Energy
+					}
 				}
+				density[i], energy[i] = d, e
 			}
-			a[1].Set(0, 0, d)
-			a[2].Set(0, 0, e)
 		})
 	rs.ctx.Flush()
 	return nil
@@ -117,32 +150,29 @@ func (rs *rankState) fullRange() ops.Range {
 	return ops.Range{XLo: -2, XHi: rs.nx + 2, YLo: -2, YHi: rs.ny + 2}
 }
 
-func (rs *rankState) setField() {
-	rs.ctx.ParLoop("set_field", rs.block, rs.fullRange(),
-		[]ops.Arg{ops.ArgDat(rs.energy0, sPoint, ops.Read), ops.ArgDat(rs.energy1, sPoint, ops.Write)},
-		func(a []*ops.Acc, _ []float64) { a[1].Set(0, 0, a[0].Get(0, 0)) })
+// copyDat copies src into dst, halos included.
+func (rs *rankState) copyDat(name string, dst, src *ops.Dat) {
+	rs.ctx.ParLoopRow(name, rs.block, rs.fullRange(),
+		[]ops.Arg{ops.ArgDat(src, sPoint, ops.Read), ops.ArgDat(dst, sPoint, ops.Write)},
+		func(a []*ops.Acc, _ []float64, n int) { copy(a[1].Row(0, 0, n), a[0].Row(0, 0, n)) })
 }
 
-func (rs *rankState) resetField() {
-	rs.ctx.ParLoop("reset_field", rs.block, rs.fullRange(),
-		[]ops.Arg{ops.ArgDat(rs.energy1, sPoint, ops.Read), ops.ArgDat(rs.energy0, sPoint, ops.Write)},
-		func(a []*ops.Acc, _ []float64) { a[1].Set(0, 0, a[0].Get(0, 0)) })
-}
+func (rs *rankState) setField() { rs.copyDat("set_field", rs.energy1, rs.energy0) }
+
+func (rs *rankState) resetField() { rs.copyDat("reset_field", rs.energy0, rs.energy1) }
 
 func (rs *rankState) fieldSummary() driver.Totals {
 	vol := rs.mesh.CellVolume()
-	red := rs.ctx.ParLoopRedDeferred("field_summary", rs.block, rs.interior(), 4,
+	red := rs.ctx.ParLoopRedDeferredRow("field_summary", rs.block, rs.interior(), 4,
 		[]ops.Arg{
 			ops.ArgDat(rs.density, sPoint, ops.Read),
 			ops.ArgDat(rs.energy0, sPoint, ops.Read),
 			ops.ArgDat(rs.u, sPoint, ops.Read),
 		},
-		func(a []*ops.Acc, red []float64) {
-			d := a[0].Get(0, 0)
-			red[0] += vol
-			red[1] += d * vol
-			red[2] += d * a[1].Get(0, 0) * vol
-			red[3] += a[2].Get(0, 0) * vol
+		func(a []*ops.Acc, red []float64, n int) {
+			density := a[0].Row(0, 0, n)
+			red[0], red[1] = kern.VolMass(red[0], red[1], density, vol)
+			red[2], red[3] = kern.EnergyTemp(red[2], red[3], density, a[1].Row(0, 0, n), a[2].Row(0, 0, n), vol)
 		}).Values()
 	return driver.Totals{Volume: red[0], Mass: red[1], InternalEnergy: red[2], Temperature: red[3]}
 }
@@ -189,13 +219,13 @@ func (rs *rankState) exchangeDat(d *ops.Dat, fid driver.FieldID, depth int, hasN
 		n := rs.rank.RecvInto(ch.Left, tag(fid, dirEast), rs.recvBuf)
 		rs.unpackCols(d, -depth, depth, rs.recvBuf[:n])
 	} else {
-		rs.reflectX(d, depth, true)
+		rs.reflect(d, depth, dirWest)
 	}
 	if ch.Right >= 0 {
 		n := rs.rank.RecvInto(ch.Right, tag(fid, dirWest), rs.recvBuf)
 		rs.unpackCols(d, nx, depth, rs.recvBuf[:n])
 	} else {
-		rs.reflectX(d, depth, false)
+		rs.reflect(d, depth, dirEast)
 	}
 	if hasNeighbour {
 		rs.ctx.Flush() // reflective loops must land before the y-phase packs
@@ -211,55 +241,35 @@ func (rs *rankState) exchangeDat(d *ops.Dat, fid driver.FieldID, depth int, hasN
 		n := rs.rank.RecvInto(ch.Down, tag(fid, dirNorth), rs.recvBuf)
 		rs.unpackRows(d, -depth, depth, rs.recvBuf[:n])
 	} else {
-		rs.reflectY(d, depth, true)
+		rs.reflect(d, depth, dirSouth)
 	}
 	if ch.Up >= 0 {
 		n := rs.rank.RecvInto(ch.Up, tag(fid, dirSouth), rs.recvBuf)
 		rs.unpackRows(d, ny, depth, rs.recvBuf[:n])
 	} else {
-		rs.reflectY(d, depth, false)
+		rs.reflect(d, depth, dirNorth)
 	}
 }
 
-// reflectX mirrors depth layers at the left (low=true) or right physical
-// boundary, one ParLoop per layer so the boundary code is itself
-// backend-portable (and device-resident on CUDA).
-func (rs *rankState) reflectX(d *ops.Dat, depth int, low bool) {
+// reflect mirrors depth layers at the physical boundary on face dir, one
+// ParLoop per layer so the boundary code is itself backend-portable (and
+// device-resident on CUDA). The y faces run over the widened column range so
+// corners mirror the x halos.
+func (rs *rankState) reflect(d *ops.Dat, depth, dir int) {
 	for k := 1; k <= depth; k++ {
-		off := 2*k - 1
-		if low {
-			st := ops.NewStencil("mirror_xl", [2]int{0, 0}, [2]int{off, 0})
-			rs.ctx.ParLoop("halo_left", rs.block, ops.Range{XLo: -k, XHi: -k + 1, YLo: 0, YHi: rs.ny},
-				[]ops.Arg{ops.ArgDat(d, st, ops.RW)},
-				func(a []*ops.Acc, _ []float64) { a[0].Set(0, 0, a[0].Get(off, 0)) })
-		} else {
-			st := ops.NewStencil("mirror_xr", [2]int{0, 0}, [2]int{-off, 0})
-			rs.ctx.ParLoop("halo_right", rs.block, ops.Range{XLo: rs.nx - 1 + k, XHi: rs.nx + k, YLo: 0, YHi: rs.ny},
-				[]ops.Arg{ops.ArgDat(d, st, ops.RW)},
-				func(a []*ops.Acc, _ []float64) { a[0].Set(0, 0, a[0].Get(-off, 0)) })
+		var r ops.Range
+		switch dir {
+		case dirWest:
+			r = ops.Range{XLo: -k, XHi: -k + 1, YLo: 0, YHi: rs.ny}
+		case dirEast:
+			r = ops.Range{XLo: rs.nx - 1 + k, XHi: rs.nx + k, YLo: 0, YHi: rs.ny}
+		case dirSouth:
+			r = ops.Range{XLo: -depth, XHi: rs.nx + depth, YLo: -k, YHi: -k + 1}
+		case dirNorth:
+			r = ops.Range{XLo: -depth, XHi: rs.nx + depth, YLo: rs.ny - 1 + k, YHi: rs.ny + k}
 		}
-	}
-}
-
-func (rs *rankState) reflectY(d *ops.Dat, depth int, low bool) {
-	wide := ops.Range{XLo: -depth, XHi: rs.nx + depth}
-	for k := 1; k <= depth; k++ {
-		off := 2*k - 1
-		if low {
-			st := ops.NewStencil("mirror_yl", [2]int{0, 0}, [2]int{0, off})
-			r := wide
-			r.YLo, r.YHi = -k, -k+1
-			rs.ctx.ParLoop("halo_bottom", rs.block, r,
-				[]ops.Arg{ops.ArgDat(d, st, ops.RW)},
-				func(a []*ops.Acc, _ []float64) { a[0].Set(0, 0, a[0].Get(0, off)) })
-		} else {
-			st := ops.NewStencil("mirror_yr", [2]int{0, 0}, [2]int{0, -off})
-			r := wide
-			r.YLo, r.YHi = rs.ny-1+k, rs.ny+k
-			rs.ctx.ParLoop("halo_top", rs.block, r,
-				[]ops.Arg{ops.ArgDat(d, st, ops.RW)},
-				func(a []*ops.Acc, _ []float64) { a[0].Set(0, 0, a[0].Get(0, -off)) })
-		}
+		m := rs.mirrors[dir][k-1]
+		rs.ctx.ParLoopRow(m.name, rs.block, r, []ops.Arg{ops.ArgDat(d, m.stencil, ops.RW)}, m.kernel)
 	}
 }
 
@@ -306,11 +316,15 @@ func (rs *rankState) unpackRows(d *ops.Dat, j0, h int, buf []float64) {
 }
 
 // --- solver kernels (one source for every variant) --------------------------
+//
+// Each loop is one ParLoopRow around the internal/kern row body the other
+// versions share; a[k].Row(dx, dy, n) is argument k's n-cell view of one
+// stencil arm of the segment.
 
 func (rs *rankState) solveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
 	rs.precond = precond
 	recip := coef == config.RecipConductivity
-	rs.ctx.ParLoop("tea_leaf_init", rs.block, rs.fullRange(),
+	rs.ctx.ParLoopRow("tea_leaf_init", rs.block, rs.fullRange(),
 		[]ops.Arg{
 			ops.ArgDat(rs.density, sPoint, ops.Read),
 			ops.ArgDat(rs.energy1, sPoint, ops.Read),
@@ -318,41 +332,33 @@ func (rs *rankState) solveInit(coef config.Coefficient, rx, ry float64, precond 
 			ops.ArgDat(rs.u0, sPoint, ops.Write),
 			ops.ArgDat(rs.w, sPoint, ops.Write),
 		},
-		func(a []*ops.Acc, _ []float64) {
-			d := a[0].Get(0, 0)
-			u := a[1].Get(0, 0) * d
-			a[2].Set(0, 0, u)
-			a[3].Set(0, 0, u)
-			if recip {
-				a[4].Set(0, 0, 1/d)
-			} else {
-				a[4].Set(0, 0, d)
-			}
+		func(a []*ops.Acc, _ []float64, n int) {
+			kern.InitRow(a[2].Row(0, 0, n), a[3].Row(0, 0, n), a[4].Row(0, 0, n),
+				a[1].Row(0, 0, n), a[0].Row(0, 0, n), recip)
 		})
 	ring := ops.Range{XLo: -1, XHi: rs.nx + 1, YLo: -1, YHi: rs.ny + 1}
-	rs.ctx.ParLoop("tea_leaf_init_kx_ky", rs.block, ring,
+	rs.ctx.ParLoopRow("tea_leaf_init_kx_ky", rs.block, ring,
 		[]ops.Arg{
 			ops.ArgDat(rs.w, sWFace, ops.Read),
 			ops.ArgDat(rs.kx, sPoint, ops.Write),
 			ops.ArgDat(rs.ky, sPoint, ops.Write),
 		},
-		func(a []*ops.Acc, _ []float64) {
-			w0 := a[0].Get(0, 0)
-			wl := a[0].Get(-1, 0)
-			wd := a[0].Get(0, -1)
-			a[1].Set(0, 0, rx*(wl+w0)/(2*wl*w0))
-			a[2].Set(0, 0, ry*(wd+w0)/(2*wd*w0))
+		func(a []*ops.Acc, _ []float64, n int) {
+			// FaceCoefRow covers cells [d-1, d+nx+1) of its rows: the segment,
+			// for rows that start one cell left of it, d = 2 and nx = n-2.
+			kern.FaceCoefRow(a[1].Row(-1, 0, n+1), a[2].Row(-1, 0, n+1),
+				a[0].Row(-1, 0, n+1), a[0].Row(-1, -1, n+1), rx, ry, 2, n-2)
 		})
 	rs.calcResidual()
 	if precond == config.PrecondJacDiag {
-		rs.ctx.ParLoop("tea_leaf_init_mi", rs.block, rs.interior(),
+		rs.ctx.ParLoopRow("tea_leaf_init_mi", rs.block, rs.interior(),
 			[]ops.Arg{
 				ops.ArgDat(rs.kx, sKxOp, ops.Read),
 				ops.ArgDat(rs.ky, sKyOp, ops.Read),
 				ops.ArgDat(rs.mi, sPoint, ops.Write),
 			},
-			func(a []*ops.Acc, _ []float64) {
-				a[2].Set(0, 0, 1/(1+a[0].Get(1, 0)+a[0].Get(0, 0)+a[1].Get(0, 1)+a[1].Get(0, 0)))
+			func(a []*ops.Acc, _ []float64, n int) {
+				kern.DiagInvRow(a[2].Row(0, 0, n), a[0].Row(0, 0, n+1), a[1].Row(0, 0, n), a[1].Row(0, 1, n), 0, n)
 			})
 	}
 	if precond != config.PrecondNone {
@@ -367,15 +373,6 @@ func (rs *rankState) operatorArgs(src *ops.Dat) []ops.Arg {
 		ops.ArgDat(rs.kx, sKxOp, ops.Read),
 		ops.ArgDat(rs.ky, sKyOp, ops.Read),
 	}
-}
-
-// applyA evaluates (A src) at the current point given the operator accs.
-func applyA(a []*ops.Acc) float64 {
-	kx1, kx0 := a[1].Get(1, 0), a[1].Get(0, 0)
-	ky1, ky0 := a[2].Get(0, 1), a[2].Get(0, 0)
-	return (1+kx1+kx0+ky1+ky0)*a[0].Get(0, 0) -
-		(kx1*a[0].Get(1, 0) + kx0*a[0].Get(-1, 0)) -
-		(ky1*a[0].Get(0, 1) + ky0*a[0].Get(0, -1))
 }
 
 // rowApplyA evaluates dst = A src over one n-cell row segment through the
@@ -401,45 +398,40 @@ func (rs *rankState) calcResidual() {
 		ops.ArgDat(rs.u0, sPoint, ops.Read),
 		ops.ArgDat(rs.r, sPoint, ops.Write))
 	rs.ctx.ParLoopRow("tea_leaf_residual", rs.block, rs.interior(), args,
-		func(a []*ops.Acc, _ []float64) {
-			a[4].Set(0, 0, a[3].Get(0, 0)-applyA(a))
-		},
 		func(a []*ops.Acc, _ []float64, n int) {
 			rowApplyA(a, a[4], n)
-			u0, r := a[3].Row(0, 0, n), a[4].Row(0, 0, n)
-			for i := range r {
-				r[i] = u0[i] - r[i]
-			}
+			r := a[4].Row(0, 0, n)
+			kern.Sub(r, a[3].Row(0, 0, n), r)
 		})
 }
 
-// Every dot product goes through ParLoopRedDeferred: the reducing loop joins
-// whatever chain is queued (cg_calc_p, reflective halo loops, ...) and the
-// handle's Value() call is the true synchronisation point that flushes the
-// whole chain — on a tiling context consecutive CG-iteration loops execute
-// cache-resident as one skewed tile sweep.
-func (rs *rankState) norm2R() float64 {
-	return rs.ctx.ParLoopRedDeferredRow("norm2_r", rs.block, rs.interior(), 1,
-		[]ops.Arg{ops.ArgDat(rs.r, sPoint, ops.Read)},
-		func(a []*ops.Acc, red []float64) {
-			v := a[0].Get(0, 0)
-			red[0] += v * v
-		},
+// dot is the interior dot product of one dat with itself or of two dats.
+// Every dot product goes through ParLoopRedDeferredRow: the reducing loop
+// joins whatever chain is queued (cg_calc_p, reflective halo loops, ...) and
+// the handle's Value() call is the true synchronisation point that flushes
+// the whole chain — on a tiling context consecutive CG-iteration loops
+// execute cache-resident as one skewed tile sweep.
+func (rs *rankState) dot(name string, dats ...*ops.Dat) float64 {
+	args := make([]ops.Arg, len(dats))
+	for i, d := range dats {
+		args[i] = ops.ArgDat(d, sPoint, ops.Read)
+	}
+	return rs.ctx.ParLoopRedDeferredRow(name, rs.block, rs.interior(), 1, args,
 		func(a []*ops.Acc, red []float64, n int) {
-			r := a[0].Row(0, 0, n)
-			red[0] = kern.DotAcc(red[0], r, r)
+			red[0] = kern.DotAcc(red[0], a[0].Row(0, 0, n), a[len(a)-1].Row(0, 0, n))
 		}).Value()
 }
 
-func (rs *rankState) dotRZ() float64 {
-	return rs.ctx.ParLoopRedDeferredRow("dot_rz", rs.block, rs.interior(), 1,
-		[]ops.Arg{ops.ArgDat(rs.r, sPoint, ops.Read), ops.ArgDat(rs.z, sPoint, ops.Read)},
-		func(a []*ops.Acc, red []float64) {
-			red[0] += a[0].Get(0, 0) * a[1].Get(0, 0)
-		},
-		func(a []*ops.Acc, red []float64, n int) {
-			red[0] = kern.DotAcc(red[0], a[0].Row(0, 0, n), a[1].Row(0, 0, n))
-		}).Value()
+func (rs *rankState) norm2R() float64 { return rs.dot("norm2_r", rs.r) }
+
+func (rs *rankState) dotRZ() float64 { return rs.dot("dot_rz", rs.r, rs.z) }
+
+// precondSrc is the dat CG and Chebyshev take their direction from.
+func (rs *rankState) precondSrc(precond bool) *ops.Dat {
+	if precond {
+		return rs.z
+	}
+	return rs.r
 }
 
 func (rs *rankState) applyPrecond() {
@@ -453,12 +445,8 @@ func (rs *rankState) applyPrecond() {
 			ops.ArgDat(rs.r, sPoint, ops.Read),
 			ops.ArgDat(rs.z, sPoint, ops.Write),
 		},
-		func(a []*ops.Acc, _ []float64) { a[2].Set(0, 0, a[0].Get(0, 0)*a[1].Get(0, 0)) },
 		func(a []*ops.Acc, _ []float64, n int) {
-			mi, r, z := a[0].Row(0, 0, n), a[1].Row(0, 0, n), a[2].Row(0, 0, n)
-			for i := range z {
-				z[i] = mi[i] * r[i]
-			}
+			kern.Mul(a[2].Row(0, 0, n), a[0].Row(0, 0, n), a[1].Row(0, 0, n))
 		})
 }
 
@@ -469,113 +457,73 @@ func (rs *rankState) applyPrecond() {
 func (rs *rankState) blockSolve() {
 	rs.ctx.Flush()
 	nx := rs.nx
-	rowStencil := ops.NewStencil("whole_row", [2]int{0, 0}, [2]int{nx, 0})
-	rowStencilK := ops.NewStencil("whole_row_k", [2]int{0, 0}, [2]int{nx, 0}, [2]int{nx, 1}, [2]int{0, 1})
-	rs.ctx.ParLoop("block_solve", rs.block,
+	rs.ctx.ParLoopRow("block_solve", rs.block,
 		ops.Range{XLo: 0, XHi: 1, YLo: 0, YHi: rs.ny},
 		[]ops.Arg{
-			ops.ArgDat(rs.r, rowStencil, ops.Read),
-			ops.ArgDat(rs.z, rowStencil, ops.Write),
-			ops.ArgDat(rs.kx, rowStencilK, ops.Read),
-			ops.ArgDat(rs.ky, rowStencilK, ops.Read),
-			ops.ArgDat(rs.tcp, rowStencil, ops.Write),
-			ops.ArgDat(rs.tdp, rowStencil, ops.Write),
+			ops.ArgDat(rs.r, rs.sWholeRow, ops.Read),
+			ops.ArgDat(rs.z, rs.sWholeRow, ops.Write),
+			ops.ArgDat(rs.kx, rs.sWholeRowK, ops.Read),
+			ops.ArgDat(rs.ky, rs.sWholeRowK, ops.Read),
+			ops.ArgDat(rs.tcp, rs.sWholeRow, ops.Write),
+			ops.ArgDat(rs.tdp, rs.sWholeRow, ops.Write),
 		},
-		func(a []*ops.Acc, _ []float64) {
-			r, z, kx, ky, cp, dp := a[0], a[1], a[2], a[3], a[4], a[5]
-			diag := func(i int) float64 {
-				return 1 + kx.Get(i+1, 0) + kx.Get(i, 0) + ky.Get(i, 1) + ky.Get(i, 0)
-			}
-			b0 := diag(0)
-			cp.Set(0, 0, -kx.Get(1, 0)/b0)
-			dp.Set(0, 0, r.Get(0, 0)/b0)
-			for i := 1; i < nx; i++ {
-				av := -kx.Get(i, 0)
-				m := 1 / (diag(i) - av*cp.Get(i-1, 0))
-				cp.Set(i, 0, -kx.Get(i+1, 0)*m)
-				dp.Set(i, 0, (r.Get(i, 0)-av*dp.Get(i-1, 0))*m)
-			}
-			z.Set(nx-1, 0, dp.Get(nx-1, 0))
-			for i := nx - 2; i >= 0; i-- {
-				z.Set(i, 0, dp.Get(i, 0)-cp.Get(i, 0)*z.Get(i+1, 0))
-			}
+		func(a []*ops.Acc, _ []float64, _ int) {
+			kern.ThomasRow(a[1].Row(0, 0, nx), a[0].Row(0, 0, nx),
+				a[2].Row(0, 0, nx+1), a[3].Row(0, 0, nx), a[3].Row(0, 1, nx),
+				a[4].Row(0, 0, nx), a[5].Row(0, 0, nx), 0, nx)
 		})
 	rs.ctx.Flush()
 }
 
 func (rs *rankState) cgInitP(precond bool) float64 {
-	src := rs.r
-	if precond {
-		src = rs.z
-	}
 	return rs.ctx.ParLoopRedDeferredRow("cg_init_p", rs.block, rs.interior(), 1,
 		[]ops.Arg{
-			ops.ArgDat(src, sPoint, ops.Read),
+			ops.ArgDat(rs.precondSrc(precond), sPoint, ops.Read),
 			ops.ArgDat(rs.r, sPoint, ops.Read),
 			ops.ArgDat(rs.p, sPoint, ops.Write),
 		},
-		func(a []*ops.Acc, red []float64) {
-			s := a[0].Get(0, 0)
-			a[2].Set(0, 0, s)
-			red[0] += a[1].Get(0, 0) * s
-		},
 		func(a []*ops.Acc, red []float64, n int) {
-			s := a[0].Row(0, 0, n)
-			copy(a[2].Row(0, 0, n), s)
-			red[0] = kern.DotAcc(red[0], a[1].Row(0, 0, n), s)
+			red[0] = kern.CopyDot(red[0], a[2].Row(0, 0, n), a[0].Row(0, 0, n), a[1].Row(0, 0, n))
 		}).Value()
 }
 
 func (rs *rankState) cgCalcW() float64 {
 	args := append(rs.operatorArgs(rs.p), ops.ArgDat(rs.w, sPoint, ops.Write))
 	return rs.ctx.ParLoopRedDeferredRow("cg_calc_w", rs.block, rs.interior(), 1, args,
-		func(a []*ops.Acc, red []float64) {
-			w := applyA(a)
-			a[3].Set(0, 0, w)
-			red[0] += a[0].Get(0, 0) * w
-		},
 		func(a []*ops.Acc, red []float64, n int) {
 			rowApplyA(a, a[3], n)
 			red[0] = kern.DotAcc(red[0], a[0].Row(0, 0, n), a[3].Row(0, 0, n))
 		}).Value()
 }
 
+// urArgs are the arguments of the CG solution/residual update; extra follow.
+func (rs *rankState) urArgs(extra ...ops.Arg) []ops.Arg {
+	return append([]ops.Arg{
+		ops.ArgDat(rs.u, sPoint, ops.RW),
+		ops.ArgDat(rs.p, sPoint, ops.Read),
+		ops.ArgDat(rs.r, sPoint, ops.RW),
+		ops.ArgDat(rs.w, sPoint, ops.Read),
+	}, extra...)
+}
+
+// rowUpdateUR applies u += alpha*p, r -= alpha*w over one row segment of the
+// urArgs accessor layout and returns the updated r.
+func rowUpdateUR(a []*ops.Acc, alpha float64, n int) []float64 {
+	r := a[2].Row(0, 0, n)
+	kern.UpdateUR(a[0].Row(0, 0, n), a[1].Row(0, 0, n), r, a[3].Row(0, 0, n), alpha)
+	return r
+}
+
 func (rs *rankState) cgCalcUR(alpha float64, precond bool) float64 {
 	if precond {
-		rs.ctx.ParLoopRow("cg_calc_ur_update", rs.block, rs.interior(),
-			[]ops.Arg{
-				ops.ArgDat(rs.u, sPoint, ops.RW),
-				ops.ArgDat(rs.p, sPoint, ops.Read),
-				ops.ArgDat(rs.r, sPoint, ops.RW),
-				ops.ArgDat(rs.w, sPoint, ops.Read),
-			},
-			func(a []*ops.Acc, _ []float64) {
-				a[0].Add(0, 0, alpha*a[1].Get(0, 0))
-				a[2].Add(0, 0, -alpha*a[3].Get(0, 0))
-			},
-			func(a []*ops.Acc, _ []float64, n int) {
-				kern.UpdateUR(a[0].Row(0, 0, n), a[1].Row(0, 0, n),
-					a[2].Row(0, 0, n), a[3].Row(0, 0, n), alpha)
-			})
+		rs.ctx.ParLoopRow("cg_calc_ur_update", rs.block, rs.interior(), rs.urArgs(),
+			func(a []*ops.Acc, _ []float64, n int) { rowUpdateUR(a, alpha, n) })
 		rs.applyPrecond()
 		return rs.dotRZ()
 	}
-	return rs.ctx.ParLoopRedDeferredRow("cg_calc_ur", rs.block, rs.interior(), 1,
-		[]ops.Arg{
-			ops.ArgDat(rs.u, sPoint, ops.RW),
-			ops.ArgDat(rs.p, sPoint, ops.Read),
-			ops.ArgDat(rs.r, sPoint, ops.RW),
-			ops.ArgDat(rs.w, sPoint, ops.Read),
-		},
-		func(a []*ops.Acc, red []float64) {
-			a[0].Add(0, 0, alpha*a[1].Get(0, 0))
-			r := a[2].Get(0, 0) - alpha*a[3].Get(0, 0)
-			a[2].Set(0, 0, r)
-			red[0] += r * r
-		},
+	return rs.ctx.ParLoopRedDeferredRow("cg_calc_ur", rs.block, rs.interior(), 1, rs.urArgs(),
 		func(a []*ops.Acc, red []float64, n int) {
-			r := a[2].Row(0, 0, n)
-			kern.UpdateUR(a[0].Row(0, 0, n), a[1].Row(0, 0, n), r, a[3].Row(0, 0, n), alpha)
+			r := rowUpdateUR(a, alpha, n)
 			red[0] = kern.DotAcc(red[0], r, r)
 		}).Value()
 }
@@ -599,80 +547,27 @@ func (rs *rankState) cgCalcURFused(alpha float64, precond bool) float64 {
 		return rs.cgCalcUR(alpha, true)
 	}
 	return rs.ctx.ParLoopRedDeferredRow("cg_calc_ur_fused", rs.block, rs.interior(), 1,
-		[]ops.Arg{
-			ops.ArgDat(rs.u, sPoint, ops.RW),
-			ops.ArgDat(rs.p, sPoint, ops.Read),
-			ops.ArgDat(rs.r, sPoint, ops.RW),
-			ops.ArgDat(rs.w, sPoint, ops.Read),
-			ops.ArgDat(rs.mi, sPoint, ops.Read),
-			ops.ArgDat(rs.z, sPoint, ops.Write),
-		},
-		func(a []*ops.Acc, red []float64) {
-			a[0].Add(0, 0, alpha*a[1].Get(0, 0))
-			rv := a[2].Get(0, 0) - alpha*a[3].Get(0, 0)
-			a[2].Set(0, 0, rv)
-			zv := a[4].Get(0, 0) * rv
-			a[5].Set(0, 0, zv)
-			red[0] += rv * zv
-		},
+		rs.urArgs(ops.ArgDat(rs.mi, sPoint, ops.Read), ops.ArgDat(rs.z, sPoint, ops.Write)),
 		func(a []*ops.Acc, red []float64, n int) {
-			r := a[2].Row(0, 0, n)
-			kern.UpdateUR(a[0].Row(0, 0, n), a[1].Row(0, 0, n), r, a[3].Row(0, 0, n), alpha)
-			mi, z := a[4].Row(0, 0, n), a[5].Row(0, 0, n)
-			for i := range z {
-				z[i] = mi[i] * r[i]
-			}
+			r, z := rowUpdateUR(a, alpha, n), a[5].Row(0, 0, n)
+			kern.Mul(z, a[4].Row(0, 0, n), r)
 			red[0] = kern.DotAcc(red[0], r, z)
 		}).Value()
 }
 
 func (rs *rankState) cgCalcP(beta float64, precond bool) {
-	src := rs.r
-	if precond {
-		src = rs.z
-	}
 	rs.ctx.ParLoopRow("cg_calc_p", rs.block, rs.interior(),
-		[]ops.Arg{ops.ArgDat(src, sPoint, ops.Read), ops.ArgDat(rs.p, sPoint, ops.RW)},
-		func(a []*ops.Acc, _ []float64) {
-			a[1].Set(0, 0, a[0].Get(0, 0)+beta*a[1].Get(0, 0))
-		},
-		func(a []*ops.Acc, _ []float64, n int) {
-			s, p := a[0].Row(0, 0, n), a[1].Row(0, 0, n)
-			for i := range p {
-				p[i] = s[i] + beta*p[i]
-			}
-		})
+		[]ops.Arg{ops.ArgDat(rs.precondSrc(precond), sPoint, ops.Read), ops.ArgDat(rs.p, sPoint, ops.RW)},
+		func(a []*ops.Acc, _ []float64, n int) { kern.XPBY(a[1].Row(0, 0, n), a[0].Row(0, 0, n), beta) })
 }
 
-func (rs *rankState) jacobiCopyU() {
-	rs.ctx.ParLoopRow("jacobi_copy_u", rs.block, rs.fullRange(),
-		[]ops.Arg{ops.ArgDat(rs.u, sPoint, ops.Read), ops.ArgDat(rs.un, sPoint, ops.Write)},
-		func(a []*ops.Acc, _ []float64) { a[1].Set(0, 0, a[0].Get(0, 0)) },
-		func(a []*ops.Acc, _ []float64, n int) {
-			copy(a[1].Row(0, 0, n), a[0].Row(0, 0, n))
-		})
-}
+func (rs *rankState) jacobiCopyU() { rs.copyDat("jacobi_copy_u", rs.un, rs.u) }
 
 func (rs *rankState) jacobiIterate() float64 {
 	args := append(rs.operatorArgs(rs.un),
 		ops.ArgDat(rs.u0, sPoint, ops.Read),
 		ops.ArgDat(rs.u, sPoint, ops.Write))
 	return rs.ctx.ParLoopRedDeferredRow("jacobi_solve", rs.block, rs.interior(), 1, args,
-		func(a []*ops.Acc, red []float64) {
-			kx1, kx0 := a[1].Get(1, 0), a[1].Get(0, 0)
-			ky1, ky0 := a[2].Get(0, 1), a[2].Get(0, 0)
-			un := a[0]
-			num := a[3].Get(0, 0) +
-				kx1*un.Get(1, 0) + kx0*un.Get(-1, 0) +
-				ky1*un.Get(0, 1) + ky0*un.Get(0, -1)
-			u := num / (1 + kx1 + kx0 + ky1 + ky0)
-			a[4].Set(0, 0, u)
-			dv := u - un.Get(0, 0)
-			if dv < 0 {
-				dv = -dv
-			}
-			red[0] += dv
-		},
 		func(a []*ops.Acc, red []float64, n int) {
 			red[0] = kern.JacobiRow(red[0],
 				a[4].Row(-1, 0, n+1),
@@ -687,99 +582,88 @@ func (rs *rankState) jacobiIterate() float64 {
 		}).Value()
 }
 
-func (rs *rankState) chebyInit(theta float64, precond bool) {
-	src := rs.r
-	if precond {
-		src = rs.z
+// sdUArgs are the arguments of the Chebyshev direction kernels: the
+// direction source, sd (written by the first, updated by the rest) and u.
+func (rs *rankState) sdUArgs(precond bool, sdMode ops.AccessMode) []ops.Arg {
+	return []ops.Arg{
+		ops.ArgDat(rs.precondSrc(precond), sPoint, ops.Read),
+		ops.ArgDat(rs.sd, sPoint, sdMode),
+		ops.ArgDat(rs.u, sPoint, ops.RW),
 	}
-	rs.ctx.ParLoop("cheby_init", rs.block, rs.interior(),
-		[]ops.Arg{
-			ops.ArgDat(src, sPoint, ops.Read),
-			ops.ArgDat(rs.sd, sPoint, ops.Write),
-			ops.ArgDat(rs.u, sPoint, ops.RW),
-		},
-		func(a []*ops.Acc, _ []float64) {
-			sd := a[0].Get(0, 0) / theta
-			a[1].Set(0, 0, sd)
-			a[2].Add(0, 0, sd)
+}
+
+func (rs *rankState) chebyInit(theta float64, precond bool) {
+	rs.ctx.ParLoopRow("cheby_init", rs.block, rs.interior(), rs.sdUArgs(precond, ops.Write),
+		func(a []*ops.Acc, _ []float64, n int) {
+			kern.ChebyInitRow(a[1].Row(0, 0, n), a[2].Row(0, 0, n), a[0].Row(0, 0, n), theta)
 		})
 }
 
 func (rs *rankState) chebyIterate(alpha, beta float64, precond bool) {
-	args := append(rs.operatorArgs(rs.sd), ops.ArgDat(rs.r, sPoint, ops.RW))
-	rs.ctx.ParLoop("cheby_calc_r", rs.block, rs.interior(), args,
-		func(a []*ops.Acc, _ []float64) { a[3].Add(0, 0, -applyA(a)) })
+	// r -= A sd, through w like every other version.
+	args := append(rs.operatorArgs(rs.sd),
+		ops.ArgDat(rs.w, sPoint, ops.Write),
+		ops.ArgDat(rs.r, sPoint, ops.RW))
+	rs.ctx.ParLoopRow("cheby_calc_r", rs.block, rs.interior(), args,
+		func(a []*ops.Acc, _ []float64, n int) {
+			rowApplyA(a, a[3], n)
+			r := a[4].Row(0, 0, n)
+			kern.Sub(r, r, a[3].Row(0, 0, n))
+		})
 	if precond {
 		rs.applyPrecond()
 	}
-	src := rs.r
-	if precond {
-		src = rs.z
-	}
-	rs.ctx.ParLoop("cheby_calc_sd_u", rs.block, rs.interior(),
-		[]ops.Arg{
-			ops.ArgDat(src, sPoint, ops.Read),
-			ops.ArgDat(rs.sd, sPoint, ops.RW),
-			ops.ArgDat(rs.u, sPoint, ops.RW),
-		},
-		func(a []*ops.Acc, _ []float64) {
-			sd := alpha*a[1].Get(0, 0) + beta*a[0].Get(0, 0)
-			a[1].Set(0, 0, sd)
-			a[2].Add(0, 0, sd)
+	rs.ctx.ParLoopRow("cheby_calc_sd_u", rs.block, rs.interior(), rs.sdUArgs(precond, ops.RW),
+		func(a []*ops.Acc, _ []float64, n int) {
+			kern.ChebyRow(a[1].Row(0, 0, n), a[2].Row(0, 0, n), a[0].Row(0, 0, n), alpha, beta)
 		})
 }
 
 func (rs *rankState) ppcgInitInner(theta float64) {
-	rs.ctx.ParLoop("ppcg_init_inner", rs.block, rs.interior(),
+	rs.ctx.ParLoopRow("ppcg_init_inner", rs.block, rs.interior(),
 		[]ops.Arg{
 			ops.ArgDat(rs.r, sPoint, ops.Read),
 			ops.ArgDat(rs.rtemp, sPoint, ops.Write),
 			ops.ArgDat(rs.z, sPoint, ops.Write),
 			ops.ArgDat(rs.sd, sPoint, ops.Write),
 		},
-		func(a []*ops.Acc, _ []float64) {
-			r := a[0].Get(0, 0)
-			a[1].Set(0, 0, r)
-			a[2].Set(0, 0, 0)
-			a[3].Set(0, 0, r/theta)
+		func(a []*ops.Acc, _ []float64, n int) {
+			kern.PPCGInitRow(a[1].Row(0, 0, n), a[2].Row(0, 0, n), a[3].Row(0, 0, n), a[0].Row(0, 0, n), theta)
 		})
 }
 
 func (rs *rankState) ppcgInnerIterate(alpha, beta float64) {
 	args := append(rs.operatorArgs(rs.sd), ops.ArgDat(rs.w, sPoint, ops.Write))
 	rs.ctx.ParLoopRow("ppcg_calc_w", rs.block, rs.interior(), args,
-		func(a []*ops.Acc, _ []float64) { a[3].Set(0, 0, applyA(a)) },
 		func(a []*ops.Acc, _ []float64, n int) { rowApplyA(a, a[3], n) })
-	rs.ctx.ParLoop("ppcg_inner_update", rs.block, rs.interior(),
+	rs.ctx.ParLoopRow("ppcg_inner_update", rs.block, rs.interior(),
 		[]ops.Arg{
 			ops.ArgDat(rs.z, sPoint, ops.RW),
 			ops.ArgDat(rs.sd, sPoint, ops.RW),
 			ops.ArgDat(rs.rtemp, sPoint, ops.RW),
 			ops.ArgDat(rs.w, sPoint, ops.Read),
 		},
-		func(a []*ops.Acc, _ []float64) {
-			sd := a[1].Get(0, 0)
-			a[0].Add(0, 0, sd)
-			rt := a[2].Get(0, 0) - a[3].Get(0, 0)
-			a[2].Set(0, 0, rt)
-			a[1].Set(0, 0, alpha*sd+beta*rt)
+		func(a []*ops.Acc, _ []float64, n int) {
+			kern.PPCGInnerRow(a[0].Row(0, 0, n), a[1].Row(0, 0, n), a[2].Row(0, 0, n), a[3].Row(0, 0, n), alpha, beta)
 		})
 }
 
 func (rs *rankState) ppcgFinishInner() {
-	rs.ctx.ParLoop("ppcg_finish_inner", rs.block, rs.interior(),
+	rs.ctx.ParLoopRow("ppcg_finish_inner", rs.block, rs.interior(),
 		[]ops.Arg{ops.ArgDat(rs.z, sPoint, ops.RW), ops.ArgDat(rs.sd, sPoint, ops.Read)},
-		func(a []*ops.Acc, _ []float64) { a[0].Add(0, 0, a[1].Get(0, 0)) })
+		func(a []*ops.Acc, _ []float64, n int) { kern.Add(a[0].Row(0, 0, n), a[1].Row(0, 0, n)) })
 }
 
 func (rs *rankState) solveFinalise() {
-	rs.ctx.ParLoop("tea_leaf_finalise", rs.block, rs.interior(),
+	rs.ctx.ParLoopRow("tea_leaf_finalise", rs.block, rs.interior(),
 		[]ops.Arg{
 			ops.ArgDat(rs.u, sPoint, ops.Read),
 			ops.ArgDat(rs.density, sPoint, ops.Read),
 			ops.ArgDat(rs.energy1, sPoint, ops.Write),
 		},
-		func(a []*ops.Acc, _ []float64) { a[2].Set(0, 0, a[0].Get(0, 0)/a[1].Get(0, 0)) })
+		func(a []*ops.Acc, _ []float64, n int) {
+			kern.Div(a[2].Row(0, 0, n), a[0].Row(0, 0, n), a[1].Row(0, 0, n))
+		})
 }
 
 // Field-gather tags live above the halo-exchange tag space.

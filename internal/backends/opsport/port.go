@@ -1,9 +1,9 @@
 // Package opsport is TeaLeaf re-engineered on the OPS embedded DSL
 // (internal/ops), the analogue of the paper's OPS builds. Every kernel is
-// written exactly once as an ops.ParLoop with stencils and access
-// descriptors; the variant matrix — OpenMP, MPI, OpenMP+MPI, MPI Tiled,
-// CUDA, OpenACC — comes entirely from library configuration, which is the
-// productivity claim the paper evaluates.
+// written exactly once, as an ops.ParLoopRow: access descriptors around the
+// internal/kern row body every other version shares. The variant matrix —
+// OpenMP, MPI, OpenMP+MPI, MPI Tiled, CUDA, OpenACC — comes entirely from
+// library configuration, which is the productivity claim the paper evaluates.
 //
 // Distributed variants run one OPS context per rank SPMD on the
 // message-passing runtime; halo exchanges move dat strips between ranks

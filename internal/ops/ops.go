@@ -8,9 +8,17 @@
 // the optimisation behind the paper's "OPS MPI Tiled" results.
 //
 // In the original OPS a source-to-source translator generates per-backend
-// code; here the same information (stencils + access modes) drives runtime
-// dispatch, which preserves the programming model and the optimisation
-// structure while staying a single Go library.
+// loop nests from one elemental kernel; here the same information (stencils
+// + access modes) drives runtime dispatch, which preserves the programming
+// model and the optimisation structure while staying a single Go library.
+// What the translator would emit — the contiguous innermost loop — is the
+// form a loop is held in: every loop is one RowKernel, called once per row
+// segment by one host sweep (runRange) and one device launch (runCUDA), and
+// every reduction goes through one engine (Reduction). ParLoopRow and
+// ParLoopRedDeferredRow take that form directly; ParLoop, ParLoopRed and
+// ParLoopRedDeferred take the per-point Kernel of the OPS user guide and wrap
+// it in an adapter that walks it along each segment, for kernels that are not
+// worth writing as a row.
 package ops
 
 import (
@@ -413,7 +421,8 @@ func (a *Acc) Row(dx, dy, n int) []float64 {
 	return a.data[base : base+n]
 }
 
-// Kernel is a user kernel: called once per iteration point with one Acc per
-// argument (in declaration order) and, for reducing loops, the accumulator
-// slice.
+// Kernel is a per-point user kernel: called once per iteration point with one
+// Acc per argument (in declaration order) and, for reducing loops, the
+// accumulator slice. ParLoop, ParLoopRed and ParLoopRedDeferred run it
+// through the row form (see RowKernel).
 type Kernel func(a []*Acc, red []float64)

@@ -578,3 +578,149 @@ func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTilingPropertyRowKernels: a loop written as a row kernel and the same
+// body written per point and run through ParLoop/ParLoopRedDeferred's adapter
+// must agree bitwise — dats and reduction values — on every backend and under
+// every segment geometry: whole rows, team shares, device thread-rows wider
+// and narrower than the range, tile slices down to one cell, and ranges
+// narrower than a tile or one cell wide.
+func TestTilingPropertyRowKernels(t *testing.T) {
+	const nx, ny = 19, 16
+	run := func(seed int64, opt Options, rows bool) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		ctx, err := NewContext(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctx.Close()
+		b := ctx.DeclBlock("grid", nx, ny)
+		d1, d2 := b.DeclDat("d1", 2), b.DeclDat("d2", 2)
+		for j := -2; j < ny+2; j++ {
+			for i := -2; i < nx+2; i++ {
+				d1.Set(i, j, rng.Float64())
+				d2.Set(i, j, rng.Float64())
+			}
+		}
+		d1.Upload()
+		d2.Upload()
+		// span is a random sub-range of [1, n-1), one cell wide a third of
+		// the time.
+		span := func(n int) (int, int) {
+			lo := 1 + rng.Intn(n-2)
+			if rng.Intn(3) == 0 {
+				return lo, lo + 1
+			}
+			return lo, lo + 1 + rng.Intn(n-1-lo)
+		}
+		var pending []*Reduction
+		for l, nloops := 0, 4+rng.Intn(8); l < nloops; l++ {
+			var r Range
+			r.XLo, r.XHi = span(nx)
+			r.YLo, r.YHi = span(ny)
+			src, dst := d1, d2
+			if rng.Intn(2) == 0 {
+				src, dst = d2, d1
+			}
+			switch kind := rng.Intn(4); {
+			case kind == 0 && rows:
+				ctx.ParLoopRow("sm", b, r, []Arg{ArgDat(src, S2D5pt, Read), ArgDat(dst, S2D00, RW)},
+					func(a []*Acc, _ []float64, n int) {
+						d, e, w := a[1].Row(0, 0, n), a[0].Row(1, 0, n), a[0].Row(-1, 0, n)
+						u, s := a[0].Row(0, 1, n), a[0].Row(0, -1, n)
+						for i := range d {
+							d[i] = d[i]*0.5 + 0.125*(e[i]+w[i]+u[i]+s[i])
+						}
+					})
+			case kind == 0:
+				ctx.ParLoop("sm", b, r, []Arg{ArgDat(src, S2D5pt, Read), ArgDat(dst, S2D00, RW)},
+					func(a []*Acc, _ []float64) {
+						a[1].Set(0, 0, a[1].Get(0, 0)*0.5+0.125*(a[0].Get(1, 0)+a[0].Get(-1, 0)+a[0].Get(0, 1)+a[0].Get(0, -1)))
+					})
+			case kind == 1 && rows:
+				ctx.ParLoopRow("ax", b, r, []Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, RW)},
+					func(a []*Acc, _ []float64, n int) {
+						s, d := a[0].Row(0, 0, n), a[1].Row(0, 0, n)
+						for i := range d {
+							d[i] += 0.25 * s[i]
+						}
+					})
+			case kind == 1:
+				ctx.ParLoop("ax", b, r, []Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, RW)},
+					func(a []*Acc, _ []float64) { a[1].Add(0, 0, 0.25*a[0].Get(0, 0)) })
+			case kind == 2 && rows:
+				pending = append(pending, ctx.ParLoopRedDeferredRow("dot", b, r, 2,
+					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, Read)},
+					func(a []*Acc, red []float64, n int) {
+						s, d := a[0].Row(0, 0, n), a[1].Row(0, 0, n)
+						for i := range s {
+							red[0] += s[i] * d[i]
+							red[1] += s[i] + d[i]
+						}
+					}))
+			case kind == 2:
+				pending = append(pending, ctx.ParLoopRedDeferred("dot", b, r, 2,
+					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, Read)},
+					func(a []*Acc, red []float64) {
+						red[0] += a[0].Get(0, 0) * a[1].Get(0, 0)
+						red[1] += a[0].Get(0, 0) + a[1].Get(0, 0)
+					}))
+			case rows:
+				ctx.ParLoopRow("idx", b, r, []Arg{ArgIdx(), ArgDat(dst, S2D00, RW)},
+					func(a []*Acc, _ []float64, n int) {
+						for i, d := 0, a[1].Row(0, 0, n); i < n; i++ {
+							d[i] = 0.5*d[i] + float64(3*(a[0].I+i)-2*a[0].J)
+						}
+					})
+			default:
+				ctx.ParLoop("idx", b, r, []Arg{ArgIdx(), ArgDat(dst, S2D00, RW)},
+					func(a []*Acc, _ []float64) {
+						a[1].Set(0, 0, 0.5*a[1].Get(0, 0)+float64(3*a[0].I-2*a[0].J))
+					})
+			}
+		}
+		var out []float64
+		for _, p := range pending {
+			out = append(out, p.Values()...)
+		}
+		ctx.Flush()
+		d1.Download()
+		d2.Download()
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				out = append(out, d1.At(i, j), d2.At(i, j))
+			}
+		}
+		return out
+	}
+	for name, opt := range map[string]Options{
+		"serial":           {Backend: BackendSerial},
+		"openmp":           {Backend: BackendOpenMP, Threads: 3},
+		"openacc":          {Backend: BackendACC, Threads: 3},
+		"cuda_64x8":        {Backend: BackendCUDA, Block: simgpu.Dim2{X: 64, Y: 8}},
+		"cuda_5x3":         {Backend: BackendCUDA, Block: simgpu.Dim2{X: 5, Y: 3}},
+		"tiled_1x7":        {Backend: BackendSerial, Tiling: true, TileX: 1, TileY: 7},
+		"tiled_9x1":        {Backend: BackendSerial, Tiling: true, TileX: 9, TileY: 1},
+		"tiled_4x3":        {Backend: BackendSerial, Tiling: true, TileX: 4, TileY: 3},
+		"tiled_4x3_openmp": {Backend: BackendOpenMP, Threads: 3, Tiling: true, TileX: 4, TileY: 3},
+	} {
+		opt := opt
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				point, row := run(seed, opt, false), run(seed, opt, true)
+				if len(point) != len(row) {
+					return false
+				}
+				for i := range point {
+					if point[i] != row[i] {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}

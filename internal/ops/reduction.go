@@ -8,7 +8,8 @@ import "fmt"
 // synchronisation point — the moment the caller actually needs the scalar,
 // e.g. an Allreduce contribution. Between enqueue and finalize the chain can
 // keep growing, so the matvec→dot→axpy→precond→halo loops of consecutive CG
-// iterations tile as one cache-resident chain.
+// iterations tile as one cache-resident chain. This is the only reduction
+// engine: the eager ParLoopRed is a deferred loop whose handle is read at once.
 //
 // Accumulation order is canonical: every reducing loop owns one partial
 // accumulator per absolute row of its range, and kernel contributions to a
@@ -35,81 +36,44 @@ type Reduction struct {
 	vals      []float64
 }
 
-// newReduction allocates the per-row partial slots for rec.
+// newReduction creates rec's handle. The host backends get one partial slot
+// per row of the range; the device backend has no lazy queue (tiling is
+// rejected there) and combines per-block partials itself (runCUDA).
 func newReduction(ctx *Context, rec *loopRecord) *Reduction {
-	nrows := rec.r.YHi - rec.r.YLo
-	if nrows < 0 {
-		nrows = 0
-	}
-	backing := make([]float64, nrows*rec.nred)
-	rows := make([][]float64, nrows)
-	for j := range rows {
-		rows[j] = backing[j*rec.nred : (j+1)*rec.nred]
-	}
-	return &Reduction{ctx: ctx, rec: rec, name: rec.name, rows: rows, baseY: rec.r.YLo}
-}
-
-// ParLoopRedDeferred enqueues (or, untiled, executes) a reducing kernel and
-// returns a handle; reading the handle flushes any queued chain first. The
-// returned values are bitwise independent of tiling and tile geometry.
-func (ctx *Context) ParLoopRedDeferred(name string, b *Block, r Range, nred int, args []Arg, k Kernel) *Reduction {
-	return ctx.parLoopRedDeferred(name, b, r, nred, args, k, nil)
-}
-
-// ParLoopRedDeferredRow is ParLoopRedDeferred with a row-segment fast path:
-// rk runs once per row segment instead of k per point, accumulating onto the
-// row's partial slot on the host backends and onto the block's partial on
-// the device backend.
-// rk must accumulate left-to-right so the canonical per-row order — and
-// therefore the bitwise tiled/untiled equivalence — is preserved.
-func (ctx *Context) ParLoopRedDeferredRow(name string, b *Block, r Range, nred int, args []Arg, k Kernel, rk RowKernel) *Reduction {
-	return ctx.parLoopRedDeferred(name, b, r, nred, args, k, rk)
-}
-
-func (ctx *Context) parLoopRedDeferred(name string, b *Block, r Range, nred int, args []Arg, k Kernel, rk RowKernel) *Reduction {
-	if nred <= 0 {
-		panic(fmt.Sprintf("ops: reducing loop %q needs nred > 0", name))
-	}
-	rec := newRecord(name, b, r, args, k, nred)
-	rec.rowk = rk
-	ctx.stats.LoopsEnqueued++
+	rd := &Reduction{ctx: ctx, rec: rec, name: rec.name, baseY: rec.r.YLo}
 	if ctx.opt.Backend == BackendCUDA {
-		// No lazy queue on the device backend (tiling is rejected there):
-		// run eagerly with the block-ordered combine runCUDA already has.
-		rd := &Reduction{ctx: ctx, rec: rec, name: name, vals: make([]float64, nred)}
-		ctx.executeFull(rec, rd.vals)
-		rd.executed, rd.finalized = true, true
 		return rd
 	}
-	rd := newReduction(ctx, rec)
-	rec.red = rd
-	if ctx.opt.Tiling {
-		ctx.queue = append(ctx.queue, rec)
-		return rd
+	nrows := max(rec.r.YHi-rec.r.YLo, 0)
+	backing := make([]float64, nrows*rec.nred)
+	rd.rows = make([][]float64, nrows)
+	for j := range rd.rows {
+		rd.rows[j] = backing[j*rec.nred : (j+1)*rec.nred]
 	}
-	ctx.executeDeferredFull(rec)
 	return rd
 }
 
-// executeDeferredFull runs a deferred reducing loop over its whole range
-// into its per-row partials, on the context's host backend.
-func (ctx *Context) executeDeferredFull(rec *loopRecord) {
-	ctx.stats.LoopsExecuted++
-	rd := rec.red
-	switch ctx.opt.Backend {
-	case BackendSerial:
-		runRangeRows(rec, rec.r, rd.rows, rd.baseY, makeAccs(rec))
-	case BackendOpenMP, BackendACC:
-		// Shares split on whole rows and each row partial is owned by
-		// exactly one thread, so this is race-free and — because finalize
-		// folds rows in ascending order — bitwise identical to serial.
-		ctx.team.For(rec.r.YLo, rec.r.YHi, func(j0, j1 int) {
-			runRangeRows(rec, Range{rec.r.XLo, rec.r.XHi, j0, j1}, rd.rows, rd.baseY, makeAccs(rec))
-		})
-	default:
-		panic(fmt.Sprintf("ops: deferred reduction %q on unsupported backend %v", rec.name, ctx.opt.Backend))
+// ParLoopRedDeferred enqueues (or, untiled, executes) a reducing per-point
+// kernel and returns a handle; reading the handle flushes any queued chain
+// first. The returned values are bitwise independent of tiling and tile
+// geometry.
+func (ctx *Context) ParLoopRedDeferred(name string, b *Block, r Range, nred int, args []Arg, k Kernel) *Reduction {
+	return ctx.ParLoopRedDeferredRow(name, b, r, nred, args, pointwise(k, args))
+}
+
+// ParLoopRedDeferredRow is the reducing ParLoopRow: rk runs once per row
+// segment, accumulating onto the row's partial slot on the host backends and
+// onto the block's partial on the device backend. rk must accumulate
+// left-to-right so the canonical per-row order — and therefore the bitwise
+// tiled/untiled equivalence — is preserved.
+func (ctx *Context) ParLoopRedDeferredRow(name string, b *Block, r Range, nred int, args []Arg, rk RowKernel) *Reduction {
+	if nred <= 0 {
+		panic(fmt.Sprintf("ops: reducing loop %q needs nred > 0", name))
 	}
-	rd.executed = true
+	rec := newRecord(name, b, r, args, rk, nred)
+	rec.red = newReduction(ctx, rec)
+	ctx.issue(rec)
+	return rec.red
 }
 
 // Values flushes any pending chain, finalizes and returns the reduction's

@@ -53,12 +53,7 @@ func (ctx *Context) Flush() {
 		}
 	}
 	if len(loops) == 1 {
-		rec := loops[0]
-		if rec.red != nil {
-			ctx.executeDeferredFull(rec)
-			return
-		}
-		ctx.executeFull(rec, nil)
+		ctx.executeFull(loops[0])
 		return
 	}
 	ctx.resolveAutoTile(loops)
@@ -70,10 +65,8 @@ func (ctx *Context) Flush() {
 		shift[l] = shift[l-1] + loops[l].radius + loops[l-1].radius
 	}
 	accs := make([][]*Acc, len(loops))
-	plans := make([]accPlan, len(loops))
 	for l, rec := range loops {
 		accs[l] = makeAccs(rec)
-		plans[l] = makePlan(rec, accs[l])
 	}
 	// Tile-index bounds over the skewed coordinates of all loops.
 	tx0, tx1 := tileBounds(loops, shift, ctx.opt.TileX, func(r Range) (int, int) { return r.XLo, r.XHi })
@@ -89,11 +82,7 @@ func (ctx *Context) Flush() {
 					YHi: min(rec.r.YHi, (ty+1)*ctx.opt.TileY-shift[l]),
 				}
 				if sub.XLo < sub.XHi && sub.YLo < sub.YHi {
-					if rec.red != nil {
-						runRangeRowsPlanned(rec, sub, rec.red.rows, rec.red.baseY, accs[l], plans[l])
-					} else {
-						runRangePlanned(rec, sub, nil, accs[l], plans[l])
-					}
+					runRange(rec, sub, accs[l])
 					ran = true
 				}
 			}
