@@ -9,6 +9,7 @@ import (
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/cuda"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/kokkosport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/mpi"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/opsport"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/rajaport"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
@@ -37,18 +38,20 @@ func opsVersion(opt opsport.Options) Factory {
 // tile sizes are pinned: the table below is bitwise, and shares, chunks and
 // blocks set the summation grouping.
 var segmentVersions = map[string]Factory{
-	"manual-cuda":   func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
-	"ops-cuda":      opsVersion(opsport.Options{Backend: ops.BackendCUDA}),
-	"ops-openmp":    opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Threads: 2}),
-	"ops-mpi":       opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2}),
-	"ops-mpi-omp":   opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Ranks: 2, Threads: 2}),
-	"ops-mpi-tiled": opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2, Tiling: true, TileX: 16, TileY: 8}),
-	"ops-tiled":     opsVersion(opsport.Options{Backend: ops.BackendSerial, Tiling: true, TileX: 16, TileY: 8}),
-	"ops-openacc":   opsVersion(opsport.Options{Backend: ops.BackendACC, Threads: 2}),
-	"kokkos-openmp": func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(2)) },
-	"kokkos-cuda":   func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
-	"raja-openmp":   func() driver.Kernels { return rajaport.New(raja.NewOmp(2)) },
-	"raja-cuda":     func() driver.Kernels { return rajaport.New(raja.NewCuda(simgpu.Dim2{})) },
+	"manual-cuda":    func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
+	"manual-mpi":     func() driver.Kernels { return mpi.New(2, 1) },
+	"manual-mpi-omp": func() driver.Kernels { return mpi.New(2, 2) },
+	"ops-cuda":       opsVersion(opsport.Options{Backend: ops.BackendCUDA}),
+	"ops-openmp":     opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Threads: 2}),
+	"ops-mpi":        opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2}),
+	"ops-mpi-omp":    opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Ranks: 2, Threads: 2}),
+	"ops-mpi-tiled":  opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2, Tiling: true, TileX: 16, TileY: 8}),
+	"ops-tiled":      opsVersion(opsport.Options{Backend: ops.BackendSerial, Tiling: true, TileX: 16, TileY: 8}),
+	"ops-openacc":    opsVersion(opsport.Options{Backend: ops.BackendACC, Threads: 2}),
+	"kokkos-openmp":  func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(2)) },
+	"kokkos-cuda":    func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
+	"raja-openmp":    func() driver.Kernels { return rajaport.New(raja.NewOmp(2)) },
+	"raja-cuda":      func() driver.Kernels { return rajaport.New(raja.NewCuda(simgpu.Dim2{})) },
 }
 
 // segmentDecks is tea_bm on a non-square 48x40 mesh (neither extent a
@@ -193,6 +196,22 @@ var segmentGolden = map[string]segmentRun{
 	"ops-tiled/chebyshev_jac_diag":     {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x4008999999442d1d, 0x4008999999442d1d}},
 	"ops-tiled/jacobi":                 {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999a5934, 0x40089999999a5935}},
 	"ops-tiled/ppcg":                   {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999999999f, 0x400899999999999f}},
+	// The two manual MPI builds, captured at the commit before their ranks
+	// ran under one shared SPMD runner.
+	"manual-mpi-omp/cg":                 {24, 0, [4]uint64{0x4058ffffffffffdb, 0x40c35e6000000002, 0x400899999999998b, 0x400899999999998b}},
+	"manual-mpi-omp/cg_jac_block":       {20, 0, [4]uint64{0x4058ffffffffffdb, 0x40c35e6000000002, 0x400899999983cee1, 0x400899999983cee1}},
+	"manual-mpi-omp/cg_jac_diag":        {22, 0, [4]uint64{0x4058ffffffffffdb, 0x40c35e6000000002, 0x400899999981a507, 0x400899999981a507}},
+	"manual-mpi-omp/chebyshev":          {60, 0, [4]uint64{0x4058ffffffffffdb, 0x40c35e6000000002, 0x4008999999999988, 0x4008999999999988}},
+	"manual-mpi-omp/chebyshev_jac_diag": {40, 0, [4]uint64{0x4058ffffffffffdb, 0x40c35e6000000002, 0x4008999999442d06, 0x4008999999442d06}},
+	"manual-mpi-omp/jacobi":             {138, 0, [4]uint64{0x4058ffffffffffdb, 0x40c35e6000000002, 0x40089999999a591d, 0x40089999999a591d}},
+	"manual-mpi-omp/ppcg":               {14, 40, [4]uint64{0x4058ffffffffffdb, 0x40c35e6000000002, 0x4008999999999988, 0x4008999999999988}},
+	"manual-mpi/cg":                     {24, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
+	"manual-mpi/cg_jac_block":           {20, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
+	"manual-mpi/cg_jac_diag":            {22, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
+	"manual-mpi/chebyshev":              {60, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
+	"manual-mpi/chebyshev_jac_diag":     {40, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
+	"manual-mpi/jacobi":                 {138, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
+	"manual-mpi/ppcg":                   {14, 40, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
 }
 
 // TestSegmentGolden holds the row-segment ports to the numbers the per-cell
