@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos fleet-chaos serve-crash fuzz bench-par bench-cg bench-sdc bench-serve bench-tiling bench-portability docs-lint bench
+.PHONY: build test race soak chaos fleet-chaos serve-crash fuzz bench-par bench-cg bench-sdc bench-serve bench-tiling bench-portability docs-lint bench
 
 build:
 	$(GO) build ./...
@@ -18,11 +18,22 @@ test: build
 # and RAJA row policies, the OPS loop engine: their segment-vs-point
 # equivalence tests run on a multi-thread team and a multi-worker device),
 # and every consumer of them (internal/backends/hostchunk runs every body on
-# a multi-thread team).
+# a multi-thread team; internal/backends/spmd, the in-process SPMD runner,
+# hands each call from the caller's goroutine to the other ranks').
 race:
 	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/kern/... \
 		./internal/simgpu/... ./internal/kokkos/... ./internal/raja/... ./internal/ops/... \
 		./internal/backends/...
+
+# soak repeats the spin-then-park handshakes under the race detector: par's
+# Team.Close after short bursts (where a one-in-40,000 hang once lived; each
+# repetition closes tens of thousands of teams), the SPMD runner's panic
+# containment, Reset and Close-after-burst, and comm's abort wake-ups and
+# collective deadlines. Under two minutes on two cores; any failure is a bug.
+soak:
+	$(GO) test -race -count=40 -timeout 5m \
+		-run 'TestCloseAfterBurstDoesNotHang|TestCloseIdempotent|TestUseAfterClosePanics|TestPanicSurfacesAsRankError|TestAbortWakesSpinningWaiters|TestWatchdog|TestWorldResetAfterFailure' \
+		./internal/par/ ./internal/backends/spmd/ ./internal/comm/
 
 # chaos runs the resilience suite under the race detector: the comm fault
 # injector and recovery latch, the chaos kernel wrapper, checkpoint/restore,

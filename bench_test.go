@@ -168,7 +168,7 @@ func BenchmarkOPSTiling(b *testing.B) {
 				b.StartTimer()
 				_, err = driver.Run(cfg, p, solver.New(solver.FromConfig(&cfg)), nil)
 				b.StopTimer()
-				st := p.Stats()
+				st := p.TilingSnapshot()
 				p.Close()
 				b.StartTimer()
 				if err != nil {

@@ -19,7 +19,9 @@ import (
 // take a half-open sub-range, so a policy decides only how the range is
 // split; a reduction body threads one accumulator through its sub-range and
 // the policy combines the per-share results in share order. *par.Team is a
-// Rows as it stands.
+// Rows as it stands. Each reducing kernel calls ReduceSum or ReduceSum2
+// exactly once per total it returns, so a distributed policy (the MPI
+// port's) can complete the combination across ranks there.
 type Rows interface {
 	For(lo, hi int, body func(j0, j1 int))
 	ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64
@@ -341,21 +343,21 @@ func (c *Chunk) CGCalcW() float64 {
 
 // CGCalcUR implements driver.Kernels.
 func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	rrn := c.rows.ReduceSum(0, c.ny, func(j0, j1 int) (s float64) {
-		for j := j0; j < j1; j++ {
-			rr := c.r.InteriorRow(j)
-			kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), rr, c.w.InteriorRow(j), alpha)
-			if !precond {
-				s = kern.DotAcc(s, rr, rr)
-			}
-		}
-		return s
-	})
 	if precond {
+		c.forRows(func(j int) {
+			kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), c.r.InteriorRow(j), c.w.InteriorRow(j), alpha)
+		})
 		c.ApplyPrecond()
 		return c.DotRZ()
 	}
-	return rrn
+	return c.rows.ReduceSum(0, c.ny, func(j0, j1 int) (s float64) {
+		for j := j0; j < j1; j++ {
+			rr := c.r.InteriorRow(j)
+			kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), rr, c.w.InteriorRow(j), alpha)
+			s = kern.DotAcc(s, rr, rr)
+		}
+		return s
+	})
 }
 
 // CGCalcWFused implements driver.FusedWDot. CGCalcW already evaluates the

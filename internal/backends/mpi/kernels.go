@@ -10,11 +10,9 @@ import (
 )
 
 // rankState is one rank's half of the port: the shared host chunk
-// (internal/backends/hostchunk) over this rank's sub-mesh, its rows handed
-// out serially or — for the hybrid build — on the rank's thread team, and
-// this type as its halo policy: exchange with neighbouring ranks, reflect
-// the physical sides. Reductions leave the chunk as rank partials; Port and
-// RankKernels allreduce them.
+// (internal/backends/hostchunk) over this rank's sub-mesh with rankRows as
+// its row policy, and this type as its halo policy: exchange with
+// neighbouring ranks, reflect the physical sides.
 type rankState struct {
 	*hostchunk.Fused
 	rank     *comm.Rank
@@ -25,14 +23,36 @@ type rankState struct {
 
 	// Reusable exchange scratch: one buffer to pack outgoing halo strips
 	// (Send copies into a pooled payload immediately) and one to receive
-	// into, plus a small vector for the field-summary allreduce. Together
-	// with comm's payload free list they make steady-state halo exchange
-	// allocation-free.
+	// into. Together with comm's payload free list they make steady-state
+	// halo exchange allocation-free.
 	packBuf, recvBuf []float64
-	sumBuf           [4]float64
 }
 
-func (rs *rankState) init(global *grid.Mesh, ch comm.Chunk, states []config.State) error {
+// rankRows is a rank's row policy: its rows are handed out serially or, for
+// the hybrid build, on the rank's thread team, and each reduction — every
+// reducing chunk kernel makes exactly one per total — then allreduces the
+// rank's partial with its peers' in rank order. So the chunk's reducing
+// kernels return the global value, bitwise identical on every rank.
+type rankRows struct {
+	hostchunk.Rows
+	rank *comm.Rank
+}
+
+// ReduceSum implements hostchunk.Rows.
+func (r rankRows) ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64 {
+	return r.rank.AllreduceSum(r.Rows.ReduceSum(lo, hi, body))
+}
+
+// ReduceSum2 implements hostchunk.Rows.
+func (r rankRows) ReduceSum2(lo, hi int, body func(j0, j1 int) (float64, float64)) (float64, float64) {
+	a, b := r.Rows.ReduceSum2(lo, hi, body)
+	return r.rank.AllreduceSum(a), r.rank.AllreduceSum(b)
+}
+
+// Generate implements driver.Kernels: every rank derives the same global
+// decomposition and initialises its own chunk.
+func (rs *rankState) Generate(global *grid.Mesh, states []config.State) error {
+	ch := comm.Decompose(rs.rank.Size(), global.Nx, global.Ny).ChunkOf(rs.rank.ID(), global.Nx, global.Ny)
 	rs.chunk = ch
 	rs.gnx, rs.gny = global.Nx, global.Ny
 	physical := func(neighbour int, s hostchunk.Sides) hostchunk.Sides {
@@ -43,9 +63,9 @@ func (rs *rankState) init(global *grid.Mesh, ch comm.Chunk, states []config.Stat
 	}
 	rs.physical = physical(ch.Left, hostchunk.Left) | physical(ch.Right, hostchunk.Right) |
 		physical(ch.Down, hostchunk.Down) | physical(ch.Up, hostchunk.Up)
-	var rows hostchunk.Rows = hostchunk.Serial{}
+	rows := rankRows{Rows: hostchunk.Serial{}, rank: rs.rank}
 	if rs.team != nil {
-		rows = rs.team
+		rows.Rows = rs.team
 	}
 	rs.Fused = hostchunk.NewFused(rows, rs)
 	// Largest halo message: depth<=DefaultHalo strips of columns
@@ -54,7 +74,7 @@ func (rs *rankState) init(global *grid.Mesh, ch comm.Chunk, states []config.Stat
 	maxMsg := d * max(ch.NY, ch.NX+2*d)
 	rs.packBuf = make([]float64, maxMsg)
 	rs.recvBuf = make([]float64, maxMsg)
-	return rs.Generate(global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY), states)
+	return rs.Fused.Generate(global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY), states)
 }
 
 // --- halo exchange ---------------------------------------------------------
@@ -168,10 +188,10 @@ const (
 	tagFetchData
 )
 
-// restoreField is fetchField's inverse. Every rank sees the same global
-// slab (captured by the do() closure), so each simply copies out its own
+// RestoreField implements driver.FieldRestorer, fetchField's inverse. Every
+// rank is handed the same global slab, so each simply copies out its own
 // chunk window — no gather/scatter messaging at all.
-func (rs *rankState) restoreField(id driver.FieldID, data []float64) {
+func (rs *rankState) RestoreField(id driver.FieldID, data []float64) {
 	rs.RestoreWindow(id, data[rs.chunk.Y0*rs.gnx+rs.chunk.X0:], rs.gnx)
 }
 

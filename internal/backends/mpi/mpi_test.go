@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/serial"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/spmd"
+	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
@@ -90,7 +92,15 @@ func TestSolversMatchSerial(t *testing.T) {
 // two ranks against the neighbouring interior values.
 func TestHaloExchangeValues(t *testing.T) {
 	cfg := config.BenchmarkN(8)
-	p := New(2, 1)
+	var sets []*RankKernels
+	p, err := spmd.New("probe", comm.NewWorld(2), func(r *comm.Rank) (driver.Kernels, error) {
+		k := newRankKernels(r, 1)
+		sets = append(sets, k)
+		return k, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer p.Close()
 	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, cfg.NY)
 	if err != nil {
@@ -100,15 +110,14 @@ func TestHaloExchangeValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.HaloExchange([]driver.FieldID{driver.FieldDensity}, 2)
-	// Collect each rank's view of the density along the rank boundary.
+	// Collect each rank's view of the density along the rank boundary. The
+	// ranks are idle between calls, so their chunks can be read from here.
 	type probe struct {
-		rank           int
 		interior, halo []float64
 	}
-	results := make(chan probe, 2)
-	p.do(func(rs *rankState) {
+	probes := map[int]probe{}
+	for _, rs := range sets {
 		var pr probe
-		pr.rank = rs.rank.ID()
 		density, nx := rs.Field(driver.FieldDensity), rs.chunk.NX
 		for j := 0; j < rs.chunk.NY; j++ {
 			if rs.chunk.Right >= 0 { // left rank: my right halo vs my interior edge
@@ -119,12 +128,7 @@ func TestHaloExchangeValues(t *testing.T) {
 				pr.halo = append(pr.halo, density.At(-1, j))
 			}
 		}
-		results <- pr
-	})
-	close(results)
-	probes := map[int]probe{}
-	for pr := range results {
-		probes[pr.rank] = pr
+		probes[rs.rank.ID()] = pr
 	}
 	// Rank 0's right halo must equal rank 1's left interior column and vice
 	// versa.

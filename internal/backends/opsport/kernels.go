@@ -40,9 +40,11 @@ func newMirror(name, stencil string, dx, dy int) mirror {
 		func(a []*ops.Acc, _ []float64, n int) { copy(a[0].Row(0, 0, n), a[0].Row(dx, dy, n)) }}
 }
 
-// rankState is one rank's OPS context, block and dats.
+// rankState is one rank's OPS context, block and dats: the OPS port as a
+// rank-local driver.Kernels, which allreduces its own partials.
 type rankState struct {
-	port     *Port
+	name     string
+	tiling   bool
 	rank     *comm.Rank
 	ctx      *ops.Context
 	chunk    comm.Chunk
@@ -65,14 +67,16 @@ type rankState struct {
 	// first cell (and the row above, for ky).
 	sWholeRow, sWholeRowK *ops.Stencil
 
-	// Reusable scratch for the field-summary allreduce and for halo strip
-	// packing/receiving, so steady-state exchanges stay allocation-free.
-	sumBuf  [4]float64
+	// Reusable scratch for halo strip packing/receiving, so steady-state
+	// exchanges stay allocation-free.
 	packBuf []float64
 	recvBuf []float64
 }
 
-func (rs *rankState) init(global *grid.Mesh, ch comm.Chunk, states []config.State) error {
+// Generate implements driver.Kernels: every rank derives the same global
+// decomposition and declares and initialises its own chunk.
+func (rs *rankState) Generate(global *grid.Mesh, states []config.State) error {
+	ch := comm.Decompose(rs.rank.Size(), global.Nx, global.Ny).ChunkOf(rs.rank.ID(), global.Nx, global.Ny)
 	rs.chunk = ch
 	rs.gnx, rs.gny = global.Nx, global.Ny
 	rs.mesh = global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY)
@@ -157,11 +161,11 @@ func (rs *rankState) copyDat(name string, dst, src *ops.Dat) {
 		func(a []*ops.Acc, _ []float64, n int) { copy(a[1].Row(0, 0, n), a[0].Row(0, 0, n)) })
 }
 
-func (rs *rankState) setField() { rs.copyDat("set_field", rs.energy1, rs.energy0) }
+func (rs *rankState) SetField() { rs.copyDat("set_field", rs.energy1, rs.energy0) }
 
-func (rs *rankState) resetField() { rs.copyDat("reset_field", rs.energy0, rs.energy1) }
+func (rs *rankState) ResetField() { rs.copyDat("reset_field", rs.energy0, rs.energy1) }
 
-func (rs *rankState) fieldSummary() driver.Totals {
+func (rs *rankState) FieldSummary() driver.Totals {
 	vol := rs.mesh.CellVolume()
 	red := rs.ctx.ParLoopRedDeferredRow("field_summary", rs.block, rs.interior(), 4,
 		[]ops.Arg{
@@ -174,6 +178,7 @@ func (rs *rankState) fieldSummary() driver.Totals {
 			red[0], red[1] = kern.VolMass(red[0], red[1], density, vol)
 			red[2], red[3] = kern.EnergyTemp(red[2], red[3], density, a[1].Row(0, 0, n), a[2].Row(0, 0, n), vol)
 		}).Values()
+	rs.rank.AllreduceVecInPlace(red)
 	return driver.Totals{Volume: red[0], Mass: red[1], InternalEnergy: red[2], Temperature: red[3]}
 }
 
@@ -189,7 +194,7 @@ const (
 
 func tag(fid driver.FieldID, dir int) int { return int(fid)*numDirs + dir }
 
-func (rs *rankState) haloExchange(fields []driver.FieldID, depth int) {
+func (rs *rankState) HaloExchange(fields []driver.FieldID, depth int) {
 	// Packing reads dats on the host, so any deferred loops must land
 	// before a rank with neighbours exchanges. A single-chunk run's
 	// reflective boundary is pure ParLoops, so it stays queueable and a
@@ -321,7 +326,7 @@ func (rs *rankState) unpackRows(d *ops.Dat, j0, h int, buf []float64) {
 // versions share; a[k].Row(dx, dy, n) is argument k's n-cell view of one
 // stencil arm of the segment.
 
-func (rs *rankState) solveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
+func (rs *rankState) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
 	rs.precond = precond
 	recip := coef == config.RecipConductivity
 	rs.ctx.ParLoopRow("tea_leaf_init", rs.block, rs.fullRange(),
@@ -349,7 +354,7 @@ func (rs *rankState) solveInit(coef config.Coefficient, rx, ry float64, precond 
 			kern.FaceCoefRow(a[1].Row(-1, 0, n+1), a[2].Row(-1, 0, n+1),
 				a[0].Row(-1, 0, n+1), a[0].Row(-1, -1, n+1), rx, ry, 2, n-2)
 		})
-	rs.calcResidual()
+	rs.CalcResidual()
 	if precond == config.PrecondJacDiag {
 		rs.ctx.ParLoopRow("tea_leaf_init_mi", rs.block, rs.interior(),
 			[]ops.Arg{
@@ -362,7 +367,7 @@ func (rs *rankState) solveInit(coef config.Coefficient, rx, ry float64, precond 
 			})
 	}
 	if precond != config.PrecondNone {
-		rs.applyPrecond()
+		rs.ApplyPrecond()
 	}
 }
 
@@ -393,7 +398,7 @@ func rowApplyA(a []*ops.Acc, dst *ops.Acc, n int) {
 		1, n)
 }
 
-func (rs *rankState) calcResidual() {
+func (rs *rankState) CalcResidual() {
 	args := append(rs.operatorArgs(rs.u),
 		ops.ArgDat(rs.u0, sPoint, ops.Read),
 		ops.ArgDat(rs.r, sPoint, ops.Write))
@@ -405,8 +410,12 @@ func (rs *rankState) calcResidual() {
 		})
 }
 
-// dot is the interior dot product of one dat with itself or of two dats.
-// Every dot product goes through ParLoopRedDeferredRow: the reducing loop
+// global allreduces a reducing loop's rank partial into the value every
+// rank of the world returns. Reading the partial is what flushes the loop.
+func (rs *rankState) global(red *ops.Reduction) float64 { return rs.rank.AllreduceSum(red.Value()) }
+
+// dot is the global interior dot product of one dat with itself or of two
+// dats. Every dot product goes through ParLoopRedDeferredRow: the reducing loop
 // joins whatever chain is queued (cg_calc_p, reflective halo loops, ...) and
 // the handle's Value() call is the true synchronisation point that flushes
 // the whole chain — on a tiling context consecutive CG-iteration loops
@@ -416,15 +425,15 @@ func (rs *rankState) dot(name string, dats ...*ops.Dat) float64 {
 	for i, d := range dats {
 		args[i] = ops.ArgDat(d, sPoint, ops.Read)
 	}
-	return rs.ctx.ParLoopRedDeferredRow(name, rs.block, rs.interior(), 1, args,
+	return rs.global(rs.ctx.ParLoopRedDeferredRow(name, rs.block, rs.interior(), 1, args,
 		func(a []*ops.Acc, red []float64, n int) {
 			red[0] = kern.DotAcc(red[0], a[0].Row(0, 0, n), a[len(a)-1].Row(0, 0, n))
-		}).Value()
+		}))
 }
 
-func (rs *rankState) norm2R() float64 { return rs.dot("norm2_r", rs.r) }
+func (rs *rankState) Norm2R() float64 { return rs.dot("norm2_r", rs.r) }
 
-func (rs *rankState) dotRZ() float64 { return rs.dot("dot_rz", rs.r, rs.z) }
+func (rs *rankState) DotRZ() float64 { return rs.dot("dot_rz", rs.r, rs.z) }
 
 // precondSrc is the dat CG and Chebyshev take their direction from.
 func (rs *rankState) precondSrc(precond bool) *ops.Dat {
@@ -434,7 +443,7 @@ func (rs *rankState) precondSrc(precond bool) *ops.Dat {
 	return rs.r
 }
 
-func (rs *rankState) applyPrecond() {
+func (rs *rankState) ApplyPrecond() {
 	if rs.precond == config.PrecondJacBlock {
 		rs.blockSolve()
 		return
@@ -475,8 +484,8 @@ func (rs *rankState) blockSolve() {
 	rs.ctx.Flush()
 }
 
-func (rs *rankState) cgInitP(precond bool) float64 {
-	return rs.ctx.ParLoopRedDeferredRow("cg_init_p", rs.block, rs.interior(), 1,
+func (rs *rankState) CGInitP(precond bool) float64 {
+	return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_init_p", rs.block, rs.interior(), 1,
 		[]ops.Arg{
 			ops.ArgDat(rs.precondSrc(precond), sPoint, ops.Read),
 			ops.ArgDat(rs.r, sPoint, ops.Read),
@@ -484,16 +493,16 @@ func (rs *rankState) cgInitP(precond bool) float64 {
 		},
 		func(a []*ops.Acc, red []float64, n int) {
 			red[0] = kern.CopyDot(red[0], a[2].Row(0, 0, n), a[0].Row(0, 0, n), a[1].Row(0, 0, n))
-		}).Value()
+		}))
 }
 
-func (rs *rankState) cgCalcW() float64 {
+func (rs *rankState) CGCalcW() float64 {
 	args := append(rs.operatorArgs(rs.p), ops.ArgDat(rs.w, sPoint, ops.Write))
-	return rs.ctx.ParLoopRedDeferredRow("cg_calc_w", rs.block, rs.interior(), 1, args,
+	return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_calc_w", rs.block, rs.interior(), 1, args,
 		func(a []*ops.Acc, red []float64, n int) {
 			rowApplyA(a, a[3], n)
 			red[0] = kern.DotAcc(red[0], a[0].Row(0, 0, n), a[3].Row(0, 0, n))
-		}).Value()
+		}))
 }
 
 // urArgs are the arguments of the CG solution/residual update; extra follow.
@@ -514,60 +523,60 @@ func rowUpdateUR(a []*ops.Acc, alpha float64, n int) []float64 {
 	return r
 }
 
-func (rs *rankState) cgCalcUR(alpha float64, precond bool) float64 {
+func (rs *rankState) CGCalcUR(alpha float64, precond bool) float64 {
 	if precond {
 		rs.ctx.ParLoopRow("cg_calc_ur_update", rs.block, rs.interior(), rs.urArgs(),
 			func(a []*ops.Acc, _ []float64, n int) { rowUpdateUR(a, alpha, n) })
-		rs.applyPrecond()
-		return rs.dotRZ()
+		rs.ApplyPrecond()
+		return rs.DotRZ()
 	}
-	return rs.ctx.ParLoopRedDeferredRow("cg_calc_ur", rs.block, rs.interior(), 1, rs.urArgs(),
+	return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_calc_ur", rs.block, rs.interior(), 1, rs.urArgs(),
 		func(a []*ops.Acc, red []float64, n int) {
 			r := rowUpdateUR(a, alpha, n)
 			red[0] = kern.DotAcc(red[0], r, r)
-		}).Value()
+		}))
 }
 
-// cgCalcWFused implements the port's FusedWDot capability: cg_calc_w is
+// CGCalcWFused implements the port's FusedWDot capability: cg_calc_w is
 // already a single multi-output ParLoopRed (operator write + p·w
 // reduction), so the fused entry point reuses it.
-func (rs *rankState) cgCalcWFused() float64 { return rs.cgCalcW() }
+func (rs *rankState) CGCalcWFused() float64 { return rs.CGCalcW() }
 
-// cgCalcURFused fuses the u/r update, the diagonal preconditioner and the
+// CGCalcURFused fuses the u/r update, the diagonal preconditioner and the
 // r·z reduction into one multi-output ParLoopRed: the loop reads p, w and
 // mi, read-modify-writes u and r, writes z and reduces r·z — one sweep
 // where the unfused sequence takes three. The jac_block line solve is a
 // whole-row stencil that cannot run point-wise, so that case falls back to
 // the unfused sequence (identical results, more sweeps).
-func (rs *rankState) cgCalcURFused(alpha float64, precond bool) float64 {
+func (rs *rankState) CGCalcURFused(alpha float64, precond bool) float64 {
 	if !precond {
-		return rs.cgCalcUR(alpha, false) // already a single reducing loop
+		return rs.CGCalcUR(alpha, false) // already a single reducing loop
 	}
 	if rs.precond == config.PrecondJacBlock {
-		return rs.cgCalcUR(alpha, true)
+		return rs.CGCalcUR(alpha, true)
 	}
-	return rs.ctx.ParLoopRedDeferredRow("cg_calc_ur_fused", rs.block, rs.interior(), 1,
+	return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_calc_ur_fused", rs.block, rs.interior(), 1,
 		rs.urArgs(ops.ArgDat(rs.mi, sPoint, ops.Read), ops.ArgDat(rs.z, sPoint, ops.Write)),
 		func(a []*ops.Acc, red []float64, n int) {
 			r, z := rowUpdateUR(a, alpha, n), a[5].Row(0, 0, n)
 			kern.Mul(z, a[4].Row(0, 0, n), r)
 			red[0] = kern.DotAcc(red[0], r, z)
-		}).Value()
+		}))
 }
 
-func (rs *rankState) cgCalcP(beta float64, precond bool) {
+func (rs *rankState) CGCalcP(beta float64, precond bool) {
 	rs.ctx.ParLoopRow("cg_calc_p", rs.block, rs.interior(),
 		[]ops.Arg{ops.ArgDat(rs.precondSrc(precond), sPoint, ops.Read), ops.ArgDat(rs.p, sPoint, ops.RW)},
 		func(a []*ops.Acc, _ []float64, n int) { kern.XPBY(a[1].Row(0, 0, n), a[0].Row(0, 0, n), beta) })
 }
 
-func (rs *rankState) jacobiCopyU() { rs.copyDat("jacobi_copy_u", rs.un, rs.u) }
+func (rs *rankState) JacobiCopyU() { rs.copyDat("jacobi_copy_u", rs.un, rs.u) }
 
-func (rs *rankState) jacobiIterate() float64 {
+func (rs *rankState) JacobiIterate() float64 {
 	args := append(rs.operatorArgs(rs.un),
 		ops.ArgDat(rs.u0, sPoint, ops.Read),
 		ops.ArgDat(rs.u, sPoint, ops.Write))
-	return rs.ctx.ParLoopRedDeferredRow("jacobi_solve", rs.block, rs.interior(), 1, args,
+	return rs.global(rs.ctx.ParLoopRedDeferredRow("jacobi_solve", rs.block, rs.interior(), 1, args,
 		func(a []*ops.Acc, red []float64, n int) {
 			red[0] = kern.JacobiRow(red[0],
 				a[4].Row(-1, 0, n+1),
@@ -579,7 +588,7 @@ func (rs *rankState) jacobiIterate() float64 {
 				a[2].Row(-1, 0, n+1),
 				a[2].Row(-1, 1, n+1),
 				1, n)
-		}).Value()
+		}))
 }
 
 // sdUArgs are the arguments of the Chebyshev direction kernels: the
@@ -592,14 +601,14 @@ func (rs *rankState) sdUArgs(precond bool, sdMode ops.AccessMode) []ops.Arg {
 	}
 }
 
-func (rs *rankState) chebyInit(theta float64, precond bool) {
+func (rs *rankState) ChebyInit(theta float64, precond bool) {
 	rs.ctx.ParLoopRow("cheby_init", rs.block, rs.interior(), rs.sdUArgs(precond, ops.Write),
 		func(a []*ops.Acc, _ []float64, n int) {
 			kern.ChebyInitRow(a[1].Row(0, 0, n), a[2].Row(0, 0, n), a[0].Row(0, 0, n), theta)
 		})
 }
 
-func (rs *rankState) chebyIterate(alpha, beta float64, precond bool) {
+func (rs *rankState) ChebyIterate(alpha, beta float64, precond bool) {
 	// r -= A sd, through w like every other version.
 	args := append(rs.operatorArgs(rs.sd),
 		ops.ArgDat(rs.w, sPoint, ops.Write),
@@ -611,7 +620,7 @@ func (rs *rankState) chebyIterate(alpha, beta float64, precond bool) {
 			kern.Sub(r, r, a[3].Row(0, 0, n))
 		})
 	if precond {
-		rs.applyPrecond()
+		rs.ApplyPrecond()
 	}
 	rs.ctx.ParLoopRow("cheby_calc_sd_u", rs.block, rs.interior(), rs.sdUArgs(precond, ops.RW),
 		func(a []*ops.Acc, _ []float64, n int) {
@@ -619,7 +628,7 @@ func (rs *rankState) chebyIterate(alpha, beta float64, precond bool) {
 		})
 }
 
-func (rs *rankState) ppcgInitInner(theta float64) {
+func (rs *rankState) PPCGInitInner(theta float64) {
 	rs.ctx.ParLoopRow("ppcg_init_inner", rs.block, rs.interior(),
 		[]ops.Arg{
 			ops.ArgDat(rs.r, sPoint, ops.Read),
@@ -632,7 +641,7 @@ func (rs *rankState) ppcgInitInner(theta float64) {
 		})
 }
 
-func (rs *rankState) ppcgInnerIterate(alpha, beta float64) {
+func (rs *rankState) PPCGInnerIterate(alpha, beta float64) {
 	args := append(rs.operatorArgs(rs.sd), ops.ArgDat(rs.w, sPoint, ops.Write))
 	rs.ctx.ParLoopRow("ppcg_calc_w", rs.block, rs.interior(), args,
 		func(a []*ops.Acc, _ []float64, n int) { rowApplyA(a, a[3], n) })
@@ -648,13 +657,13 @@ func (rs *rankState) ppcgInnerIterate(alpha, beta float64) {
 		})
 }
 
-func (rs *rankState) ppcgFinishInner() {
+func (rs *rankState) PPCGFinishInner() {
 	rs.ctx.ParLoopRow("ppcg_finish_inner", rs.block, rs.interior(),
 		[]ops.Arg{ops.ArgDat(rs.z, sPoint, ops.RW), ops.ArgDat(rs.sd, sPoint, ops.Read)},
 		func(a []*ops.Acc, _ []float64, n int) { kern.Add(a[0].Row(0, 0, n), a[1].Row(0, 0, n)) })
 }
 
-func (rs *rankState) solveFinalise() {
+func (rs *rankState) SolveFinalise() {
 	rs.ctx.ParLoopRow("tea_leaf_finalise", rs.block, rs.interior(),
 		[]ops.Arg{
 			ops.ArgDat(rs.u, sPoint, ops.Read),
@@ -672,12 +681,12 @@ const (
 	tagFetchData
 )
 
-// fetchField gathers the dat's interior onto rank 0 in global row-major
-// order (downloading from the device first on the CUDA backend).
-// restoreField is fetchField's inverse. Every rank sees the same global
-// slab (captured by the do() closure), so each writes its own chunk window
-// into its dat and re-uploads — no gather/scatter messaging at all.
-func (rs *rankState) restoreField(id driver.FieldID, data []float64) {
+// FetchField gathers the dat's interior onto rank 0 in global row-major
+// order (downloading from the device first on the CUDA backend); other
+// ranks return nil. RestoreField is FetchField's inverse. Every rank is
+// handed the same global slab, so each writes its own chunk window into its
+// dat and re-uploads — no gather/scatter messaging at all.
+func (rs *rankState) RestoreField(id driver.FieldID, data []float64) {
 	// A rollback restore abandons the failed step: any loops still queued
 	// belong to the state being thrown away, so discard them (and invalidate
 	// their pending reduction handles) instead of letting them execute
@@ -695,7 +704,7 @@ func (rs *rankState) restoreField(id driver.FieldID, data []float64) {
 	d.Upload()
 }
 
-func (rs *rankState) fetchField(id driver.FieldID) []float64 {
+func (rs *rankState) FetchField(id driver.FieldID) []float64 {
 	rs.ctx.Flush()
 	d := rs.byID[id]
 	d.Download()

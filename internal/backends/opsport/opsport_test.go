@@ -75,7 +75,7 @@ func TestTiledActuallyTiles(t *testing.T) {
 	if _, err := driver.Run(cfg, p, solver.New(solver.FromConfig(&cfg)), nil); err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
+	st := p.TilingSnapshot()
 	if st.Tiles == 0 {
 		t.Error("tiled variant executed no tiles")
 	}

@@ -1,6 +1,57 @@
 package comm
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
+
+// TestSteadyStateAllocsWithDeadline pins the zero-allocation contract with a
+// collective deadline installed, as `tealeaf -deadline` runs: a receive or
+// barrier arms its deadline timer only when it parks, so a steady-state
+// halo exchange and a field-summary AllreduceVecInPlace between two ranks
+// allocate nothing. Rank 0 runs on the test's goroutine and rank 1 on a
+// helper goroutine, handed each step over a channel.
+func TestSteadyStateAllocsWithDeadline(t *testing.T) {
+	const stripLen = 512
+	w := NewWorld(2)
+	w.SetCollectiveTimeout(time.Minute)
+	ranks := w.Ranks()
+	steps, done := make(chan func(*Rank)), make(chan struct{})
+	defer close(steps)
+	go func() {
+		for step := range steps {
+			step(ranks[1])
+			done <- struct{}{}
+		}
+	}()
+	both := func(step func(*Rank)) func() {
+		return func() {
+			steps <- step
+			step(ranks[0])
+			<-done
+		}
+	}
+	var pack, recv [2][stripLen]float64
+	var sums [2][4]float64
+	halo := both(func(r *Rank) {
+		peer := 1 - r.ID()
+		r.Send(peer, 1, pack[r.ID()][:])
+		r.RecvInto(peer, 1, recv[r.ID()][:])
+	})
+	allreduce := both(func(r *Rank) {
+		sums[r.ID()] = [4]float64{1, float64(r.ID()), 2, 10}
+		r.AllreduceVecInPlace(sums[r.ID()][:])
+	})
+	for i := 0; i < 4; i++ { // prime the payload free list
+		halo()
+	}
+	if n := testing.AllocsPerRun(200, halo); n != 0 {
+		t.Errorf("halo exchange with a deadline: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, allreduce); n != 0 {
+		t.Errorf("AllreduceVecInPlace with a deadline: %v allocs/op, want 0", n)
+	}
+}
 
 // The benchmarks below pin the zero-allocation contract of the runtime's
 // steady state: once the payload free list is primed (a handful of warm-up

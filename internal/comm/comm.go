@@ -9,14 +9,22 @@
 // ports retain the communication structure and costs (copies plus
 // synchronisation) of their MPI originals.
 //
-// Concurrency and ownership: each Rank is owned by exactly one goroutine —
-// the one Run spawned for it — and a Rank's methods must only be called
-// from that goroutine, mirroring MPI's one-process-per-rank model. The
-// World owns the mailboxes and collective state that connect ranks; message
-// payloads are copied on send, so a sender may reuse its buffer immediately
-// and ranks never share mutable field memory. Run returns only after every
-// rank's function has returned (or a fault-injected kill has been
-// collected), after which the World must not be reused.
+// Concurrency and ownership: a Rank's methods are called by one goroutine
+// at a time, mirroring MPI's one-process-per-rank model. That is the
+// goroutine Run started for the rank or, for a handle from Ranks, whichever
+// goroutine the caller hands it to, provided each hand-over is ordered by a
+// happens-before edge (a channel operation, a mutex, an atomic publish and
+// its observation). The World owns the mailboxes and collective state that
+// connect ranks; message payloads are copied on send, so a sender may reuse
+// its buffer immediately and ranks never share mutable field memory. Run
+// returns only after every rank's function has returned (or a
+// fault-injected kill has been collected).
+//
+// In-process waits — a receive whose message has not arrived, a barrier
+// some rank has not reached — first spin with the shared runtime's bounded
+// busy-wait (par.Spin) and only then park on a condition variable, so a
+// handoff between ranks that are running on their own cores costs no
+// scheduler round-trip.
 package comm
 
 import (
@@ -30,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 )
 
 // message is one point-to-point transfer. Payloads are copied on send so a
@@ -76,6 +86,7 @@ type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []message
+	seq     atomic.Uint64 // bumped by every put, so a spinning receiver sees arrivals
 }
 
 func newMailbox() *mailbox {
@@ -84,36 +95,81 @@ func newMailbox() *mailbox {
 	return m
 }
 
+// put queues msg. The sequence bump comes after the unlock, so a spinning
+// receiver that sees it finds the mailbox lock free; the message is already
+// queued by then, so the receiver's rescan cannot miss it.
 func (m *mailbox) put(msg message) {
 	m.mu.Lock()
 	m.pending = append(m.pending, msg)
 	m.mu.Unlock()
+	m.seq.Add(1)
 	m.cond.Broadcast()
 }
 
-// get blocks until a matching message arrives. It aborts — by panicking
-// with a cause World.Run's recovery wraps into a RankError — when the world
-// is torn down under it or, with a collective deadline installed, when the
-// message does not arrive in time (a dead or stalled sender).
-func (m *mailbox) get(w *World, rank, src, tag int) message {
-	var expired bool
-	if w.timeout > 0 {
-		timer := time.AfterFunc(w.timeout, func() {
-			m.mu.Lock()
-			expired = true
-			m.mu.Unlock()
-			m.cond.Broadcast()
-		})
-		defer timer.Stop()
+// take removes and returns the oldest pending message from (src, tag).
+// m.mu must be held.
+func (m *mailbox) take(src, tag int) (message, bool) {
+	for i, msg := range m.pending {
+		if msg.src == src && msg.tag == tag {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			return msg, true
+		}
 	}
+	return message{}, false
+}
+
+// get blocks until a matching message arrives: in an in-process world it
+// spins on the mailbox's sequence number (par.Spin), rescanning after each
+// arrival, then parks on the condition variable. It aborts — by panicking with a cause the
+// driving goroutine's recovery wraps into a RankError — when the world is
+// torn down under it or, with a collective deadline installed, when the
+// message does not arrive within the deadline of entry (a dead or stalled
+// sender). The deadline's timer is armed only on the path that parks, so a
+// receive that finds its message queued or arriving while it spins
+// allocates nothing.
+func (m *mailbox) get(w *World, rank, src, tag int) message {
+	m.mu.Lock()
+	msg, ok := m.take(src, tag)
+	seq := m.seq.Load()
+	m.mu.Unlock()
+	if ok {
+		return msg
+	}
+	var start time.Time
+	if w.timeout > 0 {
+		start = time.Now()
+	}
+	// Only an in-process sender is worth spinning for: it is a goroutine of
+	// this process, running now. A message over a socket is a wire round
+	// trip away, and its sender may need the very CPU a spin would burn.
+	if !w.dist {
+		par.Spin(func() bool {
+			if s := m.seq.Load(); s != seq {
+				seq = s
+				m.mu.Lock()
+				msg, ok = m.take(src, tag)
+				m.mu.Unlock()
+			}
+			return ok || w.aborted.Load()
+		})
+		if ok {
+			return msg
+		}
+	}
+	var (
+		expired bool // guarded by m.mu
+		timer   *time.Timer
+	)
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		for i, msg := range m.pending {
-			if msg.src == src && msg.tag == tag {
-				m.pending = append(m.pending[:i], m.pending[i+1:]...)
-				return msg
-			}
+		if msg, ok := m.take(src, tag); ok {
+			return msg
 		}
 		if w.aborted.Load() {
 			panic(ErrWorldAborted)
@@ -121,6 +177,14 @@ func (m *mailbox) get(w *World, rank, src, tag int) message {
 		if expired {
 			panic(fmt.Errorf("comm: rank %d: recv from rank %d tag %d timed out after %v: %w",
 				rank, src, tag, w.timeout, ErrCollectiveTimeout))
+		}
+		if timer == nil && w.timeout > 0 {
+			timer = time.AfterFunc(w.timeout-time.Since(start), func() {
+				m.mu.Lock()
+				expired = true
+				m.mu.Unlock()
+				m.cond.Broadcast()
+			})
 		}
 		m.cond.Wait()
 	}
@@ -314,7 +378,7 @@ func (w *World) Reset() {
 	}
 	w.bar.mu.Lock()
 	w.bar.waiting = 0
-	w.bar.gen++
+	w.bar.gen.Add(1)
 	w.bar.mu.Unlock()
 	w.bar.cond.Broadcast()
 	w.abortMu.Lock()
@@ -403,8 +467,21 @@ func (w *World) Run(fn func(r *Rank)) error {
 	return errors.Join(out...)
 }
 
-// Rank is one process-equivalent within a World. Rank methods must only be
-// called from the goroutine Run started for that rank.
+// Ranks returns a handle for every rank this process hosts, for a driver
+// that runs them on goroutines of its own instead of through Run (the SPMD
+// runner runs rank 0 on its caller's goroutine). Each handle is used by one
+// goroutine at a time, and recovering a rank's panic — recording it with
+// Abort — becomes the driver's job.
+func (w *World) Ranks() []*Rank {
+	rs := make([]*Rank, len(w.local))
+	for i, id := range w.local {
+		rs[i] = &Rank{world: w, id: id}
+	}
+	return rs
+}
+
+// Rank is one process-equivalent within a World. Its methods are called by
+// one goroutine at a time (see the package comment).
 type Rank struct {
 	world *World
 	id    int
@@ -631,7 +708,7 @@ type barrier struct {
 	cond    *sync.Cond
 	size    int
 	waiting int
-	gen     uint64
+	gen     atomic.Uint64 // bumped under mu; spinning waiters read it without
 }
 
 func (b *barrier) init(size int) {
@@ -639,45 +716,62 @@ func (b *barrier) init(size int) {
 	b.cond = sync.NewCond(&b.mu)
 }
 
-// wait blocks until all ranks arrive. Like mailbox.get it fails by panic —
-// recovered into a RankError by World.Run — when the world aborts or the
-// collective deadline expires before the barrier completes.
+// wait blocks until all ranks arrive: the last to arrive bumps the
+// generation, which earlier arrivals spin on (par.Spin) before they park on
+// the condition variable. Like mailbox.get it fails by panic when the world
+// aborts or the collective deadline, measured from entry, expires before
+// the barrier completes; the deadline's timer is armed only by a waiter
+// that parks, never by the last arrival.
 func (b *barrier) wait(w *World, rank int) {
-	var expired bool
-	if w.timeout > 0 {
-		timer := time.AfterFunc(w.timeout, func() {
-			b.mu.Lock()
-			expired = true
-			b.mu.Unlock()
-			b.cond.Broadcast()
-		})
-		defer timer.Stop()
-	}
 	b.mu.Lock()
-	gen := b.gen
+	gen := b.gen.Load()
 	b.waiting++
 	if b.waiting == b.size {
 		b.waiting = 0
-		b.gen++
+		b.gen.Add(1)
 		b.mu.Unlock()
 		b.cond.Broadcast()
 		return
 	}
-	for gen == b.gen {
+	b.mu.Unlock()
+	var start time.Time
+	if w.timeout > 0 {
+		start = time.Now()
+	}
+	if par.Spin(func() bool { return b.gen.Load() != gen || w.aborted.Load() }) && b.gen.Load() != gen {
+		return
+	}
+	var (
+		expired bool // guarded by b.mu
+		timer   *time.Timer
+	)
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for gen == b.gen.Load() {
 		if w.aborted.Load() {
 			b.waiting--
-			b.mu.Unlock()
 			panic(ErrWorldAborted)
 		}
 		if expired {
 			b.waiting--
-			b.mu.Unlock()
 			panic(fmt.Errorf("comm: rank %d: barrier timed out after %v (%d of %d ranks arrived): %w",
 				rank, w.timeout, b.waiting+1, b.size, ErrCollectiveTimeout))
 		}
+		if timer == nil && w.timeout > 0 {
+			timer = time.AfterFunc(w.timeout-time.Since(start), func() {
+				b.mu.Lock()
+				expired = true
+				b.mu.Unlock()
+				b.cond.Broadcast()
+			})
+		}
 		b.cond.Wait()
 	}
-	b.mu.Unlock()
 }
 
 // Op is a reduction operator for Allreduce.

@@ -113,11 +113,14 @@ func TestWatchdogTimeout(t *testing.T) {
 }
 
 // TestWatchdogBarrierTimeout: a rank that never reaches the barrier trips
-// the deadline on its peers.
+// the deadline on its peers — measured from their entry, so the spin that
+// precedes parking neither shortens nor stretches it beyond a small margin.
 func TestWatchdogBarrierTimeout(t *testing.T) {
+	const timeout, margin = 30 * time.Millisecond, 500 * time.Millisecond
 	w := NewWorld(3)
-	w.SetCollectiveTimeout(30 * time.Millisecond)
+	w.SetCollectiveTimeout(timeout)
 	done := make(chan error, 1)
+	start := time.Now()
 	go func() {
 		done <- w.Run(func(r *Rank) {
 			if r.ID() != 2 { // rank 2 skips the barrier entirely
@@ -130,8 +133,45 @@ func TestWatchdogBarrierTimeout(t *testing.T) {
 		if !errors.Is(err, ErrCollectiveTimeout) {
 			t.Fatalf("err = %v, want ErrCollectiveTimeout", err)
 		}
+		if d := time.Since(start); d < timeout || d > timeout+margin {
+			t.Errorf("barrier timed out after %v, want within [%v, %v]", d, timeout, timeout+margin)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("barrier watchdog did not fire")
+	}
+}
+
+// TestAbortWakesSpinningWaiters: Abort reaches a receiver and a barrier
+// waiter that entered their waits moments before — still spinning on the
+// mailbox sequence or barrier generation, not yet parked on a condition
+// variable — and both fail with ErrWorldAborted.
+func TestAbortWakesSpinningWaiters(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wait func(r *Rank)
+	}{
+		{"recv", func(r *Rank) { r.Recv(1, 5) }},
+		{"barrier", func(r *Rank) { r.Barrier() }},
+	} {
+		w := NewWorld(2)
+		rank := w.Ranks()[0]
+		entered := make(chan struct{})
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			close(entered)
+			c.wait(rank)
+		}()
+		<-entered
+		w.Abort(errors.New("supervisor abort"))
+		select {
+		case pv := <-done:
+			if err, ok := pv.(error); !ok || !errors.Is(err, ErrWorldAborted) {
+				t.Errorf("%s: waiter ended with %v, want ErrWorldAborted", c.name, pv)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Abort did not wake the waiter", c.name)
+		}
 	}
 }
 

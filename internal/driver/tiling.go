@@ -38,6 +38,19 @@ func (s TilingSnapshot) Sub(prev TilingSnapshot) TilingSnapshot {
 	return d
 }
 
+// Add accumulates o's counters into s (shape fields kept from s, the longer
+// chain kept), for summing the ranks of one world.
+func (s *TilingSnapshot) Add(o TilingSnapshot) {
+	s.LoopsEnqueued += o.LoopsEnqueued
+	s.LoopsExecuted += o.LoopsExecuted
+	s.Flushes += o.Flushes
+	s.Tiles += o.Tiles
+	s.Chains += o.Chains
+	s.ChainedLoops += o.ChainedLoops
+	s.MaxChainLen = max(s.MaxChainLen, o.MaxChainLen)
+	s.Discards += o.Discards
+}
+
 // TilingReporter is implemented by ports whose execution layer queues loops
 // and flushes them as skew-tiled chains (the ops port). The snapshot feeds
 // the profiler's gauge section and teaserve's /metrics.

@@ -23,7 +23,9 @@
 // channel when no work arrives; forks wake at most GOMAXPROCS-1 parked
 // workers, because waking more than can physically run only adds scheduler
 // round-trips. The join is a single atomic countdown of completed shares
-// with the same spin-then-park discipline on the leader's side.
+// with the same spin-then-park discipline on the leader's side. That
+// discipline is Spin and Parker, exported so the message-passing runtime and
+// the SPMD runner wait the same way.
 //
 // Reduction partials live in cache-line-padded slots owned by the team and
 // indexed by share, so ReduceSum/ReduceSum2/ReduceMax allocate nothing per
@@ -58,6 +60,72 @@ const cacheLinePad = 128
 // GOMAXPROCS) degrades to cooperative scheduling instead of livelock.
 const spinIters = 4096
 
+// Spin is the runtime's one busy-wait: it polls ready at most spinIters
+// times, yielding to the Go scheduler every 64 polls, and reports whether
+// ready held. false means the budget ran out and the caller should park.
+// Team workers and joins, the SPMD runner's ranks and joins (through
+// Parker) and the in-process comm mailbox and barrier (before they fall
+// back to their condition variables) all wait through it.
+func Spin(ready func() bool) bool {
+	for i := 0; i < spinIters; i++ {
+		if ready() {
+			return true
+		}
+		if i&63 == 63 {
+			runtime.Gosched()
+		}
+	}
+	return false
+}
+
+// Parker is one goroutine's spin-then-park wait slot: Wait spins, then parks
+// on a one-token channel until a Wake. The parked-flag/recheck ordering on
+// both sides (Wait stores parked before re-reading its condition; a waker
+// makes the condition true before reading parked) rules out a lost wakeup;
+// a stale token from an earlier wait only causes one spurious recheck.
+// Padded so adjacent parkers never share a cache line.
+type Parker struct {
+	parked atomic.Bool
+	wake   chan struct{}
+	_      [cacheLinePad - 16]byte
+}
+
+// NewParker returns a Parker ready for use.
+func NewParker() *Parker { return &Parker{wake: make(chan struct{}, 1)} }
+
+// Wait blocks until ready reports true: Spin, then park until Wake. One
+// goroutine at a time waits on p.
+func (p *Parker) Wait(ready func() bool) {
+	if Spin(ready) {
+		return
+	}
+	for {
+		p.parked.Store(true)
+		if ready() {
+			p.parked.Store(false)
+			return
+		}
+		<-p.wake
+		p.parked.Store(false)
+		if ready() {
+			return
+		}
+	}
+}
+
+// Wake hands p's goroutine the wake token if it is parked and reports
+// whether it was. Call it after making the waited-for condition true.
+func (p *Parker) Wake() bool {
+	if !p.parked.Load() {
+		return false
+	}
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+	return true
+}
+
 // loopOp selects what exec runs for the current epoch. The leader publishes
 // the descriptor fields, then resets the share cursor and bumps the epoch;
 // executors read them only after an atomic observation of the reset or the
@@ -81,14 +149,6 @@ const (
 type rslot struct {
 	a, b float64
 	_    [cacheLinePad - 16]byte
-}
-
-// worker is the park state for one worker goroutine, padded for the same
-// reason.
-type worker struct {
-	parked atomic.Bool
-	wake   chan struct{}
-	_      [cacheLinePad - 16]byte
 }
 
 // Team is a persistent group of worker goroutines. The zero value is not
@@ -125,10 +185,8 @@ type Team struct {
 	cursor   atomic.Int64 // shared claim cursor for dynamic/guided schedules
 	_        [cacheLinePad - 8]byte
 
-	leaderParked atomic.Bool
-	done         chan struct{} // the finishing share signals the parked leader
-
-	workers []worker
+	leader  *Parker // the join parks here; the finishing share wakes it
+	workers []*Parker
 	slots   []rslot // per-share reduction slots, reused every call
 }
 
@@ -144,11 +202,11 @@ func NewTeam(n int) *Team {
 	if n == 1 {
 		return t
 	}
-	t.done = make(chan struct{}, 1)
-	t.workers = make([]worker, n-1)
+	t.leader = NewParker()
+	t.workers = make([]*Parker, n-1)
 	for i := range t.workers {
-		t.workers[i].wake = make(chan struct{}, 1)
-		go t.workerLoop(&t.workers[i])
+		t.workers[i] = NewParker()
+		go t.workerLoop(t.workers[i])
 	}
 	return t
 }
@@ -201,51 +259,27 @@ func (t *Team) publish(wakeAll bool) {
 	if wakeAll {
 		budget = len(t.workers)
 	}
-	for i := range t.workers {
+	for _, w := range t.workers {
 		if budget <= 0 {
 			return
 		}
-		w := &t.workers[i]
-		if w.parked.Load() {
-			select {
-			case w.wake <- struct{}{}:
-			default:
-			}
+		if w.Wake() {
 			budget--
 		}
 	}
 }
 
-// join waits for the current epoch's completion count to drain: bounded
-// spin, then park on the done channel. The parked-flag/recheck ordering on
-// both sides (leader stores leaderParked before re-reading pending; a
-// finishing executor decrements pending before reading leaderParked) rules
-// out a lost wakeup; a stale token from a previous epoch only causes one
-// spurious recheck.
+// join waits on the leader's Parker for the current epoch's completion
+// count to drain.
 func (t *Team) join() {
-	for i := 0; i < spinIters; i++ {
-		if t.pending.Load() == 0 {
-			return
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-	t.leaderParked.Store(true)
-	for t.pending.Load() != 0 {
-		<-t.done
-	}
-	t.leaderParked.Store(false)
+	t.leader.Wait(func() bool { return t.pending.Load() == 0 })
 }
 
-// finishUnit counts one completion unit down and, if it was the last and
-// the leader has parked, hands it the wake token.
+// finishUnit counts one completion unit down and, if it was the last, wakes
+// the leader should it have parked.
 func (t *Team) finishUnit() {
-	if t.pending.Add(-1) == 0 && t.leaderParked.Load() {
-		select {
-		case t.done <- struct{}{}:
-		default:
-		}
+	if t.pending.Add(-1) == 0 {
+		t.leader.Wake()
 	}
 }
 
@@ -265,34 +299,18 @@ func (t *Team) claimShares() {
 	}
 }
 
-// awaitEpoch blocks a worker until the team epoch moves past last: bounded
-// spin (yielding periodically), then park on the worker's wake channel. The
-// parked-flag/recheck ordering mirrors join; a spurious wake token just
-// loops back to re-park.
-func (t *Team) awaitEpoch(w *worker, last uint64) uint64 {
-	for i := 0; i < spinIters; i++ {
-		if e := t.epoch.Load(); e != last {
-			return e
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-	for {
-		w.parked.Store(true)
-		if e := t.epoch.Load(); e != last {
-			w.parked.Store(false)
-			return e
-		}
-		<-w.wake
-		w.parked.Store(false)
-		if e := t.epoch.Load(); e != last {
-			return e
-		}
-	}
+// awaitEpoch blocks a worker on its Parker until the team epoch moves past
+// last and returns the new epoch.
+func (t *Team) awaitEpoch(w *Parker, last uint64) uint64 {
+	var e uint64
+	w.Wait(func() bool {
+		e = t.epoch.Load()
+		return e != last
+	})
+	return e
 }
 
-func (t *Team) workerLoop(w *worker) {
+func (t *Team) workerLoop(w *Parker) {
 	var last uint64
 	for {
 		last = t.awaitEpoch(w, last)

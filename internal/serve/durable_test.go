@@ -339,7 +339,10 @@ func TestServeDrainResumesFleetJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Submit(JobSpec{Deck: deck(16, 4), Fleet: true})
+	// Forty steps keep the job running well past its first checkpoint: a
+	// completed fleet job's directory is reclaimed, so a job that finishes
+	// between two polls below would never be seen resumable.
+	st, err := s.Submit(JobSpec{Deck: deck(16, 40), Fleet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +390,7 @@ func TestServeDrainResumesFleetJob(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("resumed fleet job ended %s: %s", final.State, final.Error)
 	}
-	ref := fleetReference(t, mustParse(t, deck(16, 4)), 3)
+	ref := fleetReference(t, mustParse(t, deck(16, 40)), 3)
 	assertTotalsMatch(t, ref, final.Result, "resumed fleet job")
 
 	j2, _ := s2.jobByID(st.ID)

@@ -68,9 +68,16 @@ func TestRetentionNeverEvictsUnfinished(t *testing.T) {
 
 	// A slow job occupies the worker; more queue behind it. All of them are
 	// unfinished and must be immune to eviction.
+	// The first job is big enough (a tenth of a second or more) that a
+	// loaded machine descheduling this goroutine between submissions cannot
+	// let it finish before the check.
 	var pending []string
 	for i := 0; i < 5; i++ {
-		st, err := s.Submit(JobSpec{Deck: deck(64, i+4)})
+		d := deck(64, i+4)
+		if i == 0 {
+			d = deck(192, 20)
+		}
+		st, err := s.Submit(JobSpec{Deck: d})
 		if err != nil {
 			t.Fatal(err)
 		}
