@@ -20,11 +20,11 @@
 // returns only after every rank's function has returned (or a
 // fault-injected kill has been collected).
 //
-// In-process waits — a receive whose message has not arrived, a barrier
-// some rank has not reached — first spin with the shared runtime's bounded
-// busy-wait (par.Spin) and only then park on a condition variable, so a
-// handoff between ranks that are running on their own cores costs no
-// scheduler round-trip.
+// In-process waits — a receive whose message has not arrived from a rank of
+// the same process, a barrier some rank has not reached — first spin with
+// the shared runtime's bounded busy-wait (par.Spin) and only then park on a
+// condition variable, so a handoff between ranks that are running on their
+// own cores costs no scheduler round-trip.
 package comm
 
 import (
