@@ -841,6 +841,14 @@ func (s *Server) admitJob(spec JobSpec, cfg config.Config, cfgHash string) (*job
 	}
 	j.version = version
 	j.status.Version = version
+	// The flight is attached before the push: a worker may pop the job and
+	// read j.flight before this goroutine runs another line.
+	var f *flight
+	if s.cacheable(spec) {
+		j.key = cacheKey(cfgHash, version, spec)
+		f = &flight{key: j.key, leader: j}
+		j.flight = f
+	}
 	if err := s.sched.push(j); err != nil {
 		s.seq--                   // the slot was never used
 		s.releaseVersionLocked(j) // refund the load AND the predicted seconds
@@ -848,13 +856,10 @@ func (s *Server) admitJob(spec JobSpec, cfg config.Config, cfgHash string) (*job
 		return nil, err
 	}
 	s.countSchedDecision(spec)
-	if s.cacheable(spec) {
+	if f != nil {
 		// Counted only after admission: a queue-full rejection is neither
 		// a hit nor a miss, so misses stay reconcilable against solves.
 		s.met.cacheMisses.Inc()
-		j.key = cacheKey(cfgHash, version, spec)
-		f := &flight{key: j.key, leader: j}
-		j.flight = f
 		s.flights[j.key] = f
 	}
 	s.admitLocked(j)
