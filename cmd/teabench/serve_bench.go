@@ -30,7 +30,6 @@ type serveBenchConfig struct {
 	BatchMaxCells int      `json:"batch_max_cells"`
 	BatchMaxJobs  int      `json:"batch_max_jobs"`
 	Versions      []string `json:"versions"`
-	Sched         string   `json:"sched"`
 	Jobs          int      `json:"jobs"`
 	HotDecks      int      `json:"hot_decks"`
 	HotFraction   float64  `json:"hot_fraction"`
@@ -70,7 +69,6 @@ func serveBench(w io.Writer, jsonOut bool) {
 		BatchMaxCells: 4096,
 		BatchMaxJobs:  4,
 		Versions:      []string{"manual-serial"},
-		Sched:         serve.SchedPredictive,
 		Jobs:          400,
 		HotDecks:      4,
 		HotFraction:   0.75,
@@ -79,7 +77,6 @@ func serveBench(w io.Writer, jsonOut bool) {
 		QueueSize:     cfg.QueueSize,
 		Workers:       cfg.Workers,
 		Versions:      cfg.Versions,
-		Sched:         cfg.Sched,
 		CacheSize:     cfg.CacheSize,
 		BatchMaxCells: cfg.BatchMaxCells,
 		BatchMaxJobs:  cfg.BatchMaxJobs,
@@ -204,8 +201,8 @@ func serveBench(w io.Writer, jsonOut bool) {
 	fmt.Fprintf(w, "  micro-batches %8.0f  covering %.0f jobs\n", res.Batches, res.BatchedJobs)
 	fmt.Fprintf(w, "  hit ratio     %8.2f\n", res.CacheHitRatio)
 	fmt.Fprintf(w, "  latency p50   %8.4fs   p99 %8.4fs\n", res.LatencyP50, res.LatencyP99)
-	fmt.Fprintf(w, "  sched (%s) %8.0f decisions, prediction error p50 %.2fx p99 %.2fx\n",
-		cfg.Sched, res.SchedDecisions, res.PredErrP50, res.PredErrP99)
+	fmt.Fprintf(w, "  sched         %8.0f decisions, prediction error p50 %.2fx p99 %.2fx\n",
+		res.SchedDecisions, res.PredErrP50, res.PredErrP99)
 	fmt.Fprintf(w, "  reconciles    %8v  (completed == solves + followers + hits)\n", res.Reconciles)
 }
 

@@ -1,9 +1,10 @@
 // Command teaserve runs the TeaLeaf solver as a long-lived HTTP service:
 // clients POST tea.in decks (or benchmark names) to /v1/solve, a bounded
 // priority queue with weighted-fair admission feeds a worker pool that
-// schedules jobs least-loaded across a pool of registered versions, and the
-// service publishes live Prometheus metrics at /metrics, Chrome trace-event
-// spans at /debug/trace and the standard pprof handlers at /debug/pprof/.
+// schedules each job onto the pool version predicted to finish it soonest,
+// and the service publishes live Prometheus metrics at /metrics, Chrome
+// trace-event spans at /debug/trace and the standard pprof handlers at
+// /debug/pprof/.
 //
 // The request plane dedupes work before it reaches a solver: results are
 // cached content-addressed (the canonical hash of the parsed deck, so
@@ -69,8 +70,7 @@ func run() error {
 		addr     = flag.String("addr", ":8080", "listen address")
 		queue    = flag.Int("queue", 16, "bounded job queue depth; a full queue rejects with 429")
 		workers  = flag.Int("workers", 2, "concurrent solves; each worker runs one job on its own port instance")
-		versions = flag.String("versions", "manual-serial", "comma-separated scheduling pool for unpinned jobs; -sched picks the arbitration policy")
-		sched    = flag.String("sched", serve.SchedPredictive, "version-pick policy for unpinned jobs: predictive (least predicted completion time, model-derived tuning hints) or leastloaded (legacy job-count fallback)")
+		versions = flag.String("versions", "manual-serial", "comma-separated scheduling pool for unpinned jobs; each goes to the member with the least predicted outstanding work")
 		benchDir = flag.String("bench-dir", "", "seed the solve-time predictor from the BENCH_*.json artefacts in this directory at startup (empty: cold-start from the static machine models)")
 		threads  = flag.Int("threads", 0, "threads per process/team for every job's port (0: all cores)")
 		ranks    = flag.Int("ranks", 0, "ranks for distributed versions (0: 4)")
@@ -126,7 +126,6 @@ func run() error {
 		QueueSize: *queue,
 		Workers:   *workers,
 		Versions:  pool,
-		Sched:     *sched,
 		BenchDir:  *benchDir,
 		Params: registry.Params{
 			Threads: *threads,
@@ -180,8 +179,8 @@ func run() error {
 	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("teaserve listening on %s  workers=%d queue=%d sched=%s versions=%s\n",
-			*addr, opts.Workers, opts.QueueSize, opts.Sched, strings.Join(opts.Versions, ","))
+		fmt.Printf("teaserve listening on %s  workers=%d queue=%d versions=%s\n",
+			*addr, opts.Workers, opts.QueueSize, strings.Join(opts.Versions, ","))
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -1,11 +1,12 @@
 // Package serve turns the TeaLeaf solve pipeline into a long-running
 // service: a bounded job queue with admission control, a worker pool that
 // schedules solves across the registered backend versions (pick-by-name or
-// least-loaded), per-job deadlines and resilience policies riding the
-// driver's checkpoint/rollback machinery, and graceful drain. It publishes
-// live metrics and per-kernel trace spans through internal/obs and exposes
-// the whole thing over HTTP (POST /v1/solve, GET /v1/jobs/{id}, /healthz,
-// /metrics, /debug/trace); cmd/teaserve is the binary around it.
+// by predicted completion time), per-job deadlines and resilience policies
+// riding the driver's checkpoint/rollback machinery, and graceful drain. It
+// publishes live metrics and per-kernel trace spans through internal/obs and
+// exposes the whole thing over HTTP (POST /v1/solve, GET /v1/jobs/{id},
+// /healthz, /metrics, /debug/trace); cmd/teaserve is the binary around it.
+// Every job state change is one edge of the lifecycle in lifecycle.go.
 //
 // Concurrency and ownership: a Server owns its queue, its job table and its
 // worker goroutines. Submit may be called from any goroutine (HTTP handlers

@@ -29,7 +29,7 @@ import (
 // errInterrupted is the cancellation cause Drain plants in the interrupt
 // context when its budget expires: in-flight jobs settle as StateInterrupted
 // (resumable by the next server process) instead of failed. It flows through
-// driver.RunResilientCtx and fleet.RunJob as the context cause, so settleJob
+// driver.RunResilientCtx and fleet.RunJob as the context cause, so solved
 // can classify the outcome with errors.Is.
 var errInterrupted = errors.New("serve: job interrupted by server shutdown")
 
@@ -70,23 +70,6 @@ func (s *Server) jobCkptPath(id string) string {
 	return filepath.Join(s.opts.StateDir, "ckpt", id+".ckpt")
 }
 
-// nextAttempt returns the job's dispatch-attempt number and advances it.
-// Guarded by j.mu: compaction snapshots read it from other goroutines.
-func (j *job) nextAttempt() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	a := j.attempt
-	j.attempt++
-	return a
-}
-
-// attempts returns how many dispatch attempts the job has taken.
-func (j *job) attempts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempt
-}
-
 // jappend appends one record, folding the outcome into the journal metrics.
 // Append failures degrade durability but never fail the job: the solve
 // result the client is waiting on is still correct.
@@ -106,46 +89,72 @@ func (s *Server) jappend(rec journal.Record, durable bool) {
 	s.met.journalBytes.Add(float64(n))
 }
 
-// journalSubmit makes an accepted job durable before Submit returns its
-// acknowledgement. A job that completed at admission (cache hit) writes its
-// submit and finish records together under one fsync.
-func (s *Server) journalSubmit(j *job, st JobStatus) {
-	if s.jnl == nil {
-		return
-	}
-	spec, err := json.Marshal(j.spec)
-	if err != nil {
-		s.met.journalErrors.Inc()
-		return
-	}
-	rec := journal.Record{
+// submitRecord, startRecord and finishRecord render a job's journal records
+// from its current state. Submit and finish are fsynced (the submit record is
+// what makes an acknowledgement durable); a start is not — the write reaches
+// the kernel immediately (surviving a process kill), and budget accounting
+// only needs to be right for attempts that observably ran. Caller holds s.mu.
+func (j *job) submitRecord() jwrite {
+	return jwrite{rec: journal.Record{
 		Kind:     journal.KindSubmit,
 		ID:       j.id,
 		Seq:      j.seq,
-		Spec:     spec,
 		Version:  j.version,
 		EventSeq: j.progress.lastSeq(),
-		Wall:     st.Submitted,
-	}
-	if st.State.finished() {
-		s.jappend(rec, false)
-		s.journalFinish(j, st)
-		return
-	}
-	s.jappend(rec, true)
+		Wall:     j.status.Submitted,
+	}, spec: &j.spec, durable: true}
 }
 
-// journalStart records a dispatch attempt. No fsync: the write reaches the
-// kernel immediately (surviving a process kill), and budget accounting only
-// needs to be right for attempts that observably ran.
-func (s *Server) journalStart(j *job, attempt int) {
-	s.jappend(journal.Record{
+func (j *job) startRecord(attempt int) jwrite {
+	return jwrite{rec: journal.Record{
 		Kind:     journal.KindStart,
 		ID:       j.id,
 		Attempt:  attempt,
 		Version:  j.version,
 		EventSeq: j.progress.lastSeq(),
-	}, false)
+	}}
+}
+
+func (j *job) finishRecord() jwrite {
+	return jwrite{rec: journal.Record{
+		Kind:     journal.KindFinish,
+		ID:       j.id,
+		State:    string(j.status.State),
+		Error:    j.status.Error,
+		EventSeq: j.progress.lastSeq(),
+		Wall:     j.status.Finished,
+	}, result: j.status.Result, durable: true, ended: j}
+}
+
+// render marshals the record's spec and result.
+func (x jwrite) render() (journal.Record, error) {
+	rec := x.rec
+	var err error
+	if x.spec != nil {
+		rec.Spec, err = json.Marshal(x.spec)
+	}
+	if x.result != nil && err == nil {
+		rec.Result, err = json.Marshal(x.result)
+	}
+	return rec, err
+}
+
+// journal appends the records lifecycle edges owed, in order. A finish
+// record is the job's last: its on-disk recovery state goes (it can never be
+// resumed again) and the journal gets a chance to compact.
+func (s *Server) journal(w []jwrite) {
+	for _, x := range w {
+		rec, err := x.render()
+		if err != nil {
+			s.met.journalErrors.Inc()
+			continue
+		}
+		s.jappend(rec, x.durable)
+		if x.ended != nil {
+			s.cleanupJobState(x.ended, State(rec.State))
+			s.maybeCompact()
+		}
+	}
 }
 
 // journalProgress advances the job's replay watermark: after a crash the
@@ -160,52 +169,16 @@ func (s *Server) journalProgress(j *job, step int) {
 	}, false)
 }
 
-// journalFinish records the terminal outcome durably, deletes the job's
-// on-disk recovery state (it can never be resumed again) and gives the
-// journal a chance to compact.
-func (s *Server) journalFinish(j *job, st JobStatus) {
-	if s.jnl == nil {
-		return
-	}
-	var res json.RawMessage
-	if st.Result != nil {
-		res, _ = json.Marshal(st.Result)
-	}
-	s.jappend(journal.Record{
-		Kind:     journal.KindFinish,
-		ID:       j.id,
-		State:    string(st.State),
-		Result:   res,
-		Error:    st.Error,
-		EventSeq: j.progress.lastSeq(),
-		Wall:     st.Finished,
-	}, true)
-	s.cleanupJobState(j, st)
-	s.maybeCompact()
-}
-
-// journalInterrupt marks a job cut off by shutdown. Not terminal: replay
-// re-admits it. Durable — it is written at shutdown, when losing it would
-// cost the next process the interrupt watermark.
-func (s *Server) journalInterrupt(j *job) {
-	s.jappend(journal.Record{
-		Kind:     journal.KindInterrupt,
-		ID:       j.id,
-		State:    string(StateInterrupted),
-		EventSeq: j.progress.lastSeq(),
-	}, true)
-}
-
 // cleanupJobState removes the per-job recovery files of a terminal job: the
 // driver checkpoint pair and its lock sidecar, and — for a completed fleet
 // job — the job's fleet directory (a failed or expired fleet job keeps its
 // directory so an operator can inspect or manually resume it).
-func (s *Server) cleanupJobState(j *job, st JobStatus) {
+func (s *Server) cleanupJobState(j *job, st State) {
 	p := s.jobCkptPath(j.id)
 	os.Remove(p)
 	os.Remove(checkpoint.PrevPath(p))
 	os.Remove(p + ".lock")
-	if j.spec.Fleet && st.State == StateDone && s.opts.Fleet.Dir != "" {
+	if j.spec.Fleet && st == StateDone && s.opts.Fleet.Dir != "" {
 		os.RemoveAll(filepath.Join(s.opts.Fleet.Dir, j.id))
 	}
 }
@@ -233,51 +206,27 @@ func (s *Server) maybeCompact() {
 	s.met.journalCompactions.Inc()
 }
 
-// snapshotRecords renders the live job store as journal records — the
-// minimal set whose replay reconstructs the same store. Replay merges by job
-// ID, so these may coexist with (and supersede) the incremental records
-// still in the active segment.
+// snapshotRecords renders the live job store as journal records, in
+// submission order — the minimal set whose replay reconstructs the same
+// store. Replay merges by job ID, so these may coexist with (and supersede)
+// the incremental records still in the active segment.
 func (s *Server) snapshotRecords() []journal.Record {
+	var w []jwrite
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var recs []journal.Record
-	for _, id := range s.order {
-		j := s.jobs[id]
-		spec, err := json.Marshal(j.spec)
-		if err != nil {
-			continue
+	for _, j := range bySeq(s.storeLocked()) {
+		w = append(w, j.submitRecord())
+		if j.attempt > 0 {
+			w = append(w, j.startRecord(j.attempt-1))
 		}
-		st := j.snapshot()
-		recs = append(recs, journal.Record{
-			Kind:     journal.KindSubmit,
-			ID:       id,
-			Seq:      j.seq,
-			Spec:     spec,
-			Version:  j.version,
-			EventSeq: j.progress.lastSeq(),
-			Wall:     st.Submitted,
-		})
-		if a := j.attempts(); a > 0 {
-			recs = append(recs, journal.Record{
-				Kind:    journal.KindStart,
-				ID:      id,
-				Attempt: a - 1,
-				Version: j.version,
-			})
+		if j.phase.finished() {
+			w = append(w, j.finishRecord())
 		}
-		if st.State.finished() {
-			var res json.RawMessage
-			if st.Result != nil {
-				res, _ = json.Marshal(st.Result)
-			}
-			recs = append(recs, journal.Record{
-				Kind:   journal.KindFinish,
-				ID:     id,
-				State:  string(st.State),
-				Result: res,
-				Error:  st.Error,
-				Wall:   st.Finished,
-			})
+	}
+	s.mu.Unlock()
+	recs := make([]journal.Record, 0, len(w))
+	for _, x := range w {
+		if rec, err := x.render(); err == nil {
+			recs = append(recs, rec)
 		}
 	}
 	return recs
@@ -336,12 +285,12 @@ type rjob struct {
 	endedAt   time.Time
 }
 
-// rebuild folds replayed records into the job store: finished jobs are
-// restored verbatim (their results re-seed the cache), unfinished ones are
-// re-admitted and scheduled for resume. It runs inside New before the worker
-// pool starts and before the server is visible to any other goroutine, so it
-// deliberately takes no lock — journalFinish for a non-resumable job ends in
-// maybeCompact, whose snapshot takes s.mu itself.
+// rebuild folds replayed records into the job store and feeds every job
+// through the replay edges: finished jobs are restored verbatim (their
+// results re-seed the cache, and they re-enter the retention index in the
+// order they finished, so the rebuilt store already obeys RetainJobs),
+// unfinished ones are re-admitted and scheduled for resume. It runs inside
+// New before the worker pool starts.
 func (s *Server) rebuild(recs []journal.Record) {
 	byID := make(map[string]*rjob)
 	for _, r := range recs {
@@ -395,7 +344,16 @@ func (s *Server) rebuild(recs []journal.Record) {
 		}
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return byID[ids[a]].seq < byID[ids[b]].seq })
+	sort.Slice(ids, func(a, b int) bool {
+		x, y := byID[ids[a]], byID[ids[b]]
+		if x.finished != y.finished {
+			return x.finished
+		}
+		if x.finished && !x.endedAt.Equal(y.endedAt) {
+			return x.endedAt.Before(y.endedAt)
+		}
+		return x.seq < y.seq
+	})
 
 	for _, id := range ids {
 		rj := byID[id]
@@ -414,160 +372,101 @@ func (s *Server) rebuild(recs []journal.Record) {
 			attempt:  rj.attempt,
 			resumed:  rj.attempt > 0,
 			progress: newProgress(),
-			status: JobStatus{
-				ID:        id,
-				State:     StateQueued,
-				Version:   rj.version,
-				Submitted: rj.submitted,
-			},
+			status:   JobStatus{ID: id, Submitted: rj.submitted},
 		}
 		if specErr == nil {
 			j.cfgHash = cfg.CanonicalHash()
 		}
 		j.progress.seed(rj.watermark)
 		s.replay.Jobs++
+		var cause error
 		switch {
 		case rj.finished:
-			s.restoreFinished(j, rj)
+			s.replay.Finished++
+			o := &outcome{to: phFailed, err: rj.errStr, at: rj.endedAt}
+			if len(rj.result) > 0 {
+				var r JobResult
+				if json.Unmarshal(rj.result, &r) == nil {
+					o.result = &r
+				}
+			}
+			switch rj.state {
+			case StateDone:
+				o.to = phDone
+			case StateExpired:
+				o.to = phExpired
+			}
+			if j.cfgHash != "" && s.cacheable(spec) && j.version != "" {
+				j.key = cacheKey(j.cfgHash, j.version, spec)
+			}
+			s.move(j, restore, o)
+			continue
 		case specErr != nil:
 			// The spec no longer resolves (a registry version removed across
 			// the restart, say): the job cannot run, so it fails typed rather
 			// than resuming into a crash.
-			s.failReplayed(j, fmt.Errorf("serve: replayed job %s no longer resolves: %w", id, specErr))
+			cause = fmt.Errorf("serve: replayed job %s no longer resolves: %w", id, specErr)
 		case spec.Fleet && !s.fleetEnabled():
-			s.failReplayed(j, fmt.Errorf("serve: replayed fleet job %s: fleet is not enabled on this server", id))
+			cause = fmt.Errorf("serve: replayed fleet job %s: fleet is not enabled on this server", id)
 		case rj.attempt >= s.opts.ResumeBudget:
 			s.met.resumeGaveUp.Inc()
 			s.replay.GaveUp++
-			s.failReplayed(j, fmt.Errorf(
+			cause = fmt.Errorf(
 				"serve: resume budget exhausted: job took %d dispatch attempts without finishing (budget %d)",
-				rj.attempt, s.opts.ResumeBudget))
+				rj.attempt, s.opts.ResumeBudget)
 		default:
-			s.resumeReplayed(j)
+			s.resume(j)
+			continue
 		}
+		// A typed terminal failure, journaled so the next replay sees the job
+		// finished.
+		s.move(j, replayFail, &outcome{to: phFailed, result: &JobResult{Partial: true}, err: cause.Error()})
 	}
 }
 
-// restoreFinishedLocked puts an already-terminal replayed job back in the
-// store exactly as it ended, restores its share of the lifecycle counters
-// (so the accepted == completed+expired+failed identity survives restarts)
-// and re-seeds the result cache from completed work. Caller holds s.mu.
-func (s *Server) restoreFinished(j *job, rj *rjob) {
-	var res *JobResult
-	if len(rj.result) > 0 {
-		var r JobResult
-		if json.Unmarshal(rj.result, &r) == nil {
-			res = &r
-		}
-	}
-	j.update(func(st *JobStatus) {
-		st.State = rj.state
-		st.Finished = rj.endedAt
-		st.Error = rj.errStr
-		st.Result = res
-	})
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.met.submitted.Inc()
-	switch rj.state {
-	case StateDone:
-		s.met.completed.Inc()
-	case StateExpired:
-		s.met.expired.Inc()
-	default:
-		s.met.failed.Inc()
-	}
-	j.progress.emit(Event{Type: "done", State: rj.state, Result: res, Error: rj.errStr, Time: rj.endedAt})
-	s.replay.Finished++
-	if rj.state == StateDone && res != nil && j.cfgHash != "" && s.cacheable(j.spec) && j.version != "" {
-		for n := s.cache.put(cacheEntry{
-			key:     cacheKey(j.cfgHash, j.version, j.spec),
-			version: j.version,
-			result:  *res,
-		}); n > 0; n-- {
-			s.met.cacheEvLRU.Inc()
-		}
-	}
-}
-
-// failReplayedLocked settles a replayed job that cannot be resumed with a
-// typed terminal failure, journaled so the next replay sees it finished.
-// Caller holds s.mu.
-func (s *Server) failReplayed(j *job, cause error) {
-	now := time.Now()
-	j.update(func(st *JobStatus) {
-		st.State = StateFailed
-		st.Finished = now
-		st.Error = cause.Error()
-		st.Result = &JobResult{Partial: true}
-	})
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.met.submitted.Inc()
-	s.met.failed.Inc()
-	st := j.snapshot()
-	j.progress.emit(Event{Type: "done", State: StateFailed, Result: st.Result, Error: st.Error})
-	s.journalFinish(j, st)
-}
-
-// resumeReplayedLocked re-admits an unfinished replayed job. Jobs that never
-// started are queued immediately; jobs that had started when the server died
-// wait out a full-jittered backoff first (attempt-scaled), so a job that
-// kills the server cannot hot-loop it. Identical cacheable jobs re-coalesce
-// into one flight, exactly as their original submissions did. Caller holds
-// s.mu.
-func (s *Server) resumeReplayed(j *job) {
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.met.submitted.Inc()
-	s.met.resumed.Inc()
+// resume re-admits an unfinished replayed job. Identical cacheable jobs
+// re-coalesce into one flight, exactly as their original submissions did.
+// A leader that never started is queued immediately; one that had started
+// when the server died waits out a full-jittered backoff first
+// (attempt-scaled), so a job that kills the server cannot hot-loop it.
+func (s *Server) resume(j *job) {
 	s.replay.Resumed++
-
+	s.mu.Lock()
 	if j.version == "" {
 		// The crash beat the submit record's version resolution (possible
 		// only for records from a torn tail): resolve it now.
-		if j.spec.Fleet {
-			j.version = FleetVersion
-			s.load[j.version]++
-		} else {
-			j.version = s.pickVersionLocked(j)
-		}
-		j.update(func(st *JobStatus) { st.Version = j.version })
-	} else {
-		s.load[j.version]++
+		j.version = s.placeLocked(j)
 	}
-
+	e := resumeQueue
 	if s.cacheable(j.spec) && j.cfgHash != "" {
-		k := cacheKey(j.cfgHash, j.version, j.spec)
-		j.key = k
-		if f, ok := s.flights[k]; ok && !f.done {
-			// An identical resumed job already leads a flight: ride it as a
-			// follower instead of solving twice. Followers hold no version
-			// slot, so give back the one taken above.
-			s.load[j.version]--
+		j.key = cacheKey(j.cfgHash, j.version, j.spec)
+		if f, ok := s.flights[j.key]; ok {
+			j.flight, e = f, resumeFollow
 			f.followers = append(f.followers, j)
-			j.progress.emit(Event{Type: "state", State: StateQueued})
-			return
+		} else {
+			j.flight = &flight{key: j.key}
+			s.flights[j.key] = j.flight
 		}
-		f := &flight{key: k, leader: j}
-		j.flight = f
-		s.flights[k] = f
+	}
+	var w []jwrite
+	s.moveLocked(j, e, nil, &w)
+	s.mu.Unlock()
+	s.journal(w)
+	if e == resumeFollow {
+		return
 	}
 
-	s.met.queueDepth.Inc()
-	j.progress.emit(Event{Type: "state", State: StateQueued})
-
-	if j.attempts() == 0 {
+	if j.attempt == 0 {
 		// Never dispatched: nothing to back off from. pushForce cannot fail
 		// here — the server is still being constructed, so it is not
 		// draining, and replayed jobs bypass the admission cap (they were
 		// already admitted once).
 		if err := s.sched.pushForce(j); err != nil {
-			s.interruptUndelivered(j)
+			s.interruptUnstarted(j)
 		}
 		return
 	}
-	delay := driver.BackoffDelay(s.opts.ResumeBackoff, j.attempts())
+	delay := driver.BackoffDelay(s.opts.ResumeBackoff, j.attempt)
 	s.resumeWG.Add(1)
 	go func() {
 		defer s.resumeWG.Done()
@@ -580,32 +479,21 @@ func (s *Server) resumeReplayed(j *job) {
 			// next process instead of racing the drain.
 		}
 		if err := s.sched.pushForce(j); err != nil {
-			s.interruptUndelivered(j)
+			s.interruptUnstarted(j)
 		}
 	}()
 }
 
-// interruptUndelivered settles a resumed job whose re-admission lost the
-// race with Drain: it never started here, so it stays interrupted (no budget
-// burned) and the next process resumes it again.
-func (s *Server) interruptUndelivered(j *job) {
-	j.update(func(st *JobStatus) { st.State = StateInterrupted })
-	j.progress.emit(Event{Type: "state", State: StateInterrupted})
-	s.met.interrupted.Inc()
-	s.met.queueDepth.Dec()
-	s.journalInterrupt(j)
-	s.releaseVersion(j)
+// interruptUnstarted settles a queued leader that shutdown reached before
+// any worker ran it, and in turn each follower its flight promotes: they
+// stay interrupted (no budget burned) and the next process resumes them.
+func (s *Server) interruptUnstarted(j *job) {
+	for j != nil {
+		j = s.move(j, settle, notStarted())
+	}
 }
 
 // interrupted reports whether shutdown has cancelled the interrupt context —
 // the signal for workers to stop dispatching and settle queued jobs as
 // resumable interruptions.
-func (s *Server) interruptedErr() error {
-	if s.intCtx == nil {
-		return nil
-	}
-	if cause := context.Cause(s.intCtx); cause != nil {
-		return fmt.Errorf("serve: job not started: %w", errInterrupted)
-	}
-	return nil
-}
+func (s *Server) interrupted() bool { return context.Cause(s.intCtx) != nil }

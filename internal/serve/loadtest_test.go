@@ -112,9 +112,15 @@ func TestServeLoadSmoke(t *testing.T) {
 		}
 		return v
 	}
-	if sc, ss, sf, sh := scraped("teaserve_jobs_completed_total"), scraped("teaserve_solves_total"),
-		scraped("teaserve_singleflight_followers_total"), scraped("teaserve_cache_hits_total"); sc != ss+sf+sh {
+	sc, ss, sf, sh := scraped("teaserve_jobs_completed_total"), scraped("teaserve_solves_total"),
+		scraped("teaserve_singleflight_followers_total"), scraped("teaserve_cache_hits_total")
+	if sc != ss+sf+sh {
 		t.Errorf("scraped accounting does not reconcile: %v != %v + %v + %v", sc, ss, sf, sh)
+	}
+	// teaserve_solve_seconds times solves that ran to done and nothing else:
+	// cache hits and followers never solved.
+	if sn := scraped("teaserve_solve_seconds_count"); sn != sc-sf-sh {
+		t.Errorf("scraped solve_seconds_count %v != completed %v - followers %v - hits %v", sn, sc, sf, sh)
 	}
 	if sm := scraped("teaserve_cache_misses_total"); sm != solves {
 		// Every miss became exactly one real solve (no failures in this run).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strconv"
 	"testing"
 	"time"
 )
@@ -120,5 +121,40 @@ func TestRetentionByAge(t *testing.T) {
 	}
 	if got := s.met.jobsEvicted.Value(); got != 1 {
 		t.Errorf("jobs_evicted_total = %v, want 1", got)
+	}
+}
+
+// BenchmarkSubmitFullStore times a cache-hit Submit against a store already
+// at RetainJobs, so every admission also evicts a job. Retention costs
+// O(evicted), so the time per Submit does not grow with the bound.
+func BenchmarkSubmitFullStore(b *testing.B) {
+	for _, retain := range []int{64, 4096} {
+		b.Run("retain="+strconv.Itoa(retain), func(b *testing.B) {
+			s, err := New(Options{QueueSize: 4, Workers: 1, CacheSize: 8, RetainJobs: retain})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			spec := JobSpec{Deck: deck(16, 1)}
+			st, err := s.Submit(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for cur := st; !cur.State.finished(); cur, _ = s.Job(st.ID) {
+				time.Sleep(time.Millisecond)
+			}
+			for i := 0; i < retain; i++ {
+				if _, err := s.Submit(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Submit(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -108,8 +108,8 @@ type JobSpec struct {
 	// Benchmark names a built-in deck, e.g. "bm_250" (see config.BenchmarkNames).
 	Benchmark string `json:"benchmark,omitempty"`
 	// Version pins the job to one registry version by name ("manual-omp",
-	// "ops-mpi-tiled", ...). Empty schedules least-loaded across the
-	// server's configured version pool.
+	// "ops-mpi-tiled", ...). Empty lets the scheduler pick from the server's
+	// configured version pool.
 	Version string `json:"version,omitempty"`
 	// Priority is the admission tier: "high", "normal" (the default) or
 	// "low". Dispatch is weighted-fair 4:2:1 across tiers, FIFO within
@@ -189,9 +189,10 @@ type JobStatus struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 }
 
-// job is the server-side record; status is guarded by mu so workers can
-// update while handlers snapshot. version, key and cfgHash are resolved at
-// admission (before the job is visible to any worker) and immutable after.
+// job is the server-side record. Everything below the identity fields is
+// lifecycle state: guarded by Server.mu and written only by moveLocked
+// (version, key and flight are resolved before the job's first edge). status
+// is also guarded by mu, so handlers can snapshot it without Server.mu.
 type job struct {
 	mu       sync.Mutex
 	id       string // immutable copy of status.ID, readable without the lock
@@ -199,20 +200,20 @@ type job struct {
 	spec     JobSpec
 	cfg      config.Config
 	cfgHash  string
-	version  string  // resolved registry version
-	key      string  // cache/singleflight key; "" when uncacheable
-	flight   *flight // singleflight this job leads; nil otherwise
 	progress *progress
-	status   JobStatus
-	// attempt counts dispatch attempts across server restarts (guarded by mu
-	// via nextAttempt/attempts: compaction snapshots read it concurrently).
 	// resumed marks a job re-admitted by journal replay; it is set before the
 	// worker pool starts and read-only after.
-	attempt int
 	resumed bool
-	// predSec is the predicted solve seconds charged against the chosen
-	// version at admission under the predictive scheduler (0 otherwise).
-	// Guarded by Server.mu.
+
+	version string  // resolved registry version
+	key     string  // cache/singleflight key; "" when uncacheable
+	flight  *flight // singleflight this job leads or follows; nil otherwise
+	phase   phase
+	status  JobStatus
+	// attempt counts dispatch attempts across server restarts.
+	attempt int
+	// predSec is the predicted solve seconds charged against the version
+	// when the job last took a version slot.
 	predSec float64
 }
 
@@ -227,26 +228,16 @@ func (j *job) snapshot() JobStatus {
 	return st
 }
 
-func (j *job) update(fn func(*JobStatus)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	fn(&j.status)
-}
-
 // cells is the job's mesh size, the micro-batching admission measure.
 func (j *job) cells() int { return j.cfg.NX * j.cfg.NY }
 
 // flight is one in-flight solve that identical submissions collapse onto:
-// the leader runs, followers wait and complete from its result. If the
-// leader fails or expires, the first follower is promoted and runs (inline
-// on the same worker) under its own policy — a poisoned leader never
-// poisons the queue behind it, and a non-success result is never cached.
-// Guarded by Server.mu.
+// the leader runs, followers wait and complete from its result (see
+// settleFlightLocked). It is in Server.flights exactly while it has a
+// leader. Guarded by Server.mu.
 type flight struct {
 	key       string
-	leader    *job
 	followers []*job
-	done      bool
 }
 
 // Options configures a Server. The zero value serves manual-serial with a
@@ -260,19 +251,16 @@ type Options struct {
 	// Workers is the solve concurrency (<= 0: 2). Each worker runs one job
 	// (or one micro-batch) at a time on its own port instance.
 	Workers int
-	// Versions is the scheduling pool for jobs that do not pin a version;
-	// Sched picks the policy that arbitrates between them. Jobs may still
+	// Versions is the scheduling pool for jobs that do not pin a version:
+	// each goes to the member with the least predicted outstanding work,
+	// and model-derived batching/tiling/block hints apply. Jobs may still
 	// pin any registered version by name. Empty defaults to
 	// ["manual-serial"].
 	Versions []string
-	// Sched selects the version-pick policy for unpinned jobs:
-	// SchedPredictive assigns each job to the pool member with the least
-	// predicted outstanding work (cost model: perfmodel.Predictor, fitted
-	// online from completed solves, cold-started from the static machine
-	// models) and applies model-derived batching/tiling/block hints;
-	// SchedLeastLoaded is the legacy job-count policy. Empty defaults to
-	// SchedLeastLoaded so the zero value keeps the historical behaviour;
-	// anything else is rejected by New.
+	// Sched names the version-pick policy. SchedPredictive is the only one,
+	// and "" means the same; New rejects anything else. The field is kept
+	// only because the repository's benchmark sets it, and goes with the
+	// next change to the benchmark.
 	Sched string
 	// BenchDir, when set, seeds the predictor at startup from the
 	// teabench -json artefacts (BENCH_*.json) found there, so a fresh
@@ -350,8 +338,6 @@ type metrics struct {
 	completed  *obs.Counter
 	expired    *obs.Counter
 	failed     *obs.Counter
-	inflight   *obs.Gauge
-	queueDepth *obs.Gauge
 	latency    *obs.Histogram
 	steps      *obs.Counter
 	iterations *obs.Counter
@@ -371,10 +357,9 @@ type metrics struct {
 	jobsEvicted *obs.Counter
 
 	// Perf-model scheduling: decision counters and prediction error.
-	schedPredictive  *obs.Counter
-	schedLeastLoaded *obs.Counter
-	schedPinned      *obs.Counter
-	predError        *obs.Histogram
+	schedPredictive *obs.Counter
+	schedPinned     *obs.Counter
+	predError       *obs.Histogram
 
 	// Fleet mode: supervised multi-process jobs.
 	fleetJobs       *obs.Counter
@@ -401,9 +386,7 @@ func newMetrics(r *obs.Registry) metrics {
 		completed:  r.Counter("teaserve_jobs_completed_total", "jobs finished successfully"),
 		expired:    r.Counter("teaserve_jobs_expired_total", "jobs ended by deadline expiry with partial stats"),
 		failed:     r.Counter("teaserve_jobs_failed_total", "jobs that errored past every recovery"),
-		inflight:   r.Gauge("teaserve_jobs_inflight", "jobs currently being solved"),
-		queueDepth: r.Gauge("teaserve_queue_depth", "jobs accepted but not yet started"),
-		latency:    r.Histogram("teaserve_solve_seconds", "wall-clock latency of successful solves", nil),
+		latency:    r.Histogram("teaserve_solve_seconds", "wall-clock seconds of solves that ran to done (cache hits and singleflight followers do not solve)", nil),
 		steps:      r.Counter("teaserve_steps_total", "time steps completed across all jobs"),
 		iterations: r.Counter("teaserve_cg_iterations_total", "solver iterations performed across all jobs"),
 		recoveries: r.Counter("teaserve_recoveries_total", "checkpoint rollbacks taken across all jobs"),
@@ -431,8 +414,6 @@ func newMetrics(r *obs.Registry) metrics {
 
 		schedPredictive: r.Counter(`teaserve_sched_decisions_total{policy="predictive"}`,
 			"unpinned version picks made by predicted completion time"),
-		schedLeastLoaded: r.Counter(`teaserve_sched_decisions_total{policy="leastloaded"}`,
-			"unpinned version picks made by the legacy least-loaded job count"),
 		schedPinned: r.Counter(`teaserve_sched_decisions_total{policy="pinned"}`,
 			"scheduling decisions dictated by a job's pinned version"),
 		predError: r.Histogram("teaserve_sched_prediction_error_ratio",
@@ -469,15 +450,9 @@ func newMetrics(r *obs.Registry) metrics {
 	}
 }
 
-// Scheduling policies for Options.Sched.
-const (
-	// SchedPredictive schedules unpinned jobs by predicted completion
-	// time and applies model-derived tuning hints.
-	SchedPredictive = "predictive"
-	// SchedLeastLoaded schedules unpinned jobs by queued+running job
-	// count, the pre-cost-model policy and the fallback.
-	SchedLeastLoaded = "leastloaded"
-)
+// SchedPredictive is the one scheduling policy (see Options.Sched): unpinned
+// jobs go by predicted completion time, with model-derived tuning hints.
+const SchedPredictive = "predictive"
 
 // Server is a running solve service. Create with New, stop with Drain (or
 // Close); all exported methods are safe for concurrent use.
@@ -505,7 +480,7 @@ type Server struct {
 	jnlOnce   sync.Once
 	compactMu sync.Mutex // at most one compaction renders at a time
 
-	mu       sync.Mutex // guards jobs/order/seq/load/flights/cache and admission
+	mu       sync.Mutex // guards the job store, the lifecycle fields of every job and admission
 	draining bool
 	// fleetDegraded latches when a fleet job last finished on a shrunken
 	// fleet — the service lost solve capacity it was configured for — and
@@ -513,17 +488,18 @@ type Server struct {
 	// (/readyz) fails while set; liveness (/healthz) does not.
 	fleetDegraded bool
 	jobs          map[string]*job
-	order         []string
-	seq           int
-	load          map[string]int     // per-version queued+running jobs, for least-loaded
-	predLoad      map[string]float64 // per-version outstanding predicted seconds, for predictive
-	flights       map[string]*flight // key -> in-flight solve identical submissions collapse onto
-	cache         *resultCache       // nil when Options.CacheSize <= 0
+	// retained is the retention index: the finished jobs in the store, in
+	// the order they finished. The retention bounds pop from its head.
+	retained []*job
+	phases   [numPhases]int     // jobs per phase, for the queue and in-flight gauges
+	seq      int                // last job sequence number handed out
+	ledger   map[string]verLoad // per-version outstanding work, what the scheduler balances
+	flights  map[string]*flight // key -> in-flight solve identical submissions collapse onto
+	cache    *resultCache       // nil when Options.CacheSize <= 0
 
 	// pred is the live solve-time model: fitted from every successful
-	// solve (regardless of Sched, so /portability tracks measurements even
-	// under the fallback policy), consulted by the predictive scheduler
-	// and the portability dashboard. It has its own lock.
+	// solve, consulted by the scheduler and the portability dashboard. It
+	// has its own lock.
 	pred *perfmodel.Predictor
 }
 
@@ -546,13 +522,8 @@ func New(opts Options) (*Server, error) {
 	if opts.BatchMaxCells > 0 && opts.BatchMaxJobs <= 0 {
 		opts.BatchMaxJobs = 4
 	}
-	switch opts.Sched {
-	case "":
-		opts.Sched = SchedLeastLoaded
-	case SchedPredictive, SchedLeastLoaded:
-	default:
-		return nil, fmt.Errorf("serve: unknown scheduling policy %q (want %s or %s)",
-			opts.Sched, SchedPredictive, SchedLeastLoaded)
+	if opts.Sched != "" && opts.Sched != SchedPredictive {
+		return nil, fmt.Errorf("serve: unknown scheduling policy %q (the one policy is %s)", opts.Sched, SchedPredictive)
 	}
 	if opts.RetainJobs <= 0 {
 		opts.RetainJobs = 4096
@@ -585,8 +556,7 @@ func New(opts Options) (*Server, error) {
 		intCancel: intCancel,
 		drainCh:   make(chan struct{}),
 		jobs:      make(map[string]*job),
-		load:      make(map[string]int),
-		predLoad:  make(map[string]float64),
+		ledger:    make(map[string]verLoad),
 		flights:   make(map[string]*flight),
 		pred:      perfmodel.NewPredictor(),
 	}
@@ -607,9 +577,8 @@ func New(opts Options) (*Server, error) {
 		})
 	s.reg.GaugeFunc("tealeaf_trace_dropped_spans", "spans evicted from the trace ring buffer; a non-zero value means /debug/trace exports a window, not the whole run",
 		func() float64 { return float64(s.tracer.Dropped()) })
-	for _, name := range opts.Versions {
-		s.load[name] = 0
-	}
+	s.reg.GaugeFunc("teaserve_jobs_inflight", "jobs currently being solved", s.census(phRunning))
+	s.reg.GaugeFunc("teaserve_queue_depth", "jobs accepted but not yet started", s.census(phQueued))
 	s.registerPortabilityGauges()
 	if opts.StateDir != "" {
 		// Replay happens before any worker starts: the rebuilt store and the
@@ -759,7 +728,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, errors.New("serve: fleet jobs are not enabled on this server (no fleet worker binary configured)")
 	}
 
-	j, err := s.admitJob(spec, cfg, cfgHash)
+	j, w, err := s.admit(spec, cfg, cfgHash)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -767,23 +736,22 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	// admission. A worker can journal this job's start (or even finish)
 	// first; replay merges a job's records regardless of order.
 	st := j.snapshot()
-	s.journalSubmit(j, st)
+	s.journal(w)
 	return st, nil
 }
 
-// admitJob is Submit's locked body: the cache / singleflight / queue
-// three-way admission. It returns the admitted job (possibly already
-// finished, on a cache hit).
-func (s *Server) admitJob(spec JobSpec, cfg config.Config, cfgHash string) (*job, error) {
+// admit is Submit's locked body: the cache / singleflight / queue three-way
+// admission. It returns the admitted job (possibly already finished, on a
+// cache hit) and the journal records its admission owes.
+func (s *Server) admit(spec JobSpec, cfg config.Config, cfgHash string) (*job, []jwrite, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.met.rejected.Inc()
-		return nil, ErrDraining
+		return nil, nil, ErrDraining
 	}
 	s.seq++
 	id := fmt.Sprintf("job-%06d", s.seq)
-	now := time.Now()
 	j := &job{
 		id:       id,
 		seq:      s.seq,
@@ -791,13 +759,9 @@ func (s *Server) admitJob(spec JobSpec, cfg config.Config, cfgHash string) (*job
 		cfg:      cfg,
 		cfgHash:  cfgHash,
 		progress: newProgress(),
-		status: JobStatus{
-			ID:        id,
-			State:     StateQueued,
-			Version:   spec.Version,
-			Submitted: now,
-		},
+		status:   JobStatus{ID: id, Submitted: time.Now()},
 	}
+	var w []jwrite
 
 	if s.cacheable(spec) {
 		// Cache lookup across every version that could answer this spec.
@@ -807,23 +771,20 @@ func (s *Server) admitJob(spec JobSpec, cfg config.Config, cfgHash string) (*job
 				s.met.cacheEvTTL.Inc()
 			}
 			if ok {
-				s.admitLocked(j)
-				s.met.cacheHits.Inc()
-				s.finishFromCacheLocked(j, e)
-				return j, nil
+				j.version = e.version
+				r := e.result
+				s.moveLocked(j, admitHit, &outcome{to: phDone, result: &r}, &w)
+				return j, w, nil
 			}
 		}
 		// Singleflight: collapse onto an identical in-flight solve.
 		for _, v := range s.candidateVersions(spec) {
 			k := cacheKey(cfgHash, v, spec)
-			if f, ok := s.flights[k]; ok && !f.done {
-				j.version = v
-				j.key = k
-				j.status.Version = v
+			if f, ok := s.flights[k]; ok {
+				j.version, j.key, j.flight = v, k, f
 				f.followers = append(f.followers, j)
-				s.admitLocked(j)
-				j.progress.emit(Event{Type: "state", State: StateQueued})
-				return j, nil
+				s.moveLocked(j, admitFollow, nil, &w)
+				return j, w, nil
 			}
 		}
 	}
@@ -832,106 +793,21 @@ func (s *Server) admitJob(spec JobSpec, cfg config.Config, cfgHash string) (*job
 	// and batching can group by version), then take a queue slot. Fleet
 	// jobs are accounted under the fleet pseudo-version — they group only
 	// with each other in micro-batches and dispatch to the coordinator.
-	var version string
-	if spec.Fleet {
-		version = FleetVersion
-		s.load[version]++
-	} else {
-		version = s.pickVersionLocked(j)
-	}
-	j.version = version
-	j.status.Version = version
-	// The flight is attached before the push: a worker may pop the job and
-	// read j.flight before this goroutine runs another line.
-	var f *flight
+	j.version = s.placeLocked(j)
 	if s.cacheable(spec) {
-		j.key = cacheKey(cfgHash, version, spec)
-		f = &flight{key: j.key, leader: j}
-		j.flight = f
+		j.key = cacheKey(cfgHash, j.version, spec)
+		j.flight = &flight{key: j.key}
 	}
 	if err := s.sched.push(j); err != nil {
-		s.seq--                   // the slot was never used
-		s.releaseVersionLocked(j) // refund the load AND the predicted seconds
+		s.seq-- // the slot was never used
 		s.met.rejected.Inc()
-		return nil, err
+		return nil, nil, err
 	}
-	s.countSchedDecision(spec)
-	if f != nil {
-		// Counted only after admission: a queue-full rejection is neither
-		// a hit nor a miss, so misses stay reconcilable against solves.
-		s.met.cacheMisses.Inc()
-		s.flights[j.key] = f
+	if j.flight != nil {
+		s.flights[j.key] = j.flight
 	}
-	s.admitLocked(j)
-	s.met.queueDepth.Inc()
-	j.progress.emit(Event{Type: "state", State: StateQueued})
-	return j, nil
-}
-
-// admitLocked registers an accepted job in the store and applies the
-// retention bounds. Caller holds s.mu.
-func (s *Server) admitLocked(j *job) {
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.met.submitted.Inc()
-	s.trimLocked()
-}
-
-// finishFromCacheLocked completes a job from a cached entry without any
-// solve. Caller holds s.mu.
-func (s *Server) finishFromCacheLocked(j *job, e cacheEntry) {
-	now := time.Now()
-	r := e.result
-	var submitted time.Time
-	j.update(func(st *JobStatus) {
-		st.State = StateDone
-		st.Version = e.version
-		st.Started, st.Finished = now, now
-		st.Result = &r
-		st.Cached = true
-		submitted = st.Submitted
-	})
-	j.version = e.version
-	s.met.completed.Inc()
-	s.met.latency.Observe(now.Sub(submitted).Seconds())
-	res := r
-	j.progress.emit(Event{Type: "done", State: StateDone, Result: &res})
-}
-
-// trimLocked enforces the retention bounds: finished jobs beyond RetainJobs
-// (oldest first) or older than RetainAge are evicted from the store.
-// Queued and running jobs are never touched, so the store can exceed
-// RetainJobs transiently under a backlog of live work. Caller holds s.mu.
-func (s *Server) trimLocked() {
-	overCount := len(s.jobs) - s.opts.RetainJobs
-	if overCount <= 0 && s.opts.RetainAge <= 0 {
-		return
-	}
-	now := time.Now()
-	evicted := 0
-	keep := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		st := j.snapshot()
-		tooOld := s.opts.RetainAge > 0 && st.State.finished() &&
-			now.Sub(st.Finished) > s.opts.RetainAge
-		if st.State.finished() && (overCount > 0 || tooOld) {
-			if overCount > 0 {
-				overCount--
-			}
-			delete(s.jobs, id)
-			evicted++
-			continue
-		}
-		keep = append(keep, id)
-	}
-	for i := len(keep); i < len(s.order); i++ {
-		s.order[i] = "" // unpin evicted ids
-	}
-	s.order = keep
-	if evicted > 0 {
-		s.met.jobsEvicted.Add(float64(evicted))
-	}
+	s.moveLocked(j, admitQueue, nil, &w)
+	return j, w, nil
 }
 
 // Job returns a snapshot of one job by ID.
@@ -956,17 +832,29 @@ func (s *Server) jobByID(id string) (*job, bool) {
 // Jobs returns snapshots of every retained job in submission order.
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
-	s.trimLocked() // apply the age bound even between submissions
-	js := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		js = append(js, s.jobs[id])
-	}
+	s.evictLocked(time.Now()) // apply the age bound even between submissions
+	js := s.storeLocked()
 	s.mu.Unlock()
 	out := make([]JobStatus, len(js))
-	for i, j := range js {
+	for i, j := range bySeq(js) {
 		out[i] = j.snapshot()
 	}
 	return out
+}
+
+// storeLocked lists the job store. Caller holds s.mu.
+func (s *Server) storeLocked() []*job {
+	js := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		js = append(js, j)
+	}
+	return js
+}
+
+// bySeq sorts jobs into submission order.
+func bySeq(js []*job) []*job {
+	sort.Slice(js, func(a, b int) bool { return js[a].seq < js[b].seq })
+	return js
 }
 
 // Draining reports whether the server has begun shutting down.
@@ -1044,16 +932,13 @@ func (s *Server) worker() {
 	}
 }
 
-// predictive reports whether the cost-model scheduler is active.
-func (s *Server) predictive() bool { return s.opts.Sched == SchedPredictive }
-
 // batchMaxCells is the micro-batch admission cap for the next dispatch.
-// Under the predictive scheduler the model may tighten the configured cap:
-// a batch should stay within the dispatch-latency budget at the slowest
-// pool member's current fitted rate. It never loosens the operator's cap.
+// The model may tighten the configured cap: a batch should stay within the
+// dispatch-latency budget at the slowest pool member's current fitted rate.
+// It never loosens the operator's cap.
 func (s *Server) batchMaxCells() int {
 	mc := s.opts.BatchMaxCells
-	if mc <= 0 || !s.predictive() {
+	if mc <= 0 {
 		return mc
 	}
 	for _, v := range s.opts.Versions {
@@ -1065,11 +950,11 @@ func (s *Server) batchMaxCells() int {
 }
 
 // paramsFor is the port-build parameter set for one version, with the
-// model's tuning hints applied under the predictive scheduler. Explicit
-// operator settings always win: hints only fill fields left at zero.
+// model's tuning hints applied. Explicit operator settings always win: hints
+// only fill fields left at zero.
 func (s *Server) paramsFor(version string) registry.Params {
 	p := s.opts.Params
-	if !s.predictive() || version == FleetVersion {
+	if version == FleetVersion {
 		return p
 	}
 	h := s.pred.Hints(version)
@@ -1089,93 +974,6 @@ func (j *job) workEstimate() (cells, iters int) {
 	return j.cells(), w.Steps * w.ItersPerStep
 }
 
-// pickVersion resolves a job's version under the configured policy and
-// accounts the job against it.
-func (s *Server) pickVersion(j *job) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pickVersionLocked(j)
-}
-
-// pickVersionLocked: pinned jobs go where they asked; unpinned jobs go to
-// the pool member with the least predicted outstanding work (predictive)
-// or the fewest queued+running jobs (leastloaded). Under the predictive
-// policy the chosen version is also charged the job's predicted seconds,
-// which releaseVersion refunds at settlement. Caller holds s.mu.
-func (s *Server) pickVersionLocked(j *job) string {
-	if v := j.spec.Version; v != "" {
-		s.load[v]++
-		if s.predictive() {
-			cells, iters := j.workEstimate()
-			j.predSec = s.pred.Predict(v, cells, iters).Seconds
-			s.predLoad[v] += j.predSec
-		}
-		return v
-	}
-	if !s.predictive() {
-		best := s.opts.Versions[0]
-		for _, v := range s.opts.Versions[1:] {
-			if s.load[v] < s.load[best] {
-				best = v
-			}
-		}
-		s.load[best]++
-		return best
-	}
-	cells, iters := j.workEstimate()
-	best, bestSec, bestDone := "", 0.0, 0.0
-	for _, v := range s.opts.Versions {
-		sec := s.pred.Predict(v, cells, iters).Seconds
-		done := s.predLoad[v] + sec
-		if best == "" || done < bestDone {
-			best, bestSec, bestDone = v, sec, done
-		}
-	}
-	s.load[best]++
-	j.predSec = bestSec
-	s.predLoad[best] += bestSec
-	return best
-}
-
-// countSchedDecision attributes one admitted job to its policy label.
-// Counted only after the job holds a queue slot, so a queue-full retry
-// storm never inflates the decision counters past the real dispatches
-// (the load smoke reconciles decisions == solves exactly).
-func (s *Server) countSchedDecision(spec JobSpec) {
-	switch {
-	case spec.Fleet:
-		// Fleet routing is not a version decision.
-	case spec.Version != "":
-		s.met.schedPinned.Inc()
-	case s.predictive():
-		s.met.schedPredictive.Inc()
-	default:
-		s.met.schedLeastLoaded.Inc()
-	}
-}
-
-// releaseVersionLocked refunds a job's load accounting (and, under the
-// predictive policy, its outstanding predicted seconds). Caller holds s.mu.
-func (s *Server) releaseVersionLocked(j *job) {
-	s.load[j.version]--
-	if j.predSec > 0 {
-		s.predLoad[j.version] -= j.predSec
-		// Refunds arrive in a different order than charges, so the float
-		// ledger keeps a rounding residue; with no job outstanding it is
-		// exactly zero.
-		if s.predLoad[j.version] < 0 || s.load[j.version] == 0 {
-			s.predLoad[j.version] = 0
-		}
-		j.predSec = 0
-	}
-}
-
-func (s *Server) releaseVersion(j *job) {
-	s.mu.Lock()
-	s.releaseVersionLocked(j)
-	s.mu.Unlock()
-}
-
 // runBatch executes one dispatch — a single job, or a micro-batch of small
 // same-version decks — reusing one port (one team spin-up) across the
 // batch. The port is rebuilt after any failed job: a failure may have left
@@ -1183,9 +981,6 @@ func (s *Server) releaseVersion(j *job) {
 // Promoted singleflight followers run inline on this worker, also on a
 // fresh port.
 func (s *Server) runBatch(batch []*job) {
-	for range batch {
-		s.met.queueDepth.Dec()
-	}
 	if len(batch) > 1 {
 		s.met.batches.Inc()
 		s.met.batchJobs.Add(float64(len(batch)))
@@ -1217,7 +1012,7 @@ func (s *Server) runBatch(batch []*job) {
 				// Port construction failed: fail the job (and let its
 				// followers promote — they would hit the same wall, but
 				// each records its own failure).
-				next = s.finishJob(j, driver.Result{}, 0, fmt.Errorf("serve: building %s port: %w", version, verr))
+				next = s.move(j, settle, solved(&JobResult{}, 0, fmt.Errorf("serve: building %s port: %w", version, verr)))
 				healthy = false
 			} else {
 				next, healthy = s.run(j, port)
@@ -1238,23 +1033,13 @@ func (s *Server) runBatch(batch []*job) {
 // and the readiness latch. Fleet jobs emit state and done progress events
 // but no per-step events (steps happen in the worker processes).
 func (s *Server) runFleet(j *job) {
-	if ierr := s.interruptedErr(); ierr != nil {
-		s.settleJob(j, &JobResult{Partial: true}, 0, ierr)
+	if s.interrupted() {
+		s.move(j, settle, notStarted())
 		return
 	}
-	s.met.inflight.Inc()
-	defer s.met.inflight.Dec()
-
-	start := time.Now()
-	j.update(func(st *JobStatus) {
-		st.State = StateRunning
-		st.Started = start
-	})
-	j.progress.emit(Event{Type: "state", State: StateRunning})
-	s.met.solves.Inc()
-	s.met.fleetJobs.Inc()
-	attempt := j.nextAttempt()
-	s.journalStart(j, attempt)
+	began := time.Now()
+	s.move(j, start, nil)
+	attempt := j.attempt - 1 // this dispatch's number, taken by the start edge
 
 	fo := s.opts.Fleet
 	if j.spec.FleetWorkers > 0 {
@@ -1304,10 +1089,10 @@ func (s *Server) runFleet(j *job) {
 	}
 
 	res, err := fleet.RunJob(ctx, j.cfg, fo)
-	wall := time.Since(start)
+	wall := time.Since(began)
 	s.tracer.Record(obs.Span{
 		Name: j.id + " " + j.version, Cat: "job", TID: j.seq,
-		Start: start, Dur: wall,
+		Start: began, Dur: wall,
 	})
 	s.finishFleetJob(j, res, wall, err)
 }
@@ -1342,36 +1127,25 @@ func (s *Server) finishFleetJob(j *job, res *fleet.Result, wall time.Duration, e
 		s.mu.Unlock()
 	}
 	// Fleet jobs never lead a flight (uncacheable), so no follower returns.
-	s.settleJob(j, result, wall, err)
+	s.move(j, settle, solved(result, wall, err))
 }
 
 // run executes one job on a prebuilt port, returning a promoted follower to
 // run next (nil if none) and whether the port is still safe to reuse.
 func (s *Server) run(j *job, port driver.Kernels) (next *job, healthy bool) {
-	if ierr := s.interruptedErr(); ierr != nil {
+	if s.interrupted() {
 		// Popped after shutdown began: settle as interrupted without a start
 		// record, so the replayed job resumes immediately and the aborted
 		// dispatch never burns resume budget.
-		return s.settleJob(j, &JobResult{Partial: true}, 0, ierr), true
+		return s.move(j, settle, notStarted()), true
 	}
-	s.met.inflight.Inc()
-	defer s.met.inflight.Dec()
-
-	start := time.Now()
-	j.update(func(st *JobStatus) {
-		st.State = StateRunning
-		st.Started = start
-	})
-	j.progress.emit(Event{Type: "state", State: StateRunning})
-	s.met.solves.Inc()
-	s.journalStart(j, j.nextAttempt())
+	s.move(j, start, nil)
 	res, wall, err := s.solve(j, port)
-	next = s.finishJob(j, res, wall, err)
-	return next, err == nil
+	return s.finishJob(j, res, wall, err), err == nil
 }
 
-// finishJob records a job's outcome, completes or promotes its flight, and
-// returns the promoted follower (nil if none).
+// finishJob records a solve's outcome and settles the job, returning the
+// follower its flight promoted (nil if none).
 func (s *Server) finishJob(j *job, res driver.Result, wall time.Duration, err error) *job {
 	result := &JobResult{
 		Steps:           len(res.Steps),
@@ -1393,135 +1167,10 @@ func (s *Server) finishJob(j *job, res driver.Result, wall time.Duration, err er
 	s.met.sdcFixed.Add(float64(res.SDCRecovered))
 	if err == nil && wall > 0 && res.TotalIterations > 0 {
 		// Online recalibration: every successful solve refines the cost
-		// model (under either policy — the portability dashboard reads the
-		// same fits), and the admission-time prediction is scored against
-		// the measured wall so mispredictions are observable in /metrics.
+		// model the scheduler and the portability dashboard read.
 		s.pred.Observe(j.version, j.cells(), res.TotalIterations, wall.Seconds())
-		s.mu.Lock()
-		pred := j.predSec
-		s.mu.Unlock()
-		if pred > 0 {
-			s.met.predError.Observe(math.Abs(pred-wall.Seconds()) / wall.Seconds())
-		}
 	}
-	return s.settleJob(j, result, wall, err)
-}
-
-// settleJob is the outcome-independent tail of job completion: state
-// transition, terminal metrics, the "done" progress event, version release
-// and singleflight settlement. Both the port path (finishJob) and the fleet
-// path (finishFleetJob) land here.
-func (s *Server) settleJob(j *job, result *JobResult, wall time.Duration, err error) *job {
-	finished := time.Now()
-	var state State
-	j.update(func(st *JobStatus) {
-		st.Finished = finished
-		st.Result = result
-		switch {
-		case err == nil:
-			st.State = StateDone
-		case errors.Is(err, errInterrupted):
-			// Shutdown cut the job off. Not terminal: the journal keeps the
-			// job unfinished, and the next server process resumes it.
-			st.State = StateInterrupted
-			st.Error = err.Error()
-			result.Partial = true
-		case errors.Is(err, context.DeadlineExceeded):
-			st.State = StateExpired
-			st.Error = err.Error()
-			result.Partial = true
-		default:
-			st.State = StateFailed
-			st.Error = err.Error()
-			result.Partial = true
-		}
-		state = st.State
-	})
-	switch state {
-	case StateDone:
-		s.met.completed.Inc()
-		s.met.latency.Observe(wall.Seconds())
-	case StateExpired:
-		s.met.expired.Inc()
-	case StateInterrupted:
-		s.met.interrupted.Inc()
-	default:
-		s.met.failed.Inc()
-	}
-	errStr := ""
-	if err != nil {
-		errStr = err.Error()
-	}
-	if state == StateInterrupted {
-		// No "done" event: the progress stream is not over, it continues
-		// (with preserved sequence numbering) after the next server start.
-		j.progress.emit(Event{Type: "state", State: StateInterrupted, Error: errStr})
-		s.journalInterrupt(j)
-	} else {
-		doneRes := *result
-		j.progress.emit(Event{Type: "done", State: state, Result: &doneRes, Error: errStr})
-		s.journalFinish(j, j.snapshot())
-	}
-	s.releaseVersion(j)
-
-	// Singleflight settlement: a successful leader caches its result and
-	// completes every follower; a failed or expired one is never cached and
-	// hands the flight to its first follower, which runs next on this
-	// worker under its own policy.
-	f := j.flight
-	if f == nil {
-		return nil
-	}
-	var followers []*job
-	var next *job
-	s.mu.Lock()
-	switch {
-	case state == StateDone:
-		if s.cache != nil {
-			for n := s.cache.put(cacheEntry{key: f.key, version: j.version, result: *result}); n > 0; n-- {
-				s.met.cacheEvLRU.Inc()
-			}
-		}
-		followers = f.followers
-		f.followers = nil
-		f.done = true
-		delete(s.flights, f.key)
-	case len(f.followers) > 0:
-		next = f.followers[0]
-		f.followers = f.followers[1:]
-		f.leader = next
-		next.flight = f
-	default:
-		f.done = true
-		delete(s.flights, f.key)
-	}
-	s.mu.Unlock()
-	for _, fj := range followers {
-		s.completeFollower(fj, *result)
-	}
-	return next
-}
-
-// completeFollower finishes a coalesced job from its flight leader's
-// result.
-func (s *Server) completeFollower(fj *job, result JobResult) {
-	now := time.Now()
-	r := result
-	var submitted time.Time
-	fj.update(func(st *JobStatus) {
-		st.State = StateDone
-		st.Started = now
-		st.Finished = now
-		st.Result = &r
-		st.Coalesced = true
-		submitted = st.Submitted
-	})
-	s.met.completed.Inc()
-	s.met.followers.Inc()
-	s.met.latency.Observe(now.Sub(submitted).Seconds())
-	res := r
-	fj.progress.emit(Event{Type: "done", State: StateDone, Result: &res})
-	s.journalFinish(fj, fj.snapshot())
+	return s.move(j, settle, solved(result, wall, err))
 }
 
 // solve wires instrumentation onto a prebuilt port and runs the resilient
@@ -1628,15 +1277,15 @@ func (s *Server) solve(j *job, port driver.Kernels) (res driver.Result, wall tim
 		// cumulative), so attribute only this run's delta to the metrics.
 		tilePrev = tiler.TilingSnapshot()
 	}
-	start := time.Now()
+	began := time.Now()
 	res, err = driver.RunResilientCtx(ctx, j.cfg, kernels, solver.New(opt), s.opts.Log, pol)
-	wall = time.Since(start)
+	wall = time.Since(began)
 	if tiler != nil {
 		s.publishTiling(tiler.TilingSnapshot().Sub(tilePrev), totalIters)
 	}
 	s.tracer.Record(obs.Span{
 		Name: j.id + " " + j.version, Cat: "job", TID: j.seq,
-		Start: start, Dur: wall,
+		Start: began, Dur: wall,
 	})
 	s.publishProfile(prof)
 	return res, wall, err

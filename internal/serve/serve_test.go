@@ -186,11 +186,10 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedScheduling queues unpinned jobs against a two-version pool
-// before any can finish and checks the schedule spreads across both members
-// (least-loaded never stacks a second job on a busy version while an idle
-// one exists).
-func TestLeastLoadedScheduling(t *testing.T) {
+// TestPinnedVersionOverridesPool: unpinned jobs land on a pool member and
+// complete, and pinning by name overrides the pool, even for versions
+// outside it.
+func TestPinnedVersionOverridesPool(t *testing.T) {
 	s, err := New(Options{
 		QueueSize: 8, Workers: 2,
 		Versions: []string{"manual-serial", "manual-omp"},
@@ -199,26 +198,6 @@ func TestLeastLoadedScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// White-box: pickVersion accounts each pick against the version it
-	// chose, so concurrent unfinished jobs must spread across the pool
-	// instead of stacking on one member.
-	ja, jb := &job{}, &job{}
-	a := s.pickVersion(ja)
-	b := s.pickVersion(jb)
-	if a == b {
-		t.Errorf("two concurrent picks stacked on %q", a)
-	}
-	ja.version, jb.version = a, b
-	s.releaseVersion(ja)
-	jc := &job{}
-	if c := s.pickVersion(jc); c != a {
-		t.Errorf("after releasing %q the next pick chose %q, want the idle version", a, c)
-	}
-	jc.version = a
-	s.releaseVersion(jc)
-	s.releaseVersion(jb)
-
-	// End to end: unpinned jobs land on some pool member and complete.
 	st, err := s.Submit(JobSpec{Deck: deck(48, 5)})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +210,6 @@ func TestLeastLoadedScheduling(t *testing.T) {
 		t.Errorf("job scheduled on %q, outside the pool", final.Version)
 	}
 
-	// Pinning by name overrides the pool, even for versions outside it.
 	st, err = s.Submit(JobSpec{Deck: deck(48, 2), Version: "kokkos-openmp"})
 	if err != nil {
 		t.Fatal(err)
