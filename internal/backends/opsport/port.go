@@ -77,22 +77,27 @@ func New(opt Options) (*Port, error) {
 	if opt.Ranks > 1 && opt.Backend == ops.BackendCUDA {
 		return nil, fmt.Errorf("opsport: the CUDA backend runs single-chunk (no MPI+CUDA variant in the study)")
 	}
-	name := opt.variantName()
-	return spmd.New(name, comm.NewWorld(opt.Ranks), func(r *comm.Rank) (driver.Kernels, error) {
-		ctx, err := ops.NewContext(ops.Options{
-			Backend:  opt.Backend,
-			Threads:  opt.Threads,
-			Block:    opt.Block,
-			Tiling:   opt.Tiling,
-			TileX:    opt.TileX,
-			TileY:    opt.TileY,
-			TileAuto: opt.TileAuto,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &rankState{name: name, tiling: opt.Tiling, rank: r, ctx: ctx}, nil
+	return spmd.New(opt.variantName(), comm.NewWorld(opt.Ranks), func(r *comm.Rank) (driver.Kernels, error) {
+		return newRankState(opt, r)
 	})
+}
+
+// newRankState builds rank r's kernel set: its own OPS context on opt's
+// backend.
+func newRankState(opt Options, r *comm.Rank) (*rankState, error) {
+	ctx, err := ops.NewContext(ops.Options{
+		Backend:  opt.Backend,
+		Threads:  opt.Threads,
+		Block:    opt.Block,
+		Tiling:   opt.Tiling,
+		TileX:    opt.TileX,
+		TileY:    opt.TileY,
+		TileAuto: opt.TileAuto,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &rankState{name: opt.variantName(), tiling: opt.Tiling, rank: r, ctx: ctx}, nil
 }
 
 // Name implements driver.Kernels.
