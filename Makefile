@@ -28,17 +28,20 @@ race:
 # soak repeats the spin-then-park handshakes under the race detector: par's
 # Team.Close after short bursts (where a one-in-40,000 hang once lived; each
 # repetition closes tens of thousands of teams), the SPMD runner's panic
-# containment, Reset and Close-after-burst, and comm's abort wake-ups and
-# collective deadlines. Then the serving plane's job lifecycle under the race
-# detector: the seeded model test (random traffic, drain, restart), the
+# containment, Reset and Close-after-burst, comm's abort wake-ups and
+# collective deadlines, and the simulated GPU on its team (use after Close,
+# Close after launch bursts, concurrent launchers taking turns on the stream
+# lock, a panicking kernel reaching the caller). Then the serving plane's job
+# lifecycle under the race detector: the seeded model test (random traffic,
+# drain, restart), the
 # version-ledger drills, leader-expiry promotion, retention and the
 # drain-interrupt-resume path — one pass, since one pass of the serve tests
 # takes as long as forty of the handshakes. About two minutes on two cores;
 # any failure is a bug.
 soak:
 	$(GO) test -race -count=40 -timeout 5m \
-		-run 'TestCloseAfterBurstDoesNotHang|TestCloseIdempotent|TestUseAfterClosePanics|TestPanicSurfacesAsRankError|TestAbortWakesSpinningWaiters|TestWatchdog|TestWorldResetAfterFailure' \
-		./internal/par/ ./internal/backends/spmd/ ./internal/comm/
+		-run 'TestCloseAfterBurstDoesNotHang|TestCloseIdempotent|TestUseAfterClosePanics|TestPanicSurfacesAsRankError|TestAbortWakesSpinningWaiters|TestWatchdog|TestWorldResetAfterFailure|TestConcurrentLaunchesSerialise|TestKernelPanicReachesCaller' \
+		./internal/par/ ./internal/backends/spmd/ ./internal/comm/ ./internal/simgpu/
 	$(GO) test -race -count=1 -timeout 5m \
 		-run 'TestLifecycleModel|TestVersionLedgerZeroWhenIdle|TestLeaderExpiryPromotesFollower|TestRetention|TestDrainInterruptsAndRestartResumes' \
 		./internal/serve/

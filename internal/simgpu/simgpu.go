@@ -1,13 +1,17 @@
 // Package simgpu is a simulated CUDA-like GPU device: separate device
 // memory with explicit host<->device copies, kernels launched over a
-// (grid, block) index space and executed by a worker pool, block-level
-// reductions, and per-device accounting of launches and transfer volume.
+// (grid, block) index space whose blocks run on the shared fork-join runtime
+// (a par.Team), block-level reductions, and per-device accounting of
+// launches and transfer volume.
 //
 // It stands in for CUDA and the Tesla P100 in this study (see DESIGN.md).
 // Ports written against it have the same structure as their CUDA originals:
 // flat-index kernels over a launch extent, explicit data residency, and
-// a tunable block size whose choice really changes performance (block
-// granularity drives scheduling overhead here, occupancy on real hardware).
+// a tunable block size whose choice really changes performance (here through
+// the per-block kernel call and row walk, occupancy on real hardware). A
+// launch costs what running its blocks costs: no launch latency is charged,
+// and the small-versus-large-mesh GPU gap of the paper comes from the
+// performance model (internal/perfmodel), not from this package.
 //
 // A kernel walks its block one of two ways. Block.ForRows hands it each
 // thread-row as one contiguous x range already clipped to the problem
@@ -23,6 +27,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 )
 
 // Dim2 is a two-dimensional launch extent.
@@ -37,7 +43,7 @@ func (d Dim2) Mul() int { return d.X * d.Y }
 type Props struct {
 	Name string
 	// Parallelism is the number of concurrently executing blocks (the
-	// worker-pool width); a stand-in for SM count x blocks-per-SM.
+	// device team's thread count); a stand-in for SM count x blocks-per-SM.
 	Parallelism int
 }
 
@@ -51,9 +57,18 @@ type Stats struct {
 }
 
 // Device is a simulated GPU. Kernels and copies on one device serialise as
-// on a single CUDA stream; the blocks of one launch run concurrently.
+// on a single CUDA stream; the blocks of one launch run on the device's
+// par.Team of Props.Parallelism threads, each thread taking one contiguous
+// run of blocks in ascending order. The stream lock is what keeps the team's
+// one-leader rule when several goroutines launch on one device.
+//
+// A kernel that panics on a one-thread device (what every port creates)
+// panics out of the launch call: the stream is released and the device stays
+// usable. With Parallelism > 1 a panic on a team worker is as fatal as a
+// panic in any par loop body.
 type Device struct {
 	props Props
+	team  *par.Team
 
 	mu     sync.Mutex // serialises launches and copies (the "stream")
 	closed bool
@@ -64,40 +79,30 @@ type Device struct {
 	bytesD2H  atomic.Int64
 	allocs    atomic.Int64
 
-	work chan blockTask
-	wg   sync.WaitGroup // workers
-
-	// partials holds the per-block results of the reducing launch in
-	// flight. One buffer serves every launch because mu admits one at a time.
-	partials []float64
-}
-
-type blockTask struct {
-	run  func()
-	done *sync.WaitGroup
+	// The launch in flight, read by runBlocks on the team's threads: its
+	// extents, its kernel and one result slot per block. One descriptor
+	// serves every launch because mu admits one at a time.
+	grid, block Dim2
+	kernel      func(Block) float64
+	partials    []float64
+	// runShare is runBlocks bound once, so a launch allocates nothing to
+	// hand it to the team.
+	runShare func(from, to int)
 }
 
 // NewDevice creates a device with the given properties. Parallelism <= 0
-// selects a single worker (useful for deterministic debugging).
+// selects one thread: every block runs, in order, on the launching goroutine.
 func NewDevice(props Props) *Device {
 	if props.Parallelism <= 0 {
 		props.Parallelism = 1
 	}
-	d := &Device{props: props, work: make(chan blockTask, 4*props.Parallelism)}
-	d.wg.Add(props.Parallelism)
-	for i := 0; i < props.Parallelism; i++ {
-		go func() {
-			defer d.wg.Done()
-			for t := range d.work {
-				t.run()
-				t.done.Done()
-			}
-		}()
-	}
+	d := &Device{props: props, team: par.NewTeam(props.Parallelism)}
+	d.runShare = d.runBlocks
 	return d
 }
 
-// Close shuts down the device workers. The device must be idle.
+// Close releases the device's team. The device must be idle. Close is
+// idempotent; a launch after Close panics.
 func (d *Device) Close() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -105,8 +110,7 @@ func (d *Device) Close() {
 		return
 	}
 	d.closed = true
-	close(d.work)
-	d.wg.Wait()
+	d.team.Close()
 }
 
 // Props returns the device description.
@@ -242,36 +246,13 @@ func (b *Buffer) View() []float64 { return b.data }
 // arguments; the kernel closure carries its own view captures (obtained via
 // View). Used by framework layers that manage buffer access themselves.
 func (d *Device) LaunchRaw(name string, grid, block Dim2, kernel func(b Block)) {
-	d.beginLaunch(name, grid, block, nil)
-	defer d.mu.Unlock()
-	var done sync.WaitGroup
-	done.Add(grid.Mul())
-	for by := 0; by < grid.Y; by++ {
-		for bx := 0; bx < grid.X; bx++ {
-			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
-			d.work <- blockTask{run: func() { kernel(b) }, done: &done}
-		}
-	}
-	done.Wait()
+	d.launch(name, grid, block, func(b Block) float64 { kernel(b); return 0 })
 }
 
 // LaunchReduceRaw is LaunchRaw with a per-block partial result, summed in
 // block order.
 func (d *Device) LaunchReduceRaw(name string, grid, block Dim2, kernel func(b Block) float64) float64 {
-	d.beginLaunch(name, grid, block, nil)
-	defer d.mu.Unlock()
-	partials := d.partialsFor(grid)
-	var done sync.WaitGroup
-	done.Add(grid.Mul())
-	for by := 0; by < grid.Y; by++ {
-		for bx := 0; bx < grid.X; bx++ {
-			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
-			slot := by*grid.X + bx
-			d.work <- blockTask{run: func() { partials[slot] = kernel(b) }, done: &done}
-		}
-	}
-	done.Wait()
-	return sumInOrder(partials)
+	return d.launch(name, grid, block, kernel)
 }
 
 // Args resolves device buffers into the element views a kernel receives.
@@ -285,78 +266,66 @@ func Args(bufs ...*Buffer) []*Buffer { return bufs }
 // previous one's output. The kernel receives the buffers' element views in
 // argument order, mirroring CUDA kernel pointer parameters.
 func (d *Device) Launch(name string, grid, block Dim2, args []*Buffer, kernel func(b Block, a [][]float64)) {
-	views := d.beginLaunch(name, grid, block, args)
-	defer d.mu.Unlock()
-	var done sync.WaitGroup
-	done.Add(grid.Mul())
-	for by := 0; by < grid.Y; by++ {
-		for bx := 0; bx < grid.X; bx++ {
-			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
-			d.work <- blockTask{run: func() { kernel(b, views) }, done: &done}
-		}
-	}
-	done.Wait()
+	views := d.views(args)
+	d.launch(name, grid, block, func(b Block) float64 { kernel(b, views); return 0 })
 }
 
 // LaunchReduce runs a kernel where every block produces one partial result
 // (the shared-memory block reduction of a CUDA port) and returns the sum of
 // the partials combined in block order — deterministic for a fixed grid,
-// like a fixed-topology tree reduction.
+// like a fixed-topology tree reduction, and the same at any Parallelism.
 func (d *Device) LaunchReduce(name string, grid, block Dim2, args []*Buffer, kernel func(b Block, a [][]float64) float64) float64 {
-	views := d.beginLaunch(name, grid, block, args)
-	defer d.mu.Unlock()
-	partials := d.partialsFor(grid)
-	var done sync.WaitGroup
-	done.Add(grid.Mul())
-	for by := 0; by < grid.Y; by++ {
-		for bx := 0; bx < grid.X; bx++ {
-			b := Block{Idx: Dim2{bx, by}, Grid: grid, Dim: block}
-			slot := by*grid.X + bx
-			d.work <- blockTask{run: func() { partials[slot] = kernel(b, views) }, done: &done}
-		}
-	}
-	done.Wait()
-	return sumInOrder(partials)
+	views := d.views(args)
+	return d.launch(name, grid, block, func(b Block) float64 { return kernel(b, views) })
 }
 
-// partialsFor returns one result slot per block of the grid, in the device's
-// own buffer, grown on demand, so a reducing launch allocates nothing a plain
-// one does not. Every block writes its slot before the sum reads it. The
-// caller holds mu.
-func (d *Device) partialsFor(grid Dim2) []float64 {
-	n := grid.Mul()
-	if cap(d.partials) < n {
-		d.partials = make([]float64, n)
-	}
-	return d.partials[:n]
-}
-
-// sumInOrder adds the per-block partials in block order.
-func sumInOrder(partials []float64) float64 {
-	var sum float64
-	for _, p := range partials {
-		sum += p
-	}
-	return sum
-}
-
-// beginLaunch validates the launch, takes the stream lock (released by the
-// caller), bumps counters and resolves buffer arguments.
-func (d *Device) beginLaunch(name string, grid, block Dim2, args []*Buffer) [][]float64 {
-	if grid.X <= 0 || grid.Y <= 0 || block.X <= 0 || block.Y <= 0 {
-		panic(fmt.Sprintf("simgpu: launch %q with empty extent grid=%v block=%v", name, grid, block))
-	}
+// views resolves buffer arguments into the element views a kernel receives.
+func (d *Device) views(args []*Buffer) [][]float64 {
 	views := make([][]float64, len(args))
 	for i, b := range args {
 		d.checkBuffer(b)
 		views[i] = b.data
 	}
+	return views
+}
+
+// launch is the one block loop behind all four entry points. It validates
+// the extents, holds the stream lock for the whole launch (a panicking kernel
+// releases it on the way out), counts the launch, runs kernel on every block
+// with one team.For over the row-major block index and returns the per-block
+// results summed in block order; plain launches' kernels return 0. The
+// results land in the device's own buffer, grown on demand, so a reducing
+// launch allocates nothing a plain one does not.
+func (d *Device) launch(name string, grid, block Dim2, kernel func(Block) float64) float64 {
+	if grid.X <= 0 || grid.Y <= 0 || block.X <= 0 || block.Y <= 0 {
+		panic(fmt.Sprintf("simgpu: launch %q with empty extent grid=%v block=%v", name, grid, block))
+	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		panic(fmt.Sprintf("simgpu: launch %q on closed device", name))
 	}
+	n := grid.Mul()
 	d.launches.Add(1)
-	d.blocksRun.Add(int64(grid.Mul()))
-	return views
+	d.blocksRun.Add(int64(n))
+	if cap(d.partials) < n {
+		d.partials = make([]float64, n)
+	}
+	d.grid, d.block, d.kernel = grid, block, kernel
+	d.team.For(0, n, d.runShare)
+	d.kernel = nil // hold no caller closure between launches
+	var sum float64
+	for _, p := range d.partials[:n] {
+		sum += p
+	}
+	return sum
+}
+
+// runBlocks runs the blocks [from, to) of the launch in flight, in order,
+// each writing its result slot.
+func (d *Device) runBlocks(from, to int) {
+	for slot := from; slot < to; slot++ {
+		idx := Dim2{X: slot % d.grid.X, Y: slot / d.grid.X}
+		d.partials[slot] = d.kernel(Block{Idx: idx, Grid: d.grid, Dim: d.block})
+	}
 }

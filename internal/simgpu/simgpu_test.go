@@ -1,9 +1,12 @@
 package simgpu
 
 import (
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func device(t *testing.T, parallelism int) *Device {
@@ -384,4 +387,181 @@ func TestReducingLaunchAllocatesNoPartials(t *testing.T) {
 	if got, want := d.LaunchReduceRaw("sum", grid, block, func(b Block) float64 { return float64(b.Idx.X) }), 4.0*(0+1+2+3+4+5+6+7); got != want {
 		t.Errorf("reduce over a reused buffer = %g, want %g", got, want)
 	}
+}
+
+// launchForms runs one launch of each entry point over grid and returns what
+// it computed: every block contributes 1, the plain forms into its own cell
+// of buf (one per block), so each form yields the block count. With fail set,
+// block faulty panics instead.
+func launchForms(grid, block, faulty Dim2) map[string]func(d *Device, buf *Buffer, fail bool) float64 {
+	one := func(b Block, fail bool) float64 {
+		if fail && b.Idx == faulty {
+			panic("kernel fault")
+		}
+		return 1
+	}
+	cell := func(b Block) int { return b.Idx.Y*b.Grid.X + b.Idx.X }
+	count := func(d *Device, buf *Buffer) float64 {
+		out := make([]float64, grid.Mul())
+		d.MemcpyD2H(out, buf)
+		var n float64
+		for _, v := range out {
+			n += v
+		}
+		return n
+	}
+	return map[string]func(d *Device, buf *Buffer, fail bool) float64{
+		"Launch": func(d *Device, buf *Buffer, fail bool) float64 {
+			d.Launch("count", grid, block, Args(buf), func(b Block, a [][]float64) { a[0][cell(b)] = one(b, fail) })
+			return count(d, buf)
+		},
+		"LaunchRaw": func(d *Device, buf *Buffer, fail bool) float64 {
+			view := buf.View()
+			d.LaunchRaw("count", grid, block, func(b Block) { view[cell(b)] = one(b, fail) })
+			return count(d, buf)
+		},
+		"LaunchReduce": func(d *Device, buf *Buffer, fail bool) float64 {
+			return d.LaunchReduce("count", grid, block, Args(buf), func(b Block, _ [][]float64) float64 { return one(b, fail) })
+		},
+		"LaunchReduceRaw": func(d *Device, buf *Buffer, fail bool) float64 {
+			return d.LaunchReduceRaw("count", grid, block, func(b Block) float64 { return one(b, fail) })
+		},
+	}
+}
+
+// TestKernelPanicReachesCaller: on a one-thread device, the configuration
+// every port creates, a kernel that panics on one block panics out of the
+// launch call for each launch form, so the driver's and the job service's
+// containment see it. The stream lock is released, the device's next launch
+// computes the right result and both launches are counted.
+func TestKernelPanicReachesCaller(t *testing.T) {
+	grid, block := Dim2{X: 4, Y: 3}, Dim2{X: 2, Y: 2}
+	for _, parallelism := range []int{0, 1} {
+		for name, launch := range launchForms(grid, block, Dim2{X: 1, Y: 2}) {
+			d := device(t, parallelism)
+			buf := d.Malloc(grid.Mul())
+			func() {
+				defer func() {
+					if r := recover(); r != "kernel fault" {
+						t.Errorf("parallelism %d, %s: recovered %v, want the kernel's panic", parallelism, name, r)
+					}
+				}()
+				launch(d, buf, true)
+			}()
+			if !d.mu.TryLock() {
+				t.Fatalf("parallelism %d, %s: stream lock held after a kernel panic", parallelism, name)
+			}
+			d.mu.Unlock()
+			if got, want := launch(d, buf, false), float64(grid.Mul()); got != want {
+				t.Errorf("parallelism %d, %s: launch after the panic = %g, want %g", parallelism, name, got, want)
+			}
+			if st := d.Stats(); st.Launches != 2 || st.BlocksRun != int64(2*grid.Mul()) {
+				t.Errorf("parallelism %d, %s: %d launches over %d blocks, want 2 over %d", parallelism, name, st.Launches, st.BlocksRun, 2*grid.Mul())
+			}
+		}
+	}
+}
+
+// TestLaunchAllocationsDoNotGrowWithGrid: the device team hands blocks out by
+// index, so a 64-block launch allocates no more than a 1-block one, on one
+// thread and on three.
+func TestLaunchAllocationsDoNotGrowWithGrid(t *testing.T) {
+	one, many := Dim2{X: 1, Y: 1}, Dim2{X: 8, Y: 8}
+	for _, parallelism := range []int{1, 3} {
+		d := device(t, parallelism)
+		buf := d.Malloc(1)
+		forms := map[string]func(grid Dim2) func(){
+			"Launch": func(grid Dim2) func() {
+				return func() { d.Launch("plain", grid, one, Args(buf), func(Block, [][]float64) {}) }
+			},
+			"LaunchRaw": func(grid Dim2) func() {
+				return func() { d.LaunchRaw("plain", grid, one, func(Block) {}) }
+			},
+		}
+		for name, launch := range forms {
+			launch(many)() // grow the device's result buffer
+			small, large := testing.AllocsPerRun(20, launch(one)), testing.AllocsPerRun(20, launch(many))
+			if large > small {
+				t.Errorf("parallelism %d, %s: %g allocations for 64 blocks, %g for one", parallelism, name, large, small)
+			}
+		}
+	}
+}
+
+// TestUseAfterClosePanics: every launch form on a closed device panics with
+// the device's own message rather than reaching the released team.
+func TestUseAfterClosePanics(t *testing.T) {
+	grid := Dim2{X: 4, Y: 1}
+	for name, launch := range launchForms(grid, Dim2{X: 1, Y: 1}, Dim2{}) {
+		t.Run(name, func(t *testing.T) {
+			d := NewDevice(Props{Parallelism: 3})
+			buf := d.Malloc(grid.Mul())
+			launch(d, buf, false) // healthy before Close
+			d.Close()
+			defer func() {
+				if s, ok := recover().(string); !ok || !strings.Contains(s, "on closed device") {
+					t.Fatalf("panic = %q, want a launch-on-closed-device panic", s)
+				}
+			}()
+			launch(d, buf, false)
+		})
+	}
+}
+
+func TestCloseIdempotent(t *testing.T) {
+	d := NewDevice(Props{Parallelism: 3})
+	d.Close()
+	d.Close() // must not panic or deadlock
+}
+
+// TestCloseAfterBurstDoesNotHang: a device's Close after a short burst of
+// launches is its team's Close after a burst of loops, the sequence that once
+// hung par one Close in 40,000; every port does it at the end of a run.
+func TestCloseAfterBurstDoesNotHang(t *testing.T) {
+	for cycle := 0; cycle < 500; cycle++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			d := NewDevice(Props{Parallelism: 3})
+			for k := 0; k < 3; k++ {
+				d.LaunchRaw("burst", Dim2{X: 8, Y: 1}, Dim2{X: 1, Y: 1}, func(Block) {})
+			}
+			d.Close()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Close hung after %d clean cycles", cycle)
+		}
+	}
+}
+
+// TestConcurrentLaunchesSerialise: launches from four goroutines on one
+// three-thread device take turns on the stream lock, which is what keeps the
+// team's one-leader rule; each launch runs only its own kernel on its own
+// result slots (and the race detector sees no overlap).
+func TestConcurrentLaunchesSerialise(t *testing.T) {
+	d := device(t, 3)
+	grid, block := Dim2{X: 8, Y: 4}, Dim2{X: 1, Y: 1}
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := d.Malloc(grid.Mul())
+			for i := 0; i < 100; i++ {
+				d.Launch("mark", grid, block, Args(buf), func(b Block, a [][]float64) {
+					a[0][b.Idx.Y*grid.X+b.Idx.X] = float64(g)
+				})
+				got := d.LaunchReduce("sum", grid, block, Args(buf), func(b Block, a [][]float64) float64 {
+					return a[0][b.Idx.Y*grid.X+b.Idx.X]
+				})
+				if want := float64(g * grid.Mul()); got != want {
+					t.Errorf("goroutine %d, launch pair %d: sum %g, want %g", g, i, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
