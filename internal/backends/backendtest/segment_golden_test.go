@@ -10,8 +10,11 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/cuda"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/kokkosport"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/mpi"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/omp"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/openacc"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/opsport"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/rajaport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/serial"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/kokkos"
@@ -33,25 +36,29 @@ func opsVersion(opt opsport.Options) Factory {
 }
 
 // segmentVersions are the versions whose kernels run as row segments
-// (simgpu.Block.ForRows, kokkos.TeamFor, raja.Kernel2DRow, ops.RowKernel)
-// instead of one closure call per cell. Host widths, rank counts, block and
-// tile sizes are pinned: the table below is bitwise, and shares, chunks and
-// blocks set the summation grouping.
+// (hostchunk rows, simgpu.Block.ForRows, kokkos.TeamFor, raja.Kernel2DRow,
+// ops.RowKernel) instead of one closure call per cell. Host widths, rank
+// counts, block and tile sizes are pinned: the table below is bitwise, and
+// shares, chunks and blocks set the summation grouping.
 var segmentVersions = map[string]Factory{
-	"manual-cuda":    func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
-	"manual-mpi":     func() driver.Kernels { return mpi.New(2, 1) },
-	"manual-mpi-omp": func() driver.Kernels { return mpi.New(2, 2) },
-	"ops-cuda":       opsVersion(opsport.Options{Backend: ops.BackendCUDA}),
-	"ops-openmp":     opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Threads: 2}),
-	"ops-mpi":        opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2}),
-	"ops-mpi-omp":    opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Ranks: 2, Threads: 2}),
-	"ops-mpi-tiled":  opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2, Tiling: true, TileX: 16, TileY: 8}),
-	"ops-tiled":      opsVersion(opsport.Options{Backend: ops.BackendSerial, Tiling: true, TileX: 16, TileY: 8}),
-	"ops-openacc":    opsVersion(opsport.Options{Backend: ops.BackendACC, Threads: 2}),
-	"kokkos-openmp":  func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(2)) },
-	"kokkos-cuda":    func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
-	"raja-openmp":    func() driver.Kernels { return rajaport.New(raja.NewOmp(2)) },
-	"raja-cuda":      func() driver.Kernels { return rajaport.New(raja.NewCuda(simgpu.Dim2{})) },
+	"manual-serial":      func() driver.Kernels { return serial.New() },
+	"manual-omp":         func() driver.Kernels { return omp.New(2) },
+	"manual-openacc-cpu": func() driver.Kernels { return openacc.New(openacc.TargetHost, 2) },
+	"manual-openacc-gpu": func() driver.Kernels { return openacc.New(openacc.TargetDevice, 2) },
+	"manual-cuda":        func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
+	"manual-mpi":         func() driver.Kernels { return mpi.New(2, 1) },
+	"manual-mpi-omp":     func() driver.Kernels { return mpi.New(2, 2) },
+	"ops-cuda":           opsVersion(opsport.Options{Backend: ops.BackendCUDA}),
+	"ops-openmp":         opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Threads: 2}),
+	"ops-mpi":            opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2}),
+	"ops-mpi-omp":        opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Ranks: 2, Threads: 2}),
+	"ops-mpi-tiled":      opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2, Tiling: true, TileX: 16, TileY: 8}),
+	"ops-tiled":          opsVersion(opsport.Options{Backend: ops.BackendSerial, Tiling: true, TileX: 16, TileY: 8}),
+	"ops-openacc":        opsVersion(opsport.Options{Backend: ops.BackendACC, Threads: 2}),
+	"kokkos-openmp":      func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(2)) },
+	"kokkos-cuda":        func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
+	"raja-openmp":        func() driver.Kernels { return rajaport.New(raja.NewOmp(2)) },
+	"raja-cuda":          func() driver.Kernels { return rajaport.New(raja.NewCuda(simgpu.Dim2{})) },
 }
 
 // segmentDecks is tea_bm on a non-square 48x40 mesh (neither extent a
@@ -212,6 +219,36 @@ var segmentGolden = map[string]segmentRun{
 	"manual-mpi/chebyshev_jac_diag":     {40, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
 	"manual-mpi/jacobi":                 {138, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
 	"manual-mpi/ppcg":                   {14, 40, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+	// The four host-chunk versions the table did not hold, captured at the
+	// commit before every port's CGCalcW/CGCalcUR became its one-sweep body.
+	"manual-omp/cg":                         {24, 0, [4]uint64{0x4058ffffffffffea, 0x40c35e5fffffff99, 0x4008999999999948, 0x4008999999999948}},
+	"manual-omp/cg_jac_block":               {20, 0, [4]uint64{0x4058ffffffffffea, 0x40c35e5fffffff99, 0x400899999983cea0, 0x400899999983cea0}},
+	"manual-omp/cg_jac_diag":                {22, 0, [4]uint64{0x4058ffffffffffea, 0x40c35e5fffffff99, 0x400899999981a4c5, 0x400899999981a4c5}},
+	"manual-omp/chebyshev":                  {60, 0, [4]uint64{0x4058ffffffffffea, 0x40c35e5fffffff99, 0x4008999999999947, 0x4008999999999947}},
+	"manual-omp/chebyshev_jac_diag":         {40, 0, [4]uint64{0x4058ffffffffffea, 0x40c35e5fffffff99, 0x4008999999442cc4, 0x4008999999442cc4}},
+	"manual-omp/jacobi":                     {138, 0, [4]uint64{0x4058ffffffffffea, 0x40c35e5fffffff99, 0x40089999999a58dc, 0x40089999999a58dc}},
+	"manual-omp/ppcg":                       {14, 40, [4]uint64{0x4058ffffffffffea, 0x40c35e5fffffff99, 0x4008999999999945, 0x4008999999999945}},
+	"manual-openacc-cpu/cg":                 {24, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
+	"manual-openacc-cpu/cg_jac_block":       {20, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
+	"manual-openacc-cpu/cg_jac_diag":        {22, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
+	"manual-openacc-cpu/chebyshev":          {60, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
+	"manual-openacc-cpu/chebyshev_jac_diag": {40, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
+	"manual-openacc-cpu/jacobi":             {138, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
+	"manual-openacc-cpu/ppcg":               {14, 40, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+	"manual-openacc-gpu/cg":                 {24, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
+	"manual-openacc-gpu/cg_jac_block":       {20, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
+	"manual-openacc-gpu/cg_jac_diag":        {22, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
+	"manual-openacc-gpu/chebyshev":          {60, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
+	"manual-openacc-gpu/chebyshev_jac_diag": {40, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
+	"manual-openacc-gpu/jacobi":             {138, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
+	"manual-openacc-gpu/ppcg":               {14, 40, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+	"manual-serial/cg":                      {24, 0, [4]uint64{0x4058ffffffffff6b, 0x40c35e6000000005, 0x4008999999999930, 0x4008999999999930}},
+	"manual-serial/cg_jac_block":            {20, 0, [4]uint64{0x4058ffffffffff6b, 0x40c35e6000000005, 0x400899999983ce88, 0x400899999983ce88}},
+	"manual-serial/cg_jac_diag":             {22, 0, [4]uint64{0x4058ffffffffff6b, 0x40c35e6000000005, 0x400899999981a4ad, 0x400899999981a4ad}},
+	"manual-serial/chebyshev":               {60, 0, [4]uint64{0x4058ffffffffff6b, 0x40c35e6000000005, 0x400899999999992f, 0x400899999999992f}},
+	"manual-serial/chebyshev_jac_diag":      {40, 0, [4]uint64{0x4058ffffffffff6b, 0x40c35e6000000005, 0x4008999999442cac, 0x4008999999442cac}},
+	"manual-serial/jacobi":                  {138, 0, [4]uint64{0x4058ffffffffff6b, 0x40c35e6000000005, 0x40089999999a58c4, 0x40089999999a58c4}},
+	"manual-serial/ppcg":                    {14, 40, [4]uint64{0x4058ffffffffff6b, 0x40c35e6000000005, 0x400899999999992d, 0x400899999999992d}},
 }
 
 // TestSegmentGolden holds the row-segment ports to the numbers the per-cell

@@ -35,21 +35,29 @@ func TestTargetsAgree(t *testing.T) {
 	}
 }
 
-// TestDeviceAccounting: the device target must charge data-region traffic
-// and count offloaded regions; the host target must not.
+// TestDeviceAccounting pins the device target's offload accounting on tea_bm
+// 64², one step, at width 2: iterations, regions launched and bytes moved for
+// each CG preconditioner. The host target must charge no traffic.
 func TestDeviceAccounting(t *testing.T) {
-	cfg := config.BenchmarkN(16)
+	cfg := config.BenchmarkN(64)
 	cfg.EndStep = 1
-	k := New(TargetDevice, 2)
-	res := backendtest.Run(t, func() driver.Kernels { return k }, cfg)
-	st := k.Stats()
-	if st.BytesIn == 0 {
-		t.Error("device target charged no copyin traffic")
+	want := map[config.Preconditioner]struct {
+		iters int
+		st    Stats
+	}{
+		config.PrecondNone:     {21, Stats{Regions: 122, BytesIn: 628864, BytesOut: 376}},
+		config.PrecondJacDiag:  {17, Stats{Regions: 138, BytesIn: 628864, BytesOut: 312}},
+		config.PrecondJacBlock: {15, Stats{Regions: 123, BytesIn: 628864, BytesOut: 280}},
 	}
-	if st.Regions < int64(res.TotalIterations) {
-		t.Errorf("expected at least one region per iteration, got %d for %d iterations",
-			st.Regions, res.TotalIterations)
+	for pc, w := range want {
+		cfg.Preconditioner = pc
+		k := New(TargetDevice, 2)
+		res := backendtest.Run(t, func() driver.Kernels { return k }, cfg)
+		if st := k.Stats(); st != w.st || res.TotalIterations != w.iters {
+			t.Errorf("%v: %d iterations, stats %+v; want %d, %+v", pc, res.TotalIterations, st, w.iters, w.st)
+		}
 	}
+	cfg.Preconditioner = config.PrecondNone
 	kh := New(TargetHost, 2)
 	backendtest.Run(t, func() driver.Kernels { return kh }, cfg)
 	if kh.Stats().BytesIn != 0 {
