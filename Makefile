@@ -19,11 +19,12 @@ test: build
 # equivalence tests run on a multi-thread team and a multi-worker device),
 # and every consumer of them (internal/backends/hostchunk runs every body on
 # a multi-thread team; internal/backends/spmd, the in-process SPMD runner,
-# hands each call from the caller's goroutine to the other ranks').
+# hands each call from the caller's goroutine to the other ranks'), plus the
+# solver and driver that dispatch into the ports.
 race:
 	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/kern/... \
 		./internal/simgpu/... ./internal/kokkos/... ./internal/raja/... ./internal/ops/... \
-		./internal/backends/...
+		./internal/backends/... ./internal/driver/... ./internal/solver/...
 
 # soak repeats the spin-then-park handshakes under the race detector: par's
 # Team.Close after short bursts (where a one-in-40,000 hang once lived; each
@@ -105,8 +106,8 @@ fuzz:
 bench-par:
 	$(GO) test -bench=. -benchmem ./internal/par/
 
-# bench-cg measures the fused CG hot path against the unfused kernels per
-# port (ns/cg-iter metric); see EXPERIMENTS.md for a captured table.
+# bench-cg measures the CG hot path per port (ns/cg-iter metric); see
+# EXPERIMENTS.md for a captured table.
 bench-cg:
 	$(GO) test -bench=BenchmarkCGIteration -benchmem -run '^$$' .
 

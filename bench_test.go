@@ -217,36 +217,24 @@ func blockName(d simgpu.Dim2) string {
 		"x" + string(rune('0'+d.Y/10%10)) + string(rune('0'+d.Y%10))
 }
 
-// BenchmarkCGIteration measures the CG hot path per iteration, fused
-// against unfused, across the ports (make bench-cg). The deck is
-// diagonal-preconditioned CG at 256^2 — the configuration where fusing
-// the operator apply with the p·w dot and the u/r update with the
-// preconditioner apply collapses six full-field sweeps per iteration
-// into three. Ports without fused kernels run both arms through the
-// solver fallback, so their two numbers should coincide.
+// BenchmarkCGIteration measures the CG hot path per iteration across the
+// ports (make bench-cg). The deck is diagonal-preconditioned CG at 256^2,
+// where every port's one-sweep CGCalcW and CGCalcUR make an iteration three
+// full-field sweeps.
 func BenchmarkCGIteration(b *testing.B) {
 	versions := []string{
 		"manual-serial", "manual-omp", "manual-mpi", "manual-cuda",
 		"ops-openmp", "kokkos-openmp", "raja-openmp",
 	}
-	arms := []struct {
-		label   string
-		disable bool
-	}{{"fused", false}, {"unfused", true}}
 	for _, name := range versions {
 		name := name
-		for _, arm := range arms {
-			arm := arm
-			b.Run(name+"/"+arm.label, func(b *testing.B) {
-				benchCGIteration(b, name, arm.disable, 0)
-			})
-		}
+		b.Run(name, func(b *testing.B) { benchCGIteration(b, name, 0) })
 	}
 }
 
 // BenchmarkSDCOverhead measures the cost of the solver's silent-data-
 // corruption monitor at its recommended cadence: the same pinned
-// 50-iteration CG solve as BenchmarkCGIteration's fused arm, with
+// 50-iteration CG solve as BenchmarkCGIteration, with
 // SDCCheckEvery set to solver.DefaultSDCCheckEvery so the monitored arm
 // pays one periodic true-residual recompute (halo + CalcResidual + one
 // reduction) per solve. Compare ns/cg-iter against BenchmarkCGIteration;
@@ -255,15 +243,15 @@ func BenchmarkSDCOverhead(b *testing.B) {
 	for _, name := range []string{"manual-serial", "manual-omp"} {
 		name := name
 		b.Run(name+"/monitored", func(b *testing.B) {
-			benchCGIteration(b, name, false, solver.DefaultSDCCheckEvery)
+			benchCGIteration(b, name, solver.DefaultSDCCheckEvery)
 		})
 		b.Run(name+"/baseline", func(b *testing.B) {
-			benchCGIteration(b, name, false, 0)
+			benchCGIteration(b, name, 0)
 		})
 	}
 }
 
-func benchCGIteration(b *testing.B, version string, disableFusion bool, sdcEvery int) {
+func benchCGIteration(b *testing.B, version string, sdcEvery int) {
 	b.Helper()
 	const iters = 50
 	cfg := config.BenchmarkN(largeProxyN)
@@ -292,7 +280,6 @@ func benchCGIteration(b *testing.B, version string, disableFusion bool, sdcEvery
 	dt := cfg.InitialTimestep
 	rx, ry := dt/(m.Dx*m.Dx), dt/(m.Dy*m.Dy)
 	opt := solver.FromConfig(&cfg)
-	opt.DisableFusion = disableFusion
 	opt.SDCCheckEvery = sdcEvery
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

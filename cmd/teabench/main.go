@@ -7,9 +7,9 @@
 //
 // Paper-scale numbers come from the calibrated machine model
 // (internal/perfmodel) because the paper's Xeon/KNL/P100 are simulated
-// here — see DESIGN.md. Every experiment can also run the real Go ports at
-// a reduced mesh (-measure) so modeled claims are backed by executable
-// code.
+// here — see DESIGN.md. The measured, scaling, tiling, blocksize, serve and
+// portability experiments run the real Go ports at a reduced mesh (-n,
+// -steps), so modeled claims are backed by executable code.
 //
 // Usage:
 //
@@ -36,7 +36,6 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/ops"
 	"github.com/warwick-hpsc/tealeaf-go/internal/perfmodel"
 	"github.com/warwick-hpsc/tealeaf-go/internal/portability"
-	"github.com/warwick-hpsc/tealeaf-go/internal/profiler"
 	"github.com/warwick-hpsc/tealeaf-go/internal/registry"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 	"github.com/warwick-hpsc/tealeaf-go/internal/solver"
@@ -45,10 +44,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment id: all, fig1a, fig1b, fig2a, fig2b, table1, table2, table3, sysanalysis, knlmodes, scaling, tiling, blocksize, measured, cgfusion, serve, portability")
+	exp := flag.String("experiment", "all", "experiment id: all, fig1a, fig1b, fig2a, fig2b, table1, table2, table3, sysanalysis, knlmodes, scaling, tiling, blocksize, measured, serve, portability")
 	n := flag.Int("n", 192, "mesh edge for measured (real-execution) experiments")
 	steps := flag.Int("steps", 3, "time steps for measured experiments")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (tiling, cgfusion, serve and portability only)")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (tiling, serve and portability only)")
 	tileX := flag.Int("tile-x", 0, "tile width for the tiling experiment (0: default 128)")
 	tileY := flag.Int("tile-y", 0, "tile height for the tiling experiment (0: default 32)")
 	tileAuto := flag.Bool("tile-auto", false, "size the explicit tiling arm from the detected cache topology instead of -tile-x/-tile-y")
@@ -96,8 +95,6 @@ func main() {
 		blockSizeAblation(w, *n)
 	case "measured":
 		measured(w, *n, *steps)
-	case "cgfusion":
-		cgFusion(w, *n, *jsonOut)
 	case "serve":
 		serveBench(w, *jsonOut)
 	case "portability":
@@ -629,141 +626,6 @@ func blockSizeAblation(w io.Writer, n int) {
 			continue
 		}
 		fmt.Fprintf(w, "| %4dx%-5d | %12s | %10d |\n", blk.X, blk.Y, d.Round(time.Millisecond), launches)
-	}
-}
-
-// --- CG kernel fusion ---------------------------------------------------------
-
-// benchJSONFile is where -json mirrors the cgfusion rows (repo root when
-// teabench runs from there, as `make bench-fusion` does).
-const benchJSONFile = "BENCH_cgfusion.json"
-
-// cgFusionArm is one measurement arm (fused or unfused) of the CG hot-path
-// experiment.
-type cgFusionArm struct {
-	NsPerIter     float64 `json:"ns_per_iter"`
-	SweepsPerIter float64 `json:"sweeps_per_iter"`
-}
-
-// cgFusionRow is one port's fused-vs-unfused comparison.
-type cgFusionRow struct {
-	Version string      `json:"version"`
-	Fused   cgFusionArm `json:"fused"`
-	Unfused cgFusionArm `json:"unfused"`
-	Speedup float64     `json:"speedup"`
-	Error   string      `json:"error,omitempty"`
-}
-
-// cgFusionMeasure runs one arm: a diagonal-preconditioned CG solve pinned
-// to exactly iters iterations (Eps is unreachable), on an instrumented
-// fresh port, returning wall nanoseconds and profiler-attributed full-field
-// sweeps per iteration.
-func cgFusionMeasure(v registry.Version, n, iters int, disableFusion bool) (cgFusionArm, error) {
-	cfg := config.BenchmarkN(n)
-	cfg.Preconditioner = config.PrecondJacDiag
-	cfg.MaxIters = iters
-	cfg.Eps = 1e-300
-	k, err := v.Make(registry.Params{})
-	if err != nil {
-		return cgFusionArm{}, err
-	}
-	defer k.Close()
-	prof := profiler.New()
-	in := driver.Instrument(k, prof)
-	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, cfg.NY)
-	if err != nil {
-		return cgFusionArm{}, err
-	}
-	if err := in.Generate(m, cfg.States); err != nil {
-		return cgFusionArm{}, err
-	}
-	in.HaloExchange([]driver.FieldID{driver.FieldDensity, driver.FieldEnergy0}, 2)
-	in.SetField()
-	in.HaloExchange([]driver.FieldID{driver.FieldDensity, driver.FieldEnergy1}, 2)
-	dt := cfg.InitialTimestep
-	in.SolveInit(cfg.Coefficient, dt/(m.Dx*m.Dx), dt/(m.Dy*m.Dy), cfg.Preconditioner)
-	opt := solver.FromConfig(&cfg)
-	opt.DisableFusion = disableFusion
-	start := time.Now()
-	st, err := solver.Solve(in, opt)
-	d := time.Since(start)
-	if err != nil {
-		return cgFusionArm{}, err
-	}
-	if st.Iterations != iters {
-		return cgFusionArm{}, fmt.Errorf("solve ran %d iterations, want %d", st.Iterations, iters)
-	}
-	// Per-iteration sweeps come from the analytic counters of the three
-	// hot kernels (the once-per-solve cg_init_p is excluded).
-	var sweeps int64
-	for _, name := range []string{"cg_calc_w", "cg_calc_w_fused", "cg_calc_ur", "cg_calc_ur_fused", "cg_calc_p"} {
-		if e, ok := prof.Lookup(name); ok {
-			sweeps += e.Sweeps
-		}
-	}
-	return cgFusionArm{
-		NsPerIter:     float64(d.Nanoseconds()) / float64(iters),
-		SweepsPerIter: float64(sweeps) / float64(iters),
-	}, nil
-}
-
-// cgFusion compares the fused CG hot path against the unfused kernels on
-// every port with a fused implementation, plus one deliberately-unfused
-// port exercising the solver fallback. With jsonOut the rows are emitted
-// as a JSON array for downstream tooling.
-func cgFusion(w io.Writer, n int, jsonOut bool) {
-	const iters = 50
-	versions := []string{
-		"manual-serial", "manual-omp", "manual-mpi", "manual-cuda",
-		"ops-openmp", "kokkos-openmp", "raja-openmp",
-		"manual-openacc-cpu", // no fused kernels: both arms take the fallback
-	}
-	var rows []cgFusionRow
-	for _, name := range versions {
-		row := cgFusionRow{Version: name}
-		v, err := registry.Get(name)
-		if err == nil {
-			row.Fused, err = cgFusionMeasure(v, n, iters, false)
-		}
-		if err == nil {
-			row.Unfused, err = cgFusionMeasure(v, n, iters, true)
-		}
-		if err != nil {
-			row.Error = err.Error()
-		} else if row.Fused.NsPerIter > 0 {
-			row.Speedup = row.Unfused.NsPerIter / row.Fused.NsPerIter
-		}
-		rows = append(rows, row)
-	}
-	if jsonOut {
-		buf, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-			return
-		}
-		buf = append(buf, '\n')
-		w.Write(buf)
-		// Also drop the rows next to the working directory for downstream
-		// tooling; the schema is documented in docs/OPERATIONS.md.
-		if err := os.WriteFile(benchJSONFile, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "teabench: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "teabench: wrote %s\n", benchJSONFile)
-		}
-		return
-	}
-	fmt.Fprintf(w, "\n## CG kernel fusion — ns per CG iteration, %d^2, jac_diag precond (real execution)\n\n", n)
-	fmt.Fprintf(w, "| %-18s | %12s | %12s | %8s | %13s | %13s |\n",
-		"version", "fused ns/it", "unfused ns/it", "speedup", "fused sw/it", "unfused sw/it")
-	fmt.Fprintf(w, "|%s|%s|%s|%s|%s|%s|\n", dashes(20), dashes(14), dashes(14), dashes(10), dashes(15), dashes(15))
-	for _, r := range rows {
-		if r.Error != "" {
-			fmt.Fprintf(w, "| %-18s | error: %s |\n", r.Version, r.Error)
-			continue
-		}
-		fmt.Fprintf(w, "| %-18s | %12.0f | %12.0f | %7.2fx | %13.2f | %13.2f |\n",
-			r.Version, r.Fused.NsPerIter, r.Unfused.NsPerIter, r.Speedup,
-			r.Fused.SweepsPerIter, r.Unfused.SweepsPerIter)
 	}
 }
 

@@ -5,6 +5,7 @@
 package backendtest
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -82,37 +83,83 @@ func reference(t *testing.T, cfg config.Config) driver.Result {
 	return res
 }
 
-// runFusion runs cfg on a fresh port with the fused CG path either enabled
-// (the default) or forced off via the DisableFusion control arm.
-func runFusion(t *testing.T, factory Factory, cfg config.Config, disableFusion bool) driver.Result {
-	t.Helper()
-	k := factory()
-	defer k.Close()
-	opt := solver.FromConfig(&cfg)
-	opt.DisableFusion = disableFusion
-	res, err := driver.Run(cfg, k, solver.New(opt), nil)
-	if err != nil {
-		t.Fatalf("%s run (DisableFusion=%v) failed: %v", k.Name(), disableFusion, err)
-	}
-	return res
+// sweepCheck wraps a port and, after each of its one-sweep CG kernels,
+// redoes what the sweep fused with the port's separate kernels. It stops
+// checking at the first mismatch, which would otherwise repeat every call.
+type sweepCheck struct {
+	driver.Kernels
+	t        *testing.T
+	w, ur    int // CGCalcW and CGCalcUR calls
+	urPrecon int // of which preconditioned
 }
 
-// FusionEquivalence checks that the fused CG hot path is an equivalence-
-// preserving optimisation: the same deck solved with fusion enabled and
-// disabled must produce field summaries matching to 1e-12 relative. Ports
-// that keep the unfused traversal and reduction-combine order in their
-// fused kernels match bitwise; ports without the fused capabilities
-// exercise the solver's transparent fallback, where both arms are
-// trivially identical.
+// CGCalcW checks the returned p·w against the dot of the fetched p and w.
+// The host sums in another order than the port, so the bound is relative
+// to the sum of the terms' magnitudes.
+func (c *sweepCheck) CGCalcW() float64 {
+	pw := c.Kernels.CGCalcW()
+	c.w++
+	if c.t.Failed() {
+		return pw
+	}
+	p, w := c.FetchField(driver.FieldP), c.FetchField(driver.FieldW)
+	var dot, mag float64
+	for i := range p {
+		dot += p[i] * w[i]
+		mag += abs(p[i] * w[i])
+	}
+	if abs(pw-dot) > 1e-12*mag {
+		c.t.Errorf("%s: CGCalcW returned p·w = %v, the fetched fields give %v", c.Name(), pw, dot)
+	}
+	return pw
+}
+
+// CGCalcUR checks the sweep against the sequence it replaces: r·r must be
+// Norm2R's bits; preconditioned, applying the preconditioner again must
+// leave z unchanged and r·z must be DotRZ's bits.
+func (c *sweepCheck) CGCalcUR(alpha float64, precond bool) float64 {
+	rr := c.Kernels.CGCalcUR(alpha, precond)
+	c.ur++
+	if precond {
+		c.urPrecon++
+	}
+	if c.t.Failed() {
+		return rr
+	}
+	if !precond {
+		if n := c.Norm2R(); n != rr {
+			c.t.Errorf("%s: CGCalcUR returned r·r = %v, Norm2R %v", c.Name(), rr, n)
+		}
+		return rr
+	}
+	z := c.FetchField(driver.FieldZ)
+	c.ApplyPrecond()
+	if again := c.FetchField(driver.FieldZ); !slices.Equal(z, again) {
+		c.t.Errorf("%s: CGCalcUR left a z that ApplyPrecond changes", c.Name())
+	}
+	if rz := c.DotRZ(); rz != rr {
+		c.t.Errorf("%s: CGCalcUR returned r·z = %v, DotRZ %v", c.Name(), rr, rz)
+	}
+	return rr
+}
+
+// FusionEquivalence checks that a port's CGCalcW and CGCalcUR, each one
+// sweep, equal the separate kernels they fuse, at every call of a whole
+// run: the returned p·w is the dot of the w the sweep wrote, and the u/r
+// update's sweep leaves the z and returns the r·z (or r·r) that
+// ApplyPrecond and DotRZ (or Norm2R) give. Reductions must match bitwise,
+// because a port's one-sweep kernels keep the row order and combine order
+// of its dot kernels.
 func FusionEquivalence(t *testing.T, factory Factory) {
 	decks := []struct {
-		name   string
-		mutate func(*config.Config)
+		name    string
+		precond bool
+		mutate  func(*config.Config)
 	}{
-		{"PlainCG", func(cfg *config.Config) {}},
-		{"DiagPrecondCG", func(cfg *config.Config) { cfg.Preconditioner = config.PrecondJacDiag }},
-		{"BlockPrecondCG", func(cfg *config.Config) { cfg.Preconditioner = config.PrecondJacBlock }},
-		{"PPCG", func(cfg *config.Config) { cfg.Solver = config.SolverPPCG }},
+		{"PlainCG", false, func(cfg *config.Config) {}},
+		{"DiagPrecondCG", true, func(cfg *config.Config) { cfg.Preconditioner = config.PrecondJacDiag }},
+		{"BlockPrecondCG", true, func(cfg *config.Config) { cfg.Preconditioner = config.PrecondJacBlock }},
+		{"PPCG", false, func(cfg *config.Config) { cfg.Solver = config.SolverPPCG }},
 	}
 	for _, deck := range decks {
 		deck := deck
@@ -120,11 +167,13 @@ func FusionEquivalence(t *testing.T, factory Factory) {
 			cfg := config.BenchmarkN(16)
 			cfg.EndStep = 2
 			deck.mutate(&cfg)
-			fused := runFusion(t, factory, cfg, false)
-			unfused := runFusion(t, factory, cfg, true)
-			if d := mustCompare(t, unfused.Final, fused.Final); d > 1e-12 {
-				t.Errorf("fused and unfused paths diverge by %g:\n   fused %+v\nunfused %+v",
-					d, fused.Final, unfused.Final)
+			var c *sweepCheck
+			Run(t, func() driver.Kernels {
+				c = &sweepCheck{Kernels: factory(), t: t}
+				return c
+			}, cfg)
+			if c.w == 0 || c.ur == 0 || (c.urPrecon > 0) != deck.precond {
+				t.Errorf("checked %d CGCalcW and %d CGCalcUR calls (%d preconditioned)", c.w, c.ur, c.urPrecon)
 			}
 		})
 	}

@@ -291,59 +291,42 @@ func (c *Chunk) CGInitP(precond bool) float64 {
 		})
 }
 
-// CGCalcW implements driver.Kernels.
+// CGCalcW implements driver.Kernels: one reducing launch evaluates w = A p
+// and accumulates p·w, so p and w are not read back from device memory for
+// a separate dot launch.
 func (c *Chunk) CGCalcW() float64 {
-	c.launchOperator("cg_calc_w", c.w, c.p)
-	return c.dot("cg_dot_pw", c.p, c.w)
-}
-
-// CGCalcUR implements driver.Kernels.
-func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	rrn := c.reduceInterior("cg_calc_ur", simgpu.Args(c.u, c.p, c.r, c.w),
-		func(a [][]float64, lo, hi int, acc *float64) {
-			r := a[2][lo:hi]
-			kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
-			if !precond {
-				*acc = kern.DotAcc(*acc, r, r)
-			}
-		})
-	if precond {
-		c.ApplyPrecond()
-		return c.DotRZ()
-	}
-	return rrn
-}
-
-// CGCalcWFused implements driver.FusedWDot: one reducing launch evaluates
-// w = A p and accumulates p·w, instead of an operator launch followed by a
-// dot launch that re-reads p and w from device memory. The grid, the
-// per-block row traversal and the block-order partial combination match
-// the unfused reduce, so the sum is bitwise identical.
-func (c *Chunk) CGCalcWFused() float64 {
-	return c.reduceInterior("cg_calc_w_fused", simgpu.Args(c.p, c.w, c.kx, c.ky),
+	return c.reduceInterior("cg_calc_w", simgpu.Args(c.p, c.w, c.kx, c.ky),
 		func(a [][]float64, lo, hi int, acc *float64) {
 			kern.OperatorAt(a[1], a[0], a[2], a[3], c.stride, lo, hi)
 			*acc = kern.DotAcc(*acc, a[0][lo:hi], a[1][lo:hi])
 		})
 }
 
-// CGCalcURFused implements driver.FusedURPrecond: for the point-wise
-// (diagonal) preconditioner one reducing launch updates u and r, applies
-// z = mi·r and accumulates r·z. Unpreconditioned, CGCalcUR is already a single
-// reducing launch; the jac_block line solve needs whole rows of the updated
-// r, which a block's row segment cannot provide, so that case runs the
-// unfused sequence — identical results, more sweeps.
-func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	if !precond || c.precond == config.PrecondJacBlock {
-		return c.CGCalcUR(alpha, precond)
-	}
-	return c.reduceInterior("cg_calc_ur_fused", simgpu.Args(c.u, c.p, c.r, c.w, c.mi, c.z),
+// CGCalcUR implements driver.Kernels: one reducing launch updates u and r,
+// applies the diagonal preconditioner z = mi·r when there is one, and
+// accumulates r·z (r·r unpreconditioned). The jac_block line solve needs
+// whole rows of the updated r, which a block's row segment cannot provide,
+// so that preconditioner runs as the update launch, then ApplyPrecond and
+// DotRZ.
+func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
+	lineSolve := precond && c.precond == config.PrecondJacBlock
+	rrn := c.reduceInterior("cg_calc_ur", simgpu.Args(c.u, c.p, c.r, c.w, c.mi, c.z),
 		func(a [][]float64, lo, hi int, acc *float64) {
 			r, z := a[2][lo:hi], a[5][lo:hi]
 			kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
-			kern.Mul(z, a[4][lo:hi], r)
-			*acc = kern.DotAcc(*acc, r, z)
+			switch {
+			case !precond:
+				*acc = kern.DotAcc(*acc, r, r)
+			case !lineSolve:
+				kern.Mul(z, a[4][lo:hi], r)
+				*acc = kern.DotAcc(*acc, r, z)
+			}
 		})
+	if lineSolve {
+		c.ApplyPrecond()
+		return c.DotRZ()
+	}
+	return rrn
 }
 
 // CGCalcP implements driver.Kernels.

@@ -108,8 +108,8 @@ func Reflect(rows Rows, f *grid.Field, depth int, s Sides) {
 }
 
 // Chunk is one host-resident chunk: all fields with halo depth 2 and the
-// unfused driver.Kernels bodies (everything but Name and Close, which
-// belong to the port).
+// driver.Kernels bodies (everything but Name and Close, which belong to the
+// port).
 type Chunk struct {
 	rows Rows
 	halo Halo
@@ -129,15 +129,6 @@ type Chunk struct {
 
 // New creates a chunk from its two policies.
 func New(rows Rows, halo Halo) *Chunk { return &Chunk{rows: rows, halo: halo} }
-
-// Fused is Chunk plus the optional single-sweep CG entry points
-// (driver.FusedWDot, driver.FusedURPrecond). The OpenACC port builds on the
-// plain Chunk, so one real version keeps the solver's unfused fallback
-// exercised.
-type Fused struct{ Chunk }
-
-// NewFused creates a fused-capable chunk from its two policies.
-func NewFused(rows Rows, halo Halo) *Fused { return &Fused{Chunk{rows: rows, halo: halo}} }
 
 // Generate implements driver.Kernels on the chunk's own (sub-)mesh.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
@@ -341,37 +332,13 @@ func (c *Chunk) CGCalcW() float64 {
 	})
 }
 
-// CGCalcUR implements driver.Kernels.
-func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	if precond {
-		c.forRows(func(j int) {
-			kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), c.r.InteriorRow(j), c.w.InteriorRow(j), alpha)
-		})
-		c.ApplyPrecond()
-		return c.DotRZ()
-	}
-	return c.rows.ReduceSum(0, c.ny, func(j0, j1 int) (s float64) {
-		for j := j0; j < j1; j++ {
-			rr := c.r.InteriorRow(j)
-			kern.UpdateUR(c.u.InteriorRow(j), c.p.InteriorRow(j), rr, c.w.InteriorRow(j), alpha)
-			s = kern.DotAcc(s, rr, rr)
-		}
-		return s
-	})
-}
-
-// CGCalcWFused implements driver.FusedWDot. CGCalcW already evaluates the
-// operator and the p·w dot in one sweep, so the fused entry point is the
-// same kernel under its capability name.
-func (c *Fused) CGCalcWFused() float64 { return c.CGCalcW() }
-
-// CGCalcURFused implements driver.FusedURPrecond: per row, the u/r update,
+// CGCalcUR implements driver.Kernels in one sweep: per row, the u/r update,
 // the preconditioner application (both kinds need only the row's own
-// updated r) and the r·z (or r·r) contribution happen in one pass, replacing
-// the update + ApplyPrecond + DotRZ sequence of three sweeps. Row order
-// within a share and share-order combination match the unfused path, so the
-// result is bitwise identical.
-func (c *Fused) CGCalcURFused(alpha float64, precond bool) float64 {
+// updated r) and the r·z (or r·r) contribution, where the update, then
+// ApplyPrecond, then DotRZ would take three. Rows run in the order and the
+// shares combine in the order DotRZ's would, so the result is bitwise the
+// same as that sequence's.
+func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
 	return c.rows.ReduceSum(0, c.ny, func(j0, j1 int) (s float64) {
 		for j := j0; j < j1; j++ {
 			rr := c.r.InteriorRow(j)

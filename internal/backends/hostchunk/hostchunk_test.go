@@ -47,8 +47,8 @@ func solverDecks(n int) map[string]config.Config {
 // TestPolicyEquivalence is the executable statement of "the host versions
 // differ only in policy": at width one every row policy hands the whole
 // range to one share, so the serial policy, a 1-thread team, a 1-rank MPI
-// world and the OpenACC host target at width 1 — fused or not — run the same
-// bodies in the same order and must agree bit for bit.
+// world and the OpenACC host target at width 1 run the same bodies in the
+// same order and must agree bit for bit.
 func TestPolicyEquivalence(t *testing.T) {
 	versions := map[string]backendtest.Factory{
 		"team-1":         teamPolicy(1),

@@ -312,7 +312,8 @@ func (c *Chunk) CGInitP(precond bool) float64 {
 	})
 }
 
-// CGCalcW implements driver.Kernels.
+// CGCalcW implements driver.Kernels: one TeamReduce evaluates the operator
+// and the p·w dot in a single sweep.
 func (c *Chunk) CGCalcW() float64 {
 	p, w := c.p, c.w
 	return c.teamReduce("cg_calc_w", func(s seg, l *float64) {
@@ -321,43 +322,29 @@ func (c *Chunk) CGCalcW() float64 {
 	})
 }
 
-// CGCalcUR implements driver.Kernels.
+// CGCalcUR implements driver.Kernels: one TeamReduce updates u and r, applies
+// the diagonal preconditioner z = mi·r when there is one, and accumulates r·z
+// (r·r unpreconditioned). The jac_block line solve needs whole rows of the
+// updated r, so that preconditioner runs as the update, then ApplyPrecond and
+// DotRZ.
 func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	u, p, r, w := c.u, c.p, c.r, c.w
+	u, p, r, w, mi, z := c.u, c.p, c.r, c.w, c.mi, c.z
+	lineSolve := precond && c.precond == config.PrecondJacBlock
 	rrn := c.teamReduce("cg_calc_ur", func(s seg, l *float64) {
 		kern.UpdateUR(s.of(u), s.of(p), s.of(r), s.of(w), alpha)
-		if !precond {
+		switch {
+		case !precond:
 			*l = kern.DotAcc(*l, s.of(r), s.of(r))
+		case !lineSolve:
+			kern.Mul(s.of(z), s.of(mi), s.of(r))
+			*l = kern.DotAcc(*l, s.of(r), s.of(z))
 		}
 	})
-	if precond {
+	if lineSolve {
 		c.ApplyPrecond()
 		return c.DotRZ()
 	}
 	return rrn
-}
-
-// CGCalcWFused implements driver.FusedWDot: CGCalcW is already one
-// TeamReduce evaluating the operator and the p·w dot in a single sweep, so
-// the fused entry point reuses it.
-func (c *Chunk) CGCalcWFused() float64 { return c.CGCalcW() }
-
-// CGCalcURFused implements driver.FusedURPrecond: one TeamReduce updates u
-// and r, applies the diagonal preconditioner z = mi·r and accumulates r·z —
-// one sweep where the unfused sequence takes three. Unpreconditioned,
-// CGCalcUR is already a single reducing sweep; the jac_block line solve needs
-// whole rows of the updated r, so that case runs the unfused sequence
-// (identical results, more sweeps).
-func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	if !precond || c.precond == config.PrecondJacBlock {
-		return c.CGCalcUR(alpha, precond)
-	}
-	u, p, r, w, mi, z := c.u, c.p, c.r, c.w, c.mi, c.z
-	return c.teamReduce("cg_calc_ur_fused", func(s seg, l *float64) {
-		kern.UpdateUR(s.of(u), s.of(p), s.of(r), s.of(w), alpha)
-		kern.Mul(s.of(z), s.of(mi), s.of(r))
-		*l = kern.DotAcc(*l, s.of(r), s.of(z))
-	})
 }
 
 // CGCalcP implements driver.Kernels.

@@ -14,7 +14,7 @@ import (
 // its row policy, and this type as its halo policy: exchange with
 // neighbouring ranks, reflect the physical sides.
 type rankState struct {
-	*hostchunk.Fused
+	*hostchunk.Chunk
 	rank     *comm.Rank
 	team     *par.Team // nil for the pure-MPI build
 	chunk    comm.Chunk
@@ -67,14 +67,14 @@ func (rs *rankState) Generate(global *grid.Mesh, states []config.State) error {
 	if rs.team != nil {
 		rows.Rows = rs.team
 	}
-	rs.Fused = hostchunk.NewFused(rows, rs)
+	rs.Chunk = hostchunk.New(rows, rs)
 	// Largest halo message: depth<=DefaultHalo strips of columns
 	// (depth*ny) or full-width rows (depth*(nx+2*depth)).
 	d := grid.DefaultHalo
 	maxMsg := d * max(ch.NY, ch.NX+2*d)
 	rs.packBuf = make([]float64, maxMsg)
 	rs.recvBuf = make([]float64, maxMsg)
-	return rs.Fused.Generate(global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY), states)
+	return rs.Chunk.Generate(global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY), states)
 }
 
 // --- halo exchange ---------------------------------------------------------

@@ -17,7 +17,7 @@ import (
 // team's static schedule; the reflective halo's side loops run on the team
 // too, like the OpenMP update_halo.
 type Chunk struct {
-	*hostchunk.Fused
+	*hostchunk.Chunk
 	team *par.Team
 }
 
@@ -27,7 +27,7 @@ var _ driver.Kernels = (*Chunk)(nil)
 // like an unset OMP_NUM_THREADS).
 func New(threads int) *Chunk {
 	team := par.NewTeam(threads)
-	return &Chunk{hostchunk.NewFused(team, hostchunk.Reflective{Rows: team}), team}
+	return &Chunk{hostchunk.New(team, hostchunk.Reflective{Rows: team}), team}
 }
 
 // Name implements driver.Kernels.
@@ -50,7 +50,7 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 		ty = 16
 	}
 	c.team.SetShareAlign(ty &^ 3)
-	return c.Fused.Generate(m, states)
+	return c.Chunk.Generate(m, states)
 }
 
 // Close implements driver.Kernels.

@@ -96,9 +96,8 @@ func (r *regions) updateHost(elems int) {
 	}
 }
 
-// Chunk is the OpenACC-style port. It embeds the plain hostchunk.Chunk, not
-// hostchunk.Fused: the port deliberately offers no fused kernels, so it pins
-// the solver's unfused fallback path.
+// Chunk is the OpenACC-style port: the shared host chunk under the regions
+// row policy.
 type Chunk struct {
 	*hostchunk.Chunk
 	acc *regions

@@ -523,39 +523,25 @@ func rowUpdateUR(a []*ops.Acc, alpha float64, n int) []float64 {
 	return r
 }
 
+// CGCalcUR is one multi-output ParLoopRed: it reads p and w (and mi),
+// read-modify-writes u and r (and writes z) and reduces r·r (or r·z). The
+// jac_block line solve is a whole-row stencil that cannot run point-wise, so
+// that preconditioner runs as the update loop, then ApplyPrecond and DotRZ.
 func (rs *rankState) CGCalcUR(alpha float64, precond bool) float64 {
-	if precond {
+	switch {
+	case !precond:
+		return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_calc_ur", rs.block, rs.interior(), 1, rs.urArgs(),
+			func(a []*ops.Acc, red []float64, n int) {
+				r := rowUpdateUR(a, alpha, n)
+				red[0] = kern.DotAcc(red[0], r, r)
+			}))
+	case rs.precond == config.PrecondJacBlock:
 		rs.ctx.ParLoopRow("cg_calc_ur_update", rs.block, rs.interior(), rs.urArgs(),
 			func(a []*ops.Acc, _ []float64, n int) { rowUpdateUR(a, alpha, n) })
 		rs.ApplyPrecond()
 		return rs.DotRZ()
 	}
-	return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_calc_ur", rs.block, rs.interior(), 1, rs.urArgs(),
-		func(a []*ops.Acc, red []float64, n int) {
-			r := rowUpdateUR(a, alpha, n)
-			red[0] = kern.DotAcc(red[0], r, r)
-		}))
-}
-
-// CGCalcWFused implements the port's FusedWDot capability: cg_calc_w is
-// already a single multi-output ParLoopRed (operator write + p·w
-// reduction), so the fused entry point reuses it.
-func (rs *rankState) CGCalcWFused() float64 { return rs.CGCalcW() }
-
-// CGCalcURFused fuses the u/r update, the diagonal preconditioner and the
-// r·z reduction into one multi-output ParLoopRed: the loop reads p, w and
-// mi, read-modify-writes u and r, writes z and reduces r·z — one sweep
-// where the unfused sequence takes three. The jac_block line solve is a
-// whole-row stencil that cannot run point-wise, so that case falls back to
-// the unfused sequence (identical results, more sweeps).
-func (rs *rankState) CGCalcURFused(alpha float64, precond bool) float64 {
-	if !precond {
-		return rs.CGCalcUR(alpha, false) // already a single reducing loop
-	}
-	if rs.precond == config.PrecondJacBlock {
-		return rs.CGCalcUR(alpha, true)
-	}
-	return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_calc_ur_fused", rs.block, rs.interior(), 1,
+	return rs.global(rs.ctx.ParLoopRedDeferredRow("cg_calc_ur", rs.block, rs.interior(), 1,
 		rs.urArgs(ops.ArgDat(rs.mi, sPoint, ops.Read), ops.ArgDat(rs.z, sPoint, ops.Write)),
 		func(a []*ops.Acc, red []float64, n int) {
 			r, z := rowUpdateUR(a, alpha, n), a[5].Row(0, 0, n)

@@ -255,7 +255,8 @@ func (c *Chunk) CGInitP(precond bool) float64 {
 	})
 }
 
-// CGCalcW implements driver.Kernels.
+// CGCalcW implements driver.Kernels: one Kernel2DRowReduce evaluates the
+// operator and the p·w dot in a single sweep.
 func (c *Chunk) CGCalcW() float64 {
 	p, w := c.p, c.w
 	return c.reduceInterior("cg_calc_w", func(lo, hi int, s *float64) {
@@ -264,43 +265,29 @@ func (c *Chunk) CGCalcW() float64 {
 	})
 }
 
-// CGCalcUR implements driver.Kernels.
+// CGCalcUR implements driver.Kernels: one Kernel2DRowReduce updates u and r,
+// applies the diagonal preconditioner z = mi·r when there is one, and
+// accumulates r·z (r·r unpreconditioned). The jac_block line solve needs
+// whole rows of the updated r, so that preconditioner runs as the update,
+// then ApplyPrecond and DotRZ.
 func (c *Chunk) CGCalcUR(alpha float64, precond bool) float64 {
-	u, p, r, w := c.u, c.p, c.r, c.w
+	u, p, r, w, mi, z := c.u, c.p, c.r, c.w, c.mi, c.z
+	lineSolve := precond && c.precond == config.PrecondJacBlock
 	rrn := c.reduceInterior("cg_calc_ur", func(lo, hi int, s *float64) {
 		kern.UpdateUR(u[lo:hi], p[lo:hi], r[lo:hi], w[lo:hi], alpha)
-		if !precond {
+		switch {
+		case !precond:
 			*s = kern.DotAcc(*s, r[lo:hi], r[lo:hi])
+		case !lineSolve:
+			kern.Mul(z[lo:hi], mi[lo:hi], r[lo:hi])
+			*s = kern.DotAcc(*s, r[lo:hi], z[lo:hi])
 		}
 	})
-	if precond {
+	if lineSolve {
 		c.ApplyPrecond()
 		return c.DotRZ()
 	}
 	return rrn
-}
-
-// CGCalcWFused implements driver.FusedWDot: CGCalcW is already one
-// Kernel2DRowReduce evaluating the operator and the p·w dot in a single
-// sweep, so the fused entry point reuses it.
-func (c *Chunk) CGCalcWFused() float64 { return c.CGCalcW() }
-
-// CGCalcURFused implements driver.FusedURPrecond: one Kernel2DRowReduce
-// updates u and r, applies the diagonal preconditioner z = mi·r and
-// accumulates r·z — one sweep where the unfused sequence takes three.
-// Unpreconditioned, CGCalcUR is already a single reducing sweep; the
-// jac_block line solve needs whole rows of the updated r, so that case runs
-// the unfused sequence (identical results, more sweeps).
-func (c *Chunk) CGCalcURFused(alpha float64, precond bool) float64 {
-	if !precond || c.precond == config.PrecondJacBlock {
-		return c.CGCalcUR(alpha, precond)
-	}
-	u, p, r, w, mi, z := c.u, c.p, c.r, c.w, c.mi, c.z
-	return c.reduceInterior("cg_calc_ur_fused", func(lo, hi int, s *float64) {
-		kern.UpdateUR(u[lo:hi], p[lo:hi], r[lo:hi], w[lo:hi], alpha)
-		kern.Mul(z[lo:hi], mi[lo:hi], r[lo:hi])
-		*s = kern.DotAcc(*s, r[lo:hi], z[lo:hi])
-	})
 }
 
 // CGCalcP implements driver.Kernels.

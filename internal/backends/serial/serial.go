@@ -11,14 +11,14 @@ import (
 
 // Chunk is the serial port: one chunk covering the whole mesh, every row
 // loop a direct call, every boundary reflective.
-type Chunk struct{ *hostchunk.Fused }
+type Chunk struct{ *hostchunk.Chunk }
 
 var _ driver.Kernels = (*Chunk)(nil)
 
 // New creates the serial port.
 func New() *Chunk {
 	rows := hostchunk.Serial{}
-	return &Chunk{hostchunk.NewFused(rows, hostchunk.Reflective{Rows: rows})}
+	return &Chunk{hostchunk.New(rows, hostchunk.Reflective{Rows: rows})}
 }
 
 // Name implements driver.Kernels.

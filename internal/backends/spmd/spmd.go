@@ -49,8 +49,6 @@ type Runner struct {
 var (
 	_ driver.Kernels            = (*Runner)(nil)
 	_ driver.CapabilityReporter = (*Runner)(nil)
-	_ driver.FusedWDot          = (*Runner)(nil)
-	_ driver.FusedURPrecond     = (*Runner)(nil)
 	_ driver.FieldRestorer      = (*Runner)(nil)
 	_ driver.TilingReporter     = (*Runner)(nil)
 )
@@ -263,29 +261,11 @@ func (r *Runner) FetchField(id driver.FieldID) []float64 {
 
 // --- capabilities, forwarded from the rank-local sets ------------------------
 
-// CGCalcWFused implements driver.FusedWDot.
-func (r *Runner) CGCalcWFused() float64 {
-	return value(r, func(k driver.Kernels) float64 { return k.(driver.FusedWDot).CGCalcWFused() })
-}
-
-// CGCalcURFused implements driver.FusedURPrecond.
-func (r *Runner) CGCalcURFused(alpha float64, precond bool) float64 {
-	return value(r, func(k driver.Kernels) float64 {
-		return k.(driver.FusedURPrecond).CGCalcURFused(alpha, precond)
-	})
-}
-
 // RestoreField implements driver.FieldRestorer: every rank copies its own
 // chunk window out of the shared global slab.
 func (r *Runner) RestoreField(id driver.FieldID, data []float64) {
 	r.do(func(k driver.Kernels) { k.(driver.FieldRestorer).RestoreField(id, data) })
 }
-
-// HasFusedWDot implements driver.CapabilityReporter.
-func (r *Runner) HasFusedWDot() bool { return driver.AsFusedWDot(r.sets[0]) != nil }
-
-// HasFusedURPrecond implements driver.CapabilityReporter.
-func (r *Runner) HasFusedURPrecond() bool { return driver.AsFusedURPrecond(r.sets[0]) != nil }
 
 // HasFieldRestorer implements driver.CapabilityReporter.
 func (r *Runner) HasFieldRestorer() bool { return driver.AsFieldRestorer(r.sets[0]) != nil }

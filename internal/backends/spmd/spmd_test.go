@@ -122,8 +122,7 @@ func TestCloseAfterBurstDoesNotHang(t *testing.T) {
 func TestCapabilitiesFollowRankZero(t *testing.T) {
 	r, _, _ := newFake(t, 2)
 	defer r.Close()
-	if driver.AsFusedWDot(r) != nil || driver.AsFusedURPrecond(r) != nil ||
-		driver.AsFieldRestorer(r) != nil || driver.AsTilingReporter(r) != nil {
+	if driver.AsFieldRestorer(r) != nil || driver.AsTilingReporter(r) != nil {
 		t.Error("runner over plain sets reports a capability they lack")
 	}
 }

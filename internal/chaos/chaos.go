@@ -97,9 +97,9 @@ func ParseSpec(spec string) ([]Fault, error) {
 }
 
 // Kernels wraps a port with a fault schedule. It forwards every kernel to
-// the wrapped port, forwarding the optional capabilities honestly through
-// the CapabilityReporter protocol, and fires each scheduled fault exactly
-// once.
+// the wrapped port, forwarding the optional FieldRestorer capability
+// honestly through the CapabilityReporter protocol, and fires each
+// scheduled fault exactly once.
 type Kernels struct {
 	inner   driver.Kernels
 	faults  []Fault
@@ -274,18 +274,6 @@ func (c *Kernels) FetchField(id driver.FieldID) []float64 { return c.inner.Fetch
 // Close implements driver.Kernels.
 func (c *Kernels) Close() { c.inner.Close() }
 
-// CGCalcWFused implements driver.FusedWDot when the wrapped port does.
-func (c *Kernels) CGCalcWFused() float64 {
-	c.tick()
-	return c.poison(driver.AsFusedWDot(c.inner).CGCalcWFused())
-}
-
-// CGCalcURFused implements driver.FusedURPrecond when the wrapped port does.
-func (c *Kernels) CGCalcURFused(alpha float64, precond bool) float64 {
-	c.tick()
-	return c.poison(driver.AsFusedURPrecond(c.inner).CGCalcURFused(alpha, precond))
-}
-
 // RestoreField implements driver.FieldRestorer when the wrapped port does
 // (never faulted: it is the recovery path, and faulting it would make
 // rollback itself unreliable in a way no test could distinguish from a
@@ -293,12 +281,6 @@ func (c *Kernels) CGCalcURFused(alpha float64, precond bool) float64 {
 func (c *Kernels) RestoreField(id driver.FieldID, data []float64) {
 	driver.AsFieldRestorer(c.inner).RestoreField(id, data)
 }
-
-// HasFusedWDot implements driver.CapabilityReporter.
-func (c *Kernels) HasFusedWDot() bool { return driver.AsFusedWDot(c.inner) != nil }
-
-// HasFusedURPrecond implements driver.CapabilityReporter.
-func (c *Kernels) HasFusedURPrecond() bool { return driver.AsFusedURPrecond(c.inner) != nil }
 
 // HasFieldRestorer implements driver.CapabilityReporter.
 func (c *Kernels) HasFieldRestorer() bool { return driver.AsFieldRestorer(c.inner) != nil }

@@ -101,15 +101,16 @@ func TestNaNArmDoesNotLeakAcrossSteps(t *testing.T) {
 }
 
 // TestCapabilityForwarding: the wrapper must claim exactly the wrapped
-// port's optional capabilities — serial has the fused kernels and the
-// restorer, a bare stub has neither.
+// port's optional capabilities — serial has the restorer, a port seen only
+// through driver.Kernels has not.
 func TestCapabilityForwarding(t *testing.T) {
 	c := driver.Kernels(Wrap(newSerial(t), nil))
 	if driver.AsFieldRestorer(c) == nil {
 		t.Error("wrapper hides the serial port's FieldRestorer")
 	}
-	if driver.AsFusedWDot(c) == nil || driver.AsFusedURPrecond(c) == nil {
-		t.Error("wrapper hides the serial port's fused capabilities")
+	bare := driver.Kernels(Wrap(struct{ driver.Kernels }{newSerial(t)}, nil))
+	if driver.AsFieldRestorer(bare) != nil {
+		t.Error("wrapper claims a FieldRestorer its port lacks")
 	}
 }
 

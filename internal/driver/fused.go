@@ -1,66 +1,24 @@
 package driver
 
-// Optional fused-kernel capabilities. The CG hot path is memory-bandwidth
-// bound (the paper's central finding), so its cost is the number of
-// full-field sweeps per iteration. A port that can evaluate several of the
-// per-iteration kernels in one sweep advertises that by implementing the
-// interfaces below; the solver detects them through AsFusedWDot /
-// AsFusedURPrecond and falls back to the plain Kernels entry points when
-// they are absent. Fused kernels must keep the reduction combine order of
-// their unfused counterparts so that fusion changes no bits — the
-// backendtest fusion-equivalence suite enforces this at 1e-12.
+// FusedWDot, FusedURPrecond, AsFusedWDot and AsFusedURPrecond exist only
+// because the benchmark harness's kernel tracer (bench/trace.go) still names
+// them; they go with the next change to the benchmark. Every port's CGCalcW
+// and CGCalcUR are its one-sweep bodies, no port implements these
+// interfaces, and the solver never asks for them, so the helpers return nil.
 
-// FusedWDot fuses the operator apply with the direction dot: one sweep
-// computes w = A p and returns p·w, replacing a CGCalcW that performs an
-// operator pass followed by a separate dot pass.
+// FusedWDot is the retired single-sweep w = A p + p·w entry point.
 type FusedWDot interface {
 	CGCalcWFused() float64
 }
 
-// FusedURPrecond fuses the u/r update, the preconditioner application and
-// the rr reduction into one sweep: u += alpha p, r -= alpha w, z = M⁻¹ r
-// (when precond), returning r·z (or r·r unpreconditioned) — replacing the
-// CGCalcUR + ApplyPrecond + DotRZ sequence. A port whose preconditioner
-// cannot be applied point-wise (e.g. line solves on a device port) may
-// internally fall back to the unfused sequence for that preconditioner; the
-// result must be identical either way.
+// FusedURPrecond is the retired single-sweep u/r update + precondition +
+// reduce entry point.
 type FusedURPrecond interface {
 	CGCalcURFused(alpha float64, precond bool) float64
 }
 
-// CapabilityReporter lets wrappers that embed Kernels (e.g. Instrumented)
-// report which optional capabilities the wrapped port really implements. A
-// wrapper necessarily has the fused methods in its method set whether or
-// not its inner port does, so a bare type assertion on the wrapper would
-// always succeed; the As* helpers consult this interface to see through it.
-type CapabilityReporter interface {
-	HasFusedWDot() bool
-	HasFusedURPrecond() bool
-	HasFieldRestorer() bool
-}
+// AsFusedWDot returns nil: no port provides FusedWDot.
+func AsFusedWDot(Kernels) FusedWDot { return nil }
 
-// AsFusedWDot returns k's fused w = A p + p·w capability, or nil when k
-// (or, for a wrapper, the port it delegates to) does not provide it.
-func AsFusedWDot(k Kernels) FusedWDot {
-	f, ok := k.(FusedWDot)
-	if !ok {
-		return nil
-	}
-	if cr, ok := k.(CapabilityReporter); ok && !cr.HasFusedWDot() {
-		return nil
-	}
-	return f
-}
-
-// AsFusedURPrecond returns k's fused update+precondition+reduce capability,
-// or nil when k does not provide it.
-func AsFusedURPrecond(k Kernels) FusedURPrecond {
-	f, ok := k.(FusedURPrecond)
-	if !ok {
-		return nil
-	}
-	if cr, ok := k.(CapabilityReporter); ok && !cr.HasFusedURPrecond() {
-		return nil
-	}
-	return f
-}
+// AsFusedURPrecond returns nil: no port provides FusedURPrecond.
+func AsFusedURPrecond(Kernels) FusedURPrecond { return nil }

@@ -12,8 +12,8 @@ import (
 // traffic of each kernel as the executed path performs it (reads + writes
 // of the fields each full-field sweep touches, at 8 bytes per double), so
 // Profile.AchievedGBs is the "useful bandwidth" an external profiler would
-// report for a streaming-bound code, and the sweep counters expose the
-// traffic reduction the fused CG path buys.
+// report for a streaming-bound code, and the sweep counters count the
+// full-field passes each solver iteration makes.
 type Instrumented struct {
 	Kernels
 	prof   *profiler.Profile
@@ -129,37 +129,28 @@ func (in *Instrumented) CGInitP(precond bool) float64 {
 	return v
 }
 
-// CGCalcW implements Kernels: the unfused sequence is an operator sweep
-// (read p, kx, ky; write w) followed by a dot sweep (read p, w).
+// CGCalcW implements Kernels: one sweep reads p, kx, ky and writes w, with
+// the p·w dot carried in registers.
 func (in *Instrumented) CGCalcW() float64 {
 	n, _ := in.cells()
 	var v float64
-	in.prof.TimeSweeps("cg_calc_w", 6*8*n, 15*n, 2, func() { v = in.Kernels.CGCalcW() })
+	in.prof.TimeSweeps("cg_calc_w", 4*8*n, 15*n, 1, func() { v = in.Kernels.CGCalcW() })
 	return v
 }
 
-// CGCalcUR implements Kernels: an update sweep (read u, p, r, w; write u,
-// r), plus, when preconditioned, a preconditioner sweep (read mi, r; write
-// z) and a dot sweep (read r, z).
+// CGCalcUR implements Kernels: one sweep reads u, p, r, w (and mi when
+// preconditioned) and writes u, r (and z), with the reduction in registers.
 func (in *Instrumented) CGCalcUR(alpha float64, precond bool) float64 {
 	n, _ := in.cells()
-	bytes, flops, sweeps := 6*8*n, 6*n, int64(1)
+	bytes, flops := 6*8*n, 6*n
 	if precond {
-		bytes += 5 * 8 * n
+		bytes += 2 * 8 * n
 		flops += 3 * n
-		sweeps += 2
 	}
 	var v float64
-	in.prof.TimeSweeps("cg_calc_ur", bytes, flops, sweeps, func() { v = in.Kernels.CGCalcUR(alpha, precond) })
+	in.prof.TimeSweeps("cg_calc_ur", bytes, flops, 1, func() { v = in.Kernels.CGCalcUR(alpha, precond) })
 	return v
 }
-
-// HasFusedWDot implements CapabilityReporter: the wrapper only has the
-// capability when the wrapped port does.
-func (in *Instrumented) HasFusedWDot() bool { return AsFusedWDot(in.Kernels) != nil }
-
-// HasFusedURPrecond implements CapabilityReporter.
-func (in *Instrumented) HasFusedURPrecond() bool { return AsFusedURPrecond(in.Kernels) != nil }
 
 // HasFieldRestorer implements CapabilityReporter.
 func (in *Instrumented) HasFieldRestorer() bool { return AsFieldRestorer(in.Kernels) != nil }
@@ -178,33 +169,6 @@ func (in *Instrumented) TilingSnapshot() TilingSnapshot {
 func (in *Instrumented) RestoreField(id FieldID, data []float64) {
 	f := AsFieldRestorer(in.Kernels)
 	in.prof.Time("restore_field", 8*int64(len(data)), 0, func() { f.RestoreField(id, data) })
-}
-
-// CGCalcWFused implements FusedWDot: one sweep reads p, kx, ky and writes
-// w, with the p·w dot carried in registers — a third less traffic than the
-// unfused operator + dot pair.
-func (in *Instrumented) CGCalcWFused() float64 {
-	f := AsFusedWDot(in.Kernels)
-	n, _ := in.cells()
-	var v float64
-	in.prof.TimeSweeps("cg_calc_w_fused", 4*8*n, 15*n, 1, func() { v = f.CGCalcWFused() })
-	return v
-}
-
-// CGCalcURFused implements FusedURPrecond: one sweep reads u, p, r, w (and
-// mi when preconditioned), writes u, r (and z), with both reductions in
-// registers — versus three sweeps for the unfused preconditioned sequence.
-func (in *Instrumented) CGCalcURFused(alpha float64, precond bool) float64 {
-	f := AsFusedURPrecond(in.Kernels)
-	n, _ := in.cells()
-	bytes, flops := 6*8*n, 6*n
-	if precond {
-		bytes += 2 * 8 * n
-		flops += 3 * n
-	}
-	var v float64
-	in.prof.TimeSweeps("cg_calc_ur_fused", bytes, flops, 1, func() { v = f.CGCalcURFused(alpha, precond) })
-	return v
 }
 
 // CGCalcP implements Kernels.

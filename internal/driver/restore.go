@@ -12,10 +12,17 @@ type FieldRestorer interface {
 	RestoreField(id FieldID, data []float64)
 }
 
+// CapabilityReporter lets wrappers that embed Kernels (e.g. Instrumented)
+// report whether the wrapped port really implements FieldRestorer. A
+// wrapper necessarily has RestoreField in its method set whether or not its
+// inner port does, so a bare type assertion on the wrapper would always
+// succeed; AsFieldRestorer consults this interface to see through it.
+type CapabilityReporter interface {
+	HasFieldRestorer() bool
+}
+
 // AsFieldRestorer returns k's field-restore capability, or nil when k (or,
-// for a wrapper, the port it delegates to) does not provide it. Like the
-// fused-capability helpers it consults CapabilityReporter so wrappers that
-// embed Kernels do not claim the capability structurally.
+// for a wrapper, the port it delegates to) does not provide it.
 func AsFieldRestorer(k Kernels) FieldRestorer {
 	f, ok := k.(FieldRestorer)
 	if !ok {

@@ -13,7 +13,7 @@ import (
 // recorded through a profiler span observer, or a whole job recorded by the
 // serve layer.
 type Span struct {
-	Name  string        // event name, e.g. "cg_calc_w_fused"
+	Name  string        // event name, e.g. "cg_calc_w"
 	Cat   string        // category, e.g. "kernel" or "job"
 	TID   int           // trace row: jobs use their sequence number
 	Start time.Time     // wall-clock start

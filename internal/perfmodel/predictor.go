@@ -307,11 +307,9 @@ func gpuLaunchVersion(version string) bool {
 	return onGPU
 }
 
-// benchFile is the union of the teabench -json schemas the predictor can
-// ingest: BENCH_portability.json carries measured host wall times per
-// version; BENCH_tiling.json carries per-iteration kernel times (its
-// version labels are tiling arms, so only rows naming a calibrated
-// version are used). Other artefacts decode to zero rows and are skipped.
+// benchFile is the teabench -json schema the predictor ingests:
+// BENCH_portability.json's measured host wall times per version. Other
+// artefacts decode to zero rows and are skipped.
 type benchFile struct {
 	Mesh  int `json:"mesh"`
 	Steps int `json:"steps"`
@@ -320,12 +318,6 @@ type benchFile struct {
 		WallSeconds float64 `json:"wall_seconds"`
 		Iterations  int     `json:"iterations"`
 	} `json:"host"`
-	Rows []struct {
-		Version string `json:"version"`
-		Untiled *struct {
-			NsPerIter float64 `json:"ns_per_iter"`
-		} `json:"untiled"`
-	} `json:"rows"`
 }
 
 // LoadBench seeds the predictor from one teabench -json artefact,
@@ -346,14 +338,6 @@ func (p *Predictor) LoadBench(path string) (int, error) {
 	n := 0
 	for _, r := range bf.Host {
 		if p.Observe(r.Version, cells, r.Iterations, r.WallSeconds) {
-			n++
-		}
-	}
-	for _, r := range bf.Rows {
-		if _, calibrated := calibration[r.Version]; !calibrated || r.Untiled == nil {
-			continue
-		}
-		if p.Observe(r.Version, cells, 1, r.Untiled.NsPerIter*1e-9) {
 			n++
 		}
 	}

@@ -112,7 +112,7 @@ func TestDeckWorkload(t *testing.T) {
 	if w := DeckWorkload(100, 1, 0); w.N < 1 || w.Steps != 1 {
 		t.Fatalf("degenerate workload = %+v", w)
 	}
-	if w := DeckWorkload(-3, -3, 1 << 30); w.N != 1 || w.Steps != 1000 {
+	if w := DeckWorkload(-3, -3, 1<<30); w.N != 1 || w.Steps != 1000 {
 		t.Fatalf("clamped workload = %+v", w)
 	}
 }
@@ -139,16 +139,26 @@ func TestPredictorLoadBench(t *testing.T) {
 		}
 	}
 	p := NewPredictor()
-	// 2 host rows + 1 calibrated tiling row ("ops-serial" is a tiling arm
-	// label, not a registered version, so it is skipped).
-	if n := p.LoadBenchDir(dir); n != 3 {
-		t.Fatalf("LoadBenchDir accepted %d samples, want 3", n)
+	// The 2 valid host rows. BENCH_tiling.json's rows are tiling arms, not
+	// the one schema the predictor reads, so they seed nothing.
+	if n := p.LoadBenchDir(dir); n != 2 {
+		t.Fatalf("LoadBenchDir accepted %d samples, want 2", n)
 	}
 	if pr := p.Predict("manual-omp", 96*96, 120); pr.Source != SourceFit {
 		t.Fatalf("manual-omp after load = %+v", pr)
 	}
-	if pr := p.Predict("ops-openmp", 256*256, 1); pr.Source != SourceFit {
-		t.Fatalf("ops-openmp after load = %+v", pr)
+	if pr := p.Predict("ops-openmp", 256*256, 1); pr.Source == SourceFit {
+		t.Fatalf("ops-openmp fitted from a tiling row: %+v", pr)
+	}
+}
+
+// TestPredictorLoadBenchRepoRoot: the committed artefacts seed the
+// predictor with one sample per calibrated version, all from
+// BENCH_portability.json's measured host rows.
+func TestPredictorLoadBenchRepoRoot(t *testing.T) {
+	p := NewPredictor()
+	if n, want := p.LoadBenchDir(filepath.Join("..", "..")), len(CalibratedVersions()); n != want || want != 17 {
+		t.Fatalf("LoadBenchDir on the repo root accepted %d samples, want one per calibrated version (%d of 17)", n, want)
 	}
 }
 

@@ -410,7 +410,7 @@ func TestMetricsRegistryWiring(t *testing.T) {
 		"teaserve_jobs_completed_total 1",
 		"teaserve_jobs_inflight 0",
 		"teaserve_queue_depth 0",
-		`tealeaf_kernel_calls_total{kernel="cg_calc_w`, // fused or not
+		`tealeaf_kernel_calls_total{kernel="cg_calc_w"}`,
 		`tealeaf_kernel_sweeps_total{kernel="set_field"}`,
 	} {
 		if !strings.Contains(out, want) {

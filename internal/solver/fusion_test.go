@@ -6,7 +6,6 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
-	"github.com/warwick-hpsc/tealeaf-go/internal/profiler"
 )
 
 // stubKernels is a minimal driver.Kernels that records which CG entry
@@ -49,7 +48,7 @@ func (s *stubKernels) PPCGFinishInner()                    {}
 func (s *stubKernels) FetchField(driver.FieldID) []float64 { return nil }
 func (s *stubKernels) Close()                              {}
 
-// fusedStub additionally advertises both fused capabilities.
+// fusedStub also has methods named like the retired fused entry points.
 type fusedStub struct {
 	stubKernels
 }
@@ -66,9 +65,10 @@ func (s *fusedStub) CGCalcURFused(float64, bool) float64 {
 
 var cgOpts = Options{Solver: config.SolverCG, Eps: 1e-10, MaxIters: 5}
 
-// TestCGDispatchFusedPath: a port advertising the fused capabilities must
-// have its fused entry points driven and its plain CGCalcW/CGCalcUR never
-// called from the CG loop.
+// TestCGDispatchFusedPath: CGCalcW and CGCalcUR are every port's one-sweep
+// kernels and the CG loop's only entry points for them. A port that also
+// has methods named like the retired fused entry points is driven through
+// CGCalcW and CGCalcUR all the same.
 func TestCGDispatchFusedPath(t *testing.T) {
 	k := &fusedStub{}
 	st, err := Solve(k, cgOpts)
@@ -78,14 +78,14 @@ func TestCGDispatchFusedPath(t *testing.T) {
 	if !st.Converged || st.Iterations != 1 {
 		t.Fatalf("stub solve: %+v", st)
 	}
-	want := []string{"CGCalcWFused", "CGCalcURFused"}
+	want := []string{"CGCalcW", "CGCalcUR"}
 	if len(k.calls) != len(want) || k.calls[0] != want[0] || k.calls[1] != want[1] {
-		t.Errorf("fused port drove %v, want %v", k.calls, want)
+		t.Errorf("port drove %v, want %v", k.calls, want)
 	}
 }
 
-// TestCGDispatchFallbackPath: a port without the fused interfaces must fall
-// back to the separate kernels transparently.
+// TestCGDispatchFallbackPath: a port with nothing beyond driver.Kernels is
+// driven through CGCalcW and CGCalcUR, once each per iteration.
 func TestCGDispatchFallbackPath(t *testing.T) {
 	k := &stubKernels{}
 	st, err := Solve(k, cgOpts)
@@ -98,42 +98,5 @@ func TestCGDispatchFallbackPath(t *testing.T) {
 	want := []string{"CGCalcW", "CGCalcUR"}
 	if len(k.calls) != len(want) || k.calls[0] != want[0] || k.calls[1] != want[1] {
 		t.Errorf("plain port drove %v, want %v", k.calls, want)
-	}
-}
-
-// TestCGDispatchDisableFusion: the control arm must force the unfused
-// kernels even when the port is fused-capable.
-func TestCGDispatchDisableFusion(t *testing.T) {
-	k := &fusedStub{}
-	opt := cgOpts
-	opt.DisableFusion = true
-	if _, err := Solve(k, opt); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"CGCalcW", "CGCalcUR"}
-	if len(k.calls) != len(want) || k.calls[0] != want[0] || k.calls[1] != want[1] {
-		t.Errorf("DisableFusion drove %v, want %v", k.calls, want)
-	}
-}
-
-// TestFusedDetectionThroughWrapper guards the classic embedding pitfall: a
-// wrapper that embeds driver.Kernels structurally satisfies the fused
-// interfaces even when the wrapped port does not, so capability detection
-// must consult the wrapper's CapabilityReporter, not a bare type assertion.
-func TestFusedDetectionThroughWrapper(t *testing.T) {
-	prof := profiler.New()
-
-	plain := driver.Instrument(&stubKernels{}, prof)
-	if driver.AsFusedWDot(plain) != nil || driver.AsFusedURPrecond(plain) != nil {
-		t.Error("instrumented plain port must not report fused capabilities")
-	}
-	path := newCGPath(plain, cgOpts)
-	if path.fw != nil || path.fur != nil {
-		t.Error("cgPath resolved fused entry points through a plain wrapper")
-	}
-
-	fused := driver.Instrument(&fusedStub{}, prof)
-	if driver.AsFusedWDot(fused) == nil || driver.AsFusedURPrecond(fused) == nil {
-		t.Error("instrumented fused port must keep its fused capabilities")
 	}
 }

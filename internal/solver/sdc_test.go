@@ -38,8 +38,7 @@ func initSolve(t *testing.T, cfg *config.Config) *serial.Chunk {
 // flippingKernels wraps a port and, after a given number of CGCalcUR calls,
 // flips bit 52 of one interior element of u — a finite, silent doubling of
 // a solution value that no NaN/divergence guard can see, the canonical SDC
-// the ABFT monitor exists to catch. Interface embedding hides the wrapped
-// port's capability methods, so the solver takes the plain kernel path.
+// the ABFT monitor exists to catch.
 type flippingKernels struct {
 	driver.Kernels
 	after int
@@ -94,7 +93,6 @@ func TestSDCMonitorDetectsStateFlip(t *testing.T) {
 	k := initSolve(t, &cfg)
 	opt := FromConfig(&cfg)
 	opt.SDCCheckEvery = 2
-	opt.DisableFusion = true
 	opt.MaxRestarts = 0 // a restart would self-heal the iterate; surface the error instead
 	_, err := Solve(&flippingKernels{Kernels: k, after: 3}, opt)
 	if !errors.Is(err, ErrSDC) {
@@ -113,7 +111,6 @@ func TestSDCSilentWithoutMonitor(t *testing.T) {
 	cfg := config.BenchmarkN(24)
 	k := initSolve(t, &cfg)
 	opt := FromConfig(&cfg)
-	opt.DisableFusion = true
 	fk := &flippingKernels{Kernels: k, after: 3}
 	st, err := Solve(fk, opt)
 	if !fk.fired {
@@ -207,7 +204,6 @@ func TestSolveCtxMidSolveCancel(t *testing.T) {
 	n := 0
 	stop := &cancelAfter{Kernels: k, n: &n, cancel: cancel, after: 3}
 	opt := FromConfig(&cfg)
-	opt.DisableFusion = true
 	st, err := SolveCtx(ctx, stop, opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

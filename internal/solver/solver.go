@@ -33,10 +33,6 @@ type Options struct {
 	Precond        bool // diagonal (Jacobi) preconditioning for CG/Chebyshev
 	PPCGInnerSteps int
 	EigenCGIters   int // CG iterations used to bootstrap eigenvalue estimates
-	// DisableFusion forces the unfused CG kernels even on ports that
-	// advertise the fused capabilities — the control arm for fusion
-	// benchmarks and the fused ≡ unfused equivalence tests.
-	DisableFusion bool
 
 	// MaxRestarts bounds how many times a broken-down CG solve restarts
 	// from its current iterate (recomputing the residual and search
@@ -225,42 +221,6 @@ func checkReduction(rrn, initial float64) error {
 	return nil
 }
 
-// cgPath binds the kernel entry points one CG iteration uses: the fused
-// capabilities when the port advertises them (and fusion is enabled), the
-// plain kernels otherwise. Resolving once per solve keeps the per-iteration
-// dispatch free of interface probing.
-type cgPath struct {
-	k   driver.Kernels
-	fw  driver.FusedWDot
-	fur driver.FusedURPrecond
-}
-
-func newCGPath(k driver.Kernels, opt Options) cgPath {
-	p := cgPath{k: k}
-	if !opt.DisableFusion {
-		p.fw = driver.AsFusedWDot(k)
-		p.fur = driver.AsFusedURPrecond(k)
-	}
-	return p
-}
-
-// calcW computes w = A p and returns p·w, in one sweep when fused.
-func (p cgPath) calcW() float64 {
-	if p.fw != nil {
-		return p.fw.CGCalcWFused()
-	}
-	return p.k.CGCalcW()
-}
-
-// calcUR updates u and r and returns the new rr (r·z preconditioned), in
-// one sweep when fused.
-func (p cgPath) calcUR(alpha float64, precond bool) float64 {
-	if p.fur != nil {
-		return p.fur.CGCalcURFused(alpha, precond)
-	}
-	return p.k.CGCalcUR(alpha, precond)
-}
-
 // cgIteration performs one CG iteration and returns the new rr. The alpha
 // and beta used are appended to the provided slices when they are non-nil
 // (the eigenvalue bootstrap records them). With the monitor on, the SPD
@@ -277,9 +237,8 @@ func (p cgPath) calcUR(alpha float64, precond bool) float64 {
 // [cg_calc_p → halo(p) → cg_calc_w] explicit: on a tiling ops context those
 // loops queue as one chain and execute cache-resident at the p·w demand,
 // and the converged exit skips the dangling exchange entirely.
-func cgIteration(path cgPath, opt Options, rro float64, alphas, betas *[]float64, st *Stats, mon sdcMonitor) (float64, error) {
-	k := path.k
-	pw := path.calcW()
+func cgIteration(k driver.Kernels, opt Options, rro float64, alphas, betas *[]float64, st *Stats, mon sdcMonitor) (float64, error) {
+	pw := k.CGCalcW()
 	if pw == 0 || math.IsNaN(pw) || math.IsInf(pw, 0) {
 		return 0, errIndefinite
 	}
@@ -287,7 +246,7 @@ func cgIteration(path cgPath, opt Options, rro float64, alphas, betas *[]float64
 		return 0, err
 	}
 	alpha := rro / pw
-	rrn := path.calcUR(alpha, opt.Precond)
+	rrn := k.CGCalcUR(alpha, opt.Precond)
 	if err := checkReduction(rrn, st.InitialError); err != nil {
 		return 0, err
 	}
@@ -308,7 +267,6 @@ func cgIteration(path cgPath, opt Options, rro float64, alphas, betas *[]float64
 
 func solveCG(ctx context.Context, k driver.Kernels, opt Options) (Stats, error) {
 	var st Stats
-	path := newCGPath(k, opt)
 	mon := newSDCMonitor(opt)
 	rro := k.CGInitP(opt.Precond)
 	st.InitialError = rro
@@ -325,7 +283,7 @@ func solveCG(ctx context.Context, k driver.Kernels, opt Options) (Stats, error) 
 		if cerr := ctxErr(ctx); cerr != nil {
 			return st, cerr
 		}
-		rrn, err := cgIteration(path, opt, rro, nil, nil, &st, mon)
+		rrn, err := cgIteration(k, opt, rro, nil, nil, &st, mon)
 		if err == nil {
 			rro = rrn
 			st.Error = rrn
@@ -424,7 +382,6 @@ func solveJacobi(ctx context.Context, k driver.Kernels, opt Options) (Stats, err
 // opt.EigenCGIters iterations, recording alphas and betas. It may converge
 // outright, in which case done is true.
 func bootstrapCG(ctx context.Context, k driver.Kernels, opt Options, st *Stats) (rro float64, alphas, betas []float64, done bool, err error) {
-	path := newCGPath(k, opt)
 	mon := newSDCMonitor(opt)
 	rro = k.CGInitP(opt.Precond)
 	st.InitialError = rro
@@ -446,7 +403,7 @@ func bootstrapCG(ctx context.Context, k driver.Kernels, opt Options, st *Stats) 
 		if cerr := ctxErr(ctx); cerr != nil {
 			return rro, alphas, betas, false, cerr
 		}
-		rrn, cgErr := cgIteration(path, opt, rro, &alphas, &betas, st, mon)
+		rrn, cgErr := cgIteration(k, opt, rro, &alphas, &betas, st, mon)
 		if cgErr != nil {
 			return rro, alphas, betas, false, cgErr
 		}
@@ -581,7 +538,6 @@ func solvePPCG(ctx context.Context, k driver.Kernels, opt Options) (Stats, error
 	}
 
 	applyPoly()
-	path := newCGPath(k, opt)
 	rro := k.CGInitP(true) // p = z, rro = r.z
 	// As in solveCG, p's exchange rides the tail of the kernel that wrote p.
 	k.HaloExchange([]driver.FieldID{driver.FieldP}, 1)
@@ -590,7 +546,7 @@ func solvePPCG(ctx context.Context, k driver.Kernels, opt Options) (Stats, error
 		if cerr := ctxErr(ctx); cerr != nil {
 			return st, cerr
 		}
-		pw := path.calcW()
+		pw := k.CGCalcW()
 		if pw == 0 || math.IsNaN(pw) || math.IsInf(pw, 0) {
 			return st, errIndefinite
 		}
@@ -598,7 +554,7 @@ func solvePPCG(ctx context.Context, k driver.Kernels, opt Options) (Stats, error
 			return st, err
 		}
 		alpha := rro / pw
-		rrTrue := path.calcUR(alpha, false) // plain r.r for the convergence test
+		rrTrue := k.CGCalcUR(alpha, false) // plain r.r for the convergence test
 		st.Iterations++
 		st.Error = rrTrue
 		if err := checkReduction(rrTrue, st.InitialError); err != nil {
