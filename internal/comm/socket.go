@@ -249,7 +249,11 @@ func (t *socketTransport) Close() error {
 		ep.ln.Close()
 		for _, l := range ep.links {
 			if l != nil {
+				// Under the link's lock: a writer between its closed check
+				// and its Wait would otherwise miss the broadcast for good.
+				l.mu.Lock()
 				l.cond.Broadcast()
+				l.mu.Unlock()
 			}
 		}
 	}

@@ -431,6 +431,30 @@ func TestDistCollectivesMatchInProcess(t *testing.T) {
 	}
 }
 
+// TestSocketCloseDoesNotHang: closing a socket world right after it starts
+// — while its link writers may be between their closed check and their wait
+// — must return. Close used to broadcast without the link's lock, and about
+// one close in 50,000 under -race lost the wake-up and hung.
+func TestSocketCloseDoesNotHang(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			w, err := NewSocketWorld(3, SocketOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			w.Close()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Close hung after %d clean cycles", i)
+		}
+	}
+}
+
 // TestParseSpecTransportFaults pins the extended fault grammar: the new
 // transport-level actions, their required keys, the step alias, and the
 // canonical round-trip through Spec().
