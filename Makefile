@@ -29,10 +29,11 @@ race:
 # soak repeats the spin-then-park handshakes under the race detector: par's
 # Team.Close after short bursts (where a one-in-40,000 hang once lived; each
 # repetition closes tens of thousands of teams), the SPMD runner's panic
-# containment, Reset and Close-after-burst, comm's abort wake-ups and
-# collective deadlines, and the simulated GPU on its team (use after Close,
-# Close after launch bursts, concurrent launchers taking turns on the stream
-# lock, a panicking kernel reaching the caller). Then the serving plane's job
+# containment, Reset and Close-after-burst, comm's abort wake-ups, collective
+# deadlines and socket-world Close right after start (where a lost wake-up
+# hung about one close in 50,000), and the simulated GPU on its team (use
+# after Close, Close after launch bursts, concurrent launchers taking turns
+# on the stream lock, a panicking kernel reaching the caller). Then the serving plane's job
 # lifecycle under the race detector: the seeded model test (random traffic,
 # drain, restart), the
 # version-ledger drills, leader-expiry promotion, retention and the
@@ -41,7 +42,7 @@ race:
 # any failure is a bug.
 soak:
 	$(GO) test -race -count=40 -timeout 5m \
-		-run 'TestCloseAfterBurstDoesNotHang|TestCloseIdempotent|TestUseAfterClosePanics|TestPanicSurfacesAsRankError|TestAbortWakesSpinningWaiters|TestWatchdog|TestWorldResetAfterFailure|TestConcurrentLaunchesSerialise|TestKernelPanicReachesCaller' \
+		-run 'TestCloseAfterBurstDoesNotHang|TestCloseIdempotent|TestUseAfterClosePanics|TestPanicSurfacesAsRankError|TestAbortWakesSpinningWaiters|TestWatchdog|TestWorldResetAfterFailure|TestSocketCloseDoesNotHang|TestConcurrentLaunchesSerialise|TestKernelPanicReachesCaller' \
 		./internal/par/ ./internal/backends/spmd/ ./internal/comm/ ./internal/simgpu/
 	$(GO) test -race -count=1 -timeout 5m \
 		-run 'TestLifecycleModel|TestVersionLedgerZeroWhenIdle|TestLeaderExpiryPromotesFollower|TestRetention|TestDrainInterruptsAndRestartResumes' \
@@ -91,12 +92,13 @@ serve-crash:
 		./internal/serve/
 	$(GO) test -race -count=1 ./internal/serve/journal/
 
-# fuzz exercises the deck parser, the comm fault-spec parser and the journal
-# frame decoder against their checked-in corpora plus 30s each of new
-# coverage-guided inputs.
+# fuzz exercises the deck parser, the comm fault-spec parser, the chaos
+# schedule parser and the journal frame decoder against their checked-in
+# corpora plus 30s each of new coverage-guided inputs.
 fuzz:
 	$(GO) test -fuzz FuzzParseReader -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 30s ./internal/comm/
+	$(GO) test -fuzz FuzzParseSpec -fuzztime 30s ./internal/chaos/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s ./internal/serve/journal/
 
 # bench-par measures the fork-join runtime itself: dispatch latency (epoch

@@ -407,7 +407,7 @@ func (c *Chunk) FetchField(id driver.FieldID) []float64 {
 	return out
 }
 
-// RestoreField implements driver.FieldRestorer: copy the field down, patch
+// RestoreField implements driver.Kernels: copy the field down, patch
 // the interior on the host, copy it back up — FetchField's inverse.
 func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
 	buf := c.byID[id]

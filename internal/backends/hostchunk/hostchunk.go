@@ -449,6 +449,6 @@ func (c *Chunk) RestoreWindow(id driver.FieldID, data []float64, stride int) {
 	}
 }
 
-// RestoreField implements driver.FieldRestorer for a chunk that is the whole
+// RestoreField implements driver.Kernels for a chunk that is the whole
 // mesh.
 func (c *Chunk) RestoreField(id driver.FieldID, data []float64) { c.RestoreWindow(id, data, c.nx) }

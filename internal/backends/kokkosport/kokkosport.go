@@ -430,7 +430,7 @@ func (c *Chunk) FetchField(id driver.FieldID) []float64 {
 	return out
 }
 
-// RestoreField implements driver.FieldRestorer: mirror + deep_copy down,
+// RestoreField implements driver.Kernels: mirror + deep_copy down,
 // patch the interior on the host mirror, deep_copy back — the canonical
 // Kokkos write-back (the read-back's inverse).
 func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {

@@ -188,7 +188,7 @@ const (
 	tagFetchData
 )
 
-// RestoreField implements driver.FieldRestorer, fetchField's inverse. Every
+// RestoreField implements driver.Kernels, fetchField's inverse. Every
 // rank is handed the same global slab, so each simply copies out its own
 // chunk window — no gather/scatter messaging at all.
 func (rs *rankState) RestoreField(id driver.FieldID, data []float64) {

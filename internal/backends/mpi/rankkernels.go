@@ -34,7 +34,6 @@ type RankKernels struct {
 }
 
 var _ driver.Kernels = (*RankKernels)(nil)
-var _ driver.FieldRestorer = (*RankKernels)(nil)
 
 // NewRankKernels wraps a fleet process's rank. threads > 1 adds a
 // per-process thread team (the hybrid build); Close releases it.

@@ -145,7 +145,7 @@ func (c *Chunk) FetchField(id driver.FieldID) []float64 {
 	return c.Chunk.FetchField(id)
 }
 
-// RestoreField implements driver.FieldRestorer: a host write followed by an
+// RestoreField implements driver.Kernels: a host write followed by an
 // `acc update device` of the field (counted as host→device traffic).
 func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
 	c.Chunk.RestoreField(id, data)

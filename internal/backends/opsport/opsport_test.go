@@ -7,7 +7,6 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/ops"
-	"github.com/warwick-hpsc/tealeaf-go/internal/profiler"
 	"github.com/warwick-hpsc/tealeaf-go/internal/solver"
 )
 
@@ -169,37 +168,5 @@ func TestTilingSnapshotUntiled(t *testing.T) {
 	}
 	if snap.Chains != 0 {
 		t.Errorf("untiled port flushed %d multi-loop chains", snap.Chains)
-	}
-}
-
-// TestInstrumentedForwardsTilingSnapshot: the profiler wrapper must not
-// hide the tiling capability (cmd/tealeaf -profile reads it through the
-// wrapper).
-func TestInstrumentedForwardsTilingSnapshot(t *testing.T) {
-	p, err := New(Options{Backend: ops.BackendSerial, Tiling: true, TileX: 8, TileY: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	in := driver.Instrument(p, profiler.New())
-	tr := driver.AsTilingReporter(in)
-	if tr == nil {
-		t.Fatal("Instrumented hides the wrapped port's TilingReporter capability")
-	}
-	cfg := config.BenchmarkN(16)
-	cfg.EndStep = 1
-	if _, err := driver.Run(cfg, in, solver.New(solver.FromConfig(&cfg)), nil); err != nil {
-		t.Fatal(err)
-	}
-	snap := tr.TilingSnapshot()
-	if !snap.Tiling || snap.Flushes == 0 || snap.TileX != 8 || snap.TileY != 8 {
-		t.Errorf("forwarded snapshot implausible: %+v", snap)
-	}
-	direct := p.TilingSnapshot()
-	// Sub zeroes every counter but keeps shape fields and the MaxChainLen
-	// high-water mark.
-	want := driver.TilingSnapshot{Tiling: true, TileX: 8, TileY: 8, MaxChainLen: direct.MaxChainLen}
-	if snap.Sub(direct) != want {
-		t.Errorf("wrapper snapshot %+v != port snapshot %+v", snap, direct)
 	}
 }

@@ -368,7 +368,7 @@ func (c *Chunk) FetchField(id driver.FieldID) []float64 {
 	return out
 }
 
-// RestoreField implements driver.FieldRestorer: the write-path inverse of
+// RestoreField implements driver.Kernels: the write-path inverse of
 // FetchField, used by checkpoint rollback.
 func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
 	f := c.byID[id]

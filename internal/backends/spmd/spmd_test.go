@@ -9,9 +9,10 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 )
 
-// fakeSet is a minimal rank-local set: Norm2R allreduces rank+1, CalcResidual
-// panics on the rank *fail names and otherwise meets its peers at a barrier,
-// SetField does nothing. The embedded nil Kernels is never called.
+// fakeSet is a minimal rank-local set: Norm2R allreduces rank+1, CGCalcUR
+// allreduces alpha, CalcResidual panics on the rank *fail names and
+// otherwise meets its peers at a barrier, as HaloExchange does, and SetField
+// does nothing. The embedded nil Kernels is never called.
 type fakeSet struct {
 	driver.Kernels
 	rank   *comm.Rank
@@ -27,6 +28,10 @@ func (f *fakeSet) CalcResidual() {
 	}
 	f.rank.Barrier()
 }
+
+func (f *fakeSet) CGCalcUR(alpha float64, _ bool) float64 { return f.rank.AllreduceSum(alpha) }
+
+func (f *fakeSet) HaloExchange([]driver.FieldID, int) { f.rank.Barrier() }
 
 func (f *fakeSet) SetField() {}
 
@@ -117,12 +122,57 @@ func TestCloseAfterBurstDoesNotHang(t *testing.T) {
 	}
 }
 
-// TestCapabilitiesFollowRankZero: the runner reports exactly the optional
-// capabilities its sets implement.
+// tilingSet is a fakeSet that reports tiling statistics: rank+1 flushes.
+type tilingSet struct{ *fakeSet }
+
+func (t tilingSet) TilingSnapshot() driver.TilingSnapshot {
+	return driver.TilingSnapshot{Tiling: true, Flushes: int64(t.rank.ID() + 1)}
+}
+
+// TestCapabilitiesFollowRankZero: the runner reports tiling statistics
+// exactly when its sets implement them, summed over the ranks.
 func TestCapabilitiesFollowRankZero(t *testing.T) {
 	r, _, _ := newFake(t, 2)
 	defer r.Close()
-	if driver.AsFieldRestorer(r) != nil || driver.AsTilingReporter(r) != nil {
-		t.Error("runner over plain sets reports a capability they lack")
+	if driver.AsTilingReporter(r) != nil {
+		t.Error("runner over plain sets reports tiling statistics they lack")
+	}
+	tiled, err := New("tiled", comm.NewWorld(3), func(rank *comm.Rank) (driver.Kernels, error) {
+		return tilingSet{&fakeSet{rank: rank}}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiled.Close()
+	tr := driver.AsTilingReporter(tiled)
+	if tr == nil {
+		t.Fatal("runner over tiling sets hides their statistics")
+	}
+	if s := tr.TilingSnapshot(); !s.Tiling || s.Flushes != 1+2+3 {
+		t.Errorf("snapshot = %+v, want Tiling and the ranks' 6 flushes", s)
+	}
+}
+
+// TestCallsDoNotAllocate: a call reaches ranks 1..N-1 as a copy of a
+// driver.Call in a slot the runner owns, not as a closure, so driving a
+// 2-rank runner allocates nothing.
+func TestCallsDoNotAllocate(t *testing.T) {
+	r, _, _ := newFake(t, 2)
+	defer r.Close()
+	fields := []driver.FieldID{driver.FieldP}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Norm2R", func() { r.Norm2R() }},
+		{"CGCalcUR", func() { r.CGCalcUR(0.5, true) }},
+		{"HaloExchange", func() { r.HaloExchange(fields, 1) }},
+	} {
+		if n := testing.AllocsPerRun(200, c.call); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
+	}
+	if got := r.CGCalcUR(0.5, true); got != 1 {
+		t.Errorf("CGCalcUR = %v, want rank 0's allreduced 1", got)
 	}
 }

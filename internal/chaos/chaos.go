@@ -15,9 +15,7 @@ import (
 	"strings"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
-	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
-	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 )
 
 // ErrInjected marks every fault this package fires; recovery tests match it
@@ -97,10 +95,10 @@ func ParseSpec(spec string) ([]Fault, error) {
 }
 
 // Kernels wraps a port with a fault schedule. It forwards every kernel to
-// the wrapped port, forwarding the optional FieldRestorer capability
-// honestly through the CapabilityReporter protocol, and fires each
-// scheduled fault exactly once.
+// the wrapped port through a driver.Forwarder and fires each scheduled
+// fault exactly once.
 type Kernels struct {
+	driver.Forwarder
 	inner   driver.Kernels
 	faults  []Fault
 	step    int  // SetField calls seen
@@ -112,12 +110,50 @@ type Kernels struct {
 
 // Wrap builds a chaos wrapper over port with the given schedule.
 func Wrap(port driver.Kernels, faults []Fault) *Kernels {
-	return &Kernels{inner: port, faults: faults}
+	c := &Kernels{inner: port, faults: faults}
+	c.Forwarder = driver.Forward(c.intercept)
+	return c
 }
 
 // Fired reports how many scheduled faults have fired, so tests can assert
 // the schedule actually hit.
 func (c *Kernels) Fired() int { return c.fired }
+
+// Name implements driver.Kernels.
+func (c *Kernels) Name() string { return c.inner.Name() + "+chaos" }
+
+// Close implements driver.Kernels.
+func (c *Kernels) Close() { c.inner.Close() }
+
+// intercept counts and faults every kernel call except three. Generate runs
+// before any step; FetchField and RestoreField are the checkpoint and
+// recovery paths, and faulting them would make rollback itself unreliable in
+// a way no test could distinguish from a rollback bug. SetField starts a new
+// step execution. A nan or flipred fault armed by tick corrupts the next
+// result the kernel table marks poisonable.
+func (c *Kernels) intercept(call *driver.Call) {
+	switch call.ID {
+	case driver.KGenerate, driver.KFetchField, driver.KRestoreField:
+	case driver.KSetField:
+		c.step++
+		c.call = 0
+		c.armNaN = false // un-fired poison does not leak across attempts
+		c.armFlip = false
+	default:
+		c.tick()
+	}
+	call.Apply(c.inner)
+	if !call.ID.Desc().Poisonable {
+		return
+	}
+	if c.armNaN {
+		c.armNaN = false
+		call.Value = math.NaN()
+	} else if c.armFlip {
+		c.armFlip = false
+		call.Value = comm.FlipBits(call.Value, 63)
+	}
+}
 
 // tick advances the call counter and fires any fault scheduled for this
 // coordinate.
@@ -147,140 +183,11 @@ func (c *Kernels) tick() {
 // flipState flips bit 52 of the central interior element of u through the
 // checkpoint read/write path, silently corrupting persistent solver state.
 func (c *Kernels) flipState() {
-	fr := driver.AsFieldRestorer(c.inner)
-	if fr == nil {
-		panic(fmt.Errorf("%w: flip fault needs a FieldRestorer port, %s has none",
-			ErrInjected, c.inner.Name()))
-	}
 	u := c.inner.FetchField(driver.FieldU)
 	if len(u) == 0 {
 		panic(fmt.Errorf("%w: flip fault fired before u exists", ErrInjected))
 	}
 	mid := len(u) / 2
 	u[mid] = comm.FlipBits(u[mid], comm.DefaultFlipBit)
-	fr.RestoreField(driver.FieldU, u)
+	c.inner.RestoreField(driver.FieldU, u)
 }
-
-// poison substitutes a corrupted value for a reduction result when armed.
-func (c *Kernels) poison(v float64) float64 {
-	if c.armNaN {
-		c.armNaN = false
-		return math.NaN()
-	}
-	if c.armFlip {
-		c.armFlip = false
-		return comm.FlipBits(v, 63)
-	}
-	return v
-}
-
-// Name implements driver.Kernels.
-func (c *Kernels) Name() string { return c.inner.Name() + "+chaos" }
-
-// Generate implements driver.Kernels.
-func (c *Kernels) Generate(m *grid.Mesh, states []config.State) error {
-	return c.inner.Generate(m, states)
-}
-
-// SetField implements driver.Kernels and marks the start of a step
-// execution.
-func (c *Kernels) SetField() {
-	c.step++
-	c.call = 0
-	c.armNaN = false // un-fired poison does not leak across attempts
-	c.armFlip = false
-	c.inner.SetField()
-}
-
-// FieldSummary implements driver.Kernels.
-func (c *Kernels) FieldSummary() driver.Totals { c.tick(); return c.inner.FieldSummary() }
-
-// HaloExchange implements driver.Kernels.
-func (c *Kernels) HaloExchange(fields []driver.FieldID, depth int) {
-	c.tick()
-	c.inner.HaloExchange(fields, depth)
-}
-
-// SolveInit implements driver.Kernels.
-func (c *Kernels) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
-	c.tick()
-	c.inner.SolveInit(coef, rx, ry, precond)
-}
-
-// SolveFinalise implements driver.Kernels.
-func (c *Kernels) SolveFinalise() { c.tick(); c.inner.SolveFinalise() }
-
-// ResetField implements driver.Kernels.
-func (c *Kernels) ResetField() { c.tick(); c.inner.ResetField() }
-
-// CalcResidual implements driver.Kernels.
-func (c *Kernels) CalcResidual() { c.tick(); c.inner.CalcResidual() }
-
-// Norm2R implements driver.Kernels.
-func (c *Kernels) Norm2R() float64 { c.tick(); return c.poison(c.inner.Norm2R()) }
-
-// DotRZ implements driver.Kernels.
-func (c *Kernels) DotRZ() float64 { c.tick(); return c.poison(c.inner.DotRZ()) }
-
-// ApplyPrecond implements driver.Kernels.
-func (c *Kernels) ApplyPrecond() { c.tick(); c.inner.ApplyPrecond() }
-
-// CGInitP implements driver.Kernels.
-func (c *Kernels) CGInitP(precond bool) float64 { c.tick(); return c.poison(c.inner.CGInitP(precond)) }
-
-// CGCalcW implements driver.Kernels.
-func (c *Kernels) CGCalcW() float64 { c.tick(); return c.poison(c.inner.CGCalcW()) }
-
-// CGCalcUR implements driver.Kernels.
-func (c *Kernels) CGCalcUR(alpha float64, precond bool) float64 {
-	c.tick()
-	return c.poison(c.inner.CGCalcUR(alpha, precond))
-}
-
-// CGCalcP implements driver.Kernels.
-func (c *Kernels) CGCalcP(beta float64, precond bool) { c.tick(); c.inner.CGCalcP(beta, precond) }
-
-// JacobiCopyU implements driver.Kernels.
-func (c *Kernels) JacobiCopyU() { c.tick(); c.inner.JacobiCopyU() }
-
-// JacobiIterate implements driver.Kernels.
-func (c *Kernels) JacobiIterate() float64 { c.tick(); return c.poison(c.inner.JacobiIterate()) }
-
-// ChebyInit implements driver.Kernels.
-func (c *Kernels) ChebyInit(theta float64, precond bool) { c.tick(); c.inner.ChebyInit(theta, precond) }
-
-// ChebyIterate implements driver.Kernels.
-func (c *Kernels) ChebyIterate(alpha, beta float64, precond bool) {
-	c.tick()
-	c.inner.ChebyIterate(alpha, beta, precond)
-}
-
-// PPCGInitInner implements driver.Kernels.
-func (c *Kernels) PPCGInitInner(theta float64) { c.tick(); c.inner.PPCGInitInner(theta) }
-
-// PPCGInnerIterate implements driver.Kernels.
-func (c *Kernels) PPCGInnerIterate(alpha, beta float64) {
-	c.tick()
-	c.inner.PPCGInnerIterate(alpha, beta)
-}
-
-// PPCGFinishInner implements driver.Kernels.
-func (c *Kernels) PPCGFinishInner() { c.tick(); c.inner.PPCGFinishInner() }
-
-// FetchField implements driver.Kernels (never faulted: it is the
-// checkpoint/QA read path).
-func (c *Kernels) FetchField(id driver.FieldID) []float64 { return c.inner.FetchField(id) }
-
-// Close implements driver.Kernels.
-func (c *Kernels) Close() { c.inner.Close() }
-
-// RestoreField implements driver.FieldRestorer when the wrapped port does
-// (never faulted: it is the recovery path, and faulting it would make
-// rollback itself unreliable in a way no test could distinguish from a
-// rollback bug).
-func (c *Kernels) RestoreField(id driver.FieldID, data []float64) {
-	driver.AsFieldRestorer(c.inner).RestoreField(id, data)
-}
-
-// HasFieldRestorer implements driver.CapabilityReporter.
-func (c *Kernels) HasFieldRestorer() bool { return driver.AsFieldRestorer(c.inner) != nil }

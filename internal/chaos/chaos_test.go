@@ -2,7 +2,10 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/serial"
@@ -100,17 +103,20 @@ func TestNaNArmDoesNotLeakAcrossSteps(t *testing.T) {
 	}
 }
 
-// TestCapabilityForwarding: the wrapper must claim exactly the wrapped
-// port's optional capabilities — serial has the restorer, a port seen only
-// through driver.Kernels has not.
+// tilingPort is a port that reports tiling statistics.
+type tilingPort struct{ driver.Kernels }
+
+func (tilingPort) TilingSnapshot() driver.TilingSnapshot { return driver.TilingSnapshot{} }
+
+// TestCapabilityForwarding: the wrapper forwards the kernels and nothing
+// else; tiling statistics are read from the raw port.
 func TestCapabilityForwarding(t *testing.T) {
-	c := driver.Kernels(Wrap(newSerial(t), nil))
-	if driver.AsFieldRestorer(c) == nil {
-		t.Error("wrapper hides the serial port's FieldRestorer")
+	port := tilingPort{newSerial(t)}
+	if driver.AsTilingReporter(port) == nil {
+		t.Fatal("test port reports no tiling statistics")
 	}
-	bare := driver.Kernels(Wrap(struct{ driver.Kernels }{newSerial(t)}, nil))
-	if driver.AsFieldRestorer(bare) != nil {
-		t.Error("wrapper claims a FieldRestorer its port lacks")
+	if driver.AsTilingReporter(Wrap(port, nil)) != nil {
+		t.Error("wrapper forwards the port's tiling statistics")
 	}
 }
 
@@ -123,11 +129,40 @@ func TestRestoreFieldRoundTripThroughWrapper(t *testing.T) {
 	for i := range patch {
 		patch[i] = float64(i)
 	}
-	driver.AsFieldRestorer(c).RestoreField(driver.FieldEnergy0, patch)
+	c.RestoreField(driver.FieldEnergy0, patch)
 	got := c.FetchField(driver.FieldEnergy0)
 	for i := range got {
 		if got[i] != patch[i] {
 			t.Fatalf("cell %d = %v after restore, want %v", i, got[i], patch[i])
 		}
 	}
+}
+
+// FuzzParseSpec: the schedule parser never panics, and every spec it
+// accepts, re-formatted as kind@step.call clauses, parses back to the same
+// faults.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"panic@2.1;nan@3.4", "flip@1.1", " flipred@10.20 ; nan@1.1", "panic@+3.07",
+		"", ";", "panic", "panic@2", "explode@1.1", "panic@0.1", "nan@1.x", "nan@1.1;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		faults, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		clauses := make([]string, len(faults))
+		for i, ft := range faults {
+			clauses[i] = fmt.Sprintf("%s@%d.%d", ft.Kind, ft.Step, ft.Call)
+		}
+		again, err := ParseSpec(strings.Join(clauses, ";"))
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose formatting %q fails: %v", spec, faults, strings.Join(clauses, ";"), err)
+		}
+		if !reflect.DeepEqual(again, faults) {
+			t.Fatalf("%q parsed to %+v, its formatting to %+v", spec, faults, again)
+		}
+	})
 }

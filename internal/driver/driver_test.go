@@ -53,6 +53,7 @@ func (s *stubKernels) PPCGInitInner(float64)               {}
 func (s *stubKernels) PPCGInnerIterate(float64, float64)   {}
 func (s *stubKernels) PPCGFinishInner()                    {}
 func (s *stubKernels) FetchField(FieldID) []float64        { return make([]float64, s.nx*s.nx) }
+func (s *stubKernels) RestoreField(FieldID, []float64)     {}
 func (s *stubKernels) Close()                              {}
 
 func stubSolver() Solver {

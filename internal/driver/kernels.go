@@ -189,6 +189,14 @@ type Kernels interface {
 	// chunks; device ports copy back to the host.
 	FetchField(id FieldID) []float64
 
+	// RestoreField overwrites the interior of the named field with data
+	// (nx*ny elements, row 0 first — the exact layout FetchField returns):
+	// the write path checkpoint rollback and restart-from-file need.
+	// Distributed ports scatter the slab back to their chunks; device ports
+	// upload to device memory. The caller refreshes the field's halo
+	// afterwards (RestoreField itself only writes the interior).
+	RestoreField(id FieldID, data []float64)
+
 	// Close releases port resources (thread teams, devices, worlds).
 	Close()
 }

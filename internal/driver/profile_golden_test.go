@@ -37,7 +37,7 @@ func profileDeck(s config.SolverKind, p config.Preconditioner) config.Config {
 	cfg.Solver = s
 	cfg.Preconditioner = p
 	cfg.InitialTimestep = 0.4 // stiff enough that CG needs tens of iterations
-	cfg.EigenCGIters = 5       // hand Chebyshev and PPCG over before CG converges
+	cfg.EigenCGIters = 5      // hand Chebyshev and PPCG over before CG converges
 	return cfg
 }
 

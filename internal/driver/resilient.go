@@ -58,9 +58,6 @@ func (p RecoveryPolicy) enabled() bool {
 // exponentially, until the step succeeds or MaxRetries consecutive failures
 // exhaust the budget. Every failure is preserved in the final error chain;
 // Result.Recoveries counts the rollbacks taken.
-//
-// Rollback needs the port to implement FieldRestorer; RunResilient fails
-// fast at the first recovery attempt on a port that cannot restore.
 func RunResilient(cfg config.Config, k Kernels, s Solver, log io.Writer, pol RecoveryPolicy) (Result, error) {
 	return RunResilientCtx(context.Background(), cfg, k, s, log, pol)
 }
@@ -116,16 +113,12 @@ func RunResilientCtx(ctx context.Context, cfg config.Config, k Kernels, s Solver
 	}
 	restore := func(ck *checkpoint.Checkpoint) (err error) {
 		defer containPanic(&err)
-		fr := AsFieldRestorer(k)
-		if fr == nil {
-			return fmt.Errorf("driver: port %s cannot restore fields (no FieldRestorer)", k.Name())
-		}
 		for _, f := range ck.Fields {
 			if len(f.Data) != cfg.NX*cfg.NY {
 				return fmt.Errorf("driver: checkpoint field %d is %d cells, mesh wants %d",
 					f.ID, len(f.Data), cfg.NX*cfg.NY)
 			}
-			fr.RestoreField(FieldID(f.ID), f.Data)
+			k.RestoreField(FieldID(f.ID), f.Data)
 		}
 		k.HaloExchange([]FieldID{FieldDensity, FieldEnergy0}, 2)
 		return nil

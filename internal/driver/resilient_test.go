@@ -188,18 +188,6 @@ func TestRunResilientGivesUp(t *testing.T) {
 	}
 }
 
-// TestRunResilientNoRestorerFailsFast: recovery on a port without
-// FieldRestorer must produce an actionable error, not a corrupt retry.
-func TestRunResilientNoRestorerFailsFast(t *testing.T) {
-	cfg := config.BenchmarkN(8)
-	cfg.EndStep = 3
-	pol := RecoveryPolicy{CheckpointEvery: 1, MaxRetries: 3}
-	_, err := RunResilient(cfg, &stubKernels{}, flakySolver(map[int]bool{2: true}, false), nil, pol)
-	if err == nil || !strings.Contains(err.Error(), "cannot restore") {
-		t.Fatalf("err = %v, want a no-FieldRestorer failure", err)
-	}
-}
-
 // TestRunResilientCheckpointFileResume: a second process resumes from the
 // on-disk checkpoint and continues exactly where the first left off.
 func TestRunResilientCheckpointFileResume(t *testing.T) {

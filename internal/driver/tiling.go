@@ -59,16 +59,13 @@ type TilingReporter interface {
 }
 
 // AsTilingReporter returns k's tiling-statistics capability, or nil when k
-// (or, for a wrapper, the port it delegates to) does not provide it.
-// Wrappers that forward the method structurally report through
-// HasTilingReporter, mirroring the CapabilityReporter convention.
+// does not provide it. Wrappers do not forward it: read it from the raw
+// port. The SPMD runner, which has TilingSnapshot whether or not its rank
+// sets tile, reports through HasTilingReporter.
 func AsTilingReporter(k Kernels) TilingReporter {
-	f, ok := k.(TilingReporter)
-	if !ok {
-		return nil
-	}
 	if cr, ok := k.(interface{ HasTilingReporter() bool }); ok && !cr.HasTilingReporter() {
 		return nil
 	}
+	f, _ := k.(TilingReporter)
 	return f
 }

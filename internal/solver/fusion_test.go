@@ -37,16 +37,17 @@ func (s *stubKernels) CGCalcUR(float64, bool) float64 {
 	s.calls = append(s.calls, "CGCalcUR")
 	return 1e-30
 }
-func (s *stubKernels) CGCalcP(float64, bool)               {}
-func (s *stubKernels) JacobiCopyU()                        {}
-func (s *stubKernels) JacobiIterate() float64              { return 0 }
-func (s *stubKernels) ChebyInit(float64, bool)             {}
-func (s *stubKernels) ChebyIterate(float64, float64, bool) {}
-func (s *stubKernels) PPCGInitInner(float64)               {}
-func (s *stubKernels) PPCGInnerIterate(float64, float64)   {}
-func (s *stubKernels) PPCGFinishInner()                    {}
-func (s *stubKernels) FetchField(driver.FieldID) []float64 { return nil }
-func (s *stubKernels) Close()                              {}
+func (s *stubKernels) CGCalcP(float64, bool)                  {}
+func (s *stubKernels) JacobiCopyU()                           {}
+func (s *stubKernels) JacobiIterate() float64                 { return 0 }
+func (s *stubKernels) ChebyInit(float64, bool)                {}
+func (s *stubKernels) ChebyIterate(float64, float64, bool)    {}
+func (s *stubKernels) PPCGInitInner(float64)                  {}
+func (s *stubKernels) PPCGInnerIterate(float64, float64)      {}
+func (s *stubKernels) PPCGFinishInner()                       {}
+func (s *stubKernels) FetchField(driver.FieldID) []float64    { return nil }
+func (s *stubKernels) RestoreField(driver.FieldID, []float64) {}
+func (s *stubKernels) Close()                                 {}
 
 // fusedStub also has methods named like the retired fused entry points.
 type fusedStub struct {

@@ -54,7 +54,7 @@ func (f *flippingKernels) CGCalcUR(alpha float64, precond bool) float64 {
 		u := f.Kernels.FetchField(driver.FieldU)
 		mid := len(u) / 2
 		u[mid] = math.Float64frombits(math.Float64bits(u[mid]) ^ (1 << 52))
-		f.Kernels.(driver.FieldRestorer).RestoreField(driver.FieldU, u)
+		f.Kernels.RestoreField(driver.FieldU, u)
 	}
 	return rr
 }
