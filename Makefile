@@ -93,13 +93,15 @@ serve-crash:
 	$(GO) test -race -count=1 ./internal/serve/journal/
 
 # fuzz exercises the deck parser, the comm fault-spec parser, the chaos
-# schedule parser and the journal frame decoder against their checked-in
-# corpora plus 30s each of new coverage-guided inputs.
+# schedule parser, the journal frame decoder and the checkpoint decoder
+# against their checked-in corpora plus 30s each of new coverage-guided
+# inputs.
 fuzz:
 	$(GO) test -fuzz FuzzParseReader -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 30s ./internal/comm/
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 30s ./internal/chaos/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s ./internal/serve/journal/
+	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/checkpoint/
 
 # bench-par measures the fork-join runtime itself: dispatch latency (epoch
 # barrier vs the legacy channel-per-worker path), the 256² cg_calc_w-shaped

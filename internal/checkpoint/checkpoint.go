@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // magic identifies the checkpoint container and its version. Bump the
@@ -174,11 +175,12 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Step < 0 || c.NX <= 0 || c.NY <= 0 || nfields > 64 {
+	if c.Step < 0 || c.NX <= 0 || c.NY <= 0 || c.NX > math.MaxInt/c.NY || nfields > 64 {
 		return nil, fmt.Errorf("%w: implausible header (step=%d mesh=%dx%d fields=%d)",
 			ErrCorrupt, c.Step, c.NX, c.NY, nfields)
 	}
 	maxLen := uint64(c.NX) * uint64(c.NY)
+	raw := make([]byte, 8*decodeChunk)
 	for i := uint64(0); i < nfields; i++ {
 		id, err := getU64()
 		if err != nil {
@@ -192,13 +194,9 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("%w: field %d has %d cells for a %dx%d mesh",
 				ErrCorrupt, id, n, c.NX, c.NY)
 		}
-		data := make([]float64, n)
-		for j := range data {
-			bits, err := getU64()
-			if err != nil {
-				return nil, err
-			}
-			data[j] = math.Float64frombits(bits)
+		data, err := readCells(in, int(n), raw)
+		if err != nil {
+			return nil, err
 		}
 		c.Fields = append(c.Fields, FieldData{ID: int(id), Data: data})
 	}
@@ -210,6 +208,30 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, got, sum)
 	}
 	return c, nil
+}
+
+// decodeChunk is how many cells Decode reads at a time. A field's storage
+// grows with the cells actually read, so a header claiming more cells than
+// the file holds fails on the short read before any allocation much larger
+// than the file.
+const decodeChunk = 1 << 16
+
+// readCells reads n little-endian float64 cells from in through raw, a
+// scratch buffer of 8*decodeChunk bytes.
+func readCells(in io.Reader, n int, raw []byte) ([]float64, error) {
+	data := make([]float64, 0, min(n, decodeChunk))
+	for len(data) < n {
+		buf := raw[:8*min(n-len(data), decodeChunk)]
+		if _, err := io.ReadFull(in, buf); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+		}
+		// Double the capacity when it runs out, up to n.
+		data = slices.Grow(data, min(n-len(data), max(len(data), len(buf)/8)))
+		for b := 0; b < len(buf); b += 8 {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[b:])))
+		}
+	}
+	return data, nil
 }
 
 // syncDir makes renames within dir durable by fsyncing the directory entry

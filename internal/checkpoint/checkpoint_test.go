@@ -2,10 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -75,6 +77,88 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 			t.Errorf("truncation to %d bytes: err = %v, want ErrCorrupt", n, err)
 		}
 	}
+}
+
+// hugeHeader is a 64-byte file whose header claims a 2^31 x 2^31 mesh and a
+// 2^61-cell field, then ends: Decode must report it corrupt without sizing
+// anything by the claim.
+func hugeHeader() []byte {
+	var b []byte
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	b = append(b, magic[:]...)
+	for _, v := range []uint64{1, math.Float64bits(0.5), 1 << 31, 1 << 31, 1, 0, 1 << 61} {
+		u64(v)
+	}
+	return b
+}
+
+func TestDecodeRejectsHugeHeader(t *testing.T) {
+	if _, err := Decode(bytes.NewReader(hugeHeader())); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("2^61-cell field in a 64-byte file: err = %v, want ErrCorrupt", err)
+	}
+	// A mesh whose cell count overflows int is implausible on its face.
+	b := hugeHeader()
+	binary.LittleEndian.PutUint64(b[24:], 1<<40)
+	binary.LittleEndian.PutUint64(b[32:], 1<<40)
+	if _, err := Decode(bytes.NewReader(b)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("2^40 x 2^40 mesh: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeLargeField round-trips a field several read chunks long and
+// rejects it cut short inside its last chunk.
+func TestDecodeLargeField(t *testing.T) {
+	n := 3*decodeChunk + 5
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = float64(i) / 7
+	}
+	c := &Checkpoint{Step: 2, Time: 0.25, NX: n, NY: 1, Fields: []FieldData{{ID: 3, Data: data}, {ID: 4, Data: data[:9]}}}
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, f := range c.Fields {
+		if !slices.Equal(got.Fields[k].Data, f.Data) || got.Fields[k].ID != f.ID {
+			t.Fatalf("field %d did not round-trip", f.ID)
+		}
+	}
+	if _, err := Decode(bytes.NewReader(buf.Bytes()[:buf.Len()-100])); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated large field: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzDecode: no input makes Decode panic or fail without ErrCorrupt, and an
+// accepted input re-encodes to its own bytes.
+func FuzzDecode(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sample().Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(hugeHeader())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := Decode(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := c.Encode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, out.Bytes()) {
+			t.Fatalf("decoded checkpoint re-encodes to different bytes")
+		}
+	})
 }
 
 func TestSaveLoad(t *testing.T) {
