@@ -232,6 +232,40 @@ func BenchmarkCGIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate measures the set-up every run pays before its first
+// kernel: building a version, its generate_chunk (allocating the field set
+// and filling the initial state) and Close, at 1024² with default Params.
+// Run with -benchmem: B/op is the field set plus any host staging copy.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := config.BenchmarkN(1024)
+	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, cfg.NY)
+	if err != nil {
+		b.Fatal(err)
+	}
+	versions := []string{
+		"manual-serial", "manual-omp", "manual-mpi", "ops-openmp",
+		"kokkos-openmp", "raja-openmp", "manual-cuda",
+	}
+	for _, name := range versions {
+		v, err := registry.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k, err := v.Make(registry.Params{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := k.Generate(m, cfg.States); err != nil {
+					b.Fatal(err)
+				}
+				k.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkSDCOverhead measures the cost of the solver's silent-data-
 // corruption monitor at its recommended cadence: the same pinned
 // 50-iteration CG solve as BenchmarkCGIteration, with

@@ -97,9 +97,13 @@ func (c *Chunk) reduceInterior(name string, args []*simgpu.Buffer, seg func(a []
 		})
 }
 
-// Generate implements driver.Kernels: build the initial fields on the host,
-// then copy them up, mirroring the CUDA port's start-of-run transfers.
+// Generate implements driver.Kernels: allocate every field on the device and
+// fill the initial state there with one launch over the halo'd extent, as the
+// CUDA port's generate_chunk kernel does; no host copy of a field is made.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
+	if err := state.CheckBackground(states); err != nil {
+		return err
+	}
 	c.mesh = m
 	c.nx, c.ny = m.Nx, m.Ny
 	c.stride = c.nx + 2*halo
@@ -126,18 +130,10 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 		driver.FieldKx:      c.kx,
 		driver.FieldKy:      c.ky,
 	}
-	hostDensity := make([]float64, n)
-	hostEnergy := make([]float64, n)
-	err := state.Generate(m, states, halo, func(i, j int, density, energy float64) {
-		at := (j+halo)*c.stride + i + halo
-		hostDensity[at] = density
-		hostEnergy[at] = energy
+	stride := c.stride
+	c.launch("generate_chunk", 0, stride, c.rows, simgpu.Args(c.density, c.energy0), func(a [][]float64, lo, hi int) {
+		state.FillRow(m, states, lo/stride-halo, lo%stride-halo, a[0][lo:hi], a[1][lo:hi])
 	})
-	if err != nil {
-		return err
-	}
-	c.dev.MemcpyH2D(c.density, hostDensity)
-	c.dev.MemcpyH2D(c.energy0, hostEnergy)
 	return nil
 }
 

@@ -22,8 +22,14 @@ import (
 // Rows as it stands. Each reducing kernel calls ReduceSum or ReduceSum2
 // exactly once per total it returns, so a distributed policy (the MPI
 // port's) can complete the combination across ranks there.
+//
+// ForDynamic hands out [lo, hi) in claims of chunk iterations, each to
+// whichever of the policy's threads asks next: Generate allocates the fields
+// through it one per claim, so their zeroing and page faults run on every
+// thread however the policy aligns its static shares.
 type Rows interface {
 	For(lo, hi int, body func(j0, j1 int))
+	ForDynamic(lo, hi, chunk int, body func(j0, j1 int))
 	ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64
 	ReduceSum2(lo, hi int, body func(j0, j1 int) (float64, float64)) (float64, float64)
 }
@@ -34,6 +40,9 @@ type Serial struct{}
 
 // For implements Rows.
 func (Serial) For(lo, hi int, body func(j0, j1 int)) { body(lo, hi) }
+
+// ForDynamic implements Rows.
+func (Serial) ForDynamic(lo, hi, _ int, body func(j0, j1 int)) { body(lo, hi) }
 
 // ReduceSum implements Rows.
 func (Serial) ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64 { return body(lo, hi) }
@@ -130,22 +139,26 @@ type Chunk struct {
 // New creates a chunk from its two policies.
 func New(rows Rows, halo Halo) *Chunk { return &Chunk{rows: rows, halo: halo} }
 
-// Generate implements driver.Kernels on the chunk's own (sub-)mesh.
+// Generate implements driver.Kernels on the chunk's own (sub-)mesh: the
+// fields are allocated one per claim on the row policy, then density and
+// energy0 filled row by row on it, halos included.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
+	if err := state.CheckBackground(states); err != nil {
+		return err
+	}
 	c.mesh = m
 	c.nx, c.ny = m.Nx, m.Ny
-	c.cells = 0
-	alloc := func() *grid.Field {
-		f := grid.New(c.nx, c.ny)
-		c.cells += f.TotalCells()
-		return f
+	fields := [...]**grid.Field{
+		&c.density, &c.energy0, &c.energy1, &c.u, &c.u0,
+		&c.p, &c.r, &c.w, &c.z, &c.sd, &c.mi, &c.kx, &c.ky,
+		&c.un, &c.rtemp, &c.tcp, &c.tdp,
 	}
-	c.density, c.energy0, c.energy1 = alloc(), alloc(), alloc()
-	c.u, c.u0 = alloc(), alloc()
-	c.p, c.r, c.w, c.z, c.sd, c.mi = alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
-	c.kx, c.ky = alloc(), alloc()
-	c.un, c.rtemp = alloc(), alloc()
-	c.tcp, c.tdp = alloc(), alloc()
+	c.rows.ForDynamic(0, len(fields), 1, func(k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			*fields[k] = grid.New(c.nx, c.ny)
+		}
+	})
+	c.cells = len(fields) * c.density.TotalCells()
 	c.fieldsByID = [driver.NumFields]*grid.Field{
 		driver.FieldDensity: c.density,
 		driver.FieldEnergy0: c.energy0,
@@ -160,10 +173,13 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 		driver.FieldKx:      c.kx,
 		driver.FieldKy:      c.ky,
 	}
-	return state.Generate(m, states, grid.DefaultHalo, func(i, j int, density, energy float64) {
-		c.density.Set(i, j, density)
-		c.energy0.Set(i, j, energy)
+	d := c.density.Depth
+	c.rows.For(-d, c.ny+d, func(j0, j1 int) {
+		for j := j0; j < j1; j++ {
+			state.FillRow(m, states, j, -d, c.density.Row(j), c.energy0.Row(j))
+		}
 	})
+	return nil
 }
 
 // Field returns the storage of an exchangeable field.

@@ -1,13 +1,14 @@
 // Package kokkosport is TeaLeaf re-engineered on the Kokkos-like template
 // layer (internal/kokkos), the analogue of the paper's Kokkos builds.
 // Every field is a rank-2 View whose layout follows the execution space
-// (LayoutRight on the host spaces, LayoutLeft on the device space), every
-// kernel a functor over an MDRange, and initial data reaches the device
-// through host mirrors and deep copies. Field kernels are team-policy
-// functors (kokkos.TeamFor / TeamReduce) handing View.Segment slices of one
-// stride-1 line — a mesh row or, under LayoutLeft, a mesh column — to the
-// internal/kern row bodies; the halo faces, and the jac_block solve where it
-// runs across the lines, stay per-point ParallelFor functors.
+// (LayoutRight on the host spaces, LayoutLeft on the device space) and every
+// kernel a functor over an MDRange, generate_chunk included, so the initial
+// state is written in the space with no host mirror. Field kernels are
+// team-policy functors (kokkos.TeamFor / TeamReduce) handing View.Segment
+// slices of one stride-1 line — a mesh row or, under LayoutLeft, a mesh
+// column — to the internal/kern row bodies; the halo faces, and the
+// jac_block solve where it runs across the lines, stay per-point ParallelFor
+// functors.
 package kokkosport
 
 import (
@@ -61,9 +62,13 @@ func (c *Chunk) Name() string { return c.name }
 // Space exposes the execution space, for tests and reporting.
 func (c *Chunk) Space() kokkos.ExecSpace { return c.space }
 
-// Generate implements driver.Kernels: stage density/energy on host mirrors
-// and deep-copy into the space, the canonical Kokkos initialisation.
+// Generate implements driver.Kernels: allocate the views in the space and
+// fill the initial state there with one team functor over the padded extent;
+// no host mirror is made.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
+	if err := state.CheckBackground(states); err != nil {
+		return err
+	}
 	c.mesh = m
 	c.nx, c.ny = m.Nx, m.Ny
 	n0, n1 := c.ny+2*halo, c.nx+2*halo
@@ -93,17 +98,17 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 	if c.columnLines() {
 		c.kAlong, c.kAcross = c.ky, c.kx
 	}
-	hd := kokkos.CreateMirror(c.density)
-	he := kokkos.CreateMirror(c.energy0)
-	err := state.Generate(m, states, halo, func(i, j int, density, energy float64) {
-		hd.Set(j+halo, i+halo, density)
-		he.Set(j+halo, i+halo, energy)
+	c.teamFor("generate_chunk", c.full(), func(s seg) {
+		d, e := s.of(c.density), s.of(c.energy0)
+		if !c.columnLines() {
+			state.FillRow(m, states, s.o-halo, s.lo-halo, d, e)
+			return
+		}
+		// A column segment: one row body call per point.
+		for k := range d {
+			state.FillRow(m, states, s.lo+k-halo, s.o-halo, d[k:k+1], e[k:k+1])
+		}
 	})
-	if err != nil {
-		return err
-	}
-	kokkos.DeepCopy(c.density, hd)
-	kokkos.DeepCopy(c.energy0, he)
 	return nil
 }
 

@@ -65,6 +65,13 @@ func (r *regions) For(lo, hi int, body func(j0, j1 int)) {
 	r.team.For(lo, hi, body)
 }
 
+// ForDynamic implements hostchunk.Rows on the team alone: the chunk
+// allocates through it, which is data management (`acc enter data create`),
+// not a compute region, so nothing is counted.
+func (r *regions) ForDynamic(lo, hi, chunk int, body func(j0, j1 int)) {
+	r.team.ForDynamic(lo, hi, chunk, body)
+}
+
 // ReduceSum implements hostchunk.Rows: an `acc parallel loop
 // reduction(+:sum)` whose scalar comes back with an `acc update host`.
 func (r *regions) ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64 {

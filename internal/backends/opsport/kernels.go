@@ -1,7 +1,6 @@
 package opsport
 
 import (
-	"fmt"
 	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
@@ -76,20 +75,20 @@ type rankState struct {
 // Generate implements driver.Kernels: every rank derives the same global
 // decomposition and declares and initialises its own chunk.
 func (rs *rankState) Generate(global *grid.Mesh, states []config.State) error {
+	if err := state.CheckBackground(states); err != nil {
+		return err
+	}
 	ch := comm.Decompose(rs.rank.Size(), global.Nx, global.Ny).ChunkOf(rs.rank.ID(), global.Nx, global.Ny)
 	rs.chunk = ch
 	rs.gnx, rs.gny = global.Nx, global.Ny
 	rs.mesh = global.Sub(ch.X0, ch.Y0, ch.NX, ch.NY)
 	rs.nx, rs.ny = ch.NX, ch.NY
 	rs.block = rs.ctx.DeclBlock("tea", rs.nx, rs.ny)
-	decl := func(name string) *ops.Dat { return rs.block.DeclDat(name, grid.DefaultHalo) }
-	rs.density, rs.energy0, rs.energy1 = decl("density"), decl("energy0"), decl("energy1")
-	rs.u, rs.u0 = decl("u"), decl("u0")
-	rs.p, rs.r, rs.w = decl("p"), decl("r"), decl("w")
-	rs.z, rs.sd, rs.mi = decl("z"), decl("sd"), decl("mi")
-	rs.kx, rs.ky = decl("kx"), decl("ky")
-	rs.un, rs.rtemp = decl("un"), decl("rtemp")
-	rs.tcp, rs.tdp = decl("tcp"), decl("tdp")
+	dats := rs.block.DeclDats(grid.DefaultHalo, "density", "energy0", "energy1", "u", "u0",
+		"p", "r", "w", "z", "sd", "mi", "kx", "ky", "un", "rtemp", "tcp", "tdp")
+	rs.density, rs.energy0, rs.energy1, rs.u, rs.u0 = dats[0], dats[1], dats[2], dats[3], dats[4]
+	rs.p, rs.r, rs.w, rs.z, rs.sd, rs.mi = dats[5], dats[6], dats[7], dats[8], dats[9], dats[10]
+	rs.kx, rs.ky, rs.un, rs.rtemp, rs.tcp, rs.tdp = dats[11], dats[12], dats[13], dats[14], dats[15], dats[16]
 	d := grid.DefaultHalo
 	maxMsg := d * max(rs.ny, rs.nx+2*d)
 	rs.packBuf = make([]float64, maxMsg)
@@ -118,13 +117,10 @@ func (rs *rankState) Generate(global *grid.Mesh, states []config.State) error {
 	}
 	rs.sWholeRow = ops.NewStencil("whole_row", [2]int{0, 0}, [2]int{rs.nx, 0})
 	rs.sWholeRowK = ops.NewStencil("whole_row_k", [2]int{0, 0}, [2]int{rs.nx, 0}, [2]int{rs.nx, 1}, [2]int{0, 1})
-	// generate_chunk as a ParLoop with an index argument (ops_arg_idx):
-	// state containment is evaluated per point in the kernel, so the
-	// initial condition is computed by whichever backend runs the loops —
-	// on the CUDA backend it never touches the host at all.
-	if len(states) == 0 || states[0].Index != 1 {
-		return fmt.Errorf("opsport: the first state must be state 1 (the background)")
-	}
+	// generate_chunk as a ParLoop with an index argument (ops_arg_idx): the
+	// shared row body fills each row segment from its index, so the initial
+	// condition is computed by whichever backend runs the loops — on the
+	// CUDA backend it never touches the host at all.
 	mesh := rs.mesh
 	rs.ctx.ParLoopRow("generate_chunk", rs.block, rs.fullRange(),
 		[]ops.Arg{
@@ -133,16 +129,7 @@ func (rs *rankState) Generate(global *grid.Mesh, states []config.State) error {
 			ops.ArgDat(rs.energy0, sPoint, ops.Write),
 		},
 		func(a []*ops.Acc, _ []float64, n int) {
-			density, energy := a[1].Row(0, 0, n), a[2].Row(0, 0, n)
-			for i := range density {
-				d, e := states[0].Density, states[0].Energy
-				for _, st := range states[1:] {
-					if state.Contains(st, mesh, a[0].I+i, a[0].J) {
-						d, e = st.Density, st.Energy
-					}
-				}
-				density[i], energy[i] = d, e
-			}
+			state.FillRow(mesh, states, a[0].J, a[0].I, a[1].Row(0, 0, n), a[2].Row(0, 0, n))
 		})
 	rs.ctx.Flush()
 	return nil

@@ -58,12 +58,21 @@ func (c *Chunk) Name() string { return c.name }
 // at is the flat index of cell (i, j).
 func (c *Chunk) at(i, j int) int { return (j+halo)*c.stride + i + halo }
 
-// rows/cols are the interior segments.
+// rows/cols are the interior segments, fullRows/fullCols the halo'd ones.
 func (c *Chunk) rows() raja.RangeSegment { return raja.RangeSegment{Begin: 0, End: c.ny} }
 func (c *Chunk) cols() raja.RangeSegment { return raja.RangeSegment{Begin: 0, End: c.nx} }
+func (c *Chunk) fullRows() raja.RangeSegment {
+	return raja.RangeSegment{Begin: -halo, End: c.ny + halo}
+}
+func (c *Chunk) fullCols() raja.RangeSegment {
+	return raja.RangeSegment{Begin: -halo, End: c.nx + halo}
+}
 
 // Generate implements driver.Kernels.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
+	if err := state.CheckBackground(states); err != nil {
+		return err
+	}
 	c.mesh = m
 	c.nx, c.ny = m.Nx, m.Ny
 	c.stride = c.nx + 2*halo
@@ -90,18 +99,12 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 		driver.FieldKx:      c.kx,
 		driver.FieldKy:      c.ky,
 	}
-	host := make([]float64, 2*n)
-	hd, he := host[:n], host[n:]
-	if err := state.Generate(m, states, halo, func(i, j int, density, energy float64) {
-		hd[c.at(i, j)] = density
-		he[c.at(i, j)] = energy
-	}); err != nil {
-		return err
-	}
-	// Initialisation copy into policy memory, expressed as kernels so the
-	// data lands device-side under the CUDA policy.
-	c.copyField("generate_copyin_density", c.density, hd)
-	c.copyField("generate_copyin_energy", c.energy0, he)
+	// The initial state lands straight in policy memory: device-side under
+	// the CUDA policy, with no host staging copy.
+	raja.Kernel2DRow(c.pol, "generate_chunk", c.fullRows(), c.fullCols(), func(j, i0, i1 int) {
+		lo, hi := c.at(i0, j), c.at(i1, j)
+		state.FillRow(m, states, j, i0, c.density[lo:hi], c.energy0[lo:hi])
+	})
 	return nil
 }
 
@@ -116,7 +119,7 @@ func (c *Chunk) interior(name string, seg func(lo, hi int)) { c.forRows(name, c.
 
 // full is forRows over every cell, halos included.
 func (c *Chunk) full(name string, seg func(lo, hi int)) {
-	c.forRows(name, raja.RangeSegment{Begin: -halo, End: c.ny + halo}, raja.RangeSegment{Begin: -halo, End: c.nx + halo}, seg)
+	c.forRows(name, c.fullRows(), c.fullCols(), seg)
 }
 
 // reduceInterior is interior with a sum reduction: seg adds its run's terms

@@ -257,6 +257,28 @@ func (b *Block) DeclDat(name string, depth int) *Dat {
 	return d
 }
 
+// DeclDats declares one dataset per name, each with the given halo depth. On
+// the OpenMP and ACC backends they are allocated one per claim across the
+// context's team, so the zeroing and page faults of a block's storage run on
+// every thread.
+func (b *Block) DeclDats(depth int, names ...string) []*Dat {
+	if depth < 0 {
+		panic(fmt.Sprintf("ops: dats %q have negative halo %d", names, depth))
+	}
+	dats := make([]*Dat, len(names))
+	decl := func(k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			dats[k] = b.DeclDat(names[k], depth)
+		}
+	}
+	if t := b.ctx.team; t != nil {
+		t.ForDynamic(0, len(names), 1, decl)
+	} else {
+		decl(0, len(names))
+	}
+	return dats
+}
+
 // Name returns the dataset's name.
 func (d *Dat) Name() string { return d.name }
 
