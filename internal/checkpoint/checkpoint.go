@@ -180,7 +180,7 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 			ErrCorrupt, c.Step, c.NX, c.NY, nfields)
 	}
 	maxLen := uint64(c.NX) * uint64(c.NY)
-	raw := make([]byte, 8*decodeChunk)
+	raw := make([]byte, 8*min(maxLen, decodeChunk))
 	for i := uint64(0); i < nfields; i++ {
 		id, err := getU64()
 		if err != nil {
@@ -217,7 +217,7 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 const decodeChunk = 1 << 16
 
 // readCells reads n little-endian float64 cells from in through raw, a
-// scratch buffer of 8*decodeChunk bytes.
+// scratch buffer of 8*min(n, decodeChunk) bytes or more.
 func readCells(in io.Reader, n int, raw []byte) ([]float64, error) {
 	data := make([]float64, 0, min(n, decodeChunk))
 	for len(data) < n {

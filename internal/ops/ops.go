@@ -262,6 +262,8 @@ func (b *Block) DeclDat(name string, depth int) *Dat {
 // context's team, so the zeroing and page faults of a block's storage run on
 // every thread.
 func (b *Block) DeclDats(depth int, names ...string) []*Dat {
+	// DeclDat's own check, made here so that it panics on the caller and
+	// not on a team worker.
 	if depth < 0 {
 		panic(fmt.Sprintf("ops: dats %q have negative halo %d", names, depth))
 	}
