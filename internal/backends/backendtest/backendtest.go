@@ -51,6 +51,38 @@ func Run(t *testing.T, factory Factory, cfg config.Config) driver.Result {
 	return res
 }
 
+// SegmentDecks is tea_bm on a non-square 48x40 mesh (neither extent a
+// multiple of any default block edge) under every solver and preconditioner
+// the ports have a body for. Five bootstrap CG iterations leave Chebyshev and
+// PPCG most of each solve (at the default 20 this mesh converges inside the
+// bootstrap and their kernels never run). TestSegmentGolden pins the
+// totals every version reaches on them and TestDeviceLaunchGolden (opsport)
+// what each costs the simulated-device versions.
+func SegmentDecks() map[string]config.Config {
+	deck := func(mutate func(*config.Config)) config.Config {
+		cfg := config.BenchmarkN(48)
+		cfg.NY = 40
+		cfg.EndStep = 2
+		mutate(&cfg)
+		return cfg
+	}
+	return map[string]config.Config{
+		"cg":           deck(func(*config.Config) {}),
+		"cg_jac_diag":  deck(func(c *config.Config) { c.Preconditioner = config.PrecondJacDiag }),
+		"cg_jac_block": deck(func(c *config.Config) { c.Preconditioner = config.PrecondJacBlock }),
+		"chebyshev":    deck(func(c *config.Config) { c.Solver, c.EigenCGIters = config.SolverChebyshev, 5 }),
+		"chebyshev_jac_diag": deck(func(c *config.Config) {
+			c.Solver, c.EigenCGIters, c.Preconditioner = config.SolverChebyshev, 5, config.PrecondJacDiag
+		}),
+		"ppcg": deck(func(c *config.Config) { c.Solver, c.EigenCGIters = config.SolverPPCG, 5 }),
+		"jacobi": deck(func(c *config.Config) {
+			// Eps above the rounding floor, where the stopping iteration is
+			// set by noise in the summed change.
+			c.Solver, c.Eps, c.MaxIters = config.SolverJacobi, 1e-10, 20000
+		}),
+	}
+}
+
 // mustCompare returns the largest relative QA difference between two runs,
 // failing the test outright when both summaries are zero-valued (a vacuous
 // comparison: it means no field summary was ever taken).

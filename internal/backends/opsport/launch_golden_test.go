@@ -1,6 +1,9 @@
 package opsport
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/backendtest"
@@ -42,38 +45,82 @@ var deviceVersions = map[string]func() (driver.Kernels, *simgpu.Device){
 	},
 }
 
-// launchGolden is what one step of tea_bm 64² (unpreconditioned CG) costs
-// each device version in launches, blocks, transfers and allocations,
-// captured before the device ran its blocks on a par.Team. Every version ran
-// 21 CG iterations. Since generate_chunk fills density and energy0 with one
-// launch on the device, manual-cuda copies nothing up (73,984 bytes H2D
-// before, 122 launches over 846 blocks), kokkos-cuda launches once more (123
-// over 6,373 before) and raja-cuda's two copy-in launches are one fill (125
-// over 6,451 before).
-var launchGolden = map[string]simgpu.Stats{
-	"manual-cuda": {Launches: 123, BlocksRun: 864, Allocations: 17},
-	"ops-cuda":    {Launches: 188, BlocksRun: 1206, Allocations: 17},
-	"kokkos-cuda": {Launches: 124, BlocksRun: 6441, Allocations: 17},
-	"raja-cuda":   {Launches: 124, BlocksRun: 6383, Allocations: 17},
+// launchDecks are the decks the device counters are pinned on: one step of
+// tea_bm 64² (unpreconditioned CG) and every backendtest.SegmentDecks deck,
+// so each solver and preconditioner's launches are counted.
+func launchDecks() map[string]config.Config {
+	decks := backendtest.SegmentDecks()
+	bm := config.BenchmarkN(64)
+	bm.EndStep = 1
+	decks["tea_bm_64"] = bm
+	return decks
 }
 
-// TestDeviceLaunchGolden pins every device version's device counters: a
-// change to how a launch runs its blocks must not change which launches a
-// port makes, how many blocks each covers or what crosses the bus.
+// launchGolden is what each deck costs each device version in launches,
+// blocks, transfers and allocations, keyed version/deck. The tea_bm_64 row is
+// the one deck the table held before it covered every solver; that row was
+// captured before the device ran its blocks on a par.Team, and moved only
+// when generate_chunk began filling density and energy0 with one launch on
+// the device (manual-cuda then stopped copying 73,984 bytes up).
+var launchGolden = map[string]simgpu.Stats{
+	"kokkos-cuda/cg":                 {Launches: 150, BlocksRun: 5900, Allocations: 17},
+	"kokkos-cuda/cg_jac_block":       {Launches: 172, BlocksRun: 6102, Allocations: 17},
+	"kokkos-cuda/cg_jac_diag":        {Launches: 144, BlocksRun: 5702, Allocations: 17},
+	"kokkos-cuda/chebyshev":          {Launches: 288, BlocksRun: 10904, Allocations: 17},
+	"kokkos-cuda/chebyshev_jac_diag": {Launches: 240, BlocksRun: 9500, Allocations: 17},
+	"kokkos-cuda/jacobi":             {Launches: 580, BlocksRun: 21962, Allocations: 17},
+	"kokkos-cuda/ppcg":               {Launches: 270, BlocksRun: 10310, Allocations: 17},
+	"kokkos-cuda/tea_bm_64":          {Launches: 124, BlocksRun: 6441, Allocations: 17},
+	"manual-cuda/cg":                 {Launches: 148, BlocksRun: 625, Allocations: 17},
+	"manual-cuda/cg_jac_block":       {Launches: 170, BlocksRun: 663, Allocations: 17},
+	"manual-cuda/cg_jac_diag":        {Launches: 142, BlocksRun: 603, Allocations: 17},
+	"manual-cuda/chebyshev":          {Launches: 336, BlocksRun: 1421, Allocations: 17},
+	"manual-cuda/chebyshev_jac_diag": {Launches: 268, BlocksRun: 1161, Allocations: 17},
+	"manual-cuda/jacobi":             {Launches: 440, BlocksRun: 1629, Allocations: 17},
+	"manual-cuda/ppcg":               {Launches: 268, BlocksRun: 1105, Allocations: 17},
+	"manual-cuda/tea_bm_64":          {Launches: 123, BlocksRun: 864, Allocations: 17},
+	"ops-cuda/cg":                    {Launches: 232, BlocksRun: 881, Allocations: 17},
+	"ops-cuda/cg_jac_block":          {Launches: 246, BlocksRun: 983, Allocations: 17},
+	"ops-cuda/cg_jac_diag":           {Launches: 222, BlocksRun: 847, Allocations: 17},
+	"ops-cuda/chebyshev":             {Launches: 442, BlocksRun: 1643, Allocations: 17},
+	"ops-cuda/chebyshev_jac_diag":    {Launches: 354, BlocksRun: 1363, Allocations: 17},
+	"ops-cuda/jacobi":                {Launches: 890, BlocksRun: 3397, Allocations: 17},
+	"ops-cuda/ppcg":                  {Launches: 412, BlocksRun: 1541, Allocations: 17},
+	"ops-cuda/tea_bm_64":             {Launches: 188, BlocksRun: 1206, Allocations: 17},
+	"raja-cuda/cg":                   {Launches: 150, BlocksRun: 4868, Allocations: 17},
+	"raja-cuda/cg_jac_block":         {Launches: 172, BlocksRun: 5046, Allocations: 17},
+	"raja-cuda/cg_jac_diag":          {Launches: 144, BlocksRun: 4706, Allocations: 17},
+	"raja-cuda/chebyshev":            {Launches: 288, BlocksRun: 8984, Allocations: 17},
+	"raja-cuda/chebyshev_jac_diag":   {Launches: 240, BlocksRun: 7844, Allocations: 17},
+	"raja-cuda/jacobi":               {Launches: 580, BlocksRun: 18174, Allocations: 17},
+	"raja-cuda/ppcg":                 {Launches: 270, BlocksRun: 8498, Allocations: 17},
+	"raja-cuda/tea_bm_64":            {Launches: 124, BlocksRun: 6383, Allocations: 17},
+}
+
+// TestDeviceLaunchGolden pins every device version's device counters on
+// every launch deck: a change to how a launch runs its blocks must not change
+// which launches a port makes, how many blocks each covers or what crosses
+// the bus.
 func TestDeviceLaunchGolden(t *testing.T) {
-	cfg := config.BenchmarkN(64)
-	cfg.EndStep = 1
-	for version, build := range deviceVersions {
-		k, dev := build()
-		backendtest.Run(t, func() driver.Kernels { return k }, cfg)
-		got := dev.Stats()
-		want, ok := launchGolden[version]
-		if !ok {
-			t.Errorf("no golden entry: %q: %#v,", version, got)
-			continue
+	var missing []string
+	for deck, cfg := range launchDecks() {
+		for version, build := range deviceVersions {
+			key := version + "/" + deck
+			k, dev := build()
+			backendtest.Run(t, func() driver.Kernels { return k }, cfg)
+			got := dev.Stats()
+			want, ok := launchGolden[key]
+			if !ok {
+				missing = append(missing, fmt.Sprintf("\t%q: %#v,", key, got))
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: %+v, golden %+v", key, got, want)
+			}
 		}
-		if got != want {
-			t.Errorf("%s: %+v, golden %+v", version, got, want)
-		}
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		t.Errorf("no golden entry for:\n%s", strings.Join(missing, "\n"))
 	}
 }
