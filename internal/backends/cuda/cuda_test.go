@@ -4,8 +4,12 @@ import (
 	"testing"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/backendtest"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/kokkosport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/rajaport"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
+	"github.com/warwick-hpsc/tealeaf-go/internal/kokkos"
+	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 	"github.com/warwick-hpsc/tealeaf-go/internal/solver"
 )
@@ -18,18 +22,27 @@ func TestFusionEquivalence(t *testing.T) {
 	backendtest.FusionEquivalence(t, func() driver.Kernels { return New(simgpu.Dim2{X: 16, Y: 4}) })
 }
 
-// TestBlockSizeInvariance: the physics must not depend on the launch block
-// shape (reductions combine per block, so sums differ in rounding only).
+// TestBlockSizeInvariance: no device version's physics may depend on the
+// launch block shape it is given (reductions combine per block, so sums
+// differ in rounding only).
 func TestBlockSizeInvariance(t *testing.T) {
+	versions := map[string]func(simgpu.Dim2) driver.Kernels{
+		"manual-cuda": func(b simgpu.Dim2) driver.Kernels { return New(b) },
+		"kokkos-cuda": func(b simgpu.Dim2) driver.Kernels { return kokkosport.New(kokkos.NewCuda(b)) },
+		"raja-cuda":   func(b simgpu.Dim2) driver.Kernels { return rajaport.New(raja.NewCuda(b)) },
+	}
 	cfg := config.BenchmarkN(20)
 	cfg.EndStep = 2
-	base := backendtest.Run(t, func() driver.Kernels { return New(simgpu.Dim2{X: 64, Y: 8}) }, cfg)
-	for _, blk := range []simgpu.Dim2{{X: 1, Y: 1}, {X: 7, Y: 3}, {X: 32, Y: 1}, {X: 256, Y: 4}} {
-		blk := blk
-		got := backendtest.Run(t, func() driver.Kernels { return New(blk) }, cfg)
-		if d := driver.CompareTotals(base.Final, got.Final); d > 1e-9 {
-			t.Errorf("block %v totals diverge by %g", blk, d)
-		}
+	for name, build := range versions {
+		t.Run(name, func(t *testing.T) {
+			base := backendtest.Run(t, func() driver.Kernels { return build(simgpu.Dim2{}) }, cfg)
+			for _, blk := range []simgpu.Dim2{{X: 1, Y: 1}, {X: 7, Y: 3}, {X: 32, Y: 1}, {X: 256, Y: 4}} {
+				got := backendtest.Run(t, func() driver.Kernels { return build(blk) }, cfg)
+				if d := driver.CompareTotals(base.Final, got.Final); d > 1e-9 {
+					t.Errorf("block %v totals diverge by %g", blk, d)
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,455 @@
+// Package devchunk is the one TeaLeaf chunk behind the CUDA, Kokkos and RAJA
+// versions: the field set, Generate and every driver.Kernels body, written
+// once over flat field slices and the internal/kern row bodies. What
+// distinguishes those versions is the paper's abstraction layer, which each
+// port supplies as a four-method Policy in its own base API. Each port is a
+// constructor, its policy and its own host round trip (FetchField,
+// RestoreField).
+//
+// A field is a padded (ny+4)-by-(nx+4) array whose stride-1 lines are mesh
+// rows, or mesh columns where the layer lays storage out column-major (the
+// Kokkos device space's LayoutLeft). The chunk takes that orientation at
+// construction and hands the row bodies their operands by role — the face
+// coefficient along a line (kx on rows, ky on columns), the one across, and
+// the line stride — so they read the cells a port written for that layout
+// reads.
+package devchunk
+
+import (
+	"github.com/warwick-hpsc/tealeaf-go/internal/config"
+	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
+	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
+	"github.com/warwick-hpsc/tealeaf-go/internal/kern"
+	"github.com/warwick-hpsc/tealeaf-go/internal/state"
+)
+
+const halo = grid.DefaultHalo
+
+// Window is the index range [Y0, Y1) x [X0, X1): for For and Reduce a
+// rectangle of cells in padded mesh coordinates, rows by columns; for Points
+// the index space its body interprets.
+type Window struct{ Y0, Y1, X0, X1 int }
+
+// Body is a For body, run on one segment: a holds the launch's fields as flat
+// slices in argument order and [lo, hi) is the flat index range of a run of
+// cells along one stride-1 line. RedBody is a Reduce body: it adds its
+// segment's terms to acc left to right and returns it. PointBody is a Points
+// body, run at index (j, i) on the launch's fields. (The segment is three
+// arguments rather than one struct: passing the struct made a 128² manual-cuda
+// run about 15 % slower on a 2-vCPU x86-64 host.)
+type (
+	Body      func(a [][]float64, lo, hi int)
+	RedBody   func(a [][]float64, lo, hi int, acc float64) float64
+	PointBody func(a [][]float64, j, i int)
+)
+
+// Policy is what a layer supplies, F being its storage handle. Alloc returns
+// a zeroed rows-by-cols field. For runs body on every segment of the window
+// in the order the layer visits its points; Reduce does the same with a sum,
+// each thread share or block threading one accumulator through its segments
+// and the partials combining in the layer's order. Points runs body once per
+// index of the window. Each resolves args to slices for the launch.
+type Policy[F any] interface {
+	Alloc(rows, cols int) F
+	For(name string, win Window, args []F, body Body)
+	Reduce(name string, win Window, args []F, body RedBody) float64
+	Points(name string, win Window, args []F, body PointBody)
+}
+
+// Field slots: the exchangeable fields at their driver.FieldID, then the
+// chunk's scratch.
+const (
+	density, energy0, energy1 = driver.FieldDensity, driver.FieldEnergy0, driver.FieldEnergy1
+	u, u0, p, r               = driver.FieldU, driver.FieldU0, driver.FieldP, driver.FieldR
+	w, z, sd, kx, ky          = driver.FieldW, driver.FieldZ, driver.FieldSD, driver.FieldKx, driver.FieldKy
+)
+
+const (
+	mi driver.FieldID = driver.NumFields + iota
+	un
+	rtemp
+	tcp
+	tdp
+	numFields
+)
+
+// Chunk is one chunk in a layer's memory: every driver.Kernels body but Name,
+// Close, FetchField and RestoreField, which belong to the port.
+type Chunk[F any] struct {
+	pol     Policy[F]
+	columns bool
+	// kAlong and kAcross are kx and ky by role: the face coefficients between
+	// neighbours along a line and between neighbouring lines.
+	kAlong, kAcross driver.FieldID
+
+	mesh    *grid.Mesh
+	nx, ny  int
+	line    int // flat distance between neighbouring lines
+	precond config.Preconditioner
+	f       [numFields]F
+}
+
+// New creates a chunk on the policy; columns reports whether the layer's
+// lines are mesh columns.
+func New[F any](pol Policy[F], columns bool) *Chunk[F] {
+	c := &Chunk[F]{pol: pol, columns: columns, kAlong: kx, kAcross: ky}
+	if columns {
+		c.kAlong, c.kAcross = ky, kx
+	}
+	return c
+}
+
+// Field returns the storage of an exchangeable field.
+func (c *Chunk[F]) Field(id driver.FieldID) F { return c.f[id] }
+
+// Interior returns the interior of a row-major padded copy of a field, row
+// by row.
+func (c *Chunk[F]) Interior(padded []float64) []float64 {
+	out := make([]float64, 0, c.nx*c.ny)
+	for j := halo; j < halo+c.ny; j++ {
+		out = append(out, padded[j*(c.nx+2*halo)+halo:][:c.nx]...)
+	}
+	return out
+}
+
+// SetInterior is Interior's inverse: it writes data over the interior of a
+// row-major padded copy of a field, leaving its halo as it is.
+func (c *Chunk[F]) SetInterior(padded, data []float64) {
+	for j := 0; j < c.ny; j++ {
+		copy(padded[(j+halo)*(c.nx+2*halo)+halo:], data[j*c.nx:(j+1)*c.nx])
+	}
+}
+
+// at is the flat index of padded cell (j, i).
+func (c *Chunk[F]) at(j, i int) int {
+	if c.columns {
+		return i*c.line + j
+	}
+	return j*c.line + i
+}
+
+// around is the interior grown by d cells on every side: 0 is the interior, 1
+// the ring the face coefficients cover, halo the whole padded extent.
+func (c *Chunk[F]) around(d int) Window {
+	return Window{halo - d, halo + c.ny + d, halo - d, halo + c.nx + d}
+}
+
+// args is a launch's argument list.
+func (c *Chunk[F]) args(ids ...driver.FieldID) []F {
+	a := make([]F, len(ids))
+	for k, id := range ids {
+		a[k] = c.f[id]
+	}
+	return a
+}
+
+// interior runs body over the interior.
+func (c *Chunk[F]) interior(name string, args []F, body Body) {
+	c.pol.For(name, c.around(0), args, body)
+}
+
+// reduce runs body over the interior with a sum reduction.
+func (c *Chunk[F]) reduce(name string, args []F, body RedBody) float64 {
+	return c.pol.Reduce(name, c.around(0), args, body)
+}
+
+// Generate implements driver.Kernels: allocate the fields through the layer
+// and fill the initial state in its memory with one launch over the padded
+// extent; no host copy is made.
+func (c *Chunk[F]) Generate(m *grid.Mesh, states []config.State) error {
+	if err := state.CheckBackground(states); err != nil {
+		return err
+	}
+	c.mesh, c.nx, c.ny = m, m.Nx, m.Ny
+	rows, cols := c.ny+2*halo, c.nx+2*halo
+	c.line = cols
+	if c.columns {
+		c.line = rows
+	}
+	for k := range c.f {
+		c.f[k] = c.pol.Alloc(rows, cols)
+	}
+	c.pol.For("generate_chunk", c.around(halo), c.args(density, energy0), func(a [][]float64, lo, hi int) {
+		o, x := lo/c.line-halo, lo%c.line-halo
+		if !c.columns {
+			state.FillRow(m, states, o, x, a[0][lo:hi], a[1][lo:hi])
+			return
+		}
+		for k := lo; k < hi; k++ { // a column segment: one row body call per point
+			state.FillRow(m, states, x+k-lo, o, a[0][k:k+1], a[1][k:k+1])
+		}
+	})
+	return nil
+}
+
+// copyField copies src into dst, halos included.
+func (c *Chunk[F]) copyField(name string, dst, src driver.FieldID) {
+	c.pol.For(name, c.around(halo), c.args(dst, src), func(a [][]float64, lo, hi int) {
+		copy(a[0][lo:hi], a[1][lo:hi])
+	})
+}
+
+// SetField implements driver.Kernels.
+func (c *Chunk[F]) SetField() { c.copyField("set_field", energy1, energy0) }
+
+// ResetField implements driver.Kernels.
+func (c *Chunk[F]) ResetField() { c.copyField("reset_field", energy0, energy1) }
+
+// JacobiCopyU implements driver.Kernels.
+func (c *Chunk[F]) JacobiCopyU() { c.copyField("jacobi_copy_u", un, u) }
+
+// FieldSummary implements driver.Kernels: one reduction per summed total.
+func (c *Chunk[F]) FieldSummary() driver.Totals {
+	vol := c.mesh.CellVolume()
+	t := driver.Totals{Volume: float64(c.nx) * float64(c.ny) * vol}
+	t.Mass = c.reduce("summary_mass", c.args(density), func(a [][]float64, lo, hi int, acc float64) float64 {
+		_, acc = kern.VolMass(0, acc, a[0][lo:hi], vol)
+		return acc
+	})
+	args := c.args(density, energy0, u)
+	t.InternalEnergy = c.reduce("summary_ie", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+		acc, _ = kern.EnergyTemp(acc, 0, a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], vol)
+		return acc
+	})
+	t.Temperature = c.reduce("summary_temp", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+		_, acc = kern.EnergyTemp(0, acc, a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], vol)
+		return acc
+	})
+	return t
+}
+
+// HaloExchange implements driver.Kernels: the reflective boundary as two
+// per-point launches per field, x faces (a point per interior row and halo
+// layer) then y faces over the widened columns, so corners mirror the x
+// halos as in the mini-app's update_halo.
+func (c *Chunk[F]) HaloExchange(fields []driver.FieldID, depth int) {
+	nx, ny := c.nx, c.ny
+	xFaces, yFaces := Window{halo, halo + ny, 0, depth}, Window{0, depth, halo - depth, halo + nx + depth}
+	for _, id := range fields {
+		c.pol.Points("update_halo_x", xFaces, c.args(id), func(a [][]float64, j, k int) {
+			a[0][c.at(j, halo-1-k)] = a[0][c.at(j, halo+k)]
+			a[0][c.at(j, halo+nx+k)] = a[0][c.at(j, halo+nx-1-k)]
+		})
+		c.pol.Points("update_halo_y", yFaces, c.args(id), func(a [][]float64, k, i int) {
+			a[0][c.at(halo-1-k, i)] = a[0][c.at(halo+k, i)]
+			a[0][c.at(halo+ny+k, i)] = a[0][c.at(halo+ny-1-k, i)]
+		})
+	}
+}
+
+// SolveInit implements driver.Kernels.
+func (c *Chunk[F]) SolveInit(coef config.Coefficient, rx, ry float64, precond config.Preconditioner) {
+	c.precond = precond
+	recip := coef == config.RecipConductivity
+	args := c.args(density, energy1, u, u0, w)
+	c.pol.For("tea_leaf_init", c.around(halo), args, func(a [][]float64, lo, hi int) {
+		kern.InitRow(a[2][lo:hi], a[3][lo:hi], a[4][lo:hi], a[1][lo:hi], a[0][lo:hi], recip)
+	})
+	rAlong, rAcross := rx, ry
+	if c.columns {
+		rAlong, rAcross = ry, rx
+	}
+	c.pol.For("init_kx_ky", c.around(1), c.args(c.kAlong, c.kAcross, w), func(a [][]float64, lo, hi int) {
+		kern.FaceCoefAt(a[0], a[1], a[2], rAlong, rAcross, c.line, lo, hi)
+	})
+	c.CalcResidual()
+	if precond == config.PrecondJacDiag {
+		c.interior("init_mi", c.args(mi, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+			kern.DiagInvAt(a[0], a[1], a[2], c.line, lo, hi)
+		})
+	}
+	if precond != config.PrecondNone {
+		c.ApplyPrecond()
+	}
+}
+
+// operator sets a[dst] = A a[src] on the segment; the launch's last two
+// arguments are kAlong and kAcross.
+func (c *Chunk[F]) operator(a [][]float64, lo, hi, dst, src int) {
+	n := len(a)
+	kern.OperatorAt(a[dst], a[src], a[n-2], a[n-1], c.line, lo, hi)
+}
+
+// CalcResidual implements driver.Kernels: w = A u, then r = u0 - w, in one
+// sweep.
+func (c *Chunk[F]) CalcResidual() {
+	c.interior("residual", c.args(u, w, u0, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+		c.operator(a, lo, hi, 1, 0)
+		kern.Sub(a[3][lo:hi], a[2][lo:hi], a[1][lo:hi])
+	})
+}
+
+// dot is the interior dot product of two fields.
+func (c *Chunk[F]) dot(name string, x, y driver.FieldID) float64 {
+	return c.reduce(name, c.args(x, y), func(a [][]float64, lo, hi int, acc float64) float64 {
+		return kern.DotAcc(acc, a[0][lo:hi], a[1][lo:hi])
+	})
+}
+
+// Norm2R implements driver.Kernels.
+func (c *Chunk[F]) Norm2R() float64 { return c.dot("norm2_r", r, r) }
+
+// DotRZ implements driver.Kernels.
+func (c *Chunk[F]) DotRZ() float64 { return c.dot("dot_rz", r, z) }
+
+// ApplyPrecond implements driver.Kernels. The jac_block path is one Thomas
+// solve per mesh row, at one point each (the row's first interior cell): the
+// shared row body where lines are rows, a strided walk along the row where
+// they are columns.
+func (c *Chunk[F]) ApplyPrecond() {
+	if c.precond != config.PrecondJacBlock {
+		c.interior("apply_precond", c.args(z, mi, r), func(a [][]float64, lo, hi int) {
+			kern.Mul(a[0][lo:hi], a[1][lo:hi], a[2][lo:hi])
+		})
+		return
+	}
+	nx := c.nx
+	first := Window{halo, halo + c.ny, halo, halo + 1}
+	c.pol.Points("block_solve", first, c.args(z, r, kx, ky, tcp, tdp), func(a [][]float64, j, i0 int) {
+		z, r, kx, ky, cp, dp := a[0], a[1], a[2], a[3], a[4], a[5]
+		if !c.columns {
+			lo := c.at(j, i0)
+			kern.ThomasAt(z, r, kx, ky, cp, dp, c.line, lo, lo+nx)
+			return
+		}
+		diag := func(i int) float64 {
+			return 1 + kx[c.at(j, i+1)] + kx[c.at(j, i)] + ky[c.at(j+1, i)] + ky[c.at(j, i)]
+		}
+		b0 := diag(halo)
+		cp[c.at(j, halo)] = -kx[c.at(j, halo+1)] / b0
+		dp[c.at(j, halo)] = r[c.at(j, halo)] / b0
+		for i := halo + 1; i < halo+nx; i++ {
+			av := -kx[c.at(j, i)]
+			m := 1 / (diag(i) - av*cp[c.at(j, i-1)])
+			cp[c.at(j, i)] = -kx[c.at(j, i+1)] * m
+			dp[c.at(j, i)] = (r[c.at(j, i)] - av*dp[c.at(j, i-1)]) * m
+		}
+		last := halo + nx - 1
+		z[c.at(j, last)] = dp[c.at(j, last)]
+		for i := last - 1; i >= halo; i-- {
+			z[c.at(j, i)] = dp[c.at(j, i)] - cp[c.at(j, i)]*z[c.at(j, i+1)]
+		}
+	})
+}
+
+// precondSrc is the field CG and Chebyshev take their direction from.
+func precondSrc(precond bool) driver.FieldID {
+	if precond {
+		return z
+	}
+	return r
+}
+
+// CGInitP implements driver.Kernels.
+func (c *Chunk[F]) CGInitP(precond bool) float64 {
+	args := c.args(precondSrc(precond), p, r)
+	return c.reduce("cg_init_p", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+		return kern.CopyDot(acc, a[1][lo:hi], a[0][lo:hi], a[2][lo:hi])
+	})
+}
+
+// CGCalcW implements driver.Kernels: one reducing sweep evaluates w = A p and
+// accumulates p·w.
+func (c *Chunk[F]) CGCalcW() float64 {
+	args := c.args(p, w, c.kAlong, c.kAcross)
+	return c.reduce("cg_calc_w", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+		c.operator(a, lo, hi, 1, 0)
+		return kern.DotAcc(acc, a[0][lo:hi], a[1][lo:hi])
+	})
+}
+
+// CGCalcUR implements driver.Kernels: one reducing sweep updates u and r,
+// applies the diagonal preconditioner z = mi·r when there is one, and
+// accumulates r·z (r·r unpreconditioned). The jac_block line solve needs
+// whole rows of the updated r, which a segment cannot provide, so that
+// preconditioner runs as the update sweep, then ApplyPrecond and DotRZ.
+func (c *Chunk[F]) CGCalcUR(alpha float64, precond bool) float64 {
+	lineSolve := precond && c.precond == config.PrecondJacBlock
+	args := c.args(u, p, r, w, mi, z)
+	rrn := c.reduce("cg_calc_ur", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+		r, z := a[2][lo:hi], a[5][lo:hi]
+		kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
+		switch {
+		case !precond:
+			acc = kern.DotAcc(acc, r, r)
+		case !lineSolve:
+			kern.Mul(z, a[4][lo:hi], r)
+			acc = kern.DotAcc(acc, r, z)
+		}
+		return acc
+	})
+	if lineSolve {
+		c.ApplyPrecond()
+		return c.DotRZ()
+	}
+	return rrn
+}
+
+// CGCalcP implements driver.Kernels.
+func (c *Chunk[F]) CGCalcP(beta float64, precond bool) {
+	c.interior("cg_calc_p", c.args(precondSrc(precond), p), func(a [][]float64, lo, hi int) {
+		kern.XPBY(a[1][lo:hi], a[0][lo:hi], beta)
+	})
+}
+
+// JacobiIterate implements driver.Kernels.
+func (c *Chunk[F]) JacobiIterate() float64 {
+	args := c.args(u, un, u0, c.kAlong, c.kAcross)
+	return c.reduce("jacobi_solve", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+		return kern.JacobiAt(acc, a[0], a[1], a[2], a[3], a[4], c.line, lo, hi)
+	})
+}
+
+// ChebyInit implements driver.Kernels.
+func (c *Chunk[F]) ChebyInit(theta float64, precond bool) {
+	c.interior("cheby_init", c.args(precondSrc(precond), sd, u), func(a [][]float64, lo, hi int) {
+		kern.ChebyInitRow(a[1][lo:hi], a[2][lo:hi], a[0][lo:hi], theta)
+	})
+}
+
+// ChebyIterate implements driver.Kernels: w = A sd, then r -= w, in one
+// sweep; the preconditioner; then the sd and u update.
+func (c *Chunk[F]) ChebyIterate(alpha, beta float64, precond bool) {
+	c.interior("cheby_calc_r", c.args(sd, w, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+		c.operator(a, lo, hi, 1, 0)
+		kern.Sub(a[2][lo:hi], a[2][lo:hi], a[1][lo:hi])
+	})
+	if precond {
+		c.ApplyPrecond()
+	}
+	c.interior("cheby_calc_sd_u", c.args(precondSrc(precond), sd, u), func(a [][]float64, lo, hi int) {
+		kern.ChebyRow(a[1][lo:hi], a[2][lo:hi], a[0][lo:hi], alpha, beta)
+	})
+}
+
+// PPCGInitInner implements driver.Kernels.
+func (c *Chunk[F]) PPCGInitInner(theta float64) {
+	c.interior("ppcg_init_inner", c.args(r, rtemp, z, sd), func(a [][]float64, lo, hi int) {
+		kern.PPCGInitRow(a[1][lo:hi], a[2][lo:hi], a[3][lo:hi], a[0][lo:hi], theta)
+	})
+}
+
+// PPCGInnerIterate implements driver.Kernels (two sweeps: the operator must
+// see the previous sd everywhere before any of it is rewritten).
+func (c *Chunk[F]) PPCGInnerIterate(alpha, beta float64) {
+	c.interior("ppcg_calc_w", c.args(sd, w, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+		c.operator(a, lo, hi, 1, 0)
+	})
+	c.interior("ppcg_inner_update", c.args(z, sd, rtemp, w), func(a [][]float64, lo, hi int) {
+		kern.PPCGInnerRow(a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], a[3][lo:hi], alpha, beta)
+	})
+}
+
+// PPCGFinishInner implements driver.Kernels.
+func (c *Chunk[F]) PPCGFinishInner() {
+	c.interior("ppcg_finish_inner", c.args(z, sd), func(a [][]float64, lo, hi int) {
+		kern.Add(a[0][lo:hi], a[1][lo:hi])
+	})
+}
+
+// SolveFinalise implements driver.Kernels.
+func (c *Chunk[F]) SolveFinalise() {
+	c.interior("tea_leaf_finalise", c.args(u, density, energy1), func(a [][]float64, lo, hi int) {
+		kern.Div(a[2][lo:hi], a[0][lo:hi], a[1][lo:hi])
+	})
+}

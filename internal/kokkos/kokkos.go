@@ -345,6 +345,11 @@ func (v *View) Segment(outer, lo, hi int) []float64 {
 	return v.data[base+lo : base+hi]
 }
 
+// Data returns the view's elements as one flat slice, element (i0, i1) at
+// i0*n1 + i1 under LayoutRight and i0 + i1*n0 under LayoutLeft: the analogue
+// of Kokkos's view.data(), for code that indexes the allocation itself.
+func (v *View) Data() []float64 { return v.data }
+
 // At reads element (i0, i1).
 func (v *View) At(i0, i1 int) float64 { return v.data[v.idx(i0, i1)] }
 

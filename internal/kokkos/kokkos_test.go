@@ -181,6 +181,35 @@ func TestSegmentAddressesTheStrideOneLine(t *testing.T) {
 	}
 }
 
+// TestDataMatchesAt: Data is the flat allocation, element (i0, i1) at
+// i0*n1 + i1 under LayoutRight and i0 + i1*n0 under LayoutLeft.
+func TestDataMatchesAt(t *testing.T) {
+	const n0, n1 = 5, 7
+	for _, layout := range []Layout{LayoutRight, LayoutLeft} {
+		v := newView(Serial{}, "v", layout, n0, n1)
+		for i0 := 0; i0 < n0; i0++ {
+			for i1 := 0; i1 < n1; i1++ {
+				v.Set(i0, i1, float64(10*i0+i1))
+			}
+		}
+		data := v.Data()
+		if len(data) != n0*n1 {
+			t.Fatalf("%v: Data has %d elements, want %d", layout, len(data), n0*n1)
+		}
+		for i0 := 0; i0 < n0; i0++ {
+			for i1 := 0; i1 < n1; i1++ {
+				idx := i0*n1 + i1
+				if layout == LayoutLeft {
+					idx = i0 + i1*n0
+				}
+				if data[idx] != v.At(i0, i1) {
+					t.Fatalf("%v: Data()[%d] = %g, At(%d, %d) = %g", layout, idx, data[idx], i0, i1, v.At(i0, i1))
+				}
+			}
+		}
+	}
+}
+
 // TestTeamPolicyMatchesPerPoint writes the same stencil and dot product as a
 // per-point MDRange functor and as a team functor over segments, in every
 // space and so under both layouts. Segments arrive in the order ParallelFor

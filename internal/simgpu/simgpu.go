@@ -172,15 +172,6 @@ func (d *Device) MemcpyD2H(dst []float64, src *Buffer) {
 	d.bytesD2H.Add(int64(8 * len(dst)))
 }
 
-// MemcpyD2D copies n elements between device buffers.
-func (d *Device) MemcpyD2D(dst, src *Buffer, n int) {
-	d.checkBuffer(dst)
-	d.checkBuffer(src)
-	d.mu.Lock()
-	copy(dst.data[:n], src.data[:n])
-	d.mu.Unlock()
-}
-
 func (d *Device) checkBuffer(b *Buffer) {
 	if b.dev != d {
 		panic("simgpu: buffer used on a device it was not allocated on")

@@ -37,19 +37,6 @@ func TestMemcpyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemcpyD2D(t *testing.T) {
-	d := device(t, 1)
-	a := d.Malloc(10)
-	b := d.Malloc(10)
-	d.MemcpyH2D(a, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	d.MemcpyD2D(b, a, 5)
-	out := make([]float64, 10)
-	d.MemcpyD2H(out, b)
-	if out[4] != 5 || out[5] != 0 {
-		t.Errorf("D2D copy = %v", out)
-	}
-}
-
 func TestLaunchCoversEveryThreadOnce(t *testing.T) {
 	d := device(t, 4)
 	const nx, ny = 37, 23
