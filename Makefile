@@ -33,7 +33,7 @@ race:
 # deadlines and socket-world Close right after start (where a lost wake-up
 # hung about one close in 50,000), and the simulated GPU on its team (use
 # after Close, Close after launch bursts, concurrent launchers taking turns
-# on the stream lock, a panicking kernel reaching the caller). Then the serving plane's job
+# on the stream lock, a panicking kernel reaching the caller from a team worker). Then the serving plane's job
 # lifecycle under the race detector: the seeded model test (random traffic,
 # drain, restart), the
 # version-ledger drills, leader-expiry promotion, retention and the

@@ -180,8 +180,8 @@ func TestBitwiseDeterminism(t *testing.T) {
 	factories := map[string]Factory{
 		"manual-omp":    func() driver.Kernels { return omp.New(4) },
 		"manual-mpi":    func() driver.Kernels { return mpi.New(4, 2) },
-		"manual-cuda":   func() driver.Kernels { return cuda.New(simgpu.Dim2{X: 32, Y: 4}) },
-		"kokkos-cuda":   func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
+		"manual-cuda":   func() driver.Kernels { return cuda.New(1, simgpu.Dim2{X: 32, Y: 4}) },
+		"kokkos-cuda":   func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(1, simgpu.Dim2{})) },
 		"raja-openmp":   func() driver.Kernels { return rajaport.New(raja.NewOmp(3)) },
 		"ops-mpi-tiled": opsTiledFactory(t),
 	}

@@ -34,20 +34,18 @@ func opsVersion(opt opsport.Options) Factory {
 	}
 }
 
-// segmentVersions are the versions whose kernels run as row segments
-// (hostchunk rows, simgpu.Block.ForRows, kokkos.TeamFor, raja.Kernel2DRow,
-// ops.RowKernel) instead of one closure call per cell. Host widths, rank
-// counts, block and tile sizes are pinned: the table below is bitwise, and
-// shares, chunks and blocks set the summation grouping.
+// segmentVersions are the host versions whose kernels run as row segments
+// (hostchunk rows, ops.RowKernel) instead of one closure call per cell; the
+// simulated-device versions are deviceVersions. Host widths, rank counts, block
+// and tile sizes are pinned: the table below is bitwise, and shares, chunks
+// and blocks set the summation grouping.
 var segmentVersions = map[string]Factory{
 	"manual-serial":      func() driver.Kernels { return serial.New() },
 	"manual-omp":         func() driver.Kernels { return omp.New(2) },
 	"manual-openacc-cpu": func() driver.Kernels { return openacc.New(openacc.TargetHost, 2) },
 	"manual-openacc-gpu": func() driver.Kernels { return openacc.New(openacc.TargetDevice, 2) },
-	"manual-cuda":        func() driver.Kernels { return cuda.New(simgpu.Dim2{}) },
 	"manual-mpi":         func() driver.Kernels { return mpi.New(2, 1) },
 	"manual-mpi-omp":     func() driver.Kernels { return mpi.New(2, 2) },
-	"ops-cuda":           opsVersion(opsport.Options{Backend: ops.BackendCUDA}),
 	"ops-openmp":         opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Threads: 2}),
 	"ops-mpi":            opsVersion(opsport.Options{Backend: ops.BackendSerial, Ranks: 2}),
 	"ops-mpi-omp":        opsVersion(opsport.Options{Backend: ops.BackendOpenMP, Ranks: 2, Threads: 2}),
@@ -55,9 +53,45 @@ var segmentVersions = map[string]Factory{
 	"ops-tiled":          opsVersion(opsport.Options{Backend: ops.BackendSerial, Tiling: true, TileX: 16, TileY: 8}),
 	"ops-openacc":        opsVersion(opsport.Options{Backend: ops.BackendACC, Threads: 2}),
 	"kokkos-openmp":      func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(2)) },
-	"kokkos-cuda":        func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(simgpu.Dim2{})) },
 	"raja-openmp":        func() driver.Kernels { return rajaport.New(raja.NewOmp(2)) },
-	"raja-cuda":          func() driver.Kernels { return rajaport.New(raja.NewCuda(simgpu.Dim2{})) },
+}
+
+// deviceVersions are the four simulated-device versions (simgpu.Block.ForRows,
+// kokkos.TeamFor, raja.Kernel2DRow segments) on a device of the given thread
+// count, at their default block sizes.
+var deviceVersions = map[string]func(threads int) driver.Kernels{
+	"manual-cuda": func(n int) driver.Kernels { return cuda.New(n, simgpu.Dim2{}) },
+	"ops-cuda":    func(n int) driver.Kernels { return opsVersion(opsport.Options{Backend: ops.BackendCUDA, Threads: n})() },
+	"kokkos-cuda": func(n int) driver.Kernels { return kokkosport.New(kokkos.NewCuda(n, simgpu.Dim2{})) },
+	"raja-cuda":   func(n int) driver.Kernels { return rajaport.New(raja.NewCuda(n, simgpu.Dim2{})) },
+}
+
+// deviceThreads are the device thread counts every device version runs at.
+// A launch sums its per-block partials in block order whichever thread ran
+// each block, so both counts must reach the same golden bits.
+var deviceThreads = []int{1, 2}
+
+// segmentCase is one run against the golden tables: version keys the tables,
+// label names the run in a failure.
+type segmentCase struct {
+	version, label string
+	factory        Factory
+}
+
+// segmentCases are the host versions once and each device version at every
+// count in deviceThreads.
+func segmentCases() []segmentCase {
+	var cases []segmentCase
+	for version, factory := range segmentVersions {
+		cases = append(cases, segmentCase{version, version, factory})
+	}
+	for version, build := range deviceVersions {
+		for _, n := range deviceThreads {
+			label := fmt.Sprintf("%s@%d-thread-device", version, n)
+			cases = append(cases, segmentCase{version, label, func() driver.Kernels { return build(n) }})
+		}
+	}
+	return cases
 }
 
 // segmentKernel names, per deck, the kernel the deck exists to run: a deck
@@ -241,17 +275,18 @@ var columnGolden = map[string][4]uint64{
 // swapped and its totals may move from the per-cell numbers in the last bits
 // (iteration counts may not); columnGolden then pins its column bits exactly.
 // Each run is instrumented, so a deck also has to execute the kernel it is
-// named after (segmentKernel).
+// named after (segmentKernel). Every device version runs at one and at two
+// device threads against the same rows.
 func TestSegmentGolden(t *testing.T) {
 	var missing []string
 	for deck, cfg := range SegmentDecks() {
-		for version, factory := range segmentVersions {
-			key := version + "/" + deck
+		for _, c := range segmentCases() {
+			key, run := c.version+"/"+deck, c.label+"/"+deck
 			prof := profiler.New()
-			got := segmentRunOf(Run(t, func() driver.Kernels { return driver.Instrument(factory(), prof) }, cfg))
+			got := segmentRunOf(Run(t, func() driver.Kernels { return driver.Instrument(c.factory(), prof) }, cfg))
 			if name, ok := segmentKernel[deck]; ok {
 				if e, _ := prof.Lookup(name); e.Calls == 0 {
-					t.Errorf("%s: %s never ran", key, name)
+					t.Errorf("%s: %s never ran", run, name)
 				}
 			}
 			want, ok := segmentGolden[key]
@@ -261,19 +296,19 @@ func TestSegmentGolden(t *testing.T) {
 				continue
 			}
 			if got.iters != want.iters || got.inner != want.inner {
-				t.Errorf("%s: %d(+%d) iterations, golden %d(+%d)", key, got.iters, got.inner, want.iters, want.inner)
+				t.Errorf("%s: %d(+%d) iterations, golden %d(+%d)", run, got.iters, got.inner, want.iters, want.inner)
 			}
-			if version == "kokkos-cuda" {
+			if c.version == "kokkos-cuda" {
 				for i := range got.totals {
 					g, w := math.Float64frombits(got.totals[i]), math.Float64frombits(want.totals[i])
 					if d := relDiff(g, w); d > 1e-12 {
-						t.Errorf("%s: total %d = %v, golden %v (relative %g)", key, i, g, w, d)
+						t.Errorf("%s: total %d = %v, golden %v (relative %g)", run, i, g, w, d)
 					}
 				}
 				want.totals = columnGolden[deck]
 			}
 			if got.totals != want.totals {
-				t.Errorf("%s: totals %#x, golden %#x", key, got.totals, want.totals)
+				t.Errorf("%s: totals %#x, golden %#x", run, got.totals, want.totals)
 			}
 		}
 	}

@@ -9,5 +9,5 @@ import (
 )
 
 func TestChaosConformance(t *testing.T) {
-	backendtest.ChaosConformance(t, func() driver.Kernels { return New(simgpu.Dim2{X: 16, Y: 4}) })
+	backendtest.ChaosConformance(t, func() driver.Kernels { return New(2, simgpu.Dim2{X: 16, Y: 4}) })
 }

@@ -3,11 +3,12 @@
 // device: every field lives in device memory (Malloc), every kernel is a
 // typed Launch over a (grid, block) index space whose blocks run the row
 // bodies on their thread-rows (Block.ForRows; the halo faces and line solves
-// one thread per point with ForThreads), reductions are per-block partials
-// combined on the stream (LaunchReduce), and the host only sees data it
-// explicitly copies back (MemcpyD2H/H2D). The block size is a tuning
-// parameter exactly as on real GPUs; the paper fixes (64, 8) for the OPS
-// CUDA build and we default to the same.
+// one call per in-range thread of those rows), reductions are per-block
+// partials combined on the stream (LaunchReduce), and the host only sees data
+// it explicitly copies back (MemcpyD2H/H2D). The device runs its blocks on
+// the version's thread count. The block size is a tuning parameter exactly as
+// on real GPUs; the paper fixes (64, 8) for the OPS CUDA build and we default
+// to the same.
 package cuda
 
 import (
@@ -28,13 +29,15 @@ type Chunk struct {
 
 var _ driver.Kernels = (*Chunk)(nil)
 
-// New creates the port on a fresh device with the given kernel block size
-// (zero value selects DefaultBlock).
-func New(block simgpu.Dim2) *Chunk {
+// New creates the port on a fresh device running its blocks on threads
+// threads (<= 0: one), with the given kernel block size (zero value selects
+// DefaultBlock).
+func New(threads int, block simgpu.Dim2) *Chunk {
 	if block.X <= 0 || block.Y <= 0 {
 		block = DefaultBlock
 	}
-	pol := &policy{dev: simgpu.NewDevice(simgpu.Props{Name: "simulated-p100"}), block: block}
+	dev := simgpu.NewDevice(simgpu.Props{Name: "simulated-p100", Parallelism: threads})
+	pol := &policy{dev: dev, block: block}
 	return &Chunk{devchunk.New[*simgpu.Buffer](pol, false), pol}
 }
 
@@ -111,12 +114,14 @@ func (p *policy) Reduce(name string, win devchunk.Window, args []*simgpu.Buffer,
 }
 
 // Points implements devchunk.Policy: one thread per index, x along the
-// window's columns, with CUDA's per-thread range guard.
+// window's columns. The block's thread-rows come clipped to the window, so
+// the body runs on its in-range threads only and a narrow face does not walk
+// the block's idle threads.
 func (p *policy) Points(name string, win devchunk.Window, args []*simgpu.Buffer, body devchunk.PointBody) {
 	nx, ny := win.X1-win.X0, win.Y1-win.Y0
 	p.dev.Launch(name, simgpu.GridFor(nx, ny, p.block), p.block, args, func(b simgpu.Block, a [][]float64) {
-		b.ForThreads(func(gx, gy int) {
-			if gx < nx && gy < ny {
+		b.ForRows(nx, ny, func(gy, x0, x1 int) {
+			for gx := x0; gx < x1; gx++ {
 				body(a, win.Y0+gy, win.X0+gx)
 			}
 		})

@@ -15,11 +15,11 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	backendtest.Conformance(t, func() driver.Kernels { return New(simgpu.Dim2{}) })
+	backendtest.Conformance(t, func() driver.Kernels { return New(2, simgpu.Dim2{}) })
 }
 
 func TestFusionEquivalence(t *testing.T) {
-	backendtest.FusionEquivalence(t, func() driver.Kernels { return New(simgpu.Dim2{X: 16, Y: 4}) })
+	backendtest.FusionEquivalence(t, func() driver.Kernels { return New(2, simgpu.Dim2{X: 16, Y: 4}) })
 }
 
 // TestBlockSizeInvariance: no device version's physics may depend on the
@@ -27,9 +27,9 @@ func TestFusionEquivalence(t *testing.T) {
 // differ in rounding only).
 func TestBlockSizeInvariance(t *testing.T) {
 	versions := map[string]func(simgpu.Dim2) driver.Kernels{
-		"manual-cuda": func(b simgpu.Dim2) driver.Kernels { return New(b) },
-		"kokkos-cuda": func(b simgpu.Dim2) driver.Kernels { return kokkosport.New(kokkos.NewCuda(b)) },
-		"raja-cuda":   func(b simgpu.Dim2) driver.Kernels { return rajaport.New(raja.NewCuda(b)) },
+		"manual-cuda": func(b simgpu.Dim2) driver.Kernels { return New(1, b) },
+		"kokkos-cuda": func(b simgpu.Dim2) driver.Kernels { return kokkosport.New(kokkos.NewCuda(1, b)) },
+		"raja-cuda":   func(b simgpu.Dim2) driver.Kernels { return rajaport.New(raja.NewCuda(1, b)) },
 	}
 	cfg := config.BenchmarkN(20)
 	cfg.EndStep = 2
@@ -53,7 +53,7 @@ func TestBlockSizeInvariance(t *testing.T) {
 func TestDeviceAccounting(t *testing.T) {
 	cfg := config.BenchmarkN(16)
 	cfg.EndStep = 1
-	k := New(simgpu.Dim2{})
+	k := New(1, simgpu.Dim2{})
 	defer k.Close()
 	res, err := driver.Run(cfg, k, solver.New(solver.FromConfig(&cfg)), nil)
 	if err != nil {

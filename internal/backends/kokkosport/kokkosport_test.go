@@ -19,7 +19,7 @@ func TestConformanceOpenMP(t *testing.T) {
 }
 
 func TestConformanceCuda(t *testing.T) {
-	backendtest.Conformance(t, func() driver.Kernels { return New(kokkos.NewCuda(simgpu.Dim2{X: 16, Y: 4})) })
+	backendtest.Conformance(t, func() driver.Kernels { return New(kokkos.NewCuda(2, simgpu.Dim2{X: 16, Y: 4})) })
 }
 
 func TestFusionEquivalenceOpenMP(t *testing.T) {
@@ -27,7 +27,7 @@ func TestFusionEquivalenceOpenMP(t *testing.T) {
 }
 
 func TestFusionEquivalenceCuda(t *testing.T) {
-	backendtest.FusionEquivalence(t, func() driver.Kernels { return New(kokkos.NewCuda(simgpu.Dim2{X: 16, Y: 4})) })
+	backendtest.FusionEquivalence(t, func() driver.Kernels { return New(kokkos.NewCuda(2, simgpu.Dim2{X: 16, Y: 4})) })
 }
 
 // TestLayoutsDiffer: the port must really run LayoutLeft on the device
@@ -35,7 +35,7 @@ func TestFusionEquivalenceCuda(t *testing.T) {
 // credits Kokkos with — while producing identical physics.
 func TestLayoutsDiffer(t *testing.T) {
 	host := New(kokkos.Serial{})
-	dev := New(kokkos.NewCuda(simgpu.Dim2{}))
+	dev := New(kokkos.NewCuda(1, simgpu.Dim2{}))
 	cfg := config.BenchmarkN(16)
 	cfg.EndStep = 2
 	hostRes := backendtest.Run(t, func() driver.Kernels { return host }, cfg)

@@ -19,28 +19,29 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 )
 
-// deviceVersions builds each simulated-device version at its default block
-// size and returns it with its device. The table lives in this package
-// because ops-cuda's device belongs to its rank's OPS context, which only
-// opsport can reach; a one-rank set is what the SPMD runner calls directly.
-var deviceVersions = map[string]func() (driver.Kernels, *simgpu.Device){
-	"manual-cuda": func() (driver.Kernels, *simgpu.Device) {
-		k := cuda.New(simgpu.Dim2{})
+// deviceVersions builds each simulated-device version on a device of the
+// given thread count at its default block size and returns it with its
+// device. The table lives in this package because ops-cuda's device belongs
+// to its rank's OPS context, which only opsport can reach; a one-rank set is
+// what the SPMD runner calls directly.
+var deviceVersions = map[string]func(threads int) (driver.Kernels, *simgpu.Device){
+	"manual-cuda": func(n int) (driver.Kernels, *simgpu.Device) {
+		k := cuda.New(n, simgpu.Dim2{})
 		return k, k.Device()
 	},
-	"ops-cuda": func() (driver.Kernels, *simgpu.Device) {
-		rs, err := newRankState(Options{Backend: ops.BackendCUDA}, comm.NewWorld(1).Ranks()[0])
+	"ops-cuda": func(n int) (driver.Kernels, *simgpu.Device) {
+		rs, err := newRankState(Options{Backend: ops.BackendCUDA, Threads: n}, comm.NewWorld(1).Ranks()[0])
 		if err != nil {
 			panic(err)
 		}
 		return rs, rs.ctx.Device()
 	},
-	"kokkos-cuda": func() (driver.Kernels, *simgpu.Device) {
-		space := kokkos.NewCuda(simgpu.Dim2{})
+	"kokkos-cuda": func(n int) (driver.Kernels, *simgpu.Device) {
+		space := kokkos.NewCuda(n, simgpu.Dim2{})
 		return kokkosport.New(space), space.Device()
 	},
-	"raja-cuda": func() (driver.Kernels, *simgpu.Device) {
-		policy := raja.NewCuda(simgpu.Dim2{})
+	"raja-cuda": func(n int) (driver.Kernels, *simgpu.Device) {
+		policy := raja.NewCuda(n, simgpu.Dim2{})
 		return rajaport.New(policy), policy.Device()
 	},
 }
@@ -98,24 +99,29 @@ var launchGolden = map[string]simgpu.Stats{
 }
 
 // TestDeviceLaunchGolden pins every device version's device counters on
-// every launch deck: a change to how a launch runs its blocks must not change
-// which launches a port makes, how many blocks each covers or what crosses
-// the bus.
+// every launch deck, on a one-thread and a two-thread device: a change to how
+// a launch runs its blocks, or on how many threads, must not change which
+// launches a port makes, how many blocks each covers or what crosses the bus.
 func TestDeviceLaunchGolden(t *testing.T) {
 	var missing []string
 	for deck, cfg := range launchDecks() {
 		for version, build := range deviceVersions {
 			key := version + "/" + deck
-			k, dev := build()
-			backendtest.Run(t, func() driver.Kernels { return k }, cfg)
-			got := dev.Stats()
-			want, ok := launchGolden[key]
-			if !ok {
-				missing = append(missing, fmt.Sprintf("\t%q: %#v,", key, got))
-				continue
-			}
-			if got != want {
-				t.Errorf("%s: %+v, golden %+v", key, got, want)
+			for _, threads := range []int{1, 2} {
+				k, dev := build(threads)
+				if p := dev.Props().Parallelism; p != threads {
+					t.Fatalf("%s: device of %d threads, want %d", version, p, threads)
+				}
+				backendtest.Run(t, func() driver.Kernels { return k }, cfg)
+				got := dev.Stats()
+				want, ok := launchGolden[key]
+				if !ok {
+					missing = append(missing, fmt.Sprintf("\t%q: %#v,", key, got))
+					break
+				}
+				if got != want {
+					t.Errorf("%s on %d device threads: %+v, golden %+v", key, threads, got, want)
+				}
 			}
 		}
 	}

@@ -29,7 +29,8 @@ type Options struct {
 	Backend ops.Backend
 	// Ranks is the number of distributed chunks (1 = single chunk).
 	Ranks int
-	// Threads per rank for the OpenMP/ACC backends.
+	// Threads per rank for the OpenMP/ACC backends; the device's thread
+	// count for the CUDA backend.
 	Threads int
 	// Tiling enables the lazy cache-block tiling pass per rank.
 	Tiling       bool

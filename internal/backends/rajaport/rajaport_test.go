@@ -18,7 +18,7 @@ func TestConformanceOmp(t *testing.T) {
 }
 
 func TestConformanceCuda(t *testing.T) {
-	backendtest.Conformance(t, func() driver.Kernels { return New(raja.NewCuda(simgpu.Dim2{X: 32, Y: 2})) })
+	backendtest.Conformance(t, func() driver.Kernels { return New(raja.NewCuda(2, simgpu.Dim2{X: 32, Y: 2})) })
 }
 
 func TestFusionEquivalenceOmp(t *testing.T) {
@@ -26,5 +26,5 @@ func TestFusionEquivalenceOmp(t *testing.T) {
 }
 
 func TestFusionEquivalenceCuda(t *testing.T) {
-	backendtest.FusionEquivalence(t, func() driver.Kernels { return New(raja.NewCuda(simgpu.Dim2{X: 32, Y: 2})) })
+	backendtest.FusionEquivalence(t, func() driver.Kernels { return New(raja.NewCuda(2, simgpu.Dim2{X: 32, Y: 2})) })
 }

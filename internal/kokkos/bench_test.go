@@ -31,13 +31,13 @@ func benchMDRangeStencil(b *testing.B, space ExecSpace) {
 func BenchmarkMDRange(b *testing.B) {
 	b.Run("Serial", func(b *testing.B) { benchMDRangeStencil(b, Serial{}) })
 	b.Run("OpenMP", func(b *testing.B) { benchMDRangeStencil(b, NewOpenMP(0)) })
-	b.Run("Cuda", func(b *testing.B) { benchMDRangeStencil(b, NewCuda(simgpu.Dim2{X: 64, Y: 8})) })
+	b.Run("Cuda", func(b *testing.B) { benchMDRangeStencil(b, NewCuda(1, simgpu.Dim2{X: 64, Y: 8})) })
 }
 
 // BenchmarkDeepCopyLayouts measures the layout-converting deep copy
 // (mirror <-> device), which transposes storage.
 func BenchmarkDeepCopyLayouts(b *testing.B) {
-	cuda := NewCuda(simgpu.Dim2{})
+	cuda := NewCuda(1, simgpu.Dim2{})
 	defer cuda.Close()
 	const n = 512
 	dev := NewView(cuda, "d", n, n)

@@ -204,13 +204,14 @@ type Cuda struct {
 	block simgpu.Dim2
 }
 
-// NewCuda creates the device space with the given kernel block size (zero
-// value: 256x1, Kokkos's flat default).
-func NewCuda(block simgpu.Dim2) *Cuda {
+// NewCuda creates the device space on a device running its blocks on
+// threads threads (<= 0: one), with the given kernel block size (zero value:
+// 256x1, Kokkos's flat default).
+func NewCuda(threads int, block simgpu.Dim2) *Cuda {
 	if block.X <= 0 || block.Y <= 0 {
 		block = simgpu.Dim2{X: 256, Y: 1}
 	}
-	return &Cuda{dev: simgpu.NewDevice(simgpu.Props{Name: "kokkos-cuda"}), block: block}
+	return &Cuda{dev: simgpu.NewDevice(simgpu.Props{Name: "kokkos-cuda", Parallelism: threads}), block: block}
 }
 
 // Name implements ExecSpace.

@@ -12,7 +12,7 @@ func spaces(t *testing.T) map[string]ExecSpace {
 	ss := map[string]ExecSpace{
 		"Serial": Serial{},
 		"OpenMP": NewOpenMP(4),
-		"Cuda":   NewCuda(simgpu.Dim2{X: 8, Y: 4}),
+		"Cuda":   NewCuda(1, simgpu.Dim2{X: 8, Y: 4}),
 	}
 	t.Cleanup(func() {
 		for _, s := range ss {
@@ -26,7 +26,7 @@ func TestDefaultLayouts(t *testing.T) {
 	if (Serial{}).DefaultLayout() != LayoutRight {
 		t.Error("Serial must default to LayoutRight")
 	}
-	if NewCuda(simgpu.Dim2{}).DefaultLayout() != LayoutLeft {
+	if NewCuda(1, simgpu.Dim2{}).DefaultLayout() != LayoutLeft {
 		t.Error("Cuda must default to LayoutLeft")
 	}
 }
@@ -69,7 +69,7 @@ func TestParallelReduceAllSpaces(t *testing.T) {
 // TestDeepCopyLayoutConversion: a LayoutRight mirror round-trips through a
 // LayoutLeft device view element-for-element.
 func TestDeepCopyLayoutConversion(t *testing.T) {
-	cuda := NewCuda(simgpu.Dim2{})
+	cuda := NewCuda(1, simgpu.Dim2{})
 	defer cuda.Close()
 	dev := NewView(cuda, "d", 5, 4)
 	host := CreateMirror(dev)

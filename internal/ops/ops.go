@@ -63,7 +63,7 @@ func (b Backend) String() string {
 type Options struct {
 	Backend Backend
 	// Threads is the team width for BackendOpenMP/BackendACC (<=0: all
-	// cores).
+	// cores) and the device's thread count for BackendCUDA (<=0: one).
 	Threads int
 	// Block is the kernel block size for BackendCUDA; the paper tunes OPS
 	// CUDA with OPS_BLOCK_SIZE_X=64, OPS_BLOCK_SIZE_Y=8, the default here.
@@ -161,7 +161,7 @@ func NewContext(opt Options) (*Context, error) {
 		if opt.Tiling {
 			return nil, fmt.Errorf("ops: tiling is not supported on the CUDA backend")
 		}
-		ctx.dev = simgpu.NewDevice(simgpu.Props{Name: "ops-cuda"})
+		ctx.dev = simgpu.NewDevice(simgpu.Props{Name: "ops-cuda", Parallelism: opt.Threads})
 	default:
 		return nil, fmt.Errorf("ops: unknown backend %v", opt.Backend)
 	}

@@ -186,13 +186,14 @@ type CudaExec struct {
 	block simgpu.Dim2
 }
 
-// NewCuda creates the device policy with the given block size (zero value:
-// 128x1, a typical cuda_exec<128>).
-func NewCuda(block simgpu.Dim2) *CudaExec {
+// NewCuda creates the device policy on a device running its blocks on
+// threads threads (<= 0: one), with the given block size (zero value: 128x1,
+// a typical cuda_exec<128>).
+func NewCuda(threads int, block simgpu.Dim2) *CudaExec {
 	if block.X <= 0 || block.Y <= 0 {
 		block = simgpu.Dim2{X: 128, Y: 1}
 	}
-	return &CudaExec{dev: simgpu.NewDevice(simgpu.Props{Name: "raja-cuda"}), block: block}
+	return &CudaExec{dev: simgpu.NewDevice(simgpu.Props{Name: "raja-cuda", Parallelism: threads}), block: block}
 }
 
 // Name implements ExecPolicy.

@@ -11,7 +11,7 @@ func policies(t *testing.T) map[string]ExecPolicy {
 	ps := map[string]ExecPolicy{
 		"seq":  SeqExec{},
 		"omp":  NewOmp(4),
-		"cuda": NewCuda(simgpu.Dim2{X: 16, Y: 2}),
+		"cuda": NewCuda(1, simgpu.Dim2{X: 16, Y: 2}),
 	}
 	t.Cleanup(func() {
 		for _, p := range ps {
@@ -111,7 +111,7 @@ func TestPolicyNames(t *testing.T) {
 	if NewOmp(1).Name() != "omp_parallel_for_exec" {
 		t.Error("omp name")
 	}
-	if NewCuda(simgpu.Dim2{}).Name() != "cuda_exec" {
+	if NewCuda(1, simgpu.Dim2{}).Name() != "cuda_exec" {
 		t.Error("cuda name")
 	}
 }

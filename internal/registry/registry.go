@@ -52,7 +52,9 @@ func (a Arch) String() string {
 // Params carries the runtime configuration a version may use, the analogue
 // of Table I's compiler flags and environment settings.
 type Params struct {
-	// Threads per process/team (<= 0: all cores).
+	// Threads per process/team (<= 0: all cores): the host versions' team
+	// width and the thread count a GPU version's simulated device runs its
+	// blocks on (1 runs every block on the caller's goroutine).
 	Threads int
 	// Ranks for the distributed versions (<= 0: 4).
 	Ranks int
@@ -132,9 +134,9 @@ var versions = []Version{
 	},
 	{
 		Name: "manual-cuda", Group: "Manual", Model: "CUDA", Arch: GPU,
-		Notes: "device-resident fields, per-kernel launches, block-size tunable",
+		Notes: "device-resident fields, per-kernel launches, block-size tunable, blocks on -threads",
 		Make: func(p Params) (driver.Kernels, error) {
-			return cuda.New(p.Block), nil
+			return cuda.New(p.withDefaults().Threads, p.Block), nil
 		},
 	},
 	{
@@ -181,9 +183,9 @@ var versions = []Version{
 	},
 	{
 		Name: "ops-cuda", Group: "OPS", Model: "CUDA", Arch: GPU,
-		Notes: "ParLoop DSL on the simulated device, OPS_BLOCK_SIZE 64x8",
+		Notes: "ParLoop DSL on the simulated device, OPS_BLOCK_SIZE 64x8, blocks on -threads",
 		Make: func(p Params) (driver.Kernels, error) {
-			return opsport.New(opsport.Options{Backend: ops.BackendCUDA, Block: p.Block})
+			return opsport.New(opsport.Options{Backend: ops.BackendCUDA, Threads: p.withDefaults().Threads, Block: p.Block})
 		},
 	},
 	{
@@ -202,9 +204,9 @@ var versions = []Version{
 	},
 	{
 		Name: "kokkos-cuda", Group: "Kokkos", Model: "CUDA", Arch: GPU,
-		Notes: "LayoutLeft views on the device space, mirrors + deep copies",
+		Notes: "LayoutLeft views on the device space, mirrors + deep copies, blocks on -threads",
 		Make: func(p Params) (driver.Kernels, error) {
-			return kokkosport.New(kokkos.NewCuda(p.Block)), nil
+			return kokkosport.New(kokkos.NewCuda(p.withDefaults().Threads, p.Block)), nil
 		},
 	},
 	{
@@ -216,9 +218,9 @@ var versions = []Version{
 	},
 	{
 		Name: "raja-cuda", Group: "RAJA", Model: "CUDA", Arch: GPU,
-		Notes: "policy-allocated device arrays under cuda_exec",
+		Notes: "policy-allocated device arrays under cuda_exec, blocks on -threads",
 		Make: func(p Params) (driver.Kernels, error) {
-			return rajaport.New(raja.NewCuda(p.Block)), nil
+			return rajaport.New(raja.NewCuda(p.withDefaults().Threads, p.Block)), nil
 		},
 	},
 }

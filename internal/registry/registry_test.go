@@ -3,6 +3,7 @@ package registry
 import (
 	"testing"
 
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/cuda"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/serial"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
@@ -91,6 +92,23 @@ func TestParamsDefaults(t *testing.T) {
 	p = Params{Threads: 3, Ranks: 9}.withDefaults()
 	if p.Threads != 3 || p.Ranks != 9 {
 		t.Errorf("explicit params clobbered: %+v", p)
+	}
+}
+
+// TestDeviceThreads: a device version's simulated device runs its blocks on
+// Params.Threads threads, as the host versions' teams do.
+func TestDeviceThreads(t *testing.T) {
+	v, err := Get("manual-cuda")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := v.Make(Params{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	if got := k.(*cuda.Chunk).Device().Props().Parallelism; got != 2 {
+		t.Errorf("manual-cuda device parallelism = %d, want 2", got)
 	}
 }
 

@@ -18,9 +18,12 @@
 // extent — what a warp's coalesced access amounts to on a host, and the
 // form every field-sized kernel uses, its body a slice loop over the row.
 // Block.ForThreads calls the body once per thread with CUDA's per-thread
-// range guard; it remains for kernels whose threads do not walk memory
-// together (halo faces, one line solve per thread) and as the reference the
-// ForRows tests compare against.
+// range guard; it remains for the Kokkos and RAJA one-point patterns and as
+// the reference the ForRows tests compare against.
+//
+// Every port builds its device on the version's thread count, so the blocks
+// of a launch run concurrently; results do not depend on that count, since
+// per-block partials are summed in block order.
 package simgpu
 
 import (
@@ -44,6 +47,7 @@ type Props struct {
 	Name string
 	// Parallelism is the number of concurrently executing blocks (the
 	// device team's thread count); a stand-in for SM count x blocks-per-SM.
+	// The ports set it to the version's thread count.
 	Parallelism int
 }
 
@@ -62,10 +66,9 @@ type Stats struct {
 // run of blocks in ascending order. The stream lock is what keeps the team's
 // one-leader rule when several goroutines launch on one device.
 //
-// A kernel that panics on a one-thread device (what every port creates)
-// panics out of the launch call: the stream is released and the device stays
-// usable. With Parallelism > 1 a panic on a team worker is as fatal as a
-// panic in any par loop body.
+// A kernel that panics, on whichever team thread ran the block, panics out of
+// the launch call with the same value once the team has joined: the stream is
+// released and the device stays usable.
 type Device struct {
 	props Props
 	team  *par.Team
@@ -85,6 +88,10 @@ type Device struct {
 	grid, block Dim2
 	kernel      func(Block) float64
 	partials    []float64
+	// faulted is set by the first block to panic; fault, its value, is
+	// written only by that block's thread and read after the join.
+	faulted atomic.Bool
+	fault   any
 	// runShare is runBlocks bound once, so a launch allocates nothing to
 	// hand it to the team.
 	runShare func(from, to int)
@@ -281,12 +288,13 @@ func (d *Device) views(args []*Buffer) [][]float64 {
 }
 
 // launch is the one block loop behind all four entry points. It validates
-// the extents, holds the stream lock for the whole launch (a panicking kernel
-// releases it on the way out), counts the launch, runs kernel on every block
-// with one team.For over the row-major block index and returns the per-block
-// results summed in block order; plain launches' kernels return 0. The
-// results land in the device's own buffer, grown on demand, so a reducing
-// launch allocates nothing a plain one does not.
+// the extents, holds the stream lock for the whole launch, counts the launch,
+// runs kernel on every block with one team.For over the row-major block index
+// and returns the per-block results summed in block order; plain launches'
+// kernels return 0. The results land in the device's own buffer, grown on
+// demand, so a reducing launch allocates nothing a plain one does not. A
+// kernel panic caught by runBlocks is raised again here, after the join, with
+// the lock released on the way out.
 func (d *Device) launch(name string, grid, block Dim2, kernel func(Block) float64) float64 {
 	if grid.X <= 0 || grid.Y <= 0 || block.X <= 0 || block.Y <= 0 {
 		panic(fmt.Sprintf("simgpu: launch %q with empty extent grid=%v block=%v", name, grid, block))
@@ -305,6 +313,12 @@ func (d *Device) launch(name string, grid, block Dim2, kernel func(Block) float6
 	d.grid, d.block, d.kernel = grid, block, kernel
 	d.team.For(0, n, d.runShare)
 	d.kernel = nil // hold no caller closure between launches
+	if d.faulted.Load() {
+		fault := d.fault
+		d.fault = nil
+		d.faulted.Store(false)
+		panic(fault)
+	}
 	var sum float64
 	for _, p := range d.partials[:n] {
 		sum += p
@@ -313,8 +327,15 @@ func (d *Device) launch(name string, grid, block Dim2, kernel func(Block) float6
 }
 
 // runBlocks runs the blocks [from, to) of the launch in flight, in order,
-// each writing its result slot.
+// each writing its result slot. A panicking block ends its share: the first
+// panic of the launch is kept for launch to raise, so no panic reaches the
+// team, whose workers cannot carry one.
 func (d *Device) runBlocks(from, to int) {
+	defer func() {
+		if r := recover(); r != nil && d.faulted.CompareAndSwap(false, true) {
+			d.fault = r
+		}
+	}()
 	for slot := from; slot < to; slot++ {
 		idx := Dim2{X: slot % d.grid.X, Y: slot / d.grid.X}
 		d.partials[slot] = d.kernel(Block{Idx: idx, Grid: d.grid, Dim: d.block})

@@ -1,12 +1,15 @@
 package simgpu
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 )
 
 func device(t *testing.T, parallelism int) *Device {
@@ -379,11 +382,11 @@ func TestReducingLaunchAllocatesNoPartials(t *testing.T) {
 // launchForms runs one launch of each entry point over grid and returns what
 // it computed: every block contributes 1, the plain forms into its own cell
 // of buf (one per block), so each form yields the block count. With fail set,
-// block faulty panics instead.
-func launchForms(grid, block, faulty Dim2) map[string]func(d *Device, buf *Buffer, fail bool) float64 {
+// every block first calls fault, which may panic.
+func launchForms(grid, block Dim2, fault func(Block)) map[string]func(d *Device, buf *Buffer, fail bool) float64 {
 	one := func(b Block, fail bool) float64 {
-		if fail && b.Idx == faulty {
-			panic("kernel fault")
+		if fail {
+			fault(b)
 		}
 		return 1
 	}
@@ -416,34 +419,79 @@ func launchForms(grid, block, faulty Dim2) map[string]func(d *Device, buf *Buffe
 	}
 }
 
-// TestKernelPanicReachesCaller: on a one-thread device, the configuration
-// every port creates, a kernel that panics on one block panics out of the
-// launch call for each launch form, so the driver's and the job service's
-// containment see it. The stream lock is released, the device's next launch
-// computes the right result and both launches are counted.
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine N [running]:").
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestKernelPanicReachesCaller: a kernel that panics on one block panics out
+// of the launch call with its own value, for each launch form and at every
+// parallelism, so the driver's and the job service's containment see it. The
+// faulty block lies in the team's last share. On a device of two or more
+// threads the blocks of the earlier shares wait for it to have run, so while
+// the caller runs one of those, a team worker must run the faulty block; the
+// test repeats the faulting launch until that happened. After the panic the
+// stream lock is free, no kernel is held, the device's next launch computes
+// the right result and every launch is counted.
 func TestKernelPanicReachesCaller(t *testing.T) {
 	grid, block := Dim2{X: 4, Y: 3}, Dim2{X: 2, Y: 2}
-	for _, parallelism := range []int{0, 1} {
-		for name, launch := range launchForms(grid, block, Dim2{X: 1, Y: 2}) {
+	faulty := Dim2{X: 1, Y: 2} // block 9 of 12
+	for _, parallelism := range []int{0, 1, 2, 3} {
+		threads := max(parallelism, 1)
+		lastShare, _ := par.StaticRange(0, grid.Mul(), threads-1, threads)
+		var (
+			ran      chan struct{} // closed by the faulty block
+			caller   string        // the launching goroutine
+			onWorker bool          // the faulty block ran on another goroutine
+		)
+		fault := func(b Block) {
+			if b.Idx == faulty {
+				onWorker = goid() != caller
+				close(ran)
+				panic("kernel fault")
+			}
+			if threads > 1 && b.Idx.Y*grid.X+b.Idx.X < lastShare {
+				select {
+				case <-ran:
+				case <-time.After(10 * time.Second):
+				}
+			}
+		}
+		for name, launch := range launchForms(grid, block, fault) {
 			d := device(t, parallelism)
 			buf := d.Malloc(grid.Mul())
-			func() {
-				defer func() {
-					if r := recover(); r != "kernel fault" {
-						t.Errorf("parallelism %d, %s: recovered %v, want the kernel's panic", parallelism, name, r)
-					}
+			caller = goid()
+			faults := 0
+			for onWorker = false; faults == 0 || (threads > 1 && !onWorker && faults < 100); faults++ {
+				ran = make(chan struct{})
+				func() {
+					defer func() {
+						if r := recover(); r != "kernel fault" {
+							t.Errorf("parallelism %d, %s: recovered %v, want the kernel's panic", parallelism, name, r)
+						}
+					}()
+					launch(d, buf, true)
 				}()
-				launch(d, buf, true)
-			}()
-			if !d.mu.TryLock() {
-				t.Fatalf("parallelism %d, %s: stream lock held after a kernel panic", parallelism, name)
+				if !d.mu.TryLock() {
+					t.Fatalf("parallelism %d, %s: stream lock held after a kernel panic", parallelism, name)
+				}
+				if d.kernel != nil {
+					t.Errorf("parallelism %d, %s: kernel held after a kernel panic", parallelism, name)
+				}
+				d.mu.Unlock()
 			}
-			d.mu.Unlock()
+			if threads > 1 && !onWorker {
+				t.Errorf("parallelism %d, %s: the faulty block never ran on a team worker in %d launches", parallelism, name, faults)
+			}
 			if got, want := launch(d, buf, false), float64(grid.Mul()); got != want {
 				t.Errorf("parallelism %d, %s: launch after the panic = %g, want %g", parallelism, name, got, want)
 			}
-			if st := d.Stats(); st.Launches != 2 || st.BlocksRun != int64(2*grid.Mul()) {
-				t.Errorf("parallelism %d, %s: %d launches over %d blocks, want 2 over %d", parallelism, name, st.Launches, st.BlocksRun, 2*grid.Mul())
+			launches := int64(faults + 1)
+			if st := d.Stats(); st.Launches != launches || st.BlocksRun != launches*int64(grid.Mul()) {
+				t.Errorf("parallelism %d, %s: %d launches over %d blocks, want %d over %d",
+					parallelism, name, st.Launches, st.BlocksRun, launches, launches*int64(grid.Mul()))
 			}
 		}
 	}
@@ -479,7 +527,7 @@ func TestLaunchAllocationsDoNotGrowWithGrid(t *testing.T) {
 // the device's own message rather than reaching the released team.
 func TestUseAfterClosePanics(t *testing.T) {
 	grid := Dim2{X: 4, Y: 1}
-	for name, launch := range launchForms(grid, Dim2{X: 1, Y: 1}, Dim2{}) {
+	for name, launch := range launchForms(grid, Dim2{X: 1, Y: 1}, nil) {
 		t.Run(name, func(t *testing.T) {
 			d := NewDevice(Props{Parallelism: 3})
 			buf := d.Malloc(grid.Mul())
