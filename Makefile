@@ -17,7 +17,7 @@ test: build
 # kern row bodies, the layers that hand rows out (simgpu blocks, Kokkos team
 # and RAJA row policies, the OPS loop engine: their segment-vs-point
 # equivalence tests run on a multi-thread team and a multi-worker device),
-# and every consumer of them (internal/backends/hostchunk runs every body on
+# and every consumer of them (internal/backends/chunk runs every body on
 # a multi-thread team; internal/backends/spmd, the in-process SPMD runner,
 # hands each call from the caller's goroutine to the other ranks'), plus the
 # solver and driver that dispatch into the ports.

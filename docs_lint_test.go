@@ -5,7 +5,9 @@
 //     in the Go sources (no ghost metrics in runbooks);
 //   - every metric the serving plane registers must be documented;
 //   - every teaserve flag must appear in docs/OPERATIONS.md's flag
-//     reference.
+//     reference;
+//   - every internal/… path README.md, DESIGN.md or docs/*.md names must
+//     exist (no prose about packages that were deleted or renamed).
 //
 // It is pure text analysis — no server is started — so it runs in the CI
 // docs-lint step in milliseconds.
@@ -149,6 +151,48 @@ func TestDocsLintFlagsDocumented(t *testing.T) {
 	for _, m := range flagDef.FindAllStringSubmatch(string(buf), -1) {
 		if name := m[1]; !strings.Contains(string(ops), "-"+name) {
 			t.Errorf("teaserve flag -%s is not documented in docs/OPERATIONS.md", name)
+		}
+	}
+}
+
+// internalPath matches an internal/… path as the docs write it, brace lists
+// and * included; expandBraces turns one into the paths it names.
+var internalPath = regexp.MustCompile(`internal/[A-Za-z0-9_./{},*-]*`)
+
+// expandBraces expands the first {a,b,…} list in p, recursively.
+func expandBraces(p string) []string {
+	open := strings.Index(p, "{")
+	if open < 0 {
+		return []string{p}
+	}
+	end := strings.Index(p[open:], "}")
+	if end < 0 {
+		return []string{p}
+	}
+	var out []string
+	for _, alt := range strings.Split(p[open+1:open+end], ",") {
+		out = append(out, expandBraces(p[:open]+alt+p[open+end+1:])...)
+	}
+	return out
+}
+
+func TestDocsLintInternalPathsExist(t *testing.T) {
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md", "DESIGN.md"}, docs...) {
+		buf, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("doc %s unreadable: %v", doc, err)
+		}
+		for _, tok := range internalPath.FindAllString(string(buf), -1) {
+			for _, p := range expandBraces(strings.TrimRight(tok, ".,")) {
+				p = strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")
+				if matches, _ := filepath.Glob(p); len(matches) == 0 {
+					t.Errorf("%s names %s, which does not exist", doc, p)
+				}
+			}
 		}
 	}
 }

@@ -35,8 +35,9 @@ func opsVersion(opt opsport.Options) Factory {
 }
 
 // segmentVersions are the host versions whose kernels run as row segments
-// (hostchunk rows, ops.RowKernel) instead of one closure call per cell; the
-// simulated-device versions are deviceVersions. Host widths, rank counts, block
+// (the chunk recipe's host policy and the Kokkos and RAJA OpenMP layers,
+// ops.RowKernel) instead of one closure call per cell; the simulated-device
+// versions are deviceVersions. Host widths, rank counts, block
 // and tile sizes are pinned: the table below is bitwise, and shares, chunks
 // and blocks set the summation grouping.
 var segmentVersions = map[string]Factory{
@@ -118,50 +119,53 @@ func segmentRunOf(res driver.Result) segmentRun {
 }
 
 // segmentGolden was captured from the per-cell closure kernels: the commit
-// before each port moved to row segments.
+// before each port moved to row segments. The Volume words of manual-cuda,
+// kokkos-openmp, raja-openmp and raja-cuda were re-captured when the chunk
+// recipe summed Volume cell by cell as its own reduction (it had been
+// nx·ny·cellVol); their other words did not move.
 var segmentGolden = map[string]segmentRun{
 	"kokkos-cuda/jacobi":               {138, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999a593d, 0x40089999999a593d}},
-	"kokkos-openmp/jacobi":             {138, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
-	"manual-cuda/jacobi":               {138, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x40089999999a592f, 0x40089999999a592f}},
+	"kokkos-openmp/jacobi":             {138, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
+	"manual-cuda/jacobi":               {138, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x40089999999a592f, 0x40089999999a592f}},
 	"ops-cuda/jacobi":                  {138, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x40089999999a592f, 0x40089999999a592f}},
-	"raja-cuda/jacobi":                 {138, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999a5934, 0x40089999999a5935}},
-	"raja-openmp/jacobi":               {138, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
+	"raja-cuda/jacobi":                 {138, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999a5934, 0x40089999999a5935}},
+	"raja-openmp/jacobi":               {138, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x40089999999a591e, 0x40089999999a591e}},
 	"kokkos-cuda/cg":                   {24, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999aa, 0x40089999999999a9}},
 	"kokkos-cuda/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999983cf03, 0x400899999983cf03}},
 	"kokkos-cuda/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999981a528, 0x400899999981a528}},
 	"kokkos-cuda/chebyshev":            {60, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999ab, 0x40089999999999aa}},
 	"kokkos-cuda/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x4008999999442d25, 0x4008999999442d25}},
 	"kokkos-cuda/ppcg":                 {14, 40, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a9, 0x40089999999999a9}},
-	"kokkos-openmp/cg":                 {24, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
-	"kokkos-openmp/cg_jac_block":       {20, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
-	"kokkos-openmp/cg_jac_diag":        {22, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
-	"kokkos-openmp/chebyshev":          {60, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
-	"kokkos-openmp/chebyshev_jac_diag": {40, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
-	"kokkos-openmp/ppcg":               {14, 40, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
-	"manual-cuda/cg":                   {24, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999999999b, 0x400899999999999b}},
-	"manual-cuda/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999983cef4, 0x400899999983cef3}},
-	"manual-cuda/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999981a51a, 0x400899999981a51a}},
-	"manual-cuda/chebyshev":            {60, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999a}},
-	"manual-cuda/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x4008999999442d18, 0x4008999999442d18}},
-	"manual-cuda/ppcg":                 {14, 40, [4]uint64{0x4059000000000000, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999b}},
+	"kokkos-openmp/cg":                 {24, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
+	"kokkos-openmp/cg_jac_block":       {20, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
+	"kokkos-openmp/cg_jac_diag":        {22, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
+	"kokkos-openmp/chebyshev":          {60, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
+	"kokkos-openmp/chebyshev_jac_diag": {40, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
+	"kokkos-openmp/ppcg":               {14, 40, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+	"manual-cuda/cg":                   {24, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999b, 0x400899999999999b}},
+	"manual-cuda/cg_jac_block":         {20, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999983cef4, 0x400899999983cef3}},
+	"manual-cuda/cg_jac_diag":          {22, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999981a51a, 0x400899999981a51a}},
+	"manual-cuda/chebyshev":            {60, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999a}},
+	"manual-cuda/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x4008999999442d18, 0x4008999999442d18}},
+	"manual-cuda/ppcg":                 {14, 40, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999b}},
 	"ops-cuda/cg":                      {24, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999b, 0x400899999999999b}},
 	"ops-cuda/cg_jac_block":            {20, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999983cef4, 0x400899999983cef3}},
 	"ops-cuda/cg_jac_diag":             {22, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999981a51a, 0x400899999981a51a}},
 	"ops-cuda/chebyshev":               {60, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999a}},
 	"ops-cuda/chebyshev_jac_diag":      {40, 0, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x4008999999442d18, 0x4008999999442d18}},
 	"ops-cuda/ppcg":                    {14, 40, [4]uint64{0x4058fffffffffffa, 0x40c35e5fffffffe2, 0x400899999999999a, 0x400899999999999b}},
-	"raja-cuda/cg":                     {24, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a0, 0x40089999999999a0}},
-	"raja-cuda/cg_jac_block":           {20, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999983cefb, 0x400899999983cefb}},
-	"raja-cuda/cg_jac_diag":            {22, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999981a51f, 0x400899999981a51f}},
-	"raja-cuda/chebyshev":              {60, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a1, 0x40089999999999a1}},
-	"raja-cuda/chebyshev_jac_diag":     {40, 0, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x4008999999442d1d, 0x4008999999442d1d}},
-	"raja-cuda/ppcg":                   {14, 40, [4]uint64{0x4059000000000000, 0x40c35e6000000001, 0x400899999999999f, 0x400899999999999f}},
-	"raja-openmp/cg":                   {24, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
-	"raja-openmp/cg_jac_block":         {20, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
-	"raja-openmp/cg_jac_diag":          {22, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
-	"raja-openmp/chebyshev":            {60, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
-	"raja-openmp/chebyshev_jac_diag":   {40, 0, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
-	"raja-openmp/ppcg":                 {14, 40, [4]uint64{0x4059000000000000, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
+	"raja-cuda/cg":                     {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a0, 0x40089999999999a0}},
+	"raja-cuda/cg_jac_block":           {20, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999983cefb, 0x400899999983cefb}},
+	"raja-cuda/cg_jac_diag":            {22, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999981a51f, 0x400899999981a51f}},
+	"raja-cuda/chebyshev":              {60, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x40089999999999a1, 0x40089999999999a1}},
+	"raja-cuda/chebyshev_jac_diag":     {40, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x4008999999442d1d, 0x4008999999442d1d}},
+	"raja-cuda/ppcg":                   {14, 40, [4]uint64{0x4059000000000001, 0x40c35e6000000001, 0x400899999999999f, 0x400899999999999f}},
+	"raja-openmp/cg":                   {24, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999999998a, 0x400899999999998a}},
+	"raja-openmp/cg_jac_block":         {20, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999983cee2, 0x400899999983cee2}},
+	"raja-openmp/cg_jac_diag":          {22, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x400899999981a507, 0x400899999981a507}},
+	"raja-openmp/chebyshev":            {60, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999989, 0x4008999999999989}},
+	"raja-openmp/chebyshev_jac_diag":   {40, 0, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999442d06, 0x4008999999442d06}},
+	"raja-openmp/ppcg":                 {14, 40, [4]uint64{0x405900000000004a, 0x40c35e5ffffffffd, 0x4008999999999987, 0x4008999999999987}},
 	// The six OPS variants beyond ops-cuda, captured at the commit before
 	// internal/ops kept one kernel form per loop.
 	"ops-mpi-omp/cg":                   {24, 0, [4]uint64{0x4059000000000001, 0x40c35e6000000002, 0x40089999999999a5, 0x40089999999999a5}},
@@ -256,15 +260,16 @@ var segmentGolden = map[string]segmentRun{
 
 // columnGolden is what kokkos-cuda's column segments reach on each deck,
 // captured at the commit before the CUDA, Kokkos and RAJA ports became
-// policies over one device recipe.
+// policies over one device recipe, its Volume word re-captured with the
+// cell-by-cell Volume sum.
 var columnGolden = map[string][4]uint64{
-	"cg":                 {0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a4, 0x40089999999999a4},
-	"cg_jac_diag":        {0x4059000000000000, 0x40c35e6000000001, 0x400899999981a524, 0x400899999981a524},
-	"cg_jac_block":       {0x4059000000000000, 0x40c35e6000000001, 0x400899999983ceff, 0x400899999983ceff},
-	"chebyshev":          {0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a7, 0x40089999999999a7},
-	"chebyshev_jac_diag": {0x4059000000000000, 0x40c35e6000000001, 0x4008999999442d21, 0x4008999999442d21},
-	"ppcg":               {0x4059000000000000, 0x40c35e6000000001, 0x40089999999999a6, 0x40089999999999a6},
-	"jacobi":             {0x4059000000000000, 0x40c35e6000000001, 0x40089999999a593a, 0x40089999999a593a},
+	"cg":                 {0x4058fffffffffffc, 0x40c35e6000000001, 0x40089999999999a4, 0x40089999999999a4},
+	"cg_jac_diag":        {0x4058fffffffffffc, 0x40c35e6000000001, 0x400899999981a524, 0x400899999981a524},
+	"cg_jac_block":       {0x4058fffffffffffc, 0x40c35e6000000001, 0x400899999983ceff, 0x400899999983ceff},
+	"chebyshev":          {0x4058fffffffffffc, 0x40c35e6000000001, 0x40089999999999a7, 0x40089999999999a7},
+	"chebyshev_jac_diag": {0x4058fffffffffffc, 0x40c35e6000000001, 0x4008999999442d21, 0x4008999999442d21},
+	"ppcg":               {0x4058fffffffffffc, 0x40c35e6000000001, 0x40089999999999a6, 0x40089999999999a6},
+	"jacobi":             {0x4058fffffffffffc, 0x40c35e6000000001, 0x40089999999a593a, 0x40089999999a593a},
 }
 
 // TestSegmentGolden holds the row-segment ports to the numbers the per-cell

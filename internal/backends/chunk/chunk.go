@@ -1,10 +1,12 @@
-// Package devchunk is the one TeaLeaf chunk behind the CUDA, Kokkos and RAJA
-// versions: the field set, Generate and every driver.Kernels body, written
+// Package chunk is the one TeaLeaf chunk behind every manual, Kokkos and RAJA
+// version: the field set, Generate and every driver.Kernels body, written
 // once over flat field slices and the internal/kern row bodies. What
-// distinguishes those versions is the paper's abstraction layer, which each
-// port supplies as a four-method Policy in its own base API. Each port is a
-// constructor, its policy and its own host round trip (FetchField,
-// RestoreField).
+// distinguishes those versions is their execution policy and the paper's
+// abstraction layer, which each port supplies as a four-method Policy: Host
+// (grid.Fields on a thread team or the caller's goroutine) under the serial,
+// OpenMP, OpenACC and MPI ports, each device port's own base API under CUDA,
+// Kokkos and RAJA. Each port is a constructor, its policy and its own host
+// round trip (FetchField, RestoreField).
 //
 // A field is a padded (ny+4)-by-(nx+4) array whose stride-1 lines are mesh
 // rows, or mesh columns where the layer lays storage out column-major (the
@@ -13,7 +15,11 @@
 // coefficient along a line (kx on rows, ky on columns), the one across, and
 // the line stride — so they read the cells a port written for that layout
 // reads.
-package devchunk
+//
+// Every reducing kernel makes exactly one Reduce per total it returns, and no
+// other kernel reduces, so a distributed policy (the MPI rank's) completes
+// each total across ranks inside Reduce.
+package chunk
 
 import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
@@ -44,13 +50,14 @@ type (
 )
 
 // Policy is what a layer supplies, F being its storage handle. Alloc returns
-// a zeroed rows-by-cols field. For runs body on every segment of the window
+// n zeroed rows-by-cols fields. For runs body on every segment of the window
 // in the order the layer visits its points; Reduce does the same with a sum,
 // each thread share or block threading one accumulator through its segments
 // and the partials combining in the layer's order. Points runs body once per
-// index of the window. Each resolves args to slices for the launch.
+// index of the window. Each resolves args to slices for the launch and is
+// done with args when it returns.
 type Policy[F any] interface {
-	Alloc(rows, cols int) F
+	Alloc(n, rows, cols int) []F
 	For(name string, win Window, args []F, body Body)
 	Reduce(name string, win Window, args []F, body RedBody) float64
 	Points(name string, win Window, args []F, body PointBody)
@@ -73,6 +80,18 @@ const (
 	numFields
 )
 
+// Sides names chunk faces as a bit set.
+type Sides uint8
+
+// The four faces of a chunk.
+const (
+	Left Sides = 1 << iota
+	Right
+	Down
+	Up
+	AllSides = Left | Right | Down | Up
+)
+
 // Chunk is one chunk in a layer's memory: every driver.Kernels body but Name,
 // Close, FetchField and RestoreField, which belong to the port.
 type Chunk[F any] struct {
@@ -87,6 +106,7 @@ type Chunk[F any] struct {
 	line    int // flat distance between neighbouring lines
 	precond config.Preconditioner
 	f       [numFields]F
+	argv    [6]F // the launch argument list, reused by every launch
 }
 
 // New creates a chunk on the policy; columns reports whether the layer's
@@ -134,9 +154,14 @@ func (c *Chunk[F]) around(d int) Window {
 	return Window{halo - d, halo + c.ny + d, halo - d, halo + c.nx + d}
 }
 
-// args is a launch's argument list.
+// AllocatedCells returns the cells allocated over all fields, halos
+// included: the chunk's resident footprint in float64s.
+func (c *Chunk[F]) AllocatedCells() int { return len(c.f) * (c.nx + 2*halo) * (c.ny + 2*halo) }
+
+// args is a launch's argument list, in the chunk's one reusable list: a
+// policy is done with it when the launch returns, and launches do not nest.
 func (c *Chunk[F]) args(ids ...driver.FieldID) []F {
-	a := make([]F, len(ids))
+	a := c.argv[:len(ids)]
 	for k, id := range ids {
 		a[k] = c.f[id]
 	}
@@ -166,9 +191,7 @@ func (c *Chunk[F]) Generate(m *grid.Mesh, states []config.State) error {
 	if c.columns {
 		c.line = rows
 	}
-	for k := range c.f {
-		c.f[k] = c.pol.Alloc(rows, cols)
-	}
+	copy(c.f[:], c.pol.Alloc(len(c.f), rows, cols))
 	c.pol.For("generate_chunk", c.around(halo), c.args(density, energy0), func(a [][]float64, lo, hi int) {
 		o, x := lo/c.line-halo, lo%c.line-halo
 		if !c.columns {
@@ -198,41 +221,65 @@ func (c *Chunk[F]) ResetField() { c.copyField("reset_field", energy0, energy1) }
 // JacobiCopyU implements driver.Kernels.
 func (c *Chunk[F]) JacobiCopyU() { c.copyField("jacobi_copy_u", un, u) }
 
-// FieldSummary implements driver.Kernels: one reduction per summed total.
+// FieldSummary implements driver.Kernels: one reduction per total. Volume is
+// summed cell by cell, as the reference field_summary does, so a distributed
+// policy's sum of the ranks' partials is the whole mesh's volume.
 func (c *Chunk[F]) FieldSummary() driver.Totals {
 	vol := c.mesh.CellVolume()
-	t := driver.Totals{Volume: float64(c.nx) * float64(c.ny) * vol}
+	var t driver.Totals
+	t.Volume = c.reduce("summary_vol", c.args(density), func(a [][]float64, lo, hi int, acc float64) float64 {
+		acc, _ = kern.VolMass(acc, 0, a[0][lo:hi], vol)
+		return acc
+	})
 	t.Mass = c.reduce("summary_mass", c.args(density), func(a [][]float64, lo, hi int, acc float64) float64 {
 		_, acc = kern.VolMass(0, acc, a[0][lo:hi], vol)
 		return acc
 	})
-	args := c.args(density, energy0, u)
-	t.InternalEnergy = c.reduce("summary_ie", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+	t.InternalEnergy = c.reduce("summary_ie", c.args(density, energy0, u), func(a [][]float64, lo, hi int, acc float64) float64 {
 		acc, _ = kern.EnergyTemp(acc, 0, a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], vol)
 		return acc
 	})
-	t.Temperature = c.reduce("summary_temp", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+	t.Temperature = c.reduce("summary_temp", c.args(density, energy0, u), func(a [][]float64, lo, hi int, acc float64) float64 {
 		_, acc = kern.EnergyTemp(0, acc, a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], vol)
 		return acc
 	})
 	return t
 }
 
-// HaloExchange implements driver.Kernels: the reflective boundary as two
-// per-point launches per field, x faces (a point per interior row and halo
-// layer) then y faces over the widened columns, so corners mirror the x
-// halos as in the mini-app's update_halo.
+// HaloExchange implements driver.Kernels for a chunk that is the whole mesh:
+// every side is a physical boundary.
 func (c *Chunk[F]) HaloExchange(fields []driver.FieldID, depth int) {
-	nx, ny := c.nx, c.ny
-	xFaces, yFaces := Window{halo, halo + ny, 0, depth}, Window{0, depth, halo - depth, halo + nx + depth}
 	for _, id := range fields {
-		c.pol.Points("update_halo_x", xFaces, c.args(id), func(a [][]float64, j, k int) {
-			a[0][c.at(j, halo-1-k)] = a[0][c.at(j, halo+k)]
-			a[0][c.at(j, halo+nx+k)] = a[0][c.at(j, halo+nx-1-k)]
+		c.Reflect(id, depth, AllSides)
+	}
+}
+
+// Reflect applies the reflective boundary condition to depth halo layers of
+// a field on the given sides, as per-point launches: x faces (a point per
+// interior row and halo layer), then y faces over the widened columns, so
+// corners mirror the x halos as in the mini-app's update_halo. A distributed
+// port calls it in each exchange phase with the sides that have no
+// neighbour.
+func (c *Chunk[F]) Reflect(id driver.FieldID, depth int, s Sides) {
+	nx, ny := c.nx, c.ny
+	if s&(Left|Right) != 0 {
+		c.pol.Points("update_halo_x", Window{halo, halo + ny, 0, depth}, c.args(id), func(a [][]float64, j, k int) {
+			if s&Left != 0 {
+				a[0][c.at(j, halo-1-k)] = a[0][c.at(j, halo+k)]
+			}
+			if s&Right != 0 {
+				a[0][c.at(j, halo+nx+k)] = a[0][c.at(j, halo+nx-1-k)]
+			}
 		})
-		c.pol.Points("update_halo_y", yFaces, c.args(id), func(a [][]float64, k, i int) {
-			a[0][c.at(halo-1-k, i)] = a[0][c.at(halo+k, i)]
-			a[0][c.at(halo+ny+k, i)] = a[0][c.at(halo+ny-1-k, i)]
+	}
+	if s&(Down|Up) != 0 {
+		c.pol.Points("update_halo_y", Window{0, depth, halo - depth, halo + nx + depth}, c.args(id), func(a [][]float64, k, i int) {
+			if s&Down != 0 {
+				a[0][c.at(halo-1-k, i)] = a[0][c.at(halo+k, i)]
+			}
+			if s&Up != 0 {
+				a[0][c.at(halo+ny+k, i)] = a[0][c.at(halo+ny-1-k, i)]
+			}
 		})
 	}
 }
@@ -362,27 +409,26 @@ func (c *Chunk[F]) CGCalcW() float64 {
 // applies the diagonal preconditioner z = mi·r when there is one, and
 // accumulates r·z (r·r unpreconditioned). The jac_block line solve needs
 // whole rows of the updated r, which a segment cannot provide, so that
-// preconditioner runs as the update sweep, then ApplyPrecond and DotRZ.
+// preconditioner runs as the update sweep, then ApplyPrecond, then DotRZ's
+// one reduction.
 func (c *Chunk[F]) CGCalcUR(alpha float64, precond bool) float64 {
-	lineSolve := precond && c.precond == config.PrecondJacBlock
-	args := c.args(u, p, r, w, mi, z)
-	rrn := c.reduce("cg_calc_ur", args, func(a [][]float64, lo, hi int, acc float64) float64 {
-		r, z := a[2][lo:hi], a[5][lo:hi]
-		kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
-		switch {
-		case !precond:
-			acc = kern.DotAcc(acc, r, r)
-		case !lineSolve:
-			kern.Mul(z, a[4][lo:hi], r)
-			acc = kern.DotAcc(acc, r, z)
-		}
-		return acc
-	})
-	if lineSolve {
+	if precond && c.precond == config.PrecondJacBlock {
+		c.interior("cg_calc_ur", c.args(u, p, r, w), func(a [][]float64, lo, hi int) {
+			kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], a[3][lo:hi], alpha)
+		})
 		c.ApplyPrecond()
 		return c.DotRZ()
 	}
-	return rrn
+	return c.reduce("cg_calc_ur", c.args(u, p, r, w, mi, z), func(a [][]float64, lo, hi int, acc float64) float64 {
+		r := a[2][lo:hi]
+		kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
+		if !precond {
+			return kern.DotAcc(acc, r, r)
+		}
+		z := a[5][lo:hi]
+		kern.Mul(z, a[4][lo:hi], r)
+		return kern.DotAcc(acc, r, z)
+	})
 }
 
 // CGCalcP implements driver.Kernels.

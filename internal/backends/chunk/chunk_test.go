@@ -1,0 +1,218 @@
+package chunk_test
+
+import (
+	"testing"
+
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/backendtest"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/kokkosport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/mpi"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/omp"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/openacc"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/rajaport"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/serial"
+	"github.com/warwick-hpsc/tealeaf-go/internal/config"
+	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
+	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
+	"github.com/warwick-hpsc/tealeaf-go/internal/kokkos"
+	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
+)
+
+// The serial and omp ports are nothing but the recipe under the host policy
+// without and with a thread team, so they stand for those two policies here.
+func serialPolicy() driver.Kernels { return serial.New() }
+
+func teamPolicy(threads int) backendtest.Factory {
+	return func() driver.Kernels { return omp.New(threads) }
+}
+
+// solverDecks is tea_bm at n² under every solver and preconditioner the
+// recipe has a body for.
+func solverDecks(n int) map[string]config.Config {
+	deck := func(mutate func(*config.Config)) config.Config {
+		cfg := config.BenchmarkN(n)
+		cfg.EndStep = 2
+		mutate(&cfg)
+		return cfg
+	}
+	return map[string]config.Config{
+		"cg":           deck(func(*config.Config) {}),
+		"cg_jac_diag":  deck(func(c *config.Config) { c.Preconditioner = config.PrecondJacDiag }),
+		"cg_jac_block": deck(func(c *config.Config) { c.Preconditioner = config.PrecondJacBlock }),
+		"chebyshev":    deck(func(c *config.Config) { c.Solver = config.SolverChebyshev }),
+		"ppcg":         deck(func(c *config.Config) { c.Solver = config.SolverPPCG }),
+		"jacobi": deck(func(c *config.Config) {
+			c.Solver = config.SolverJacobi
+			c.MaxIters = 20000
+		}),
+	}
+}
+
+// TestPolicyEquivalence is the executable statement of "the versions differ
+// only in policy": at width one every policy hands the whole range to one
+// share in row order, so the serial policy, a 1-thread team, a 1-rank MPI
+// world, the OpenACC host target and the Kokkos and RAJA OpenMP layers at
+// width one run the same bodies in the same order and must agree bit for
+// bit. The 48×40 deck has a cell volume that is not a power of two, so the
+// cell-by-cell Volume sum is checked for its order too.
+func TestPolicyEquivalence(t *testing.T) {
+	versions := map[string]backendtest.Factory{
+		"team-1":          teamPolicy(1),
+		"mpi-1x1":         func() driver.Kernels { return mpi.New(1, 1) },
+		"openacc-host-1":  func() driver.Kernels { return openacc.New(openacc.TargetHost, 1) },
+		"kokkos-openmp-1": func() driver.Kernels { return kokkosport.New(kokkos.NewOpenMP(1)) },
+		"raja-openmp-1":   func() driver.Kernels { return rajaport.New(raja.NewOmp(1)) },
+	}
+	decks := solverDecks(32)
+	decks["cg_48x40"] = backendtest.SegmentDecks()["cg"]
+	for deck, cfg := range decks {
+		want := backendtest.Run(t, serialPolicy, cfg)
+		if want.TotalIterations == 0 {
+			t.Fatalf("%s: reference took no iterations", deck)
+		}
+		for name, factory := range versions {
+			got := backendtest.Run(t, factory, cfg)
+			if got.Final != want.Final || got.TotalIterations != want.TotalIterations || got.TotalInner != want.TotalInner {
+				t.Errorf("%s on %s: totals %+v after %d(+%d) iterations, serial policy %+v after %d(+%d)",
+					deck, name, got.Final, got.TotalIterations, got.TotalInner,
+					want.Final, want.TotalIterations, want.TotalInner)
+			}
+		}
+	}
+}
+
+// TestTeamPolicyMatchesSerial runs every body on a multi-thread team (the
+// race detector's view of the host policy): shares regroup the reductions,
+// so agreement is to rounding, not bitwise.
+func TestTeamPolicyMatchesSerial(t *testing.T) {
+	for deck, cfg := range solverDecks(24) {
+		want := backendtest.Run(t, serialPolicy, cfg)
+		for _, threads := range []int{2, 5} {
+			got := backendtest.Run(t, teamPolicy(threads), cfg)
+			if d := driver.CompareTotals(want.Final, got.Final); d > 1e-10 {
+				t.Errorf("%s on %d threads: totals diverge from the serial policy by %g", deck, threads, d)
+			}
+		}
+	}
+}
+
+// hostChunk is the recipe on a 4×3 mesh under the serial host policy, with
+// density set to v over the interior and zero in the halo.
+func hostChunk(t *testing.T, v func(i, j int) float64) *chunk.Chunk[*grid.Field] {
+	t.Helper()
+	m, err := grid.NewMesh(0, 4, 0, 3, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := chunk.New[*grid.Field](chunk.NewHost(nil), false)
+	if err := c.Generate(m, config.BenchmarkN(4).States); err != nil {
+		t.Fatal(err)
+	}
+	f := c.Field(driver.FieldDensity)
+	f.Zero()
+	for j := 0; j < 3; j++ {
+		for i := 0; i < 4; i++ {
+			f.Set(i, j, v(i, j))
+		}
+	}
+	return c
+}
+
+func TestReflectHalo(t *testing.T) {
+	v := func(i, j int) float64 { return float64(10*i + j) }
+	c := hostChunk(t, v)
+	c.HaloExchange([]driver.FieldID{driver.FieldDensity}, 2)
+	f := c.Field(driver.FieldDensity)
+	cases := []struct {
+		i, j int
+		want float64
+	}{
+		{-1, 0, v(0, 0)}, {-2, 0, v(1, 0)},
+		{4, 1, v(3, 1)}, {5, 1, v(2, 1)},
+		{0, -1, v(0, 0)}, {0, -2, v(0, 1)},
+		{2, 3, v(2, 2)}, {2, 4, v(2, 1)},
+		// Corners: y-mirror of the x-mirrored halo.
+		{-1, -1, v(0, 0)}, {5, 4, v(2, 1)},
+	}
+	for _, c := range cases {
+		if got := f.At(c.i, c.j); got != c.want {
+			t.Errorf("halo (%d,%d) = %g, want %g", c.i, c.j, got, c.want)
+		}
+	}
+	// A side left out is a side with a neighbour: its halo is not touched.
+	c = hostChunk(t, v)
+	c.Reflect(driver.FieldDensity, 2, chunk.Left|chunk.Up)
+	g := c.Field(driver.FieldDensity)
+	for _, c := range []struct {
+		i, j int
+		want float64
+	}{{-2, 1, v(1, 1)}, {4, 1, 0}, {1, -1, 0}, {1, 4, v(1, 1)}, {-1, 3, v(0, 2)}, {4, 3, 0}} {
+		if got := g.At(c.i, c.j); got != c.want {
+			t.Errorf("left|up halo (%d,%d) = %g, want %g", c.i, c.j, got, c.want)
+		}
+	}
+}
+
+// counting is the serial host policy counting its Reduce launches.
+type counting struct {
+	*chunk.Host
+	reduces int
+}
+
+func (p *counting) Reduce(name string, win chunk.Window, args []*grid.Field, body chunk.RedBody) float64 {
+	p.reduces++
+	return p.Host.Reduce(name, win, args, body)
+}
+
+// countedKernels is the recipe as a driver.Kernels, so driver.Call can drive
+// it by kernel id.
+type countedKernels struct{ *chunk.Chunk[*grid.Field] }
+
+func (countedKernels) Name() string { return "counted" }
+func (countedKernels) Close()       {}
+func (k countedKernels) FetchField(id driver.FieldID) []float64 {
+	return k.Interior(k.Field(id).Data)
+}
+func (k countedKernels) RestoreField(id driver.FieldID, data []float64) {
+	k.SetInterior(k.Field(id).Data, data)
+}
+
+// TestOneReducePerTotal holds the recipe to its reduction contract, on which
+// the MPI rank policy's allreduce and the OpenACC region accounting rely:
+// every kernel makes exactly one Reduce per total it returns and no other
+// kernel reduces, under every preconditioner (jac_block's CGCalcUR included)
+// and both precond flags.
+func TestOneReducePerTotal(t *testing.T) {
+	totals := map[driver.KernelID]int{
+		driver.KFieldSummary: 4, driver.KNorm2R: 1, driver.KDotRZ: 1, driver.KCGInitP: 1,
+		driver.KCGCalcW: 1, driver.KCGCalcUR: 1, driver.KJacobiIterate: 1,
+	}
+	cfg := config.BenchmarkN(16)
+	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, cfg.NY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range []config.Preconditioner{config.PrecondNone, config.PrecondJacDiag, config.PrecondJacBlock} {
+		for _, precond := range []bool{false, true} {
+			pol := &counting{Host: chunk.NewHost(nil)}
+			k := countedKernels{chunk.New[*grid.Field](pol, false)}
+			for id := driver.KGenerate; id <= driver.KRestoreField; id++ {
+				call := driver.Call{
+					ID: id, Mesh: m, States: cfg.States,
+					Fields: []driver.FieldID{driver.FieldU, driver.FieldP}, Depth: 2,
+					Coef: cfg.Coefficient, Kind: pc, A: 0.5, B: 0.25, Precond: precond,
+					Field: driver.FieldU, Data: make([]float64, cfg.NX*cfg.NY),
+				}
+				pol.reduces = 0
+				call.Apply(k)
+				if call.Err != nil {
+					t.Fatal(call.Err)
+				}
+				if pol.reduces != totals[id] {
+					t.Errorf("%v, precond %v: %s made %d reductions, want %d",
+						pc, precond, id.Desc().Method, pol.reduces, totals[id])
+				}
+			}
+		}
+	}
+}

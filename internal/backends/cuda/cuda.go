@@ -1,18 +1,19 @@
 // Package cuda is the accelerator TeaLeaf port, the analogue of the
-// mini-app's hand-written CUDA build, as a devchunk.Policy over the simulated
-// device: every field lives in device memory (Malloc), every kernel is a
-// typed Launch over a (grid, block) index space whose blocks run the row
-// bodies on their thread-rows (Block.ForRows; the halo faces and line solves
-// one call per in-range thread of those rows), reductions are per-block
-// partials combined on the stream (LaunchReduce), and the host only sees data
-// it explicitly copies back (MemcpyD2H/H2D). The device runs its blocks on
-// the version's thread count. The block size is a tuning parameter exactly as
-// on real GPUs; the paper fixes (64, 8) for the OPS CUDA build and we default
-// to the same.
+// mini-app's hand-written CUDA build: the one chunk recipe
+// (internal/backends/chunk, shared with every manual, Kokkos and RAJA
+// version) under a chunk.Policy over the simulated device. Every field lives
+// in device memory (Malloc), every kernel is a typed Launch over a (grid,
+// block) index space whose blocks run the row bodies on their thread-rows
+// (Block.ForRows; the halo faces and line solves one call per in-range thread
+// of those rows), reductions are per-block partials combined on the stream
+// (LaunchReduce), and the host only sees data it explicitly copies back
+// (MemcpyD2H/H2D). The device runs its blocks on the version's thread count.
+// The block size is a tuning parameter exactly as on real GPUs; the paper
+// fixes (64, 8) for the OPS CUDA build and we default to the same.
 package cuda
 
 import (
-	"github.com/warwick-hpsc/tealeaf-go/internal/backends/devchunk"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 )
@@ -23,7 +24,7 @@ var DefaultBlock = simgpu.Dim2{X: 64, Y: 8}
 // Chunk is the CUDA-style port: one chunk, all fields device-resident as
 // flattened (ny+4)x(nx+4) buffers.
 type Chunk struct {
-	*devchunk.Chunk[*simgpu.Buffer]
+	*chunk.Chunk[*simgpu.Buffer]
 	pol *policy
 }
 
@@ -38,7 +39,7 @@ func New(threads int, block simgpu.Dim2) *Chunk {
 	}
 	dev := simgpu.NewDevice(simgpu.Props{Name: "simulated-p100", Parallelism: threads})
 	pol := &policy{dev: dev, block: block}
-	return &Chunk{devchunk.New[*simgpu.Buffer](pol, false), pol}
+	return &Chunk{chunk.New[*simgpu.Buffer](pol, false), pol}
 }
 
 // Name implements driver.Kernels.
@@ -80,15 +81,19 @@ type policy struct {
 	stride int
 }
 
-// Alloc implements devchunk.Policy.
-func (p *policy) Alloc(rows, cols int) *simgpu.Buffer {
+// Alloc implements chunk.Policy.
+func (p *policy) Alloc(n, rows, cols int) []*simgpu.Buffer {
 	p.stride = cols
-	return p.dev.Malloc(rows * cols)
+	f := make([]*simgpu.Buffer, n)
+	for k := range f {
+		f[k] = p.dev.Malloc(rows * cols)
+	}
+	return f
 }
 
-// For implements devchunk.Policy: one thread per cell, a block's thread-rows
+// For implements chunk.Policy: one thread per cell, a block's thread-rows
 // handed to seg as segments.
-func (p *policy) For(name string, win devchunk.Window, args []*simgpu.Buffer, body devchunk.Body) {
+func (p *policy) For(name string, win chunk.Window, args []*simgpu.Buffer, body chunk.Body) {
 	nx, ny := win.X1-win.X0, win.Y1-win.Y0
 	p.dev.Launch(name, simgpu.GridFor(nx, ny, p.block), p.block, args, func(b simgpu.Block, a [][]float64) {
 		b.ForRows(nx, ny, func(gy, x0, x1 int) {
@@ -98,9 +103,9 @@ func (p *policy) For(name string, win devchunk.Window, args []*simgpu.Buffer, bo
 	})
 }
 
-// Reduce implements devchunk.Policy: each block threads one accumulator
+// Reduce implements chunk.Policy: each block threads one accumulator
 // through its thread-rows and the per-block partials combine in block order.
-func (p *policy) Reduce(name string, win devchunk.Window, args []*simgpu.Buffer, body devchunk.RedBody) float64 {
+func (p *policy) Reduce(name string, win chunk.Window, args []*simgpu.Buffer, body chunk.RedBody) float64 {
 	nx, ny := win.X1-win.X0, win.Y1-win.Y0
 	grid := simgpu.GridFor(nx, ny, p.block)
 	return p.dev.LaunchReduce(name, grid, p.block, args, func(b simgpu.Block, a [][]float64) float64 {
@@ -113,11 +118,11 @@ func (p *policy) Reduce(name string, win devchunk.Window, args []*simgpu.Buffer,
 	})
 }
 
-// Points implements devchunk.Policy: one thread per index, x along the
+// Points implements chunk.Policy: one thread per index, x along the
 // window's columns. The block's thread-rows come clipped to the window, so
 // the body runs on its in-range threads only and a narrow face does not walk
 // the block's idle threads.
-func (p *policy) Points(name string, win devchunk.Window, args []*simgpu.Buffer, body devchunk.PointBody) {
+func (p *policy) Points(name string, win chunk.Window, args []*simgpu.Buffer, body chunk.PointBody) {
 	nx, ny := win.X1-win.X0, win.Y1-win.Y0
 	p.dev.Launch(name, simgpu.GridFor(nx, ny, p.block), p.block, args, func(b simgpu.Block, a [][]float64) {
 		b.ForRows(nx, ny, func(gy, x0, x1 int) {

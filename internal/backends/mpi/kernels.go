@@ -1,7 +1,7 @@
 package mpi
 
 import (
-	"github.com/warwick-hpsc/tealeaf-go/internal/backends/hostchunk"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
@@ -9,17 +9,17 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 )
 
-// rankState is one rank's half of the port: the shared host chunk
-// (internal/backends/hostchunk) over this rank's sub-mesh with rankRows as
-// its row policy, and this type as its halo policy: exchange with
-// neighbouring ranks, reflect the physical sides.
+// rankState is one rank's half of the port: the one chunk recipe
+// (internal/backends/chunk) over this rank's sub-mesh under rankPolicy, with
+// its own halo exchange: swap strips with the neighbouring ranks, reflect the
+// physical sides.
 type rankState struct {
-	*hostchunk.Chunk
+	*chunk.Chunk[*grid.Field]
 	rank     *comm.Rank
 	team     *par.Team // nil for the pure-MPI build
 	chunk    comm.Chunk
-	physical hostchunk.Sides // sides with no neighbouring rank
-	gnx, gny int             // global mesh extent (for field gathers)
+	physical chunk.Sides // sides with no neighbouring rank
+	gnx, gny int         // global mesh extent (for field gathers)
 
 	// Reusable exchange scratch: one buffer to pack outgoing halo strips
 	// (Send copies into a pooled payload immediately) and one to receive
@@ -28,25 +28,19 @@ type rankState struct {
 	packBuf, recvBuf []float64
 }
 
-// rankRows is a rank's row policy: its rows are handed out serially or, for
-// the hybrid build, on the rank's thread team, and each reduction — every
+// rankPolicy is a rank's policy: the host policy over its rows, serial or,
+// for the hybrid build, on the rank's thread team, and each Reduce — every
 // reducing chunk kernel makes exactly one per total — then allreduces the
 // rank's partial with its peers' in rank order. So the chunk's reducing
 // kernels return the global value, bitwise identical on every rank.
-type rankRows struct {
-	hostchunk.Rows
+type rankPolicy struct {
+	*chunk.Host
 	rank *comm.Rank
 }
 
-// ReduceSum implements hostchunk.Rows.
-func (r rankRows) ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64 {
-	return r.rank.AllreduceSum(r.Rows.ReduceSum(lo, hi, body))
-}
-
-// ReduceSum2 implements hostchunk.Rows.
-func (r rankRows) ReduceSum2(lo, hi int, body func(j0, j1 int) (float64, float64)) (float64, float64) {
-	a, b := r.Rows.ReduceSum2(lo, hi, body)
-	return r.rank.AllreduceSum(a), r.rank.AllreduceSum(b)
+// Reduce implements chunk.Policy.
+func (p rankPolicy) Reduce(name string, win chunk.Window, args []*grid.Field, body chunk.RedBody) float64 {
+	return p.rank.AllreduceSum(p.Host.Reduce(name, win, args, body))
 }
 
 // Generate implements driver.Kernels: every rank derives the same global
@@ -55,19 +49,12 @@ func (rs *rankState) Generate(global *grid.Mesh, states []config.State) error {
 	ch := comm.Decompose(rs.rank.Size(), global.Nx, global.Ny).ChunkOf(rs.rank.ID(), global.Nx, global.Ny)
 	rs.chunk = ch
 	rs.gnx, rs.gny = global.Nx, global.Ny
-	physical := func(neighbour int, s hostchunk.Sides) hostchunk.Sides {
+	rs.physical = 0
+	for k, neighbour := range [...]int{ch.Left, ch.Right, ch.Down, ch.Up} { // chunk.Left<<k
 		if neighbour < 0 {
-			return s
+			rs.physical |= chunk.Left << k
 		}
-		return 0
 	}
-	rs.physical = physical(ch.Left, hostchunk.Left) | physical(ch.Right, hostchunk.Right) |
-		physical(ch.Down, hostchunk.Down) | physical(ch.Up, hostchunk.Up)
-	rows := rankRows{Rows: hostchunk.Serial{}, rank: rs.rank}
-	if rs.team != nil {
-		rows.Rows = rs.team
-	}
-	rs.Chunk = hostchunk.New(rows, rs)
 	// Largest halo message: depth<=DefaultHalo strips of columns
 	// (depth*ny) or full-width rows (depth*(nx+2*depth)).
 	d := grid.DefaultHalo
@@ -91,48 +78,52 @@ const (
 
 func tag(fid driver.FieldID, dir int) int { return int(fid)*numDirs + dir }
 
-// Update implements hostchunk.Halo: per phase, exchange strips with the
-// neighbouring ranks, then reflect the sides that are physical boundaries.
-func (rs *rankState) Update(f *grid.Field, fid driver.FieldID, depth int) {
-	nx, ny, d := f.Nx, f.Ny, f.Depth
+// HaloExchange implements driver.Kernels: for each field, per phase,
+// exchange strips with the neighbouring ranks, then reflect the sides that
+// are physical boundaries.
+func (rs *rankState) HaloExchange(fields []driver.FieldID, depth int) {
 	ch := rs.chunk
-	// X phase over interior rows: post both sends eagerly, then receive.
-	// Strips are staged through the rank's reusable packBuf (Send copies
-	// into a pooled payload before returning) and received with RecvInto
-	// into the reusable recvBuf, so the exchange allocates nothing.
-	if ch.Left >= 0 {
-		rs.rank.Send(ch.Left, tag(fid, dirWest), packCols(f, 0, depth, rs.packBuf))
+	for _, fid := range fields {
+		f := rs.Field(fid)
+		nx, ny, d := f.Nx, f.Ny, f.Depth
+		// X phase over interior rows: post both sends eagerly, then receive.
+		// Strips are staged through the rank's reusable packBuf (Send copies
+		// into a pooled payload before returning) and received with RecvInto
+		// into the reusable recvBuf, so the exchange allocates nothing.
+		if ch.Left >= 0 {
+			rs.rank.Send(ch.Left, tag(fid, dirWest), packCols(f, 0, depth, rs.packBuf))
+		}
+		if ch.Right >= 0 {
+			rs.rank.Send(ch.Right, tag(fid, dirEast), packCols(f, nx-depth, depth, rs.packBuf))
+		}
+		if ch.Left >= 0 {
+			n := rs.rank.RecvInto(ch.Left, tag(fid, dirEast), rs.recvBuf)
+			unpackCols(f, -depth, depth, rs.recvBuf[:n])
+		}
+		if ch.Right >= 0 {
+			n := rs.rank.RecvInto(ch.Right, tag(fid, dirWest), rs.recvBuf)
+			unpackCols(f, nx, depth, rs.recvBuf[:n])
+		}
+		rs.Reflect(fid, depth, rs.physical&(chunk.Left|chunk.Right))
+		// Y phase over the full width (including the x halos just filled), so
+		// corner halos carry diagonal-neighbour data after both phases.
+		lo, hi := d-depth, d+nx+depth
+		if ch.Down >= 0 {
+			rs.rank.Send(ch.Down, tag(fid, dirSouth), packRows(f, 0, depth, lo, hi, rs.packBuf))
+		}
+		if ch.Up >= 0 {
+			rs.rank.Send(ch.Up, tag(fid, dirNorth), packRows(f, ny-depth, depth, lo, hi, rs.packBuf))
+		}
+		if ch.Down >= 0 {
+			n := rs.rank.RecvInto(ch.Down, tag(fid, dirNorth), rs.recvBuf)
+			unpackRows(f, -depth, depth, lo, hi, rs.recvBuf[:n])
+		}
+		if ch.Up >= 0 {
+			n := rs.rank.RecvInto(ch.Up, tag(fid, dirSouth), rs.recvBuf)
+			unpackRows(f, ny, depth, lo, hi, rs.recvBuf[:n])
+		}
+		rs.Reflect(fid, depth, rs.physical&(chunk.Down|chunk.Up))
 	}
-	if ch.Right >= 0 {
-		rs.rank.Send(ch.Right, tag(fid, dirEast), packCols(f, nx-depth, depth, rs.packBuf))
-	}
-	if ch.Left >= 0 {
-		n := rs.rank.RecvInto(ch.Left, tag(fid, dirEast), rs.recvBuf)
-		unpackCols(f, -depth, depth, rs.recvBuf[:n])
-	}
-	if ch.Right >= 0 {
-		n := rs.rank.RecvInto(ch.Right, tag(fid, dirWest), rs.recvBuf)
-		unpackCols(f, nx, depth, rs.recvBuf[:n])
-	}
-	hostchunk.Reflect(hostchunk.Serial{}, f, depth, rs.physical&(hostchunk.Left|hostchunk.Right))
-	// Y phase over the full width (including the x halos just filled), so
-	// corner halos carry diagonal-neighbour data after both phases.
-	lo, hi := d-depth, d+nx+depth
-	if ch.Down >= 0 {
-		rs.rank.Send(ch.Down, tag(fid, dirSouth), packRows(f, 0, depth, lo, hi, rs.packBuf))
-	}
-	if ch.Up >= 0 {
-		rs.rank.Send(ch.Up, tag(fid, dirNorth), packRows(f, ny-depth, depth, lo, hi, rs.packBuf))
-	}
-	if ch.Down >= 0 {
-		n := rs.rank.RecvInto(ch.Down, tag(fid, dirNorth), rs.recvBuf)
-		unpackRows(f, -depth, depth, lo, hi, rs.recvBuf[:n])
-	}
-	if ch.Up >= 0 {
-		n := rs.rank.RecvInto(ch.Up, tag(fid, dirSouth), rs.recvBuf)
-		unpackRows(f, ny, depth, lo, hi, rs.recvBuf[:n])
-	}
-	hostchunk.Reflect(hostchunk.Serial{}, f, depth, rs.physical&(hostchunk.Down|hostchunk.Up))
 }
 
 // packCols packs columns [i0, i0+w) over interior rows into scratch,
@@ -192,14 +183,17 @@ const (
 // rank is handed the same global slab, so each simply copies out its own
 // chunk window — no gather/scatter messaging at all.
 func (rs *rankState) RestoreField(id driver.FieldID, data []float64) {
-	rs.RestoreWindow(id, data[rs.chunk.Y0*rs.gnx+rs.chunk.X0:], rs.gnx)
+	f, ch := rs.Field(id), rs.chunk
+	for j := 0; j < ch.NY; j++ {
+		copy(f.InteriorRow(j), data[(ch.Y0+j)*rs.gnx+ch.X0:][:ch.NX])
+	}
 }
 
 // fetchField gathers the named field's interior onto rank 0 in global
 // row-major order; other ranks return nil.
 func (rs *rankState) fetchField(id driver.FieldID) []float64 {
 	ch := rs.chunk
-	local := rs.FetchField(id)
+	local := rs.Interior(rs.Field(id).Data)
 	if rs.rank.ID() != 0 {
 		rs.rank.Send(0, tagFetchMeta, []float64{
 			float64(ch.X0), float64(ch.Y0), float64(ch.NX), float64(ch.NY),

@@ -6,9 +6,11 @@
 // parallelise its kernels over a thread team, giving the paper's
 // "OpenMP and MPI" version.
 //
-// The port is written once, as the rank-local RankKernels. In one process
-// the SPMD runner (internal/backends/spmd) drives one per rank, rank 0 on
-// the driver's own goroutine; a fleet runs one per OS process.
+// The port is written once, as the rank-local RankKernels: the one chunk
+// recipe (internal/backends/chunk) over the rank's sub-mesh under the host
+// policy, each reduction allreduced, with its own strip halo exchange. In one
+// process the SPMD runner (internal/backends/spmd) drives one per rank, rank
+// 0 on the driver's own goroutine; a fleet runs one per OS process.
 package mpi
 
 import (

@@ -3,8 +3,10 @@ package mpi
 import (
 	"fmt"
 
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
+	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 )
 
@@ -22,9 +24,9 @@ const tagFetchSlab = 100002
 // scalars that are bitwise identical on all ranks. Either way the ranks
 // compute bit for bit the same thing.
 //
-// Every kernel but the ones below is rankState's: the shared host chunk's
-// own, with global reductions because the chunk's row policy (rankRows)
-// allreduces them.
+// Every kernel but the ones below is rankState's: the chunk recipe's own,
+// with global reductions because the rank's policy (rankPolicy) allreduces
+// them.
 type RankKernels struct {
 	rankState
 	// relay sends FetchField's gathered slab back out from rank 0: each
@@ -48,6 +50,7 @@ func newRankKernels(r *comm.Rank, threads int) *RankKernels {
 	if threads > 1 {
 		k.team = par.NewTeam(threads)
 	}
+	k.Chunk = chunk.New[*grid.Field](rankPolicy{chunk.NewHost(k.team), r}, false)
 	return k
 }
 

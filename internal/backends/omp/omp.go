@@ -1,23 +1,23 @@
 // Package omp is the manually-parallelised shared-memory TeaLeaf port, the
-// analogue of the mini-app's OpenMP build: the shared host chunk
-// (internal/backends/hostchunk) with every kernel a fork-join parallel loop
-// over mesh rows on a persistent thread team (internal/par), reductions
-// combined deterministically at the join.
+// analogue of the mini-app's OpenMP build: the one chunk recipe
+// (internal/backends/chunk) under the host policy on a persistent thread
+// team (internal/par), every kernel a fork-join parallel loop over mesh rows,
+// reductions combined deterministically at the join.
 package omp
 
 import (
-	"github.com/warwick-hpsc/tealeaf-go/internal/backends/hostchunk"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 )
 
-// Chunk is the OpenMP-style port: one chunk whose row policy is a thread
-// team's static schedule; the reflective halo's side loops run on the team
-// too, like the OpenMP update_halo.
+// Chunk is the OpenMP-style port: one chunk whose loops, the reflective
+// halo's included (like the OpenMP update_halo), are a thread team's static
+// schedule.
 type Chunk struct {
-	*hostchunk.Chunk
+	*chunk.Chunk[*grid.Field]
 	team *par.Team
 }
 
@@ -27,14 +27,11 @@ var _ driver.Kernels = (*Chunk)(nil)
 // like an unset OMP_NUM_THREADS).
 func New(threads int) *Chunk {
 	team := par.NewTeam(threads)
-	return &Chunk{hostchunk.New(team, hostchunk.Reflective{Rows: team}), team}
+	return &Chunk{chunk.New[*grid.Field](chunk.NewHost(team), false), team}
 }
 
 // Name implements driver.Kernels.
 func (c *Chunk) Name() string { return "manual-omp" }
-
-// Threads returns the team width, for reporting.
-func (c *Chunk) Threads() int { return c.team.NumThreads() }
 
 // Generate implements driver.Kernels.
 func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
@@ -55,3 +52,12 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 
 // Close implements driver.Kernels.
 func (c *Chunk) Close() { c.team.Close() }
+
+// FetchField implements driver.Kernels: the fields are the host's to read.
+func (c *Chunk) FetchField(id driver.FieldID) []float64 { return c.Interior(c.Field(id).Data) }
+
+// RestoreField implements driver.Kernels: the write-path inverse of
+// FetchField, used by checkpoint rollback.
+func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
+	c.SetInterior(c.Field(id).Data, data)
+}

@@ -1,9 +1,9 @@
 // Package openacc is the directive-style TeaLeaf port, the analogue of the
 // mini-app's OpenACC build. Its defining property in the study is a single
 // kernel source that retargets between the host CPU (-ta=multicore) and an
-// accelerator (-ta=tesla): here the shared host chunk
-// (internal/backends/hostchunk) runs under a row policy that treats every
-// loop as one offloaded parallel region, executed either on a host thread
+// accelerator (-ta=tesla): here the one chunk recipe
+// (internal/backends/chunk) runs under the host policy wrapped so that every
+// loop is one offloaded parallel region, executed either on a host thread
 // team or on a gang-scheduled device executor with data-region transfer
 // accounting.
 package openacc
@@ -11,7 +11,7 @@ package openacc
 import (
 	"sync/atomic"
 
-	"github.com/warwick-hpsc/tealeaf-go/internal/backends/hostchunk"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
@@ -29,13 +29,6 @@ const (
 	TargetDevice
 )
 
-func (t Target) String() string {
-	if t == TargetDevice {
-		return "tesla"
-	}
-	return "multicore"
-}
-
 // Stats counts offload activity for the device target.
 type Stats struct {
 	Regions  int64 // parallel regions launched
@@ -43,48 +36,39 @@ type Stats struct {
 	BytesOut int64 // copyout volume at data-region exit
 }
 
-// regions is the port's row policy: each loop is one `acc parallel loop`
-// region on the team, counted, with the device target's transfers charged.
+// regions is the port's policy: the host policy on the team, each launch one
+// `acc parallel loop` region, counted, with the device target's transfers
+// charged. On the device target For and Points are gang-scheduled launches
+// (guided claims standing in for gang scheduling: big early claims like a
+// full wave of gangs, small late ones balancing the tail). Alloc is data
+// management (`acc enter data create`), not a compute region, so it is not
+// counted.
 type regions struct {
+	*chunk.Host
 	target Target
 	team   *par.Team // execution resource for both targets
 
 	launched, bytesIn, bytesOut atomic.Int64
 }
 
-// For implements hostchunk.Rows: on the host target a static team loop, on
-// the device target a gang-scheduled launch (guided chunks standing in for
-// gang scheduling: big early claims like a full wave of gangs, small late
-// ones balancing the tail).
-func (r *regions) For(lo, hi int, body func(j0, j1 int)) {
+// For implements chunk.Policy.
+func (r *regions) For(name string, win chunk.Window, args []*grid.Field, body chunk.Body) {
 	r.launched.Add(1)
-	if r.target == TargetDevice {
-		r.team.ForGuided(lo, hi, 4, body)
-		return
-	}
-	r.team.For(lo, hi, body)
+	r.Host.For(name, win, args, body)
 }
 
-// ForDynamic implements hostchunk.Rows on the team alone: the chunk
-// allocates through it, which is data management (`acc enter data create`),
-// not a compute region, so nothing is counted.
-func (r *regions) ForDynamic(lo, hi, chunk int, body func(j0, j1 int)) {
-	r.team.ForDynamic(lo, hi, chunk, body)
+// Points implements chunk.Policy.
+func (r *regions) Points(name string, win chunk.Window, args []*grid.Field, body chunk.PointBody) {
+	r.launched.Add(1)
+	r.Host.Points(name, win, args, body)
 }
 
-// ReduceSum implements hostchunk.Rows: an `acc parallel loop
-// reduction(+:sum)` whose scalar comes back with an `acc update host`.
-func (r *regions) ReduceSum(lo, hi int, body func(j0, j1 int) float64) float64 {
+// Reduce implements chunk.Policy: an `acc parallel loop reduction(+:sum)`
+// whose scalar comes back with an `acc update host`.
+func (r *regions) Reduce(name string, win chunk.Window, args []*grid.Field, body chunk.RedBody) float64 {
 	r.launched.Add(1)
 	r.updateHost(1)
-	return r.team.ReduceSum(lo, hi, body)
-}
-
-// ReduceSum2 implements hostchunk.Rows for two reduction scalars.
-func (r *regions) ReduceSum2(lo, hi int, body func(j0, j1 int) (float64, float64)) (float64, float64) {
-	r.launched.Add(1)
-	r.updateHost(2)
-	return r.team.ReduceSum2(lo, hi, body)
+	return r.Host.Reduce(name, win, args, body)
 }
 
 // enterData models `acc enter data copyin(...)`: on the device target the
@@ -103,10 +87,10 @@ func (r *regions) updateHost(elems int) {
 	}
 }
 
-// Chunk is the OpenACC-style port: the shared host chunk under the regions
-// row policy.
+// Chunk is the OpenACC-style port: the chunk recipe under the regions
+// policy.
 type Chunk struct {
-	*hostchunk.Chunk
+	*chunk.Chunk[*grid.Field]
 	acc *regions
 }
 
@@ -116,8 +100,10 @@ var _ driver.Kernels = (*Chunk)(nil)
 // threads (host target) or concurrent gangs (device target); <= 0 picks the
 // runtime default.
 func New(target Target, width int) *Chunk {
-	acc := &regions{target: target, team: par.NewTeam(width)}
-	return &Chunk{hostchunk.New(acc, hostchunk.Reflective{Rows: acc}), acc}
+	team := par.NewTeam(width)
+	acc := &regions{Host: chunk.NewHost(team), target: target, team: team}
+	acc.Guided = target == TargetDevice
+	return &Chunk{chunk.New[*grid.Field](acc, false), acc}
 }
 
 // Name implements driver.Kernels.
@@ -127,9 +113,6 @@ func (c *Chunk) Name() string {
 	}
 	return "manual-openacc-cpu"
 }
-
-// Target returns the offload target.
-func (c *Chunk) Target() Target { return c.acc.target }
 
 // Stats returns the offload accounting counters.
 func (c *Chunk) Stats() Stats {
@@ -148,15 +131,17 @@ func (c *Chunk) Generate(m *grid.Mesh, states []config.State) error {
 // FetchField implements driver.Kernels (an `acc update host` of the whole
 // field followed by a host copy).
 func (c *Chunk) FetchField(id driver.FieldID) []float64 {
-	c.acc.updateHost(c.Field(id).TotalCells())
-	return c.Chunk.FetchField(id)
+	f := c.Field(id)
+	c.acc.updateHost(f.TotalCells())
+	return c.Interior(f.Data)
 }
 
 // RestoreField implements driver.Kernels: a host write followed by an
 // `acc update device` of the field (counted as host→device traffic).
 func (c *Chunk) RestoreField(id driver.FieldID, data []float64) {
-	c.Chunk.RestoreField(id, data)
-	c.acc.enterData(c.Field(id).TotalCells())
+	f := c.Field(id)
+	c.SetInterior(f.Data, data)
+	c.acc.enterData(f.TotalCells())
 }
 
 // Close implements driver.Kernels.

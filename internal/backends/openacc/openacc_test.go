@@ -34,13 +34,23 @@ func TestTargetsAgree(t *testing.T) {
 
 // TestDeviceAccounting pins the device target's offload accounting on tea_bm
 // 64², one step, at width 2: iterations, regions launched and bytes moved for
-// each CG preconditioner. A CG iteration's kernels are three regions with or
-// without a preconditioner (w = A p with p·w; the u/r update with z = M⁻¹ r
-// and the r·z or r·r reduction; p), plus two for p's halo exchange, so the
-// preconditioned decks differ from the plain one only through their
-// iteration counts and SolveInit's extra regions. generate_chunk's fill is
-// one region (each count was one lower before it ran on the row policy). The
-// host target must charge no traffic.
+// each CG preconditioner. Every For, Reduce and Points launch of the chunk
+// recipe is one region, so with n iterations:
+//
+//	Regions = 20 + pre + per·n
+//
+// 20 is generate_chunk (1), the two two-field exchanges (2·2·2: an x-face
+// and a y-face region per field), set_field, the three SolveInit sweeps
+// (init, face coefficients, residual), cg_init_p, finalise, reset_field and
+// field_summary's four totals (4). pre is SolveInit's preconditioner set-up:
+// 0 unpreconditioned, 2 for jac_diag (init_mi, apply_precond), 1 for
+// jac_block (block_solve). per is the iteration's kernels plus the two
+// regions of p's exchange (the prologue exchange stands in for the one the
+// converged iteration skips): 3+2 unpreconditioned and jac_diag (cg_calc_w,
+// cg_calc_ur, cg_calc_p), 5+2 for jac_block, whose cg_calc_ur is the update
+// sweep, block_solve and dot_rz. Each reduction brings one scalar back:
+// BytesOut = 8·(cg_init_p + field_summary's 4 + 2n). BytesIn is the 17
+// fields' copyin, 17·68²·8. The host target must charge no traffic.
 func TestDeviceAccounting(t *testing.T) {
 	cfg := config.BenchmarkN(64)
 	cfg.EndStep = 1
@@ -48,9 +58,9 @@ func TestDeviceAccounting(t *testing.T) {
 		iters int
 		st    Stats
 	}{
-		config.PrecondNone:     {21, Stats{Regions: 123, BytesIn: 628864, BytesOut: 376}},
-		config.PrecondJacDiag:  {17, Stats{Regions: 105, BytesIn: 628864, BytesOut: 312}},
-		config.PrecondJacBlock: {15, Stats{Regions: 94, BytesIn: 628864, BytesOut: 280}},
+		config.PrecondNone:     {21, Stats{Regions: 20 + 5*21, BytesIn: 628864, BytesOut: 8 * (5 + 2*21)}},
+		config.PrecondJacDiag:  {17, Stats{Regions: 22 + 5*17, BytesIn: 628864, BytesOut: 8 * (5 + 2*17)}},
+		config.PrecondJacBlock: {15, Stats{Regions: 21 + 7*15, BytesIn: 628864, BytesOut: 8 * (5 + 2*15)}},
 	}
 	for pc, w := range want {
 		cfg.Preconditioner = pc

@@ -59,27 +59,27 @@ func launchDecks() map[string]config.Config {
 
 // launchGolden is what each deck costs each device version in launches,
 // blocks, transfers and allocations, keyed version/deck. The manual-cuda,
-// kokkos-cuda and raja-cuda rows are the device recipe's (devchunk): copies
-// are launches over the padded extent, the residual and Chebyshev operator
-// sweeps are fused with the update after them, and block_solve is one point
-// per mesh row.
+// kokkos-cuda and raja-cuda rows are the chunk recipe's (internal/backends/chunk):
+// copies are launches over the padded extent, the residual and Chebyshev
+// operator sweeps are fused with the update after them, block_solve is one
+// point per mesh row, and field_summary is four reductions, one per total.
 var launchGolden = map[string]simgpu.Stats{
-	"kokkos-cuda/cg":                 {Launches: 150, BlocksRun: 5900, Allocations: 17},
-	"kokkos-cuda/cg_jac_block":       {Launches: 172, BlocksRun: 6102, Allocations: 17},
-	"kokkos-cuda/cg_jac_diag":        {Launches: 144, BlocksRun: 5702, Allocations: 17},
-	"kokkos-cuda/chebyshev":          {Launches: 288, BlocksRun: 10904, Allocations: 17},
-	"kokkos-cuda/chebyshev_jac_diag": {Launches: 240, BlocksRun: 9500, Allocations: 17},
-	"kokkos-cuda/jacobi":             {Launches: 580, BlocksRun: 21962, Allocations: 17},
-	"kokkos-cuda/ppcg":               {Launches: 270, BlocksRun: 10310, Allocations: 17},
-	"kokkos-cuda/tea_bm_64":          {Launches: 124, BlocksRun: 6441, Allocations: 17},
-	"manual-cuda/cg":                 {Launches: 150, BlocksRun: 639, Allocations: 17},
-	"manual-cuda/cg_jac_block":       {Launches: 172, BlocksRun: 765, Allocations: 17},
-	"manual-cuda/cg_jac_diag":        {Launches: 144, BlocksRun: 617, Allocations: 17},
-	"manual-cuda/chebyshev":          {Launches: 288, BlocksRun: 1185, Allocations: 17},
-	"manual-cuda/chebyshev_jac_diag": {Launches: 240, BlocksRun: 1025, Allocations: 17},
-	"manual-cuda/jacobi":             {Launches: 580, BlocksRun: 2471, Allocations: 17},
-	"manual-cuda/ppcg":               {Launches: 270, BlocksRun: 1119, Allocations: 17},
-	"manual-cuda/tea_bm_64":          {Launches: 124, BlocksRun: 892, Allocations: 17},
+	"kokkos-cuda/cg":                 {Launches: 151, BlocksRun: 5948, Allocations: 17},
+	"kokkos-cuda/cg_jac_block":       {Launches: 173, BlocksRun: 6150, Allocations: 17},
+	"kokkos-cuda/cg_jac_diag":        {Launches: 145, BlocksRun: 5750, Allocations: 17},
+	"kokkos-cuda/chebyshev":          {Launches: 289, BlocksRun: 10952, Allocations: 17},
+	"kokkos-cuda/chebyshev_jac_diag": {Launches: 241, BlocksRun: 9548, Allocations: 17},
+	"kokkos-cuda/jacobi":             {Launches: 581, BlocksRun: 22010, Allocations: 17},
+	"kokkos-cuda/ppcg":               {Launches: 271, BlocksRun: 10358, Allocations: 17},
+	"kokkos-cuda/tea_bm_64":          {Launches: 125, BlocksRun: 6505, Allocations: 17},
+	"manual-cuda/cg":                 {Launches: 151, BlocksRun: 644, Allocations: 17},
+	"manual-cuda/cg_jac_block":       {Launches: 173, BlocksRun: 770, Allocations: 17},
+	"manual-cuda/cg_jac_diag":        {Launches: 145, BlocksRun: 622, Allocations: 17},
+	"manual-cuda/chebyshev":          {Launches: 289, BlocksRun: 1190, Allocations: 17},
+	"manual-cuda/chebyshev_jac_diag": {Launches: 241, BlocksRun: 1030, Allocations: 17},
+	"manual-cuda/jacobi":             {Launches: 581, BlocksRun: 2476, Allocations: 17},
+	"manual-cuda/ppcg":               {Launches: 271, BlocksRun: 1124, Allocations: 17},
+	"manual-cuda/tea_bm_64":          {Launches: 125, BlocksRun: 900, Allocations: 17},
 	"ops-cuda/cg":                    {Launches: 232, BlocksRun: 881, Allocations: 17},
 	"ops-cuda/cg_jac_block":          {Launches: 246, BlocksRun: 983, Allocations: 17},
 	"ops-cuda/cg_jac_diag":           {Launches: 222, BlocksRun: 847, Allocations: 17},
@@ -88,14 +88,14 @@ var launchGolden = map[string]simgpu.Stats{
 	"ops-cuda/jacobi":                {Launches: 890, BlocksRun: 3397, Allocations: 17},
 	"ops-cuda/ppcg":                  {Launches: 412, BlocksRun: 1541, Allocations: 17},
 	"ops-cuda/tea_bm_64":             {Launches: 188, BlocksRun: 1206, Allocations: 17},
-	"raja-cuda/cg":                   {Launches: 150, BlocksRun: 4868, Allocations: 17},
-	"raja-cuda/cg_jac_block":         {Launches: 172, BlocksRun: 5904, Allocations: 17},
-	"raja-cuda/cg_jac_diag":          {Launches: 144, BlocksRun: 4706, Allocations: 17},
-	"raja-cuda/chebyshev":            {Launches: 288, BlocksRun: 8984, Allocations: 17},
-	"raja-cuda/chebyshev_jac_diag":   {Launches: 240, BlocksRun: 7844, Allocations: 17},
-	"raja-cuda/jacobi":               {Launches: 580, BlocksRun: 18174, Allocations: 17},
-	"raja-cuda/ppcg":                 {Launches: 270, BlocksRun: 8498, Allocations: 17},
-	"raja-cuda/tea_bm_64":            {Launches: 124, BlocksRun: 6383, Allocations: 17},
+	"raja-cuda/cg":                   {Launches: 151, BlocksRun: 4908, Allocations: 17},
+	"raja-cuda/cg_jac_block":         {Launches: 173, BlocksRun: 5944, Allocations: 17},
+	"raja-cuda/cg_jac_diag":          {Launches: 145, BlocksRun: 4746, Allocations: 17},
+	"raja-cuda/chebyshev":            {Launches: 289, BlocksRun: 9024, Allocations: 17},
+	"raja-cuda/chebyshev_jac_diag":   {Launches: 241, BlocksRun: 7884, Allocations: 17},
+	"raja-cuda/jacobi":               {Launches: 581, BlocksRun: 18214, Allocations: 17},
+	"raja-cuda/ppcg":                 {Launches: 271, BlocksRun: 8538, Allocations: 17},
+	"raja-cuda/tea_bm_64":            {Launches: 125, BlocksRun: 6447, Allocations: 17},
 }
 
 // TestDeviceLaunchGolden pins every device version's device counters on

@@ -1,23 +1,24 @@
-// Package rajaport is TeaLeaf re-engineered on the RAJA-like portability
-// layer (internal/raja), the analogue of the paper's RAJA builds, as a
-// devchunk.Policy over an execution policy: fields stay raw flat arrays
-// allocated by the policy, and every kernel is a lambda handed to a
-// RAJA::kernel-style dispatcher — row-policy lambdas (Kernel2DRow /
-// Kernel2DRowReduce, with typed sum reductions) for the field sweeps,
-// per-point ones (Kernel2D) for the halo faces and line solves. Swapping the
-// policy object retargets the whole port between sequential, OpenMP-style and
-// simulated-CUDA execution; the host reads and writes the arrays directly.
+// Package rajaport is TeaLeaf re-engineered on the RAJA-like portability layer
+// (internal/raja), the analogue of the paper's RAJA builds: the one chunk
+// recipe (internal/backends/chunk) under a chunk.Policy over an execution
+// policy. Fields stay raw flat arrays allocated by the policy, and every
+// kernel is a lambda handed to a RAJA::kernel-style dispatcher — row-policy
+// lambdas (Kernel2DRow / Kernel2DRowReduce, with typed sum reductions) for the
+// field sweeps, per-point ones (Kernel2D) for the halo faces and line solves.
+// Swapping the policy object retargets the whole port between sequential,
+// OpenMP-style and simulated-CUDA execution; the host reads and writes the
+// arrays directly.
 package rajaport
 
 import (
-	"github.com/warwick-hpsc/tealeaf-go/internal/backends/devchunk"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
 	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
 )
 
 // Chunk is the RAJA port: one chunk, fields as policy-allocated flat arrays.
 type Chunk struct {
-	*devchunk.Chunk[[]float64]
+	*chunk.Chunk[[]float64]
 	pol  raja.ExecPolicy
 	name string
 }
@@ -34,7 +35,7 @@ func New(pol raja.ExecPolicy) *Chunk {
 	case "cuda_exec":
 		name = "raja-cuda"
 	}
-	return &Chunk{devchunk.New[[]float64](&policy{pol: pol}, false), pol, name}
+	return &Chunk{chunk.New[[]float64](&policy{pol: pol}, false), pol, name}
 }
 
 // Name implements driver.Kernels.
@@ -57,35 +58,39 @@ type policy struct {
 	stride int
 }
 
-// Alloc implements devchunk.Policy.
-func (p *policy) Alloc(rows, cols int) []float64 {
+// Alloc implements chunk.Policy.
+func (p *policy) Alloc(n, rows, cols int) [][]float64 {
 	p.stride = cols
-	return p.pol.Alloc(rows * cols)
+	f := make([][]float64, n)
+	for k := range f {
+		f[k] = p.pol.Alloc(rows * cols)
+	}
+	return f
 }
 
 // segments are a window's row and column ranges.
-func segments(win devchunk.Window) (rows, cols raja.RangeSegment) {
+func segments(win chunk.Window) (rows, cols raja.RangeSegment) {
 	return raja.RangeSegment{Begin: win.Y0, End: win.Y1}, raja.RangeSegment{Begin: win.X0, End: win.X1}
 }
 
-// For implements devchunk.Policy with raja.Kernel2DRow.
-func (p *policy) For(name string, win devchunk.Window, args [][]float64, body devchunk.Body) {
+// For implements chunk.Policy with raja.Kernel2DRow.
+func (p *policy) For(name string, win chunk.Window, args [][]float64, body chunk.Body) {
 	rows, cols := segments(win)
 	raja.Kernel2DRow(p.pol, name, rows, cols, func(j, i0, i1 int) {
 		body(args, j*p.stride+i0, j*p.stride+i1)
 	})
 }
 
-// Reduce implements devchunk.Policy with raja.Kernel2DRowReduce.
-func (p *policy) Reduce(name string, win devchunk.Window, args [][]float64, body devchunk.RedBody) float64 {
+// Reduce implements chunk.Policy with raja.Kernel2DRowReduce.
+func (p *policy) Reduce(name string, win chunk.Window, args [][]float64, body chunk.RedBody) float64 {
 	rows, cols := segments(win)
 	return raja.Kernel2DRowReduce(p.pol, name, rows, cols, func(j, i0, i1 int, sum *float64) {
 		*sum = body(args, j*p.stride+i0, j*p.stride+i1, *sum)
 	})
 }
 
-// Points implements devchunk.Policy with raja.Kernel2D.
-func (p *policy) Points(name string, win devchunk.Window, args [][]float64, body devchunk.PointBody) {
+// Points implements chunk.Policy with raja.Kernel2D.
+func (p *policy) Points(name string, win chunk.Window, args [][]float64, body chunk.PointBody) {
 	rows, cols := segments(win)
 	raja.Kernel2D(p.pol, name, rows, cols, func(j, i int) { body(args, j, i) })
 }

@@ -2,9 +2,10 @@ package kern
 
 // The At forms run the row bodies that read neighbouring cells on row-major
 // flat fields, rows stride cells apart: [lo, hi) is the flat index range of a
-// run of cells in one mesh row. That is the addressing of the CUDA and RAJA
-// ports, whose fields are single arrays rather than grid.Field rows, and whose
-// blocks and threads own part of a row, not all of it.
+// run of cells along one stride-1 line. That is the addressing of the chunk
+// recipe (internal/backends/chunk), whose fields are single padded arrays
+// under every policy, and whose device blocks and threads own part of a line,
+// not all of it.
 
 // win is cells [lo-1, hi+1) of f: a row operand whose interior starts at
 // d = 1.

@@ -1,7 +1,7 @@
 // Package kern holds the per-row kernel bodies of the TeaLeaf operations,
-// each written once: the shared host chunk behind the manual serial, OpenMP,
-// OpenACC and MPI versions (internal/backends/hostchunk) and the OPS port's
-// row kernels call them on row slices of their fields. The stencil, dot and
+// each written once: the one chunk recipe behind the manual, Kokkos and RAJA
+// versions (internal/backends/chunk, through the At forms in flat.go) and the
+// OPS port's row kernels call them on row slices of their fields. The stencil, dot and
 // u/r bodies are 4-wide unrolled loops over exact-length shifted sub-slices;
 // every body re-slices its operands to a common length up front, which lets
 // the compiler prove all indexing in bounds and drop the per-element checks.

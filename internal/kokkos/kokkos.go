@@ -9,7 +9,7 @@
 // A range runs under one of two policies. TeamFor / TeamReduce are the
 // hierarchical one (a TeamThreadRange over the views' slow index around a
 // ThreadVectorRange over their stride-1 index): the functor receives one
-// contiguous segment per call and reads it with View.Segment, so the vector
+// contiguous segment per call and reads it through View.Data, so the vector
 // loop is a slice loop inside the functor and the layout decides which mesh
 // direction it runs along. Every field-sized kernel uses it. ParallelFor /
 // ParallelReduce are the flat MDRange policy, one functor call per point
@@ -335,16 +335,6 @@ func (v *View) Layout() Layout { return v.layout }
 
 // idx linearises (i0, i1) under the view's layout.
 func (v *View) idx(i0, i1 int) int { return i0*v.s0 + i1*v.s1 }
-
-// Segment returns elements [lo, hi) along the view's stride-1 index at a
-// fixed value of the other one, as the contiguous slice they occupy: row
-// outer, columns [lo, hi) under LayoutRight; column outer, rows [lo, hi)
-// under LayoutLeft. It is the operand form of a TeamFor / TeamReduce functor,
-// whose (outer, lo, hi) arguments follow the same convention.
-func (v *View) Segment(outer, lo, hi int) []float64 {
-	base := outer * max(v.s0, v.s1)
-	return v.data[base+lo : base+hi]
-}
 
 // Data returns the view's elements as one flat slice, element (i0, i1) at
 // i0*n1 + i1 under LayoutRight and i0 + i1*n0 under LayoutLeft: the analogue

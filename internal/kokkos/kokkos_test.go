@@ -150,6 +150,18 @@ func segmentSpaces(t *testing.T) map[string]ExecSpace {
 	return ss
 }
 
+// segment is elements [lo, hi) of line outer of v read through Data: the
+// operand a TeamFor / TeamReduce functor's (outer, lo, hi) names, row outer
+// under LayoutRight and column outer under LayoutLeft.
+func segment(v *View, outer, lo, hi int) []float64 {
+	n0, n1 := v.Extent()
+	line := n1
+	if v.Layout() == LayoutLeft {
+		line = n0
+	}
+	return v.Data()[outer*line+lo : outer*line+hi]
+}
+
 // TestSegmentAddressesTheStrideOneLine: under either layout a segment is the
 // contiguous storage of the points At reaches along the stride-1 index.
 func TestSegmentAddressesTheStrideOneLine(t *testing.T) {
@@ -168,7 +180,7 @@ func TestSegmentAddressesTheStrideOneLine(t *testing.T) {
 			at = func(outer, k int) float64 { return v.At(k, outer) }
 		}
 		for outer := 0; outer < outers; outer++ {
-			seg := v.Segment(outer, 1, span-1)
+			seg := segment(v, outer, 1, span-1)
 			if len(seg) != span-2 {
 				t.Fatalf("%v: segment of line %d has %d elements, want %d", layout, outer, len(seg), span-2)
 			}
@@ -240,8 +252,8 @@ func TestTeamPolicyMatchesPerPoint(t *testing.T) {
 				})
 				rows := src.Layout() == LayoutRight // lines are rows: along is i1
 				TeamFor(space, "per_seg", p, func(o, lo, hi int) {
-					dst, c := perSeg.Segment(o, lo, hi), src.Segment(o, lo-1, hi+1)
-					next, prev := src.Segment(o+1, lo, hi), src.Segment(o-1, lo, hi)
+					dst, c := segment(perSeg, o, lo, hi), segment(src, o, lo-1, hi+1)
+					next, prev := segment(src, o+1, lo, hi), segment(src, o-1, lo, hi)
 					for k := range dst {
 						if rows {
 							dst[k] = stencil(c[k+1], c[k+2], c[k], next[k], prev[k])
@@ -251,7 +263,7 @@ func TestTeamPolicyMatchesPerPoint(t *testing.T) {
 					}
 				})
 				got := TeamReduce(space, "per_seg_dot", p, func(o, lo, hi int, l *float64) {
-					a, b := src.Segment(o, lo, hi), perSeg.Segment(o, lo, hi)
+					a, b := segment(src, o, lo, hi), segment(perSeg, o, lo, hi)
 					for k := range a {
 						*l += a[k] * b[k]
 					}
