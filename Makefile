@@ -105,8 +105,7 @@ fuzz:
 
 # bench-par measures the fork-join runtime itself: dispatch latency (epoch
 # barrier vs the legacy channel-per-worker path), the 256² cg_calc_w-shaped
-# reduction, and allocation counts for ReduceSum/ReduceSum2/ReduceMax
-# (expected: 0 allocs/op).
+# reduction, and allocation counts for ReduceSum (expected: 0 allocs/op).
 bench-par:
 	$(GO) test -bench=. -benchmem ./internal/par/
 

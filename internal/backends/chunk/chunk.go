@@ -1,12 +1,17 @@
-// Package chunk is the one TeaLeaf chunk behind every manual, Kokkos and RAJA
-// version: the field set, Generate and every driver.Kernels body, written
-// once over flat field slices and the internal/kern row bodies. What
-// distinguishes those versions is their execution policy and the paper's
-// abstraction layer, which each port supplies as a four-method Policy: Host
-// (grid.Fields on a thread team or the caller's goroutine) under the serial,
-// OpenMP, OpenACC and MPI ports, each device port's own base API under CUDA,
-// Kokkos and RAJA. Each port is a constructor, its policy and its own host
-// round trip (FetchField, RestoreField).
+// Package chunk is the one TeaLeaf chunk behind all 17 versions: the field
+// set, Generate and every driver.Kernels body, written once over flat field
+// slices and the internal/kern row bodies. What distinguishes the versions is
+// their execution policy and the paper's abstraction layer, which each port
+// supplies as a four-method Policy: Host (grid.Fields on a thread team or the
+// caller's goroutine) under the serial, OpenMP, OpenACC and MPI ports, each
+// device port's own base API under CUDA, Kokkos and RAJA, and OPS ParLoops
+// over dats under the six OPS versions. Each port is a constructor, its
+// policy and its own host round trip (FetchField, RestoreField).
+//
+// Every launch declares its reach: the box of cells around a window point
+// that its body reads or writes. Only the OPS policy reads it, as the loop's
+// stencil, which is what its tiling skew and bounds check are derived from;
+// TestDeclaredReach holds every declaration to what its body touches.
 //
 // A field is a padded (ny+4)-by-(nx+4) array whose stride-1 lines are mesh
 // rows, or mesh columns where the layer lays storage out column-major (the
@@ -31,10 +36,26 @@ import (
 
 const halo = grid.DefaultHalo
 
-// Window is the index range [Y0, Y1) x [X0, X1): for For and Reduce a
-// rectangle of cells in padded mesh coordinates, rows by columns; for Points
-// the index space its body interprets.
-type Window struct{ Y0, Y1, X0, X1 int }
+// Window is a launch's rectangle of cells [Y0, Y1) x [X0, X1) in padded
+// mesh coordinates, rows by columns, and its Reach.
+type Window struct {
+	Y0, Y1, X0, X1 int
+	Reach          Reach
+}
+
+// Reach is a box of cell offsets, rows Y0..Y1 by columns X0..X1 inclusive:
+// every cell a launch's body reads or writes for one window point, across all
+// its arguments. The zero Reach is a pointwise launch.
+type Reach struct{ Y0, Y1, X0, X1 int }
+
+// The stencil launches' reaches: the operator's five-point star and +1
+// faces, the face coefficients' two cells per face, and the diagonal's two
+// faces per axis.
+var (
+	opReach   = Reach{-1, 1, -1, 1}
+	faceReach = Reach{-1, 0, -1, 0}
+	diagReach = Reach{0, 1, 0, 1}
+)
 
 // Body is a For body, run on one segment: a holds the launch's fields as flat
 // slices in argument order and [lo, hi) is the flat index range of a run of
@@ -54,7 +75,7 @@ type (
 // in the order the layer visits its points; Reduce does the same with a sum,
 // each thread share or block threading one accumulator through its segments
 // and the partials combining in the layer's order. Points runs body once per
-// index of the window. Each resolves args to slices for the launch and is
+// cell of the window. Each resolves args to slices for the launch and is
 // done with args when it returns.
 type Policy[F any] interface {
 	Alloc(n, rows, cols int) []F
@@ -151,7 +172,14 @@ func (c *Chunk[F]) at(j, i int) int {
 // around is the interior grown by d cells on every side: 0 is the interior, 1
 // the ring the face coefficients cover, halo the whole padded extent.
 func (c *Chunk[F]) around(d int) Window {
-	return Window{halo - d, halo + c.ny + d, halo - d, halo + c.nx + d}
+	return Window{Y0: halo - d, Y1: halo + c.ny + d, X0: halo - d, X1: halo + c.nx + d}
+}
+
+// stencil is the interior as the window of a launch of reach r.
+func (c *Chunk[F]) stencil(r Reach) Window {
+	w := c.around(0)
+	w.Reach = r
+	return w
 }
 
 // AllocatedCells returns the cells allocated over all fields, halos
@@ -255,32 +283,34 @@ func (c *Chunk[F]) HaloExchange(fields []driver.FieldID, depth int) {
 }
 
 // Reflect applies the reflective boundary condition to depth halo layers of
-// a field on the given sides, as per-point launches: x faces (a point per
-// interior row and halo layer), then y faces over the widened columns, so
-// corners mirror the x halos as in the mini-app's update_halo. A distributed
-// port calls it in each exchange phase with the sides that have no
-// neighbour.
+// a field on the given sides: one Points launch per side over its halo cells,
+// each copying the interior cell as far inside the boundary, so a side's
+// reach runs 2·depth−1 cells inwards. The x sides go first and the y sides
+// cover the widened columns, so corners mirror the x halos as in the
+// mini-app's update_halo. A distributed port calls it in each exchange phase
+// with the sides that have no neighbour.
 func (c *Chunk[F]) Reflect(id driver.FieldID, depth int, s Sides) {
-	nx, ny := c.nx, c.ny
-	if s&(Left|Right) != 0 {
-		c.pol.Points("update_halo_x", Window{halo, halo + ny, 0, depth}, c.args(id), func(a [][]float64, j, k int) {
-			if s&Left != 0 {
-				a[0][c.at(j, halo-1-k)] = a[0][c.at(j, halo+k)]
-			}
-			if s&Right != 0 {
-				a[0][c.at(j, halo+nx+k)] = a[0][c.at(j, halo+nx-1-k)]
-			}
-		})
+	x0, x1, y0, y1, m := halo, halo+c.nx, halo, halo+c.ny, 2*depth-1
+	// Mirrors across the line b on either axis, over the flat distances
+	// between neighbouring rows (sj) and columns (si).
+	sj, si := c.at(1, 0), c.at(0, 1)
+	acrossX := func(b int) PointBody {
+		return func(a [][]float64, j, i int) { a[0][j*sj+i*si] = a[0][j*sj+(2*b-1-i)*si] }
 	}
-	if s&(Down|Up) != 0 {
-		c.pol.Points("update_halo_y", Window{0, depth, halo - depth, halo + nx + depth}, c.args(id), func(a [][]float64, k, i int) {
-			if s&Down != 0 {
-				a[0][c.at(halo-1-k, i)] = a[0][c.at(halo+k, i)]
-			}
-			if s&Up != 0 {
-				a[0][c.at(halo+ny+k, i)] = a[0][c.at(halo+ny-1-k, i)]
-			}
-		})
+	acrossY := func(b int) PointBody {
+		return func(a [][]float64, j, i int) { a[0][j*sj+i*si] = a[0][(2*b-1-j)*sj+i*si] }
+	}
+	if s&Left != 0 {
+		c.pol.Points("update_halo_left", Window{y0, y1, x0 - depth, x0, Reach{0, 0, 0, m}}, c.args(id), acrossX(x0))
+	}
+	if s&Right != 0 {
+		c.pol.Points("update_halo_right", Window{y0, y1, x1, x1 + depth, Reach{0, 0, -m, 0}}, c.args(id), acrossX(x1))
+	}
+	if s&Down != 0 {
+		c.pol.Points("update_halo_bottom", Window{y0 - depth, y0, x0 - depth, x1 + depth, Reach{0, m, 0, 0}}, c.args(id), acrossY(y0))
+	}
+	if s&Up != 0 {
+		c.pol.Points("update_halo_top", Window{y1, y1 + depth, x0 - depth, x1 + depth, Reach{-m, 0, 0, 0}}, c.args(id), acrossY(y1))
 	}
 }
 
@@ -296,12 +326,14 @@ func (c *Chunk[F]) SolveInit(coef config.Coefficient, rx, ry float64, precond co
 	if c.columns {
 		rAlong, rAcross = ry, rx
 	}
-	c.pol.For("init_kx_ky", c.around(1), c.args(c.kAlong, c.kAcross, w), func(a [][]float64, lo, hi int) {
+	ring := c.around(1)
+	ring.Reach = faceReach
+	c.pol.For("init_kx_ky", ring, c.args(c.kAlong, c.kAcross, w), func(a [][]float64, lo, hi int) {
 		kern.FaceCoefAt(a[0], a[1], a[2], rAlong, rAcross, c.line, lo, hi)
 	})
 	c.CalcResidual()
 	if precond == config.PrecondJacDiag {
-		c.interior("init_mi", c.args(mi, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+		c.pol.For("init_mi", c.stencil(diagReach), c.args(mi, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
 			kern.DiagInvAt(a[0], a[1], a[2], c.line, lo, hi)
 		})
 	}
@@ -320,7 +352,7 @@ func (c *Chunk[F]) operator(a [][]float64, lo, hi, dst, src int) {
 // CalcResidual implements driver.Kernels: w = A u, then r = u0 - w, in one
 // sweep.
 func (c *Chunk[F]) CalcResidual() {
-	c.interior("residual", c.args(u, w, u0, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+	c.pol.For("residual", c.stencil(opReach), c.args(u, w, u0, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
 		c.operator(a, lo, hi, 1, 0)
 		kern.Sub(a[3][lo:hi], a[2][lo:hi], a[1][lo:hi])
 	})
@@ -342,7 +374,7 @@ func (c *Chunk[F]) DotRZ() float64 { return c.dot("dot_rz", r, z) }
 // ApplyPrecond implements driver.Kernels. The jac_block path is one Thomas
 // solve per mesh row, at one point each (the row's first interior cell): the
 // shared row body where lines are rows, a strided walk along the row where
-// they are columns.
+// they are columns. Its reach is the whole row and the next row's ky.
 func (c *Chunk[F]) ApplyPrecond() {
 	if c.precond != config.PrecondJacBlock {
 		c.interior("apply_precond", c.args(z, mi, r), func(a [][]float64, lo, hi int) {
@@ -351,7 +383,7 @@ func (c *Chunk[F]) ApplyPrecond() {
 		return
 	}
 	nx := c.nx
-	first := Window{halo, halo + c.ny, halo, halo + 1}
+	first := Window{Y0: halo, Y1: halo + c.ny, X0: halo, X1: halo + 1, Reach: Reach{0, 1, 0, nx}}
 	c.pol.Points("block_solve", first, c.args(z, r, kx, ky, tcp, tdp), func(a [][]float64, j, i0 int) {
 		z, r, kx, ky, cp, dp := a[0], a[1], a[2], a[3], a[4], a[5]
 		if !c.columns {
@@ -399,7 +431,7 @@ func (c *Chunk[F]) CGInitP(precond bool) float64 {
 // accumulates p·w.
 func (c *Chunk[F]) CGCalcW() float64 {
 	args := c.args(p, w, c.kAlong, c.kAcross)
-	return c.reduce("cg_calc_w", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+	return c.pol.Reduce("cg_calc_w", c.stencil(opReach), args, func(a [][]float64, lo, hi int, acc float64) float64 {
 		c.operator(a, lo, hi, 1, 0)
 		return kern.DotAcc(acc, a[0][lo:hi], a[1][lo:hi])
 	})
@@ -441,7 +473,7 @@ func (c *Chunk[F]) CGCalcP(beta float64, precond bool) {
 // JacobiIterate implements driver.Kernels.
 func (c *Chunk[F]) JacobiIterate() float64 {
 	args := c.args(u, un, u0, c.kAlong, c.kAcross)
-	return c.reduce("jacobi_solve", args, func(a [][]float64, lo, hi int, acc float64) float64 {
+	return c.pol.Reduce("jacobi_solve", c.stencil(opReach), args, func(a [][]float64, lo, hi int, acc float64) float64 {
 		return kern.JacobiAt(acc, a[0], a[1], a[2], a[3], a[4], c.line, lo, hi)
 	})
 }
@@ -456,7 +488,7 @@ func (c *Chunk[F]) ChebyInit(theta float64, precond bool) {
 // ChebyIterate implements driver.Kernels: w = A sd, then r -= w, in one
 // sweep; the preconditioner; then the sd and u update.
 func (c *Chunk[F]) ChebyIterate(alpha, beta float64, precond bool) {
-	c.interior("cheby_calc_r", c.args(sd, w, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+	c.pol.For("cheby_calc_r", c.stencil(opReach), c.args(sd, w, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
 		c.operator(a, lo, hi, 1, 0)
 		kern.Sub(a[2][lo:hi], a[2][lo:hi], a[1][lo:hi])
 	})
@@ -478,7 +510,7 @@ func (c *Chunk[F]) PPCGInitInner(theta float64) {
 // PPCGInnerIterate implements driver.Kernels (two sweeps: the operator must
 // see the previous sd everywhere before any of it is rewritten).
 func (c *Chunk[F]) PPCGInnerIterate(alpha, beta float64) {
-	c.interior("ppcg_calc_w", c.args(sd, w, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
+	c.pol.For("ppcg_calc_w", c.stencil(opReach), c.args(sd, w, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
 		c.operator(a, lo, hi, 1, 0)
 	})
 	c.interior("ppcg_inner_update", c.args(z, sd, rtemp, w), func(a [][]float64, lo, hi int) {

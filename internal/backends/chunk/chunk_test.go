@@ -1,6 +1,8 @@
 package chunk_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/backendtest"
@@ -177,24 +179,19 @@ func (k countedKernels) RestoreField(id driver.FieldID, data []float64) {
 	k.SetInterior(k.Field(id).Data, data)
 }
 
-// TestOneReducePerTotal holds the recipe to its reduction contract, on which
-// the MPI rank policy's allreduce and the OpenACC region accounting rely:
-// every kernel makes exactly one Reduce per total it returns and no other
-// kernel reduces, under every preconditioner (jac_block's CGCalcUR included)
-// and both precond flags.
-func TestOneReducePerTotal(t *testing.T) {
-	totals := map[driver.KernelID]int{
-		driver.KFieldSummary: 4, driver.KNorm2R: 1, driver.KDotRZ: 1, driver.KCGInitP: 1,
-		driver.KCGCalcW: 1, driver.KCGCalcUR: 1, driver.KJacobiIterate: 1,
-	}
-	cfg := config.BenchmarkN(16)
+// everyCall applies every driver.Call, in kernel-table order, to the recipe
+// on tea_bm n² under each preconditioner and both precond flags, on a fresh
+// policy from newPol each time; visit applies each call to the kernels.
+func everyCall[P chunk.Policy[*grid.Field]](t *testing.T, n int, newPol func() P, visit func(pol P, call *driver.Call, k driver.Kernels)) {
+	t.Helper()
+	cfg := config.BenchmarkN(n)
 	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, cfg.NY)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pc := range []config.Preconditioner{config.PrecondNone, config.PrecondJacDiag, config.PrecondJacBlock} {
 		for _, precond := range []bool{false, true} {
-			pol := &counting{Host: chunk.NewHost(nil)}
+			pol := newPol()
 			k := countedKernels{chunk.New[*grid.Field](pol, false)}
 			for id := driver.KGenerate; id <= driver.KRestoreField; id++ {
 				call := driver.Call{
@@ -203,16 +200,145 @@ func TestOneReducePerTotal(t *testing.T) {
 					Coef: cfg.Coefficient, Kind: pc, A: 0.5, B: 0.25, Precond: precond,
 					Field: driver.FieldU, Data: make([]float64, cfg.NX*cfg.NY),
 				}
-				pol.reduces = 0
-				call.Apply(k)
+				visit(pol, &call, k)
 				if call.Err != nil {
 					t.Fatal(call.Err)
 				}
-				if pol.reduces != totals[id] {
-					t.Errorf("%v, precond %v: %s made %d reductions, want %d",
-						pc, precond, id.Desc().Method, pol.reduces, totals[id])
+			}
+		}
+	}
+}
+
+// TestOneReducePerTotal holds the recipe to its reduction contract, on which
+// the MPI and OPS rank policies' allreduce and the OpenACC region accounting
+// rely: every kernel makes exactly one Reduce per total it returns and no
+// other kernel reduces, under every preconditioner (jac_block's CGCalcUR
+// included) and both precond flags.
+func TestOneReducePerTotal(t *testing.T) {
+	totals := map[driver.KernelID]int{
+		driver.KFieldSummary: 4, driver.KNorm2R: 1, driver.KDotRZ: 1, driver.KCGInitP: 1,
+		driver.KCGCalcW: 1, driver.KCGCalcUR: 1, driver.KJacobiIterate: 1,
+	}
+	newPol := func() *counting { return &counting{Host: chunk.NewHost(nil)} }
+	everyCall(t, 16, newPol, func(pol *counting, call *driver.Call, k driver.Kernels) {
+		pol.reduces = 0
+		call.Apply(k)
+		if pol.reduces != totals[call.ID] {
+			t.Errorf("%v, precond %v: %s made %d reductions, want %d",
+				call.Kind, call.Precond, call.ID.Desc().Method, pol.reduces, totals[call.ID])
+		}
+	})
+}
+
+// reachCheck is the serial host policy that first runs each launch's body one
+// window point at a time, on scratch copies of its fields that hold the
+// field's values inside that point's declared reach and NaN outside it, and
+// fails the test if the body writes outside the reach or leaves a NaN (in a
+// field or its sum): what the body read outside the reach. Then it runs the
+// launch itself on the real fields.
+type reachCheck struct {
+	*chunk.Host
+	t        *testing.T
+	call     string
+	launches int
+}
+
+func (p *reachCheck) For(name string, win chunk.Window, args []*grid.Field, body chunk.Body) {
+	stride := args[0].Stride
+	p.check(name, win, args, func(a [][]float64, j, i int) float64 {
+		body(a, j*stride+i, j*stride+i+1)
+		return 0
+	})
+	p.Host.For(name, win, args, body)
+}
+
+func (p *reachCheck) Reduce(name string, win chunk.Window, args []*grid.Field, body chunk.RedBody) float64 {
+	stride := args[0].Stride
+	p.check(name, win, args, func(a [][]float64, j, i int) float64 {
+		return body(a, j*stride+i, j*stride+i+1, 0)
+	})
+	return p.Host.Reduce(name, win, args, body)
+}
+
+func (p *reachCheck) Points(name string, win chunk.Window, args []*grid.Field, body chunk.PointBody) {
+	p.check(name, win, args, func(a [][]float64, j, i int) float64 {
+		body(a, j, i)
+		return 0
+	})
+	p.Host.Points(name, win, args, body)
+}
+
+// check runs point at every cell of the window on the scratch copies,
+// reporting the launch's first violation. A field passed twice is one
+// scratch copy, as it is one field.
+func (p *reachCheck) check(name string, win chunk.Window, args []*grid.Field, point func(a [][]float64, j, i int) float64) {
+	p.launches++
+	nan := math.NaN()
+	stride, rows := args[0].Stride, len(args[0].Data)/args[0].Stride
+	scratch := map[*grid.Field][]float64{}
+	a := make([][]float64, len(args))
+	for k, f := range args {
+		if scratch[f] == nil {
+			scratch[f] = make([]float64, len(f.Data))
+			for c := range scratch[f] {
+				scratch[f][c] = nan
+			}
+		}
+		a[k] = scratch[f]
+	}
+	fail := func(format string, v ...any) {
+		p.t.Errorf("%s, launch %s: %s", p.call, name, fmt.Sprintf(format, v...))
+	}
+	r := win.Reach
+	for j := win.Y0; j < win.Y1; j++ {
+		for i := win.X0; i < win.X1; i++ {
+			y0, y1, x0, x1 := j+r.Y0, j+r.Y1, i+r.X0, i+r.X1
+			if y0 < 0 || y1 >= rows || x0 < 0 || x1 >= stride {
+				fail("reach %+v of point (%d, %d) leaves the field", r, j, i)
+				return
+			}
+			for f, s := range scratch {
+				for y := y0; y <= y1; y++ {
+					copy(s[y*stride+x0:y*stride+x1+1], f.Data[y*stride+x0:])
+				}
+			}
+			if v := point(a, j, i); math.IsNaN(v) {
+				fail("point (%d, %d) sums a NaN: it reads outside its reach %+v", j, i, r)
+				return
+			}
+			for _, s := range scratch {
+				for c, v := range s {
+					y, x := c/stride, c%stride
+					inside := y >= y0 && y <= y1 && x >= x0 && x <= x1
+					switch {
+					case inside && math.IsNaN(v):
+						fail("point (%d, %d) wrote a NaN to (%d, %d): it reads outside its reach %+v", j, i, y, x, r)
+						return
+					case !inside && !math.IsNaN(v):
+						fail("point (%d, %d) wrote (%d, %d), outside its reach %+v", j, i, y, x, r)
+						return
+					}
+					s[c] = nan
 				}
 			}
 		}
+	}
+}
+
+// TestDeclaredReach holds every launch's declared reach to what its body
+// touches, for every driver.Call under every preconditioner and both precond
+// flags: the OPS policy's stencils are those reaches, so one that understates
+// a body would let a tiled chain or the bounds check miss a dependence.
+func TestDeclaredReach(t *testing.T) {
+	launches := 0
+	newPol := func() *reachCheck { return &reachCheck{Host: chunk.NewHost(nil), t: t} }
+	everyCall(t, 8, newPol, func(pol *reachCheck, call *driver.Call, k driver.Kernels) {
+		pol.call = fmt.Sprintf("%v, precond %v: %s", call.Kind, call.Precond, call.ID.Desc().Method)
+		n := pol.launches
+		call.Apply(k)
+		launches += pol.launches - n
+	})
+	if launches == 0 {
+		t.Fatal("no launch was checked")
 	}
 }

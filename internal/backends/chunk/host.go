@@ -31,6 +31,14 @@ type Host struct {
 	reduceRows         func(j0, j1 int) float64
 }
 
+// The recipe is instantiated here, on the host policy's storage, so that this
+// package's export data carries the inline bodies of the kern functions its
+// launch bodies call. Go compiles a generic body in each package that
+// instantiates it, and a port that does not import kern itself could not
+// inline them otherwise: every body called each kern row function out of
+// line.
+var _ = New[*grid.Field]
+
 // NewHost returns the host policy on team; nil runs every launch on the
 // caller's goroutine.
 func NewHost(team *par.Team) *Host {

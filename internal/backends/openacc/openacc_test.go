@@ -37,17 +37,17 @@ func TestTargetsAgree(t *testing.T) {
 // each CG preconditioner. Every For, Reduce and Points launch of the chunk
 // recipe is one region, so with n iterations:
 //
-//	Regions = 20 + pre + per·n
+//	Regions = 28 + pre + per·n
 //
-// 20 is generate_chunk (1), the two two-field exchanges (2·2·2: an x-face
-// and a y-face region per field), set_field, the three SolveInit sweeps
+// 28 is generate_chunk (1), the two two-field exchanges (2·2·4: one region
+// per side per field), set_field, the three SolveInit sweeps
 // (init, face coefficients, residual), cg_init_p, finalise, reset_field and
 // field_summary's four totals (4). pre is SolveInit's preconditioner set-up:
 // 0 unpreconditioned, 2 for jac_diag (init_mi, apply_precond), 1 for
-// jac_block (block_solve). per is the iteration's kernels plus the two
+// jac_block (block_solve). per is the iteration's kernels plus the four
 // regions of p's exchange (the prologue exchange stands in for the one the
-// converged iteration skips): 3+2 unpreconditioned and jac_diag (cg_calc_w,
-// cg_calc_ur, cg_calc_p), 5+2 for jac_block, whose cg_calc_ur is the update
+// converged iteration skips): 3+4 unpreconditioned and jac_diag (cg_calc_w,
+// cg_calc_ur, cg_calc_p), 5+4 for jac_block, whose cg_calc_ur is the update
 // sweep, block_solve and dot_rz. Each reduction brings one scalar back:
 // BytesOut = 8·(cg_init_p + field_summary's 4 + 2n). BytesIn is the 17
 // fields' copyin, 17·68²·8. The host target must charge no traffic.
@@ -58,9 +58,9 @@ func TestDeviceAccounting(t *testing.T) {
 		iters int
 		st    Stats
 	}{
-		config.PrecondNone:     {21, Stats{Regions: 20 + 5*21, BytesIn: 628864, BytesOut: 8 * (5 + 2*21)}},
-		config.PrecondJacDiag:  {17, Stats{Regions: 22 + 5*17, BytesIn: 628864, BytesOut: 8 * (5 + 2*17)}},
-		config.PrecondJacBlock: {15, Stats{Regions: 21 + 7*15, BytesIn: 628864, BytesOut: 8 * (5 + 2*15)}},
+		config.PrecondNone:     {21, Stats{Regions: 28 + 7*21, BytesIn: 628864, BytesOut: 8 * (5 + 2*21)}},
+		config.PrecondJacDiag:  {17, Stats{Regions: 30 + 7*17, BytesIn: 628864, BytesOut: 8 * (5 + 2*17)}},
+		config.PrecondJacBlock: {15, Stats{Regions: 29 + 9*15, BytesIn: 628864, BytesOut: 8 * (5 + 2*15)}},
 	}
 	for pc, w := range want {
 		cfg.Preconditioner = pc

@@ -116,18 +116,6 @@ func (f *Field) SameShape(g *Field) bool {
 // TotalCells returns the number of allocated cells including the halo.
 func (f *Field) TotalCells() int { return len(f.Data) }
 
-// InteriorSum returns the sum of all interior cells. It is used by tests and
-// diagnostics, not by performance-critical kernels.
-func (f *Field) InteriorSum() float64 {
-	var s float64
-	for j := 0; j < f.Ny; j++ {
-		for _, v := range f.InteriorRow(j) {
-			s += v
-		}
-	}
-	return s
-}
-
 // MaxAbsDiff returns the largest absolute difference between interior cells
 // of f and g. The fields must have the same interior extent (halo depths may
 // differ).

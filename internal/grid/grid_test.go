@@ -192,14 +192,6 @@ func TestSubMeshProperty(t *testing.T) {
 	}
 }
 
-func TestInteriorSum(t *testing.T) {
-	f := New(3, 3)
-	f.Fill(2) // fills halo too
-	if got := f.InteriorSum(); got != 18 {
-		t.Errorf("InteriorSum = %g, want 18 (halo must not count)", got)
-	}
-}
-
 // TestRowAliasesData: Row and InteriorRow must be views, not copies, and
 // MaxAbsDiff must ignore halo contents.
 func TestMaxAbsDiffIgnoresHalo(t *testing.T) {

@@ -18,7 +18,13 @@
 // ParLoopRedDeferredRow take that form directly; ParLoop, ParLoopRed and
 // ParLoopRedDeferred take the per-point Kernel of the OPS user guide and wrap
 // it in an adapter that walks it along each segment, for kernels that are not
-// worth writing as a row.
+// worth writing as a row. TeaLeaf's OPS versions (internal/backends/opsport)
+// run the shared chunk recipe's bodies as row kernels, one loop per launch.
+//
+// A loop's stencils are the whole of its dependency declaration: the tiling
+// skew and the declaration-time bounds check derive from them, and a loop
+// whose stencil radius spans its block runs outside any chain. Access modes
+// are declared as in OPS, but nothing reads them at run time.
 package ops
 
 import (
@@ -100,25 +106,6 @@ type Stats struct {
 	Discards int64
 }
 
-// Add accumulates other into s (for aggregating per-rank contexts).
-func (s *Stats) Add(other Stats) {
-	s.LoopsEnqueued += other.LoopsEnqueued
-	s.LoopsExecuted += other.LoopsExecuted
-	s.Flushes += other.Flushes
-	s.Tiles += other.Tiles
-	s.Chains += other.Chains
-	s.ChainedLoops += other.ChainedLoops
-	s.MaxChainLen = max64(s.MaxChainLen, other.MaxChainLen)
-	s.Discards += other.Discards
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Context is one OPS instance: backend resources plus, when tiling, the
 // lazy loop queue.
 type Context struct {
@@ -189,15 +176,8 @@ func (ctx *Context) Close() {
 	}
 }
 
-// Backend reports the context's backend.
-func (ctx *Context) Backend() Backend { return ctx.opt.Backend }
-
 // Stats returns execution counters.
 func (ctx *Context) Stats() Stats { return ctx.stats }
-
-// Tiling reports whether the context defers loops for chained tiled
-// execution.
-func (ctx *Context) Tiling() bool { return ctx.opt.Tiling }
 
 // TileShape returns the tile extents in cells. Under TileAuto the values
 // are the defaults until the first multi-loop flush resolves them from the
@@ -222,9 +202,6 @@ func (ctx *Context) DeclBlock(name string, nx, ny int) *Block {
 	}
 	return &Block{ctx: ctx, name: name, nx: nx, ny: ny}
 }
-
-// Size returns the block extent.
-func (b *Block) Size() (nx, ny int) { return b.nx, b.ny }
 
 // Dat is a dataset on a block: one double per cell with a halo of ghost
 // cells. On the CUDA backend the working copy is device-resident and the
@@ -281,12 +258,6 @@ func (b *Block) DeclDats(depth int, names ...string) []*Dat {
 	return dats
 }
 
-// Name returns the dataset's name.
-func (d *Dat) Name() string { return d.name }
-
-// Depth returns the dataset's halo depth.
-func (d *Dat) Depth() int { return d.depth }
-
 // index is the flat offset of cell (i, j); interior cells are (0..nx-1,
 // 0..ny-1).
 func (d *Dat) index(i, j int) int { return (j+d.depth)*d.stride + (i + d.depth) }
@@ -315,8 +286,9 @@ func (d *Dat) Download() {
 	}
 }
 
-// raw returns the slice ParLoops operate on for this backend.
-func (d *Dat) raw() []float64 {
+// Data returns the working storage ParLoops operate on, row-major with the
+// halo: the device view on the CUDA backend, the host copy otherwise.
+func (d *Dat) Data() []float64 {
 	if d.dev != nil {
 		return d.dev.View()
 	}
@@ -343,9 +315,6 @@ func NewStencil(name string, pts ...[2]int) *Stencil {
 	return s
 }
 
-// Radius is the largest absolute offset of any point.
-func (s *Stencil) Radius() int { return s.radius }
-
 func abs(x int) int {
 	if x < 0 {
 		return -x
@@ -353,17 +322,11 @@ func abs(x int) int {
 	return x
 }
 
-// S2D00 is the point stencil; S2D5pt the five-point star both TeaLeaf
-// operators use; S2D00M10 / S2D00_0M1 the face-neighbour pairs used by the
-// coefficient kernels.
+// S2D00 is the point stencil; S2D5pt the five-point star of the TeaLeaf
+// operator.
 var (
-	S2D00     = NewStencil("00", [2]int{0, 0})
-	S2D5pt    = NewStencil("5pt", [2]int{0, 0}, [2]int{1, 0}, [2]int{-1, 0}, [2]int{0, 1}, [2]int{0, -1})
-	S2D00M10  = NewStencil("00:-10", [2]int{0, 0}, [2]int{-1, 0})
-	S2D00_0M1 = NewStencil("00:0-1", [2]int{0, 0}, [2]int{0, -1})
-	S2D00P10  = NewStencil("00:+10", [2]int{0, 0}, [2]int{1, 0})
-	S2D00_0P1 = NewStencil("00:0+1", [2]int{0, 0}, [2]int{0, 1})
-	S2DFace   = NewStencil("faces", [2]int{0, 0}, [2]int{1, 0}, [2]int{0, 1})
+	S2D00  = NewStencil("00", [2]int{0, 0})
+	S2D5pt = NewStencil("5pt", [2]int{0, 0}, [2]int{1, 0}, [2]int{-1, 0}, [2]int{0, 1}, [2]int{0, -1})
 )
 
 // AccessMode declares how a ParLoop argument is accessed.
@@ -377,19 +340,6 @@ const (
 	// RW declares read-modify-write access.
 	RW
 )
-
-func (m AccessMode) String() string {
-	switch m {
-	case Read:
-		return "READ"
-	case Write:
-		return "WRITE"
-	case RW:
-		return "RW"
-	default:
-		return fmt.Sprintf("AccessMode(%d)", int(m))
-	}
-}
 
 // Arg is one ParLoop argument: a dataset accessed through a stencil, or an
 // index argument that hands the kernel its iteration point.

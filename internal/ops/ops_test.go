@@ -251,6 +251,53 @@ func TestTilingStats(t *testing.T) {
 	}
 }
 
+// TestWholeRowLoopRunsEagerly: on a tiling context a loop whose stencil
+// spans the block (a running sum along each row, from the row's first cell)
+// flushes the chain queued before it and runs alone, so it never skews a
+// chain; loops after it queue a new chain as before.
+func TestWholeRowLoopRunsEagerly(t *testing.T) {
+	ctx := mustCtx(t, Options{Backend: BackendSerial, Tiling: true, TileX: 4, TileY: 4})
+	const nx, ny = 8, 6
+	b := ctx.DeclBlock("grid", nx, ny)
+	d, e := b.DeclDat("d", 2), b.DeclDat("e", 2)
+	all := Range{0, nx, 0, ny}
+	inc := func(a []*Acc, _ []float64, n int) {
+		r := a[0].Row(0, 0, n)
+		for k := range r {
+			r[k]++
+		}
+	}
+	ctx.ParLoopRow("inc", b, all, []Arg{ArgDat(d, S2D00, RW)}, inc)
+	ctx.ParLoopRow("inc", b, all, []Arg{ArgDat(d, S2D00, RW)}, inc)
+	if st := ctx.Stats(); st.LoopsExecuted != 0 {
+		t.Fatalf("pointwise loops ran before a flush: %+v", st)
+	}
+	row := NewStencil("row", [2]int{0, 0}, [2]int{nx - 1, 0})
+	ctx.ParLoopRow("scan", b, Range{0, 1, 0, ny}, []Arg{ArgDat(d, row, RW)}, func(a []*Acc, _ []float64, _ int) {
+		r := a[0].Row(0, 0, nx)
+		for i := 1; i < nx; i++ {
+			r[i] += r[i-1]
+		}
+	})
+	st := ctx.Stats()
+	if st.LoopsExecuted != 3 || st.Flushes != 2 || st.Chains != 1 {
+		t.Errorf("after the whole-row loop: %+v, want 3 loops executed in 2 flushes, one a chain", st)
+	}
+	ctx.ParLoopRow("copy", b, all, []Arg{ArgDat(d, S2D00, Read), ArgDat(e, S2D00, Write)},
+		func(a []*Acc, _ []float64, n int) { copy(a[1].Row(0, 0, n), a[0].Row(0, 0, n)) })
+	if got := ctx.Stats().LoopsExecuted; got != 3 {
+		t.Errorf("a pointwise loop after the whole-row loop ran at once (%d executed)", got)
+	}
+	ctx.Flush()
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			if got, want := e.At(i, j), float64(2*(i+1)); got != want {
+				t.Fatalf("e(%d,%d) = %g, want %g", i, j, got, want)
+			}
+		}
+	}
+}
+
 // TestCUDARejectsTiling documents the unsupported combination.
 func TestCUDARejectsTiling(t *testing.T) {
 	if _, err := NewContext(Options{Backend: BackendCUDA, Tiling: true}); err == nil {

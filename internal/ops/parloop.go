@@ -107,13 +107,23 @@ func (ctx *Context) ParLoopRow(name string, b *Block, r Range, args []Arg, rk Ro
 }
 
 // issue queues the loop on a tiling context and runs it at once on any other.
+// A loop whose stencil radius spans the block (a line solve reaching along a
+// whole row) would skew every later loop of its chain past the block, so it
+// runs outside any chain: the queue flushes, then the loop flushes alone.
 func (ctx *Context) issue(rec *loopRecord) {
 	ctx.stats.LoopsEnqueued++
-	if ctx.opt.Tiling {
-		ctx.queue = append(ctx.queue, rec)
+	if !ctx.opt.Tiling {
+		ctx.executeFull(rec)
 		return
 	}
-	ctx.executeFull(rec)
+	whole := rec.radius >= min(rec.block.nx, rec.block.ny)
+	if whole {
+		ctx.Flush()
+	}
+	ctx.queue = append(ctx.queue, rec)
+	if whole {
+		ctx.Flush()
+	}
 }
 
 // ParLoopRed executes a reducing kernel over the range and returns the nred
@@ -145,16 +155,16 @@ func (ctx *Context) executeFull(rec *loopRecord) {
 	}
 }
 
-// makeAccs builds the accessor set for one loop; tiled flushes reuse it
-// across every tile slice of the loop instead of reallocating per tile.
+// makeAccs builds the accessor set for one loop, in two allocations; tiled
+// flushes reuse it across every tile slice of the loop instead of
+// reallocating per tile.
 func makeAccs(rec *loopRecord) []*Acc {
-	accs := make([]*Acc, len(rec.args))
+	accs, vals := make([]*Acc, len(rec.args)), make([]Acc, len(rec.args))
 	for k, a := range rec.args {
-		if a.IsIdx {
-			accs[k] = &Acc{}
-			continue
+		if !a.IsIdx {
+			vals[k] = Acc{data: a.Dat.Data(), stride: a.Dat.stride}
 		}
-		accs[k] = &Acc{data: a.Dat.raw(), stride: a.Dat.stride}
+		accs[k] = &vals[k]
 	}
 	return accs
 }

@@ -212,52 +212,3 @@ func BenchmarkReduceSum(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkReduceSum2(b *testing.B) {
-	team := NewTeam(benchThreads)
-	defer team.Close()
-	data := make([]float64, 1<<14)
-	for i := range data {
-		data[i] = float64(i)
-	}
-	body := func(from, to int) (float64, float64) {
-		var s, q float64
-		for j := from; j < to; j++ {
-			s += data[j]
-			q += data[j] * data[j]
-		}
-		return s, q
-	}
-	b.ReportAllocs()
-	var sa, sb float64
-	for i := 0; i < b.N; i++ {
-		a, bb := team.ReduceSum2(0, len(data), body)
-		sa += a
-		sb += bb
-	}
-	_, _ = sa, sb
-}
-
-func BenchmarkReduceMax(b *testing.B) {
-	team := NewTeam(benchThreads)
-	defer team.Close()
-	data := make([]float64, 1<<14)
-	for i := range data {
-		data[i] = float64((i * 131) % 9973)
-	}
-	body := func(from, to int) float64 {
-		m := data[from]
-		for j := from + 1; j < to; j++ {
-			if data[j] > m {
-				m = data[j]
-			}
-		}
-		return m
-	}
-	b.ReportAllocs()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += team.ReduceMax(0, len(data), body)
-	}
-	_ = sink
-}

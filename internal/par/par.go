@@ -28,10 +28,10 @@
 // the SPMD runner wait the same way.
 //
 // Reduction partials live in cache-line-padded slots owned by the team and
-// indexed by share, so ReduceSum/ReduceSum2/ReduceMax allocate nothing per
-// call and stay deterministic for a fixed team size regardless of which
-// goroutine executes which share (see bench_test.go for measured dispatch
-// latency against the previous channel-per-worker runtime).
+// indexed by share, so ReduceSum allocates nothing per call and stays
+// deterministic for a fixed team size regardless of which goroutine executes
+// which share (see bench_test.go for measured dispatch latency against the
+// previous channel-per-worker runtime).
 //
 // Because shares are claimed rather than pinned to goroutines, loop bodies
 // must not synchronise with other shares of the same loop (OpenMP's
@@ -45,7 +45,6 @@
 package par
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 )
@@ -139,16 +138,14 @@ const (
 	opForDynamic
 	opForGuided
 	opReduceSum
-	opReduceSum2
-	opReduceMax
 	opExit
 )
 
 // rslot is one share's reduction slot, padded so adjacent shares never
 // write the same cache line.
 type rslot struct {
-	a, b float64
-	_    [cacheLinePad - 16]byte
+	a float64
+	_ [cacheLinePad - 8]byte
 }
 
 // Team is a persistent group of worker goroutines. The zero value is not
@@ -166,14 +163,13 @@ type Team struct {
 	// after a share claim, whose atomic cursor gives the happens-before
 	// edge, and the join keeps them stable until every claimed share is
 	// done.
-	op       atomic.Uint32 // holds a loopOp
-	lo, hi   int
-	chunk    int
-	align    int // share-boundary alignment in iterations (0/1: none)
-	bodyPar  func(thread int)
-	bodyFor  func(from, to int)
-	bodyRed  func(from, to int) float64
-	bodyRed2 func(from, to int) (float64, float64)
+	op      atomic.Uint32 // holds a loopOp
+	lo, hi  int
+	chunk   int
+	align   int // share-boundary alignment in iterations (0/1: none)
+	bodyPar func(thread int)
+	bodyFor func(from, to int)
+	bodyRed func(from, to int) float64
 
 	_        [cacheLinePad]byte
 	epoch    atomic.Uint64 // bumped once per fork; workers spin on it
@@ -377,20 +373,6 @@ func (t *Team) exec(share int) {
 			s = t.bodyRed(from, to)
 		}
 		t.slots[share].a = s
-	case opReduceSum2:
-		from, to := t.staticShare(share)
-		var a, b float64
-		if from < to {
-			a, b = t.bodyRed2(from, to)
-		}
-		t.slots[share].a, t.slots[share].b = a, b
-	case opReduceMax:
-		from, to := t.staticShare(share)
-		m := math.Inf(-1)
-		if from < to {
-			m = t.bodyRed(from, to)
-		}
-		t.slots[share].a = m
 	}
 }
 
@@ -402,7 +384,7 @@ func (t *Team) run() {
 	t.fork(int32(t.nthreads), false)
 	t.claimShares()
 	t.join()
-	t.bodyPar, t.bodyFor, t.bodyRed, t.bodyRed2 = nil, nil, nil, nil
+	t.bodyPar, t.bodyFor, t.bodyRed = nil, nil, nil
 	t.op.Store(uint32(opNone))
 }
 
@@ -523,49 +505,4 @@ func (t *Team) ReduceSum(lo, hi int, body func(from, to int) float64) float64 {
 		sum += t.slots[i].a
 	}
 	return sum
-}
-
-// ReduceSum2 is ReduceSum for two simultaneous accumulators, used by kernels
-// (field_summary, cg_init) that reduce several quantities in one sweep.
-func (t *Team) ReduceSum2(lo, hi int, body func(from, to int) (float64, float64)) (float64, float64) {
-	t.ensureOpen()
-	if hi-lo <= 0 {
-		return 0, 0
-	}
-	if t.nthreads == 1 {
-		return body(lo, hi)
-	}
-	t.lo, t.hi, t.bodyRed2 = lo, hi, body
-	t.op.Store(uint32(opReduceSum2))
-	t.run()
-	var a, b float64
-	for i := range t.slots {
-		a += t.slots[i].a
-		b += t.slots[i].b
-	}
-	return a, b
-}
-
-// ReduceMax executes body over [lo, hi) and returns the maximum of the
-// per-thread partial results. The identity is -Inf: threads whose static
-// share is empty contribute -Inf, and an empty [lo, hi) returns
-// math.Inf(-1) without invoking body.
-func (t *Team) ReduceMax(lo, hi int, body func(from, to int) float64) float64 {
-	t.ensureOpen()
-	if hi-lo <= 0 {
-		return math.Inf(-1)
-	}
-	if t.nthreads == 1 {
-		return body(lo, hi)
-	}
-	t.lo, t.hi, t.bodyRed = lo, hi, body
-	t.op.Store(uint32(opReduceMax))
-	t.run()
-	m := math.Inf(-1)
-	for i := range t.slots {
-		if t.slots[i].a > m {
-			m = t.slots[i].a
-		}
-	}
-	return m
 }

@@ -117,36 +117,6 @@ func TestForGuidedCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestReduceMaxEmptyRangeIsNegInf(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	got := team.ReduceMax(3, 3, func(int, int) float64 {
-		t.Fatal("body invoked on empty range")
-		return 0
-	})
-	if !math.IsInf(got, -1) {
-		t.Errorf("ReduceMax on empty range = %g, want -Inf", got)
-	}
-}
-
-func TestReduceMaxMoreThreadsThanWork(t *testing.T) {
-	// With 8 threads and 3 iterations most threads have empty static shares;
-	// their -Inf identity slots must not beat the real maxima.
-	team := NewTeam(8)
-	defer team.Close()
-	vals := []float64{-5, -2, -9}
-	got := team.ReduceMax(0, len(vals), func(from, to int) float64 {
-		m := math.Inf(-1)
-		for i := from; i < to; i++ {
-			m = math.Max(m, vals[i])
-		}
-		return m
-	})
-	if got != -2 {
-		t.Errorf("ReduceMax = %g, want -2", got)
-	}
-}
-
 func TestUseAfterClosePanics(t *testing.T) {
 	for name, use := range map[string]func(*Team){
 		"For":        func(tm *Team) { tm.For(0, 10, func(int, int) {}) },
@@ -154,8 +124,6 @@ func TestUseAfterClosePanics(t *testing.T) {
 		"ForGuided":  func(tm *Team) { tm.ForGuided(0, 10, 2, func(int, int) {}) },
 		"Parallel":   func(tm *Team) { tm.Parallel(func(int) {}) },
 		"ReduceSum":  func(tm *Team) { tm.ReduceSum(0, 10, func(int, int) float64 { return 0 }) },
-		"ReduceSum2": func(tm *Team) { tm.ReduceSum2(0, 10, func(int, int) (float64, float64) { return 0, 0 }) },
-		"ReduceMax":  func(tm *Team) { tm.ReduceMax(0, 10, func(int, int) float64 { return 0 }) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			team := NewTeam(3)
@@ -276,44 +244,6 @@ func TestReduceSumCorrectAndDeterministic(t *testing.T) {
 	}
 	if math.Abs(first-serialSum) > 1e-9 {
 		t.Errorf("parallel %v vs serial %v", first, serialSum)
-	}
-}
-
-func TestReduceSum2(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	a, b := team.ReduceSum2(0, 100, func(from, to int) (float64, float64) {
-		var x, y float64
-		for i := from; i < to; i++ {
-			x++
-			y += 2
-		}
-		return x, y
-	})
-	if a != 100 || b != 200 {
-		t.Errorf("ReduceSum2 = %g, %g", a, b)
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	team := NewTeam(6)
-	defer team.Close()
-	vals := make([]float64, 997)
-	for i := range vals {
-		vals[i] = float64((i * 7919) % 997)
-	}
-	vals[501] = 1e9
-	got := team.ReduceMax(0, len(vals), func(from, to int) float64 {
-		m := math.Inf(-1)
-		for i := from; i < to; i++ {
-			if vals[i] > m {
-				m = vals[i]
-			}
-		}
-		return m
-	})
-	if got != 1e9 {
-		t.Errorf("ReduceMax = %g", got)
 	}
 }
 

@@ -237,9 +237,8 @@ func StaticRangeAligned(lo, hi, thread, nthreads, align int) (int, int) {
 	return from, to
 }
 
-// SetShareAlign makes For/ReduceSum/ReduceSum2/ReduceMax static shares and
-// ForGuided claims land on multiples of align iterations (tile rows), via
-// StaticRangeAligned. 0 or 1 disables alignment. Like the loop methods it
+// SetShareAlign makes For/ReduceSum static shares and ForGuided claims land
+// on multiples of align iterations (tile rows), via StaticRangeAligned. 0 or 1 disables alignment. Like the loop methods it
 // must only be called by the team's driving goroutine while the team is
 // idle. Changing the alignment changes the share split and therefore the
 // (deterministic) reduction combine grouping; ports that need bitwise

@@ -283,8 +283,10 @@ func (s *Server) moveLocked(j *job, e edge, o *outcome, w *[]jwrite) *job {
 	if to.finished() {
 		s.retained = append(s.retained, j)
 	}
-	if from == phNone {
-		s.evictLocked(now) // every admission applies the retention bounds
+	if from == phNone || e == settle {
+		// Every admission and every solve that settles applies the
+		// retention bounds, so the store is in bounds whenever it is idle.
+		s.evictLocked(now)
 	}
 	if e != settle || j.flight == nil {
 		return nil

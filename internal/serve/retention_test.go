@@ -87,14 +87,38 @@ func TestRetentionNeverEvictsUnfinished(t *testing.T) {
 	if len(s.Jobs()) != 5 {
 		t.Fatalf("unfinished jobs evicted: %d of 5 left", len(s.Jobs()))
 	}
-	for _, id := range pending {
-		if st := waitJob(t, s, id); st.State != StateDone {
-			t.Fatalf("job %s ended %s", id, st.State)
-		}
+	// Once finished they are subject to the bound, and the settle that
+	// finishes one may evict another, so wait for the server, not the jobs.
+	waitIdle(t, s)
+	if got := s.met.completed.Value(); got != 5 {
+		t.Fatalf("%v of 5 jobs completed", got)
 	}
-	// Now that they are finished, listing trims down to the bound.
 	if got := len(s.Jobs()); got != 2 {
 		t.Errorf("store holds %d finished jobs, want RetainJobs=2", got)
+	}
+}
+
+// TestRetentionOnSettle: the bound holds as soon as the server is idle, not
+// only after the next admission or listing. Of three distinct solves through
+// RetainJobs=2, at most two can have finished by the last admission, so only
+// a settle edge can trim the store back to two.
+func TestRetentionOnSettle(t *testing.T) {
+	s, err := New(Options{QueueSize: 8, Workers: 1, RetainJobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := s.Submit(JobSpec{Deck: deck(32, i+1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitIdle(t, s)
+	s.mu.Lock()
+	kept := len(s.retained)
+	s.mu.Unlock()
+	if kept != 2 {
+		t.Errorf("idle store keeps %d finished jobs, RetainJobs is 2", kept)
 	}
 }
 
