@@ -67,15 +67,16 @@ chaos: fleet-chaos
 # fleet-chaos runs the multi-process suite under the race detector: the
 # supervised worker fleet (clean run, kill-9 migration drill, degraded
 # finish, drain-vs-migration race, silent-worker heartbeat catch), the
-# socket-transport bitwise-equivalence battery, the checkpoint lock stress
-# test, and the serve-layer fleet jobs (submission, migration, readiness
-# latch). The spawned worker processes are this same race-instrumented test
-# binary re-exec'd, so data races inside workers are caught too. -timeout
+# socket-transport bitwise-equivalence batteries of the manual-mpi and
+# ops-mpi rank sets, the checkpoint lock stress test, and the serve-layer
+# fleet jobs (submission, migration, readiness latch). The spawned worker
+# processes are this same race-instrumented test binary re-exec'd, so data
+# races inside workers are caught too. -timeout
 # bounds the wall clock: every test has its own liveness monitor, so a hang
 # is a bug, not a slow machine.
 fleet-chaos:
 	$(GO) test -race -timeout 10m ./internal/fleet/
-	$(GO) test -race -timeout 10m -run 'TestSocketTransportBitwiseEquivalence|TestConformanceSocket' ./internal/backends/mpi/
+	$(GO) test -race -timeout 10m -run 'TestSocketTransportBitwiseEquivalence|TestConformanceSocket|TestSocketRanksMatchInProcess' ./internal/backends/mpi/ ./internal/backends/opsport/
 	$(GO) test -race -timeout 10m -run 'TestConcurrentSaveLoadNeverTorn' ./internal/checkpoint/
 	$(GO) test -race -timeout 10m -run 'TestServeFleet|TestSubmitFleetValidation|TestHTTPDrainLivenessVsReadiness|TestHTTPReadyzFleetDegraded' ./internal/serve/
 

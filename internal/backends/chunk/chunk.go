@@ -6,7 +6,8 @@
 // caller's goroutine) under the serial, OpenMP, OpenACC and MPI ports, each
 // device port's own base API under CUDA, Kokkos and RAJA, and OPS ParLoops
 // over dats under the six OPS versions. Each port is a constructor, its
-// policy and its own host round trip (FetchField, RestoreField).
+// policy and its own host round trip (FetchField, RestoreField), except the
+// distributed versions, which share the rank layer (Rank, rank.go).
 //
 // Every launch declares its reach: the box of cells around a window point
 // that its body reads or writes. Only the OPS policy reads it, as the loop's
@@ -22,8 +23,8 @@
 // reads.
 //
 // Every reducing kernel makes exactly one Reduce per total it returns, and no
-// other kernel reduces, so a distributed policy (the MPI rank's) completes
-// each total across ranks inside Reduce.
+// other kernel reduces, so the rank layer completes each total across ranks
+// inside Reduce.
 package chunk
 
 import (
@@ -128,6 +129,7 @@ type Chunk[F any] struct {
 	precond config.Preconditioner
 	f       [numFields]F
 	argv    [6]F // the launch argument list, reused by every launch
+	mirror  [4]PointBody
 }
 
 // New creates a chunk on the policy; columns reports whether the layer's
@@ -219,6 +221,7 @@ func (c *Chunk[F]) Generate(m *grid.Mesh, states []config.State) error {
 	if c.columns {
 		c.line = rows
 	}
+	c.mirror = c.mirrors()
 	copy(c.f[:], c.pol.Alloc(len(c.f), rows, cols))
 	c.pol.For("generate_chunk", c.around(halo), c.args(density, energy0), func(a [][]float64, lo, hi int) {
 		o, x := lo/c.line-halo, lo%c.line-halo
@@ -291,8 +294,24 @@ func (c *Chunk[F]) HaloExchange(fields []driver.FieldID, depth int) {
 // with the sides that have no neighbour.
 func (c *Chunk[F]) Reflect(id driver.FieldID, depth int, s Sides) {
 	x0, x1, y0, y1, m := halo, halo+c.nx, halo, halo+c.ny, 2*depth-1
-	// Mirrors across the line b on either axis, over the flat distances
-	// between neighbouring rows (sj) and columns (si).
+	if s&Left != 0 {
+		c.pol.Points("update_halo_left", Window{y0, y1, x0 - depth, x0, Reach{0, 0, 0, m}}, c.args(id), c.mirror[0])
+	}
+	if s&Right != 0 {
+		c.pol.Points("update_halo_right", Window{y0, y1, x1, x1 + depth, Reach{0, 0, -m, 0}}, c.args(id), c.mirror[1])
+	}
+	if s&Down != 0 {
+		c.pol.Points("update_halo_bottom", Window{y0 - depth, y0, x0 - depth, x1 + depth, Reach{0, m, 0, 0}}, c.args(id), c.mirror[2])
+	}
+	if s&Up != 0 {
+		c.pol.Points("update_halo_top", Window{y1, y1 + depth, x0 - depth, x1 + depth, Reach{-m, 0, 0, 0}}, c.args(id), c.mirror[3])
+	}
+}
+
+// mirrors binds Reflect's bodies once per Generate, so an exchange allocates
+// none: per side (left, right, bottom, top), the mirror across its boundary
+// over the flat distances between rows (sj) and columns (si).
+func (c *Chunk[F]) mirrors() [4]PointBody {
 	sj, si := c.at(1, 0), c.at(0, 1)
 	acrossX := func(b int) PointBody {
 		return func(a [][]float64, j, i int) { a[0][j*sj+i*si] = a[0][j*sj+(2*b-1-i)*si] }
@@ -300,18 +319,7 @@ func (c *Chunk[F]) Reflect(id driver.FieldID, depth int, s Sides) {
 	acrossY := func(b int) PointBody {
 		return func(a [][]float64, j, i int) { a[0][j*sj+i*si] = a[0][(2*b-1-j)*sj+i*si] }
 	}
-	if s&Left != 0 {
-		c.pol.Points("update_halo_left", Window{y0, y1, x0 - depth, x0, Reach{0, 0, 0, m}}, c.args(id), acrossX(x0))
-	}
-	if s&Right != 0 {
-		c.pol.Points("update_halo_right", Window{y0, y1, x1, x1 + depth, Reach{0, 0, -m, 0}}, c.args(id), acrossX(x1))
-	}
-	if s&Down != 0 {
-		c.pol.Points("update_halo_bottom", Window{y0 - depth, y0, x0 - depth, x1 + depth, Reach{0, m, 0, 0}}, c.args(id), acrossY(y0))
-	}
-	if s&Up != 0 {
-		c.pol.Points("update_halo_top", Window{y1, y1 + depth, x0 - depth, x1 + depth, Reach{-m, 0, 0, 0}}, c.args(id), acrossY(y1))
-	}
+	return [4]PointBody{acrossX(halo), acrossX(halo + c.nx), acrossY(halo), acrossY(halo + c.ny)}
 }
 
 // SolveInit implements driver.Kernels.

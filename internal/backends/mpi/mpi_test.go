@@ -1,15 +1,11 @@
 package mpi
 
 import (
-	"math"
 	"testing"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/serial"
-	"github.com/warwick-hpsc/tealeaf-go/internal/backends/spmd"
-	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/driver"
-	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 	"github.com/warwick-hpsc/tealeaf-go/internal/solver"
 )
 
@@ -85,62 +81,5 @@ func TestSolversMatchSerial(t *testing.T) {
 				t.Errorf("%s totals diverge from serial by %g", kind, d)
 			}
 		})
-	}
-}
-
-// TestHaloExchangeValues directly checks exchanged halo contents between
-// two ranks against the neighbouring interior values.
-func TestHaloExchangeValues(t *testing.T) {
-	cfg := config.BenchmarkN(8)
-	var sets []*RankKernels
-	p, err := spmd.New("probe", comm.NewWorld(2), func(r *comm.Rank) (driver.Kernels, error) {
-		k := newRankKernels(r, 1)
-		sets = append(sets, k)
-		return k, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, cfg.NY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Generate(m, cfg.States); err != nil {
-		t.Fatal(err)
-	}
-	p.HaloExchange([]driver.FieldID{driver.FieldDensity}, 2)
-	// Collect each rank's view of the density along the rank boundary. The
-	// ranks are idle between calls, so their chunks can be read from here.
-	type probe struct {
-		interior, halo []float64
-	}
-	probes := map[int]probe{}
-	for _, rs := range sets {
-		var pr probe
-		density, nx := rs.Field(driver.FieldDensity), rs.chunk.NX
-		for j := 0; j < rs.chunk.NY; j++ {
-			if rs.chunk.Right >= 0 { // left rank: my right halo vs my interior edge
-				pr.interior = append(pr.interior, density.At(nx-1, j))
-				pr.halo = append(pr.halo, density.At(nx, j))
-			} else {
-				pr.interior = append(pr.interior, density.At(0, j))
-				pr.halo = append(pr.halo, density.At(-1, j))
-			}
-		}
-		probes[rs.rank.ID()] = pr
-	}
-	// Rank 0's right halo must equal rank 1's left interior column and vice
-	// versa.
-	for j := range probes[0].halo {
-		if got, want := probes[0].halo[j], probes[1].interior[j]; got != want {
-			t.Errorf("rank0 right halo row %d = %g, want rank1 interior %g", j, got, want)
-		}
-		if got, want := probes[1].halo[j], probes[0].interior[j]; got != want {
-			t.Errorf("rank1 left halo row %d = %g, want rank0 interior %g", j, got, want)
-		}
-	}
-	if math.IsNaN(probes[0].halo[0]) {
-		t.Error("halo contains NaN")
 	}
 }

@@ -6,11 +6,12 @@
 // parallelise its kernels over a thread team, giving the paper's
 // "OpenMP and MPI" version.
 //
-// The port is written once, as the rank-local RankKernels: the one chunk
-// recipe (internal/backends/chunk) over the rank's sub-mesh under the host
-// policy, each reduction allreduced, with its own strip halo exchange. In one
-// process the SPMD runner (internal/backends/spmd) drives one per rank, rank
-// 0 on the driver's own goroutine; a fleet runs one per OS process.
+// The port is written once, as the rank-local RankKernels: the rank layer
+// shared with the OPS MPI versions (chunk.Rank: the one chunk recipe over the
+// rank's sub-mesh, each reduction allreduced, strip halo exchange, gather)
+// under the host policy. In one process the SPMD runner
+// (internal/backends/spmd) drives one per rank, rank 0 on the driver's own
+// goroutine; a fleet runs one per OS process.
 package mpi
 
 import (
@@ -31,11 +32,7 @@ func New(ranks, threads int) *Port {
 	if ranks <= 0 {
 		panic(fmt.Sprintf("mpi: rank count must be positive, got %d", ranks))
 	}
-	name := "manual-mpi"
-	if threads > 1 {
-		name = "manual-mpi-omp"
-	}
-	return newPort(name, comm.NewWorld(ranks), threads)
+	return newPort(comm.NewWorld(ranks), threads, "")
 }
 
 // NewSocket creates the port on a loopback socket world: the same ranks and
@@ -52,16 +49,18 @@ func NewSocket(ranks, threads int, opt comm.SocketOptions) (*Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := "manual-mpi-socket"
-	if threads > 1 {
-		name = "manual-mpi-omp-socket"
-	}
-	return newPort(name, w, threads), nil
+	return newPort(w, threads, "-socket"), nil
 }
 
-func newPort(name string, w *comm.World, threads int) *Port {
+// newPort runs one RankKernels per rank of w, under the build's name and the
+// transport's suffix.
+func newPort(w *comm.World, threads int, transport string) *Port {
+	name := "manual-mpi"
+	if threads > 1 {
+		name += "-omp"
+	}
 	// Building a RankKernels cannot fail, so neither can the runner.
-	p, _ := spmd.New(name, w, func(r *comm.Rank) (driver.Kernels, error) {
+	p, _ := spmd.New(name+transport, w, func(r *comm.Rank) (driver.Kernels, error) {
 		return newRankKernels(r, threads), nil
 	})
 	return p

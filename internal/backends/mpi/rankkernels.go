@@ -11,8 +11,8 @@ import (
 )
 
 // tagFetchSlab carries the assembled global field from rank 0 back out to
-// the other ranks in RankKernels.FetchField. It extends the tagFetchMeta/
-// tagFetchData block in kernels.go.
+// the other ranks in RankKernels.FetchField: the first tag above the rank
+// layer's gather.
 const tagFetchSlab = 100002
 
 // RankKernels is the MPI port as a rank-local driver.Kernels: ONE rank's
@@ -24,11 +24,12 @@ const tagFetchSlab = 100002
 // scalars that are bitwise identical on all ranks. Either way the ranks
 // compute bit for bit the same thing.
 //
-// Every kernel but the ones below is rankState's: the chunk recipe's own,
-// with global reductions because the rank's policy (rankPolicy) allreduces
-// them.
+// Every kernel but Name, Close and FetchField's relay is the rank layer's
+// (chunk.Rank) under the host policy.
 type RankKernels struct {
-	rankState
+	*chunk.Rank[*grid.Field]
+	rank *comm.Rank
+	team *par.Team // nil for the pure-MPI build
 	// relay sends FetchField's gathered slab back out from rank 0: each
 	// fleet process needs its own copy, while in one process rank 0's is
 	// the result.
@@ -46,11 +47,11 @@ func NewRankKernels(r *comm.Rank, threads int) *RankKernels {
 }
 
 func newRankKernels(r *comm.Rank, threads int) *RankKernels {
-	k := &RankKernels{rankState: rankState{rank: r}}
+	k := &RankKernels{rank: r}
 	if threads > 1 {
 		k.team = par.NewTeam(threads)
 	}
-	k.Chunk = chunk.New[*grid.Field](rankPolicy{chunk.NewHost(k.team), r}, false)
+	k.Rank = chunk.NewRank[*grid.Field](chunk.NewHost(k.team), r)
 	return k
 }
 
@@ -66,7 +67,7 @@ func (k *RankKernels) Name() string {
 // wire path, so a corrupted gather cannot silently fork the ranks' recovery
 // points. Without relay the other ranks return nil.
 func (k *RankKernels) FetchField(id driver.FieldID) []float64 {
-	out := k.fetchField(id)
+	out := k.Rank.FetchField(id)
 	if !k.relay {
 		return out
 	}

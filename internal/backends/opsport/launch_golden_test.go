@@ -17,6 +17,7 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/ops"
 	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
+	"github.com/warwick-hpsc/tealeaf-go/internal/solver"
 )
 
 // deviceVersions builds each simulated-device version on a device of the
@@ -97,22 +98,32 @@ var launchGolden = map[string]simgpu.Stats{
 // a launch runs its blocks, or on how many threads, must not change which
 // launches a port makes, how many blocks each covers or what crosses the bus.
 // ops-cuda must match manual-cuda exactly: the same recipe under the OPS
-// policy makes one loop, and so one launch of the same grid, per launch.
+// policy makes one loop, and so one launch of the same grid, per launch. After
+// each deck one FetchField and one RestoreField cross the bus, and ops-cuda's
+// transfers must match manual-cuda's too.
 func TestDeviceLaunchGolden(t *testing.T) {
 	var missing []string
 	for deck, cfg := range launchDecks() {
 		for _, threads := range []int{1, 2} {
-			stats := map[string]simgpu.Stats{}
+			stats, trips := map[string]simgpu.Stats{}, map[string]simgpu.Stats{}
 			for version, build := range deviceVersions {
 				k, dev := build(threads)
 				if p := dev.Props().Parallelism; p != threads {
 					t.Fatalf("%s: device of %d threads, want %d", version, p, threads)
 				}
-				backendtest.Run(t, func() driver.Kernels { return k }, cfg)
+				if _, err := driver.Run(cfg, k, solver.New(solver.FromConfig(&cfg)), nil); err != nil {
+					t.Fatalf("%s: %v", version, err)
+				}
 				stats[version] = dev.Stats()
+				k.RestoreField(driver.FieldU, k.FetchField(driver.FieldU))
+				trips[version] = dev.Stats()
+				k.Close()
 			}
 			if got, want := stats["ops-cuda"], stats["manual-cuda"]; got != want {
 				t.Errorf("ops-cuda/%s on %d device threads: %+v, manual-cuda %+v", deck, threads, got, want)
+			}
+			if got, want := trips["ops-cuda"], trips["manual-cuda"]; got != want || got.BytesD2H == 0 || got.BytesH2D == 0 {
+				t.Errorf("ops-cuda/%s on %d device threads after a fetch and a restore: %+v, manual-cuda %+v", deck, threads, got, want)
 			}
 			for version, got := range stats {
 				key := version + "/" + deck

@@ -4,24 +4,21 @@ import (
 	"fmt"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
-	"github.com/warwick-hpsc/tealeaf-go/internal/comm"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 	"github.com/warwick-hpsc/tealeaf-go/internal/ops"
 )
 
 const halo = grid.DefaultHalo
 
-// policy is the OPS layer as a chunk.Policy over the rank's dats. Every For
-// and Points launch is one ParLoopRow, queued on a tiling context, and every
-// Reduce a deferred reducing ParLoopRow whose value is read at once, so a
-// chain queues up to each reduction; the rank's partial is then allreduced
-// with its peers' in rank order, so the recipe's reducing kernels return the
-// global value. A launch's Reach is its loop's stencil on every argument,
-// which the tiling skew and the bounds check are derived from. Arguments are
-// declared RW: nothing in ops reads an access mode at run time.
+// policy is the OPS layer as a chunk.RankPolicy over the rank's dats. Every
+// For and Points launch is one ParLoopRow, queued on a tiling context, and
+// every Reduce a deferred reducing ParLoopRow whose value is read at once, so
+// a chain queues up to each reduction. A launch's Reach is its loop's stencil
+// on every argument, which the tiling skew and the bounds check are derived
+// from. Arguments are declared RW: nothing in ops reads an access mode at run
+// time. The rank layer reaches a dat's host copy once the queue has flushed.
 type policy struct {
 	ctx      *ops.Context
-	rank     *comm.Rank
 	block    *ops.Block
 	stride   int
 	stencils map[chunk.Reach]*ops.Stencil
@@ -57,7 +54,7 @@ func (p *policy) Reduce(name string, win chunk.Window, args []*ops.Dat, body chu
 		lo := p.at(acc[0])
 		red[0] = body(a, lo, lo+n, red[0])
 	})
-	return p.rank.AllreduceSum(red.Value())
+	return red.Value()
 }
 
 // Points implements chunk.Policy: a row loop calling body at each point of
@@ -71,6 +68,13 @@ func (p *policy) Points(name string, win chunk.Window, args []*ops.Dat, body chu
 		}
 	})
 }
+
+// Host, Land and Publish implement chunk.RankPolicy: the dat's host copy,
+// refreshed from the device and uploaded back on the CUDA backend, and a
+// flush of the queued loops.
+func (p *policy) Host(d *ops.Dat) []float64 { d.Download(); return d.Host() }
+func (p *policy) Land()                     { p.ctx.Flush() }
+func (p *policy) Publish(d *ops.Dat)        { d.Upload() }
 
 // loop declares a launch: its range in block coordinates, an index argument
 // (which seats each segment) followed by every dat through the stencil of

@@ -1,8 +1,9 @@
 // Package spmd runs a world of rank-local kernel sets in lockstep inside one
 // process: the in-process form of every MPI-style version. A rank-local set
 // is a driver.Kernels over one rank's chunk that owns its *comm.Rank and
-// does its own collectives (mpi.RankKernels, opsport's rankState), so the
-// same set runs one to an OS process in a fleet or N to a process here.
+// does its own collectives (the rank layer chunk.Rank, under
+// mpi.RankKernels and opsport's rankState), so the same set runs one to an
+// OS process in a fleet or N to a process here.
 //
 // A Runner is itself a driver.Kernels, a driver.Forwarder whose intercept
 // runs each call on rank 0's set on the calling goroutine and hands a copy

@@ -668,13 +668,6 @@ func (r *Rank) RecvInto(src, tag int, dst []float64) int {
 	return n
 }
 
-// Sendrecv sends to dst and receives from src in one operation, the
-// deadlock-free exchange primitive halo swaps are built on.
-func (r *Rank) Sendrecv(dst, sendTag int, sendData []float64, src, recvTag int) []float64 {
-	r.Send(dst, sendTag, sendData)
-	return r.Recv(src, recvTag)
-}
-
 // Barrier blocks until every rank in the world has entered it.
 func (r *Rank) Barrier() {
 	if r.world.dist {
@@ -846,20 +839,9 @@ func (r *Rank) Allreduce(x float64, op Op) float64 {
 // AllreduceSum is Allreduce with OpSum.
 func (r *Rank) AllreduceSum(x float64) float64 { return r.Allreduce(x, OpSum) }
 
-// AllreduceVec element-wise sums a small vector across ranks; every rank
-// receives the combined vector. All ranks must pass slices of equal length.
-// It is used where TeaLeaf reduces several scalars in one MPI_Allreduce
-// (e.g. the field summary's five quantities).
-func (r *Rank) AllreduceVec(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	r.AllreduceVecInPlace(out)
-	return out
-}
-
-// AllreduceVecInPlace is AllreduceVec writing the combined vector back into
-// xs, for callers that keep a reusable scratch vector and need the
-// reduction to be allocation-free.
+// AllreduceVecInPlace element-wise sums a small vector across ranks and
+// writes the combined vector back into xs on every rank, allocating nothing.
+// All ranks must pass slices of equal length.
 func (r *Rank) AllreduceVecInPlace(xs []float64) {
 	// Serialise vector reductions through the scratch area by staging each
 	// element in turn; vectors here are tiny (<=8 elements).

@@ -18,7 +18,8 @@ func TestChecksumCleanPath(t *testing.T) {
 		data := []float64{1, 2, 3, float64(r.ID())}
 		next := (r.ID() + 1) % r.Size()
 		prev := (r.ID() + r.Size() - 1) % r.Size()
-		got := r.Sendrecv(next, 7, data, prev, 7)
+		r.Send(next, 7, data)
+		got := r.Recv(prev, 7)
 		if len(got) != 4 || got[3] != float64(prev) {
 			t.Errorf("rank %d: bad payload %v", r.ID(), got)
 		}

@@ -262,9 +262,9 @@ func (b *Block) DeclDats(depth int, names ...string) []*Dat {
 // 0..ny-1).
 func (d *Dat) index(i, j int) int { return (j+d.depth)*d.stride + (i + d.depth) }
 
-// At reads cell (i, j) from the host copy. On the CUDA backend call
-// Download first.
-func (d *Dat) At(i, j int) float64 { return d.data[d.index(i, j)] }
+// Host returns the host copy, row-major with the halo. On the CUDA backend
+// call Download first to refresh it and Upload to publish writes to it.
+func (d *Dat) Host() []float64 { return d.data }
 
 // Set writes cell (i, j) on the host copy. On the CUDA backend call Upload
 // to publish host writes.

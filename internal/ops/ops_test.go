@@ -31,7 +31,7 @@ func TestParLoopWritesRange(t *testing.T) {
 			if i >= -1 && i < 9 && j >= -1 && j < 7 {
 				want = 42
 			}
-			if got := d.At(i, j); got != want {
+			if got := at(d, i, j); got != want {
 				t.Fatalf("d(%d,%d) = %g, want %g", i, j, got, want)
 			}
 		}
@@ -56,7 +56,7 @@ func TestStencilAccess(t *testing.T) {
 	// Interior of a linear field: Laplacian is zero.
 	for j := 0; j < 5; j++ {
 		for i := 0; i < 5; i++ {
-			if got := dst.At(i, j); got != 0 {
+			if got := at(dst, i, j); got != 0 {
 				t.Fatalf("laplacian(%d,%d) = %g, want 0", i, j, got)
 			}
 		}
@@ -122,7 +122,7 @@ func chainOnContext(ctx *Context, nx, ny, sweeps int) []float64 {
 	out := make([]float64, 0, nx*ny)
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
-			out = append(out, acc.At(i, j))
+			out = append(out, at(acc, i, j))
 		}
 	}
 	return out
@@ -215,7 +215,7 @@ func TestTilingPropertyRandomChains(t *testing.T) {
 		out := make([]float64, 0, 2*nx*ny)
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
-				out = append(out, d1.At(i, j), d2.At(i, j))
+				out = append(out, at(d1, i, j), at(d2, i, j))
 			}
 		}
 		return out
@@ -291,7 +291,7 @@ func TestWholeRowLoopRunsEagerly(t *testing.T) {
 	ctx.Flush()
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
-			if got, want := e.At(i, j), float64(2*(i+1)); got != want {
+			if got, want := at(e, i, j), float64(2*(i+1)); got != want {
 				t.Fatalf("e(%d,%d) = %g, want %g", i, j, got, want)
 			}
 		}
@@ -352,7 +352,7 @@ func TestArgIdx(t *testing.T) {
 			d.Download()
 			for j := -1; j < 6; j++ {
 				for i := -2; i < 8; i++ {
-					if got := d.At(i, j); got != float64(100*i+j) {
+					if got := at(d, i, j); got != float64(100*i+j) {
 						t.Fatalf("cell (%d,%d) = %g, want %d", i, j, got, 100*i+j)
 					}
 				}
@@ -373,7 +373,7 @@ func TestArgIdxTiled(t *testing.T) {
 	ctx.Flush()
 	for j := 0; j < 10; j++ {
 		for i := 0; i < 10; i++ {
-			if got := d.At(i, j); got != float64(i*10+j) {
+			if got := at(d, i, j); got != float64(i*10+j) {
 				t.Fatalf("tiled cell (%d,%d) = %g", i, j, got)
 			}
 		}
@@ -475,7 +475,7 @@ func TestDeferredReductionMatchesEager(t *testing.T) {
 		out := make([]float64, 0, nx*ny)
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
-				out = append(out, v.At(i, j))
+				out = append(out, at(v, i, j))
 			}
 		}
 		return val, out
@@ -532,7 +532,7 @@ func TestDeferredReductionDiscard(t *testing.T) {
 	ctx.ParLoop("fill", b, Range{0, 8, 0, 8}, []Arg{ArgDat(d, S2D00, Write)},
 		func(a []*Acc, _ []float64) { a[0].Set(0, 0, 1) })
 	ctx.Flush()
-	if got := d.At(3, 3); got != 1 {
+	if got := at(d, 3, 3); got != 1 {
 		t.Errorf("post-discard loop did not run: d(3,3) = %g", got)
 	}
 }
@@ -603,7 +603,7 @@ func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
 		ctx.Flush()
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
-				out = append(out, d1.At(i, j), d2.At(i, j))
+				out = append(out, at(d1, i, j), at(d2, i, j))
 			}
 		}
 		return out
@@ -735,7 +735,7 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 		d2.Download()
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
-				out = append(out, d1.At(i, j), d2.At(i, j))
+				out = append(out, at(d1, i, j), at(d2, i, j))
 			}
 		}
 		return out
@@ -771,3 +771,6 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 		})
 	}
 }
+
+// at reads cell (i, j) of a dat's host copy.
+func at(d *Dat, i, j int) float64 { return d.Host()[d.index(i, j)] }
