@@ -149,17 +149,18 @@ func (rk *Rank[F]) phase(id driver.FieldID, alongY bool, depth int) {
 // covers, so corners carry the diagonal neighbours' cells.
 func (rk *Rank[F]) strip(data []float64, alongY bool, k, depth int, buf []float64, out bool) []float64 {
 	stride := rk.part.NX + 2*halo
-	i0, j0, w, h := k, 0, depth, rk.part.NY
+	at, w, h := halo*stride+halo+k, depth, rk.part.NY
 	if alongY {
-		i0, j0, w, h = -depth, k, rk.part.NX+2*depth, depth
+		at, w, h = (halo+k)*stride+halo-depth, rk.part.NX+2*depth, depth
 	}
 	buf = buf[:w*h]
-	for r := 0; r < h; r++ {
-		row := data[(j0+r+halo)*stride+i0+halo:][:w]
-		if out {
-			copy(buf[r*w:], row)
-		} else {
-			copy(row, buf[r*w:])
+	for n := 0; n < len(buf); n, at = n+w, at+stride {
+		for i := 0; i < w; i++ { // an x strip row is depth cells: a copy call per row costs more
+			if out {
+				buf[n+i] = data[at+i]
+			} else {
+				data[at+i] = buf[n+i]
+			}
 		}
 	}
 	return buf
@@ -170,23 +171,23 @@ func (rk *Rank[F]) strip(data []float64, alongY bool, k, depth int, buf []float6
 func (rk *Rank[F]) FetchField(id driver.FieldID) []float64 {
 	rk.pol.Land()
 	ch := rk.part
-	local := rk.Interior(rk.pol.Host(rk.Field(id)))
+	meta := []float64{float64(ch.X0), float64(ch.Y0), float64(ch.NX), float64(ch.NY)}
+	data := rk.Interior(rk.pol.Host(rk.Field(id)))
 	if rk.rank.ID() != 0 {
-		rk.rank.Send(0, tagFetchMeta, []float64{float64(ch.X0), float64(ch.Y0), float64(ch.NX), float64(ch.NY)})
-		rk.rank.Send(0, tagFetchData, local)
+		rk.rank.Send(0, tagFetchMeta, meta)
+		rk.rank.Send(0, tagFetchData, data)
 		return nil
 	}
 	out := make([]float64, rk.gnx*rk.gny)
-	place := func(x0, y0, nx, ny int, data []float64) {
+	for r := 0; r < rk.rank.Size(); r++ {
+		if r > 0 {
+			meta = rk.rank.Recv(r, tagFetchMeta)
+			data = rk.rank.Recv(r, tagFetchData)
+		}
+		x0, y0, nx, ny := int(meta[0]), int(meta[1]), int(meta[2]), int(meta[3])
 		for j := 0; j < ny; j++ {
 			copy(out[(y0+j)*rk.gnx+x0:][:nx], data[j*nx:(j+1)*nx])
 		}
-	}
-	place(ch.X0, ch.Y0, ch.NX, ch.NY, local)
-	for r := 1; r < rk.rank.Size(); r++ {
-		meta := rk.rank.Recv(r, tagFetchMeta)
-		data := rk.rank.Recv(r, tagFetchData)
-		place(int(meta[0]), int(meta[1]), int(meta[2]), int(meta[3]), data)
 	}
 	return out
 }
