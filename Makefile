@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race soak chaos fleet-chaos serve-crash fuzz bench-par bench-cg bench-sdc bench-serve bench-tiling bench-portability docs-lint bench
+.PHONY: build test cross race soak chaos fleet-chaos serve-crash fuzz bench-kern bench-par bench-cg bench-sdc bench-serve bench-tiling bench-portability docs-lint bench
 
 build:
 	$(GO) build ./...
@@ -11,13 +11,22 @@ build:
 test: build
 	$(GO) test ./...
 
+# cross builds and vets everything for arm64, where internal/kern has no
+# assembly and every row body is its Go reference, so that path keeps
+# compiling and vetting; on amd64 `go vet ./...` checks kern_amd64.s against
+# its Go declarations (asmdecl).
+cross:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
+
 # race runs the parallel-runtime, message-passing-runtime, row-kernel,
 # framework-layer and port suites under the race detector — the shared-memory
 # barrier in internal/par, the pooled payload buffers in internal/comm, the
 # kern row bodies, the layers that hand rows out (simgpu blocks, Kokkos team
 # and RAJA row policies, the OPS loop engine: their segment-vs-point
 # equivalence tests run on a multi-thread team and a multi-worker device),
-# and every consumer of them (internal/backends/chunk runs every body on
+# and every consumer of them (race builds leave out kern's SSE2 bodies, whose
+# loads and stores the detector cannot see, so every row access goes through
+# the Go references; internal/backends/chunk runs every body on
 # a multi-thread team; internal/backends/spmd, the in-process SPMD runner,
 # hands each call from the caller's goroutine to the other ranks'), plus the
 # solver and driver that dispatch into the ports.
@@ -94,15 +103,22 @@ serve-crash:
 	$(GO) test -race -count=1 ./internal/serve/journal/
 
 # fuzz exercises the deck parser, the comm fault-spec parser, the chaos
-# schedule parser, the journal frame decoder and the checkpoint decoder
-# against their checked-in corpora plus 30s each of new coverage-guided
-# inputs.
+# schedule parser, the journal frame decoder, the checkpoint decoder and the
+# kern row bodies' SSE2 paths against their Go references, on their
+# checked-in corpora plus 30s each of new coverage-guided inputs.
 fuzz:
 	$(GO) test -fuzz FuzzParseReader -fuzztime 30s ./internal/config/
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 30s ./internal/comm/
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 30s ./internal/chaos/
 	$(GO) test -fuzz FuzzReplay -fuzztime 30s ./internal/serve/journal/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/checkpoint/
+	$(GO) test -fuzz FuzzRowBodies -fuzztime 30s ./internal/kern/
+
+# bench-kern times each kern row body that has an SSE2 path against its Go
+# reference in the same run, at 130- and 1028-wide padded rows, in the
+# kernel table's bytes per sweep; see EXPERIMENTS.md for a captured table.
+bench-kern:
+	$(GO) test -run '^$$' -bench BenchmarkRowBodies ./internal/kern/
 
 # bench-par measures the fork-join runtime itself: dispatch latency (epoch
 # barrier vs the legacy channel-per-worker path), the 256² cg_calc_w-shaped

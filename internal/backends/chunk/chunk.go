@@ -440,8 +440,7 @@ func (c *Chunk[F]) CGInitP(precond bool) float64 {
 func (c *Chunk[F]) CGCalcW() float64 {
 	args := c.args(p, w, c.kAlong, c.kAcross)
 	return c.pol.Reduce("cg_calc_w", c.stencil(opReach), args, func(a [][]float64, lo, hi int, acc float64) float64 {
-		c.operator(a, lo, hi, 1, 0)
-		return kern.DotAcc(acc, a[0][lo:hi], a[1][lo:hi])
+		return kern.OperatorDotAt(acc, a[1], a[0], a[2], a[3], c.line, lo, hi)
 	})
 }
 
@@ -460,14 +459,11 @@ func (c *Chunk[F]) CGCalcUR(alpha float64, precond bool) float64 {
 		return c.DotRZ()
 	}
 	return c.reduce("cg_calc_ur", c.args(u, p, r, w, mi, z), func(a [][]float64, lo, hi int, acc float64) float64 {
-		r := a[2][lo:hi]
-		kern.UpdateUR(a[0][lo:hi], a[1][lo:hi], r, a[3][lo:hi], alpha)
+		u, p, r, w := a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], a[3][lo:hi]
 		if !precond {
-			return kern.DotAcc(acc, r, r)
+			return kern.UpdateURDot(acc, u, p, r, w, alpha)
 		}
-		z := a[5][lo:hi]
-		kern.Mul(z, a[4][lo:hi], r)
-		return kern.DotAcc(acc, r, z)
+		return kern.UpdateURZDot(acc, u, p, r, w, a[4][lo:hi], a[5][lo:hi], alpha)
 	})
 }
 

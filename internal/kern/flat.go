@@ -17,6 +17,13 @@ func OperatorAt(dst, src, kx, ky []float64, stride, lo, hi int) {
 		win(kx, lo, hi), win(ky, lo, hi), win(ky, lo+stride, hi+stride), 1, hi-lo)
 }
 
+// OperatorDotAt is OperatorDotRow on cells [lo, hi): dst = A src, returning
+// acc plus src·dst.
+func OperatorDotAt(acc float64, dst, src, kx, ky []float64, stride, lo, hi int) float64 {
+	return OperatorDotRow(acc, win(dst, lo, hi), win(src, lo, hi), win(src, lo+stride, hi+stride), win(src, lo-stride, hi-stride),
+		win(kx, lo, hi), win(ky, lo, hi), win(ky, lo+stride, hi+stride), 1, hi-lo)
+}
+
 // JacobiAt is JacobiRow on cells [lo, hi).
 func JacobiAt(acc float64, u, un, u0, kx, ky []float64, stride, lo, hi int) float64 {
 	return JacobiRow(acc, win(u, lo, hi), win(un, lo, hi), win(un, lo+stride, hi+stride), win(un, lo-stride, hi-stride),

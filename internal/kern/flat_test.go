@@ -37,6 +37,12 @@ func TestAtFormsMatchRowBodies(t *testing.T) {
 			OperatorAt(a[0], a[1], a[2], a[3], stride, lo, hi)
 			OperatorRow(row(b[0], 1), row(b[1], 1), row(b[1], 2), row(b[1], 0), row(b[2], 1), row(b[3], 1), row(b[3], 2), at, n)
 
+			gotW := OperatorDotAt(0.375, a[0], a[1], a[2], a[3], stride, lo, hi)
+			wantW := OperatorDotRow(0.375, row(b[0], 1), row(b[1], 1), row(b[1], 2), row(b[1], 0), row(b[2], 1), row(b[3], 1), row(b[3], 2), at, n)
+			if gotW != wantW {
+				t.Errorf("nx=%d run %v: OperatorDotAt accumulator %x, OperatorDotRow %x", nx, run, gotW, wantW)
+			}
+
 			gotJ := JacobiAt(0.375, a[4], a[1], a[5], a[2], a[3], stride, lo, hi)
 			wantJ := JacobiRow(0.375, row(b[4], 1), row(b[1], 1), row(b[1], 2), row(b[1], 0), row(b[5], 1),
 				row(b[2], 1), row(b[3], 1), row(b[3], 2), at, n)

@@ -1,15 +1,29 @@
 // Package kern holds the per-row kernel bodies of the TeaLeaf operations,
-// each written once: the one chunk recipe behind the manual, Kokkos and RAJA
-// versions (internal/backends/chunk, through the At forms in flat.go) and the
-// OPS port's row kernels call them on row slices of their fields. The stencil, dot and
-// u/r bodies are 4-wide unrolled loops over exact-length shifted sub-slices;
-// every body re-slices its operands to a common length up front, which lets
-// the compiler prove all indexing in bounds and drop the per-element checks.
+// each written once: the one chunk recipe behind every version
+// (internal/backends/chunk, through the At forms in flat.go) calls them on
+// row segments of its fields. The stencil, dot and u/r bodies are 4-wide
+// unrolled loops over exact-length shifted sub-slices; every body re-slices
+// its operands to a common length up front, which lets the compiler prove all
+// indexing in bounds and drop the per-element checks.
 //
 // Reductions thread a single sequential accumulator through the row
 // (acc += t0; acc += t1; ...), never a widened partial, so summation
 // order — and therefore the floating-point result — is bitwise identical to
 // the rolled loops the serial golden baselines pin.
+//
+// The CG hot path has SSE2 bodies on amd64 (kern_amd64.s, the GOAMD64=v1
+// baseline, so there is no CPU detection): OperatorRow and OperatorDotRow,
+// UpdateUR, UpdateURDot and UpdateURZDot, and XPBY. Each does the
+// even-length prefix of its row a pair of cells at a time and its Go
+// reference loop finishes the odd cell. Every lane does the Go body's IEEE
+// operations in the Go body's order, with no fused multiply-add; the
+// operator's diagonal, for one, is (((1+kx1)+kx0)+ky1)+ky0. A fused
+// reduction adds each pair's two products to the one accumulator low lane
+// first, then high, which is the Go body's left-to-right order. So the two
+// paths agree bit for bit wherever the result is not a NaN (an SSE NaN's
+// payload depends on operand order). Builds for other architectures, and race
+// builds, whose detector cannot see loads and stores made in assembly, run
+// the Go reference on every cell.
 package kern
 
 // OperatorRow evaluates one interior row of dst = A src for the matrix-free
@@ -17,6 +31,12 @@ package kern
 // (src row j, j+1, j-1; kx row j; ky rows j, j+1), d is the halo depth and
 // nx the interior width.
 func OperatorRow(dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) {
+	i := operatorSIMD(dst, sr, su, sd, kx, ky, kyu, d, nx)
+	operatorGo(i, dst, sr, su, sd, kx, ky, kyu, d, nx)
+}
+
+// operatorGo is OperatorRow's Go reference on interior cells [i0, nx).
+func operatorGo(i0 int, dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) {
 	if nx <= 0 {
 		return
 	}
@@ -31,7 +51,7 @@ func OperatorRow(dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) {
 	kx1 := kx[d+1 : d+1+nx]
 	ky0 := ky[d : d+nx]
 	ky1 := kyu[d : d+nx]
-	i := 0
+	i := i0
 	for ; i+4 <= nx; i += 4 {
 		dc[i] = (1+kx1[i]+kx0[i]+ky1[i]+ky0[i])*sc[i] -
 			(kx1[i]*srr[i] + kx0[i]*sl[i]) - (ky1[i]*uc[i] + ky0[i]*dnc[i])
@@ -46,6 +66,49 @@ func OperatorRow(dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) {
 		dc[i] = (1+kx1[i]+kx0[i]+ky1[i]+ky0[i])*sc[i] -
 			(kx1[i]*srr[i] + kx0[i]*sl[i]) - (ky1[i]*uc[i] + ky0[i]*dnc[i])
 	}
+}
+
+// OperatorDotRow is OperatorRow fused with cg_calc_w's reduction: it sets
+// dst = A src on the row and accumulates src·dst onto acc cell by cell, left
+// to right, returning the new accumulator. The result is OperatorRow followed
+// by DotAcc(acc, src, dst) on the row's interior, bit for bit.
+func OperatorDotRow(acc float64, dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) float64 {
+	i, acc := operatorDotSIMD(acc, dst, sr, su, sd, kx, ky, kyu, d, nx)
+	return operatorDotGo(i, acc, dst, sr, su, sd, kx, ky, kyu, d, nx)
+}
+
+// operatorDotGo is OperatorDotRow's Go reference on interior cells [i0, nx).
+func operatorDotGo(i0 int, acc float64, dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) float64 {
+	if nx <= 0 {
+		return acc
+	}
+	dc := dst[d : d+nx]
+	sl := sr[d-1 : d-1+nx]
+	sc := sr[d : d+nx]
+	srr := sr[d+1 : d+1+nx]
+	uc := su[d : d+nx]
+	dnc := sd[d : d+nx]
+	kx0 := kx[d : d+nx]
+	kx1 := kx[d+1 : d+1+nx]
+	ky0 := ky[d : d+nx]
+	ky1 := kyu[d : d+nx]
+	cell := func(i int) float64 {
+		v := (1+kx1[i]+kx0[i]+ky1[i]+ky0[i])*sc[i] -
+			(kx1[i]*srr[i] + kx0[i]*sl[i]) - (ky1[i]*uc[i] + ky0[i]*dnc[i])
+		dc[i] = v
+		return sc[i] * v
+	}
+	i := i0
+	for ; i+4 <= nx; i += 4 {
+		acc += cell(i)
+		acc += cell(i + 1)
+		acc += cell(i + 2)
+		acc += cell(i + 3)
+	}
+	for ; i < nx; i++ {
+		acc += cell(i)
+	}
+	return acc
 }
 
 // DotAcc accumulates a·b onto acc element by element and returns the new
@@ -73,9 +136,15 @@ func DotAcc(acc float64, a, b []float64) float64 {
 // UpdateUR applies the CG solution/residual update u += alpha*p, r -= alpha*w
 // over one interior row (all slices pre-offset to the interior, same length).
 func UpdateUR(u, p, r, w []float64, alpha float64) {
+	i := updateURSIMD(u, p, r, w, alpha)
+	updateURGo(i, u, p, r, w, alpha)
+}
+
+// updateURGo is UpdateUR's Go reference on cells [i0, len(u)).
+func updateURGo(i0 int, u, p, r, w []float64, alpha float64) {
 	n := len(u)
 	p, r, w = p[:n], r[:n], w[:n]
-	i := 0
+	i := i0
 	for ; i+4 <= n; i += 4 {
 		u[i] += alpha * p[i]
 		u[i+1] += alpha * p[i+1]
@@ -90,6 +159,69 @@ func UpdateUR(u, p, r, w []float64, alpha float64) {
 		u[i] += alpha * p[i]
 		r[i] -= alpha * w[i]
 	}
+}
+
+// UpdateURDot is UpdateUR fused with unpreconditioned cg_calc_ur's
+// reduction: it accumulates the updated r·r onto acc cell by cell, left to
+// right, and returns the new accumulator. The result is UpdateUR followed by
+// DotAcc(acc, r, r), bit for bit.
+func UpdateURDot(acc float64, u, p, r, w []float64, alpha float64) float64 {
+	i, acc := updateURDotSIMD(acc, u, p, r, w, alpha)
+	return updateURDotGo(i, acc, u, p, r, w, alpha)
+}
+
+// updateURDotGo is UpdateURDot's Go reference on cells [i0, len(u)).
+func updateURDotGo(i0 int, acc float64, u, p, r, w []float64, alpha float64) float64 {
+	n := len(u)
+	p, r, w = p[:n], r[:n], w[:n]
+	cell := func(i int) float64 {
+		u[i] += alpha * p[i]
+		r[i] -= alpha * w[i]
+		return r[i] * r[i]
+	}
+	i := i0
+	for ; i+4 <= n; i += 4 {
+		acc += cell(i)
+		acc += cell(i + 1)
+		acc += cell(i + 2)
+		acc += cell(i + 3)
+	}
+	for ; i < n; i++ {
+		acc += cell(i)
+	}
+	return acc
+}
+
+// UpdateURZDot is UpdateUR fused with the jac_diag preconditioner and
+// cg_calc_ur's reduction: after the update it sets z = mi*r and accumulates
+// r·z onto acc cell by cell, left to right, returning the new accumulator.
+// The result is UpdateUR, Mul(z, mi, r), then DotAcc(acc, r, z), bit for bit.
+func UpdateURZDot(acc float64, u, p, r, w, mi, z []float64, alpha float64) float64 {
+	i, acc := updateURZDotSIMD(acc, u, p, r, w, mi, z, alpha)
+	return updateURZDotGo(i, acc, u, p, r, w, mi, z, alpha)
+}
+
+// updateURZDotGo is UpdateURZDot's Go reference on cells [i0, len(u)).
+func updateURZDotGo(i0 int, acc float64, u, p, r, w, mi, z []float64, alpha float64) float64 {
+	n := len(u)
+	p, r, w, mi, z = p[:n], r[:n], w[:n], mi[:n], z[:n]
+	cell := func(i int) float64 {
+		u[i] += alpha * p[i]
+		r[i] -= alpha * w[i]
+		z[i] = mi[i] * r[i]
+		return r[i] * z[i]
+	}
+	i := i0
+	for ; i+4 <= n; i += 4 {
+		acc += cell(i)
+		acc += cell(i + 1)
+		acc += cell(i + 2)
+		acc += cell(i + 3)
+	}
+	for ; i < n; i++ {
+		acc += cell(i)
+	}
+	return acc
 }
 
 // JacobiRow runs one interior row of the Jacobi sweep
@@ -182,8 +314,14 @@ func CopyDot(acc float64, p, src, r []float64) float64 {
 // XPBY updates the CG search direction on one interior row:
 // p = src + beta*p.
 func XPBY(p, src []float64, beta float64) {
+	i := xpbySIMD(p, src, beta)
+	xpbyGo(i, p, src, beta)
+}
+
+// xpbyGo is XPBY's Go reference on cells [i0, len(p)).
+func xpbyGo(i0 int, p, src []float64, beta float64) {
 	src = src[:len(p)]
-	for i := range p {
+	for i := i0; i < len(p); i++ {
 		p[i] = src[i] + beta*p[i]
 	}
 }
