@@ -90,7 +90,7 @@ func BenchmarkRowBodies(b *testing.B) {
 			}{{"simd", c.simd}, {"go", c.ref}} {
 				b.Run(fmt.Sprintf("%s/%d/%s", c.name, stride, v.name), func(b *testing.B) {
 					b.SetBytes(bytes)
-					for b.Loop() {
+					for i := 0; i < b.N; i++ {
 						acc := 0.0
 						for j := 0; j < nx; j++ {
 							acc = v.body(j, acc)

@@ -12,26 +12,27 @@
 // the rolled loops the serial golden baselines pin.
 //
 // The CG hot path has SSE2 bodies on amd64 (kern_amd64.s, the GOAMD64=v1
-// baseline, so there is no CPU detection): OperatorRow and OperatorDotRow,
-// UpdateUR, UpdateURDot and UpdateURZDot, and XPBY. Each does the
-// even-length prefix of its row a pair of cells at a time and its Go
-// reference loop finishes the odd cell. Every lane does the Go body's IEEE
-// operations in the Go body's order, with no fused multiply-add; the
-// operator's diagonal, for one, is (((1+kx1)+kx0)+ky1)+ky0. A fused
-// reduction adds each pair's two products to the one accumulator low lane
-// first, then high, which is the Go body's left-to-right order. So the two
-// paths agree bit for bit wherever the result is not a NaN (an SSE NaN's
-// payload depends on operand order). Builds for other architectures, and race
-// builds, whose detector cannot see loads and stores made in assembly, run
-// the Go reference on every cell.
+// baseline, so there is no CPU detection): OperatorDotRow, UpdateURDot,
+// UpdateURZDot and XPBY, and OperatorRow and UpdateUR, which run their fused
+// forms' assembly and drop the sum. Each does the even-length prefix of its
+// row a pair of cells at a time and its Go reference loop finishes the odd
+// cell. Every lane does the Go body's IEEE operations in the Go body's order,
+// with no fused multiply-add; the operator's diagonal, for one, is
+// (((1+kx1)+kx0)+ky1)+ky0. A fused reduction adds each pair's two products to
+// the one accumulator low lane first, then high, which is the Go body's
+// left-to-right order. So the two paths agree bit for bit wherever the result
+// is not a NaN (an SSE NaN's payload depends on operand order). Builds for
+// other architectures, and race builds, whose detector cannot see loads and
+// stores made in assembly, run the Go reference on every cell.
 package kern
 
 // OperatorRow evaluates one interior row of dst = A src for the matrix-free
 // five-point conduction operator. All slices are full halo'd rows
 // (src row j, j+1, j-1; kx row j; ky rows j, j+1), d is the halo depth and
-// nx the interior width.
+// nx the interior width. On amd64 its assembly is OperatorDotRow's, whose
+// sum it drops.
 func OperatorRow(dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) {
-	i := operatorSIMD(dst, sr, su, sd, kx, ky, kyu, d, nx)
+	i, _ := operatorDotSIMD(0, dst, sr, su, sd, kx, ky, kyu, d, nx)
 	operatorGo(i, dst, sr, su, sd, kx, ky, kyu, d, nx)
 }
 
@@ -135,8 +136,9 @@ func DotAcc(acc float64, a, b []float64) float64 {
 
 // UpdateUR applies the CG solution/residual update u += alpha*p, r -= alpha*w
 // over one interior row (all slices pre-offset to the interior, same length).
+// On amd64 its assembly is UpdateURDot's, whose sum it drops.
 func UpdateUR(u, p, r, w []float64, alpha float64) {
-	i := updateURSIMD(u, p, r, w, alpha)
+	i, _ := updateURDotSIMD(0, u, p, r, w, alpha)
 	updateURGo(i, u, p, r, w, alpha)
 }
 

@@ -11,13 +11,7 @@ package kern
 // cells those views hold.
 
 //go:noescape
-func operatorSSE2(dst, s, su, sd, kx, ky, kyu *float64, n int)
-
-//go:noescape
 func operatorDotSSE2(acc float64, dst, s, su, sd, kx, ky, kyu *float64, n int) float64
-
-//go:noescape
-func updateURSSE2(u, p, r, w *float64, alpha float64, n int)
 
 //go:noescape
 func updateURDotSSE2(acc float64, u, p, r, w *float64, alpha float64, n int) float64
@@ -28,41 +22,17 @@ func updateURZDotSSE2(acc float64, u, p, r, w, mi, z *float64, alpha float64, n 
 //go:noescape
 func xpbySSE2(p, src *float64, beta float64, n int)
 
-// stencilViews cuts a halo'd row's operands to the cells the operator reads
-// for interior cells [0, nx): src from cell -1 to cell nx, kx from cell 0 to
-// cell nx, and cells [0, nx) of the rest.
-func stencilViews(dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) (dc, s, uc, dnc, kxc, ky0, ky1 []float64) {
-	return dst[d : d+nx], sr[d-1 : d+1+nx], su[d : d+nx], sd[d : d+nx], kx[d : d+1+nx], ky[d : d+nx], kyu[d : d+nx]
-}
-
-func operatorSIMD(dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) int {
-	if nx < 2 {
-		return 0
-	}
-	dc, s, uc, dnc, kxc, ky0, ky1 := stencilViews(dst, sr, su, sd, kx, ky, kyu, d, nx)
-	n := nx &^ 1
-	operatorSSE2(&dc[0], &s[0], &uc[0], &dnc[0], &kxc[0], &ky0[0], &ky1[0], n)
-	return n
-}
-
+// operatorDotSIMD cuts a halo'd row's operands to the cells the operator
+// reads for interior cells [0, nx): src from cell -1 to cell nx, kx from cell
+// 0 to cell nx, and cells [0, nx) of the rest.
 func operatorDotSIMD(acc float64, dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) (int, float64) {
 	if nx < 2 {
 		return 0, acc
 	}
-	dc, s, uc, dnc, kxc, ky0, ky1 := stencilViews(dst, sr, su, sd, kx, ky, kyu, d, nx)
+	dc, s, uc, dnc := dst[d:d+nx], sr[d-1:d+1+nx], su[d:d+nx], sd[d:d+nx]
+	kxc, ky0, ky1 := kx[d:d+1+nx], ky[d:d+nx], kyu[d:d+nx]
 	n := nx &^ 1
 	return n, operatorDotSSE2(acc, &dc[0], &s[0], &uc[0], &dnc[0], &kxc[0], &ky0[0], &ky1[0], n)
-}
-
-func updateURSIMD(u, p, r, w []float64, alpha float64) int {
-	n := len(u)
-	p, r, w = p[:n], r[:n], w[:n]
-	if n < 2 {
-		return 0
-	}
-	n &^= 1
-	updateURSSE2(&u[0], &p[0], &r[0], &w[0], alpha, n)
-	return n
 }
 
 func updateURDotSIMD(acc float64, u, p, r, w []float64, alpha float64) (int, float64) {

@@ -71,27 +71,6 @@
 	MOVQ     AX, X12; \
 	UNPCKLPD X12, X12
 
-// func operatorSSE2(dst, s, su, sd, kx, ky, kyu *float64, n int)
-TEXT ·operatorSSE2(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ s+8(FP), SI
-	MOVQ su+16(FP), R8
-	MOVQ sd+24(FP), R9
-	MOVQ kx+32(FP), R10
-	MOVQ ky+40(FP), R11
-	MOVQ kyu+48(FP), R12
-	MOVQ n+56(FP), CX
-	ONES
-	XORQ AX, AX
-
-loop:
-	OPERATOR_PAIR
-	MOVUPD X4, (DI)(AX*8)
-	ADDQ   $2, AX
-	CMPQ   AX, CX
-	JLT    loop
-	RET
-
 // func operatorDotSSE2(acc float64, dst, s, su, sd, kx, ky, kyu *float64, n int) float64
 TEXT ·operatorDotSSE2(SB), NOSPLIT, $0-80
 	MOVSD acc+0(FP), X13
@@ -115,24 +94,6 @@ loop:
 	CMPQ   AX, CX
 	JLT    loop
 	MOVSD  X13, ret+72(FP)
-	RET
-
-// func updateURSSE2(u, p, r, w *float64, alpha float64, n int)
-TEXT ·updateURSSE2(SB), NOSPLIT, $0-48
-	MOVQ     u+0(FP), DI
-	MOVQ     p+8(FP), SI
-	MOVQ     r+16(FP), DX
-	MOVQ     w+24(FP), R8
-	MOVSD    alpha+32(FP), X12
-	UNPCKLPD X12, X12
-	MOVQ     n+40(FP), CX
-	XORQ     AX, AX
-
-loop:
-	UPDATE_UR_PAIR
-	ADDQ $2, AX
-	CMPQ AX, CX
-	JLT  loop
 	RET
 
 // func updateURDotSSE2(acc float64, u, p, r, w *float64, alpha float64, n int) float64

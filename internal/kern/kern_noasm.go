@@ -6,13 +6,9 @@ package kern
 // detector cannot see loads and stores made in assembly) no cell is done
 // ahead of the Go reference: every row runs on it from cell 0.
 
-func operatorSIMD(dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) int { return 0 }
-
 func operatorDotSIMD(acc float64, dst, sr, su, sd, kx, ky, kyu []float64, d, nx int) (int, float64) {
 	return 0, acc
 }
-
-func updateURSIMD(u, p, r, w []float64, alpha float64) int { return 0 }
 
 func updateURDotSIMD(acc float64, u, p, r, w []float64, alpha float64) (int, float64) {
 	return 0, acc
