@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test cross race soak chaos fleet-chaos serve-crash fuzz bench-kern bench-par bench-cg bench-sdc bench-serve bench-tiling bench-portability docs-lint bench
+.PHONY: build test cross bench-check race soak chaos fleet-chaos serve-crash fuzz bench-kern bench-par bench-cg bench-sdc bench-serve bench-tiling bench-portability docs-lint bench
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ test: build
 # its Go declarations (asmdecl).
 cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
+
+# bench-check vets and tests bench/, the module bench/run.sh builds the
+# benchmark from. It is its own module, so `go build ./...` and `go test ./...`
+# at the root never compile it, and a change to an API it calls would
+# otherwise first fail in a benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # race runs the parallel-runtime, message-passing-runtime, row-kernel,
 # framework-layer and port suites under the race detector — the shared-memory

@@ -2,7 +2,7 @@
 // set, Generate and every driver.Kernels body, written once over flat field
 // slices and the internal/kern row bodies. What distinguishes the versions is
 // their execution policy and the paper's abstraction layer, which each port
-// supplies as a four-method Policy: Host (grid.Fields on a thread team or the
+// supplies as a three-method Policy: Host (grid.Fields on a thread team or the
 // caller's goroutine) under the serial, OpenMP, OpenACC and MPI ports, each
 // device port's own base API under CUDA, Kokkos and RAJA, and OPS ParLoops
 // over dats under the six OPS versions. Each port is a constructor, its
@@ -61,28 +61,24 @@ var (
 // Body is a For body, run on one segment: a holds the launch's fields as flat
 // slices in argument order and [lo, hi) is the flat index range of a run of
 // cells along one stride-1 line. RedBody is a Reduce body: it adds its
-// segment's terms to acc left to right and returns it. PointBody is a Points
-// body, run at index (j, i) on the launch's fields. (The segment is three
+// segment's terms to acc left to right and returns it. (The segment is three
 // arguments rather than one struct: passing the struct made a 128² manual-cuda
 // run about 15 % slower on a 2-vCPU x86-64 host.)
 type (
-	Body      func(a [][]float64, lo, hi int)
-	RedBody   func(a [][]float64, lo, hi int, acc float64) float64
-	PointBody func(a [][]float64, j, i int)
+	Body    func(a [][]float64, lo, hi int)
+	RedBody func(a [][]float64, lo, hi int, acc float64) float64
 )
 
 // Policy is what a layer supplies, F being its storage handle. Alloc returns
 // n zeroed rows-by-cols fields. For runs body on every segment of the window
 // in the order the layer visits its points; Reduce does the same with a sum,
 // each thread share or block threading one accumulator through its segments
-// and the partials combining in the layer's order. Points runs body once per
-// cell of the window. Each resolves args to slices for the launch and is
-// done with args when it returns.
+// and the partials combining in the layer's order. Each resolves args to
+// slices for the launch and is done with args when it returns.
 type Policy[F any] interface {
 	Alloc(n, rows, cols int) []F
 	For(name string, win Window, args []F, body Body)
 	Reduce(name string, win Window, args []F, body RedBody) float64
-	Points(name string, win Window, args []F, body PointBody)
 }
 
 // Field slots: the exchangeable fields at their driver.FieldID, then the
@@ -129,7 +125,7 @@ type Chunk[F any] struct {
 	precond config.Preconditioner
 	f       [numFields]F
 	argv    [6]F // the launch argument list, reused by every launch
-	mirror  [4]PointBody
+	mirror  [4]Body
 }
 
 // New creates a chunk on the policy; columns reports whether the layer's
@@ -286,7 +282,7 @@ func (c *Chunk[F]) HaloExchange(fields []driver.FieldID, depth int) {
 }
 
 // Reflect applies the reflective boundary condition to depth halo layers of
-// a field on the given sides: one Points launch per side over its halo cells,
+// a field on the given sides: one For launch per side over its halo cells,
 // each copying the interior cell as far inside the boundary, so a side's
 // reach runs 2·depth−1 cells inwards. The x sides go first and the y sides
 // cover the widened columns, so corners mirror the x halos as in the
@@ -295,31 +291,48 @@ func (c *Chunk[F]) HaloExchange(fields []driver.FieldID, depth int) {
 func (c *Chunk[F]) Reflect(id driver.FieldID, depth int, s Sides) {
 	x0, x1, y0, y1, m := halo, halo+c.nx, halo, halo+c.ny, 2*depth-1
 	if s&Left != 0 {
-		c.pol.Points("update_halo_left", Window{y0, y1, x0 - depth, x0, Reach{0, 0, 0, m}}, c.args(id), c.mirror[0])
+		c.pol.For("update_halo_left", Window{y0, y1, x0 - depth, x0, Reach{0, 0, 0, m}}, c.args(id), c.mirror[0])
 	}
 	if s&Right != 0 {
-		c.pol.Points("update_halo_right", Window{y0, y1, x1, x1 + depth, Reach{0, 0, -m, 0}}, c.args(id), c.mirror[1])
+		c.pol.For("update_halo_right", Window{y0, y1, x1, x1 + depth, Reach{0, 0, -m, 0}}, c.args(id), c.mirror[1])
 	}
 	if s&Down != 0 {
-		c.pol.Points("update_halo_bottom", Window{y0 - depth, y0, x0 - depth, x1 + depth, Reach{0, m, 0, 0}}, c.args(id), c.mirror[2])
+		c.pol.For("update_halo_bottom", Window{y0 - depth, y0, x0 - depth, x1 + depth, Reach{0, m, 0, 0}}, c.args(id), c.mirror[2])
 	}
 	if s&Up != 0 {
-		c.pol.Points("update_halo_top", Window{y1, y1 + depth, x0 - depth, x1 + depth, Reach{-m, 0, 0, 0}}, c.args(id), c.mirror[3])
+		c.pol.For("update_halo_top", Window{y1, y1 + depth, x0 - depth, x1 + depth, Reach{-m, 0, 0, 0}}, c.args(id), c.mirror[3])
 	}
 }
 
 // mirrors binds Reflect's bodies once per Generate, so an exchange allocates
 // none: per side (left, right, bottom, top), the mirror across its boundary
-// over the flat distances between rows (sj) and columns (si).
-func (c *Chunk[F]) mirrors() [4]PointBody {
-	sj, si := c.at(1, 0), c.at(0, 1)
-	acrossX := func(b int) PointBody {
-		return func(a [][]float64, j, i int) { a[0][j*sj+i*si] = a[0][j*sj+(2*b-1-i)*si] }
+// b. Where b separates lines, a segment of line o is one copy of the same
+// cells of line 2b−1−o; where it separates the positions along a line, the
+// cell at position p takes the one at 2b−1−p. The x sides' boundaries cut
+// across rows and the y sides' run along them, so the x sides mirror along
+// the lines and the y sides across them, the reverse where lines are
+// columns.
+func (c *Chunk[F]) mirrors() [4]Body {
+	line := c.line
+	across := func(b int) Body {
+		return func(a [][]float64, lo, hi int) {
+			o := lo / line
+			copy(a[0][lo:hi], a[0][lo+(2*b-1-2*o)*line:])
+		}
 	}
-	acrossY := func(b int) PointBody {
-		return func(a [][]float64, j, i int) { a[0][j*sj+i*si] = a[0][(2*b-1-j)*sj+i*si] }
+	along := func(b int) Body {
+		return func(a [][]float64, lo, hi int) {
+			f, m := a[0], 2*(lo-lo%line+b)-1
+			for k := lo; k < hi; k++ {
+				f[k] = f[m-k]
+			}
+		}
 	}
-	return [4]PointBody{acrossX(halo), acrossX(halo + c.nx), acrossY(halo), acrossY(halo + c.ny)}
+	x, y := along, across
+	if c.columns {
+		x, y = across, along
+	}
+	return [4]Body{x(halo), x(halo + c.nx), y(halo), y(halo + c.ny)}
 }
 
 // SolveInit implements driver.Kernels.
@@ -380,9 +393,11 @@ func (c *Chunk[F]) Norm2R() float64 { return c.dot("norm2_r", r, r) }
 func (c *Chunk[F]) DotRZ() float64 { return c.dot("dot_rz", r, z) }
 
 // ApplyPrecond implements driver.Kernels. The jac_block path is one Thomas
-// solve per mesh row, at one point each (the row's first interior cell): the
-// shared row body where lines are rows, a strided walk along the row where
-// they are columns. Its reach is the whole row and the next row's ky.
+// solve per mesh row, launched over the column of the rows' first interior
+// cells: where lines are rows a segment is one row's first cell and runs the
+// shared row body, where they are columns it is a run of rows, each a
+// strided walk along its row. Its reach is the whole row and the next row's
+// ky.
 func (c *Chunk[F]) ApplyPrecond() {
 	if c.precond != config.PrecondJacBlock {
 		c.interior("apply_precond", c.args(z, mi, r), func(a [][]float64, lo, hi int) {
@@ -392,29 +407,31 @@ func (c *Chunk[F]) ApplyPrecond() {
 	}
 	nx := c.nx
 	first := Window{Y0: halo, Y1: halo + c.ny, X0: halo, X1: halo + 1, Reach: Reach{0, 1, 0, nx}}
-	c.pol.Points("block_solve", first, c.args(z, r, kx, ky, tcp, tdp), func(a [][]float64, j, i0 int) {
+	c.pol.For("block_solve", first, c.args(z, r, kx, ky, tcp, tdp), func(a [][]float64, lo, hi int) {
 		z, r, kx, ky, cp, dp := a[0], a[1], a[2], a[3], a[4], a[5]
 		if !c.columns {
-			lo := c.at(j, i0)
 			kern.ThomasAt(z, r, kx, ky, cp, dp, c.line, lo, lo+nx)
 			return
 		}
-		diag := func(i int) float64 {
-			return 1 + kx[c.at(j, i+1)] + kx[c.at(j, i)] + ky[c.at(j+1, i)] + ky[c.at(j, i)]
-		}
-		b0 := diag(halo)
-		cp[c.at(j, halo)] = -kx[c.at(j, halo+1)] / b0
-		dp[c.at(j, halo)] = r[c.at(j, halo)] / b0
-		for i := halo + 1; i < halo+nx; i++ {
-			av := -kx[c.at(j, i)]
-			m := 1 / (diag(i) - av*cp[c.at(j, i-1)])
-			cp[c.at(j, i)] = -kx[c.at(j, i+1)] * m
-			dp[c.at(j, i)] = (r[c.at(j, i)] - av*dp[c.at(j, i-1)]) * m
-		}
-		last := halo + nx - 1
-		z[c.at(j, last)] = dp[c.at(j, last)]
-		for i := last - 1; i >= halo; i-- {
-			z[c.at(j, i)] = dp[c.at(j, i)] - cp[c.at(j, i)]*z[c.at(j, i+1)]
+		for k := lo; k < hi; k++ {
+			j := k % c.line
+			diag := func(i int) float64 {
+				return 1 + kx[c.at(j, i+1)] + kx[c.at(j, i)] + ky[c.at(j+1, i)] + ky[c.at(j, i)]
+			}
+			b0 := diag(halo)
+			cp[c.at(j, halo)] = -kx[c.at(j, halo+1)] / b0
+			dp[c.at(j, halo)] = r[c.at(j, halo)] / b0
+			for i := halo + 1; i < halo+nx; i++ {
+				av := -kx[c.at(j, i)]
+				m := 1 / (diag(i) - av*cp[c.at(j, i-1)])
+				cp[c.at(j, i)] = -kx[c.at(j, i+1)] * m
+				dp[c.at(j, i)] = (r[c.at(j, i)] - av*dp[c.at(j, i-1)]) * m
+			}
+			last := halo + nx - 1
+			z[c.at(j, last)] = dp[c.at(j, last)]
+			for i := last - 1; i >= halo; i-- {
+				z[c.at(j, i)] = dp[c.at(j, i)] - cp[c.at(j, i)]*z[c.at(j, i+1)]
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/backendtest"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/chunk"
+	"github.com/warwick-hpsc/tealeaf-go/internal/backends/cuda"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/kokkosport"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/mpi"
 	"github.com/warwick-hpsc/tealeaf-go/internal/backends/omp"
@@ -18,6 +19,7 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 	"github.com/warwick-hpsc/tealeaf-go/internal/kokkos"
 	"github.com/warwick-hpsc/tealeaf-go/internal/raja"
+	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 )
 
 // The serial and omp ports are nothing but the recipe under the host policy
@@ -98,61 +100,108 @@ func TestTeamPolicyMatchesSerial(t *testing.T) {
 	}
 }
 
-// hostChunk is the recipe on a 4×3 mesh under the serial host policy, with
-// density set to v over the interior and zero in the halo.
-func hostChunk(t *testing.T, v func(i, j int) float64) *chunk.Chunk[*grid.Field] {
+// The reflect tests' mesh: 5×3, so a mirror that swaps x and y, or rows and
+// lines, shows.
+const (
+	halo           = grid.DefaultHalo
+	reflectNX      = 5
+	reflectNY      = 3
+	reflectSentry  = -1.0
+	reflectRows    = reflectNY + 2*halo
+	reflectColumns = reflectNX + 2*halo
+)
+
+// reflectOracle is Reflect's definition, cell by cell, on a padded row-major
+// grid g: each side's halo cells, the x sides first, take the cell mirrored
+// across its boundary b, index 2b−1−i. The y sides span the x halos, so
+// corners mirror the x-mirrored halo.
+func reflectOracle(g [][]float64, depth int, s chunk.Sides) {
+	x0, x1, y0, y1 := halo, halo+reflectNX, halo, halo+reflectNY
+	for j := y0; j < y1; j++ {
+		for k := 0; k < depth; k++ {
+			if i := x0 - 1 - k; s&chunk.Left != 0 {
+				g[j][i] = g[j][2*x0-1-i]
+			}
+			if i := x1 + k; s&chunk.Right != 0 {
+				g[j][i] = g[j][2*x1-1-i]
+			}
+		}
+	}
+	for i := x0 - depth; i < x1+depth; i++ {
+		for k := 0; k < depth; k++ {
+			if j := y0 - 1 - k; s&chunk.Down != 0 {
+				g[j][i] = g[2*y0-1-j][i]
+			}
+			if j := y1 + k; s&chunk.Up != 0 {
+				g[j][i] = g[2*y1-1-j][i]
+			}
+		}
+	}
+}
+
+// checkReflect generates c on the reflect mesh and, at depth 1 and 2 on
+// every subset of sides, fills density with distinct interior values and a
+// sentry in every halo cell, reflects it and compares every padded cell,
+// (row, column) through cell, with the oracle: a side left out is a side
+// with a neighbour, so its halo keeps the sentry.
+func checkReflect[F any](t *testing.T, layout string, c *chunk.Chunk[F], cell func(f F, j, i int) *float64) {
 	t.Helper()
-	m, err := grid.NewMesh(0, 4, 0, 3, 4, 3)
+	m, err := grid.NewMesh(0, reflectNX, 0, reflectNY, reflectNX, reflectNY)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := chunk.New[*grid.Field](chunk.NewHost(nil), false)
 	if err := c.Generate(m, config.BenchmarkN(4).States); err != nil {
 		t.Fatal(err)
 	}
 	f := c.Field(driver.FieldDensity)
-	f.Zero()
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 4; i++ {
-			f.Set(i, j, v(i, j))
+	want := make([][]float64, reflectRows)
+	for depth := 1; depth <= halo; depth++ {
+		for s := chunk.Sides(0); s <= chunk.AllSides; s++ {
+			for j := range want {
+				want[j] = make([]float64, reflectColumns)
+				for i := range want[j] {
+					want[j][i] = reflectSentry
+					if j >= halo && j < halo+reflectNY && i >= halo && i < halo+reflectNX {
+						want[j][i] = float64(100*j + i)
+					}
+					*cell(f, j, i) = want[j][i]
+				}
+			}
+			c.Reflect(driver.FieldDensity, depth, s)
+			reflectOracle(want, depth, s)
+			for j := range want {
+				for i, v := range want[j] {
+					if got := *cell(f, j, i); got != v {
+						t.Errorf("%s, depth %d, sides %04b: cell (%d, %d) = %g, want %g", layout, depth, s, j, i, got, v)
+					}
+				}
+			}
 		}
 	}
-	return c
 }
 
+// TestReflectHalo holds every halo cell of Reflect to the per-cell mirror on
+// both orientations: the host policy's rows, manual-cuda's rows and
+// kokkos-cuda's LayoutLeft columns, the device layers at a 2×2 block so that
+// a line's halo or interior is split into several segments.
 func TestReflectHalo(t *testing.T) {
-	v := func(i, j int) float64 { return float64(10*i + j) }
-	c := hostChunk(t, v)
-	c.HaloExchange([]driver.FieldID{driver.FieldDensity}, 2)
-	f := c.Field(driver.FieldDensity)
-	cases := []struct {
-		i, j int
-		want float64
-	}{
-		{-1, 0, v(0, 0)}, {-2, 0, v(1, 0)},
-		{4, 1, v(3, 1)}, {5, 1, v(2, 1)},
-		{0, -1, v(0, 0)}, {0, -2, v(0, 1)},
-		{2, 3, v(2, 2)}, {2, 4, v(2, 1)},
-		// Corners: y-mirror of the x-mirrored halo.
-		{-1, -1, v(0, 0)}, {5, 4, v(2, 1)},
+	checkReflect(t, "host", chunk.New[*grid.Field](chunk.NewHost(nil), false), func(f *grid.Field, j, i int) *float64 {
+		return &f.Data[j*f.Stride+i]
+	})
+	block := simgpu.Dim2{X: 2, Y: 2}
+	dev := cuda.New(2, block)
+	defer dev.Close()
+	checkReflect(t, "manual-cuda", dev.Chunk, func(b *simgpu.Buffer, j, i int) *float64 {
+		return &b.View()[j*reflectColumns+i]
+	})
+	kk := kokkosport.New(kokkos.NewCuda(2, block))
+	defer kk.Close()
+	if l := kk.Space().DefaultLayout(); l != kokkos.LayoutLeft {
+		t.Fatalf("kokkos-cuda views are %v, want LayoutLeft", l)
 	}
-	for _, c := range cases {
-		if got := f.At(c.i, c.j); got != c.want {
-			t.Errorf("halo (%d,%d) = %g, want %g", c.i, c.j, got, c.want)
-		}
-	}
-	// A side left out is a side with a neighbour: its halo is not touched.
-	c = hostChunk(t, v)
-	c.Reflect(driver.FieldDensity, 2, chunk.Left|chunk.Up)
-	g := c.Field(driver.FieldDensity)
-	for _, c := range []struct {
-		i, j int
-		want float64
-	}{{-2, 1, v(1, 1)}, {4, 1, 0}, {1, -1, 0}, {1, 4, v(1, 1)}, {-1, 3, v(0, 2)}, {4, 3, 0}} {
-		if got := g.At(c.i, c.j); got != c.want {
-			t.Errorf("left|up halo (%d,%d) = %g, want %g", c.i, c.j, got, c.want)
-		}
-	}
+	checkReflect(t, "kokkos-cuda", kk.Chunk, func(v *kokkos.View, j, i int) *float64 {
+		return &v.Data()[i*reflectRows+j]
+	})
 }
 
 // counting is the serial host policy counting its Reduce launches.
@@ -258,14 +307,6 @@ func (p *reachCheck) Reduce(name string, win chunk.Window, args []*grid.Field, b
 		return body(a, j*stride+i, j*stride+i+1, 0)
 	})
 	return p.Host.Reduce(name, win, args, body)
-}
-
-func (p *reachCheck) Points(name string, win chunk.Window, args []*grid.Field, body chunk.PointBody) {
-	p.check(name, win, args, func(a [][]float64, j, i int) float64 {
-		body(a, j, i)
-		return 0
-	})
-	p.Host.Points(name, win, args, body)
 }
 
 // check runs point at every cell of the window on the scratch copies,

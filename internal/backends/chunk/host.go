@@ -14,21 +14,19 @@ import (
 // order.
 type Host struct {
 	team *par.Team
-	// Guided hands For and Points rows out in guided claims of at least four
-	// rows (the OpenACC device target's gang schedule); Reduce keeps static
-	// shares.
+	// Guided hands For rows out in guided claims of at least four rows (the
+	// OpenACC device target's gang schedule); Reduce keeps static shares.
 	Guided bool
 
 	// The launch in flight. The row loops are bound once, in NewHost, and
 	// read it from here, so a launch allocates nothing of its own.
-	a                  [][]float64
-	win                Window
-	stride             int
-	body               Body
-	red                RedBody
-	point              PointBody
-	forRows, pointRows func(j0, j1 int)
-	reduceRows         func(j0, j1 int) float64
+	a          [][]float64
+	win        Window
+	stride     int
+	body       Body
+	red        RedBody
+	forRows    func(j0, j1 int)
+	reduceRows func(j0, j1 int) float64
 }
 
 // The recipe is instantiated here, on the host policy's storage, so that this
@@ -43,7 +41,7 @@ var _ = New[*grid.Field]
 // caller's goroutine.
 func NewHost(team *par.Team) *Host {
 	h := &Host{team: team}
-	h.forRows, h.pointRows, h.reduceRows = h.runFor, h.runPoints, h.runReduce
+	h.forRows, h.reduceRows = h.runFor, h.runReduce
 	return h
 }
 
@@ -68,7 +66,14 @@ func (h *Host) Alloc(n, rows, cols int) []*grid.Field {
 func (h *Host) For(_ string, win Window, args []*grid.Field, body Body) {
 	h.launch(win, args)
 	h.body = body
-	h.rows(h.forRows)
+	switch {
+	case h.team == nil:
+		h.forRows(win.Y0, win.Y1)
+	case h.Guided:
+		h.team.ForGuided(win.Y0, win.Y1, 4, h.forRows)
+	default:
+		h.team.For(win.Y0, win.Y1, h.forRows)
+	}
 }
 
 // Reduce implements Policy.
@@ -81,13 +86,6 @@ func (h *Host) Reduce(_ string, win Window, args []*grid.Field, body RedBody) fl
 	return h.team.ReduceSum(win.Y0, win.Y1, h.reduceRows)
 }
 
-// Points implements Policy: each row's points in order.
-func (h *Host) Points(_ string, win Window, args []*grid.Field, body PointBody) {
-	h.launch(win, args)
-	h.point = body
-	h.rows(h.pointRows)
-}
-
 // launch resolves args into the policy's slice scratch.
 func (h *Host) launch(win Window, args []*grid.Field) {
 	h.a = h.a[:0]
@@ -95,18 +93,6 @@ func (h *Host) launch(win Window, args []*grid.Field) {
 		h.a = append(h.a, f.Data)
 	}
 	h.win, h.stride = win, args[0].Stride
-}
-
-// rows hands the window's rows to loop on the policy's schedule.
-func (h *Host) rows(loop func(j0, j1 int)) {
-	switch {
-	case h.team == nil:
-		loop(h.win.Y0, h.win.Y1)
-	case h.Guided:
-		h.team.ForGuided(h.win.Y0, h.win.Y1, 4, loop)
-	default:
-		h.team.For(h.win.Y0, h.win.Y1, loop)
-	}
 }
 
 func (h *Host) runFor(j0, j1 int) {
@@ -122,13 +108,4 @@ func (h *Host) runReduce(j0, j1 int) (acc float64) {
 		acc = body(a, j*stride+x0, j*stride+x1, acc)
 	}
 	return acc
-}
-
-func (h *Host) runPoints(j0, j1 int) {
-	a, body, x0, x1 := h.a, h.point, h.win.X0, h.win.X1
-	for j := j0; j < j1; j++ {
-		for i := x0; i < x1; i++ {
-			body(a, j, i)
-		}
-	}
 }

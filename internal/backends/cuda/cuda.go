@@ -4,10 +4,10 @@
 // version) under a chunk.Policy over the simulated device. Every field lives
 // in device memory (Malloc), every kernel is a typed Launch over a (grid,
 // block) index space whose blocks run the row bodies on their thread-rows
-// (Block.ForRows; the halo faces and line solves one call per in-range thread
-// of those rows), reductions are per-block partials combined on the stream
-// (LaunchReduce), and the host only sees data it explicitly copies back
-// (MemcpyD2H/H2D). The device runs its blocks on the version's thread count.
+// (Block.ForRows, clipped to the launch's window, so a narrow halo face or
+// the one-column line solve runs its in-range threads only), reductions are
+// per-block partials combined on the stream (LaunchReduce), and the host only
+// sees data it explicitly copies back (MemcpyD2H/H2D). The device runs its blocks on the version's thread count.
 // The block size is a tuning parameter exactly as on real GPUs; the paper
 // fixes (64, 8) for the OPS CUDA build and we default to the same.
 package cuda
@@ -115,20 +115,5 @@ func (p *policy) Reduce(name string, win chunk.Window, args []*simgpu.Buffer, bo
 			acc = body(a, row+x0, row+x1, acc)
 		})
 		return acc
-	})
-}
-
-// Points implements chunk.Policy: one thread per index, x along the
-// window's columns. The block's thread-rows come clipped to the window, so
-// the body runs on its in-range threads only and a narrow face does not walk
-// the block's idle threads.
-func (p *policy) Points(name string, win chunk.Window, args []*simgpu.Buffer, body chunk.PointBody) {
-	nx, ny := win.X1-win.X0, win.Y1-win.Y0
-	p.dev.Launch(name, simgpu.GridFor(nx, ny, p.block), p.block, args, func(b simgpu.Block, a [][]float64) {
-		b.ForRows(nx, ny, func(gy, x0, x1 int) {
-			for gx := x0; gx < x1; gx++ {
-				body(a, win.Y0+gy, win.X0+gx)
-			}
-		})
 	})
 }

@@ -6,9 +6,9 @@
 // LayoutLeft on the device space, so there the chunk's stride-1 lines are mesh
 // columns — and every kernel, the initial state's included, is a functor run
 // in the space: team-policy functors (TeamFor / TeamReduce) over the segments
-// of a line for the field sweeps, flat MDRange functors (ParallelFor) for the
-// halo faces and line solves. Launch arguments are resolved through View.Data,
-// and the host sees a field only through the canonical mirror and deep copy.
+// of a line, halo faces and line solves included. Launch arguments are
+// resolved through View.Data, and the host sees a field only through the
+// canonical mirror and deep copy.
 package kokkosport
 
 import (
@@ -67,8 +67,8 @@ func mirror(v *kokkos.View) *kokkos.View {
 	return host
 }
 
-// policy is the Kokkos layer: NewView in the space, team-policy functors over
-// a window's segments and MDRange functors over its points. line is the flat
+// policy is the Kokkos layer: NewView in the space and team-policy functors
+// over a window's segments. line is the flat
 // distance between the views' stride-1 lines; a is the launch's resolved
 // storage, reused by every launch.
 type policy struct {
@@ -119,10 +119,4 @@ func (p *policy) Reduce(name string, win chunk.Window, args []*kokkos.View, body
 	return kokkos.TeamReduce(p.space, name, rangeOf(win), func(outer, lo, hi int, lsum *float64) {
 		*lsum = body(a, outer*p.line+lo, outer*p.line+hi, *lsum)
 	})
-}
-
-// Points implements chunk.Policy with kokkos.ParallelFor.
-func (p *policy) Points(name string, win chunk.Window, args []*kokkos.View, body chunk.PointBody) {
-	a := p.data(args)
-	kokkos.ParallelFor(p.space, name, rangeOf(win), func(j, i int) { body(a, j, i) })
 }

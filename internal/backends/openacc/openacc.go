@@ -38,9 +38,9 @@ type Stats struct {
 
 // regions is the port's policy: the host policy on the team, each launch one
 // `acc parallel loop` region, counted, with the device target's transfers
-// charged. On the device target For and Points are gang-scheduled launches
-// (guided claims standing in for gang scheduling: big early claims like a
-// full wave of gangs, small late ones balancing the tail). Alloc is data
+// charged. On the device target For launches are gang-scheduled (guided
+// claims standing in for gang scheduling: big early claims like a full wave
+// of gangs, small late ones balancing the tail). Alloc is data
 // management (`acc enter data create`), not a compute region, so it is not
 // counted.
 type regions struct {
@@ -55,12 +55,6 @@ type regions struct {
 func (r *regions) For(name string, win chunk.Window, args []*grid.Field, body chunk.Body) {
 	r.launched.Add(1)
 	r.Host.For(name, win, args, body)
-}
-
-// Points implements chunk.Policy.
-func (r *regions) Points(name string, win chunk.Window, args []*grid.Field, body chunk.PointBody) {
-	r.launched.Add(1)
-	r.Host.Points(name, win, args, body)
 }
 
 // Reduce implements chunk.Policy: an `acc parallel loop reduction(+:sum)`

@@ -34,8 +34,8 @@ func TestTargetsAgree(t *testing.T) {
 
 // TestDeviceAccounting pins the device target's offload accounting on tea_bm
 // 64², one step, at width 2: iterations, regions launched and bytes moved for
-// each CG preconditioner. Every For, Reduce and Points launch of the chunk
-// recipe is one region, so with n iterations:
+// each CG preconditioner. Every For and Reduce launch of the chunk recipe is
+// one region, so with n iterations:
 //
 //	Regions = 28 + pre + per·n
 //

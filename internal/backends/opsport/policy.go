@@ -11,9 +11,9 @@ import (
 const halo = grid.DefaultHalo
 
 // policy is the OPS layer as a chunk.RankPolicy over the rank's dats. Every
-// For and Points launch is one ParLoopRow, queued on a tiling context, and
-// every Reduce a deferred reducing ParLoopRow whose value is read at once, so
-// a chain queues up to each reduction. A launch's Reach is its loop's stencil
+// For launch is one ParLoopRow, queued on a tiling context, and every Reduce
+// a deferred reducing ParLoopRow whose value is read at once, so a chain
+// queues up to each reduction. A launch's Reach is its loop's stencil
 // on every argument, which the tiling skew and the bounds check are derived
 // from. Arguments are declared RW: nothing in ops reads an access mode at run
 // time. The rank layer reaches a dat's host copy once the queue has flushed.
@@ -55,18 +55,6 @@ func (p *policy) Reduce(name string, win chunk.Window, args []*ops.Dat, body chu
 		red[0] = body(a, lo, lo+n, red[0])
 	})
 	return red.Value()
-}
-
-// Points implements chunk.Policy: a row loop calling body at each point of
-// its segments.
-func (p *policy) Points(name string, win chunk.Window, args []*ops.Dat, body chunk.PointBody) {
-	r, oa, a := p.loop(win, args)
-	p.ctx.ParLoopRow(name, p.block, r, oa, func(acc []*ops.Acc, _ []float64, n int) {
-		j, i := acc[0].J+halo, acc[0].I+halo
-		for k := 0; k < n; k++ {
-			body(a, j, i+k)
-		}
-	})
 }
 
 // Host, Land and Publish implement chunk.RankPolicy: the dat's host copy,

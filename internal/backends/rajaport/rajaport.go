@@ -2,9 +2,9 @@
 // (internal/raja), the analogue of the paper's RAJA builds: the one chunk
 // recipe (internal/backends/chunk) under a chunk.Policy over an execution
 // policy. Fields stay raw flat arrays allocated by the policy, and every
-// kernel is a lambda handed to a RAJA::kernel-style dispatcher — row-policy
-// lambdas (Kernel2DRow / Kernel2DRowReduce, with typed sum reductions) for the
-// field sweeps, per-point ones (Kernel2D) for the halo faces and line solves.
+// kernel is a lambda handed to a RAJA::kernel-style dispatcher: row-policy
+// lambdas (Kernel2DRow / Kernel2DRowReduce, with typed sum reductions), halo
+// faces and line solves included.
 // Swapping the policy object retargets the whole port between sequential,
 // OpenMP-style and simulated-CUDA execution; the host reads and writes the
 // arrays directly.
@@ -87,10 +87,4 @@ func (p *policy) Reduce(name string, win chunk.Window, args [][]float64, body ch
 	return raja.Kernel2DRowReduce(p.pol, name, rows, cols, func(j, i0, i1 int, sum *float64) {
 		*sum = body(args, j*p.stride+i0, j*p.stride+i1, *sum)
 	})
-}
-
-// Points implements chunk.Policy with raja.Kernel2D.
-func (p *policy) Points(name string, win chunk.Window, args [][]float64, body chunk.PointBody) {
-	rows, cols := segments(win)
-	raja.Kernel2D(p.pol, name, rows, cols, func(j, i int) { body(args, j, i) })
 }

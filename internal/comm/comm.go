@@ -849,33 +849,3 @@ func (r *Rank) AllreduceVecInPlace(xs []float64) {
 		xs[i] = r.Allreduce(x, OpSum)
 	}
 }
-
-// Bcast distributes root's value to every rank.
-func (r *Rank) Bcast(x float64, root int) float64 {
-	w := r.world
-	if w.dist {
-		return r.distBcast(x, root)
-	}
-	if r.id == root {
-		w.redBuf[root] = x
-		if w.checks {
-			w.redCRC[root] = crcFloat(x)
-		}
-		if r.armFlip {
-			r.armFlip = false
-			w.redBuf[root] = FlipBits(w.redBuf[root], r.flipShape().Bit)
-		}
-		r.staged = true
-	}
-	r.Barrier()
-	v := w.redBuf[root]
-	if w.checks {
-		if got := crcFloat(v); got != w.redCRC[root] {
-			w.detected.Add(1)
-			panic(&CorruptionError{Rank: r.id, Src: root, Tag: -1, Op: r.ops, Want: w.redCRC[root], Got: got})
-		}
-	}
-	r.staged = false
-	r.Barrier()
-	return v
-}

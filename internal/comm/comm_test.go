@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -158,19 +157,6 @@ func TestAllreduceVec(t *testing.T) {
 				t.Errorf("rank %d: AllreduceVecInPlace = %v", r.ID(), got)
 				return
 			}
-		}
-	})
-}
-
-func TestBcast(t *testing.T) {
-	w := NewWorld(4)
-	w.Run(func(r *Rank) {
-		v := math.NaN()
-		if r.ID() == 2 {
-			v = 123
-		}
-		if got := r.Bcast(v, 2); got != 123 {
-			t.Errorf("rank %d: bcast got %g", r.ID(), got)
 		}
 	})
 }

@@ -25,7 +25,6 @@ import (
 const (
 	tagGather  = -2
 	tagRelease = -3
-	tagBcast   = -4
 )
 
 // sendScalar ships one float64 to dst on an internal tag: no op counting, no
@@ -175,37 +174,6 @@ func (r *Rank) distAllreduce(x float64, op Op) float64 {
 		r.sendScalar(i, tagRelease, acc, accCRC)
 	}
 	return acc
-}
-
-// distBcast is Bcast for distributed worlds: the root ships its value to
-// every peer. The root self-verifies after sending, so a flip injected at
-// the root is detected by the root as well as by every receiver — matching
-// the in-process all-ranks-detect semantics.
-func (r *Rank) distBcast(x float64, root int) float64 {
-	w := r.world
-	if r.collectiveEntry() {
-		r.armFlip = true
-	}
-	if r.id != root {
-		v, c := r.recvScalar(root, tagBcast)
-		r.checkScalar(v, c, root)
-		return v
-	}
-	crc := uint32(0)
-	if w.checks {
-		crc = crcFloat(x)
-	}
-	if r.armFlip {
-		r.armFlip = false
-		x = FlipBits(x, r.flipShape().Bit)
-	}
-	for i := 0; i < w.size; i++ {
-		if i != root {
-			r.sendScalar(i, tagBcast, x, crc)
-		}
-	}
-	r.checkScalar(x, crc, root)
-	return x
 }
 
 // SocketOptions configures a socket-transport world.

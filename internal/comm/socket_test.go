@@ -38,7 +38,6 @@ func runMeshProgram(w *World, steps int) ([]float64, error) {
 			lo := r.Allreduce(x, OpMin)
 			hi := r.Allreduce(x, OpMax)
 			x = x + 1e-3*sum - 1e-4*(hi-lo)
-			x = r.Bcast(x, s%n)*1e-6 + x
 			r.Barrier()
 		}
 		mu.Lock()
@@ -397,7 +396,7 @@ func TestDistCollectivesMatchInProcess(t *testing.T) {
 		for i := range vals {
 			vals[i] = math.Ldexp(float64(3*i-size), -i) // mixed signs/scales
 		}
-		type result struct{ sum, min, max, b float64 }
+		type result struct{ sum, min, max float64 }
 		run := func(w *World) []result {
 			res := make([]result, size)
 			var mu sync.Mutex
@@ -407,7 +406,6 @@ func TestDistCollectivesMatchInProcess(t *testing.T) {
 				out.sum = r.AllreduceSum(x)
 				out.min = r.Allreduce(x, OpMin)
 				out.max = r.Allreduce(x, OpMax)
-				out.b = r.Bcast(x*2, size-1)
 				mu.Lock()
 				res[r.ID()] = out
 				mu.Unlock()

@@ -27,7 +27,8 @@ func generate(t *testing.T, m *grid.Mesh, states []config.State, depth int) (d, 
 	}
 	d, e = grid.NewField(m.Nx, m.Ny, depth), grid.NewField(m.Nx, m.Ny, depth)
 	for j := -depth; j < m.Ny+depth; j++ {
-		FillRow(m, states, j, -depth, d.Row(j), e.Row(j))
+		row := (j + depth) * d.Stride
+		FillRow(m, states, j, -depth, d.Data[row:row+d.Stride], e.Data[row:row+e.Stride])
 	}
 	return d, e
 }
