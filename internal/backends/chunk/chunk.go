@@ -126,6 +126,10 @@ type Chunk[F any] struct {
 	f       [numFields]F
 	argv    [6]F // the launch argument list, reused by every launch
 	mirror  [4]Body
+	// factor and solve are block_solve's two bodies: SolveInit's, which
+	// factors each row's tridiagonal block and solves it, and ApplyPrecond's,
+	// which solves on those factors.
+	factor, solve Body
 }
 
 // New creates a chunk on the policy; columns reports whether the layer's
@@ -157,14 +161,6 @@ func (c *Chunk[F]) SetInterior(padded, data []float64) {
 	for j := 0; j < c.ny; j++ {
 		copy(padded[(j+halo)*(c.nx+2*halo)+halo:], data[j*c.nx:(j+1)*c.nx])
 	}
-}
-
-// at is the flat index of padded cell (j, i).
-func (c *Chunk[F]) at(j, i int) int {
-	if c.columns {
-		return i*c.line + j
-	}
-	return j*c.line + i
 }
 
 // around is the interior grown by d cells on every side: 0 is the interior, 1
@@ -218,6 +214,7 @@ func (c *Chunk[F]) Generate(m *grid.Mesh, states []config.State) error {
 		c.line = rows
 	}
 	c.mirror = c.mirrors()
+	c.factor, c.solve = c.lineSolves()
 	copy(c.f[:], c.pol.Alloc(len(c.f), rows, cols))
 	c.pol.For("generate_chunk", c.around(halo), c.args(density, energy0), func(a [][]float64, lo, hi int) {
 		o, x := lo/c.line-halo, lo%c.line-halo
@@ -353,29 +350,22 @@ func (c *Chunk[F]) SolveInit(coef config.Coefficient, rx, ry float64, precond co
 		kern.FaceCoefAt(a[0], a[1], a[2], rAlong, rAcross, c.line, lo, hi)
 	})
 	c.CalcResidual()
-	if precond == config.PrecondJacDiag {
+	switch precond {
+	case config.PrecondJacDiag:
 		c.pol.For("init_mi", c.stencil(diagReach), c.args(mi, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
 			kern.DiagInvAt(a[0], a[1], a[2], c.line, lo, hi)
 		})
-	}
-	if precond != config.PrecondNone {
 		c.ApplyPrecond()
+	case config.PrecondJacBlock:
+		c.blockSolve(c.factor)
 	}
-}
-
-// operator sets a[dst] = A a[src] on the segment; the launch's last two
-// arguments are kAlong and kAcross.
-func (c *Chunk[F]) operator(a [][]float64, lo, hi, dst, src int) {
-	n := len(a)
-	kern.OperatorAt(a[dst], a[src], a[n-2], a[n-1], c.line, lo, hi)
 }
 
 // CalcResidual implements driver.Kernels: w = A u, then r = u0 - w, in one
 // sweep.
 func (c *Chunk[F]) CalcResidual() {
 	c.pol.For("residual", c.stencil(opReach), c.args(u, w, u0, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
-		c.operator(a, lo, hi, 1, 0)
-		kern.Sub(a[3][lo:hi], a[2][lo:hi], a[1][lo:hi])
+		kern.OperatorSubAt(a[1], a[0], a[2], a[3], a[4], a[5], c.line, lo, hi)
 	})
 }
 
@@ -392,12 +382,9 @@ func (c *Chunk[F]) Norm2R() float64 { return c.dot("norm2_r", r, r) }
 // DotRZ implements driver.Kernels.
 func (c *Chunk[F]) DotRZ() float64 { return c.dot("dot_rz", r, z) }
 
-// ApplyPrecond implements driver.Kernels. The jac_block path is one Thomas
-// solve per mesh row, launched over the column of the rows' first interior
-// cells: where lines are rows a segment is one row's first cell and runs the
-// shared row body, where they are columns it is a run of rows, each a
-// strided walk along its row. Its reach is the whole row and the next row's
-// ky.
+// ApplyPrecond implements driver.Kernels. The jac_block path replays the
+// line solves on the factors SolveInit left in tcp and tdp, which every solve
+// starts with, so they are never those of another kx and ky.
 func (c *Chunk[F]) ApplyPrecond() {
 	if c.precond != config.PrecondJacBlock {
 		c.interior("apply_precond", c.args(z, mi, r), func(a [][]float64, lo, hi int) {
@@ -405,35 +392,64 @@ func (c *Chunk[F]) ApplyPrecond() {
 		})
 		return
 	}
-	nx := c.nx
-	first := Window{Y0: halo, Y1: halo + c.ny, X0: halo, X1: halo + 1, Reach: Reach{0, 1, 0, nx}}
-	c.pol.For("block_solve", first, c.args(z, r, kx, ky, tcp, tdp), func(a [][]float64, lo, hi int) {
-		z, r, kx, ky, cp, dp := a[0], a[1], a[2], a[3], a[4], a[5]
-		if !c.columns {
-			kern.ThomasAt(z, r, kx, ky, cp, dp, c.line, lo, lo+nx)
-			return
+	c.blockSolve(c.solve)
+}
+
+// blockSolve runs one Thomas solve per mesh row, launched over the column of
+// the rows' first interior cells. Its reach is the whole row and the next
+// row's ky.
+func (c *Chunk[F]) blockSolve(body Body) {
+	first := Window{Y0: halo, Y1: halo + c.ny, X0: halo, X1: halo + 1, Reach: Reach{0, 1, 0, c.nx}}
+	c.pol.For("block_solve", first, c.args(z, r, kx, ky, tcp, tdp), body)
+}
+
+// lineSolves binds block_solve's factor and solve bodies once per Generate.
+// Where lines are rows a segment is one row's first cell and runs the kern
+// row bodies along it; where they are columns it is a run of rows, each a
+// strided walk along its row making the row bodies' IEEE operations in their
+// order.
+func (c *Chunk[F]) lineSolves() (factor, solve Body) {
+	nx, line := c.nx, c.line
+	if !c.columns {
+		return func(a [][]float64, lo, hi int) {
+				kern.ThomasFactorAt(a[0], a[1], a[2], a[3], a[4], a[5], line, lo, lo+nx)
+			}, func(a [][]float64, lo, hi int) {
+				kern.ThomasSolveAt(a[0], a[1], a[2], a[4], a[5], lo, lo+nx)
+			}
+	}
+	walk := func(factor bool) Body {
+		return func(a [][]float64, lo, hi int) {
+			z, r, kx, ky, cp, m := a[0], a[1], a[2], a[3], a[4], a[5]
+			for k := lo; k < hi; k++ {
+				j := k % line
+				at := func(i int) int { return i*line + j } // padded cell (j, i)
+				if factor {
+					diag := func(i int) float64 { return 1 + kx[at(i+1)] + kx[at(i)] + ky[at(i)+1] + ky[at(i)] }
+					b0 := diag(halo)
+					m[k] = b0
+					cp[k] = -kx[at(halo+1)] / b0
+					z[k] = r[k] / b0
+					for i := halo + 1; i < halo+nx; i++ {
+						av := -kx[at(i)]
+						mi := 1 / (diag(i) - av*cp[at(i-1)])
+						m[at(i)] = mi
+						cp[at(i)] = -kx[at(i+1)] * mi
+						z[at(i)] = (r[at(i)] - av*z[at(i-1)]) * mi
+					}
+				} else {
+					z[k] = r[k] / m[k]
+					for i := halo + 1; i < halo+nx; i++ {
+						av := -kx[at(i)]
+						z[at(i)] = (r[at(i)] - av*z[at(i-1)]) * m[at(i)]
+					}
+				}
+				for i := halo + nx - 2; i >= halo; i-- {
+					z[at(i)] -= cp[at(i)] * z[at(i+1)]
+				}
+			}
 		}
-		for k := lo; k < hi; k++ {
-			j := k % c.line
-			diag := func(i int) float64 {
-				return 1 + kx[c.at(j, i+1)] + kx[c.at(j, i)] + ky[c.at(j+1, i)] + ky[c.at(j, i)]
-			}
-			b0 := diag(halo)
-			cp[c.at(j, halo)] = -kx[c.at(j, halo+1)] / b0
-			dp[c.at(j, halo)] = r[c.at(j, halo)] / b0
-			for i := halo + 1; i < halo+nx; i++ {
-				av := -kx[c.at(j, i)]
-				m := 1 / (diag(i) - av*cp[c.at(j, i-1)])
-				cp[c.at(j, i)] = -kx[c.at(j, i+1)] * m
-				dp[c.at(j, i)] = (r[c.at(j, i)] - av*dp[c.at(j, i-1)]) * m
-			}
-			last := halo + nx - 1
-			z[c.at(j, last)] = dp[c.at(j, last)]
-			for i := last - 1; i >= halo; i-- {
-				z[c.at(j, i)] = dp[c.at(j, i)] - cp[c.at(j, i)]*z[c.at(j, i+1)]
-			}
-		}
-	})
+	}
+	return walk(true), walk(false)
 }
 
 // precondSrc is the field CG and Chebyshev take their direction from.
@@ -510,8 +526,7 @@ func (c *Chunk[F]) ChebyInit(theta float64, precond bool) {
 // sweep; the preconditioner; then the sd and u update.
 func (c *Chunk[F]) ChebyIterate(alpha, beta float64, precond bool) {
 	c.pol.For("cheby_calc_r", c.stencil(opReach), c.args(sd, w, r, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
-		c.operator(a, lo, hi, 1, 0)
-		kern.Sub(a[2][lo:hi], a[2][lo:hi], a[1][lo:hi])
+		kern.OperatorSubAt(a[1], a[0], a[2], a[2], a[3], a[4], c.line, lo, hi)
 	})
 	if precond {
 		c.ApplyPrecond()
@@ -532,7 +547,7 @@ func (c *Chunk[F]) PPCGInitInner(theta float64) {
 // see the previous sd everywhere before any of it is rewritten).
 func (c *Chunk[F]) PPCGInnerIterate(alpha, beta float64) {
 	c.pol.For("ppcg_calc_w", c.stencil(opReach), c.args(sd, w, c.kAlong, c.kAcross), func(a [][]float64, lo, hi int) {
-		c.operator(a, lo, hi, 1, 0)
+		kern.OperatorAt(a[1], a[0], a[2], a[3], c.line, lo, hi)
 	})
 	c.interior("ppcg_inner_update", c.args(z, sd, rtemp, w), func(a [][]float64, lo, hi int) {
 		kern.PPCGInnerRow(a[0][lo:hi], a[1][lo:hi], a[2][lo:hi], a[3][lo:hi], alpha, beta)

@@ -383,3 +383,64 @@ func TestDeclaredReach(t *testing.T) {
 		t.Fatal("no launch was checked")
 	}
 }
+
+// TestBlockFactorFollowsSolveInit holds jac_block's factors to the solve they
+// were made for: after each of two SolveInits with a different coefficient
+// and rx/ry, an ApplyPrecond on a fresh r must give the z of a fresh chunk
+// that saw only that SolveInit, bit for bit, on the host policy, manual-cuda
+// and kokkos-cuda's column layout. Every deck keeps kx and ky fixed across
+// its steps, so no golden would see factors left over from another solve.
+func TestBlockFactorFollowsSolveInit(t *testing.T) {
+	block := simgpu.Dim2{X: 4, Y: 4}
+	layouts := map[string]backendtest.Factory{
+		"host":        serialPolicy,
+		"manual-cuda": func() driver.Kernels { return cuda.New(2, block) },
+		"kokkos-cuda": func() driver.Kernels { return kokkosport.New(kokkos.NewCuda(2, block)) },
+	}
+	cfg := config.BenchmarkN(13)
+	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := []struct {
+		coef   config.Coefficient
+		rx, ry float64
+	}{{config.Conductivity, 0.75, 1.5}, {config.RecipConductivity, 2.25, 0.375}}
+	fresh := make([]float64, m.Nx*m.Ny)
+	for i := range fresh {
+		fresh[i] = math.Sin(float64(i)) + 0.25
+	}
+	start := func(k driver.Kernels) {
+		if err := k.Generate(m, cfg.States); err != nil {
+			t.Fatal(err)
+		}
+		k.HaloExchange([]driver.FieldID{driver.FieldDensity, driver.FieldEnergy0}, 2)
+		k.SetField()
+		k.HaloExchange([]driver.FieldID{driver.FieldDensity, driver.FieldEnergy1}, 2)
+	}
+	precond := func(k driver.Kernels) []float64 {
+		k.RestoreField(driver.FieldR, fresh)
+		k.ApplyPrecond()
+		return k.FetchField(driver.FieldZ)
+	}
+	for name, factory := range layouts {
+		k := factory()
+		start(k)
+		for n, s := range solves {
+			k.SolveInit(s.coef, s.rx, s.ry, config.PrecondJacBlock)
+			got := precond(k)
+			ref := factory()
+			start(ref)
+			ref.SolveInit(s.coef, s.rx, s.ry, config.PrecondJacBlock)
+			want := precond(ref)
+			ref.Close()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s, solve %d: z[%d] = %x after an earlier solve, %x on a fresh chunk", name, n, i, got[i], want[i])
+					break
+				}
+			}
+		}
+		k.Close()
+	}
+}

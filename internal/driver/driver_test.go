@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
@@ -229,3 +230,37 @@ func TestRunPropagatesSolverError(t *testing.T) {
 }
 
 var errStub = errors.New("stub solve failure")
+
+// lateTimer is a context whose deadline has passed but whose Done channel
+// has not closed: a context.WithTimeout whose runtime timer the scheduler
+// has not run yet.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestRunStopsAtPastDeadlineBeforeTimer holds the run to the clock, not to
+// the timer: with the deadline past and Done still open, Cause reports
+// DeadlineExceeded and both run loops stop before their first step, so a
+// compute-bound job that outruns its timer still ends expired.
+func TestRunStopsAtPastDeadlineBeforeTimer(t *testing.T) {
+	ctx := lateTimer{context.Background()}
+	if err := Cause(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Cause = %v, want DeadlineExceeded", err)
+	}
+	if err := Cause(context.Background()); err != nil {
+		t.Fatalf("Cause of a context with no deadline = %v", err)
+	}
+	cfg := config.BenchmarkN(8)
+	cfg.EndStep = 2
+	for name, run := range map[string]func() (Result, error){
+		"RunCtx": func() (Result, error) { return RunCtx(ctx, cfg, &stubKernels{}, stubSolver(), nil) },
+		"RunResilientCtx": func() (Result, error) {
+			return RunResilientCtx(ctx, cfg, &stubKernels{}, stubSolver(), nil, RecoveryPolicy{CheckpointEvery: 1})
+		},
+	} {
+		res, err := run()
+		if !errors.Is(err, context.DeadlineExceeded) || len(res.Steps) != 0 {
+			t.Errorf("%s: %d steps, error %v; want none and DeadlineExceeded", name, len(res.Steps), err)
+		}
+	}
+}

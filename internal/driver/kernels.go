@@ -134,7 +134,9 @@ type Kernels interface {
 
 	// ApplyPrecond sets z = M^-1 r with the preconditioner selected at
 	// SolveInit: the diagonal inverse for jac_diag, or per-row tridiagonal
-	// Thomas solves for jac_block (the line-Jacobi block preconditioner).
+	// Thomas solves for jac_block (the line-Jacobi block preconditioner),
+	// which replay the factors of the row blocks SolveInit made from that
+	// solve's Kx/Ky.
 	ApplyPrecond()
 
 	// CGInitP starts CG: p = z if precond else p = r, returning

@@ -172,7 +172,7 @@ func RunResilientCtx(ctx context.Context, cfg config.Config, k Kernels, s Solver
 		pendingSDC int     // SDC-classified failures awaiting a successful replay
 	)
 	for step := startStep; step <= cfg.EndStep && simTime < cfg.EndTime; step++ {
-		if cErr := context.Cause(ctx); cErr != nil {
+		if cErr := Cause(ctx); cErr != nil {
 			return res, fmt.Errorf("driver: run cancelled before step %d: %w", step, cErr)
 		}
 		lastStep := step == cfg.EndStep || simTime+dt >= cfg.EndTime
@@ -191,7 +191,7 @@ func RunResilientCtx(ctx context.Context, cfg config.Config, k Kernels, s Solver
 		if stepErr != nil {
 			// Cancellation is terminal, never a fault to retry: surface the
 			// partial result with the cause, even mid-recovery.
-			if cErr := context.Cause(ctx); cErr != nil {
+			if cErr := Cause(ctx); cErr != nil {
 				return res, fmt.Errorf("driver: step %d cancelled: %w", step, cErr)
 			}
 			if errors.Is(stepErr, ErrSDC) || errors.Is(stepErr, comm.ErrCorruption) {

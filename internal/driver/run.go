@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/config"
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
@@ -86,6 +87,25 @@ func Run(cfg config.Config, k Kernels, s Solver, log io.Writer) (Result, error) 
 	return RunCtx(context.Background(), cfg, k, s, log)
 }
 
+// Cause is ctx's cancellation cause, or nil, with a deadline already past on
+// the clock reported as context.DeadlineExceeded before the runtime timer
+// that cancels ctx has fired. That timer runs only when the scheduler gets to
+// it, and a compute-bound solve never blocks: with one P, or on a loaded
+// host, a short solve can run to the end past its deadline without seeing
+// Done closed, and its job would settle done instead of expired. Every
+// cancellation check of a run and of its solver goes through Cause.
+func Cause(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return context.Cause(ctx)
+	default:
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // RunCtx is Run bounded by a context: cancellation or deadline expiry stops
 // the march between solver iterations and returns the partial Result
 // accumulated so far alongside the cancellation cause.
@@ -112,7 +132,7 @@ func RunCtx(ctx context.Context, cfg config.Config, k Kernels, s Solver, log io.
 	ry := dt / (m.Dy * m.Dy)
 	simTime := 0.0
 	for step := 1; step <= cfg.EndStep && simTime < cfg.EndTime; step++ {
-		if err := context.Cause(ctx); err != nil {
+		if err := Cause(ctx); err != nil {
 			return res, fmt.Errorf("driver: run cancelled before step %d: %w", step, err)
 		}
 		k.SetField()

@@ -17,6 +17,13 @@ func OperatorAt(dst, src, kx, ky []float64, stride, lo, hi int) {
 		win(kx, lo, hi), win(ky, lo, hi), win(ky, lo+stride, hi+stride), 1, hi-lo)
 }
 
+// OperatorSubAt is OperatorSubRow on cells [lo, hi): w = A src, then
+// dst = a - w.
+func OperatorSubAt(w, src, a, dst, kx, ky []float64, stride, lo, hi int) {
+	OperatorSubRow(win(w, lo, hi), win(src, lo, hi), win(src, lo+stride, hi+stride), win(src, lo-stride, hi-stride),
+		win(kx, lo, hi), win(ky, lo, hi), win(ky, lo+stride, hi+stride), win(a, lo, hi), win(dst, lo, hi), 1, hi-lo)
+}
+
 // OperatorDotAt is OperatorDotRow on cells [lo, hi): dst = A src, returning
 // acc plus src·dst.
 func OperatorDotAt(acc float64, dst, src, kx, ky []float64, stride, lo, hi int) float64 {
@@ -42,8 +49,15 @@ func FaceCoefAt(kx, ky, w []float64, rx, ry float64, stride, lo, hi int) {
 	FaceCoefRow(win(kx, lo, hi), win(ky, lo, hi), win(w, lo, hi), win(w, lo-stride, hi-stride), rx, ry, 2, hi-lo-2)
 }
 
-// ThomasAt is ThomasRow on cells [lo, hi), which must be a whole mesh row.
-func ThomasAt(z, r, kx, ky, cp, dp []float64, stride, lo, hi int) {
-	ThomasRow(win(z, lo, hi), win(r, lo, hi), win(kx, lo, hi), win(ky, lo, hi), win(ky, lo+stride, hi+stride),
-		win(cp, lo, hi), win(dp, lo, hi), 1, hi-lo)
+// ThomasFactorAt is ThomasFactorRow on cells [lo, hi), which must be a whole
+// mesh row.
+func ThomasFactorAt(z, r, kx, ky, cp, m []float64, stride, lo, hi int) {
+	ThomasFactorRow(win(z, lo, hi), win(r, lo, hi), win(kx, lo, hi), win(ky, lo, hi), win(ky, lo+stride, hi+stride),
+		win(cp, lo, hi), win(m, lo, hi), 1, hi-lo)
+}
+
+// ThomasSolveAt is ThomasSolveRow on cells [lo, hi), which must be a whole
+// mesh row.
+func ThomasSolveAt(z, r, kx, cp, m []float64, lo, hi int) {
+	ThomasSolveRow(win(z, lo, hi), win(r, lo, hi), win(kx, lo, hi), win(cp, lo, hi), win(m, lo, hi), 1, hi-lo)
 }

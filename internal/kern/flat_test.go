@@ -63,9 +63,11 @@ func TestAtFormsMatchRowBodies(t *testing.T) {
 			FaceCoefAt(a[2], a[3], a[1], 0.75, 1.25, stride, lo, hi)
 			FaceCoefRow(row(b[2], 1), row(b[3], 1), row(b[1], 1), row(b[1], 0), 0.75, 1.25, at+1, n-2)
 
-			// The Thomas solve takes a whole row.
-			ThomasAt(a[0], a[1], a[2], a[3], a[4], a[5], stride, stride+d, stride+d+nx)
-			ThomasRow(row(b[0], 1), row(b[1], 1), row(b[2], 1), row(b[3], 1), row(b[3], 2), row(b[4], 1), row(b[5], 1), d, nx)
+			// The Thomas factor and solve take a whole row.
+			ThomasFactorAt(a[0], a[1], a[2], a[3], a[4], a[5], stride, stride+d, stride+d+nx)
+			ThomasFactorRow(row(b[0], 1), row(b[1], 1), row(b[2], 1), row(b[3], 1), row(b[3], 2), row(b[4], 1), row(b[5], 1), d, nx)
+			ThomasSolveAt(a[6], a[0], a[2], a[4], a[5], stride+d, stride+d+nx)
+			ThomasSolveRow(row(b[6], 1), row(b[0], 1), row(b[2], 1), row(b[4], 1), row(b[5], 1), d, nx)
 			for k := range a {
 				if !slices.Equal(a[k], b[k]) {
 					t.Fatalf("nx=%d run %v: field %d differs between the At and Row forms", nx, run, k)

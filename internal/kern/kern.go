@@ -11,13 +11,15 @@
 // order — and therefore the floating-point result — is bitwise identical to
 // the rolled loops the serial golden baselines pin.
 //
-// The CG hot path has SSE2 bodies on amd64 (kern_amd64.s, the GOAMD64=v1
-// baseline, so there is no CPU detection): OperatorDotRow, UpdateURDot,
-// UpdateURZDot and XPBY, and OperatorRow and UpdateUR, which run their fused
-// forms' assembly and drop the sum. Each does the even-length prefix of its
-// row a pair of cells at a time and its Go reference loop finishes the odd
-// cell. Every lane does the Go body's IEEE operations in the Go body's order,
-// with no fused multiply-add; the operator's diagonal, for one, is
+// The CG hot path and the Chebyshev and PPCG updates have SSE2 bodies on
+// amd64 (kern_amd64.s, the GOAMD64=v1 baseline, so there is no CPU
+// detection): OperatorDotRow, UpdateURDot, UpdateURZDot and XPBY;
+// OperatorRow and UpdateUR, which run their fused forms' assembly and drop
+// the sum; OperatorSubRow (the residual and cheby_calc_r), ChebyRow and
+// PPCGInnerRow. Each does the even-length prefix of its row a pair of cells
+// at a time and its Go reference loop finishes the odd cell. Every lane does
+// the Go body's IEEE operations in the Go body's order, with no fused
+// multiply-add; the operator's diagonal, for one, is
 // (((1+kx1)+kx0)+ky1)+ky0. A fused reduction adds each pair's two products to
 // the one accumulator low lane first, then high, which is the Go body's
 // left-to-right order. So the two paths agree bit for bit wherever the result
@@ -110,6 +112,41 @@ func operatorDotGo(i0 int, acc float64, dst, sr, su, sd, kx, ky, kyu []float64, 
 		acc += cell(i)
 	}
 	return acc
+}
+
+// OperatorSubRow is OperatorRow fused with a subtraction: it sets w = A src
+// on the row and then dst = a - w cell by cell, so dst may alias a (the
+// Chebyshev residual update r -= w) and the result is OperatorRow followed by
+// a dst = a - w pass, bit for bit. a and dst are full halo'd rows like the
+// rest.
+func OperatorSubRow(w, sr, su, sd, kx, ky, kyu, a, dst []float64, d, nx int) {
+	i := operatorSubSIMD(w, sr, su, sd, kx, ky, kyu, a, dst, d, nx)
+	operatorSubGo(i, w, sr, su, sd, kx, ky, kyu, a, dst, d, nx)
+}
+
+// operatorSubGo is OperatorSubRow's Go reference on interior cells [i0, nx).
+func operatorSubGo(i0 int, w, sr, su, sd, kx, ky, kyu, a, dst []float64, d, nx int) {
+	if nx <= 0 {
+		return
+	}
+	wc := w[d : d+nx]
+	sl := sr[d-1 : d-1+nx]
+	sc := sr[d : d+nx]
+	srr := sr[d+1 : d+1+nx]
+	uc := su[d : d+nx]
+	dnc := sd[d : d+nx]
+	kx0 := kx[d : d+nx]
+	kx1 := kx[d+1 : d+1+nx]
+	ky0 := ky[d : d+nx]
+	ky1 := kyu[d : d+nx]
+	ac := a[d : d+nx]
+	dc := dst[d : d+nx]
+	for i := i0; i < nx; i++ {
+		v := (1+kx1[i]+kx0[i]+ky1[i]+ky0[i])*sc[i] -
+			(kx1[i]*srr[i] + kx0[i]*sl[i]) - (ky1[i]*uc[i] + ky0[i]*dnc[i])
+		wc[i] = v
+		dc[i] = ac[i] - v
+	}
 }
 
 // DotAcc accumulates a·b onto acc element by element and returns the new
@@ -268,15 +305,6 @@ func JacobiRow(acc float64, ur, unr, unu, und, u0r, kx, ky, kyu []float64, d, nx
 	return acc
 }
 
-// Sub sets dst = a - b over one interior row: the residual r = u0 - w and,
-// with dst aliasing a, the Chebyshev residual update r -= w.
-func Sub(dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // Add sets dst += a over one interior row (the PPCG z += sd steps).
 func Add(dst, a []float64) {
 	a = a[:len(dst)]
@@ -341,8 +369,14 @@ func ChebyInitRow(sd, u, src []float64, theta float64) {
 // ChebyRow is the Chebyshev direction update on one interior row:
 // sd = alpha*sd + beta*src, u += sd.
 func ChebyRow(sd, u, src []float64, alpha, beta float64) {
+	i := chebySIMD(sd, u, src, alpha, beta)
+	chebyGo(i, sd, u, src, alpha, beta)
+}
+
+// chebyGo is ChebyRow's Go reference on cells [i0, len(sd)).
+func chebyGo(i0 int, sd, u, src []float64, alpha, beta float64) {
 	u, src = u[:len(sd)], src[:len(sd)]
-	for i := range sd {
+	for i := i0; i < len(sd); i++ {
 		sd[i] = alpha*sd[i] + beta*src[i]
 		u[i] += sd[i]
 	}
@@ -362,8 +396,14 @@ func PPCGInitRow(rt, z, sd, r []float64, theta float64) {
 // PPCGInnerRow is one inner smoothing step on one interior row: z += sd,
 // rt -= w, sd = alpha*sd + beta*rt.
 func PPCGInnerRow(z, sd, rt, w []float64, alpha, beta float64) {
+	i := ppcgInnerSIMD(z, sd, rt, w, alpha, beta)
+	ppcgInnerGo(i, z, sd, rt, w, alpha, beta)
+}
+
+// ppcgInnerGo is PPCGInnerRow's Go reference on cells [i0, len(sd)).
+func ppcgInnerGo(i0 int, z, sd, rt, w []float64, alpha, beta float64) {
 	z, rt, w = z[:len(sd)], rt[:len(sd)], w[:len(sd)]
-	for i := range sd {
+	for i := i0; i < len(sd); i++ {
 		z[i] += sd[i]
 		rt[i] -= w[i]
 		sd[i] = alpha*sd[i] + beta*rt[i]
@@ -410,32 +450,59 @@ func DiagInvRow(mi, kx, ky, kyu []float64, d, nx int) {
 	}
 }
 
-// ThomasRow applies the line-Jacobi block preconditioner to one mesh row:
-// the row's tridiagonal slice of the operator (sub/super-diagonal -kx, full
-// diagonal) is solved exactly with the Thomas algorithm, z = T⁻¹ r. T is
-// symmetric and strictly diagonally dominant with a positive diagonal,
-// hence SPD, so CG theory holds. cp and dp are per-row scratch; rows are
-// full halo'd rows as in OperatorRow.
-func ThomasRow(z, r, kx, ky, kyu, cp, dp []float64, d, nx int) {
+// ThomasFactorRow applies the line-Jacobi block preconditioner to one mesh
+// row and keeps the factors: the row's tridiagonal slice of the operator
+// (sub/super-diagonal -kx, full diagonal) is solved exactly with the Thomas
+// algorithm, z = T⁻¹ r, leaving the forward sweep's cp and its reciprocal
+// pivots in m for ThomasSolveRow, which then solves the same T for another r
+// with no division but the first cell's: m[0] is that cell's diagonal b0
+// itself, since the sweep divides by it. T is symmetric and strictly
+// diagonally dominant with a positive diagonal, hence SPD, so CG theory
+// holds. T depends only on kx and ky, so a solve factors once and replays.
+// Rows are full halo'd rows as in OperatorRow.
+func ThomasFactorRow(z, r, kx, ky, kyu, cp, m []float64, d, nx int) {
 	if nx <= 0 {
 		return
 	}
-	z, r, cp, dp = z[d:d+nx], r[d:d+nx], cp[d:d+nx], dp[d:d+nx]
+	z, r, cp, m = z[d:d+nx], r[d:d+nx], cp[d:d+nx], m[d:d+nx]
 	kx0, kx1, ky0, ky1 := kx[d:d+nx], kx[d+1:d+1+nx], ky[d:d+nx], kyu[d:d+nx]
-	// Forward sweep.
+	// Forward sweep, z holding the sweep's right-hand side.
 	b0 := 1 + kx1[0] + kx0[0] + ky1[0] + ky0[0]
+	m[0] = b0
 	cp[0] = -kx1[0] / b0
-	dp[0] = r[0] / b0
+	z[0] = r[0] / b0
 	for i := 1; i < nx; i++ {
 		a := -kx0[i]
-		m := 1 / (1 + kx1[i] + kx0[i] + ky1[i] + ky0[i] - a*cp[i-1])
-		cp[i] = -kx1[i] * m
-		dp[i] = (r[i] - a*dp[i-1]) * m
+		mi := 1 / (1 + kx1[i] + kx0[i] + ky1[i] + ky0[i] - a*cp[i-1])
+		m[i] = mi
+		cp[i] = -kx1[i] * mi
+		z[i] = (r[i] - a*z[i-1]) * mi
 	}
-	// Back substitution.
-	z[nx-1] = dp[nx-1]
-	for i := nx - 2; i >= 0; i-- {
-		z[i] = dp[i] - cp[i]*z[i+1]
+	backSubstitute(z, cp)
+}
+
+// ThomasSolveRow is ThomasFactorRow's solve on factors it left in cp and m
+// for the same kx and ky: the same IEEE operations in the same order, so the
+// same z bit for bit, with a multiply by m where the factoring divided.
+func ThomasSolveRow(z, r, kx, cp, m []float64, d, nx int) {
+	if nx <= 0 {
+		return
+	}
+	z, r, cp, m, kx0 := z[d:d+nx], r[d:d+nx], cp[d:d+nx], m[d:d+nx], kx[d:d+nx]
+	z[0] = r[0] / m[0]
+	for i := 1; i < nx; i++ {
+		a := -kx0[i]
+		z[i] = (r[i] - a*z[i-1]) * m[i]
+	}
+	backSubstitute(z, cp)
+}
+
+// backSubstitute finishes a Thomas solve in place: z holds the forward
+// sweep's right-hand side on entry and the solution on return.
+func backSubstitute(z, cp []float64) {
+	cp = cp[:len(z)]
+	for i := len(z) - 2; i >= 0; i-- {
+		z[i] -= cp[i] * z[i+1]
 	}
 }
 

@@ -22,6 +22,15 @@ func updateURZDotSSE2(acc float64, u, p, r, w, mi, z *float64, alpha float64, n 
 //go:noescape
 func xpbySSE2(p, src *float64, beta float64, n int)
 
+//go:noescape
+func operatorSubSSE2(w, s, su, sd, kx, ky, kyu, a, dst *float64, n int)
+
+//go:noescape
+func chebySSE2(sd, u, src *float64, alpha, beta float64, n int)
+
+//go:noescape
+func ppcgInnerSSE2(z, sd, rt, w *float64, alpha, beta float64, n int)
+
 // operatorDotSIMD cuts a halo'd row's operands to the cells the operator
 // reads for interior cells [0, nx): src from cell -1 to cell nx, kx from cell
 // 0 to cell nx, and cells [0, nx) of the rest.
@@ -33,6 +42,19 @@ func operatorDotSIMD(acc float64, dst, sr, su, sd, kx, ky, kyu []float64, d, nx 
 	kxc, ky0, ky1 := kx[d:d+1+nx], ky[d:d+nx], kyu[d:d+nx]
 	n := nx &^ 1
 	return n, operatorDotSSE2(acc, &dc[0], &s[0], &uc[0], &dnc[0], &kxc[0], &ky0[0], &ky1[0], n)
+}
+
+// operatorSubSIMD cuts its operands as operatorDotSIMD does, a and dst to
+// cells [0, nx).
+func operatorSubSIMD(w, sr, su, sd, kx, ky, kyu, a, dst []float64, d, nx int) int {
+	if nx < 2 {
+		return 0
+	}
+	wc, s, uc, dnc := w[d:d+nx], sr[d-1:d+1+nx], su[d:d+nx], sd[d:d+nx]
+	kxc, ky0, ky1, ac, dc := kx[d:d+1+nx], ky[d:d+nx], kyu[d:d+nx], a[d:d+nx], dst[d:d+nx]
+	n := nx &^ 1
+	operatorSubSSE2(&wc[0], &s[0], &uc[0], &dnc[0], &kxc[0], &ky0[0], &ky1[0], &ac[0], &dc[0], n)
+	return n
 }
 
 func updateURDotSIMD(acc float64, u, p, r, w []float64, alpha float64) (int, float64) {
@@ -63,5 +85,27 @@ func xpbySIMD(p, src []float64, beta float64) int {
 	}
 	n &^= 1
 	xpbySSE2(&p[0], &src[0], beta, n)
+	return n
+}
+
+func chebySIMD(sd, u, src []float64, alpha, beta float64) int {
+	n := len(sd)
+	u, src = u[:n], src[:n]
+	if n < 2 {
+		return 0
+	}
+	n &^= 1
+	chebySSE2(&sd[0], &u[0], &src[0], alpha, beta, n)
+	return n
+}
+
+func ppcgInnerSIMD(z, sd, rt, w []float64, alpha, beta float64) int {
+	n := len(sd)
+	z, rt, w = z[:n], rt[:n], w[:n]
+	if n < 2 {
+		return 0
+	}
+	n &^= 1
+	ppcgInnerSSE2(&z[0], &sd[0], &rt[0], &w[0], alpha, beta, n)
 	return n
 }

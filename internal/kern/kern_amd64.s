@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// SSE2 row bodies for the CG hot path. Each runs cells [0, n) of its row,
-// n even and at least two, one pair of cells (i, i+1) per packed
-// instruction in the two lanes of an X register. Lane by lane every body
+// SSE2 row bodies for the CG hot path and the Chebyshev and PPCG updates.
+// Each runs cells [0, n) of its row, n even and at least two, one pair of
+// cells (i, i+1) per packed instruction in the two lanes of an X register. Lane by lane every body
 // makes the IEEE operations of its Go reference in kern.go in the same order
 // (no fused multiply-add on either side), and a reduction adds the pair's two
 // products to the scalar accumulator low lane first, then high: the Go
@@ -162,6 +162,90 @@ loop:
 	MOVUPD (SI)(AX*8), X2
 	ADDPD  X0, X2
 	MOVUPD X2, (DI)(AX*8)
+	ADDQ   $2, AX
+	CMPQ   AX, CX
+	JLT    loop
+	RET
+
+// func operatorSubSSE2(w, s, su, sd, kx, ky, kyu, a, dst *float64, n int)
+TEXT ·operatorSubSSE2(SB), NOSPLIT, $0-80
+	MOVQ w+0(FP), DI
+	MOVQ s+8(FP), SI
+	MOVQ su+16(FP), R8
+	MOVQ sd+24(FP), R9
+	MOVQ kx+32(FP), R10
+	MOVQ ky+40(FP), R11
+	MOVQ kyu+48(FP), R12
+	MOVQ a+56(FP), DX
+	MOVQ dst+64(FP), BX
+	MOVQ n+72(FP), CX
+	ONES
+	XORQ AX, AX
+
+loop:
+	OPERATOR_PAIR
+	MOVUPD X4, (DI)(AX*8)
+	MOVUPD (DX)(AX*8), X5
+	SUBPD  X4, X5
+	MOVUPD X5, (BX)(AX*8)
+	ADDQ   $2, AX
+	CMPQ   AX, CX
+	JLT    loop
+	RET
+
+// func chebySSE2(sd, u, src *float64, alpha, beta float64, n int)
+TEXT ·chebySSE2(SB), NOSPLIT, $0-48
+	MOVQ     sd+0(FP), DI
+	MOVQ     u+8(FP), SI
+	MOVQ     src+16(FP), DX
+	MOVSD    alpha+24(FP), X12
+	UNPCKLPD X12, X12
+	MOVSD    beta+32(FP), X11
+	UNPCKLPD X11, X11
+	MOVQ     n+40(FP), CX
+	XORQ     AX, AX
+
+loop:
+	MOVUPD (DI)(AX*8), X0
+	MULPD  X12, X0
+	MOVUPD (DX)(AX*8), X1
+	MULPD  X11, X1
+	ADDPD  X1, X0
+	MOVUPD X0, (DI)(AX*8)
+	MOVUPD (SI)(AX*8), X2
+	ADDPD  X0, X2
+	MOVUPD X2, (SI)(AX*8)
+	ADDQ   $2, AX
+	CMPQ   AX, CX
+	JLT    loop
+	RET
+
+// func ppcgInnerSSE2(z, sd, rt, w *float64, alpha, beta float64, n int)
+TEXT ·ppcgInnerSSE2(SB), NOSPLIT, $0-56
+	MOVQ     z+0(FP), DI
+	MOVQ     sd+8(FP), SI
+	MOVQ     rt+16(FP), DX
+	MOVQ     w+24(FP), R8
+	MOVSD    alpha+32(FP), X12
+	UNPCKLPD X12, X12
+	MOVSD    beta+40(FP), X11
+	UNPCKLPD X11, X11
+	MOVQ     n+48(FP), CX
+	XORQ     AX, AX
+
+loop:
+	MOVUPD (SI)(AX*8), X0
+	MOVUPD (DI)(AX*8), X1
+	ADDPD  X0, X1
+	MOVUPD X1, (DI)(AX*8)
+	MOVUPD (DX)(AX*8), X2
+	MOVUPD (R8)(AX*8), X3
+	SUBPD  X3, X2
+	MOVUPD X2, (DX)(AX*8)
+	MULPD  X12, X0
+	MULPD  X11, X2
+	ADDPD  X2, X0
+	MOVUPD X0, (SI)(AX*8)
 	ADDQ   $2, AX
 	CMPQ   AX, CX
 	JLT    loop

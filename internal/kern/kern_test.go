@@ -216,21 +216,26 @@ func TestDiagInvRow(t *testing.T) {
 	})
 }
 
+// TestThomasRow holds the factoring Thomas solve to the rolled forward sweep
+// and back substitution, the reciprocal pivots kept in m (the first cell's
+// diagonal itself in m[0]), and the solve to being one.
 func TestThomasRow(t *testing.T) {
 	sweep(t, 7, func(nx int, a, b [][]float64) {
-		ThomasRow(a[0], a[1], a[2], a[3], a[4], a[5], a[6], d, nx)
+		ThomasFactorRow(a[0], a[1], a[2], a[3], a[4], a[5], a[6], d, nx)
 		if nx == 0 {
 			return
 		}
-		z, r, kx, ky, kyu, cp, dp := b[0], b[1], b[2], b[3], b[4], b[5], b[6]
+		z, r, kx, ky, kyu, cp, m := b[0], b[1], b[2], b[3], b[4], b[5], b[6]
+		dp := make([]float64, len(z))
 		b0 := diagAt(kx, ky, kyu, d)
+		m[d] = b0
 		cp[d] = -kx[d+1] / b0
 		dp[d] = r[d] / b0
 		for i := 1; i < nx; i++ {
 			sub := -kx[d+i]
-			m := 1 / (diagAt(kx, ky, kyu, d+i) - sub*cp[d+i-1])
-			cp[d+i] = -kx[d+i+1] * m
-			dp[d+i] = (r[d+i] - sub*dp[d+i-1]) * m
+			m[d+i] = 1 / (diagAt(kx, ky, kyu, d+i) - sub*cp[d+i-1])
+			cp[d+i] = -kx[d+i+1] * m[d+i]
+			dp[d+i] = (r[d+i] - sub*dp[d+i-1]) * m[d+i]
 		}
 		z[d+nx-1] = dp[d+nx-1]
 		for i := nx - 2; i >= 0; i-- {

@@ -125,16 +125,12 @@ func (m sdcMonitor) guardSign(what string, v, initial, eps float64, iter int) er
 		what, v, iter, errSDCBreakdown)
 }
 
-// ctxErr returns the context's cancellation cause, or nil. The solve loops
-// poll it once per iteration; a nil context means an unbounded solve.
+// ctxErr returns the context's cancellation cause, or nil, a deadline past on
+// the clock included (driver.Cause). The solve loops poll it once per
+// iteration; a nil context means an unbounded solve.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
-	select {
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	default:
-		return nil
-	}
+	return driver.Cause(ctx)
 }
