@@ -167,11 +167,16 @@ bench-tiling:
 bench-portability:
 	$(GO) run ./cmd/teabench -experiment portability -n 128 -steps 2 -json
 
-# docs-lint cross-checks the operator docs against the code: every metric
+# docs-lint cross-checks the operator docs against the code (every metric
 # a doc names must be registered, every registered metric documented, and
-# every teaserve flag covered by docs/OPERATIONS.md.
+# every teaserve flag covered by docs/OPERATIONS.md) and runs the two static
+# gates: TestNoDeadAPI (every identifier under internal/ has a non-test user
+# or a line in deadapi_allowlist.txt) and TestStdAPIFloor (no standard
+# library API newer than go.mod's go 1.22). TestStdAPIFloor skips on a Go
+# 1.22 toolchain, as CI installs from go.mod: there the compiler itself is
+# the gate, so that skip is not a failure.
 docs-lint:
-	$(GO) test -count=1 -run 'TestDocsLint' .
+	$(GO) test -count=1 -run 'TestDocsLint|TestStdAPIFloor|TestNoDeadAPI' .
 
 # bench runs the full repo benchmark set.
 bench:

@@ -290,7 +290,11 @@ func TestSegmentGolden(t *testing.T) {
 			prof := profiler.New()
 			got := segmentRunOf(Run(t, func() driver.Kernels { return driver.Instrument(c.factory(), prof) }, cfg))
 			if name, ok := segmentKernel[deck]; ok {
-				if e, _ := prof.Lookup(name); e.Calls == 0 {
+				ran := false
+				for _, e := range prof.Entries() {
+					ran = ran || e.Name == name && e.Calls > 0
+				}
+				if !ran {
 					t.Errorf("%s: %s never ran", run, name)
 				}
 			}

@@ -194,9 +194,10 @@ func TestReflectHalo(t *testing.T) {
 	checkReflect(t, "manual-cuda", dev.Chunk, func(b *simgpu.Buffer, j, i int) *float64 {
 		return &b.View()[j*reflectColumns+i]
 	})
-	kk := kokkosport.New(kokkos.NewCuda(2, block))
+	space := kokkos.NewCuda(2, block)
+	kk := kokkosport.New(space)
 	defer kk.Close()
-	if l := kk.Space().DefaultLayout(); l != kokkos.LayoutLeft {
+	if l := space.DefaultLayout(); l != kokkos.LayoutLeft {
 		t.Fatalf("kokkos-cuda views are %v, want LayoutLeft", l)
 	}
 	checkReflect(t, "kokkos-cuda", kk.Chunk, func(v *kokkos.View, j, i int) *float64 {
@@ -274,7 +275,7 @@ func TestOneReducePerTotal(t *testing.T) {
 		call.Apply(k)
 		if pol.reduces != totals[call.ID] {
 			t.Errorf("%v, precond %v: %s made %d reductions, want %d",
-				call.Kind, call.Precond, call.ID.Desc().Method, pol.reduces, totals[call.ID])
+				call.Kind, call.Precond, call.ID.Desc().Name, pol.reduces, totals[call.ID])
 		}
 	})
 }
@@ -374,7 +375,7 @@ func TestDeclaredReach(t *testing.T) {
 	launches := 0
 	newPol := func() *reachCheck { return &reachCheck{Host: chunk.NewHost(nil), t: t} }
 	everyCall(t, 8, newPol, func(pol *reachCheck, call *driver.Call, k driver.Kernels) {
-		pol.call = fmt.Sprintf("%v, precond %v: %s", call.Kind, call.Precond, call.ID.Desc().Method)
+		pol.call = fmt.Sprintf("%v, precond %v: %s", call.Kind, call.Precond, call.ID.Desc().Name)
 		n := pol.launches
 		call.Apply(k)
 		launches += pol.launches - n

@@ -38,9 +38,6 @@ func New(space kokkos.ExecSpace) *Chunk {
 // Name implements driver.Kernels.
 func (c *Chunk) Name() string { return c.name }
 
-// Space exposes the execution space, for tests and reporting.
-func (c *Chunk) Space() kokkos.ExecSpace { return c.space }
-
 // Close implements driver.Kernels.
 func (c *Chunk) Close() { c.space.Close() }
 

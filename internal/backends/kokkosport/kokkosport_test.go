@@ -34,13 +34,13 @@ func TestFusionEquivalenceCuda(t *testing.T) {
 // space and LayoutRight on the host spaces — the adaptation the paper
 // credits Kokkos with — while producing identical physics.
 func TestLayoutsDiffer(t *testing.T) {
-	host := New(kokkos.Serial{})
-	dev := New(kokkos.NewCuda(1, simgpu.Dim2{}))
+	hostSpace, devSpace := kokkos.Serial{}, kokkos.NewCuda(1, simgpu.Dim2{})
+	host, dev := New(hostSpace), New(devSpace)
 	cfg := config.BenchmarkN(16)
 	cfg.EndStep = 2
 	hostRes := backendtest.Run(t, func() driver.Kernels { return host }, cfg)
 	devRes := backendtest.Run(t, func() driver.Kernels { return dev }, cfg)
-	if host.Space().DefaultLayout() == dev.Space().DefaultLayout() {
+	if hostSpace.DefaultLayout() == devSpace.DefaultLayout() {
 		t.Error("host and device spaces share a layout; expected LayoutRight vs LayoutLeft")
 	}
 	if d := driver.CompareTotals(hostRes.Final, devRes.Final); d > 1e-9 {

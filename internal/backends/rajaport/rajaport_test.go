@@ -10,7 +10,7 @@ import (
 )
 
 func TestConformanceSeq(t *testing.T) {
-	backendtest.Conformance(t, func() driver.Kernels { return New(raja.SeqExec{}) })
+	backendtest.Conformance(t, func() driver.Kernels { return New(raja.NewOmp(1)) })
 }
 
 func TestConformanceOmp(t *testing.T) {

@@ -50,39 +50,6 @@ type Checkpoint struct {
 	Fields []FieldData
 }
 
-// Field returns the data saved under id, or nil.
-func (c *Checkpoint) Field(id int) []float64 {
-	for _, f := range c.Fields {
-		if f.ID == id {
-			return f.Data
-		}
-	}
-	return nil
-}
-
-// Clone returns a deep copy, so an in-memory recovery point cannot be
-// mutated by the running simulation it was captured from.
-func (c *Checkpoint) Clone() *Checkpoint {
-	out := &Checkpoint{Step: c.Step, Time: c.Time, NX: c.NX, NY: c.NY}
-	out.Fields = make([]FieldData, len(c.Fields))
-	for i, f := range c.Fields {
-		d := make([]float64, len(f.Data))
-		copy(d, f.Data)
-		out.Fields[i] = FieldData{ID: f.ID, Data: d}
-	}
-	return out
-}
-
-// payloadSize returns the encoded payload length in bytes (everything
-// between the magic and the trailing CRC).
-func (c *Checkpoint) payloadSize() int {
-	n := 8 + 8 + 8 + 8 + 8 // step, time, nx, ny, nfields
-	for _, f := range c.Fields {
-		n += 8 + 8 + 8*len(f.Data) // id, len, data
-	}
-	return n
-}
-
 // Encode writes the checkpoint: magic, little-endian payload, CRC-32C of
 // the payload.
 func (c *Checkpoint) Encode(w io.Writer) error {

@@ -282,22 +282,3 @@ func TestLoadLatestMissingPrimaryUsesPrev(t *testing.T) {
 		t.Errorf("no files: err = %v, want ErrNotExist", err)
 	}
 }
-
-func TestCloneIsDeep(t *testing.T) {
-	c := sample()
-	d := c.Clone()
-	d.Fields[0].Data[0] = -999
-	if c.Fields[0].Data[0] == -999 {
-		t.Fatal("Clone shares field storage with the original")
-	}
-}
-
-func TestFieldLookup(t *testing.T) {
-	c := sample()
-	if c.Field(1) == nil {
-		t.Error("Field(1) = nil, want data")
-	}
-	if c.Field(99) != nil {
-		t.Error("Field(99) != nil for a missing ID")
-	}
-}

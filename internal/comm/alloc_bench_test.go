@@ -8,8 +8,8 @@ import (
 // TestSteadyStateAllocsWithDeadline pins the zero-allocation contract with a
 // collective deadline installed, as `tealeaf -deadline` runs: a receive or
 // barrier arms its deadline timer only when it parks, so a steady-state
-// halo exchange and a field-summary AllreduceVecInPlace between two ranks
-// allocate nothing. Rank 0 runs on the test's goroutine and rank 1 on a
+// halo exchange and a scalar AllreduceSum between two ranks allocate
+// nothing. Rank 0 runs on the test's goroutine and rank 1 on a
 // helper goroutine, handed each step over a channel.
 func TestSteadyStateAllocsWithDeadline(t *testing.T) {
 	const stripLen = 512
@@ -32,15 +32,14 @@ func TestSteadyStateAllocsWithDeadline(t *testing.T) {
 		}
 	}
 	var pack, recv [2][stripLen]float64
-	var sums [2][4]float64
+	var sums [2]float64
 	halo := both(func(r *Rank) {
 		peer := 1 - r.ID()
 		r.Send(peer, 1, pack[r.ID()][:])
 		r.RecvInto(peer, 1, recv[r.ID()][:])
 	})
 	allreduce := both(func(r *Rank) {
-		sums[r.ID()] = [4]float64{1, float64(r.ID()), 2, 10}
-		r.AllreduceVecInPlace(sums[r.ID()][:])
+		sums[r.ID()] = r.AllreduceSum(float64(r.ID()))
 	})
 	for i := 0; i < 4; i++ { // prime the payload free list
 		halo()
@@ -49,7 +48,7 @@ func TestSteadyStateAllocsWithDeadline(t *testing.T) {
 		t.Errorf("halo exchange with a deadline: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, allreduce); n != 0 {
-		t.Errorf("AllreduceVecInPlace with a deadline: %v allocs/op, want 0", n)
+		t.Errorf("AllreduceSum with a deadline: %v allocs/op, want 0", n)
 	}
 }
 
@@ -88,18 +87,16 @@ func BenchmarkHaloExchangeSteadyState(b *testing.B) {
 	})
 }
 
-// BenchmarkAllreduceVecInPlace pins the allocation-free multi-scalar
-// reduction used by the field summary.
-func BenchmarkAllreduceVecInPlace(b *testing.B) {
+// BenchmarkAllreduceSum pins the allocation-free scalar reduction every
+// reducing kernel of a rank makes.
+func BenchmarkAllreduceSum(b *testing.B) {
 	const ranks = 4
 	w := NewWorld(ranks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	w.Run(func(r *Rank) {
-		var buf [4]float64
 		for i := 0; i < b.N; i++ {
-			buf = [4]float64{1, float64(r.ID()), float64(i), 10}
-			r.AllreduceVecInPlace(buf[:])
+			r.AllreduceSum(float64(i))
 		}
 	})
 }

@@ -1,7 +1,8 @@
 // Package comm is the message-passing runtime used by the MPI-style ports:
 // a fixed-size world of ranks (goroutines) exchanging typed messages through
-// eager, unbounded mailboxes, with the collectives TeaLeaf needs (barrier,
-// allreduce, broadcast, gather).
+// eager, unbounded mailboxes, with the two collectives TeaLeaf needs:
+// barrier and scalar allreduce. (A field gather is point-to-point sends to
+// rank 0, done by the caller.)
 //
 // It stands in for MPI in this study (see DESIGN.md): programs are written
 // SPMD — NewWorld(n).Run(func(r *Rank) { ... }) — with explicit sends,
@@ -28,7 +29,6 @@
 package comm
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -211,7 +211,6 @@ type World struct {
 
 	bar barrier
 
-	redMu  sync.Mutex
 	redBuf []float64
 	redCRC []uint32 // per-rank CRC of the staged contribution (checksums mode)
 
@@ -385,43 +384,6 @@ func (w *World) Reset() {
 	w.abortErr = nil
 	w.abortMu.Unlock()
 	w.aborted.Store(false)
-}
-
-// RunCtx is Run bounded by a context: a deadline on ctx tightens the
-// per-collective watchdog (so a rank blocked in a receive or barrier cannot
-// outlive the deadline), and cancellation aborts the world, waking every
-// blocked rank to fail fast with the cancellation cause. The previous
-// collective timeout is restored when RunCtx returns, so a world reused
-// across calls keeps its configured watchdog.
-func (w *World) RunCtx(ctx context.Context, fn func(r *Rank)) error {
-	if ctx == nil {
-		return w.Run(fn)
-	}
-	saved := w.timeout
-	defer func() { w.timeout = saved }()
-	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d > 0 && (w.timeout <= 0 || d < w.timeout) {
-			w.timeout = d
-		}
-	}
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		var watcher sync.WaitGroup
-		watcher.Add(1)
-		go func() {
-			defer watcher.Done()
-			select {
-			case <-done:
-				w.Abort(fmt.Errorf("comm: run cancelled: %w", context.Cause(ctx)))
-			case <-stop:
-			}
-		}()
-		defer func() {
-			close(stop)
-			watcher.Wait()
-		}()
-	}
-	return w.Run(fn)
 }
 
 // Run launches fn once per rank this process hosts — every rank for
@@ -838,14 +800,3 @@ func (r *Rank) Allreduce(x float64, op Op) float64 {
 
 // AllreduceSum is Allreduce with OpSum.
 func (r *Rank) AllreduceSum(x float64) float64 { return r.Allreduce(x, OpSum) }
-
-// AllreduceVecInPlace element-wise sums a small vector across ranks and
-// writes the combined vector back into xs on every rank, allocating nothing.
-// All ranks must pass slices of equal length.
-func (r *Rank) AllreduceVecInPlace(xs []float64) {
-	// Serialise vector reductions through the scratch area by staging each
-	// element in turn; vectors here are tiny (<=8 elements).
-	for i, x := range xs {
-		xs[i] = r.Allreduce(x, OpSum)
-	}
-}

@@ -146,21 +146,6 @@ func TestAllreduceDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestAllreduceVec(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(r *Rank) {
-		got := []float64{1, float64(r.ID()), 10}
-		r.AllreduceVecInPlace(got)
-		want := []float64{3, 3, 30} // 0+1+2 = 3
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("rank %d: AllreduceVecInPlace = %v", r.ID(), got)
-				return
-			}
-		}
-	})
-}
-
 func TestDecomposePicksMeshLikeRatio(t *testing.T) {
 	cases := []struct {
 		ranks, nx, ny int

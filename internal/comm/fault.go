@@ -390,17 +390,6 @@ func (s *Schedule) OnFrame(src, dst int) FrameVerdict {
 	return v
 }
 
-// Reset re-arms every fired rule and rewinds the probabilistic streams, so
-// the same schedule can drive a second, identical run.
-func (s *Schedule) Reset() {
-	s.mu.Lock()
-	s.fired = nil
-	s.streams = nil
-	s.lastFlip = nil
-	s.partSince = nil
-	s.mu.Unlock()
-}
-
 // ParseSpec parses a fault specification string into a Schedule. The
 // grammar is semicolon-separated clauses
 //
@@ -579,56 +568,4 @@ func ParseSpec(spec string) (*Schedule, error) {
 		return nil, errors.New("comm: fault spec: empty specification")
 	}
 	return s, nil
-}
-
-// Spec serialises the schedule back into the ParseSpec grammar, canonically:
-// ParseSpec(s.Spec()) reconstructs the same rules and seed. This is the
-// round-trip property the fuzz target pins, and what lets a schedule be
-// logged and replayed exactly.
-func (s *Schedule) Spec() string {
-	var b strings.Builder
-	for i, r := range s.Rules {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(r.Action.String())
-		var kvs []string
-		if r.Rank >= 0 {
-			kvs = append(kvs, "rank="+strconv.Itoa(r.Rank))
-		}
-		if r.Op > 0 {
-			kvs = append(kvs, "op="+strconv.Itoa(r.Op))
-		}
-		if r.Tag >= 0 {
-			kvs = append(kvs, "tag="+strconv.Itoa(r.Tag))
-		}
-		if r.Op <= 0 && r.Action != ActPartition {
-			kvs = append(kvs, "prob="+strconv.FormatFloat(r.Prob, 'g', -1, 64))
-		}
-		if r.Action == ActPartition {
-			kvs = append(kvs, "dur="+r.Dur.String())
-		}
-		if r.Action == ActSlowlink && r.Dur > 0 {
-			kvs = append(kvs, "delay="+r.Dur.String())
-		}
-		if r.Action == ActFlip {
-			if r.Bit != DefaultFlipBit {
-				kvs = append(kvs, "bit="+strconv.Itoa(r.Bit))
-			}
-			if r.Idx != 0 {
-				kvs = append(kvs, "idx="+strconv.Itoa(r.Idx))
-			}
-			if r.Sticky {
-				kvs = append(kvs, "sticky=1")
-			}
-		}
-		if i == 0 && s.Seed != 0 {
-			kvs = append(kvs, "seed="+strconv.FormatInt(s.Seed, 10))
-		}
-		if len(kvs) > 0 {
-			b.WriteByte(':')
-			b.WriteString(strings.Join(kvs, ","))
-		}
-	}
-	return b.String()
 }

@@ -240,31 +240,23 @@ func TestWorldResetAfterFailure(t *testing.T) {
 }
 
 // TestScheduleDeterminism: probabilistic rules draw from seeded per-rank
-// streams, so two identical schedules fire identically.
+// streams, so two identical schedules fire at the same operation.
 func TestScheduleDeterminism(t *testing.T) {
-	fire := func() []bool {
+	fire := func() int {
 		s := NewSchedule(42)
 		s.Rules = []Rule{{Action: ActDrop, Rank: -1, Op: 0, Tag: -1, Prob: 0.2}}
-		out := make([]bool, 50)
 		for op := 1; op <= 50; op++ {
-			out[op-1] = s.OnSend(0, 1, 0, op) == ActDrop
-			if out[op-1] {
-				s.Reset() // re-arm so later ops can fire again
+			if s.OnSend(0, 1, 0, op) == ActDrop {
+				return op
 			}
 		}
-		return out
+		return 0
 	}
 	a, b := fire(), fire()
-	fired := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedules diverge at op %d", i+1)
-		}
-		if a[i] {
-			fired++
-		}
+	if a != b {
+		t.Fatalf("schedules diverge: first drop at op %d and op %d", a, b)
 	}
-	if fired == 0 {
+	if a == 0 {
 		t.Error("probabilistic rule never fired in 50 ops at p=0.2")
 	}
 }

@@ -1,12 +1,9 @@
 package comm
 
 import (
-	"context"
 	"errors"
 	"math"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // TestChecksumCleanPath: with checksums on and no faults, payloads and
@@ -171,93 +168,6 @@ func TestAllreduceFlipSilentWithoutChecks(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancel: cancelling the context aborts the world promptly —
-// ranks blocked in a barrier fail with the cancellation cause instead of
-// hanging — and no rank goroutines are leaked.
-func TestRunCtxCancel(t *testing.T) {
-	before := runtime.NumGoroutine()
-	w := NewWorld(3)
-	ctx, cancel := context.WithCancelCause(context.Background())
-	sentinel := errors.New("caller gave up")
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel(sentinel)
-	}()
-	start := time.Now()
-	err := w.RunCtx(ctx, func(r *Rank) {
-		if r.ID() == 0 {
-			// Rank 0 never reaches the barrier: its peers block there until
-			// the cancellation wakes them.
-			<-ctx.Done()
-			return
-		}
-		r.Barrier()
-	})
-	if err == nil {
-		t.Fatal("cancelled run returned nil error")
-	}
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want the cancellation cause in the chain", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("cancellation took %v, want prompt return", el)
-	}
-	// Give the rank goroutines a moment to unwind, then check for leaks.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
-	}
-}
-
-// TestRunCtxDeadlineTightensWatchdog: a context deadline installs (or
-// tightens) the collective watchdog, so a stalled rank surfaces as
-// ErrCollectiveTimeout or the cancellation cause instead of a hang — and
-// the previous timeout is restored afterwards.
-func TestRunCtxDeadlineTightensWatchdog(t *testing.T) {
-	w := NewWorld(2)
-	w.SetCollectiveTimeout(time.Hour)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := w.RunCtx(ctx, func(r *Rank) {
-		if r.ID() == 0 {
-			return // never sends: rank 1 blocks in Recv
-		}
-		r.Recv(0, 1)
-	})
-	if err == nil {
-		t.Fatal("deadline-bounded run returned nil error")
-	}
-	if !errors.Is(err, ErrCollectiveTimeout) && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want collective timeout or deadline exceeded", err)
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("deadline enforcement took %v", el)
-	}
-	if w.timeout != time.Hour {
-		t.Fatalf("collective timeout not restored: %v", w.timeout)
-	}
-}
-
-// TestRunCtxNilAndBackground: a nil or plain background context adds no
-// watchdog and changes nothing about a clean run.
-func TestRunCtxNilAndBackground(t *testing.T) {
-	for _, ctx := range []context.Context{nil, context.Background()} {
-		w := NewWorld(2)
-		err := w.RunCtx(ctx, func(r *Rank) {
-			if got := r.AllreduceSum(1); got != 2 {
-				t.Errorf("sum = %v, want 2", got)
-			}
-		})
-		if err != nil {
-			t.Fatalf("clean RunCtx failed: %v", err)
-		}
-	}
-}
-
 // TestFlipBits pins the bit-flip model: bit 52 doubles small-exponent
 // values, bit 63 flips the sign, and a double flip restores the original.
 func TestFlipBits(t *testing.T) {
@@ -302,31 +212,6 @@ func TestParseSpecFlip(t *testing.T) {
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)
-		}
-	}
-}
-
-// TestSpecRoundTrip pins the canonical serialisation: parsing Spec() output
-// reproduces the same rules, seed and Spec() string.
-func TestSpecRoundTrip(t *testing.T) {
-	for _, in := range []string{
-		"kill:rank=1,op=40",
-		"flip:rank=1,op=30,bit=12",
-		"flip:op=7,idx=3,sticky=1",
-		"corrupt:rank=0,op=25;drop:prob=0.01,seed=7",
-		"flip:op=2;stall:rank=2,op=9",
-	} {
-		s1, err := ParseSpec(in)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", in, err)
-		}
-		spec := s1.Spec()
-		s2, err := ParseSpec(spec)
-		if err != nil {
-			t.Fatalf("ParseSpec(Spec()=%q): %v", spec, err)
-		}
-		if s2.Spec() != spec {
-			t.Errorf("round trip diverged: %q -> %q -> %q", in, spec, s2.Spec())
 		}
 	}
 }

@@ -47,20 +47,6 @@ type TransportStats struct {
 	HeartbeatMisses uint64 // liveness-window expiries observed by the monitor
 }
 
-// Add accumulates other into s, for aggregating per-worker stats.
-func (s *TransportStats) Add(o TransportStats) {
-	s.FramesSent += o.FramesSent
-	s.FramesRecv += o.FramesRecv
-	s.BytesSent += o.BytesSent
-	s.BytesRecv += o.BytesRecv
-	s.Dials += o.Dials
-	s.Reconnects += o.Reconnects
-	s.Retransmits += o.Retransmits
-	s.DupsDropped += o.DupsDropped
-	s.FrameCRCErrors += o.FrameCRCErrors
-	s.HeartbeatMisses += o.HeartbeatMisses
-}
-
 // chanTransport is the in-process transport: delivery is a mailbox append.
 // It is the NewWorld default and preserves the pre-transport behaviour (and
 // allocation profile) of the runtime exactly.

@@ -46,7 +46,6 @@ const (
 // "useful bandwidth" an external profiler would report for a
 // streaming-bound code; Sweeps counts the full-field passes one call makes.
 type KernelDesc struct {
-	Method  string // the Kernels method
 	Name    string // profile name; "" for FetchField, which is not timed
 	Sweeps  int64
 	Traffic func(nx, ny int64, c *Call) (bytes, flops int64)
@@ -71,15 +70,15 @@ func padded(bytes int64) traffic {
 }
 
 var kernelTable = [numKernels]KernelDesc{
-	KGenerate:     {"Generate", "generate_chunk", 1, padded(2 * 8), false},
-	KSetField:     {"SetField", "set_field", 1, padded(2 * 8), false},
-	KFieldSummary: {"FieldSummary", "field_summary", 1, cells(3*8, 6), false},
-	KHaloExchange: {"HaloExchange", "update_halo", 0, func(nx, ny int64, c *Call) (int64, int64) {
+	KGenerate:     {"generate_chunk", 1, padded(2 * 8), false},
+	KSetField:     {"set_field", 1, padded(2 * 8), false},
+	KFieldSummary: {"field_summary", 1, cells(3*8, 6), false},
+	KHaloExchange: {"update_halo", 0, func(nx, ny int64, c *Call) (int64, int64) {
 		depth := int64(c.Depth)
 		perim := 2 * depth * (nx + ny + 2*depth)
 		return int64(len(c.Fields)) * 2 * 8 * perim, 0
 	}, false},
-	KSolveInit: {"SolveInit", "tea_leaf_init", 3, func(nx, ny int64, c *Call) (int64, int64) {
+	KSolveInit: {"tea_leaf_init", 3, func(nx, ny int64, c *Call) (int64, int64) {
 		n, full := nx*ny, (nx+4)*(ny+4)
 		bytes, flops := 5*8*full+3*8*n+5*8*n, 22*n
 		if c.Kind != config.PrecondNone {
@@ -88,18 +87,18 @@ var kernelTable = [numKernels]KernelDesc{
 		}
 		return bytes, flops
 	}, false},
-	KSolveFinalise: {"SolveFinalise", "tea_leaf_finalise", 1, cells(3*8, 1), false},
-	KResetField:    {"ResetField", "reset_field", 1, padded(2 * 8), false},
-	KCalcResidual:  {"CalcResidual", "calc_residual", 1, cells(5*8, 13), false},
-	KNorm2R:        {"Norm2R", "norm2_r", 1, cells(8, 2), true},
-	KDotRZ:         {"DotRZ", "dot_rz", 1, cells(2*8, 2), true},
-	KApplyPrecond:  {"ApplyPrecond", "apply_precond", 1, cells(3*8, 1), false},
-	KCGInitP:       {"CGInitP", "cg_init_p", 1, cells(3*8, 2), true},
+	KSolveFinalise: {"tea_leaf_finalise", 1, cells(3*8, 1), false},
+	KResetField:    {"reset_field", 1, padded(2 * 8), false},
+	KCalcResidual:  {"calc_residual", 1, cells(5*8, 13), false},
+	KNorm2R:        {"norm2_r", 1, cells(8, 2), true},
+	KDotRZ:         {"dot_rz", 1, cells(2*8, 2), true},
+	KApplyPrecond:  {"apply_precond", 1, cells(3*8, 1), false},
+	KCGInitP:       {"cg_init_p", 1, cells(3*8, 2), true},
 	// One sweep reads p, kx, ky and writes w, with p·w in registers.
-	KCGCalcW: {"CGCalcW", "cg_calc_w", 1, cells(4*8, 15), true},
+	KCGCalcW: {"cg_calc_w", 1, cells(4*8, 15), true},
 	// One sweep reads u, p, r, w (and mi when preconditioned) and writes
 	// u, r (and z), with the reduction in registers.
-	KCGCalcUR: {"CGCalcUR", "cg_calc_ur", 1, func(nx, ny int64, c *Call) (int64, int64) {
+	KCGCalcUR: {"cg_calc_ur", 1, func(nx, ny int64, c *Call) (int64, int64) {
 		n := nx * ny
 		bytes, flops := 6*8*n, 6*n
 		if c.Precond {
@@ -108,17 +107,17 @@ var kernelTable = [numKernels]KernelDesc{
 		}
 		return bytes, flops
 	}, true},
-	KCGCalcP:          {"CGCalcP", "cg_calc_p", 1, cells(3*8, 2), false},
-	KJacobiCopyU:      {"JacobiCopyU", "jacobi_copy_u", 1, padded(2 * 8), false},
-	KJacobiIterate:    {"JacobiIterate", "jacobi_solve", 1, cells(5*8, 15), true},
-	KChebyInit:        {"ChebyInit", "cheby_init", 1, cells(4*8, 3), false},
-	KChebyIterate:     {"ChebyIterate", "cheby_iterate", 2, cells(10*8, 20), false},
-	KPPCGInitInner:    {"PPCGInitInner", "ppcg_init_inner", 1, cells(4*8, 1), false},
-	KPPCGInnerIterate: {"PPCGInnerIterate", "ppcg_inner_iterate", 2, cells(11*8, 19), false},
-	KPPCGFinishInner:  {"PPCGFinishInner", "ppcg_finish_inner", 1, cells(3*8, 1), false},
-	KFetchField:       {"FetchField", "", 0, nil, false},
+	KCGCalcP:          {"cg_calc_p", 1, cells(3*8, 2), false},
+	KJacobiCopyU:      {"jacobi_copy_u", 1, padded(2 * 8), false},
+	KJacobiIterate:    {"jacobi_solve", 1, cells(5*8, 15), true},
+	KChebyInit:        {"cheby_init", 1, cells(4*8, 3), false},
+	KChebyIterate:     {"cheby_iterate", 2, cells(10*8, 20), false},
+	KPPCGInitInner:    {"ppcg_init_inner", 1, cells(4*8, 1), false},
+	KPPCGInnerIterate: {"ppcg_inner_iterate", 2, cells(11*8, 19), false},
+	KPPCGFinishInner:  {"ppcg_finish_inner", 1, cells(3*8, 1), false},
+	KFetchField:       {"", 0, nil, false},
 	// Restore is a recovery path: timed, but attributed no sweep.
-	KRestoreField: {"RestoreField", "restore_field", 0, func(_, _ int64, c *Call) (int64, int64) {
+	KRestoreField: {"restore_field", 0, func(_, _ int64, c *Call) (int64, int64) {
 		return 8 * int64(len(c.Data)), 0
 	}, false},
 }

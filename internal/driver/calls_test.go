@@ -8,35 +8,74 @@ import (
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 )
 
-// TestKernelTableComplete: every Kernels method except Name and Close has
-// exactly one descriptor, every descriptor names a Kernels method, and only
-// kernels returning a float64 (the result Call.Value carries) are marked
-// poisonable.
-func TestKernelTableComplete(t *testing.T) {
+// kernelMethods are the Kernels methods other than Name and Close.
+func kernelMethods() []reflect.Method {
 	kt := reflect.TypeOf((*Kernels)(nil)).Elem()
-	seen := map[string]int{}
-	for id := KernelID(0); id < numKernels; id++ {
-		d := kernelTable[id]
-		m, ok := kt.MethodByName(d.Method)
-		if !ok || d.Method == "Name" || d.Method == "Close" {
-			t.Errorf("descriptor %d names %q, not a kernel method", id, d.Method)
-			continue
-		}
-		if d.Poisonable && (m.Type.NumOut() != 1 || m.Type.Out(0).Kind() != reflect.Float64) {
-			t.Errorf("%s is marked poisonable but does not return a float64", d.Method)
-		}
-		seen[d.Method]++
-		if d.Name != "" && d.Traffic == nil {
-			t.Errorf("%s is profiled but has no traffic formula", d.Method)
+	var out []reflect.Method
+	for i := 0; i < kt.NumMethod(); i++ {
+		if m := kt.Method(i); m.Name != "Name" && m.Name != "Close" {
+			out = append(out, m)
 		}
 	}
-	for i := 0; i < kt.NumMethod(); i++ {
-		name := kt.Method(i).Name
-		if name == "Name" || name == "Close" {
+	return out
+}
+
+// call calls method m of k with an argument of every parameter type, the
+// float64 ones numbered 0.25, 0.5, ..., and returns its results.
+func call(k Kernels, m reflect.Method) []reflect.Value {
+	arg := map[reflect.Type]any{
+		reflect.TypeOf((*grid.Mesh)(nil)):        &grid.Mesh{Nx: 3, Ny: 5},
+		reflect.TypeOf([]config.State(nil)):      []config.State{{Index: 9}},
+		reflect.TypeOf([]FieldID(nil)):           []FieldID{FieldP, FieldZ},
+		reflect.TypeOf(0):                        2,
+		reflect.TypeOf(FieldID(0)):               FieldSD,
+		reflect.TypeOf([]float64(nil)):           []float64{1, 2},
+		reflect.TypeOf(config.Coefficient(0)):    config.Coefficient(1),
+		reflect.TypeOf(config.Preconditioner(0)): config.PrecondJacBlock,
+		reflect.TypeOf(true):                     true,
+	}
+	var args []reflect.Value
+	for i := 0; i < m.Type.NumIn(); i++ {
+		in := m.Type.In(i)
+		if in.Kind() == reflect.Float64 {
+			args = append(args, reflect.ValueOf(0.25*float64(i+1)))
 			continue
 		}
-		if seen[name] != 1 {
-			t.Errorf("method %s has %d descriptors, want 1", name, seen[name])
+		args = append(args, reflect.ValueOf(arg[in]))
+	}
+	return reflect.ValueOf(k).MethodByName(m.Name).Call(args)
+}
+
+// TestKernelTableComplete: every Kernels method except Name and Close makes
+// the Call of exactly one descriptor, every descriptor is some method's, and
+// only kernels returning a float64 (the result Call.Value carries) are
+// marked poisonable.
+func TestKernelTableComplete(t *testing.T) {
+	var id KernelID
+	k := &recorder{}
+	k.Forwarder = Forward(func(c *Call) { id = c.ID })
+	seen := map[KernelID]string{}
+	for _, m := range kernelMethods() {
+		id = numKernels
+		call(k, m)
+		if id == numKernels {
+			t.Errorf("%s makes no Call", m.Name)
+			continue
+		}
+		if prev, dup := seen[id]; dup {
+			t.Errorf("%s and %s both make call %d", prev, m.Name, id)
+		}
+		seen[id] = m.Name
+		if kernelTable[id].Poisonable && (m.Type.NumOut() != 1 || m.Type.Out(0).Kind() != reflect.Float64) {
+			t.Errorf("%s is marked poisonable but does not return a float64", m.Name)
+		}
+	}
+	for id, d := range kernelTable {
+		if _, ok := seen[KernelID(id)]; !ok {
+			t.Errorf("descriptor %d (%q) is no Kernels method's", id, d.Name)
+		}
+		if d.Name != "" && d.Traffic == nil {
+			t.Errorf("%s is profiled but has no traffic formula", d.Name)
 		}
 	}
 }
@@ -69,36 +108,14 @@ func TestForwarderApplyRoundTrip(t *testing.T) {
 		outer = *c
 		c.Apply(rec)
 	})
-	mesh := &grid.Mesh{Nx: 3, Ny: 5}
-	arg := map[reflect.Type]any{
-		reflect.TypeOf((*grid.Mesh)(nil)):        mesh,
-		reflect.TypeOf([]config.State(nil)):      []config.State{{Index: 9}},
-		reflect.TypeOf([]FieldID(nil)):           []FieldID{FieldP, FieldZ},
-		reflect.TypeOf(0):                        2,
-		reflect.TypeOf(FieldID(0)):               FieldSD,
-		reflect.TypeOf([]float64(nil)):           []float64{1, 2},
-		reflect.TypeOf(config.Coefficient(0)):    config.Coefficient(1),
-		reflect.TypeOf(config.Preconditioner(0)): config.PrecondJacBlock,
-		reflect.TypeOf(true):                     true,
-	}
-	for id := KernelID(0); id < numKernels; id++ {
-		m := reflect.ValueOf(Kernels(fwd)).MethodByName(kernelTable[id].Method)
-		var args []reflect.Value
-		for i := 0; i < m.Type().NumIn(); i++ {
-			in := m.Type().In(i)
-			if in.Kind() == reflect.Float64 {
-				args = append(args, reflect.ValueOf(0.25*float64(i+1)))
-				continue
-			}
-			args = append(args, reflect.ValueOf(arg[in]))
-		}
-		rec.last = Call{}
-		out := m.Call(args)
-		if outer.ID != id || !reflect.DeepEqual(rec.last, outer) {
-			t.Errorf("%s: port saw %+v, caller sent %+v", kernelTable[id].Method, rec.last, outer)
+	for _, m := range kernelMethods() {
+		outer, rec.last = Call{}, Call{}
+		out := call(fwd, m)
+		if !reflect.DeepEqual(rec.last, outer) {
+			t.Errorf("%s: port saw %+v, caller sent %+v", m.Name, rec.last, outer)
 		}
 		if len(out) == 1 && out[0].IsZero() {
-			t.Errorf("%s: result %v did not come back", kernelTable[id].Method, out[0])
+			t.Errorf("%s: result %v did not come back", m.Name, out[0])
 		}
 	}
 }

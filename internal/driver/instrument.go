@@ -23,9 +23,6 @@ func Instrument(k Kernels, prof *profiler.Profile) *Instrumented {
 	return in
 }
 
-// Profile returns the profile being filled.
-func (in *Instrumented) Profile() *profiler.Profile { return in.prof }
-
 // Name implements Kernels.
 func (in *Instrumented) Name() string { return in.inner.Name() }
 

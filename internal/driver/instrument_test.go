@@ -55,9 +55,6 @@ func TestInstrumentPassesValuesThrough(t *testing.T) {
 	if got := k.CGCalcW(); got != 1 {
 		t.Errorf("CGCalcW not forwarded: %g", got)
 	}
-	if k.Profile() != prof {
-		t.Error("Profile accessor broken")
-	}
 }
 
 func mustMesh(t *testing.T, cfg config.Config) *grid.Mesh {

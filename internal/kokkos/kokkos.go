@@ -2,20 +2,20 @@
 // core programming model: multi-dimensional Views whose memory layout is
 // chosen by the memory space (LayoutRight on CPUs, LayoutLeft on GPUs —
 // the array-of-structures/structure-of-arrays adaptation the paper credits
-// Kokkos with), execution spaces that run ParallelFor / ParallelReduce
-// functors over multi-dimensional range policies, and explicit host
-// mirrors with deep copies for device-resident data.
+// Kokkos with), execution spaces that run ParallelFor / TeamFor /
+// TeamReduce functors over multi-dimensional range policies, and explicit
+// host mirrors with deep copies for device-resident data.
 //
 // A range runs under one of two policies. TeamFor / TeamReduce are the
 // hierarchical one (a TeamThreadRange over the views' slow index around a
 // ThreadVectorRange over their stride-1 index): the functor receives one
 // contiguous segment per call and reads it through View.Data, so the vector
 // loop is a slice loop inside the functor and the layout decides which mesh
-// direction it runs along. Every field-sized kernel uses it. ParallelFor /
-// ParallelReduce are the flat MDRange policy, one functor call per point
-// through View.At/Set/Add; they remain for kernels that are not line sweeps
-// (halo faces, a line solve across the stride-1 direction) and as the
-// reference the segment tests compare against.
+// direction it runs along. Every field-sized kernel uses it. ParallelFor is
+// the flat MDRange policy, one functor call per point through
+// View.At/Set/Add; it remains for kernels that are not line sweeps (halo
+// faces, a line solve across the stride-1 direction) and as the reference
+// the segment tests compare against.
 package kokkos
 
 import (
@@ -65,7 +65,6 @@ type ExecSpace interface {
 
 	alloc(n int) []float64
 	parallelFor(name string, p MDRange, f func(i0, i1 int))
-	parallelReduce(name string, p MDRange, f func(i0, i1 int, lsum *float64)) float64
 	teamFor(name string, p MDRange, f func(outer, lo, hi int))
 	teamReduce(name string, p MDRange, f func(outer, lo, hi int, lsum *float64)) float64
 }
@@ -95,16 +94,6 @@ func (Serial) parallelFor(_ string, p MDRange, f func(i0, i1 int)) {
 	}
 }
 
-func (Serial) parallelReduce(_ string, p MDRange, f func(i0, i1 int, lsum *float64)) float64 {
-	var sum float64
-	for i0 := p.B0; i0 < p.E0; i0++ {
-		for i1 := p.B1; i1 < p.E1; i1++ {
-			f(i0, i1, &sum)
-		}
-	}
-	return sum
-}
-
 func (Serial) teamFor(_ string, p MDRange, f func(outer, lo, hi int)) {
 	if p.B1 >= p.E1 {
 		return
@@ -126,7 +115,7 @@ func (Serial) teamReduce(_ string, p MDRange, f func(outer, lo, hi int, lsum *fl
 }
 
 // OpenMP is the threaded host space, backed by internal/par's epoch-barrier
-// team: ParallelReduce rides the team's padded reduction slots (no
+// team: TeamReduce rides the team's padded reduction slots (no
 // allocation per reduce, deterministic combine for a fixed thread count),
 // and using the space after Close panics, matching the Team contract.
 type OpenMP struct {
@@ -158,18 +147,6 @@ func (o *OpenMP) parallelFor(_ string, p MDRange, f func(i0, i1 int)) {
 				f(i0, i1)
 			}
 		}
-	})
-}
-
-func (o *OpenMP) parallelReduce(_ string, p MDRange, f func(i0, i1 int, lsum *float64)) float64 {
-	return o.team.ReduceSum(p.B0, p.E0, func(j0, j1 int) float64 {
-		var sum float64
-		for i0 := j0; i0 < j1; i0++ {
-			for i1 := p.B1; i1 < p.E1; i1++ {
-				f(i0, i1, &sum)
-			}
-		}
-		return sum
 	})
 }
 
@@ -249,24 +226,6 @@ func (c *Cuda) parallelFor(name string, p MDRange, f func(i0, i1 int)) {
 	})
 }
 
-func (c *Cuda) parallelReduce(name string, p MDRange, f func(i0, i1 int, lsum *float64)) float64 {
-	n0, n1 := p.E0-p.B0, p.E1-p.B1
-	if n0 <= 0 || n1 <= 0 {
-		return 0
-	}
-	grid := simgpu.GridFor(n0, n1, c.block)
-	return c.dev.LaunchReduceRaw(name, grid, c.block, func(b simgpu.Block) float64 {
-		var sum float64
-		b.ForThreads(func(tx, ty int) {
-			if tx >= n0 || ty >= n1 {
-				return
-			}
-			f(p.B0+tx, p.B1+ty, &sum)
-		})
-		return sum
-	})
-}
-
 // teamFor keeps parallelFor's thread mapping (tx -> i0): a block's
 // thread-row is one segment along i0 at a fixed i1.
 func (c *Cuda) teamFor(name string, p MDRange, f func(outer, lo, hi int)) {
@@ -324,15 +283,6 @@ func newView(space ExecSpace, label string, layout Layout, n0, n1 int) *View {
 	return v
 }
 
-// Label returns the view's label.
-func (v *View) Label() string { return v.label }
-
-// Extent returns the view's dimensions.
-func (v *View) Extent() (n0, n1 int) { return v.n0, v.n1 }
-
-// Layout returns the view's layout.
-func (v *View) Layout() Layout { return v.layout }
-
 // idx linearises (i0, i1) under the view's layout.
 func (v *View) idx(i0, i1 int) int { return i0*v.s0 + i1*v.s1 }
 
@@ -389,16 +339,8 @@ func TeamFor(space ExecSpace, name string, p MDRange, f func(outer, lo, hi int))
 }
 
 // TeamReduce is TeamFor with a sum reduction. Each thread share or block
-// threads one accumulator through its segments in order, so a functor that
-// adds its segment's terms to *lsum left to right returns bit for bit what
-// ParallelReduce does with the per-point functor.
+// threads one accumulator through its segments in order, so the sum is the
+// same bits on every call for a fixed space and team size.
 func TeamReduce(space ExecSpace, name string, p MDRange, f func(outer, lo, hi int, lsum *float64)) float64 {
 	return space.teamReduce(name, p, f)
-}
-
-// ParallelReduce runs the reducing functor over the policy and returns the
-// sum. The functor receives a local accumulator exactly like a Kokkos
-// reduction's thread-local `lsum` parameter.
-func ParallelReduce(space ExecSpace, name string, p MDRange, f func(i0, i1 int, lsum *float64)) float64 {
-	return space.parallelReduce(name, p, f)
 }

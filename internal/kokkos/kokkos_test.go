@@ -56,8 +56,10 @@ func TestParallelReduceAllSpaces(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			v := NewView(s, "v", 13, 11)
 			ParallelFor(s, "fill", MDRange{0, 13, 0, 11}, func(i0, i1 int) { v.Set(i0, i1, 2) })
-			sum := ParallelReduce(s, "sum", MDRange{0, 13, 0, 11}, func(i0, i1 int, l *float64) {
-				*l += v.At(i0, i1)
+			sum := TeamReduce(s, "sum", MDRange{0, 13, 0, 11}, func(o, lo, hi int, l *float64) {
+				for _, x := range segment(v, o, lo, hi) {
+					*l += x
+				}
 			})
 			if sum != 2*13*11 {
 				t.Errorf("sum = %g, want %d", sum, 2*13*11)
@@ -73,7 +75,7 @@ func TestDeepCopyLayoutConversion(t *testing.T) {
 	defer cuda.Close()
 	dev := NewView(cuda, "d", 5, 4)
 	host := CreateMirror(dev)
-	if host.Layout() == dev.Layout() {
+	if host.layout == dev.layout {
 		t.Fatal("mirror unexpectedly shares the device layout")
 	}
 	for i0 := 0; i0 < 5; i0++ {
@@ -154,10 +156,9 @@ func segmentSpaces(t *testing.T) map[string]ExecSpace {
 // operand a TeamFor / TeamReduce functor's (outer, lo, hi) names, row outer
 // under LayoutRight and column outer under LayoutLeft.
 func segment(v *View, outer, lo, hi int) []float64 {
-	n0, n1 := v.Extent()
-	line := n1
-	if v.Layout() == LayoutLeft {
-		line = n0
+	line := v.n1
+	if v.layout == LayoutLeft {
+		line = v.n0
 	}
 	return v.Data()[outer*line+lo : outer*line+hi]
 }
@@ -222,11 +223,11 @@ func TestDataMatchesAt(t *testing.T) {
 	}
 }
 
-// TestTeamPolicyMatchesPerPoint writes the same stencil and dot product as a
-// per-point MDRange functor and as a team functor over segments, in every
-// space and so under both layouts. Segments arrive in the order ParallelFor
-// visits their points and each share or block threads one accumulator
-// through them, so the field and the reduced sum must agree bit for bit.
+// TestTeamPolicyMatchesPerPoint writes the same stencil as a per-point
+// MDRange functor and as a team functor over segments, in every space and so
+// under both layouts, and the field must agree bit for bit. The team dot
+// product of the result must equal the serial sum: the operands are small
+// multiples of 1/4, so every grouping of the sum is exact.
 func TestTeamPolicyMatchesPerPoint(t *testing.T) {
 	// stencil takes its neighbours by index, not by direction along the line,
 	// so both forms evaluate one expression.
@@ -240,17 +241,20 @@ func TestTeamPolicyMatchesPerPoint(t *testing.T) {
 				perPoint, perSeg := NewView(space, "per_point", e0+2, e1+2), NewView(space, "per_seg", e0+2, e1+2)
 				for i0 := 0; i0 < e0+2; i0++ {
 					for i1 := 0; i1 < e1+2; i1++ {
-						src.Set(i0, i1, 0.1+float64((31*i0+i1)%29)/7)
+						src.Set(i0, i1, float64((31*i0+i1)%29))
 					}
 				}
 				p := MDRange{B0: 1, E0: 1 + e0, B1: 1, E1: 1 + e1}
 				ParallelFor(space, "per_point", p, func(i0, i1 int) {
 					perPoint.Set(i0, i1, stencil(src.At(i0, i1), src.At(i0, i1+1), src.At(i0, i1-1), src.At(i0+1, i1), src.At(i0-1, i1)))
 				})
-				want := ParallelReduce(space, "per_point_dot", p, func(i0, i1 int, l *float64) {
-					*l += src.At(i0, i1) * perPoint.At(i0, i1)
-				})
-				rows := src.Layout() == LayoutRight // lines are rows: along is i1
+				want := 0.0
+				for i0 := p.B0; i0 < p.E0; i0++ {
+					for i1 := p.B1; i1 < p.E1; i1++ {
+						want += src.At(i0, i1) * perPoint.At(i0, i1)
+					}
+				}
+				rows := src.layout == LayoutRight // lines are rows: along is i1
 				TeamFor(space, "per_seg", p, func(o, lo, hi int) {
 					dst, c := segment(perSeg, o, lo, hi), segment(src, o, lo-1, hi+1)
 					next, prev := segment(src, o+1, lo, hi), segment(src, o-1, lo, hi)
@@ -269,7 +273,7 @@ func TestTeamPolicyMatchesPerPoint(t *testing.T) {
 					}
 				})
 				if got != want {
-					t.Errorf("%s %dx%d: team sum %x, per-point %x", name, e0, e1, got, want)
+					t.Errorf("%s %dx%d: team sum %v, serial %v", name, e0, e1, got, want)
 				}
 				for i0 := 0; i0 < e0+2; i0++ {
 					for i1 := 0; i1 < e1+2; i1++ {

@@ -115,30 +115,3 @@ func TestHistogramBucketsMonotoneUnderRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", "", []float64{1, 2, 4})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
-	}
-	// 10 samples in (0,1], 10 in (1,2]: the median sits at the 1.0 boundary
-	// and p75 interpolates halfway into the (1,2] bucket.
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-		h.Observe(1.5)
-	}
-	if got := h.Quantile(0.5); got != 1 {
-		t.Errorf("p50 = %v, want 1", got)
-	}
-	if got := h.Quantile(0.75); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("p75 = %v, want 1.5", got)
-	}
-	// Samples beyond the last bound clamp to it.
-	for i := 0; i < 100; i++ {
-		h.Observe(100)
-	}
-	if got := h.Quantile(0.99); got != 4 {
-		t.Errorf("p99 with +Inf mass = %v, want clamp to 4", got)
-	}
-}

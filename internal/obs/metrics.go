@@ -49,15 +49,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
-// Add moves the value by v (negative to decrease).
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 
@@ -104,34 +95,6 @@ func (h *Histogram) snapshotCumulative() ([]int64, int64) {
 	}
 	return cum, h.count.Load()
 }
-
-// Quantile estimates the q-quantile (0 < q < 1) of the observed
-// distribution by linear interpolation inside the owning bucket — the same
-// estimate Prometheus' histogram_quantile computes server-side. Samples
-// beyond the last finite bound clamp to it. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	cum, count := h.snapshotCumulative()
-	if count == 0 || len(cum) == 0 {
-		return 0
-	}
-	rank := q * float64(count)
-	var prevCum int64
-	var prevBound float64
-	for i, c := range cum {
-		if float64(c) >= rank {
-			band := float64(c - prevCum)
-			if band <= 0 {
-				return h.bounds[i]
-			}
-			return prevBound + (h.bounds[i]-prevBound)*(rank-float64(prevCum))/band
-		}
-		prevCum, prevBound = c, h.bounds[i]
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }

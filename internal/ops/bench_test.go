@@ -42,7 +42,7 @@ func benchStencilChain(b *testing.B, opt Options) {
 			})
 		ctx.ParLoop("axpy", blk, interior,
 			[]Arg{ArgDat(u, S2D00, Read), ArgDat(acc, S2D00, RW)},
-			func(a []*Acc, _ []float64) { a[1].Add(0, 0, a[0].Get(0, 0)) })
+			func(a []*Acc, _ []float64) { a[1].Set(0, 0, a[1].Get(0, 0)+a[0].Get(0, 0)) })
 		ctx.Flush()
 	}
 }

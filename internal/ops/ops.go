@@ -383,18 +383,6 @@ func (a *Acc) Get(dx, dy int) float64 { return a.data[a.idx+dy*a.stride+dx] }
 // Set writes the value at relative offset (dx, dy).
 func (a *Acc) Set(dx, dy int, v float64) { a.data[a.idx+dy*a.stride+dx] = v }
 
-// Add accumulates into the value at relative offset (dx, dy).
-func (a *Acc) Add(dx, dy int, v float64) { a.data[a.idx+dy*a.stride+dx] += v }
-
-// Row returns the n-cell slice starting at relative offset (dx, dy) — the
-// row-kernel view of one stencil arm. Valid only inside a RowKernel, where
-// the accessor is seated on the segment's first point; the slice must stay
-// inside the dat's halo'd storage (enforced by the slice bounds).
-func (a *Acc) Row(dx, dy, n int) []float64 {
-	base := a.idx + dy*a.stride + dx
-	return a.data[base : base+n]
-}
-
 // Kernel is a per-point user kernel: called once per iteration point with one
 // Acc per argument (in declaration order) and, for reducing loops, the
 // accumulator slice. ParLoop, ParLoopRed and ParLoopRedDeferred run it

@@ -114,7 +114,7 @@ func chainOnContext(ctx *Context, nx, ny, sweeps int) []float64 {
 			})
 		ctx.ParLoop(fmt.Sprintf("accum%d", s), b, interior,
 			[]Arg{ArgDat(dst, S2D00, Read), ArgDat(acc, S2D00, RW)},
-			func(a []*Acc, _ []float64) { a[1].Add(0, 0, a[0].Get(0, 0)) })
+			func(a []*Acc, _ []float64) { a[1].Set(0, 0, a[1].Get(0, 0)+a[0].Get(0, 0)) })
 		src, dst = dst, src
 	}
 	ctx.Flush()
@@ -208,7 +208,7 @@ func TestTilingPropertyRandomChains(t *testing.T) {
 				// Radius-0 axpy (creates anti-dependences on src).
 				ctx.ParLoop("ax", b, r,
 					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, RW)},
-					func(a []*Acc, _ []float64) { a[1].Add(0, 0, 0.25*a[0].Get(0, 0)) })
+					func(a []*Acc, _ []float64) { a[1].Set(0, 0, a[1].Get(0, 0)+0.25*a[0].Get(0, 0)) })
 			}
 		}
 		ctx.Flush()
@@ -262,9 +262,8 @@ func TestWholeRowLoopRunsEagerly(t *testing.T) {
 	d, e := b.DeclDat("d", 2), b.DeclDat("e", 2)
 	all := Range{0, nx, 0, ny}
 	inc := func(a []*Acc, _ []float64, n int) {
-		r := a[0].Row(0, 0, n)
-		for k := range r {
-			r[k]++
+		for k := 0; k < n; k++ {
+			a[0].Set(k, 0, a[0].Get(k, 0)+1)
 		}
 	}
 	ctx.ParLoopRow("inc", b, all, []Arg{ArgDat(d, S2D00, RW)}, inc)
@@ -274,9 +273,8 @@ func TestWholeRowLoopRunsEagerly(t *testing.T) {
 	}
 	row := NewStencil("row", [2]int{0, 0}, [2]int{nx - 1, 0})
 	ctx.ParLoopRow("scan", b, Range{0, 1, 0, ny}, []Arg{ArgDat(d, row, RW)}, func(a []*Acc, _ []float64, _ int) {
-		r := a[0].Row(0, 0, nx)
 		for i := 1; i < nx; i++ {
-			r[i] += r[i-1]
+			a[0].Set(i, 0, a[0].Get(i, 0)+a[0].Get(i-1, 0))
 		}
 	})
 	st := ctx.Stats()
@@ -284,7 +282,11 @@ func TestWholeRowLoopRunsEagerly(t *testing.T) {
 		t.Errorf("after the whole-row loop: %+v, want 3 loops executed in 2 flushes, one a chain", st)
 	}
 	ctx.ParLoopRow("copy", b, all, []Arg{ArgDat(d, S2D00, Read), ArgDat(e, S2D00, Write)},
-		func(a []*Acc, _ []float64, n int) { copy(a[1].Row(0, 0, n), a[0].Row(0, 0, n)) })
+		func(a []*Acc, _ []float64, n int) {
+			for i := 0; i < n; i++ {
+				a[1].Set(i, 0, a[0].Get(i, 0))
+			}
+		})
 	if got := ctx.Stats().LoopsExecuted; got != 3 {
 		t.Errorf("a pointwise loop after the whole-row loop ran at once (%d executed)", got)
 	}
@@ -587,7 +589,7 @@ func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
 			case 1:
 				ctx.ParLoop("ax", b, r,
 					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, RW)},
-					func(a []*Acc, _ []float64) { a[1].Add(0, 0, 0.25*a[0].Get(0, 0)) })
+					func(a []*Acc, _ []float64) { a[1].Set(0, 0, a[1].Get(0, 0)+0.25*a[0].Get(0, 0)) })
 			case 2:
 				pending = append(pending, ctx.ParLoopRedDeferred("dot", b, r, 2,
 					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, Read)},
@@ -673,10 +675,8 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 			case kind == 0 && rows:
 				ctx.ParLoopRow("sm", b, r, []Arg{ArgDat(src, S2D5pt, Read), ArgDat(dst, S2D00, RW)},
 					func(a []*Acc, _ []float64, n int) {
-						d, e, w := a[1].Row(0, 0, n), a[0].Row(1, 0, n), a[0].Row(-1, 0, n)
-						u, s := a[0].Row(0, 1, n), a[0].Row(0, -1, n)
-						for i := range d {
-							d[i] = d[i]*0.5 + 0.125*(e[i]+w[i]+u[i]+s[i])
+						for i := 0; i < n; i++ {
+							a[1].Set(i, 0, a[1].Get(i, 0)*0.5+0.125*(a[0].Get(i+1, 0)+a[0].Get(i-1, 0)+a[0].Get(i, 1)+a[0].Get(i, -1)))
 						}
 					})
 			case kind == 0:
@@ -687,22 +687,20 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 			case kind == 1 && rows:
 				ctx.ParLoopRow("ax", b, r, []Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, RW)},
 					func(a []*Acc, _ []float64, n int) {
-						s, d := a[0].Row(0, 0, n), a[1].Row(0, 0, n)
-						for i := range d {
-							d[i] += 0.25 * s[i]
+						for i := 0; i < n; i++ {
+							a[1].Set(i, 0, a[1].Get(i, 0)+0.25*a[0].Get(i, 0))
 						}
 					})
 			case kind == 1:
 				ctx.ParLoop("ax", b, r, []Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, RW)},
-					func(a []*Acc, _ []float64) { a[1].Add(0, 0, 0.25*a[0].Get(0, 0)) })
+					func(a []*Acc, _ []float64) { a[1].Set(0, 0, a[1].Get(0, 0)+0.25*a[0].Get(0, 0)) })
 			case kind == 2 && rows:
 				pending = append(pending, ctx.ParLoopRedDeferredRow("dot", b, r, 2,
 					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, Read)},
 					func(a []*Acc, red []float64, n int) {
-						s, d := a[0].Row(0, 0, n), a[1].Row(0, 0, n)
-						for i := range s {
-							red[0] += s[i] * d[i]
-							red[1] += s[i] + d[i]
+						for i := 0; i < n; i++ {
+							red[0] += a[0].Get(i, 0) * a[1].Get(i, 0)
+							red[1] += a[0].Get(i, 0) + a[1].Get(i, 0)
 						}
 					}))
 			case kind == 2:
@@ -715,8 +713,8 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 			case rows:
 				ctx.ParLoopRow("idx", b, r, []Arg{ArgIdx(), ArgDat(dst, S2D00, RW)},
 					func(a []*Acc, _ []float64, n int) {
-						for i, d := 0, a[1].Row(0, 0, n); i < n; i++ {
-							d[i] = 0.5*d[i] + float64(3*(a[0].I+i)-2*a[0].J)
+						for i := 0; i < n; i++ {
+							a[1].Set(i, 0, 0.5*a[1].Get(i, 0)+float64(3*(a[0].I+i)-2*a[0].J))
 						}
 					})
 			default:

@@ -58,8 +58,9 @@ func newRecord(name string, b *Block, r Range, args []Arg, rk RowKernel, nred in
 // RowKernel is the form every loop executes in: one call processes n
 // consecutive points of one row. On entry every accessor is seated on the
 // segment's first point (index arguments carry that point's I/J); the kernel
-// handles the whole segment itself, typically through Acc.Row sub-slices and
-// the unrolled bodies in internal/kern. A segment is a whole range row on
+// handles the whole segment itself, typically by indexing its own field
+// slices from an index argument's I/J (as the OPS port does) and running the
+// bodies in internal/kern, or through Acc.Get/Set at offsets 0..n-1. A segment is a whole range row on
 // the host backends, a tile slice of one under tiling and a block thread-row
 // on the device backend, so a row kernel must be correct for any n >= 1 —
 // called with n = 1 it is the per-point kernel. It must touch exactly the

@@ -14,11 +14,11 @@
 // The fork-join hot path is an epoch barrier with share claiming, not a
 // channel-per-worker handoff. The leader (the goroutine calling
 // For/ReduceSum/...) writes one loop descriptor into the team and bumps an
-// atomic epoch counter; the loop's NumThreads logical shares (share i is
-// thread i's static slice, or one chunk-claiming executor for the dynamic
-// and guided schedules) are then claimed from an atomic cursor by whichever
-// team members run first — the leader included, so a fork never blocks on a
-// worker being scheduled. Workers spin on the epoch with a bounded budget
+// atomic epoch counter; the loop's logical shares, one per team thread
+// (share i is thread i's static slice, or one chunk-claiming executor for
+// the dynamic and guided schedules), are then claimed from an atomic cursor
+// by whichever team members run first — the leader included, so a fork
+// never blocks on a worker being scheduled. Workers spin on the epoch with a bounded budget
 // (yielding to the scheduler while they spin) and park on a per-worker
 // channel when no work arrives; forks wake at most GOMAXPROCS-1 parked
 // workers, because waking more than can physically run only adds scheduler
@@ -133,7 +133,6 @@ type loopOp uint8
 
 const (
 	opNone loopOp = iota
-	opParallel
 	opFor
 	opForDynamic
 	opForGuided
@@ -167,7 +166,6 @@ type Team struct {
 	lo, hi  int
 	chunk   int
 	align   int // share-boundary alignment in iterations (0/1: none)
-	bodyPar func(thread int)
 	bodyFor func(from, to int)
 	bodyRed func(from, to int) float64
 
@@ -225,9 +223,6 @@ func (t *Team) Close() {
 	t.publish(true)
 	t.join()
 }
-
-// NumThreads returns the team size.
-func (t *Team) NumThreads() int { return t.nthreads }
 
 // ensureOpen panics when the team has been closed. Before the epoch-barrier
 // rewrite this failure surfaced as a bare "send on closed channel".
@@ -330,8 +325,6 @@ func (t *Team) staticShare(share int) (int, int) {
 // exec runs one share of the current epoch's loop.
 func (t *Team) exec(share int) {
 	switch loopOp(t.op.Load()) {
-	case opParallel:
-		t.bodyPar(share)
 	case opFor:
 		from, to := t.staticShare(share)
 		if from < to {
@@ -384,23 +377,8 @@ func (t *Team) run() {
 	t.fork(int32(t.nthreads), false)
 	t.claimShares()
 	t.join()
-	t.bodyPar, t.bodyFor, t.bodyRed = nil, nil, nil
+	t.bodyFor, t.bodyRed = nil, nil
 	t.op.Store(uint32(opNone))
-}
-
-// Parallel executes body once for every thread id in [0, NumThreads) (an
-// `omp parallel` region). Ids are claimed by whichever team member runs
-// first, so body must not assume id i runs on a distinct goroutine, nor
-// synchronise with other ids of the same region.
-func (t *Team) Parallel(body func(thread int)) {
-	t.ensureOpen()
-	if t.nthreads == 1 {
-		body(0)
-		return
-	}
-	t.bodyPar = body
-	t.op.Store(uint32(opParallel))
-	t.run()
 }
 
 // StaticRange computes the static-schedule slice of [lo, hi) owned by

@@ -2,6 +2,7 @@ package par
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,7 +123,6 @@ func TestUseAfterClosePanics(t *testing.T) {
 		"For":        func(tm *Team) { tm.For(0, 10, func(int, int) {}) },
 		"ForDynamic": func(tm *Team) { tm.ForDynamic(0, 10, 2, func(int, int) {}) },
 		"ForGuided":  func(tm *Team) { tm.ForGuided(0, 10, 2, func(int, int) {}) },
-		"Parallel":   func(tm *Team) { tm.Parallel(func(int) {}) },
 		"ReduceSum":  func(tm *Team) { tm.ReduceSum(0, 10, func(int, int) float64 { return 0 }) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -247,25 +247,15 @@ func TestReduceSumCorrectAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestParallelThreadIDs(t *testing.T) {
-	team := NewTeam(8)
-	defer team.Close()
-	var seen [8]atomic.Int32
-	team.Parallel(func(thread int) {
-		seen[thread].Add(1)
-	})
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Errorf("thread %d ran %d times", i, seen[i].Load())
-		}
-	}
-}
-
 func TestDefaultTeamSize(t *testing.T) {
 	team := NewTeam(0)
 	defer team.Close()
-	if team.NumThreads() < 1 {
-		t.Errorf("default team size %d", team.NumThreads())
+	// A static loop runs one share per thread: the default team has one
+	// thread per GOMAXPROCS.
+	var shares atomic.Int32
+	team.For(0, 1000, func(int, int) { shares.Add(1) })
+	if got, want := int(shares.Load()), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default team ran %d shares, want GOMAXPROCS = %d", got, want)
 	}
 }
 

@@ -250,6 +250,3 @@ func (t *Team) SetShareAlign(align int) {
 	}
 	t.align = align
 }
-
-// ShareAlign reports the current share alignment (0: none).
-func (t *Team) ShareAlign() int { return t.align }

@@ -3,6 +3,8 @@ package par
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -183,28 +185,38 @@ func TestStaticRangeAlignedFallback(t *testing.T) {
 func TestTeamShareAlign(t *testing.T) {
 	team := NewTeam(3)
 	defer team.Close()
-	if got := team.ShareAlign(); got != 0 {
-		t.Errorf("default ShareAlign = %d, want 0", got)
+	const n = 100
+	// starts runs a static loop and returns where each share began, checking
+	// that the shares cover every index exactly once.
+	starts := func() []int {
+		var mu sync.Mutex
+		var from []int
+		seen := make([]int, n)
+		team.For(0, n, func(lo, hi int) {
+			mu.Lock()
+			from = append(from, lo)
+			mu.Unlock()
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("index %d visited %d times", i, c)
+			}
+		}
+		slices.Sort(from)
+		return from
+	}
+	if got := starts(); !slices.Equal(got, []int{0, 34, 67}) {
+		t.Errorf("default shares start at %v, want the unaligned static split", got)
 	}
 	team.SetShareAlign(8)
-	if got := team.ShareAlign(); got != 8 {
-		t.Errorf("ShareAlign = %d, want 8", got)
-	}
-	// An aligned static share must still cover every index exactly once.
-	const n = 100
-	seen := make([]int, n)
-	team.For(0, n, func(from, to int) {
-		for i := from; i < to; i++ {
-			seen[i]++
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times under aligned shares", i, c)
-		}
+	if got := starts(); !slices.Equal(got, []int{0, 40, 72}) {
+		t.Errorf("shares aligned to 8 start at %v, want [0 40 72]", got)
 	}
 	team.SetShareAlign(-3)
-	if got := team.ShareAlign(); got != 0 {
-		t.Errorf("negative align must clamp to 0, got %d", got)
+	if got := starts(); !slices.Equal(got, []int{0, 34, 67}) {
+		t.Errorf("negative align must clamp to none: shares start at %v", got)
 	}
 }

@@ -91,28 +91,6 @@ func Time(version string, m Machine, w Workload) (Estimate, error) {
 	return est, nil
 }
 
-// Sweep models every supported (version, machine) pair for the workload.
-// Results are keyed version -> machine.
-func Sweep(versions []string, machines []Machine, w Workload) map[string]map[MachineID]Estimate {
-	out := make(map[string]map[MachineID]Estimate, len(versions))
-	for _, v := range versions {
-		for _, m := range machines {
-			if !Supported(v, m.ID) {
-				continue
-			}
-			est, err := Time(v, m, w)
-			if err != nil {
-				continue
-			}
-			if out[v] == nil {
-				out[v] = make(map[MachineID]Estimate)
-			}
-			out[v][m.ID] = est
-		}
-	}
-	return out
-}
-
 // CalibratedVersions lists every version with calibration data, sorted.
 func CalibratedVersions() []string {
 	out := make([]string, 0, len(calibration))

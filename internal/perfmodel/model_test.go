@@ -11,10 +11,12 @@ func modelTimes(t *testing.T, n int) map[string]map[MachineID]float64 {
 	t.Helper()
 	w := BM(n)
 	out := map[string]map[MachineID]float64{}
-	for v, byM := range Sweep(CalibratedVersions(), Machines(), w) {
+	for _, v := range CalibratedVersions() {
 		out[v] = map[MachineID]float64{}
-		for id, est := range byM {
-			out[v][id] = est.Seconds
+		for _, m := range Machines() {
+			if est, err := Time(v, m, w); err == nil {
+				out[v][m.ID] = est.Seconds
+			}
 		}
 	}
 	return out
@@ -217,10 +219,10 @@ func TestMemoryFootprint(t *testing.T) {
 // peak compute everywhere, confirming it is bandwidth-bound.
 func TestComputeEfficiencyLow(t *testing.T) {
 	w := BM(4000)
-	for v, byM := range Sweep(CalibratedVersions(), Machines(), w) {
-		for id, est := range byM {
-			if est.ComputeEff > 0.06 {
-				t.Errorf("%s on %s: compute efficiency %.1f%% implausibly high", v, id, 100*est.ComputeEff)
+	for _, v := range CalibratedVersions() {
+		for _, m := range Machines() {
+			if est, err := Time(v, m, w); err == nil && est.ComputeEff > 0.06 {
+				t.Errorf("%s on %s: compute efficiency %.1f%% implausibly high", v, m.ID, 100*est.ComputeEff)
 			}
 		}
 	}

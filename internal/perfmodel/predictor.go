@@ -168,31 +168,6 @@ func (p *Predictor) lookup(version string, want int) (fit, bool) {
 	return *byBucket[bestB], true
 }
 
-// Samples reports the total observation count behind a version's fits.
-func (p *Predictor) Samples(version string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, f := range p.fits[version] {
-		n += f.samples
-	}
-	return n
-}
-
-// FittedVersions lists versions with at least one observation, sorted.
-func (p *Predictor) FittedVersions() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.fits))
-	for v, byBucket := range p.fits {
-		if len(byBucket) > 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // priorMachines orders the calibration priors for cold-start fallback: the
 // Xeon is the closest proxy for a generic multi-core host, the P100 covers
 // the GPU-only versions, the KNL is last (retired hardware, see

@@ -15,8 +15,6 @@
 // from any goroutine.
 package portability
 
-import "fmt"
-
 // Efficiency is one application's efficiency on one platform, in [0, 1].
 // Unsupported platform/application pairs are recorded with Supported =
 // false and force a zero score.
@@ -76,20 +74,4 @@ func AppEfficiencies(times map[string]map[string]float64, platforms []string) ma
 		out[app] = effs
 	}
 	return out
-}
-
-// ArchEfficiency is achieved / peak for a hardware rate (bandwidth or
-// FLOP/s). It errors on non-positive peaks rather than dividing by zero.
-func ArchEfficiency(achieved, peak float64) (float64, error) {
-	if peak <= 0 {
-		return 0, fmt.Errorf("portability: non-positive peak %g", peak)
-	}
-	if achieved < 0 {
-		return 0, fmt.Errorf("portability: negative achieved rate %g", achieved)
-	}
-	e := achieved / peak
-	if e > 1 {
-		e = 1
-	}
-	return e, nil
 }

@@ -117,18 +117,3 @@ func TestAppEfficiencies(t *testing.T) {
 		t.Error("partially-supported app must score 0")
 	}
 }
-
-func TestArchEfficiency(t *testing.T) {
-	if e, err := ArchEfficiency(50, 100); err != nil || e != 0.5 {
-		t.Errorf("ArchEfficiency = %g, %v", e, err)
-	}
-	if e, _ := ArchEfficiency(120, 100); e != 1 {
-		t.Errorf("efficiency must clamp to 1, got %g", e)
-	}
-	if _, err := ArchEfficiency(1, 0); err == nil {
-		t.Error("expected error for zero peak")
-	}
-	if _, err := ArchEfficiency(-1, 10); err == nil {
-		t.Error("expected error for negative achieved")
-	}
-}

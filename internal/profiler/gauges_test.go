@@ -35,7 +35,7 @@ func TestGauges(t *testing.T) {
 
 func TestReportWithoutGauges(t *testing.T) {
 	p := New()
-	p.Observe("k", 1000, 8, 8)
+	p.ObserveSweeps("k", 1000, 8, 8, 0)
 	var b strings.Builder
 	p.Report(&b)
 	if strings.Contains(b.String(), "gauges") {

@@ -33,15 +33,6 @@ type Entry struct {
 	Sweeps int64 // full-field memory sweeps attributed to the kernel
 }
 
-// SweepsPerCall returns the kernel's average full-field sweeps per call —
-// the quantity kernel fusion reduces on a bandwidth-bound code.
-func (e *Entry) SweepsPerCall() float64 {
-	if e.Calls == 0 {
-		return 0
-	}
-	return float64(e.Sweeps) / float64(e.Calls)
-}
-
 // AchievedGBs returns the kernel's achieved bandwidth in GB/s.
 func (e *Entry) AchievedGBs() float64 {
 	if e.Time <= 0 {
@@ -119,11 +110,6 @@ func (p *Profile) spanObserver() SpanObserver {
 	return fn
 }
 
-// Observe records one kernel invocation.
-func (p *Profile) Observe(name string, d time.Duration, bytes, flops int64) {
-	p.ObserveSweeps(name, d, bytes, flops, 0)
-}
-
 // ObserveSweeps records one kernel invocation including its full-field
 // sweep count.
 func (p *Profile) ObserveSweeps(name string, d time.Duration, bytes, flops, sweeps int64) {
@@ -141,12 +127,6 @@ func (p *Profile) ObserveSweeps(name string, d time.Duration, bytes, flops, swee
 	e.Sweeps += sweeps
 }
 
-// Time runs fn, timing it under the kernel name with the given traffic
-// attribution.
-func (p *Profile) Time(name string, bytes, flops int64, fn func()) {
-	p.TimeSweeps(name, bytes, flops, 0, fn)
-}
-
 // TimeSweeps runs fn, timing it under the kernel name with the given
 // traffic and sweep attribution.
 func (p *Profile) TimeSweeps(name string, bytes, flops, sweeps int64, fn func()) {
@@ -157,17 +137,6 @@ func (p *Profile) TimeSweeps(name string, bytes, flops, sweeps int64, fn func())
 	if obs := p.spanObserver(); obs != nil {
 		obs(name, start, d)
 	}
-}
-
-// Lookup returns the accumulated entry for a kernel name.
-func (p *Profile) Lookup(name string) (Entry, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.entries[name]
-	if !ok {
-		return Entry{}, false
-	}
-	return *e, true
 }
 
 // TotalSweeps returns the profile-wide full-field sweep count.
@@ -208,24 +177,6 @@ func (p *Profile) Totals() (d time.Duration, bytes, flops int64) {
 		flops += e.Flops
 	}
 	return d, bytes, flops
-}
-
-// AchievedGBs returns the profile-wide achieved bandwidth in GB/s.
-func (p *Profile) AchievedGBs() float64 {
-	d, bytes, _ := p.Totals()
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) / d.Seconds() / 1e9
-}
-
-// AchievedGFLOPs returns the profile-wide achieved FLOP rate in GFLOP/s.
-func (p *Profile) AchievedGFLOPs() float64 {
-	d, _, flops := p.Totals()
-	if d <= 0 {
-		return 0
-	}
-	return float64(flops) / d.Seconds() / 1e9
 }
 
 // Report writes a VTune-style per-kernel table.

@@ -9,9 +9,9 @@ import (
 
 func TestObserveAccumulates(t *testing.T) {
 	p := New()
-	p.Observe("k1", 10*time.Millisecond, 1000, 500)
-	p.Observe("k1", 20*time.Millisecond, 2000, 700)
-	p.Observe("k2", 5*time.Millisecond, 100, 10)
+	p.ObserveSweeps("k1", 10*time.Millisecond, 1000, 500, 0)
+	p.ObserveSweeps("k1", 20*time.Millisecond, 2000, 700, 0)
+	p.ObserveSweeps("k2", 5*time.Millisecond, 100, 10, 0)
 	entries := p.Entries()
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d", len(entries))
@@ -29,25 +29,16 @@ func TestObserveAccumulates(t *testing.T) {
 
 func TestAchievedRates(t *testing.T) {
 	p := New()
-	p.Observe("k", time.Second, 2e9, 1e9)
-	if got := p.AchievedGBs(); got < 1.99 || got > 2.01 {
-		t.Errorf("GB/s = %g", got)
-	}
-	if got := p.AchievedGFLOPs(); got < 0.99 || got > 1.01 {
-		t.Errorf("GFLOP/s = %g", got)
-	}
+	p.ObserveSweeps("k", time.Second, 2e9, 1e9, 0)
 	e := p.Entries()[0]
-	if e.AchievedGBs() < 1.99 || e.AchievedGFLOPs() < 0.99 {
+	if e.AchievedGBs() < 1.99 || e.AchievedGBs() > 2.01 || e.AchievedGFLOPs() < 0.99 || e.AchievedGFLOPs() > 1.01 {
 		t.Errorf("entry rates = %g, %g", e.AchievedGBs(), e.AchievedGFLOPs())
 	}
 }
 
 func TestZeroDurationRates(t *testing.T) {
 	p := New()
-	p.Observe("k", 0, 100, 100)
-	if p.AchievedGBs() != 0 || p.AchievedGFLOPs() != 0 {
-		t.Error("zero-duration profile must report zero rates, not Inf")
-	}
+	p.ObserveSweeps("k", 0, 100, 100, 0)
 	e := p.Entries()[0]
 	if e.AchievedGBs() != 0 || e.AchievedGFLOPs() != 0 {
 		t.Error("zero-duration entry must report zero rates")
@@ -57,7 +48,7 @@ func TestZeroDurationRates(t *testing.T) {
 func TestTimeWrapper(t *testing.T) {
 	p := New()
 	ran := false
-	p.Time("wrapped", 64, 8, func() {
+	p.TimeSweeps("wrapped", 64, 8, 0, func() {
 		ran = true
 		time.Sleep(time.Millisecond)
 	})
@@ -78,7 +69,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				p.Observe("hot", time.Microsecond, 8, 1)
+				p.ObserveSweeps("hot", time.Microsecond, 8, 1, 0)
 			}
 		}()
 	}
@@ -91,8 +82,8 @@ func TestConcurrentObserve(t *testing.T) {
 
 func TestReportFormat(t *testing.T) {
 	p := New()
-	p.Observe("cg_calc_w", 100*time.Millisecond, 4e8, 1.5e8)
-	p.Observe("update_halo", 5*time.Millisecond, 1e6, 0)
+	p.ObserveSweeps("cg_calc_w", 100*time.Millisecond, 4e8, 1.5e8, 0)
+	p.ObserveSweeps("update_halo", 5*time.Millisecond, 1e6, 0, 0)
 	var b strings.Builder
 	p.Report(&b)
 	out := b.String()
@@ -109,15 +100,15 @@ func TestReportFormat(t *testing.T) {
 
 func TestDeterministicTieOrder(t *testing.T) {
 	p := New()
-	p.Observe("b", time.Millisecond, 0, 0)
-	p.Observe("a", time.Millisecond, 0, 0)
+	p.ObserveSweeps("b", time.Millisecond, 0, 0, 0)
+	p.ObserveSweeps("a", time.Millisecond, 0, 0, 0)
 	e := p.Entries()
 	if e[0].Name != "a" || e[1].Name != "b" {
 		t.Errorf("ties must sort by name: %v, %v", e[0].Name, e[1].Name)
 	}
 }
 
-// TestSpanObserver verifies the observability hook: every Time/TimeSweeps
+// TestSpanObserver verifies the observability hook: every TimeSweeps
 // interval reaches the installed observer with a plausible start and the
 // recorded duration, and uninstalling stops delivery.
 func TestSpanObserver(t *testing.T) {
@@ -132,7 +123,7 @@ func TestSpanObserver(t *testing.T) {
 		spans = append(spans, span{name, start, d})
 	})
 	before := time.Now()
-	p.Time("k1", 8, 1, func() {})
+	p.TimeSweeps("k1", 8, 1, 0, func() {})
 	p.TimeSweeps("k2", 8, 1, 2, func() { time.Sleep(time.Millisecond) })
 	if len(spans) != 2 {
 		t.Fatalf("observer saw %d spans, want 2", len(spans))
@@ -146,12 +137,11 @@ func TestSpanObserver(t *testing.T) {
 	if spans[1].d < time.Millisecond {
 		t.Errorf("span duration %v shorter than the timed body", spans[1].d)
 	}
-	e, ok := p.Lookup("k2")
-	if !ok || e.Sweeps != 2 {
+	if e := p.Entries()[0]; e.Name != "k2" || e.Sweeps != 2 {
 		t.Errorf("profile entry not recorded alongside the span: %+v", e)
 	}
 	p.SetSpanObserver(nil)
-	p.Time("k3", 8, 1, func() {})
+	p.TimeSweeps("k3", 8, 1, 0, func() {})
 	if len(spans) != 2 {
 		t.Fatalf("uninstalled observer still saw spans")
 	}

@@ -1,22 +1,20 @@
 // Package raja is a Go rendition of the RAJA C++ portability layer's core
 // model: loop bodies written as lambdas over index segments, executed under
-// interchangeable execution policies (sequential, OpenMP-style threads,
-// simulated CUDA), with policy-owned memory allocation and reduction
-// support. Where Kokkos owns data layout through Views, RAJA deliberately
+// interchangeable execution policies (OpenMP-style threads, one thread
+// being the sequential run, and simulated CUDA), with policy-owned memory
+// allocation and reduction support. Where Kokkos owns data layout through Views, RAJA deliberately
 // leaves data as raw arrays and only abstracts the loop execution — the
 // same division the paper describes.
 //
 // Kernel2DRow / Kernel2DRowReduce are the nested policy with a SIMD inner
 // statement: the lambda receives one contiguous range of the inner index per
 // call and loops over it itself, on sub-slices of its raw arrays. Every
-// field-sized kernel uses them. Kernel2D / Kernel2DReduce call the lambda
-// once per point; they remain for kernels that are not line sweeps (halo
-// faces) and as the reference the row tests compare against.
+// field-sized kernel uses them. ForAll / Kernel2D call the lambda once per
+// point; they remain for kernels that are not line sweeps (halo faces) and
+// as the reference the row tests compare against.
 package raja
 
 import (
-	"fmt"
-
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
 )
@@ -31,8 +29,7 @@ func (r RangeSegment) Len() int { return max(0, r.End-r.Begin) }
 
 // ExecPolicy controls where and how loops run.
 type ExecPolicy interface {
-	// Name identifies the policy ("seq_exec", "omp_parallel_for_exec",
-	// "cuda_exec").
+	// Name identifies the policy ("omp_parallel_for_exec", "cuda_exec").
 	Name() string
 	// Alloc allocates loop data in the policy's memory space.
 	Alloc(n int) []float64
@@ -41,65 +38,8 @@ type ExecPolicy interface {
 
 	forAll(name string, r RangeSegment, body func(i int))
 	kernel2D(name string, outer, inner RangeSegment, body func(j, i int))
-	kernel2DReduce(name string, outer, inner RangeSegment, body func(j, i int, sum *float64)) float64
 	kernel2DRow(name string, outer, inner RangeSegment, body func(j, i0, i1 int))
 	kernel2DRowReduce(name string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64
-}
-
-// SeqExec is the sequential policy.
-type SeqExec struct{}
-
-// Name implements ExecPolicy.
-func (SeqExec) Name() string { return "seq_exec" }
-
-// Alloc implements ExecPolicy.
-func (SeqExec) Alloc(n int) []float64 { return make([]float64, n) }
-
-// Close implements ExecPolicy.
-func (SeqExec) Close() {}
-
-func (SeqExec) forAll(_ string, r RangeSegment, body func(i int)) {
-	for i := r.Begin; i < r.End; i++ {
-		body(i)
-	}
-}
-
-func (SeqExec) kernel2D(_ string, outer, inner RangeSegment, body func(j, i int)) {
-	for j := outer.Begin; j < outer.End; j++ {
-		for i := inner.Begin; i < inner.End; i++ {
-			body(j, i)
-		}
-	}
-}
-
-func (SeqExec) kernel2DReduce(_ string, outer, inner RangeSegment, body func(j, i int, sum *float64)) float64 {
-	var sum float64
-	for j := outer.Begin; j < outer.End; j++ {
-		for i := inner.Begin; i < inner.End; i++ {
-			body(j, i, &sum)
-		}
-	}
-	return sum
-}
-
-func (SeqExec) kernel2DRow(_ string, outer, inner RangeSegment, body func(j, i0, i1 int)) {
-	if inner.Len() == 0 {
-		return
-	}
-	for j := outer.Begin; j < outer.End; j++ {
-		body(j, inner.Begin, inner.End)
-	}
-}
-
-func (SeqExec) kernel2DRowReduce(_ string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64 {
-	var sum float64
-	if inner.Len() == 0 {
-		return sum
-	}
-	for j := outer.Begin; j < outer.End; j++ {
-		body(j, inner.Begin, inner.End, &sum)
-	}
-	return sum
 }
 
 // OmpParallelForExec is the threaded host policy
@@ -141,18 +81,6 @@ func (p *OmpParallelForExec) kernel2D(_ string, outer, inner RangeSegment, body 
 				body(j, i)
 			}
 		}
-	})
-}
-
-func (p *OmpParallelForExec) kernel2DReduce(_ string, outer, inner RangeSegment, body func(j, i int, sum *float64)) float64 {
-	return p.team.ReduceSum(outer.Begin, outer.End, func(lo, hi int) float64 {
-		var sum float64
-		for j := lo; j < hi; j++ {
-			for i := inner.Begin; i < inner.End; i++ {
-				body(j, i, &sum)
-			}
-		}
-		return sum
 	})
 }
 
@@ -240,24 +168,6 @@ func (p *CudaExec) kernel2D(name string, outer, inner RangeSegment, body func(j,
 	})
 }
 
-func (p *CudaExec) kernel2DReduce(name string, outer, inner RangeSegment, body func(j, i int, sum *float64)) float64 {
-	nj, ni := outer.Len(), inner.Len()
-	if nj == 0 || ni == 0 {
-		return 0
-	}
-	grid := simgpu.GridFor(ni, nj, p.block)
-	return p.dev.LaunchReduceRaw(name, grid, p.block, func(b simgpu.Block) float64 {
-		var sum float64
-		b.ForThreads(func(tx, ty int) {
-			if tx >= ni || ty >= nj {
-				return
-			}
-			body(outer.Begin+ty, inner.Begin+tx, &sum)
-		})
-		return sum
-	})
-}
-
 func (p *CudaExec) kernel2DRow(name string, outer, inner RangeSegment, body func(j, i0, i1 int)) {
 	nj, ni := outer.Len(), inner.Len()
 	if nj == 0 || ni == 0 {
@@ -287,22 +197,11 @@ func ForAll(p ExecPolicy, r RangeSegment, body func(i int)) {
 	p.forAll("forall", r, body)
 }
 
-// ForAllN is ForAll with a kernel name for profiling.
-func ForAllN(p ExecPolicy, name string, r RangeSegment, body func(i int)) {
-	p.forAll(name, r, body)
-}
-
 // Kernel2D runs body over outer x inner under the policy (a RAJA::kernel
 // with a two-level nested policy; outer maps to threads/blocks, inner is
 // the stride-1 direction).
 func Kernel2D(p ExecPolicy, name string, outer, inner RangeSegment, body func(j, i int)) {
 	p.kernel2D(name, outer, inner, body)
-}
-
-// Kernel2DReduce is Kernel2D with a sum reduction: the body receives the
-// policy's local accumulator, standing in for a RAJA::ReduceSum object.
-func Kernel2DReduce(p ExecPolicy, name string, outer, inner RangeSegment, body func(j, i int, sum *float64)) float64 {
-	return p.kernel2DReduce(name, outer, inner, body)
 }
 
 // Kernel2DRow runs body over outer x inner under the policy with a SIMD
@@ -315,17 +214,8 @@ func Kernel2DRow(p ExecPolicy, name string, outer, inner RangeSegment, body func
 }
 
 // Kernel2DRowReduce is Kernel2DRow with a sum reduction. Each thread share or
-// block threads one accumulator through its rows in order, so a body that
-// adds its range's terms to *sum left to right returns bit for bit what
-// Kernel2DReduce does with the per-point body.
+// block threads one accumulator through its rows in order, so the sum is the
+// same bits on every call for a fixed policy and team size.
 func Kernel2DRowReduce(p ExecPolicy, name string, outer, inner RangeSegment, body func(j, i0, i1 int, sum *float64)) float64 {
 	return p.kernel2DRowReduce(name, outer, inner, body)
-}
-
-// CheckSegment panics on inverted segments; loops treat empty as no-op but
-// inverted bounds are a bug.
-func CheckSegment(r RangeSegment) {
-	if r.End < r.Begin {
-		panic(fmt.Sprintf("raja: inverted segment [%d,%d)", r.Begin, r.End))
-	}
 }

@@ -260,16 +260,3 @@ func ByArch(a Arch) []Version {
 	}
 	return out
 }
-
-// Groups returns the distinct implementation families in display order.
-func Groups() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range versions {
-		if !seen[v.Group] {
-			seen[v.Group] = true
-			out = append(out, v.Group)
-		}
-	}
-	return out
-}

@@ -31,14 +31,17 @@ func TestStudyMatrixShape(t *testing.T) {
 	if got := len(ByArch(GPU)); got != 6 {
 		t.Errorf("GPU versions = %d, want 6", got)
 	}
-	groups := Groups()
-	want := []string{"Manual", "OPS", "Kokkos", "RAJA"}
-	if len(groups) != len(want) {
-		t.Fatalf("groups = %v", groups)
+	// The four implementation families of Table III, and only those.
+	groups := map[string]bool{"Manual": false, "OPS": false, "Kokkos": false, "RAJA": false}
+	for _, v := range All() {
+		if _, ok := groups[v.Group]; !ok {
+			t.Errorf("version %q is in unknown group %q", v.Name, v.Group)
+		}
+		groups[v.Group] = true
 	}
-	for i := range want {
-		if groups[i] != want[i] {
-			t.Errorf("groups = %v, want %v", groups, want)
+	for g, seen := range groups {
+		if !seen {
+			t.Errorf("group %q has no version", g)
 		}
 	}
 }

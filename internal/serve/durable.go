@@ -457,11 +457,11 @@ func (s *Server) resume(j *job) {
 	}
 
 	if j.attempt == 0 {
-		// Never dispatched: nothing to back off from. pushForce cannot fail
+		// Never dispatched: nothing to back off from. An unbounded push cannot fail
 		// here — the server is still being constructed, so it is not
 		// draining, and replayed jobs bypass the admission cap (they were
 		// already admitted once).
-		if err := s.sched.pushForce(j); err != nil {
+		if err := s.sched.push(j, false); err != nil {
 			s.interruptUnstarted(j)
 		}
 		return
@@ -478,7 +478,7 @@ func (s *Server) resume(j *job) {
 			// Shutting down before the backoff elapsed: hand the job to the
 			// next process instead of racing the drain.
 		}
-		if err := s.sched.pushForce(j); err != nil {
+		if err := s.sched.push(j, false); err != nil {
 			s.interruptUnstarted(j)
 		}
 	}()

@@ -11,6 +11,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -233,6 +234,27 @@ type chromeTrace struct {
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
 
+// gatedWriter is an io.Writer whose writes block until it is closed.
+type gatedWriter chan struct{}
+
+func (g gatedWriter) Write(p []byte) (int, error) {
+	<-g
+	return len(p), nil
+}
+
+// waitRunning waits for a job to start running.
+func waitRunning(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		if st, _ := s.Job(id); st.State == StateRunning {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("job %s did not start", id)
+}
+
 // TestHTTPServiceUnderLoad is the acceptance run: the paper's tea_bm_1
 // benchmark deck submitted over HTTP until 8 solves run concurrently and
 // the bounded queue pushes back, then every accepted job completes, the
@@ -248,8 +270,14 @@ func TestHTTPServiceUnderLoad(t *testing.T) {
 	}
 	spec := JobSpec{Deck: string(deckBytes)}
 
+	// Every solve blocks on its first step's log line until the gate opens,
+	// so the test, not the race between the workers and the client, decides
+	// when the workers are busy and the queue is full.
 	const workers = 8
-	s, ts := newTestServer(t, Options{QueueSize: 2, Workers: workers})
+	gate := make(chan struct{})
+	s, ts := newTestServer(t, Options{QueueSize: 2, Workers: workers, Log: gatedWriter(gate)})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the server's own cleanup drains the workers
 
 	var ids []string
 	accepted, rejected := 0, 0
@@ -272,23 +300,27 @@ func TestHTTPServiceUnderLoad(t *testing.T) {
 			t.Fatalf("POST /v1/solve = %d: %s", resp.StatusCode, body)
 		}
 	}
-	// Fill all 8 workers plus the queue, then keep pushing until the
-	// admission control visibly rejects.
-	for i := 0; i < workers+2; i++ {
+	// Occupy every worker, one job at a time: each is running (and held at
+	// the gate) before the next is submitted. Then fill the queue, and the
+	// next submission must be rejected.
+	for i := 0; i < workers; i++ {
+		submit()
+		if accepted != i+1 {
+			t.Fatalf("submission %d rejected with %d idle workers", i+1, workers-i)
+		}
+		waitRunning(t, s, ids[i])
+	}
+	for i := 0; i < 2; i++ {
 		submit()
 	}
-	// Submit back-to-back: pacing the loop would let the workers drain the
-	// queue between arrivals on a fast machine and rejection would never
-	// trigger. Sustained pressure means arrivals outpace completions.
-	for i := 0; i < 200 && rejected == 0; i++ {
-		submit()
+	if accepted != workers+2 {
+		t.Fatalf("%d jobs accepted, want %d running and 2 queued", accepted, workers+2)
 	}
-	if accepted < workers {
-		t.Fatalf("only %d jobs accepted, want >= %d", accepted, workers)
+	submit()
+	if rejected != 1 {
+		t.Fatal("bounded queue did not reject a submission with every worker busy and the queue full")
 	}
-	if rejected == 0 {
-		t.Fatal("bounded queue never rejected a submission under sustained load")
-	}
+	release()
 
 	// Every accepted job completes. The lifecycle stamps a job's start and
 	// settle edges under the server lock, in edge order, so the overlap of the

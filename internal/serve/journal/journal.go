@@ -136,8 +136,6 @@ type Writer struct {
 
 	syncMu sync.Mutex    // serialises fsync batches
 	synced atomic.Uint64 // highest append covered by an fsync
-
-	compactions uint64
 }
 
 // Open replays every segment in dir (creating it if needed), returns the
@@ -332,13 +330,6 @@ func (w *Writer) Segments() int {
 	return w.segments
 }
 
-// Compactions returns how many compactions this writer has completed.
-func (w *Writer) Compactions() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.compactions
-}
-
 // CompactBefore replaces every segment numbered below beforeSeq with a
 // single snapshot segment holding recs. The snapshot is written to a temp
 // file, fsynced, renamed into place and the directory synced before any old
@@ -401,7 +392,6 @@ func (w *Writer) CompactBefore(beforeSeq int, recs []Record) error {
 		return err
 	}
 	w.segments = len(seqs)
-	w.compactions++
 	return nil
 }
 

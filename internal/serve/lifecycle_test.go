@@ -211,7 +211,7 @@ func (m *lifeModel) check(t *testing.T, s *Server, restoredDone, restoredEnded f
 	t.Helper()
 	jobs := s.Jobs() // applies the retention bounds before the scrape
 	var b strings.Builder
-	s.Metrics().WriteText(&b)
+	s.reg.WriteText(&b)
 	exp := b.String()
 	v := func(name string) float64 {
 		x, ok := metricValue(t, exp, "teaserve_"+name)
@@ -336,7 +336,7 @@ func TestLifecycleModel(t *testing.T) {
 			cancel()
 			m.check(t, s, 0, 0, true)
 			var b strings.Builder
-			s.Metrics().WriteText(&b)
+			s.reg.WriteText(&b)
 			life1 := func(name string) float64 {
 				x, _ := metricValue(t, b.String(), "teaserve_"+name+"_total")
 				return x

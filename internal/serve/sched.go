@@ -50,35 +50,20 @@ func newSched(capacity int) *sched {
 	return s
 }
 
-// push enqueues a job on its tier. It fails with ErrQueueFull at capacity
-// and ErrDraining after close — the caller translates both to typed
-// rejections.
-func (q *sched) push(j *job) error {
+// push enqueues a job on its tier. It fails with ErrDraining after close
+// and, when bounded, with ErrQueueFull at capacity; the caller translates
+// both to typed rejections. Journal replay pushes unbounded: a job the
+// server already acknowledged durably must be re-admitted, and bouncing it
+// off the queue cap would silently lose accepted work, the exact failure
+// the journal exists to prevent.
+func (q *sched) push(j *job, bounded bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrDraining
 	}
-	if q.size >= q.cap {
+	if bounded && q.size >= q.cap {
 		return ErrQueueFull
-	}
-	t := tierOf(j.spec.Priority)
-	q.tiers[t] = append(q.tiers[t], j)
-	q.size++
-	q.cond.Signal()
-	return nil
-}
-
-// pushForce enqueues a job regardless of the capacity bound. It exists for
-// journal replay: a job the server already acknowledged durably must be
-// re-admitted — bouncing it off the queue cap would silently lose accepted
-// work, the exact failure the journal exists to prevent. It still fails
-// with ErrDraining after close.
-func (q *sched) pushForce(j *job) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrDraining
 	}
 	t := tierOf(j.spec.Priority)
 	q.tiers[t] = append(q.tiers[t], j)
@@ -144,13 +129,6 @@ func (q *sched) popBatch(maxJobs, maxCells int) ([]*job, bool) {
 		}
 		q.cond.Wait()
 	}
-}
-
-// depth returns the queued-but-unstarted job count.
-func (q *sched) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
 }
 
 // close stops admission and wakes every worker; queued jobs still drain.

@@ -23,7 +23,7 @@ func TestSchedWeightedFairness(t *testing.T) {
 	q := newSched(256)
 	for i := 0; i < 28; i++ {
 		for tier, p := range []string{"high", "normal", "low"} {
-			if err := q.push(schedJob(string(rune('a'+tier))+itoa(i), p, "v", 8)); err != nil {
+			if err := q.push(schedJob(string(rune('a'+tier))+itoa(i), p, "v", 8), true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -56,11 +56,11 @@ func TestSchedWeightedFairness(t *testing.T) {
 // not starve an already-queued low job.
 func TestSchedNoStarvation(t *testing.T) {
 	q := newSched(1024)
-	if err := q.push(schedJob("low0", "low", "v", 8)); err != nil {
+	if err := q.push(schedJob("low0", "low", "v", 8), true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := q.push(schedJob("h"+itoa(i), "high", "v", 8)); err != nil {
+		if err := q.push(schedJob("h"+itoa(i), "high", "v", 8), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestSchedMicroBatch(t *testing.T) {
 	small := func(id, p, v string) *job { return schedJob(id, p, v, 8) } // 64 cells
 	push := func(j *job) {
 		t.Helper()
-		if err := q.push(j); err != nil {
+		if err := q.push(j, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,8 +116,8 @@ func TestSchedMicroBatch(t *testing.T) {
 	if got := ids(batch); len(got) != 1 || got[0] != "n2" {
 		t.Fatalf("last = %v, want [n2]", got)
 	}
-	if q.depth() != 0 {
-		t.Errorf("queue depth %d after draining, want 0", q.depth())
+	if q.size != 0 {
+		t.Errorf("queue depth %d after draining, want 0", q.size)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestSchedMicroBatch(t *testing.T) {
 func TestSchedBatchCap(t *testing.T) {
 	q := newSched(64)
 	for i := 0; i < 6; i++ {
-		if err := q.push(schedJob("j"+itoa(i), "", "v", 8)); err != nil {
+		if err := q.push(schedJob("j"+itoa(i), "", "v", 8), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,11 +144,11 @@ func TestSchedBatchCap(t *testing.T) {
 // drains, and push is refused afterwards.
 func TestSchedCloseDrains(t *testing.T) {
 	q := newSched(8)
-	if err := q.push(schedJob("j0", "", "v", 8)); err != nil {
+	if err := q.push(schedJob("j0", "", "v", 8), true); err != nil {
 		t.Fatal(err)
 	}
 	q.close()
-	if err := q.push(schedJob("j1", "", "v", 8)); err != ErrDraining {
+	if err := q.push(schedJob("j1", "", "v", 8), true); err != ErrDraining {
 		t.Errorf("push after close = %v, want ErrDraining", err)
 	}
 	if batch, ok := q.popBatch(1, 0); !ok || batch[0].id != "j0" {

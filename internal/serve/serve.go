@@ -594,12 +594,6 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Metrics returns the registry the server publishes into.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Tracer returns the span tracer the server records into.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // solverKindNamed maps a tea.in solver keyword to its kind, for fallback
 // chain validation.
 func solverKindNamed(name string) (config.SolverKind, error) {
@@ -798,7 +792,7 @@ func (s *Server) admit(spec JobSpec, cfg config.Config, cfgHash string) (*job, [
 		j.key = cacheKey(cfgHash, j.version, spec)
 		j.flight = &flight{key: j.key}
 	}
-	if err := s.sched.push(j); err != nil {
+	if err := s.sched.push(j, true); err != nil {
 		s.seq-- // the slot was never used
 		s.met.rejected.Inc()
 		return nil, nil, err

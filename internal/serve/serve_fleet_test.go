@@ -251,7 +251,7 @@ func mustParse(t *testing.T, text string) config.Config {
 func metricsText(t *testing.T, s *Server) string {
 	t.Helper()
 	var sb strings.Builder
-	s.Metrics().WriteText(&sb)
+	s.reg.WriteText(&sb)
 	return sb.String()
 }
 

@@ -403,7 +403,7 @@ func TestMetricsRegistryWiring(t *testing.T) {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
 	}
 	var b strings.Builder
-	s.Metrics().WriteText(&b)
+	s.reg.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{
 		"teaserve_jobs_submitted_total 1",
@@ -423,7 +423,7 @@ func TestMetricsRegistryWiring(t *testing.T) {
 	if s.met.iterations.Value() <= 0 {
 		t.Error("iteration counter never moved")
 	}
-	if s.Tracer().Len() == 0 {
+	if s.tracer.Len() == 0 {
 		t.Error("tracer captured no spans")
 	}
 }
@@ -444,7 +444,7 @@ func TestTilingMetricsPublished(t *testing.T) {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
 	}
 	var b strings.Builder
-	s.Metrics().WriteText(&b)
+	s.reg.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{
 		"tealeaf_ops_flushes_total",

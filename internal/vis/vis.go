@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/grid"
 )
@@ -74,10 +73,4 @@ func WriteFile(path string, m *grid.Mesh, fields []Field) error {
 		return err
 	}
 	return f.Close()
-}
-
-// SortFields orders fields by name for deterministic output when callers
-// assemble them from a map.
-func SortFields(fields []Field) {
-	sort.Slice(fields, func(i, j int) bool { return fields[i].Name < fields[j].Name })
 }

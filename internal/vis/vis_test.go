@@ -105,14 +105,6 @@ func TestWriteErrors(t *testing.T) {
 	}
 }
 
-func TestSortFields(t *testing.T) {
-	f := []Field{{Name: "z"}, {Name: "a"}, {Name: "m"}}
-	SortFields(f)
-	if f[0].Name != "a" || f[2].Name != "z" {
-		t.Errorf("sort order: %v %v %v", f[0].Name, f[1].Name, f[2].Name)
-	}
-}
-
 func TestWriteFile(t *testing.T) {
 	m := mesh(t)
 	path := t.TempDir() + "/out.vtk"

@@ -56,10 +56,7 @@ func TestStdAPIFloor(t *testing.T) {
 	if len(added) == 0 {
 		t.Skip("the toolchain lists no API newer than go 1.22")
 	}
-	c := newAPIChecker(map[string]string{
-		"github.com/warwick-hpsc/tealeaf-go":       ".",
-		"github.com/warwick-hpsc/tealeaf-go/bench": "bench",
-	})
+	c := newAPIChecker(map[string]string{modulePath: ".", modulePath + "/bench": "bench"})
 	if err := c.load(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +139,8 @@ type apiChecker struct {
 	checked map[string]*types.Package
 	std     types.Importer
 	uses    map[string]string // apiKey -> first position using it
+	// inspect, when set, sees every package check's files and uses.
+	inspect func(files []*ast.File, info *types.Info)
 }
 
 // pkgFiles are one directory's parsed files for the host's build context:
@@ -300,6 +299,9 @@ func (c *apiChecker) check(path string, files []*ast.File) (*types.Package, erro
 	pkg, err := conf.Check(path, c.fset, files, info)
 	if err != nil {
 		return nil, err
+	}
+	if c.inspect != nil {
+		c.inspect(files, info)
 	}
 	for id, obj := range info.Uses {
 		if obj.Pkg() == nil || c.module(obj.Pkg().Path()) != "" {
