@@ -49,17 +49,22 @@ race:
 # deadlines and socket-world Close right after start (where a lost wake-up
 # hung about one close in 50,000), and the simulated GPU on its team (use
 # after Close, Close after launch bursts, concurrent launchers taking turns
-# on the stream lock, a panicking kernel reaching the caller from a team worker). Then the serving plane's job
+# on the stream lock, a panicking kernel reaching the caller from a team worker),
+# and the OPS context's recycled launch state — the accessor sets and partial
+# buffers its team shares and device blocks share with the leader, and the
+# handles that outlive the loops after them (the reduction chains' and row
+# kernels' property tests, on a three-thread team and a two-thread device).
+# Then the serving plane's job
 # lifecycle under the race detector: the seeded model test (random traffic,
 # drain, restart), the
 # version-ledger drills, leader-expiry promotion, retention and the
 # drain-interrupt-resume path — one pass, since one pass of the serve tests
-# takes as long as forty of the handshakes. About two minutes on two cores;
+# takes as long as forty of the handshakes. About three minutes on two cores;
 # any failure is a bug.
 soak:
 	$(GO) test -race -count=40 -timeout 5m \
-		-run 'TestCloseAfterBurstDoesNotHang|TestCloseIdempotent|TestUseAfterClosePanics|TestPanicSurfacesAsRankError|TestAbortWakesSpinningWaiters|TestWatchdog|TestWorldResetAfterFailure|TestSocketCloseDoesNotHang|TestConcurrentLaunchesSerialise|TestKernelPanicReachesCaller' \
-		./internal/par/ ./internal/backends/spmd/ ./internal/comm/ ./internal/simgpu/
+		-run 'TestCloseAfterBurstDoesNotHang|TestCloseIdempotent|TestUseAfterClosePanics|TestPanicSurfacesAsRankError|TestAbortWakesSpinningWaiters|TestWatchdog|TestWorldResetAfterFailure|TestSocketCloseDoesNotHang|TestConcurrentLaunchesSerialise|TestKernelPanicReachesCaller|TestTilingPropertyRandomChainsWithReductions|TestTilingPropertyRowKernels' \
+		./internal/par/ ./internal/backends/spmd/ ./internal/comm/ ./internal/simgpu/ ./internal/ops/
 	$(GO) test -race -count=1 -timeout 5m \
 		-run 'TestLifecycleModel|TestVersionLedgerZeroWhenIdle|TestLeaderExpiryPromotesFollower|TestRetention|TestDrainInterruptsAndRestartResumes' \
 		./internal/serve/

@@ -223,8 +223,9 @@ func blockName(d simgpu.Dim2) string {
 // full-field sweeps.
 func BenchmarkCGIteration(b *testing.B) {
 	versions := []string{
-		"manual-serial", "manual-omp", "manual-mpi", "manual-cuda",
-		"ops-openmp", "kokkos-openmp", "raja-openmp",
+		"manual-serial", "manual-omp", "manual-mpi", "manual-mpi-omp", "manual-cuda",
+		"ops-openmp", "ops-openacc", "ops-mpi", "ops-mpi-omp", "ops-mpi-tiled", "ops-cuda",
+		"kokkos-openmp", "raja-openmp",
 	}
 	for _, name := range versions {
 		name := name

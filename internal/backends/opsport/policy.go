@@ -12,16 +12,36 @@ const halo = grid.DefaultHalo
 
 // policy is the OPS layer as a chunk.RankPolicy over the rank's dats. Every
 // For launch is one ParLoopRow, queued on a tiling context, and every Reduce
-// a deferred reducing ParLoopRow whose value is read at once, so a chain
+// a reducing ParLoopRedRow, whose value is read at once, so a chain
 // queues up to each reduction. A launch's Reach is its loop's stencil
 // on every argument, which the tiling skew and the bounds check are derived
 // from. Arguments are declared RW: nothing in ops reads an access mode at run
 // time. The rank layer reaches a dat's host copy once the queue has flushed.
+//
+// A launch allocates nothing once warm: the loop copies the one argument
+// list, and each launch since the queue last drained holds a recycled slot
+// whose row kernels were bound when the slot was made.
 type policy struct {
 	ctx      *ops.Context
 	block    *ops.Block
 	stride   int
 	stencils map[chunk.Reach]*ops.Stencil
+	args     []ops.Arg
+	sum      [1]float64 // Reduce's total
+	// slots[:queued] are the launches issued since the queue last drained;
+	// a tiled queue holds several at once.
+	slots  []*slot
+	queued int
+}
+
+// slot is one launch's body and working slices; forRow and redRow are its
+// row kernels, bound once.
+type slot struct {
+	p              *policy
+	a              [][]float64
+	body           chunk.Body
+	red            chunk.RedBody
+	forRow, redRow ops.RowKernel
 }
 
 // Alloc implements chunk.Policy: the rank's block and its dats, whose
@@ -38,50 +58,64 @@ func (p *policy) Alloc(n, rows, cols int) []*ops.Dat {
 
 // For implements chunk.Policy.
 func (p *policy) For(name string, win chunk.Window, args []*ops.Dat, body chunk.Body) {
-	r, oa, a := p.loop(win, args)
-	p.ctx.ParLoopRow(name, p.block, r, oa, func(acc []*ops.Acc, _ []float64, n int) {
-		lo := p.at(acc[0])
-		body(a, lo, lo+n)
-	})
+	r, s := p.loop(win, args)
+	s.body = body
+	p.ctx.ParLoopRow(name, p.block, r, p.args, s.forRow)
 }
 
 // Reduce implements chunk.Policy: each row (each device block) threads one
 // accumulator through its segments, and the partials combine in row (block)
-// order.
+// order. Reading the value drains the queue.
 func (p *policy) Reduce(name string, win chunk.Window, args []*ops.Dat, body chunk.RedBody) float64 {
-	r, oa, a := p.loop(win, args)
-	red := p.ctx.ParLoopRedDeferredRow(name, p.block, r, 1, oa, func(acc []*ops.Acc, red []float64, n int) {
-		lo := p.at(acc[0])
-		red[0] = body(a, lo, lo+n, red[0])
-	})
-	return red.Value()
+	r, s := p.loop(win, args)
+	s.red = body
+	p.ctx.ParLoopRedRow(name, p.block, r, p.sum[:], p.args, s.redRow)
+	p.queued = 0
+	return p.sum[0]
 }
 
 // Host, Land and Publish implement chunk.RankPolicy: the dat's host copy,
 // refreshed from the device and uploaded back on the CUDA backend, and a
 // flush of the queued loops.
 func (p *policy) Host(d *ops.Dat) []float64 { d.Download(); return d.Host() }
-func (p *policy) Land()                     { p.ctx.Flush() }
+func (p *policy) Land()                     { p.ctx.Flush(); p.queued = 0 }
 func (p *policy) Publish(d *ops.Dat)        { d.Upload() }
 
-// loop declares a launch: its range in block coordinates, an index argument
-// (which seats each segment) followed by every dat through the stencil of
-// the launch's reach, and the dats' working slices in argument order.
-func (p *policy) loop(win chunk.Window, args []*ops.Dat) (ops.Range, []ops.Arg, [][]float64) {
-	s := p.stencils[win.Reach]
-	if s == nil {
+// loop declares a launch: its range in block coordinates, the argument list
+// (an index argument, which seats each segment, followed by every dat
+// through the stencil of the launch's reach) and the launch's slot, holding
+// the dats' working slices in argument order.
+func (p *policy) loop(win chunk.Window, args []*ops.Dat) (ops.Range, *slot) {
+	st := p.stencils[win.Reach]
+	if st == nil {
 		r := win.Reach
-		s = ops.NewStencil(fmt.Sprintf("reach%v", r), [2]int{r.X0, r.Y0}, [2]int{r.X1, r.Y1})
-		p.stencils[win.Reach] = s
+		st = ops.NewStencil(fmt.Sprintf("reach%v", r), [2]int{r.X0, r.Y0}, [2]int{r.X1, r.Y1})
+		p.stencils[win.Reach] = st
 	}
-	oa := make([]ops.Arg, 1, 1+len(args))
-	oa[0] = ops.ArgIdx()
-	a := make([][]float64, len(args))
-	for k, d := range args {
-		oa = append(oa, ops.ArgDat(d, s, ops.RW))
-		a[k] = d.Data()
+	if p.queued == len(p.slots) {
+		s := &slot{p: p}
+		s.forRow, s.redRow = s.runFor, s.runReduce
+		p.slots = append(p.slots, s)
 	}
-	return ops.Range{XLo: win.X0 - halo, XHi: win.X1 - halo, YLo: win.Y0 - halo, YHi: win.Y1 - halo}, oa, a
+	s := p.slots[p.queued]
+	p.queued++
+	p.args = append(p.args[:0], ops.ArgIdx())
+	s.a = s.a[:0]
+	for _, d := range args {
+		p.args = append(p.args, ops.ArgDat(d, st, ops.RW))
+		s.a = append(s.a, d.Data())
+	}
+	return ops.Range{XLo: win.X0 - halo, XHi: win.X1 - halo, YLo: win.Y0 - halo, YHi: win.Y1 - halo}, s
+}
+
+func (s *slot) runFor(acc []*ops.Acc, _ []float64, n int) {
+	lo := s.p.at(acc[0])
+	s.body(s.a, lo, lo+n)
+}
+
+func (s *slot) runReduce(acc []*ops.Acc, red []float64, n int) {
+	lo := s.p.at(acc[0])
+	red[0] = s.red(s.a, lo, lo+n, red[0])
 }
 
 // at is the flat index of the point an index accessor is seated on.

@@ -150,6 +150,66 @@ func TestHaloExchangeDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestCGIterationDoesNotAllocate: once warm, a diagonal-preconditioned CG
+// iteration — the p exchange, CGCalcW, CGCalcUR, CGCalcP and Norm2R — on every
+// OPS backend, tiled and untiled, allocates on each rank exactly what the
+// same iteration allocates on manual-serial: the chunk recipe's per-call
+// bodies, which every port of the recipe pays (four, one each for CGCalcW,
+// CGCalcUR, CGCalcP and the dot of Norm2R). OPS adds nothing to it: loop
+// records, argument lists, accessor sets, row kernels, team and device bodies,
+// reduction handles and partials are the context's and the policy's, reused.
+func TestCGIterationDoesNotAllocate(t *testing.T) {
+	cfg := config.BenchmarkN(32)
+	m, err := grid.NewMesh(cfg.XMin, cfg.XMax, cfg.YMin, cfg.YMax, cfg.NX, cfg.NY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iterAllocs := func(t *testing.T, k driver.Kernels) float64 {
+		t.Helper()
+		defer k.Close()
+		if err := k.Generate(m, cfg.States); err != nil {
+			t.Fatal(err)
+		}
+		k.HaloExchange([]driver.FieldID{driver.FieldDensity, driver.FieldEnergy1}, 2)
+		k.SolveInit(cfg.Coefficient, 1e-3, 1e-3, config.PrecondJacDiag)
+		k.CGInitP(true)
+		fields := []driver.FieldID{driver.FieldP}
+		iterate := func() {
+			k.HaloExchange(fields, 1)
+			pw := k.CGCalcW()
+			rrn := k.CGCalcUR(1e-3/(1+pw*pw), true)
+			k.CGCalcP(1e-3/(1+rrn*rrn), true)
+			k.Norm2R()
+		}
+		for n := 0; n < 3; n++ {
+			iterate()
+		}
+		return testing.AllocsPerRun(20, iterate)
+	}
+	recipe := iterAllocs(t, serial.New())
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{
+		{"ops-openmp", Options{Backend: ops.BackendOpenMP, Threads: 2}},
+		{"ops-openacc", Options{Backend: ops.BackendACC, Threads: 2}},
+		{"ops-cuda", Options{Backend: ops.BackendCUDA, Threads: 2}},
+		{"ops-mpi", Options{Backend: ops.BackendSerial, Ranks: 4}},
+		{"ops-mpi-tiled", Options{Backend: ops.BackendSerial, Ranks: 4, Tiling: true, TileX: 8, TileY: 8}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := New(c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := recipe * float64(max(c.opt.Ranks, 1))
+			if n := iterAllocs(t, p); n != want {
+				t.Errorf("CG iteration: %v allocs, want %v (manual-serial's %v per rank)", n, want, recipe)
+			}
+		})
+	}
+}
+
 // TestRanksBeyondMesh: a rank count whose decomposition leaves some rank an
 // empty chunk (16 ranks decompose a 3x3 mesh as 4x4) is an error from
 // Generate on every distributed version, not a panic, and the port still

@@ -15,11 +15,19 @@
 // form a loop is held in: every loop is one RowKernel, called once per row
 // segment by one host sweep (runRange) and one device launch (runCUDA), and
 // every reduction goes through one engine (Reduction). ParLoopRow and
-// ParLoopRedDeferredRow take that form directly; ParLoop, ParLoopRed and
+// ParLoopRedRow take that form directly; ParLoop, ParLoopRed and
 // ParLoopRedDeferred take the per-point Kernel of the OPS user guide and wrap
 // it in an adapter that walks it along each segment, for kernels that are not
 // worth writing as a row. TeaLeaf's OPS versions (internal/backends/opsport)
 // run the shared chunk recipe's bodies as row kernels, one loop per launch.
+//
+// A warm launch allocates nothing on any backend, tiled or not: the Context
+// owns and recycles what a launch needs — the loop record (which copies the
+// caller's argument list, so the caller may reuse it at once), an accessor
+// set per team share, device block and chained loop, re-seated on every
+// launch, the team and device bodies, bound once, and reduction partials
+// from a free list. The one exception is a deferred reduction's handle and
+// values, which must outlive the launch until the caller reads them.
 //
 // A loop's stencils are the whole of its dependency declaration: the tiling
 // skew and the declaration-time bounds check derive from them, and a loop
@@ -29,6 +37,8 @@ package ops
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"github.com/warwick-hpsc/tealeaf-go/internal/par"
 	"github.com/warwick-hpsc/tealeaf-go/internal/simgpu"
@@ -117,6 +127,28 @@ type Context struct {
 	// tileResolved flips once TileAuto has picked tile extents from the
 	// first flushed chain's working set (see resolveAutoTile).
 	tileResolved bool
+
+	// What the context owns so that a warm launch allocates nothing: spare
+	// loop records, free reduction partial buffers, the handle of the
+	// loop ParLoopRedRow reads at once, and accessor sets —
+	// one per team share (one on the serial backend), one per device block
+	// and one per loop of a tiled chain, re-seated on every launch — with
+	// the device per-block partials and the skew scratch of a chain.
+	spare     []*loopRecord
+	parts     [][]float64
+	eager     Reduction // ParLoopRedRow's handle
+	shareAccs []accSet
+	blockAccs []accSet
+	chainAccs []accSet
+	blockPart []float64
+	shift     []int
+	// cur is the loop executeFull is running; shareBody and blockBody, the
+	// team and device bodies bound once in NewContext, read it, and each
+	// team share takes the next of shareAccs by nextShare.
+	cur       *loopRecord
+	shareBody func(j0, j1 int)
+	blockBody func(simgpu.Block) float64
+	nextShare atomic.Int32
 }
 
 // NewContext creates an OPS instance. Close it to release its resources.
@@ -136,10 +168,19 @@ func NewContext(opt Options) (*Context, error) {
 		opt.TileY = 32
 	}
 	ctx := &Context{opt: opt, tileResolved: !opt.TileAuto}
+	ctx.shareBody, ctx.blockBody = ctx.runShare, ctx.runBlock
 	switch opt.Backend {
 	case BackendSerial:
+		ctx.shareAccs = make([]accSet, 1)
 	case BackendOpenMP, BackendACC:
-		ctx.team = par.NewTeam(opt.Threads)
+		// The team width is fixed here, as par.NewTeam would default it, so
+		// that every share has its accessor set.
+		threads := opt.Threads
+		if threads <= 0 {
+			threads = runtime.GOMAXPROCS(0)
+		}
+		ctx.team = par.NewTeam(threads)
+		ctx.shareAccs = make([]accSet, threads)
 		// Share boundaries snap to the tile-row quantum so a thread's rows
 		// cover whole tile rows of the (current) tile geometry; TileAuto
 		// re-snaps when resolveAutoTile picks the real extents.

@@ -473,7 +473,7 @@ func TestDeferredReductionMatchesEager(t *testing.T) {
 		dot := ctx.ParLoopRedDeferred("dot", b, interior, 1,
 			[]Arg{ArgDat(u, S2D00, Read), ArgDat(v, S2D00, Read)},
 			func(a []*Acc, red []float64) { red[0] += a[0].Get(0, 0) * a[1].Get(0, 0) })
-		val := dot.Value() // true sync point: flushes the chain
+		val := dot.Values()[0] // true sync point: flushes the chain
 		out := make([]float64, 0, nx*ny)
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -525,10 +525,10 @@ func TestDeferredReductionDiscard(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Value() on a discarded reduction must panic")
+				t.Error("Values() on a discarded reduction must panic")
 			}
 		}()
-		red.Value()
+		red.Values()
 	}()
 	// The context must stay usable after a discard.
 	ctx.ParLoop("fill", b, Range{0, 8, 0, 8}, []Arg{ArgDat(d, S2D00, Write)},
@@ -541,15 +541,20 @@ func TestDeferredReductionDiscard(t *testing.T) {
 
 // TestTilingPropertyRandomChainsWithReductions extends the random-chain
 // property test with deferred reductions riding the chain and degenerate
-// tile extents (including 1xN and Nx1).
+// tile extents (including 1xN and Nx1). Every handle stays pending across the
+// later loops of its chain and is read at the end, so it doubles as the
+// handle-lifetime test of the recycled state: untiled on the team and on the
+// device too, every run must match serial untiled bitwise, which a partial
+// buffer or a handle handed to a later loop before its reader is done fails.
+// The device blocks are one row wide and wider than the mesh, so each block's
+// partial is one row's and the block-order sum is the serial row-order sum.
 func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
-	run := func(seed int64, tiled bool) []float64 {
+	run := func(seed int64, opt Options) []float64 {
 		rng := rand.New(rand.NewSource(seed))
-		opt := Options{Backend: BackendSerial}
 		tx := 1 + rng.Intn(16)
 		ty := 1 + rng.Intn(16)
-		if tiled {
-			opt.Tiling, opt.TileX, opt.TileY = true, tx, ty
+		if opt.Tiling {
+			opt.TileX, opt.TileY = tx, ty
 		}
 		ctx, err := NewContext(opt)
 		if err != nil {
@@ -566,6 +571,8 @@ func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
 				d2.Set(i, j, rng.Float64())
 			}
 		}
+		d1.Upload()
+		d2.Upload()
 		var out []float64
 		var pending []*Reduction
 		nloops := 3 + rng.Intn(7)
@@ -603,6 +610,8 @@ func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
 			out = append(out, p.Values()...)
 		}
 		ctx.Flush()
+		d1.Download()
+		d2.Download()
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
 				out = append(out, at(d1, i, j), at(d2, i, j))
@@ -610,21 +619,30 @@ func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
 		}
 		return out
 	}
-	f := func(seed int64) bool {
-		a := run(seed, false)
-		b := run(seed, true)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+	for name, opt := range map[string]Options{
+		"tiled":  {Backend: BackendSerial, Tiling: true},
+		"openmp": {Backend: BackendOpenMP, Threads: 3},
+		"cuda":   {Backend: BackendCUDA, Threads: 2, Block: simgpu.Dim2{X: 32, Y: 1}},
+	} {
+		opt := opt
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				a := run(seed, Options{Backend: BackendSerial})
+				b := run(seed, opt)
+				if len(a) != len(b) {
+					return false
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						return false
+					}
+				}
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -633,7 +651,10 @@ func TestTilingPropertyRandomChainsWithReductions(t *testing.T) {
 // must agree bitwise — dats and reduction values — on every backend and under
 // every segment geometry: whole rows, team shares, device thread-rows wider
 // and narrower than the range, tile slices down to one cell, and ranges
-// narrower than a tile or one cell wide.
+// narrower than a tile or one cell wide. The row form's reductions are read
+// at once (ParLoopRedRow, on the context's own handle) and the per-point
+// form's deferred to the end, so the two also cut a tiled queue into
+// different chains.
 func TestTilingPropertyRowKernels(t *testing.T) {
 	const nx, ny = 19, 16
 	run := func(seed int64, opt Options, rows bool) []float64 {
@@ -662,7 +683,7 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 			}
 			return lo, lo + 1 + rng.Intn(n-1-lo)
 		}
-		var pending []*Reduction
+		var reads []func() []float64
 		for l, nloops := 0, 4+rng.Intn(8); l < nloops; l++ {
 			var r Range
 			r.XLo, r.XHi = span(nx)
@@ -695,21 +716,23 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 				ctx.ParLoop("ax", b, r, []Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, RW)},
 					func(a []*Acc, _ []float64) { a[1].Set(0, 0, a[1].Get(0, 0)+0.25*a[0].Get(0, 0)) })
 			case kind == 2 && rows:
-				pending = append(pending, ctx.ParLoopRedDeferredRow("dot", b, r, 2,
+				vals := make([]float64, 2)
+				ctx.ParLoopRedRow("dot", b, r, vals,
 					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, Read)},
 					func(a []*Acc, red []float64, n int) {
 						for i := 0; i < n; i++ {
 							red[0] += a[0].Get(i, 0) * a[1].Get(i, 0)
 							red[1] += a[0].Get(i, 0) + a[1].Get(i, 0)
 						}
-					}))
+					})
+				reads = append(reads, func() []float64 { return vals })
 			case kind == 2:
-				pending = append(pending, ctx.ParLoopRedDeferred("dot", b, r, 2,
+				reads = append(reads, ctx.ParLoopRedDeferred("dot", b, r, 2,
 					[]Arg{ArgDat(src, S2D00, Read), ArgDat(dst, S2D00, Read)},
 					func(a []*Acc, red []float64) {
 						red[0] += a[0].Get(0, 0) * a[1].Get(0, 0)
 						red[1] += a[0].Get(0, 0) + a[1].Get(0, 0)
-					}))
+					}).Values)
 			case rows:
 				ctx.ParLoopRow("idx", b, r, []Arg{ArgIdx(), ArgDat(dst, S2D00, RW)},
 					func(a []*Acc, _ []float64, n int) {
@@ -725,8 +748,8 @@ func TestTilingPropertyRowKernels(t *testing.T) {
 			}
 		}
 		var out []float64
-		for _, p := range pending {
-			out = append(out, p.Values()...)
+		for _, read := range reads {
+			out = append(out, read()...)
 		}
 		ctx.Flush()
 		d1.Download()

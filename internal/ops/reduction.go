@@ -4,12 +4,13 @@ import "fmt"
 
 // Deferred reductions let reducing loops join a lazy loop chain instead of
 // forcing an immediate flush: ParLoopRedDeferred enqueues the loop (under
-// tiling) and hands back a Reduction whose Value/Values finalize at the true
+// tiling) and hands back a Reduction whose Values finalize at the true
 // synchronisation point — the moment the caller actually needs the scalar,
 // e.g. an Allreduce contribution. Between enqueue and finalize the chain can
 // keep growing, so the matvec→dot→axpy→precond→halo loops of consecutive CG
 // iterations tile as one cache-resident chain. This is the only reduction
-// engine: the eager ParLoopRed is a deferred loop whose handle is read at once.
+// engine: the eager ParLoopRed and ParLoopRedRow are deferred loops whose
+// handle is read at once (ParLoopRedRow's is the context's own).
 //
 // Accumulation order is canonical: every reducing loop owns one partial
 // accumulator per absolute row of its range, and kernel contributions to a
@@ -20,15 +21,23 @@ import "fmt"
 // serial untiled, tiled at any tile size, and row-sharded team execution —
 // which is what lets tiled and untiled runs of a port agree to the last bit.
 
-// Reduction is a handle to a (possibly still queued) reducing loop. It is
-// not safe for concurrent use; read it from the goroutine driving the
-// context.
+// Reduction is a handle to a (possibly still queued) reducing loop. It stays
+// valid until it is read, however many loops run in between, and the slice
+// Values returns is the caller's to keep, so a deferred reducing loop
+// allocates the handle and its values (ParLoopRedRow, which reads its loop at
+// once, runs on the context's own handle and allocates none). Its host
+// partials live in a buffer from the
+// context's free list, which gets the buffer back when the handle finalizes
+// or is discarded. It is not safe for concurrent use; read it from the
+// goroutine driving the context.
 type Reduction struct {
 	ctx  *Context
-	rec  *loopRecord
 	name string
-	// rows holds per-row partials, rows[j-baseY][v]; one backing array.
-	rows      [][]float64
+	nred int
+	// part holds the host backends' per-row partials flat,
+	// part[(j-baseY)*nred+v]; the device backend combines per-block partials
+	// itself (runCUDA) and leaves it nil.
+	part      []float64
 	baseY     int
 	executed  bool
 	finalized bool
@@ -36,21 +45,10 @@ type Reduction struct {
 	vals      []float64
 }
 
-// newReduction creates rec's handle. The host backends get one partial slot
-// per row of the range; the device backend has no lazy queue (tiling is
-// rejected there) and combines per-block partials itself (runCUDA).
-func newReduction(ctx *Context, rec *loopRecord) *Reduction {
-	rd := &Reduction{ctx: ctx, rec: rec, name: rec.name, baseY: rec.r.YLo}
-	if ctx.opt.Backend == BackendCUDA {
-		return rd
-	}
-	nrows := max(rec.r.YHi-rec.r.YLo, 0)
-	backing := make([]float64, nrows*rec.nred)
-	rd.rows = make([][]float64, nrows)
-	for j := range rd.rows {
-		rd.rows[j] = backing[j*rec.nred : (j+1)*rec.nred]
-	}
-	return rd
+// row returns absolute row j's partial slots.
+func (rd *Reduction) row(j int) []float64 {
+	k := (j - rd.baseY) * rd.nred
+	return rd.part[k : k+rd.nred : k+rd.nred]
 }
 
 // ParLoopRedDeferred enqueues (or, untiled, executes) a reducing per-point
@@ -58,22 +56,70 @@ func newReduction(ctx *Context, rec *loopRecord) *Reduction {
 // first. The returned values are bitwise independent of tiling and tile
 // geometry.
 func (ctx *Context) ParLoopRedDeferred(name string, b *Block, r Range, nred int, args []Arg, k Kernel) *Reduction {
-	return ctx.ParLoopRedDeferredRow(name, b, r, nred, args, pointwise(k, args))
+	checkNred(name, nred)
+	rd := new(Reduction)
+	ctx.issueRed(ctx.record(name, b, r, args, nred).pointwise(k), rd, make([]float64, nred))
+	return rd
 }
 
-// ParLoopRedDeferredRow is the reducing ParLoopRow: rk runs once per row
-// segment, accumulating onto the row's partial slot on the host backends and
-// onto the block's partial on the device backend. rk must accumulate
-// left-to-right so the canonical per-row order — and therefore the bitwise
-// tiled/untiled equivalence — is preserved.
-func (ctx *Context) ParLoopRedDeferredRow(name string, b *Block, r Range, nred int, args []Arg, rk RowKernel) *Reduction {
+// ParLoopRedRow is the reducing ParLoopRow, read at once: rk runs once per
+// row segment, accumulating onto the row's partial slots on the host backends
+// and onto the block's partials on the device backend, and the queue flushes
+// through the loop, leaving the len(out) accumulated values in out. rk must
+// accumulate left-to-right so the canonical per-row order — and therefore the
+// bitwise tiled/untiled equivalence — is preserved. No handle reaches the
+// caller, so the loop runs on the context's own and allocates nothing.
+func (ctx *Context) ParLoopRedRow(name string, b *Block, r Range, out []float64, args []Arg, rk RowKernel) {
+	checkNred(name, len(out))
+	rec := ctx.record(name, b, r, args, len(out))
+	rec.kernel = rk
+	clear(out)
+	ctx.issueRed(rec, &ctx.eager, out)
+	ctx.eager.Values()
+	ctx.eager = Reduction{}
+}
+
+func checkNred(name string, nred int) {
 	if nred <= 0 {
 		panic(fmt.Sprintf("ops: reducing loop %q needs nred > 0", name))
 	}
-	rec := newRecord(name, b, r, args, rk, nred)
-	rec.red = newReduction(ctx, rec)
+}
+
+// issueRed sets rd up as rec's handle, accumulating into the zeroed vals,
+// and issues the loop. The host backends get one partial slot per row of the
+// range and accumulator; the device backend has no lazy queue (tiling is
+// rejected there) and sums into vals at launch.
+func (ctx *Context) issueRed(rec *loopRecord, rd *Reduction, vals []float64) {
+	*rd = Reduction{ctx: ctx, name: rec.name, nred: rec.nred, baseY: rec.r.YLo, vals: vals}
+	if ctx.opt.Backend != BackendCUDA {
+		rd.part = ctx.partials(max(rec.r.YHi-rec.r.YLo, 0) * rec.nred)
+	}
+	rec.red = rd
 	ctx.issue(rec)
-	return rec.red
+}
+
+// partials takes a zeroed buffer of n partial slots from the free list, or
+// makes one when none is large enough.
+func (ctx *Context) partials(n int) []float64 {
+	for k := len(ctx.parts) - 1; k >= 0; k-- {
+		if buf := ctx.parts[k]; cap(buf) >= n {
+			last := len(ctx.parts) - 1
+			ctx.parts[k], ctx.parts[last] = ctx.parts[last], nil
+			ctx.parts = ctx.parts[:last]
+			buf = buf[:n]
+			clear(buf)
+			return buf
+		}
+	}
+	return make([]float64, n)
+}
+
+// release hands the handle's partial buffer back to the free list.
+func (rd *Reduction) release() {
+	if cap(rd.part) > 0 {
+		rd.ctx.parts = append(rd.ctx.parts, rd.part)
+	}
+	rd.part = nil
 }
 
 // Values flushes any pending chain, finalizes and returns the reduction's
@@ -91,22 +137,16 @@ func (rd *Reduction) Values() []float64 {
 		}
 	}
 	if !rd.finalized {
-		vals := make([]float64, rd.rec.nred)
-		for _, row := range rd.rows {
-			for v, x := range row {
-				vals[v] += x
+		for k := 0; k < len(rd.part); k += rd.nred {
+			for v, x := range rd.part[k : k+rd.nred] {
+				rd.vals[v] += x
 			}
 		}
-		rd.vals = vals
-		rd.rows = nil
+		rd.release()
 		rd.finalized = true
 	}
 	return rd.vals
 }
-
-// Value is Values()[0], for the single-accumulator loops every TeaLeaf dot
-// product uses.
-func (rd *Reduction) Value() float64 { return rd.Values()[0] }
 
 // Discard drops every queued loop without executing it and invalidates
 // their pending reductions. Rollback recovery calls this before restoring
@@ -116,9 +156,12 @@ func (rd *Reduction) Value() float64 { return rd.Values()[0] }
 func (ctx *Context) Discard() {
 	for _, rec := range ctx.queue {
 		ctx.stats.Discards++
-		if rec.red != nil {
-			rec.red.discarded = true
+		if rd := rec.red; rd != nil {
+			rd.discarded = true
+			rd.release()
 		}
+		ctx.recycle(rec)
 	}
-	ctx.queue = nil
+	clear(ctx.queue)
+	ctx.queue = ctx.queue[:0]
 }

@@ -54,19 +54,33 @@ func (ctx *Context) Flush() {
 	}
 	if len(loops) == 1 {
 		ctx.executeFull(loops[0])
-		return
+	} else {
+		ctx.runChain(loops)
 	}
+	for _, rec := range loops {
+		ctx.recycle(rec)
+	}
+	clear(loops)
+	ctx.queue = loops[:0]
+}
+
+// runChain executes two or more queued loops tile by tile, each with its own
+// accessor set from the context's chain sets.
+func (ctx *Context) runChain(loops []*loopRecord) {
 	ctx.resolveAutoTile(loops)
 	// Cumulative skew per loop; each increment covers flow and anti
 	// dependences between every earlier/later loop pair (see the package
 	// comment above).
-	shift := make([]int, len(loops))
+	shift := append(ctx.shift[:0], 0)
 	for l := 1; l < len(loops); l++ {
-		shift[l] = shift[l-1] + loops[l].radius + loops[l-1].radius
+		shift = append(shift, shift[l-1]+loops[l].radius+loops[l-1].radius)
 	}
-	accs := make([][]*Acc, len(loops))
+	ctx.shift = shift
+	for len(ctx.chainAccs) < len(loops) {
+		ctx.chainAccs = append(ctx.chainAccs, accSet{})
+	}
 	for l, rec := range loops {
-		accs[l] = makeAccs(rec)
+		ctx.chainAccs[l].bind(rec.args)
 	}
 	// Tile-index bounds over the skewed coordinates of all loops.
 	tx0, tx1 := tileBounds(loops, shift, ctx.opt.TileX, func(r Range) (int, int) { return r.XLo, r.XHi })
@@ -82,7 +96,7 @@ func (ctx *Context) Flush() {
 					YHi: min(rec.r.YHi, (ty+1)*ctx.opt.TileY-shift[l]),
 				}
 				if sub.XLo < sub.XHi && sub.YLo < sub.YHi {
-					runRange(rec, sub, accs[l])
+					runRange(rec, sub, ctx.chainAccs[l].accs)
 					ran = true
 				}
 			}
